@@ -29,7 +29,9 @@ from .circuits import (
     execute,
     register_zero_probability,
 )
+from .estimation import ESTIMATOR_MAX_M
 from .fidelity import (
+    estimator_readout_qubits,
     exact_fidelity_to_pure,
     exact_tr_rho_sigma2,
     hard_instance,
@@ -104,6 +106,15 @@ class ExperimentConfig:
             raise ValueError(f"unknown format {self.format!r}; expected one of {FORMATS}")
         if self.estimator == "pure-pure" and self.rank != 1:
             raise ValueError("the pure-pure estimator needs rank 1 instances")
+        if self.command in ("sweep", "single"):
+            # single runs only the first epsilon
+            for e in eps if self.command == "sweep" else eps[:1]:
+                m = estimator_readout_qubits(e, self.estimator == "swap-baseline")
+                if m > ESTIMATOR_MAX_M:
+                    raise QubitCapExceeded(
+                        f"epsilon = {e} needs m = {m} readout qubits for the "
+                        f"{self.estimator} estimator, cap is {ESTIMATOR_MAX_M}"
+                    )
 
 
 @dataclass(frozen=True)

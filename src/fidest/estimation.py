@@ -1,4 +1,4 @@
-"""Amplitude estimation via phase estimation on exact outcome distributions.
+"""Amplitude estimation by exact sampling of the phase-estimation readout.
 
 Phase estimation with m readout qubits on a unitary Q applied to a state
 with weight w_l on the eigenphase fraction omega_l (Q|v_l> = e^{2 pi i
@@ -6,15 +6,32 @@ omega_l}|v_l>) yields outcome y in [0, 2^m) with probability
 
     Pr[y] = sum_l w_l * sin^2(pi(M omega_l - y)) / (M^2 sin^2(pi(omega_l - y/M))),
 
-the squared Dirichlet kernel with M = 2^m.  For the Grover operator of a
-state preparer whose flagged probability is p = sin^2(theta), the prepared
-state splits with weight exactly 1/2 onto each of the two eigenphases
-+-theta/pi, so its outcome distribution is an equal kernel mixture; the
-estimators below sample that distribution exactly with a seeded PRNG, read
-out sin^2(pi y / M) (for p) or sin(pi y / M) (for sqrt(p)), and take the
-lower median of 15 repetitions.  With M >= 4 pi / delta (respectively
-2 pi / delta) a single repetition lands within delta with probability at
-least 8/pi^2, and the median amplifies that well past 2/3.
+the squared Dirichlet (Fejer) kernel with M = 2^m.  For the Grover operator
+of a state preparer whose flagged probability is p = sin^2(theta), the
+prepared state splits with weight exactly 1/2 onto each of the two
+eigenphases omega = theta/pi and 1 - omega, so its outcome law is an equal
+kernel mixture.  The estimators draw each outcome exactly at O(1) cost,
+never touching the 2^m grid: pick a branch with probability 1/2, write
+M omega = a + f with a an integer and 0 <= f < 1, and draw the offset
+d = y - a (mod M), whose law is
+
+    K(d) = sin^2(pi f) / (M^2 sin^2(pi (f - d) / M)).
+
+When f = 0 the outcome is a.  Otherwise the offsets -1..2 nearest the peak
+are drawn by inverse CDF and the rest of the period, the tail, by rejection
+against the envelope sin^2(pi f) / (4 (f - d)^2), which dominates K because
+|sin(pi t)| >= 2|t| for |t| <= 1/2 (Brassard, Hoyer, Mosca and Tapp,
+quant-ph/0005055, Thm 11).  The envelope at each bin is bounded by its
+integral over the unit interval between that bin and the peak, and those
+integrals telescope, so the proposal's inverse CDF is closed-form.
+
+The estimators read out sin^2(pi y / M) (for p) or sin(pi y / M) (for
+sqrt(p)) and take the lower median of 15 repetitions, each drawn from its
+own generator default_rng([seed, rep]).  With M >= 4 pi / delta
+(respectively 2 pi / delta) a single repetition lands within delta with
+probability at least 8/pi^2, and the median amplifies that well past 2/3.
+qpe_grid_distribution and qpe_distribution build the whole 2^m grid; they
+are the references the sampler is tested against.
 
 Query accounting is closed-form: each repetition costs one plain preparer
 application plus 2^m - 1 controlled Grover steps, and each Grover step
@@ -24,6 +41,7 @@ on the underlying oracles and returned per run.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 from dataclasses import dataclass
@@ -51,8 +69,14 @@ GROVER_MAX_QUBITS = 12
 #: Readout-register cap for the public phase_estimate op.
 PHASE_ESTIMATE_MAX_M = 14
 
-#: Readout-register cap for the amplitude estimators (2^22 outcome grid).
-ESTIMATOR_MAX_M = 22
+#: Readout-register cap for the amplitude estimators.  Sampling costs O(1)
+#: per outcome at any m; the cap is float64 resolution: at M = 2^48, M omega
+#: keeps only 5 fractional bits of a phase near 1/2, and y/M is exact.
+ESTIMATOR_MAX_M = 48
+
+#: Offsets d in [1 - _WINDOW, _WINDOW] around the kernel peak are drawn by
+#: inverse CDF, the rest of the period by rejection.
+_WINDOW = 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,13 +170,16 @@ def qpe_grid_distribution(phases, weights, m: int) -> np.ndarray:
     y = np.arange(M, dtype=float)
     probs = np.zeros(M, dtype=float)
     for omega, w in zip(np.atleast_1d(phases), np.atleast_1d(weights)):
-        t = (float(omega) - y / M) % 1.0
-        t[t >= 1.0] = 0.0
-        # sin(pi M t) evaluated as sin(pi ((M t) mod 2)): M t is exact for
-        # power-of-two M, so the reduction avoids large-argument error.
-        num = np.sin(np.pi * np.mod(M * t, 2.0))
-        den = M * np.sin(np.pi * t)
-        on_grid = t == 0.0
+        # r = M (omega - y/M), reduced to [-M/2, M/2].  M omega - y is exact
+        # near the peak (Sterbenz), where the kernel's relative error is set
+        # by that of r, and so is the reduction; omega - y/M, or a reduction
+        # into [0, M), would round there.
+        r = M * float(omega) - y
+        r -= M * np.round(r / M)
+        # sin(pi r) evaluated as sin(pi (r mod 2)) avoids large-argument error.
+        num = np.sin(np.pi * np.mod(r, 2.0))
+        den = M * np.sin(np.pi * r / M)
+        on_grid = r == 0.0
         den[on_grid] = 1.0
         kern = (num / den) ** 2
         kern[on_grid] = 1.0
@@ -201,13 +228,79 @@ def phase_estimate(
     return _sample_outcome(probs, np.random.default_rng(seed))
 
 
-def _m_for_delta(delta: float, extra_qubits: int, max_m: int) -> int:
+def _kernel(f: float, d, M: int):
+    """K(d) = sin^2(pi f) / (M^2 sin^2(pi (f - d) / M)) for 0 < f < 1 and offsets d.
+
+    The probability that the readout lands at a + d when M omega = a + f.
+    sin(pi f) is taken on min(f, 1 - f), which is exact (1 - f is, for
+    f >= 1/2), so K keeps full relative precision when f is near 0 or 1.
+    """
+    num = math.sin(math.pi * min(f, 1.0 - f))
+    return (num / (M * np.sin(np.pi * (f - d) / M))) ** 2
+
+
+class _KernelSampler:
+    """Exact O(1) sampler of the two-branch QPE readout law (see module docstring)."""
+
+    def __init__(self, omega: float, m: int):
+        self.M = M = 1 << m
+        scaled = M * omega  # exact: M is a power of two
+        self.a = math.floor(scaled)
+        self.f = f = scaled - self.a
+        if f == 0.0:
+            return
+        half = M // 2
+        self.window = np.arange(max(1 - _WINDOW, 1 - half), min(_WINDOW, half) + 1)
+        cum = np.cumsum(_kernel(f, self.window, M))
+        self.tail_bins = n = half - _WINDOW
+        if n <= 0:  # the window is the whole period; absorb rounding
+            self.cum = (cum / cum[-1]).tolist()
+            return
+        self.cum = cum.tolist()  # the tail holds the remaining mass 1 - cum[-1]
+        # Tail bin j on a side sits at distance z = c + j from f: d = _WINDOW + 1 + j
+        # on the right (c = _WINDOW + 1 - f), d = -_WINDOW - j on the left
+        # (c = _WINDOW + f).  Its envelope, over sin^2(pi f) / 4, is bounded by
+        # 1/(z-1) - 1/z = 1/(z (z-1)); a side's n bins sum to n/((c-1)(c+n-1)).
+        self.sides = [
+            (c, 1.0 / (c + n - 1.0), n / ((c - 1.0) * (c + n - 1.0)))
+            for c in (_WINDOW + 1 - f, _WINDOW + f)
+        ]
+        self.right_share = self.sides[0][2] / (self.sides[0][2] + self.sides[1][2])
+        self.scale = math.sin(math.pi * min(f, 1.0 - f)) ** 2 / 4.0
+
+    def offset(self, rng: np.random.Generator) -> int:
+        """One offset d of the branch at omega, so the outcome is (a + d) mod M."""
+        if self.f == 0.0:
+            return 0
+        i = bisect.bisect_right(self.cum, rng.random())
+        if i < len(self.cum):
+            return int(self.window[i])
+        # Tail: pick a side with probability proportional to its envelope
+        # mass, then a bin by inverse CDF (1/z is uniform between the side's
+        # ends), and accept with probability K(d) / envelope(d).
+        while True:
+            right = rng.random() < self.right_share
+            c, inv_far, mass = self.sides[0 if right else 1]
+            z = 1.0 / (inv_far + rng.random() * mass)
+            j = min(max(math.ceil(z - c), 0), self.tail_bins - 1)
+            d = _WINDOW + 1 + j if right else -_WINDOW - j
+            z = c + j
+            if rng.random() * self.scale / (z * (z - 1.0)) <= _kernel(self.f, d, self.M):
+                return d
+
+    def draw(self, rng: np.random.Generator) -> int:
+        """One outcome y in [0, M): branch omega or 1 - omega with probability 1/2 each."""
+        mirrored = rng.random() < 0.5
+        y = (self.a + self.offset(rng)) % self.M
+        # Pr_{1-omega}[y] = Pr_omega[M - y]: mirror instead of rounding 1 - omega
+        return (self.M - y) % self.M if mirrored else y
+
+
+def readout_qubits(delta: float, square: bool) -> int:
+    """Readout qubits for error delta: ceil(log2(pi/delta)) + 2 for p, + 1 for sqrt(p)."""
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
-    m = math.ceil(math.log2(math.pi / delta)) + extra_qubits
-    if m > max_m:
-        raise QubitCapExceeded(f"delta = {delta} needs m = {m} readout qubits, cap is {max_m}")
-    return m
+    return math.ceil(math.log2(math.pi / delta)) + (2 if square else 1)
 
 
 def _record_queries(problem: AmplitudeProblem, m: int, repetitions: int) -> dict:
@@ -228,19 +321,18 @@ def _record_queries(problem: AmplitudeProblem, m: int, repetitions: int) -> dict
     return tally
 
 
-def _estimate(problem, delta, seed, m, repetitions, square):
+def _estimate(problem, delta, seed, repetitions, square, max_m):
+    m = readout_qubits(delta, square)
+    if m > max_m:
+        raise QubitCapExceeded(f"delta = {delta} needs m = {m} readout qubits, cap is {max_m}")
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
     p = flag_probability(problem)
-    omega = math.asin(math.sqrt(p)) / math.pi
-    probs = qpe_grid_distribution([omega, (1.0 - omega) % 1.0], [0.5, 0.5], m)
-    cdf = np.cumsum(probs)
-    cdf /= cdf[-1]
+    sampler = _KernelSampler(math.asin(math.sqrt(p)) / math.pi, m)
     M = 1 << m
     values = []
     for rep in range(repetitions):
-        rng = np.random.default_rng([seed, rep])
-        y = int(np.searchsorted(cdf, rng.random(), side="right"))
+        y = sampler.draw(np.random.default_rng([seed, rep]))
         amp = math.sin(math.pi * y / M)
         values.append(amp * amp if square else amp)
     estimate = sorted(values)[(repetitions - 1) // 2]
@@ -268,8 +360,7 @@ def amplitude_estimate(
     Uses m = ceil(log2(pi/delta)) + 2 readout qubits and O(1/delta) preparer
     queries; deterministic given (problem, delta, seed).
     """
-    m = _m_for_delta(delta, 2, max_m)
-    return _estimate(problem, delta, seed, m, repetitions, square=True)
+    return _estimate(problem, delta, seed, repetitions, True, max_m)
 
 
 def sqrt_amplitude_estimate(
@@ -285,5 +376,4 @@ def sqrt_amplitude_estimate(
     m = ceil(log2(pi/delta)) + 1: since |sin(pi y/M) - sin(pi omega)| <=
     pi |y/M - omega|, the QPE grid guarantee transfers to sqrt(p) directly.
     """
-    m = _m_for_delta(delta, 1, max_m)
-    return _estimate(problem, delta, seed, m, repetitions, square=False)
+    return _estimate(problem, delta, seed, repetitions, False, max_m)

@@ -13,6 +13,7 @@ from .estimation import (
     AmplitudeProblem,
     EstimationResult,
     amplitude_estimate,
+    readout_qubits,
     sqrt_amplitude_estimate,
 )
 from .linalg import DensityMatrix, herm_eig, zero_state
@@ -106,6 +107,23 @@ def make_task(
     return FidelityTask(rho_oracle, second_oracle, pure, epsilon, seed)
 
 
+def _swap_delta(epsilon: float) -> float:
+    # Pr[C=0] = (1 + F^2)/2 to within eps^2/4 gives F to within eps/sqrt(2),
+    # since |sqrt(x) - sqrt(y)| <= sqrt(|x - y|)
+    return epsilon**2 / 4.0
+
+
+def estimator_readout_qubits(epsilon: float, swap_baseline: bool) -> int:
+    """Readout qubits m a fidelity estimator uses at target error epsilon.
+
+    The SWAP baseline estimates a probability to eps^2/4; the flagged
+    encoding estimators estimate an amplitude to eps.
+    """
+    if swap_baseline:
+        return readout_qubits(_swap_delta(epsilon), square=True)
+    return readout_qubits(epsilon, square=False)
+
+
 def _flagged_sqrt_estimate(task: FidelityTask) -> EstimationResult:
     circuit = build_flagged_encoding(task.rho_oracle, task.second_oracle)
     problem = AmplitudeProblem(circuit, "C")
@@ -123,7 +141,7 @@ def swap_test_estimate(task: FidelityTask) -> EstimationResult:
         raise ValueError("the SWAP-test baseline requires a pure second state")
     circuit = build_swap_test(task.rho_oracle, task.second_oracle)
     problem = AmplitudeProblem(circuit, "C")
-    inner = amplitude_estimate(problem, task.epsilon**2 / 4.0, task.seed)
+    inner = amplitude_estimate(problem, _swap_delta(task.epsilon), task.seed)
     estimate = math.sqrt(max(2.0 * inner.estimate - 1.0, 0.0))
     return dataclasses.replace(inner, estimate=min(estimate, 1.0))
 

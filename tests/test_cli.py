@@ -2,9 +2,12 @@
 
 import csv
 import json
+import time
 
 import pytest
 
+import fidest.cli
+from fidest.circuits import QubitCapExceeded
 from fidest.cli import (
     CSV_HEADER,
     ExperimentConfig,
@@ -67,6 +70,15 @@ class TestConfigValidation:
     def test_trials_positive(self):
         with pytest.raises(ValueError, match="trials"):
             ExperimentConfig(command="sweep", trials=0)
+
+    def test_readout_budget_checked_per_estimator(self):
+        # swap baseline: m = ceil(log2(4 pi / eps^2)) + 2; the others
+        # m = ceil(log2(pi / eps)) + 1, so eps = 1e-9 fits them (m = 33)
+        with pytest.raises(QubitCapExceeded, match="epsilon = 1e-09 needs m = 66"):
+            ExperimentConfig(command="sweep", estimator="swap-baseline", epsilons=(0.1, 1e-9))
+        ExperimentConfig(command="sweep", estimator="optimal", epsilons=(1e-9,))
+        # hard-instance runs no estimator
+        ExperimentConfig(command="hard-instance", estimator="swap-baseline", epsilons=(1e-9,))
 
 
 class TestFitScaling:
@@ -194,6 +206,18 @@ class TestSingle:
         assert 0.0 <= payload["estimate"] <= 1.0
         assert payload["queries"]["V"]["controlled"] > 0
 
+    def test_swap_baseline_reaches_eps_1e_4(self, capsys):
+        # m = 33 is far past any 2^m outcome grid; the sampler costs O(reps)
+        argv = ["single", "--estimator", "swap-baseline", "--epsilons", "1e-4", "--seed", "5"]
+        start = time.perf_counter()
+        assert main(argv) == 0
+        elapsed = time.perf_counter() - start
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["m"] == 33
+        assert payload["grover_applications"] == 15 * ((1 << 33) - 1)
+        assert 0.0 <= payload["estimate"] <= 1.0
+        assert elapsed < 1.0
+
 
 class TestHardInstance:
     def test_residuals_and_output(self, tmp_path, capsys):
@@ -260,6 +284,19 @@ class TestMainEntry:
     def test_bad_flag_value(self, capsys):
         assert main(["sweep", "--epsilons", "2.0"]) == 2
         assert "epsilons" in capsys.readouterr().err
+
+    def test_readout_budget_fails_before_any_work(self, tmp_path, monkeypatch, capsys):
+        def no_synthesis(*args, **kwargs):
+            raise AssertionError("sample_instance called before the m budget check")
+
+        monkeypatch.setattr(fidest.cli, "sample_instance", no_synthesis)
+        out = tmp_path / "sweep.csv"
+        code = main(
+            ["sweep", "--estimator", "swap-baseline", "--epsilons", "1e-9", "--output", str(out)]
+        )
+        assert code == 3
+        assert "epsilon = 1e-09" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_env_qubit_cap_respected(self, monkeypatch, capsys):
         monkeypatch.setenv("FIDEST_QUBIT_CAP", "3")

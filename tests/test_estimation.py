@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.stats
 
 from fidest.circuits import (
     Circuit,
@@ -14,7 +15,11 @@ from fidest.circuits import (
     circuit_unitary,
 )
 from fidest.estimation import (
+    _WINDOW,
+    ESTIMATOR_MAX_M,
     AmplitudeProblem,
+    _kernel,
+    _KernelSampler,
     amplitude_estimate,
     flag_probability,
     grover_operator,
@@ -170,6 +175,111 @@ class TestPhaseEstimate:
         assert np.max(np.abs(qpe_distribution(q, init, m) - brute)) <= 1e-10
 
 
+def pooled_chisquare_pvalue(observed, expected):
+    """Chi-square p-value with the bins expecting fewer than 5 counts pooled.
+
+    The pool takes the sparsest bins, and more of the next-sparsest if
+    needed, until it too expects at least 5.
+    """
+    order = np.argsort(expected)
+    pooled = int(np.sum(expected < 5.0))
+    if pooled:
+        pooled = max(pooled, int(np.searchsorted(np.cumsum(expected[order]), 5.0)) + 1)
+    keep, pool = order[pooled:], order[:pooled]
+    obs = np.append(observed[keep], observed[pool].sum())
+    exp = np.append(expected[keep], expected[pool].sum())
+    if not pooled:
+        obs, exp = obs[:-1], exp[:-1]
+    return scipy.stats.chisquare(obs, exp).pvalue
+
+
+def period_offsets(M):
+    """One period of offsets d, matching the sampler's split into window and tails."""
+    return np.arange(1 - M // 2, M // 2 + 1)
+
+
+class TestKernelSampler:
+    GENERIC_PHASES = (0.123456789, 0.3, 0.7071, 0.987654321)
+
+    @pytest.mark.parametrize("m", range(1, 15))
+    def test_kernel_matches_grid_entry_by_entry(self, m):
+        M = 1 << m
+        phases = (0.0, 0.5, 1 / M, (M - 1) / M, (5 * M // 7) / M, 1 - 1e-9, *self.GENERIC_PHASES)
+        for omega in phases:
+            grid = qpe_grid_distribution([omega], [1.0], m)
+            sampler = _KernelSampler(omega, m)
+            if sampler.f == 0.0:
+                # on-grid phase: a point mass at a, drawn without randomness
+                assert abs(grid[sampler.a % M] - 1.0) <= 1e-12
+                assert sampler.offset(np.random.default_rng(0)) == 0
+                continue
+            d = period_offsets(M)
+            kern = _kernel(sampler.f, d, M)
+            assert np.max(np.abs(kern - grid[(sampler.a + d) % M])) <= 1e-12
+            in_window = np.isin(d, sampler.window)
+            if sampler.tail_bins <= 0:
+                assert in_window.all()
+                continue
+            assert abs(sampler.cum[-1] - kern[in_window].sum()) <= 1e-12
+            # the rejection envelope dominates K on every tail bin, and each
+            # side's closed-form mass is the sum of its bins
+            tail = d[~in_window]
+            z = np.abs(sampler.f - tail)
+            envelope = sampler.scale / (z * (z - 1.0))
+            assert np.all(kern[~in_window] <= envelope)
+            for (_, _, mass), side in zip(sampler.sides, (tail > 0, tail < 0)):
+                assert abs(mass - np.sum(1.0 / (z[side] * (z[side] - 1.0)))) <= 1e-12 * mass
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_small_m_window_is_whole_period(self, m):
+        M = 1 << m
+        for omega in self.GENERIC_PHASES:
+            sampler = _KernelSampler(omega, m)
+            assert sampler.tail_bins <= 0
+            assert sorted((sampler.a + sampler.window) % M) == list(range(M))
+            grid = qpe_grid_distribution([omega], [1.0], m)
+            probs = np.diff([0.0, *sampler.cum])
+            assert np.max(np.abs(probs - grid[(sampler.a + sampler.window) % M])) <= 1e-12
+            rng = np.random.default_rng(m)
+            assert all(sampler.offset(rng) in sampler.window for _ in range(1000))
+
+    @pytest.mark.parametrize("m", [4, 8, 10])
+    def test_draws_fit_two_branch_grid(self, m):
+        omega = 0.3
+        sampler = _KernelSampler(omega, m)
+        rng = np.random.default_rng(1000 + m)
+        draws = np.array([sampler.draw(rng) for _ in range(200_000)])
+        expected = qpe_grid_distribution([omega, 1.0 - omega], [0.5, 0.5], m) * draws.size
+        observed = np.bincount(draws, minlength=1 << m)
+        assert pooled_chisquare_pvalue(observed, expected) >= 1e-3
+
+    @pytest.mark.parametrize("m", [4, 8, 10])
+    def test_tail_path_rate_and_shape(self, m):
+        M = 1 << m
+        omega = (int(0.3 * M) + 0.37) / M  # f = 0.37: a heavy, asymmetric tail
+        sampler = _KernelSampler(omega, m)
+        d = period_offsets(M)
+        tail = d[~np.isin(d, sampler.window)]
+        tail_probs = qpe_grid_distribution([omega], [1.0], m)[(sampler.a + tail) % M]
+        tail_mass = tail_probs.sum()
+        rng = np.random.default_rng(2000 + m)
+        n = 50_000
+        offsets = np.array([sampler.offset(rng) for _ in range(n)])
+        assert np.all((offsets >= 1 - M // 2) & (offsets <= M // 2))
+        drawn_tail = offsets[~np.isin(offsets, sampler.window)]
+        rate = drawn_tail.size / n
+        assert abs(rate - tail_mass) <= 5.0 * math.sqrt(tail_mass * (1.0 - tail_mass) / n)
+        # shape of the tail draws, bucketed by side and octave of |d|
+        def bucket(x):
+            return np.sign(x) * np.floor(np.log2(np.abs(x)))
+
+        keys, inverse = np.unique(bucket(tail), return_inverse=True)
+        expected = np.bincount(inverse, weights=tail_probs) / tail_mass * drawn_tail.size
+        observed = np.array([np.sum(bucket(drawn_tail) == k) for k in keys])
+        assert observed.sum() == drawn_tail.size
+        assert pooled_chisquare_pvalue(observed, expected) >= 1e-3
+
+
 class TestAmplitudeEstimate:
     def test_p_zero(self):
         result = amplitude_estimate(flag_problem(0.0), 0.1, seed=0)
@@ -193,6 +303,17 @@ class TestAmplitudeEstimate:
     def test_m_formula(self):
         result = amplitude_estimate(flag_problem(0.5), 0.05, seed=0)
         assert result.m == math.ceil(math.log2(math.pi / 0.05)) + 2
+
+    def test_readout_cap(self):
+        # delta = pi / 2^46 needs exactly m = 48; a smaller delta needs 49
+        problem = flag_problem(0.37)
+        p = flag_probability(problem)
+        delta = math.pi / 2.0**46
+        result = amplitude_estimate(problem, delta, seed=0)
+        assert result.m == ESTIMATOR_MAX_M == 48
+        assert abs(result.estimate - p) <= delta
+        with pytest.raises(QubitCapExceeded, match="m = 49"):
+            amplitude_estimate(problem, delta / 1.5, seed=0)
 
 
 class TestSqrtAmplitudeEstimate:
