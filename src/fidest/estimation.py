@@ -170,10 +170,10 @@ def qpe_grid_distribution(phases, weights, m: int) -> np.ndarray:
     y = np.arange(M, dtype=float)
     probs = np.zeros(M, dtype=float)
     for omega, w in zip(np.atleast_1d(phases), np.atleast_1d(weights)):
-        # r = M (omega - y/M), reduced to [-M/2, M/2].  M omega - y is exact
-        # near the peak (Sterbenz), where the kernel's relative error is set
-        # by that of r, and so is the reduction; omega - y/M, or a reduction
-        # into [0, M), would round there.
+        # r = M omega - y reduced to [-M/2, M/2].  Near the peak, where the
+        # kernel is most sensitive to r, the subtraction and the reduction
+        # are both exact; omega - y/M, or a reduction into [0, M), would
+        # round there.
         r = M * float(omega) - y
         r -= M * np.round(r / M)
         # sin(pi r) evaluated as sin(pi (r mod 2)) avoids large-argument error.
