@@ -10,16 +10,12 @@ from .circuits import (
     build_flagged_encoding,
     build_restructured_encoding,
     build_swap_test,
-    circuit_unitary,
     execute,
 )
 from .estimation import (
     AmplitudeProblem,
     EstimationResult,
     amplitude_estimate,
-    grover_operator,
-    phase_estimate,
-    qpe_distribution,
     sqrt_amplitude_estimate,
 )
 from .fidelity import (
@@ -36,7 +32,6 @@ from .fidelity import (
     pure_pure_fidelity,
     sqrt_tr_rho_sigma2_estimate,
     swap_test_estimate,
-    uhlmann_fidelity,
 )
 from .linalg import DensityMatrix, herm_eig, kron, matrix_sqrt_psd, partial_trace
 from .oracles import (
@@ -44,8 +39,6 @@ from .oracles import (
     Purification,
     RandomInstanceSpec,
     complete_to_unitary,
-    controlled,
-    inverse,
     preparation_oracle,
     purified_channel_oracle,
     purify,

@@ -262,18 +262,6 @@ def execute(circuit: Circuit, cap: int | None = None, count_queries: bool = True
     return state
 
 
-def circuit_unitary(circuit: Circuit, cap: int = 12) -> np.ndarray:
-    """Dense unitary of the whole circuit (analysis only; never counts queries)."""
-    n = circuit.layout.total_qubits
-    if n > cap:
-        raise QubitCapExceeded(f"circuit unitary needs {n} qubits, cap is {cap}")
-    dim = 1 << n
-    tensor = np.eye(dim, dtype=complex).reshape((2,) * n + (dim,))
-    for op in circuit.ops:
-        tensor = _apply_op(op, tensor, circuit.layout, count_queries=False)
-    return tensor.reshape(dim, dim)
-
-
 def analyze_flagged(state: np.ndarray, layout: RegisterLayout, zero_registers) -> FlaggedAmplitudeAnalysis:
     """Norm split against the projector "these registers are all zero".
 
@@ -379,38 +367,3 @@ def build_restructured_encoding(u: PreparationOracle, v: PreparationOracle) -> C
         OracleOp(v, "inverse", ("A'", "B'"), pad_qubits=b - v.ancilla_qubits),
     )
     return Circuit(layout, ops)
-
-
-def ops_as_json(circuit: Circuit) -> list:
-    """Debug dump of the op list as plain dicts."""
-    out = []
-    for op in circuit.ops:
-        if isinstance(op, OracleOp):
-            out.append(
-                {
-                    "op": "oracle",
-                    "label": op.oracle.label,
-                    "kind": op.kind,
-                    "registers": list(op.registers),
-                    "pad_qubits": op.pad_qubits,
-                }
-            )
-        elif isinstance(op, Gate1Q):
-            out.append({"op": "gate", "gate": op.gate, "register": op.register, "qubit": op.qubit})
-        elif isinstance(op, RegisterSwap):
-            out.append({"op": "swap", "registers": [op.first, op.second]})
-        elif isinstance(op, ControlledRegisterSwap):
-            out.append(
-                {"op": "cswap", "control": op.control, "registers": [op.first, op.second]}
-            )
-        elif isinstance(op, FlagOnNonzero):
-            out.append(
-                {
-                    "op": "flag",
-                    "flag_register": op.flag_register,
-                    "zero_registers": list(op.zero_registers),
-                }
-            )
-        else:
-            raise TypeError(f"unknown circuit op {op!r}")
-    return out

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import (
+    QUBIT_CAP_ENV,
     QubitCapExceeded,
     analyze_flagged,
     build_encoding_circuit,
@@ -27,6 +28,7 @@ from .circuits import (
     build_restructured_encoding,
     build_swap_test,
     execute,
+    qubit_cap,
     register_zero_probability,
 )
 from .estimation import ESTIMATOR_MAX_M
@@ -71,6 +73,11 @@ _ESTIMATOR_FNS = {
 }
 
 
+def _is_number(value, types) -> bool:
+    """isinstance(value, types), except that a bool is never a number."""
+    return isinstance(value, types) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     command: str
@@ -84,6 +91,19 @@ class ExperimentConfig:
     format: str = "csv"
 
     def __post_init__(self):
+        # a --config file reaches here unparsed, so check types before values
+        for name in ("k", "rank", "trials", "seed"):
+            if not _is_number(getattr(self, name), int):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        for name in ("command", "estimator", "format"):
+            if not isinstance(getattr(self, name), str):
+                raise ValueError(f"{name} must be a string, got {getattr(self, name)!r}")
+        if self.output_path is not None and not isinstance(self.output_path, str):
+            raise ValueError(f"output_path must be a string, got {self.output_path!r}")
+        if not isinstance(self.epsilons, (list, tuple)) or not all(
+            _is_number(e, (int, float)) for e in self.epsilons
+        ):
+            raise ValueError(f"epsilons must be a list of numbers, got {self.epsilons!r}")
         if self.command not in COMMANDS:
             raise ValueError(f"unknown command {self.command!r}; expected one of {COMMANDS}")
         if self.k < 1:
@@ -106,6 +126,15 @@ class ExperimentConfig:
             raise ValueError(f"unknown format {self.format!r}; expected one of {FORMATS}")
         if self.estimator == "pure-pure" and self.rank != 1:
             raise ValueError("the pure-pure estimator needs rank 1 instances")
+        if self.command != "hard-instance":
+            # every circuit these commands run has 1 + 4k qubits: a flag or
+            # control qubit, two k-qubit systems and their k-qubit ancillas
+            n, cap = 1 + 4 * self.k, qubit_cap()
+            if n > cap:
+                raise QubitCapExceeded(
+                    f"k = {self.k} needs {n}-qubit circuits, cap is {cap} "
+                    f"(override with {QUBIT_CAP_ENV})"
+                )
         if self.command in ("sweep", "single"):
             # single runs only the first epsilon
             for e in eps if self.command == "sweep" else eps[:1]:
@@ -139,20 +168,8 @@ class ExperimentRecord:
             raise ValueError("query and timing fields must be non-negative")
 
     def csv_row(self) -> list:
-        return [
-            self.instance_id,
-            self.estimator,
-            repr(self.epsilon),
-            str(self.seed),
-            repr(self.true_value),
-            repr(self.estimate),
-            repr(self.abs_error),
-            "true" if self.success else "false",
-            str(self.queries_U),
-            str(self.queries_V),
-            str(self.grover_applications),
-            str(self.wall_ms),
-        ]
+        """The record's fields in CSV_HEADER order."""
+        return [getattr(self, f.name) for f in dataclasses.fields(self)]
 
 
 def derive_seed(*parts) -> int:
@@ -233,12 +250,14 @@ def _write_text(path, text: str) -> None:
             fh.write(text)
 
 
-def _records_csv(records) -> str:
+def _csv_text(header: str, rows) -> str:
+    """CSV under one cell rule: bools become true/false; csv writes every other
+    value with str, which for a float is its shortest round-trip repr."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_HEADER.split(","))
-    for rec in records:
-        writer.writerow(rec.csv_row())
+    writer.writerow(header.split(","))
+    for row in rows:
+        writer.writerow([("true" if v else "false") if isinstance(v, bool) else v for v in row])
     return buf.getvalue()
 
 
@@ -261,7 +280,7 @@ def _run_sweep(config: ExperimentConfig) -> int:
             print(f"scaling {estimator}: log-log slope {slope:.3f}")
 
     if config.format == "csv":
-        _write_text(config.output_path, _records_csv(records))
+        _write_text(config.output_path, _csv_text(CSV_HEADER, (r.csv_row() for r in records)))
     else:
         payload = {"records": [dataclasses.asdict(r) for r in records]}
         if slopes is not None:
@@ -316,26 +335,7 @@ def _run_hard_instance(config: ExperimentConfig) -> int:
     print(f"hard-instance residuals: fidelity {worst_fid:.3e}, hellinger {worst_hell:.3e}")
 
     if config.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(HARD_CSV_HEADER.split(","))
-        for row in rows:
-            writer.writerow(
-                [
-                    repr(row["p"]),
-                    repr(row["epsilon"]),
-                    str(row["rank"]),
-                    str(row["k"]),
-                    row["sign"],
-                    repr(row["fidelity"]),
-                    repr(row["expected_fidelity"]),
-                    repr(row["fidelity_residual"]),
-                    repr(row["hellinger"]),
-                    repr(row["expected_hellinger"]),
-                    repr(row["hellinger_residual"]),
-                ]
-            )
-        _write_text(config.output_path, buf.getvalue())
+        _write_text(config.output_path, _csv_text(HARD_CSV_HEADER, (r.values() for r in rows)))
     else:
         _write_text(config.output_path, json.dumps({"rows": rows}, indent=2) + "\n")
     return 0 if max(worst_fid, worst_hell) <= 1e-12 else 1
@@ -476,7 +476,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hard-instance", help="emit the adversarial-family diagnostics")
     p.add_argument("--k", type=int, default=2, help="system qubits")
-    p.add_argument("--seed", type=int, default=0, help="unused; kept for config symmetry")
     p.add_argument("--rank", type=int, default=2, help="instance rank r >= 2")
     p.add_argument("--epsilons", type=_epsilons_arg, default=(0.1,), help="comma-separated")
     p.add_argument("--output", dest="output_path", help="output file (default stdout)")
@@ -494,19 +493,15 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         unknown = set(raw) - allowed
         if unknown:
             raise ValueError(f"unknown config keys {sorted(unknown)}")
-        if "epsilons" in raw:
-            raw["epsilons"] = tuple(raw["epsilons"])
+        if "command" not in raw:
+            raise ValueError("config file must name a command")
         return ExperimentConfig(**raw)
     if not args.command:
         raise ValueError("a command or --config is required (see --help)")
+    # every subcommand flag is named after its ExperimentConfig field
     fields = {
-        "command": args.command,
-        "k": args.k,
-        "seed": args.seed,
+        name: value for name, value in vars(args).items() if name != "config" and value is not None
     }
-    for name in ("rank", "estimator", "epsilons", "trials", "output_path", "format"):
-        if hasattr(args, name) and getattr(args, name) is not None:
-            fields[name] = getattr(args, name)
     return ExperimentConfig(**fields)
 
 

@@ -30,8 +30,8 @@ sqrt(p)) and take the lower median of 15 repetitions, each drawn from its
 own generator default_rng([seed, rep]).  With M >= 4 pi / delta
 (respectively 2 pi / delta) a single repetition lands within delta with
 probability at least 8/pi^2, and the median amplifies that well past 2/3.
-qpe_grid_distribution and qpe_distribution build the whole 2^m grid; they
-are the references the sampler is tested against.
+fidest.reference.qpe_grid_distribution builds the whole 2^m grid; it is the
+reference the sampler is tested against.
 
 Query accounting is closed-form: each repetition costs one plain preparer
 application plus 2^m - 1 controlled Grover steps, and each Grover step
@@ -47,27 +47,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .circuits import (
-    Circuit,
-    OracleOp,
-    QubitCapExceeded,
-    analyze_flagged,
-    circuit_unitary,
-    execute,
-)
-from .linalg import require_unitary
+from .circuits import Circuit, OracleOp, QubitCapExceeded, analyze_flagged, execute
 from .oracles import QUERY_KINDS, controlled_kind, invert_kind
 
 #: Repetitions whose lower median is reported.
 DEFAULT_REPETITIONS = 15
-
-#: Qubit cap for materializing a dense Grover operator.
-GROVER_MAX_QUBITS = 12
-
-#: Readout-register cap for the public phase_estimate op.
-PHASE_ESTIMATE_MAX_M = 14
 
 #: Readout-register cap for the amplitude estimators.  Sampling costs O(1)
 #: per outcome at any m; the cap is float64 resolution: at M = 2^48, M omega
@@ -137,95 +122,6 @@ def flag_probability(problem: AmplitudeProblem) -> float:
     state = execute(problem.preparer, count_queries=False)
     amp = analyze_flagged(state, problem.preparer.layout, (problem.flag_register,))
     return min(max(amp.flagged_amplitude**2, 0.0), 1.0)
-
-
-def grover_operator(problem: AmplitudeProblem, max_qubits: int = GROVER_MAX_QUBITS) -> np.ndarray:
-    """Dense Grover operator A S0 A^dag S_good of an amplitude problem.
-
-    S0 = 2|0><0| - I reflects about the all-zeros input, S_good = I - 2 Pi
-    about the flag = 0 subspace; with that sign convention the eigenphases
-    on the prepared-state plane are exactly +-2 arcsin(sqrt(p)).
-    """
-    n = problem.total_qubits
-    if n > max_qubits:
-        raise QubitCapExceeded(f"Grover operator needs {n} qubits, cap is {max_qubits}")
-    ua = circuit_unitary(problem.preparer, cap=max_qubits)
-    dim = ua.shape[0]
-    s0 = -np.eye(dim, dtype=complex)
-    s0[0, 0] = 1.0
-    flag_qubit = problem.preparer.layout.qubits(problem.flag_register)[0]
-    flag_bit = (np.arange(dim) >> (n - 1 - flag_qubit)) & 1
-    s_good = np.where(flag_bit == 0, -1.0, 1.0)
-    return (ua @ s0 @ ua.conj().T) * s_good[np.newaxis, :]
-
-
-def qpe_grid_distribution(phases, weights, m: int) -> np.ndarray:
-    """Exact QPE outcome distribution for a weighted mixture of eigenphases.
-
-    ``phases`` are eigenphase fractions in [0, 1); ``weights`` their
-    (non-negative) probabilities.  Returns the length-2^m probability
-    vector of the readout register.
-    """
-    M = 1 << m
-    y = np.arange(M, dtype=float)
-    probs = np.zeros(M, dtype=float)
-    for omega, w in zip(np.atleast_1d(phases), np.atleast_1d(weights)):
-        # r = M omega - y reduced to [-M/2, M/2].  Near the peak, where the
-        # kernel is most sensitive to r, the subtraction and the reduction
-        # are both exact; omega - y/M, or a reduction into [0, M), would
-        # round there.
-        r = M * float(omega) - y
-        r -= M * np.round(r / M)
-        # sin(pi r) evaluated as sin(pi (r mod 2)) avoids large-argument error.
-        num = np.sin(np.pi * np.mod(r, 2.0))
-        den = M * np.sin(np.pi * r / M)
-        on_grid = r == 0.0
-        den[on_grid] = 1.0
-        kern = (num / den) ** 2
-        kern[on_grid] = 1.0
-        probs += float(w) * kern
-    total = probs.sum()
-    if not total > 0.0:
-        raise ValueError("QPE distribution has zero mass; check phases/weights")
-    return probs / total
-
-
-def qpe_distribution(q: np.ndarray, initial: np.ndarray, m: int) -> np.ndarray:
-    """Exact QPE outcome distribution for a dense unitary and initial state.
-
-    The unitary is spectrally decomposed (Schur form; exact for normal
-    matrices up to roundoff) and the initial state's weights on each
-    eigenvector feed the kernel mixture.
-    """
-    q = np.asarray(q, dtype=complex)
-    require_unitary(q, what="phase-estimation unitary")
-    initial = np.asarray(initial, dtype=complex).ravel()
-    if initial.size != q.shape[0]:
-        raise ValueError(f"initial state length {initial.size} != matrix dim {q.shape[0]}")
-    t, z = scipy.linalg.schur(q, output="complex")
-    offdiag = float(np.max(np.abs(t - np.diag(np.diag(t))))) if t.shape[0] > 1 else 0.0
-    if offdiag > 1e-8:
-        raise ValueError(f"matrix is not normal (Schur off-diagonal {offdiag:.3e})")
-    omega = (np.angle(np.diag(t)) / (2.0 * np.pi)) % 1.0
-    weights = np.abs(z.conj().T @ initial) ** 2
-    keep = weights > 1e-15
-    return qpe_grid_distribution(omega[keep], weights[keep], m)
-
-
-def _sample_outcome(probs: np.ndarray, rng: np.random.Generator) -> int:
-    cdf = np.cumsum(probs)
-    cdf /= cdf[-1]
-    return int(np.searchsorted(cdf, rng.random(), side="right"))
-
-
-def phase_estimate(
-    q: np.ndarray, initial: np.ndarray, m: int, seed: int, max_m: int = PHASE_ESTIMATE_MAX_M
-) -> int:
-    """Sample one QPE outcome y in [0, 2^m) from the exact distribution."""
-    if not 1 <= m <= max_m:
-        raise QubitCapExceeded(f"m = {m} outside [1, {max_m}]")
-    probs = qpe_distribution(q, initial, m)
-    return _sample_outcome(probs, np.random.default_rng(seed))
 
 
 def _kernel(f: float, d, M: int):
@@ -321,59 +217,49 @@ def _record_queries(problem: AmplitudeProblem, m: int, repetitions: int) -> dict
     return tally
 
 
-def _estimate(problem, delta, seed, repetitions, square, max_m):
+def _estimate(problem, delta, seed, square):
     m = readout_qubits(delta, square)
-    if m > max_m:
-        raise QubitCapExceeded(f"delta = {delta} needs m = {m} readout qubits, cap is {max_m}")
+    if m > ESTIMATOR_MAX_M:
+        raise QubitCapExceeded(
+            f"delta = {delta} needs m = {m} readout qubits, cap is {ESTIMATOR_MAX_M}"
+        )
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
     p = flag_probability(problem)
     sampler = _KernelSampler(math.asin(math.sqrt(p)) / math.pi, m)
     M = 1 << m
     values = []
-    for rep in range(repetitions):
+    for rep in range(DEFAULT_REPETITIONS):
         y = sampler.draw(np.random.default_rng([seed, rep]))
         amp = math.sin(math.pi * y / M)
         values.append(amp * amp if square else amp)
-    estimate = sorted(values)[(repetitions - 1) // 2]
-    queries = _record_queries(problem, m, repetitions)
+    estimate = sorted(values)[(DEFAULT_REPETITIONS - 1) // 2]
+    queries = _record_queries(problem, m, DEFAULT_REPETITIONS)
     return EstimationResult(
         estimate=float(estimate),
         delta=float(delta),
         m=m,
-        repetitions=repetitions,
+        repetitions=DEFAULT_REPETITIONS,
         seed=seed,
         queries=queries,
-        grover_applications=((1 << m) - 1) * repetitions,
+        grover_applications=((1 << m) - 1) * DEFAULT_REPETITIONS,
     )
 
 
-def amplitude_estimate(
-    problem: AmplitudeProblem,
-    delta: float,
-    seed: int,
-    repetitions: int = DEFAULT_REPETITIONS,
-    max_m: int = ESTIMATOR_MAX_M,
-) -> EstimationResult:
+def amplitude_estimate(problem: AmplitudeProblem, delta: float, seed: int) -> EstimationResult:
     """Estimate the flagged probability p to within delta (prob >= 2/3).
 
     Uses m = ceil(log2(pi/delta)) + 2 readout qubits and O(1/delta) preparer
     queries; deterministic given (problem, delta, seed).
     """
-    return _estimate(problem, delta, seed, repetitions, True, max_m)
+    return _estimate(problem, delta, seed, True)
 
 
-def sqrt_amplitude_estimate(
-    problem: AmplitudeProblem,
-    delta: float,
-    seed: int,
-    repetitions: int = DEFAULT_REPETITIONS,
-    max_m: int = ESTIMATOR_MAX_M,
-) -> EstimationResult:
+def sqrt_amplitude_estimate(problem: AmplitudeProblem, delta: float, seed: int) -> EstimationResult:
     """Estimate the flagged amplitude sqrt(p) to within delta (prob >= 2/3).
 
     Same machinery as amplitude_estimate with a sin readout and
     m = ceil(log2(pi/delta)) + 1: since |sin(pi y/M) - sin(pi omega)| <=
     pi |y/M - omega|, the QPE grid guarantee transfers to sqrt(p) directly.
     """
-    return _estimate(problem, delta, seed, repetitions, False, max_m)
+    return _estimate(problem, delta, seed, False)

@@ -16,7 +16,7 @@ from .estimation import (
     readout_qubits,
     sqrt_amplitude_estimate,
 )
-from .linalg import DensityMatrix, herm_eig, zero_state
+from .linalg import DensityMatrix, zero_state
 from .oracles import PreparationOracle, complete_to_unitary
 
 #: A state counts as pure when tr(rho^2) >= 1 - PURITY_ATOL.
@@ -38,27 +38,6 @@ def exact_tr_rho_sigma2(rho: DensityMatrix, sigma: DensityMatrix) -> float:
         raise ValueError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
     val = float(np.trace(rho.matrix @ sigma.matrix @ sigma.matrix).real)
     return min(max(val, 0.0), 1.0)
-
-
-def _sqrt_eigenvalues_floored(mat: np.ndarray) -> np.ndarray:
-    # eigenvalues below the eigh noise floor are rank-deficiency artifacts;
-    # sqrt would amplify them to ~1e-8, so zero them first
-    w, v = herm_eig(mat)
-    w = np.clip(w, 0.0, None)
-    w[w < 1e-14] = 0.0
-    return (v * np.sqrt(w)) @ v.conj().T
-
-
-def uhlmann_fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """tr sqrt(sqrt(sigma) rho sqrt(sigma)); cross-check reference only."""
-    if rho.dim != sigma.dim:
-        raise ValueError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
-    s = _sqrt_eigenvalues_floored(sigma.matrix)
-    inner = s @ rho.matrix @ s
-    w, _ = herm_eig(0.5 * (inner + inner.conj().T))
-    w = np.clip(w, 0.0, None)
-    w[w < 1e-14] = 0.0
-    return float(min(np.sum(np.sqrt(w)), 1.0))
 
 
 def hellinger_distance(p, q) -> float:

@@ -77,11 +77,6 @@ class Purification:
         vec.flags.writeable = False
         object.__setattr__(self, "vector", vec)
 
-    def reduced_system_state(self) -> DensityMatrix:
-        m = self.vector.reshape(1 << self.system_qubits, 1 << self.ancilla_qubits)
-        rho = m @ m.conj().T
-        return DensityMatrix(0.5 * (rho + rho.conj().T))
-
 
 @dataclass(eq=False)
 class PreparationOracle:
@@ -209,20 +204,6 @@ def preparation_oracle(
     return PreparationOracle(
         complete_to_unitary(pur.vector), pur.system_qubits, pur.ancilla_qubits, label
     )
-
-
-def controlled(oracle: PreparationOracle) -> np.ndarray:
-    """Block matrix I (+) U; the control is the most significant added qubit."""
-    u = oracle.unitary
-    d = u.shape[0]
-    out = np.eye(2 * d, dtype=complex)
-    out[d:, d:] = u
-    return out
-
-
-def inverse(oracle: PreparationOracle) -> np.ndarray:
-    """The adjoint of the oracle unitary."""
-    return oracle.unitary.conj().T.copy()
 
 
 def invocation_unitary(oracle: PreparationOracle, kind: str, pad_qubits: int = 0) -> np.ndarray:

@@ -14,13 +14,12 @@ from fidest.circuits import (
     build_flagged_encoding,
     build_restructured_encoding,
     build_swap_test,
-    circuit_unitary,
     execute,
-    ops_as_json,
     register_zero_probability,
 )
 from fidest.linalg import DensityMatrix, zero_state
 from fidest.oracles import PreparationOracle, complete_to_unitary, preparation_oracle
+from fidest.reference import circuit_unitary
 
 from conftest import mixed_instance, pure_instance
 
@@ -294,12 +293,3 @@ def test_circuit_unitary_matches_execution():
     state = execute(circ, count_queries=False)
     assert np.max(np.abs(mat[:, 0] - state)) <= 1e-12
     assert np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[0]))) <= 1e-10
-
-
-def test_ops_as_json_round_structure():
-    _, u = mixed_instance(1, 2, 93)
-    _, v = pure_instance(1, 94)
-    circ = build_flagged_encoding(u, v)
-    dump = ops_as_json(circ)
-    assert [d["op"] for d in dump] == ["oracle", "oracle", "swap", "oracle", "flag"]
-    assert dump[0]["label"] == "U" and dump[0]["kind"] == "plain"

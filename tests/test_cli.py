@@ -298,6 +298,46 @@ class TestMainEntry:
         assert "epsilon = 1e-09" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_qubit_budget_fails_before_any_work(self, tmp_path, monkeypatch, capsys):
+        def no_synthesis(*args, **kwargs):
+            raise AssertionError("sample_instance called before the qubit budget check")
+
+        monkeypatch.setattr(fidest.cli, "sample_instance", no_synthesis)
+        out = tmp_path / "sweep.csv"
+        # k = 6 runs 1 + 4k = 25-qubit circuits, past the default cap of 22
+        assert main(["sweep", "--k", "6", "--output", str(out)]) == 3
+        assert "25-qubit" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            {"command": "sweep", "epsilons": 0.1},
+            {"command": "sweep", "epsilons": "0.1"},
+            {"command": "sweep", "epsilons": [0.1, True]},
+            {"command": "sweep", "k": "2"},
+            {"command": "sweep", "k": True},
+            {"command": "sweep", "trials": 1.5},
+            {"command": "sweep", "seed": None},
+            {"command": "sweep", "estimator": 1},
+            {"command": "sweep", "output_path": 7},
+            {"command": None},
+            {"k": 1},
+        ],
+    )
+    def test_malformed_config_file_exits_2(self, tmp_path, capsys, raw):
+        out = tmp_path / "out.csv"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"output_path": str(out), **raw}))
+        assert main(["--config", str(cfg)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_hard_instance_has_no_seed_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["hard-instance", "--seed", "1"])
+        assert exc.value.code == 2
+
     def test_env_qubit_cap_respected(self, monkeypatch, capsys):
         monkeypatch.setenv("FIDEST_QUBIT_CAP", "3")
         code = main(

@@ -12,24 +12,21 @@ from fidest.circuits import (
     QubitCapExceeded,
     RegisterLayout,
     build_flagged_encoding,
-    circuit_unitary,
 )
 from fidest.estimation import (
     _WINDOW,
+    DEFAULT_REPETITIONS,
     ESTIMATOR_MAX_M,
     AmplitudeProblem,
     _kernel,
     _KernelSampler,
     amplitude_estimate,
     flag_probability,
-    grover_operator,
-    phase_estimate,
-    qpe_distribution,
-    qpe_grid_distribution,
     sqrt_amplitude_estimate,
 )
 from fidest.linalg import unitarity_error
 from fidest.oracles import PreparationOracle, complete_to_unitary
+from fidest.reference import circuit_unitary, grover_operator, qpe_distribution, qpe_grid_distribution
 
 from conftest import mixed_instance, pure_instance
 
@@ -114,10 +111,10 @@ class TestPhaseEstimate:
         init = np.array([0.0, 1.0], dtype=complex)
         probs = qpe_distribution(q, init, 3)
         assert abs(probs[3] - 1.0) <= 1e-12
-        assert phase_estimate(q, init, 3, seed=0) == 3
 
     def test_identity_operator(self):
-        assert phase_estimate(np.eye(2), np.array([1.0, 0.0]), 4, seed=1) == 0
+        probs = qpe_distribution(np.eye(2), np.array([1.0, 0.0]), 4)
+        assert abs(probs[0] - 1.0) <= 1e-12
 
     def test_third_phase_concentration(self):
         # standard QPE bound: mass within one grid unit of the phase >= 8/pi^2
@@ -128,13 +125,9 @@ class TestPhaseEstimate:
         near = [y for y in range(64) if min(abs(y - target), 64 - abs(y - target)) <= 1.0]
         assert sum(probs[y] for y in near) >= 8 / np.pi**2
 
-    def test_m_cap(self):
-        with pytest.raises(QubitCapExceeded):
-            phase_estimate(np.eye(2), np.array([1.0, 0.0]), 15, seed=0)
-
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError, match="unitary"):
-            phase_estimate(np.ones((2, 2)), np.array([1.0, 0.0]), 3, seed=0)
+            qpe_distribution(np.ones((2, 2)), np.array([1.0, 0.0]), 3)
 
     def test_grid_distribution_normalized_mixture(self):
         probs = qpe_grid_distribution([0.2, 0.8], [0.5, 0.5], 7)
@@ -358,8 +351,8 @@ class TestSqrtAmplitudeEstimate:
 class TestQueryAccounting:
     def test_closed_form_counts(self):
         problem = instance_problem()
-        reps = 15
-        result = sqrt_amplitude_estimate(problem, 0.1, seed=0, repetitions=reps)
+        reps = DEFAULT_REPETITIONS
+        result = sqrt_amplitude_estimate(problem, 0.1, seed=0)
         grover = (1 << result.m) - 1
         u = result.queries["U"]
         v = result.queries["V"]

@@ -19,7 +19,6 @@ from fidest.fidelity import (
     pure_pure_fidelity,
     sqrt_tr_rho_sigma2_estimate,
     swap_test_estimate,
-    uhlmann_fidelity,
 )
 from fidest.linalg import DensityMatrix, kron, zero_state
 from fidest.oracles import (
@@ -28,6 +27,7 @@ from fidest.oracles import (
     preparation_oracle,
     purified_channel_oracle,
 )
+from fidest.reference import uhlmann_fidelity
 
 from conftest import mixed_instance, principal_eigvec, pure_instance
 

@@ -8,12 +8,11 @@ from fidest.oracles import (
     PreparationOracle,
     RandomInstanceSpec,
     complete_to_unitary,
-    controlled,
     controlled_kind,
     instance_from_json,
     instance_to_json,
-    inverse,
     invert_kind,
+    invocation_unitary,
     preparation_oracle,
     purified_channel_oracle,
     purify,
@@ -21,6 +20,12 @@ from fidest.oracles import (
 )
 
 from conftest import mixed_instance, pure_instance
+
+
+def reduced_system_state(pur):
+    """System matrix of a purification: trace the ancilla out of its projector."""
+    outer = np.outer(pur.vector, pur.vector.conj())
+    return partial_trace(outer, [1 << pur.system_qubits, 1 << pur.ancilla_qubits], keep=[0])
 
 
 class TestPurify:
@@ -32,24 +37,22 @@ class TestPurify:
 
     def test_maximally_mixed(self):
         pur = purify(DensityMatrix(np.eye(2) / 2))
-        reduced = pur.reduced_system_state()
-        assert np.max(np.abs(reduced.matrix - np.eye(2) / 2)) <= 1e-10
+        reduced = reduced_system_state(pur)
+        assert np.max(np.abs(reduced - np.eye(2) / 2)) <= 1e-10
 
     @pytest.mark.parametrize("seed", range(6))
     def test_reduced_state_matches_source(self, seed):
         # oracle: partial trace of the purification projector
         dm, _ = mixed_instance(2, 3, 400 + seed)
         pur = purify(dm)
-        outer = np.outer(pur.vector, pur.vector.conj())
-        reduced = partial_trace(outer, [4, 4], keep=[0])
-        assert np.max(np.abs(reduced - dm.matrix)) <= 1e-9
+        assert np.max(np.abs(reduced_system_state(pur) - dm.matrix)) <= 1e-9
 
     def test_minimal_ancilla(self):
         # a rank-2 state on two qubits fits a one-qubit ancilla
         dm, _ = mixed_instance(2, 2, 410)
         pur = purify(dm, ancilla_qubits=1)
         assert pur.ancilla_qubits == 1
-        assert np.max(np.abs(pur.reduced_system_state().matrix - dm.matrix)) <= 1e-9
+        assert np.max(np.abs(reduced_system_state(pur) - dm.matrix)) <= 1e-9
 
     def test_minimal_ancilla_must_cover_rank(self):
         dm, _ = mixed_instance(2, 3, 411)
@@ -60,7 +63,7 @@ class TestPurify:
         dm, _ = mixed_instance(1, 2, 412)
         pur = purify(dm, ancilla_qubits=3)
         assert pur.vector.size == 2 * 8
-        assert np.max(np.abs(pur.reduced_system_state().matrix - dm.matrix)) <= 1e-9
+        assert np.max(np.abs(reduced_system_state(pur) - dm.matrix)) <= 1e-9
 
 
 class TestCompleteToUnitary:
@@ -101,7 +104,7 @@ class TestCompleteToUnitary:
 class TestControlledAndInverse:
     def test_control_off_is_identity(self):
         _, oracle = mixed_instance(1, 2, 5)
-        cu = controlled(oracle)
+        cu = invocation_unitary(oracle, "controlled")
         dim = oracle.unitary.shape[0]
         x = np.zeros(2 * dim, dtype=complex)
         x[1] = 1.0  # |0>|x>, control clear
@@ -109,7 +112,7 @@ class TestControlledAndInverse:
 
     def test_control_on_prepares_state(self):
         _, oracle = mixed_instance(1, 2, 5)
-        cu = controlled(oracle)
+        cu = invocation_unitary(oracle, "controlled")
         dim = oracle.unitary.shape[0]
         x = np.zeros(2 * dim, dtype=complex)
         x[dim] = 1.0  # |1>|0...0>
@@ -118,7 +121,7 @@ class TestControlledAndInverse:
 
     def test_inverse_times_forward_is_identity(self):
         _, oracle = mixed_instance(2, 4, 6)
-        prod = inverse(oracle) @ oracle.unitary
+        prod = invocation_unitary(oracle, "inverse") @ oracle.unitary
         assert np.max(np.abs(prod - np.eye(prod.shape[0]))) <= 1e-10
 
     def test_kind_algebra(self):

@@ -1,0 +1,48 @@
+"""Import-graph guards: the dense references stay out of the production path."""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import fidest
+
+PACKAGE = Path(fidest.__file__).parent
+
+
+def imported_modules(path):
+    """Absolute names of the modules a package source file imports."""
+    names = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names.extend(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            # package-relative imports ("from .x import y") resolve under fidest
+            base = ".".join(filter(None, ["fidest" if node.level else "", node.module]))
+            names.append(base)
+            names.extend(f"{base}.{alias.name}" for alias in node.names)
+    return names
+
+
+def test_cli_import_loads_no_scipy():
+    code = "import sys, fidest.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+    ).stdout
+    assert out.strip() == "[]"
+
+
+def test_only_the_reference_module_imports_scipy():
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert PACKAGE / "reference.py" in sources
+    for path in sources:
+        if path.name == "reference.py":
+            continue
+        names = imported_modules(path)
+        assert not [n for n in names if n.split(".")[0] == "scipy"], path.name
+        assert not [n for n in names if n.startswith("fidest.reference")], path.name
