@@ -36,7 +36,7 @@ from .fidelity import (
     estimator_readout_qubits,
     exact_fidelity_to_pure,
     exact_tr_rho_sigma2,
-    hard_instance,
+    hard_pair,
     hard_pair_hellinger,
     hellinger_distance,
     fidelity_to_pure,
@@ -49,7 +49,6 @@ from .linalg import unitarity_error
 from .oracles import RandomInstanceSpec, sample_instance
 
 COMMANDS = ("verify-identities", "sweep", "hard-instance", "single")
-ESTIMATORS = ("swap-baseline", "optimal", "tr-rho-sigma2", "pure-pure")
 FORMATS = ("csv", "json")
 
 CSV_HEADER = (
@@ -65,11 +64,25 @@ HARD_CSV_HEADER = (
 # fixed p grid for the hard-instance command (config carries eps and rank)
 HARD_P_GRID = (0.3, 0.5, 0.7)
 
-_ESTIMATOR_FNS = {
-    "swap-baseline": swap_test_estimate,
-    "optimal": fidelity_to_pure,
-    "tr-rho-sigma2": sqrt_tr_rho_sigma2_estimate,
-    "pure-pure": pure_pure_fidelity,
+#: estimator name -> (front end, first-state kind, second-state kind); a
+#: haar_pure state has rank 1, a ginibre_mixed state the config's rank
+ESTIMATORS = {
+    "swap-baseline": (swap_test_estimate, "ginibre_mixed", "haar_pure"),
+    "optimal": (fidelity_to_pure, "ginibre_mixed", "haar_pure"),
+    "tr-rho-sigma2": (sqrt_tr_rho_sigma2_estimate, "ginibre_mixed", "ginibre_mixed"),
+    "pure-pure": (pure_pure_fidelity, "haar_pure", "haar_pure"),
+}
+
+#: verify-identities residual name -> its bound, in print order
+IDENTITY_BOUNDS = {
+    "encoding pure |amp^2 - <psi|rho|psi>|": 1e-10,
+    "encoding mixed |amp^2 - tr(rho sigma^2)|": 1e-10,
+    "encoding vs restructured |amp^2 - amp^2|": 1e-10,
+    "flag fold |Pr[C=0] - amp^2|": 1e-10,
+    "decomposition |amp^2 + residual^2 - 1|": 1e-10,
+    "swap law |Pr[C=0] - (1+F^2)/2|": 1e-10,
+    "oracle unitarity max|U^dag U - I|": 1e-10,
+    "oracle reconstruction max|tr_B - rho|": 1e-9,
 }
 
 
@@ -111,7 +124,9 @@ class ExperimentConfig:
         if not 1 <= self.rank <= (1 << self.k):
             raise ValueError(f"rank {self.rank} out of range [1, {1 << self.k}] for k={self.k}")
         if self.estimator not in ESTIMATORS:
-            raise ValueError(f"unknown estimator {self.estimator!r}; expected one of {ESTIMATORS}")
+            raise ValueError(
+                f"unknown estimator {self.estimator!r}; expected one of {tuple(ESTIMATORS)}"
+            )
         eps = tuple(float(e) for e in self.epsilons)
         if not eps:
             raise ValueError("at least one epsilon is required")
@@ -126,15 +141,25 @@ class ExperimentConfig:
             raise ValueError(f"unknown format {self.format!r}; expected one of {FORMATS}")
         if self.estimator == "pure-pure" and self.rank != 1:
             raise ValueError("the pure-pure estimator needs rank 1 instances")
-        if self.command != "hard-instance":
+        if self.command == "hard-instance":
+            if self.rank < 2:
+                raise ValueError("hard-instance needs rank >= 2")
+            for p in HARD_P_GRID:
+                for e in eps:
+                    if not (0.0 < p - e and p + e < 1.0):
+                        raise ValueError(f"p={p} with epsilon={e} leaves (0, 1)")
+            # a dense k-qubit operator has as many entries as a 2k-qubit state
+            n, what = 2 * self.k, "dense operators"
+        else:
             # every circuit these commands run has 1 + 4k qubits: a flag or
             # control qubit, two k-qubit systems and their k-qubit ancillas
-            n, cap = 1 + 4 * self.k, qubit_cap()
-            if n > cap:
-                raise QubitCapExceeded(
-                    f"k = {self.k} needs {n}-qubit circuits, cap is {cap} "
-                    f"(override with {QUBIT_CAP_ENV})"
-                )
+            n, what = 1 + 4 * self.k, "circuits"
+        cap = qubit_cap()
+        if n > cap:
+            raise QubitCapExceeded(
+                f"k = {self.k} needs {n}-qubit {what}, cap is {cap} "
+                f"(override with {QUBIT_CAP_ENV})"
+            )
         if self.command in ("sweep", "single"):
             # single runs only the first epsilon
             for e in eps if self.command == "sweep" else eps[:1]:
@@ -198,48 +223,53 @@ def fit_scaling(records) -> dict:
     return slopes
 
 
-def _sample_pair(config: ExperimentConfig, trial: int):
-    """Instance for one trial: (rho_dm, rho_oracle, second_dm, second_oracle)."""
-    rho_kind = "haar_pure" if config.estimator == "pure-pure" else "ginibre_mixed"
-    rho_rank = 1 if config.estimator == "pure-pure" else config.rank
-    rho_spec = RandomInstanceSpec(
-        config.k, rho_rank, derive_seed(config.seed, trial, 0), rho_kind
-    )
-    if config.estimator == "tr-rho-sigma2":
-        second_spec = RandomInstanceSpec(
-            config.k, config.rank, derive_seed(config.seed, trial, 1), "ginibre_mixed"
-        )
-    else:
-        second_spec = RandomInstanceSpec(
-            config.k, 1, derive_seed(config.seed, trial, 1), "haar_pure"
-        )
-    rho_dm, rho_oracle = sample_instance(rho_spec, label="U")
-    second_dm, second_oracle = sample_instance(second_spec, label="V")
-    return rho_dm, rho_oracle, second_dm, second_oracle
+def _instance(
+    config: ExperimentConfig, trial: int, stream: int, kind: str, rank: int, label: str
+):
+    """The seeded (density matrix, oracle) of one trial's instance stream."""
+    spec = RandomInstanceSpec(config.k, rank, derive_seed(config.seed, trial, stream), kind)
+    return sample_instance(spec, label)
 
 
-def _run_one(config: ExperimentConfig, trial: int, epsilon: float) -> ExperimentRecord:
-    rho_dm, rho_oracle, second_dm, second_oracle = _sample_pair(config, trial)
+def _estimate_trial(config: ExperimentConfig, trial: int, epsilons) -> list:
+    """Sample one trial's instance pair once, then estimate it at each epsilon.
+
+    Returns a (record, result) pair per epsilon; every task shares the seed
+    derive_seed(seed, trial, 2). A ValueError is re-raised as the same type
+    (so the exit code holds) naming the trial and epsilon that raised it.
+    """
+    front_end, first_kind, second_kind = ESTIMATORS[config.estimator]
+    rank = {"haar_pure": 1, "ginibre_mixed": config.rank}
+    rho_dm, rho_oracle = _instance(config, trial, 0, first_kind, rank[first_kind], "U")
+    second_dm, second_oracle = _instance(config, trial, 1, second_kind, rank[second_kind], "V")
     truth = math.sqrt(exact_tr_rho_sigma2(rho_dm, second_dm))
-    task = make_task(rho_oracle, second_oracle, epsilon, derive_seed(config.seed, trial, 2))
-    start = time.perf_counter()
-    result = _ESTIMATOR_FNS[config.estimator](task)
-    wall_ms = int(round((time.perf_counter() - start) * 1000.0))
-    abs_error = abs(result.estimate - truth)
-    return ExperimentRecord(
-        instance_id=f"k{config.k}-r{config.rank}-t{trial}",
-        estimator=config.estimator,
-        epsilon=epsilon,
-        seed=task.seed,
-        true_value=truth,
-        estimate=result.estimate,
-        abs_error=abs_error,
-        success=abs_error <= epsilon,
-        queries_U=result.total_queries("U"),
-        queries_V=result.total_queries("V"),
-        grover_applications=result.grover_applications,
-        wall_ms=wall_ms,
-    )
+    seed = derive_seed(config.seed, trial, 2)
+    out = []
+    for epsilon in epsilons:
+        try:
+            task = make_task(rho_oracle, second_oracle, epsilon, seed)
+            start = time.perf_counter()
+            result = front_end(task)
+            wall_ms = int(round((time.perf_counter() - start) * 1000.0))
+        except ValueError as exc:
+            raise type(exc)(f"trial {trial}, epsilon {epsilon:g}: {exc}") from exc
+        abs_error = abs(result.estimate - truth)
+        record = ExperimentRecord(
+            instance_id=f"k{config.k}-r{config.rank}-t{trial}",
+            estimator=config.estimator,
+            epsilon=epsilon,
+            seed=seed,
+            true_value=truth,
+            estimate=result.estimate,
+            abs_error=abs_error,
+            success=abs_error <= epsilon,
+            queries_U=result.total_queries("U"),
+            queries_V=result.total_queries("V"),
+            grover_applications=result.grover_applications,
+            wall_ms=wall_ms,
+        )
+        out.append((record, result))
+    return out
 
 
 def _write_text(path, text: str) -> None:
@@ -262,10 +292,11 @@ def _csv_text(header: str, rows) -> str:
 
 
 def _run_sweep(config: ExperimentConfig) -> int:
-    records = []
-    for epsilon in config.epsilons:
-        for trial in range(config.trials):
-            records.append(_run_one(config, trial, epsilon))
+    records = [
+        record
+        for trial in range(config.trials)
+        for record, _ in _estimate_trial(config, trial, config.epsilons)
+    ]
     records.sort(key=lambda r: (r.epsilon, r.seed, r.instance_id))
 
     for epsilon in sorted(set(config.epsilons)):
@@ -290,9 +321,7 @@ def _run_sweep(config: ExperimentConfig) -> int:
 
 
 def _run_single(config: ExperimentConfig) -> int:
-    _, rho_oracle, _, second_oracle = _sample_pair(config, 0)
-    task = make_task(rho_oracle, second_oracle, config.epsilons[0], derive_seed(config.seed, 0, 2))
-    result = _ESTIMATOR_FNS[config.estimator](task)
+    [(_, result)] = _estimate_trial(config, 0, config.epsilons[:1])
     text = result.to_json() + "\n"
     sys.stdout.write(text)
     if config.output_path is not None:
@@ -301,15 +330,10 @@ def _run_single(config: ExperimentConfig) -> int:
 
 
 def _run_hard_instance(config: ExperimentConfig) -> int:
-    if config.rank < 2:
-        raise ValueError("hard-instance needs rank >= 2")
     rows = []
     for p in HARD_P_GRID:
         for eps in config.epsilons:
-            if not (0.0 < p - eps and p + eps < 1.0):
-                raise ValueError(f"p={p} with epsilon={eps} leaves (0, 1)")
-            plus = hard_instance(p, eps, config.rank, 1, config.k)
-            minus = hard_instance(p, eps, config.rank, -1, config.k)
+            plus, minus = hard_pair(p, eps, config.rank, config.k)
             hell = hellinger_distance(plus.distribution, minus.distribution)
             hell_closed = hard_pair_hellinger(p, eps)
             for inst in (plus, minus):
@@ -341,80 +365,47 @@ def _run_hard_instance(config: ExperimentConfig) -> int:
     return 0 if max(worst_fid, worst_hell) <= 1e-12 else 1
 
 
+def _identity_residuals(config: ExperimentConfig, trial: int) -> dict:
+    """Every IDENTITY_BOUNDS residual on one trial's seeded instances."""
+    rank = trial % (1 << config.k) + 1
+    rho_dm, rho_oracle = _instance(config, trial, 0, "ginibre_mixed", rank, "U")
+    psi_dm, psi_oracle = _instance(config, trial, 1, "haar_pure", 1, "V")
+    sigma_dm, sigma_oracle = _instance(config, trial, 2, "ginibre_mixed", rank, "V")
+    pure_truth = exact_tr_rho_sigma2(rho_dm, psi_dm)
+
+    def split(circuit, registers=("A", "B")):
+        return analyze_flagged(execute(circuit), circuit.layout, registers)
+
+    def pr_zero(circuit):
+        return register_zero_probability(execute(circuit), circuit.layout, ("C",))
+
+    pure = split(build_encoding_circuit(rho_oracle, psi_oracle))
+    amp2 = pure.flagged_amplitude**2
+    amp2_mixed = split(build_encoding_circuit(rho_oracle, sigma_oracle)).flagged_amplitude**2
+    amp2_restr = split(
+        build_restructured_encoding(rho_oracle, sigma_oracle), ("A'", "B'")
+    ).flagged_amplitude**2
+    pairs = ((rho_oracle, rho_dm), (psi_oracle, psi_dm), (sigma_oracle, sigma_dm))
+    values = (  # in IDENTITY_BOUNDS order
+        abs(amp2 - pure_truth),
+        abs(amp2_mixed - exact_tr_rho_sigma2(rho_dm, sigma_dm)),
+        abs(amp2_mixed - amp2_restr),
+        abs(pr_zero(build_flagged_encoding(rho_oracle, psi_oracle)) - amp2),
+        abs(amp2 + pure.residual_norm**2 - 1.0),
+        abs(pr_zero(build_swap_test(rho_oracle, psi_oracle)) - (1.0 + pure_truth) / 2.0),
+        max(unitarity_error(oracle.unitary) for oracle, _ in pairs),
+        max(float(np.max(np.abs(o.reduced_state().matrix - dm.matrix))) for o, dm in pairs),
+    )
+    return dict(zip(IDENTITY_BOUNDS, values, strict=True))
+
+
 def _run_verify_identities(config: ExperimentConfig) -> int:
     """Execute the exact-identity suites on seeded instances; print max residuals."""
-    d = 1 << config.k
-    residuals = {
-        "encoding pure |amp^2 - <psi|rho|psi>|": 0.0,
-        "encoding mixed |amp^2 - tr(rho sigma^2)|": 0.0,
-        "encoding vs restructured |amp^2 - amp^2|": 0.0,
-        "flag fold |Pr[C=0] - amp^2|": 0.0,
-        "decomposition |amp^2 + residual^2 - 1|": 0.0,
-        "swap law |Pr[C=0] - (1+F^2)/2|": 0.0,
-        "oracle unitarity max|U^dag U - I|": 0.0,
-        "oracle reconstruction max|tr_B - rho|": 0.0,
-    }
-    bounds = dict.fromkeys(residuals, 1e-10)
-    bounds["oracle reconstruction max|tr_B - rho|"] = 1e-9
-
-    def bump(name, value):
-        residuals[name] = max(residuals[name], value)
-
-    for trial in range(config.trials):
-        rank = (trial % d) + 1
-        rho_dm, rho_oracle = sample_instance(
-            RandomInstanceSpec(config.k, rank, derive_seed(config.seed, trial, 0), "ginibre_mixed"),
-            label="U",
-        )
-        psi_dm, psi_oracle = sample_instance(
-            RandomInstanceSpec(config.k, 1, derive_seed(config.seed, trial, 1), "haar_pure"),
-            label="V",
-        )
-        sigma_dm, sigma_oracle = sample_instance(
-            RandomInstanceSpec(
-                config.k, (trial % d) + 1, derive_seed(config.seed, trial, 2), "ginibre_mixed"
-            ),
-            label="V",
-        )
-
-        pure_truth = exact_tr_rho_sigma2(rho_dm, psi_dm)
-        circ = build_encoding_circuit(rho_oracle, psi_oracle)
-        split = analyze_flagged(execute(circ), circ.layout, ("A", "B"))
-        bump("encoding pure |amp^2 - <psi|rho|psi>|", abs(split.flagged_amplitude**2 - pure_truth))
-        bump(
-            "decomposition |amp^2 + residual^2 - 1|",
-            abs(split.flagged_amplitude**2 + split.residual_norm**2 - 1.0),
-        )
-
-        flagged = build_flagged_encoding(rho_oracle, psi_oracle)
-        pr0 = register_zero_probability(execute(flagged), flagged.layout, ("C",))
-        bump("flag fold |Pr[C=0] - amp^2|", abs(pr0 - split.flagged_amplitude**2))
-
-        mixed_truth = exact_tr_rho_sigma2(rho_dm, sigma_dm)
-        mixed = build_encoding_circuit(rho_oracle, sigma_oracle)
-        amp_mixed = analyze_flagged(execute(mixed), mixed.layout, ("A", "B")).flagged_amplitude
-        bump("encoding mixed |amp^2 - tr(rho sigma^2)|", abs(amp_mixed**2 - mixed_truth))
-
-        restructured = build_restructured_encoding(rho_oracle, sigma_oracle)
-        amp_restr = analyze_flagged(
-            execute(restructured), restructured.layout, ("A'", "B'")
-        ).flagged_amplitude
-        bump("encoding vs restructured |amp^2 - amp^2|", abs(amp_mixed**2 - amp_restr**2))
-
-        swap = build_swap_test(rho_oracle, psi_oracle)
-        pr_swap = register_zero_probability(execute(swap), swap.layout, ("C",))
-        bump("swap law |Pr[C=0] - (1+F^2)/2|", abs(pr_swap - (1.0 + pure_truth) / 2.0))
-
-        for oracle, dm in ((rho_oracle, rho_dm), (psi_oracle, psi_dm), (sigma_oracle, sigma_dm)):
-            bump("oracle unitarity max|U^dag U - I|", unitarity_error(oracle.unitary))
-            bump(
-                "oracle reconstruction max|tr_B - rho|",
-                float(np.max(np.abs(oracle.reduced_state().matrix - dm.matrix))),
-            )
-
+    trials = [_identity_residuals(config, trial) for trial in range(config.trials)]
     ok = True
-    for name, value in residuals.items():
-        passed = value <= bounds[name]
+    for name, bound in IDENTITY_BOUNDS.items():
+        value = max(residuals[name] for residuals in trials)
+        passed = value <= bound
         ok = ok and passed
         print(f"{name}: max residual {value:.3e} [{'PASS' if passed else 'FAIL'}]")
     print(f"verify-identities: {'all identities hold' if ok else 'FAILURES above'}")

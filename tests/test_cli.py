@@ -5,13 +5,19 @@ import json
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fidest.cli
 from fidest.circuits import QubitCapExceeded
 from fidest.cli import (
     CSV_HEADER,
+    ESTIMATORS,
+    IDENTITY_BOUNDS,
     ExperimentConfig,
     ExperimentRecord,
+    _identity_residuals,
+    derive_seed,
     fit_scaling,
     main,
     run,
@@ -101,6 +107,19 @@ class TestFitScaling:
         assert fit_scaling(records)["optimal"] == pytest.approx(-1.0, abs=1e-9)
 
 
+def count_sampling(monkeypatch):
+    """Wrap fidest.cli.sample_instance; return the list its calls append to."""
+    calls = []
+    original = fidest.cli.sample_instance
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(fidest.cli, "sample_instance", counting)
+    return calls
+
+
 class TestVerifyIdentities:
     def test_passes_on_seeded_instances(self, capsys):
         code = run(ExperimentConfig(command="verify-identities", k=1, trials=8, seed=1))
@@ -108,6 +127,24 @@ class TestVerifyIdentities:
         assert code == 0
         assert "FAIL" not in out
         assert "max residual" in out
+
+    @settings(database=None, deadline=None, max_examples=40)
+    @given(
+        k=st.sampled_from((1, 2, 3)),
+        trial=st.integers(0, 7),
+        seed=st.integers(0, (1 << 63) - 1),
+    )
+    def test_identity_residuals_within_bounds(self, k, trial, seed):
+        # trial picks the rank, trial % 2^k + 1, so every rank is reachable
+        config = ExperimentConfig(command="verify-identities", k=k, seed=seed)
+        residuals = _identity_residuals(config, trial)
+        for name, bound in IDENTITY_BOUNDS.items():
+            assert residuals[name] <= bound, name
+
+    def test_samples_three_instances_per_trial(self, monkeypatch, capsys):
+        calls = count_sampling(monkeypatch)
+        assert run(ExperimentConfig(command="verify-identities", k=1, trials=4)) == 0
+        assert len(calls) == 3 * 4
 
 
 class TestSweep:
@@ -169,6 +206,47 @@ class TestSweep:
         assert len(payload["records"]) == 6
         assert "optimal" in payload["scaling"]
         assert payload["scaling"]["optimal"] == pytest.approx(-1.0, abs=0.15)
+
+    def test_samples_each_trial_once(self, tmp_path, monkeypatch, capsys):
+        # the instance seeds derive_seed(seed, trial, 0/1) do not involve epsilon
+        calls = count_sampling(monkeypatch)
+        config = ExperimentConfig(
+            command="sweep",
+            k=1,
+            epsilons=(0.1, 0.05, 0.03, 0.02, 0.01),
+            trials=3,
+            output_path=str(tmp_path / "sweep.csv"),
+        )
+        assert run(config) == 0
+        assert len(calls) == 2 * 3
+
+    @pytest.mark.parametrize("estimator,slope", [("optimal", -1.0), ("swap-baseline", -2.0)])
+    def test_scaling_over_three_decades(self, tmp_path, capsys, estimator, slope):
+        out = tmp_path / "sweep.json"
+        argv = [
+            "sweep", "--estimator", estimator, "--k", "1", "--epsilons", "0.1,0.01,0.001,0.0001",
+            "--trials", "3", "--seed", "4", "--format", "json", "--output", str(out),
+        ]
+        assert main(argv) == 0
+        records = [ExperimentRecord(**r) for r in json.loads(out.read_text())["records"]]
+        assert fit_scaling(records)[estimator] == pytest.approx(slope, abs=0.05)
+
+    def test_failure_names_trial_and_epsilon(self, tmp_path, monkeypatch, capsys):
+        front_end, first_kind, second_kind = ESTIMATORS["optimal"]
+        bad_seed = derive_seed(0, 1, 2)  # task seed of trial 1 under master seed 0
+
+        def failing(task):
+            if task.seed == bad_seed and task.epsilon == 0.03:
+                raise ValueError("injected failure")
+            return front_end(task)
+
+        monkeypatch.setitem(ESTIMATORS, "optimal", (failing, first_kind, second_kind))
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--epsilons", "0.1,0.03,0.01", "--trials", "3", "--output", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "trial 1, epsilon 0.03: injected failure" in err
+        assert not out.exists()
 
     def test_record_invariants_hold(self, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -243,9 +321,27 @@ class TestHardInstance:
             run(ExperimentConfig(command="hard-instance", k=1, rank=1))
 
     def test_rejects_epsilon_leaving_unit_interval(self):
-        config = ExperimentConfig(command="hard-instance", k=1, rank=2, epsilons=(0.8,))
         with pytest.raises(ValueError, match="leaves"):
+            config = ExperimentConfig(command="hard-instance", k=1, rank=2, epsilons=(0.8,))
             run(config)
+
+    @pytest.mark.parametrize(
+        "flags,code,message",
+        [
+            # a dense 12-qubit operator has as many entries as a 24-qubit state
+            (["--k", "12"], 3, "24-qubit"),
+            (["--epsilons", "0.1,0.35"], 2, "p=0.3 with epsilon=0.35 leaves"),
+        ],
+    )
+    def test_config_fails_before_any_work(self, tmp_path, monkeypatch, capsys, flags, code, message):
+        def no_instances(*args, **kwargs):
+            raise AssertionError("hard_pair called before the config checks")
+
+        monkeypatch.setattr(fidest.cli, "hard_pair", no_instances)
+        out = tmp_path / "hard.csv"
+        assert main(["hard-instance", *flags, "--output", str(out)]) == code
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestMainEntry:
