@@ -238,19 +238,16 @@ def _apply_op(op, tensor, layout, count_queries):
     raise TypeError(f"unknown circuit op {op!r}")
 
 
-def execute(circuit: Circuit, cap: int | None = None, count_queries: bool = True) -> np.ndarray:
+def execute(circuit: Circuit, count_queries: bool = True) -> np.ndarray:
     """Exact final statevector of the circuit from |0...0>.
 
     Every OracleOp executed increments the matching kind on its oracle's
     query counter unless ``count_queries`` is False (analysis-only runs).
     """
     n = circuit.layout.total_qubits
-    limit = cap if cap is not None else qubit_cap()
-    if n > limit:
-        raise QubitCapExceeded(
-            f"circuit needs {n} qubits, cap is {limit} "
-            f"(override with {QUBIT_CAP_ENV} or cap=)"
-        )
+    cap = qubit_cap()
+    if n > cap:
+        raise QubitCapExceeded(f"circuit needs {n} qubits, cap is {cap} (override with {QUBIT_CAP_ENV})")
     tensor = np.zeros((1 << n, 1), dtype=complex).reshape((2,) * n + (1,))
     tensor[(0,) * n + (0,)] = 1.0
     for op in circuit.ops:

@@ -33,17 +33,12 @@ from .circuits import (
 )
 from .estimation import ESTIMATOR_MAX_M
 from .fidelity import (
-    estimator_readout_qubits,
+    ESTIMATORS,
     exact_fidelity_to_pure,
     exact_tr_rho_sigma2,
     hard_pair,
     hard_pair_hellinger,
     hellinger_distance,
-    fidelity_to_pure,
-    make_task,
-    pure_pure_fidelity,
-    sqrt_tr_rho_sigma2_estimate,
-    swap_test_estimate,
 )
 from .linalg import unitarity_error
 from .oracles import RandomInstanceSpec, sample_instance
@@ -63,15 +58,6 @@ HARD_CSV_HEADER = (
 
 # fixed p grid for the hard-instance command (config carries eps and rank)
 HARD_P_GRID = (0.3, 0.5, 0.7)
-
-#: estimator name -> (front end, first-state kind, second-state kind); a
-#: haar_pure state has rank 1, a ginibre_mixed state the config's rank
-ESTIMATORS = {
-    "swap-baseline": (swap_test_estimate, "ginibre_mixed", "haar_pure"),
-    "optimal": (fidelity_to_pure, "ginibre_mixed", "haar_pure"),
-    "tr-rho-sigma2": (sqrt_tr_rho_sigma2_estimate, "ginibre_mixed", "ginibre_mixed"),
-    "pure-pure": (pure_pure_fidelity, "haar_pure", "haar_pure"),
-}
 
 #: verify-identities residual name -> its bound, in print order
 IDENTITY_BOUNDS = {
@@ -139,8 +125,10 @@ class ExperimentConfig:
             raise ValueError(f"seed must be a non-negative 63-bit integer, got {self.seed}")
         if self.format not in FORMATS:
             raise ValueError(f"unknown format {self.format!r}; expected one of {FORMATS}")
-        if self.estimator == "pure-pure" and self.rank != 1:
-            raise ValueError("the pure-pure estimator needs rank 1 instances")
+        if ESTIMATORS[self.estimator].first_pure and self.rank != 1:
+            raise ValueError(f"the {self.estimator} estimator needs rank 1 instances")
+        if self.command == "single" and (len(eps) != 1 or self.trials != 1):
+            raise ValueError(f"single runs one estimate: got {len(eps)} epsilons, {self.trials} trials")
         if self.command == "hard-instance":
             if self.rank < 2:
                 raise ValueError("hard-instance needs rank >= 2")
@@ -161,9 +149,8 @@ class ExperimentConfig:
                 f"(override with {QUBIT_CAP_ENV})"
             )
         if self.command in ("sweep", "single"):
-            # single runs only the first epsilon
-            for e in eps if self.command == "sweep" else eps[:1]:
-                m = estimator_readout_qubits(e, self.estimator == "swap-baseline")
+            for e in eps:
+                m = ESTIMATORS[self.estimator].readout_qubits(e)
                 if m > ESTIMATOR_MAX_M:
                     raise QubitCapExceeded(
                         f"epsilon = {e} needs m = {m} readout qubits for the "
@@ -231,44 +218,46 @@ def _instance(
     return sample_instance(spec, label)
 
 
-def _estimate_trial(config: ExperimentConfig, trial: int, epsilons) -> list:
-    """Sample one trial's instance pair once, then estimate it at each epsilon.
+def _estimate_trial(config: ExperimentConfig, trial: int) -> list:
+    """Sample one trial's instance pair, bind the estimator to it once, and
+    estimate it at each epsilon with the trial's seed derive_seed(seed, trial, 2).
 
-    Returns a (record, result) pair per epsilon; every task shares the seed
-    derive_seed(seed, trial, 2). A ValueError is re-raised as the same type
-    (so the exit code holds) naming the trial and epsilon that raised it.
+    Returns a (record, result) pair per epsilon. A ValueError is re-raised as
+    the same type (so the exit code holds) naming the trial and epsilon that
+    raised it; a failed bind names the first epsilon.
     """
-    front_end, first_kind, second_kind = ESTIMATORS[config.estimator]
-    rank = {"haar_pure": 1, "ginibre_mixed": config.rank}
-    rho_dm, rho_oracle = _instance(config, trial, 0, first_kind, rank[first_kind], "U")
-    second_dm, second_oracle = _instance(config, trial, 1, second_kind, rank[second_kind], "V")
+    estimator = ESTIMATORS[config.estimator]
+    kinds = {True: ("haar_pure", 1), False: ("ginibre_mixed", config.rank)}
+    rho_dm, rho_oracle = _instance(config, trial, 0, *kinds[estimator.first_pure], "U")
+    second_dm, second_oracle = _instance(config, trial, 1, *kinds[estimator.second_pure], "V")
     truth = math.sqrt(exact_tr_rho_sigma2(rho_dm, second_dm))
     seed = derive_seed(config.seed, trial, 2)
     out = []
-    for epsilon in epsilons:
-        try:
-            task = make_task(rho_oracle, second_oracle, epsilon, seed)
+    epsilon = config.epsilons[0]
+    try:
+        estimate = estimator.bind(config.estimator, rho_oracle, second_oracle)
+        for epsilon in config.epsilons:
             start = time.perf_counter()
-            result = front_end(task)
+            result = estimate(epsilon, seed)
             wall_ms = int(round((time.perf_counter() - start) * 1000.0))
-        except ValueError as exc:
-            raise type(exc)(f"trial {trial}, epsilon {epsilon:g}: {exc}") from exc
-        abs_error = abs(result.estimate - truth)
-        record = ExperimentRecord(
-            instance_id=f"k{config.k}-r{config.rank}-t{trial}",
-            estimator=config.estimator,
-            epsilon=epsilon,
-            seed=seed,
-            true_value=truth,
-            estimate=result.estimate,
-            abs_error=abs_error,
-            success=abs_error <= epsilon,
-            queries_U=result.total_queries("U"),
-            queries_V=result.total_queries("V"),
-            grover_applications=result.grover_applications,
-            wall_ms=wall_ms,
-        )
-        out.append((record, result))
+            abs_error = abs(result.estimate - truth)
+            record = ExperimentRecord(
+                instance_id=f"k{config.k}-r{config.rank}-t{trial}",
+                estimator=config.estimator,
+                epsilon=epsilon,
+                seed=seed,
+                true_value=truth,
+                estimate=result.estimate,
+                abs_error=abs_error,
+                success=abs_error <= epsilon,
+                queries_U=result.total_queries("U"),
+                queries_V=result.total_queries("V"),
+                grover_applications=result.grover_applications,
+                wall_ms=wall_ms,
+            )
+            out.append((record, result))
+    except ValueError as exc:
+        raise type(exc)(f"trial {trial}, epsilon {epsilon:g}: {exc}") from exc
     return out
 
 
@@ -295,20 +284,23 @@ def _run_sweep(config: ExperimentConfig) -> int:
     records = [
         record
         for trial in range(config.trials)
-        for record, _ in _estimate_trial(config, trial, config.epsilons)
+        for record, _ in _estimate_trial(config, trial)
     ]
     records.sort(key=lambda r: (r.epsilon, r.seed, r.instance_id))
-
+    summary = sys.stderr if config.output_path is None else sys.stdout  # keep data on stdout clean
     for epsilon in sorted(set(config.epsilons)):
         subset = [r for r in records if r.epsilon == epsilon]
         hits = sum(r.success for r in subset)
-        print(f"epsilon {epsilon:g}: success fraction {hits / len(subset):.3f} ({hits}/{len(subset)})")
+        print(
+            f"epsilon {epsilon:g}: success fraction {hits / len(subset):.3f} ({hits}/{len(subset)})",
+            file=summary,
+        )
 
     slopes = None
     if len(set(config.epsilons)) >= 3:
         slopes = fit_scaling(records)
         for estimator, slope in sorted(slopes.items()):
-            print(f"scaling {estimator}: log-log slope {slope:.3f}")
+            print(f"scaling {estimator}: log-log slope {slope:.3f}", file=summary)
 
     if config.format == "csv":
         _write_text(config.output_path, _csv_text(CSV_HEADER, (r.csv_row() for r in records)))
@@ -321,7 +313,7 @@ def _run_sweep(config: ExperimentConfig) -> int:
 
 
 def _run_single(config: ExperimentConfig) -> int:
-    [(_, result)] = _estimate_trial(config, 0, config.epsilons[:1])
+    [(_, result)] = _estimate_trial(config, 0)
     text = result.to_json() + "\n"
     sys.stdout.write(text)
     if config.output_path is not None:
@@ -356,7 +348,8 @@ def _run_hard_instance(config: ExperimentConfig) -> int:
                 )
     worst_fid = max(r["fidelity_residual"] for r in rows)
     worst_hell = max(r["hellinger_residual"] for r in rows)
-    print(f"hard-instance residuals: fidelity {worst_fid:.3e}, hellinger {worst_hell:.3e}")
+    summary = sys.stderr if config.output_path is None else sys.stdout
+    print(f"hard-instance residuals: fidelity {worst_fid:.3e}, hellinger {worst_hell:.3e}", file=summary)
 
     if config.format == "csv":
         _write_text(config.output_path, _csv_text(HARD_CSV_HEADER, (r.values() for r in rows)))
@@ -445,20 +438,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command")
 
-    def add_common(p, trials_default=1):
+    def add_common(p, trials_default):
         p.add_argument("--k", type=int, default=1, help="system qubits")
         p.add_argument("--seed", type=int, default=0, help="master seed")
-        p.add_argument("--trials", type=int, default=trials_default, help="trials per epsilon")
+        if trials_default is not None:
+            p.add_argument("--trials", type=int, default=trials_default, help="trials per epsilon")
 
     p = sub.add_parser("verify-identities", help="run the exact-identity suites")
     add_common(p, trials_default=20)
 
-    for name, help_text in (
-        ("sweep", "run an estimator over an epsilon grid, one record per (epsilon, trial)"),
-        ("single", "run one estimation and print its JSON result"),
+    for name, help_text, trials_default in (
+        ("sweep", "run an estimator over an epsilon grid, one record per (epsilon, trial)", 1),
+        ("single", "run one estimation at one epsilon and print its JSON result", None),
     ):
         p = sub.add_parser(name, help=help_text)
-        add_common(p)
+        add_common(p, trials_default)
         p.add_argument("--rank", type=int, default=2, help="instance rank")
         p.add_argument("--estimator", choices=ESTIMATORS, default="optimal")
         p.add_argument("--epsilons", type=_epsilons_arg, default=(0.1,), help="comma-separated")

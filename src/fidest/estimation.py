@@ -42,6 +42,7 @@ on the underlying oracles and returned per run.
 from __future__ import annotations
 
 import bisect
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -84,6 +85,11 @@ class AmplitudeProblem:
     @property
     def total_qubits(self) -> int:
         return self.preparer.layout.total_qubits
+
+    @functools.cached_property
+    def p(self) -> float:
+        """flag_probability(self), computed once: the circuit is frozen and oracle unitaries read-only."""
+        return flag_probability(self)
 
 
 @dataclass(eq=False)
@@ -225,8 +231,7 @@ def _estimate(problem, delta, seed, square):
         )
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
-    p = flag_probability(problem)
-    sampler = _KernelSampler(math.asin(math.sqrt(p)) / math.pi, m)
+    sampler = _KernelSampler(math.asin(math.sqrt(problem.p)) / math.pi, m)
     M = 1 << m
     values = []
     for rep in range(DEFAULT_REPETITIONS):

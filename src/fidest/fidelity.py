@@ -55,7 +55,6 @@ class FidelityTask:
 
     rho_oracle: PreparationOracle
     second_oracle: PreparationOracle
-    second_is_pure: bool
     epsilon: float
     seed: int
 
@@ -71,92 +70,95 @@ class FidelityTask:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
-def make_task(
-    rho_oracle: PreparationOracle,
-    second_oracle: PreparationOracle,
-    epsilon: float,
-    seed: int,
-) -> FidelityTask:
-    """Build a task, detecting second-state purity from its reduced state.
-
-    The purity flag only gates which estimators accept the task; the
-    quantum circuits never consume it.
-    """
-    pure = second_oracle.reduced_state().is_pure(PURITY_ATOL)
-    return FidelityTask(rho_oracle, second_oracle, pure, epsilon, seed)
+def make_task(rho_oracle, second_oracle, epsilon: float, seed: int) -> FidelityTask:
+    """Build a validated task; purity is checked by the estimator that runs it."""
+    return FidelityTask(rho_oracle, second_oracle, epsilon, seed)
 
 
 def _swap_delta(epsilon: float) -> float:
     # Pr[C=0] = (1 + F^2)/2 to within eps^2/4 gives F to within eps/sqrt(2),
     # since |sqrt(x) - sqrt(y)| <= sqrt(|x - y|)
+    if not 0.0 < epsilon < 1.0:
+        raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
     return epsilon**2 / 4.0
 
 
-def estimator_readout_qubits(epsilon: float, swap_baseline: bool) -> int:
-    """Readout qubits m a fidelity estimator uses at target error epsilon.
+@dataclass(frozen=True)
+class Estimator:
+    """Which circuit an estimator runs and which of its two states must be pure.
 
-    The SWAP baseline estimates a probability to eps^2/4; the flagged
-    encoding estimators estimate an amplitude to eps.
+    The SWAP test reads (1 + F^2)/2 to eps^2/4 (Theta(1/eps^2) queries); the
+    flagged encoding reads sqrt(tr(rho sigma^2)) to eps (Theta(1/eps) queries,
+    two V queries per U query).
     """
-    if swap_baseline:
-        return readout_qubits(_swap_delta(epsilon), square=True)
-    return readout_qubits(epsilon, square=False)
+
+    swap_test: bool
+    first_pure: bool
+    second_pure: bool
+
+    def readout_qubits(self, epsilon: float) -> int:
+        """Readout qubits m this estimator uses at target error epsilon."""
+        if self.swap_test:
+            return readout_qubits(_swap_delta(epsilon), square=True)
+        return readout_qubits(epsilon, square=False)
+
+    def bind(self, name: str, rho_oracle: PreparationOracle, second_oracle: PreparationOracle):
+        """Check the required purities and build the circuit once for an oracle pair.
+
+        Returns estimate(epsilon, seed) -> EstimationResult; every call shares
+        the pair's AmplitudeProblem, so the circuit is executed once.
+        """
+        if self.second_pure and not second_oracle.reduced_state().is_pure(PURITY_ATOL):
+            raise ValueError(f"the {name} estimator requires a pure second state")
+        if self.first_pure and not rho_oracle.reduced_state().is_pure(PURITY_ATOL):
+            raise ValueError(f"the {name} estimator requires a pure first state")
+        build = build_swap_test if self.swap_test else build_flagged_encoding
+        problem = AmplitudeProblem(build(rho_oracle, second_oracle), "C")
+        if not self.swap_test:
+            return lambda epsilon, seed: sqrt_amplitude_estimate(problem, epsilon, seed)
+
+        def estimate(epsilon: float, seed: int) -> EstimationResult:
+            inner = amplitude_estimate(problem, _swap_delta(epsilon), seed)
+            # near F = 0 the back-transform 2p - 1 can go negative; clamping
+            # it at zero inflates the worst-case error there
+            value = math.sqrt(max(2.0 * inner.estimate - 1.0, 0.0))
+            return dataclasses.replace(inner, estimate=min(value, 1.0))
+
+        return estimate
 
 
-def _flagged_sqrt_estimate(task: FidelityTask) -> EstimationResult:
-    circuit = build_flagged_encoding(task.rho_oracle, task.second_oracle)
-    problem = AmplitudeProblem(circuit, "C")
-    return sqrt_amplitude_estimate(problem, task.epsilon, task.seed)
+#: estimator name -> Estimator; the CLI's --estimator choices, in this order
+ESTIMATORS = {
+    "swap-baseline": Estimator(swap_test=True, first_pure=False, second_pure=True),
+    "optimal": Estimator(swap_test=False, first_pure=False, second_pure=True),
+    "tr-rho-sigma2": Estimator(swap_test=False, first_pure=False, second_pure=False),
+    "pure-pure": Estimator(swap_test=False, first_pure=True, second_pure=True),
+}
+
+
+def _run_task(name: str, task: FidelityTask) -> EstimationResult:
+    estimate = ESTIMATORS[name].bind(name, task.rho_oracle, task.second_oracle)
+    return estimate(task.epsilon, task.seed)
 
 
 def swap_test_estimate(task: FidelityTask) -> EstimationResult:
-    """SWAP-test baseline: estimates F via Pr[C=0] = (1 + F^2)/2.
-
-    Needs delta = eps^2/4 on the probability, hence Theta(1/eps^2) queries.
-    Near F = 0 the back-transform 2p - 1 can go negative; it is clamped at
-    zero, which inflates worst-case error there.
-    """
-    if not task.second_is_pure:
-        raise ValueError("the SWAP-test baseline requires a pure second state")
-    circuit = build_swap_test(task.rho_oracle, task.second_oracle)
-    problem = AmplitudeProblem(circuit, "C")
-    inner = amplitude_estimate(problem, _swap_delta(task.epsilon), task.seed)
-    estimate = math.sqrt(max(2.0 * inner.estimate - 1.0, 0.0))
-    return dataclasses.replace(inner, estimate=min(estimate, 1.0))
+    """SWAP-test baseline: F via Pr[C=0] = (1 + F^2)/2, Theta(1/eps^2) queries."""
+    return _run_task("swap-baseline", task)
 
 
 def fidelity_to_pure(task: FidelityTask) -> EstimationResult:
-    """Estimate F(rho, |psi>) to within epsilon using O(1/eps) oracle queries.
-
-    Runs sqrt-amplitude estimation on the flagged encoding circuit; each
-    application costs one rho-oracle query and two second-oracle queries,
-    so reported tallies always satisfy queries(V) = 2 queries(U).
-    """
-    if not task.second_is_pure:
-        raise ValueError("fidelity_to_pure requires a pure second state")
-    return _flagged_sqrt_estimate(task)
+    """F(rho, |psi>) to within epsilon with O(1/eps) queries; the second state must be pure."""
+    return _run_task("optimal", task)
 
 
 def sqrt_tr_rho_sigma2_estimate(task: FidelityTask) -> EstimationResult:
-    """Estimate sqrt(tr(rho sigma^2)) for arbitrary mixed sigma, O(1/eps) queries.
-
-    Identical pipeline to fidelity_to_pure (to which it reduces when sigma
-    is pure, seed for seed).
-    """
-    return _flagged_sqrt_estimate(task)
+    """sqrt(tr(rho sigma^2)) for any sigma; reduces to fidelity_to_pure, seed for seed."""
+    return _run_task("tr-rho-sigma2", task)
 
 
 def pure_pure_fidelity(task: FidelityTask) -> EstimationResult:
-    """Estimate |<phi|psi>| for two pure states served through purified access.
-
-    Both oracles may carry redundant ancilla qubits; either side can play
-    the mixed-state role, so this simply delegates to fidelity_to_pure.
-    """
-    if not task.second_is_pure:
-        raise ValueError("pure_pure_fidelity requires a pure second state")
-    if not task.rho_oracle.reduced_state().is_pure(PURITY_ATOL):
-        raise ValueError("pure_pure_fidelity requires a pure first state")
-    return _flagged_sqrt_estimate(task)
+    """|<phi|psi>| for two pure states served through purified access."""
+    return _run_task("pure-pure", task)
 
 
 @dataclass(frozen=True, eq=False)

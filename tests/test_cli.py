@@ -9,10 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fidest.cli
+import fidest.estimation
+import fidest.fidelity
 from fidest.circuits import QubitCapExceeded
 from fidest.cli import (
     CSV_HEADER,
-    ESTIMATORS,
+    HARD_CSV_HEADER,
     IDENTITY_BOUNDS,
     ExperimentConfig,
     ExperimentRecord,
@@ -118,6 +120,15 @@ def count_sampling(monkeypatch):
 
     monkeypatch.setattr(fidest.cli, "sample_instance", counting)
     return calls
+
+
+def forbid_sampling(monkeypatch):
+    """Make any fidest.cli.sample_instance call fail the test."""
+
+    def no_synthesis(*args, **kwargs):
+        raise AssertionError("sample_instance called before the config checks")
+
+    monkeypatch.setattr(fidest.cli, "sample_instance", no_synthesis)
 
 
 class TestVerifyIdentities:
@@ -232,21 +243,65 @@ class TestSweep:
         assert fit_scaling(records)[estimator] == pytest.approx(slope, abs=0.05)
 
     def test_failure_names_trial_and_epsilon(self, tmp_path, monkeypatch, capsys):
-        front_end, first_kind, second_kind = ESTIMATORS["optimal"]
+        original = fidest.fidelity.sqrt_amplitude_estimate
         bad_seed = derive_seed(0, 1, 2)  # task seed of trial 1 under master seed 0
 
-        def failing(task):
-            if task.seed == bad_seed and task.epsilon == 0.03:
+        def failing(problem, delta, seed):
+            # the optimal estimator reads its amplitude to delta = epsilon
+            if seed == bad_seed and delta == 0.03:
                 raise ValueError("injected failure")
-            return front_end(task)
+            return original(problem, delta, seed)
 
-        monkeypatch.setitem(ESTIMATORS, "optimal", (failing, first_kind, second_kind))
+        monkeypatch.setattr(fidest.fidelity, "sqrt_amplitude_estimate", failing)
         out = tmp_path / "sweep.csv"
         argv = ["sweep", "--epsilons", "0.1,0.03,0.01", "--trials", "3", "--output", str(out)]
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert "trial 1, epsilon 0.03: injected failure" in err
         assert not out.exists()
+
+    def test_executes_each_trial_circuit_once(self, tmp_path, monkeypatch):
+        # p depends only on the trial's oracle pair, not on epsilon
+        calls = []
+        original = fidest.estimation.flag_probability
+
+        def counting(problem):
+            calls.append(problem)
+            return original(problem)
+
+        monkeypatch.setattr(fidest.estimation, "flag_probability", counting)
+        config = ExperimentConfig(
+            command="sweep",
+            k=1,
+            epsilons=(0.1, 0.05, 0.03, 0.02, 0.01),
+            trials=3,
+            output_path=str(tmp_path / "sweep.csv"),
+        )
+        assert run(config) == 0
+        assert len(calls) == 3
+
+    def test_json_on_stdout_parses(self, capsys):
+        argv = ["sweep", "--epsilons", "0.2,0.1,0.05", "--trials", "2", "--format", "json"]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert len(json.loads(captured.out)["records"]) == 6
+        assert "success fraction" in captured.err
+        assert "scaling optimal: log-log slope" in captured.err
+
+    def test_csv_on_stdout_starts_with_header(self, capsys):
+        assert main(["sweep", "--epsilons", "0.2,0.1,0.05", "--trials", "2"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[0] == CSV_HEADER
+        assert len(captured.out.splitlines()) == 1 + 6
+        assert "epsilon 0.2: success fraction" in captured.err
+
+    def test_summary_stays_on_stdout_with_output(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--epsilons", "0.2,0.1,0.05", "--output", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert "success fraction" in captured.out
+        assert "scaling optimal" in captured.out
+        assert captured.err == ""
 
     def test_record_invariants_hold(self, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -284,6 +339,24 @@ class TestSingle:
         assert 0.0 <= payload["estimate"] <= 1.0
         assert payload["queries"]["V"]["controlled"] > 0
 
+    def test_rejects_trials_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["single", "--trials", "7"])
+        assert exc.value.code == 2
+
+    def test_rejects_epsilon_list(self, monkeypatch, capsys):
+        forbid_sampling(monkeypatch)
+        assert main(["single", "--epsilons", "0.1,0.05"]) == 2
+        assert "single runs one estimate: got 2 epsilons, 1 trials" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fields", [{"epsilons": [0.1, 0.05]}, {"trials": 7}])
+    def test_config_file_rejects_more_than_one_estimate(self, tmp_path, monkeypatch, capsys, fields):
+        forbid_sampling(monkeypatch)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"command": "single", **fields}))
+        assert main(["--config", str(cfg)]) == 2
+        assert "single runs one estimate" in capsys.readouterr().err
+
     def test_swap_baseline_reaches_eps_1e_4(self, capsys):
         # m = 33 is far past any 2^m outcome grid; the sampler costs O(reps)
         argv = ["single", "--estimator", "swap-baseline", "--epsilons", "1e-4", "--seed", "5"]
@@ -315,6 +388,12 @@ class TestHardInstance:
             rec = dict(zip(rows[0], row))
             assert float(rec["fidelity_residual"]) <= 1e-12
             assert float(rec["hellinger_residual"]) <= 1e-12
+
+    def test_csv_on_stdout_starts_with_header(self, capsys):
+        assert main(["hard-instance", "--k", "2", "--rank", "3"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[0] == HARD_CSV_HEADER
+        assert captured.err.startswith("hard-instance residuals: fidelity ")
 
     def test_rejects_rank_one(self):
         with pytest.raises(ValueError, match="rank"):

@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fidest.circuits import analyze_flagged, build_restructured_encoding, execute
 from fidest.fidelity import (
+    ESTIMATORS,
     FidelityTask,
     exact_fidelity_to_pure,
     exact_tr_rho_sigma2,
@@ -113,24 +116,54 @@ class TestExactReferences:
 
 
 class TestTaskConstruction:
-    def test_purity_detection(self):
-        _, u = mixed_instance(1, 2, 20)
-        _, v_pure = pure_instance(1, 21)
-        _, v_mixed = mixed_instance(1, 2, 22)
-        assert make_task(u, v_pure, 0.1, 0).second_is_pure
-        assert not make_task(u, v_mixed, 0.1, 0).second_is_pure
-
     def test_epsilon_validation(self):
         _, u = mixed_instance(1, 2, 20)
         _, v = pure_instance(1, 21)
         with pytest.raises(ValueError, match="epsilon"):
-            FidelityTask(u, v, True, 1.0, 0)
+            FidelityTask(u, v, 1.0, 0)
 
     def test_system_mismatch(self):
         _, u = mixed_instance(1, 2, 20)
         _, v = pure_instance(2, 21)
         with pytest.raises(ValueError, match="mismatch"):
             make_task(u, v, 0.1, 0)
+
+
+#: each estimator's public front end
+FRONT_ENDS = {
+    "swap-baseline": swap_test_estimate,
+    "optimal": fidelity_to_pure,
+    "tr-rho-sigma2": sqrt_tr_rho_sigma2_estimate,
+    "pure-pure": pure_pure_fidelity,
+}
+
+
+class TestEstimatorTable:
+    @settings(database=None, deadline=None, max_examples=25)
+    @given(
+        k=st.sampled_from((1, 2)),
+        rank_index=st.integers(0, 3),
+        seed=st.integers(0, (1 << 62) - 1),
+    )
+    def test_bound_estimator_matches_front_end(self, k, rank_index, seed):
+        # one bind serves every epsilon with the same results, seed for seed,
+        # as a front end on a fresh task
+        rank = rank_index % (1 << k) + 1
+        for name, estimator in ESTIMATORS.items():
+            first = pure_instance(k, seed, "U") if estimator.first_pure else mixed_instance(k, rank, seed)
+            second = (
+                pure_instance(k, seed + 1)
+                if estimator.second_pure
+                else mixed_instance(k, rank, seed + 1, "V")
+            )
+            u, v = first[1], second[1]
+            bound = estimator.bind(name, u, v)
+            for eps in (0.1, 0.03, 0.01):
+                result = bound(eps, seed)
+                assert result.to_json() == FRONT_ENDS[name](make_task(u, v, eps, seed)).to_json()
+                ratio = 1 if estimator.swap_test else 2
+                assert result.total_queries("V") == ratio * result.total_queries("U")
+                assert result.m == estimator.readout_qubits(eps)
 
 
 class TestSwapTestEstimate:

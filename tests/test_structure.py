@@ -1,4 +1,5 @@
-"""Import-graph guards: the dense references stay out of the production path."""
+"""Structure guards: the dense references stay out of the production path, and
+estimators are defined only by the table in fidest.fidelity."""
 
 import ast
 import os
@@ -7,6 +8,7 @@ import sys
 from pathlib import Path
 
 import fidest
+from fidest.fidelity import ESTIMATORS
 
 PACKAGE = Path(fidest.__file__).parent
 
@@ -46,3 +48,21 @@ def test_only_the_reference_module_imports_scipy():
         names = imported_modules(path)
         assert not [n for n in names if n.split(".")[0] == "scipy"], path.name
         assert not [n for n in names if n.startswith("fidest.reference")], path.name
+
+
+def compared_estimator_names(path):
+    """(line, name) of every ESTIMATORS key a comparison in the source mentions."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Compare):
+            for inner in ast.walk(node):
+                if isinstance(inner, ast.Constant) and inner.value in ESTIMATORS:
+                    found.append((inner.lineno, inner.value))
+    return found
+
+
+def test_no_module_branches_on_an_estimator_name():
+    # an estimator's behaviour comes from its Estimator entry, never from its name
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name != "fidelity.py":
+            assert compared_estimator_names(path) == [], path.name
