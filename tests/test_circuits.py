@@ -58,16 +58,20 @@ class TestExecute:
         circ = Circuit(RegisterLayout(("A",), (1,)), (Gate1Q("H", "A"),))
         assert np.allclose(execute(circ), [1 / np.sqrt(2), 1 / np.sqrt(2)])
 
-    def test_env_override(self, monkeypatch):
+    def test_qubit_cap(self, monkeypatch):
         # FIDEST_QUBIT_CAP is the only source of the cap
+        monkeypatch.setenv("FIDEST_QUBIT_CAP", "4")
+        circ = Circuit(RegisterLayout(("A",), (5,)), ())
+        with pytest.raises(QubitCapExceeded, match="FIDEST_QUBIT_CAP"):
+            execute(circ)
+
+    def test_env_override(self, monkeypatch):
         monkeypatch.setenv("FIDEST_QUBIT_CAP", "3")
         circ = Circuit(RegisterLayout(("A",), (4,)), ())
         with pytest.raises(QubitCapExceeded, match="4 qubits, cap is 3"):
             execute(circ)
         monkeypatch.setenv("FIDEST_QUBIT_CAP", "4")
         execute(circ)
-        with pytest.raises(QubitCapExceeded, match="FIDEST_QUBIT_CAP"):
-            execute(Circuit(RegisterLayout(("A",), (5,)), ()))
 
     def test_oracle_counters_match_shadow_count(self):
         _, u = mixed_instance(1, 2, 60)
