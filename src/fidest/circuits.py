@@ -6,6 +6,10 @@ purifying ancillas, C a one-qubit control/flag.  Circuits are immutable op
 lists; ``execute`` runs them on |0...0> and tallies every oracle op on the
 oracle it invokes.
 
+The state is one flat (2^n, columns) array.  Every op acts on adjacent
+registers of it, as one reshape to (2^first, 2^width, rest); identity
+padding and control come from that block view, not from dense matrices.
+
 Two circuit families matter here.  The encoding circuit applies both
 oracles side by side, swaps the ancilla registers, then undoes the second
 oracle on the first pair; the squared amplitude left on the all-zeros A,B
@@ -24,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import ATOL_STRUCT
-from .oracles import QUERY_KINDS, PreparationOracle, invocation_unitary
+from .oracles import QUERY_KINDS, PreparationOracle
 
 DEFAULT_QUBIT_CAP = 22
 QUBIT_CAP_ENV = "FIDEST_QUBIT_CAP"
@@ -88,13 +92,13 @@ class RegisterLayout:
 
 @dataclass(frozen=True, eq=False)
 class OracleOp:
-    """One oracle invocation on the listed registers (control register first
-    for controlled kinds); pad_qubits widens the ancilla by identity."""
+    """One oracle invocation on adjacent registers in layout order (a one-qubit
+    control register first for controlled kinds).  They may be wider than the
+    oracle, which then leaves the extra trailing qubits untouched."""
 
     oracle: PreparationOracle
     kind: str
     registers: tuple
-    pad_qubits: int = 0
 
     def __post_init__(self):
         if self.kind not in QUERY_KINDS:
@@ -119,7 +123,6 @@ class ControlledRegisterSwap:
 class Gate1Q:
     gate: str
     register: str
-    qubit: int = 0
 
     def __post_init__(self):
         if self.gate not in _GATES_1Q:
@@ -159,82 +162,81 @@ class FlaggedAmplitudeAnalysis:
     zero_registers: tuple
 
 
-def _apply_matrix(tensor: np.ndarray, mat: np.ndarray, qubits: list) -> np.ndarray:
-    m = len(qubits)
-    moved = np.moveaxis(tensor, qubits, range(m))
-    shape = moved.shape
-    flat = moved.reshape(1 << m, -1)
-    flat = mat @ flat
-    return np.moveaxis(flat.reshape(shape), range(m), qubits)
+def _block(layout: RegisterLayout, names) -> tuple:
+    """(first qubit, width) of registers that sit next to each other in layout order."""
+    for name in names:
+        layout.qubits(name)  # raises on an unknown register
+    positions = [layout.names.index(name) for name in names]
+    start, stop = positions[0], positions[0] + len(positions)
+    if positions != list(range(start, stop)):
+        raise ValueError(f"registers {tuple(names)} are not adjacent in layout order {layout.names}")
+    return sum(layout.sizes[:start]), sum(layout.sizes[start:stop])
 
 
-def _apply_register_swap(tensor, layout, first, second):
-    qa, qb = layout.qubits(first), layout.qubits(second)
-    if len(qa) != len(qb):
-        raise ValueError(f"cannot swap registers {first!r} ({len(qa)}q) and {second!r} ({len(qb)}q)")
-    perm = list(range(tensor.ndim))
-    for x, y in zip(qa, qb):
-        perm[x], perm[y] = perm[y], perm[x]
-    return tensor.transpose(perm)
+def _apply_matrix(state: np.ndarray, mat: np.ndarray, first: int) -> np.ndarray:
+    """mat applied to the qubit block that starts at ``first`` of a flat state."""
+    d = mat.shape[0]
+    block = state.reshape(1 << first, d, -1).swapaxes(0, 1).reshape(d, -1)
+    return (mat @ block).reshape(d, 1 << first, -1).swapaxes(0, 1).reshape(state.shape)
 
 
-def _apply_controlled_swap(tensor, layout, control, first, second):
-    cq = layout.qubits(control)
-    if len(cq) != 1:
-        raise ValueError(f"control register {control!r} must be one qubit")
-    cq = cq[0]
-    qa, qb = layout.qubits(first), layout.qubits(second)
-    if len(qa) != len(qb):
+def _controlled(state: np.ndarray, applied: np.ndarray, control: int) -> np.ndarray:
+    """``state`` where qubit ``control`` is 0, ``applied`` where it is 1."""
+    shape = (1 << control, 2, -1)
+    on = np.array([False, True])[:, np.newaxis]
+    return np.where(on, applied.reshape(shape), state.reshape(shape)).reshape(state.shape)
+
+
+def _one_qubit(layout: RegisterLayout, name: str, role: str) -> int:
+    first, width = _block(layout, (name,))
+    if width != 1:
+        raise ValueError(f"{role} register {name!r} must be one qubit")
+    return first
+
+
+def _swap(state: np.ndarray, layout: RegisterLayout, first: str, second: str) -> np.ndarray:
+    (a, wa), (b, wb) = sorted((_block(layout, (first,)), _block(layout, (second,))))
+    if first == second:
+        return state
+    if wa != wb:
         raise ValueError(f"cannot swap registers {first!r} and {second!r} of unequal size")
-    tensor = tensor.copy()
-    idx = [slice(None)] * tensor.ndim
-    idx[cq] = 1
-    sub = tensor[tuple(idx)]
-    adj = lambda q: q - 1 if q > cq else q
-    perm = list(range(sub.ndim))
-    for x, y in zip(qa, qb):
-        x, y = adj(x), adj(y)
-        perm[x], perm[y] = perm[y], perm[x]
-    tensor[tuple(idx)] = sub.transpose(perm).copy()
-    return tensor
+    d = 1 << wa
+    parts = state.reshape(1 << a, d, 1 << (b - a - wa), d, -1)
+    return parts.swapaxes(1, 3).reshape(state.shape)
 
 
-def _apply_flag(tensor, layout, flag_register, zero_registers):
-    fq = layout.qubits(flag_register)
-    if len(fq) != 1:
-        raise ValueError(f"flag register {flag_register!r} must be one qubit")
-    zq = [q for name in zero_registers for q in layout.qubits(name)]
-    front = fq + zq
-    moved = np.moveaxis(tensor, front, range(len(front)))
-    shape = moved.shape
-    arr = moved.reshape(2, 1 << len(zq), -1).copy()
-    swap = arr[0, 1:, :].copy()
-    arr[0, 1:, :] = arr[1, 1:, :]
-    arr[1, 1:, :] = swap
-    return np.moveaxis(arr.reshape(shape), range(len(front)), front)
-
-
-def _apply_op(op, tensor, layout, count_queries):
+def _apply_op(op, state, layout, count_queries):
     if isinstance(op, OracleOp):
-        qubits = [q for name in op.registers for q in layout.qubits(name)]
-        mat = invocation_unitary(op.oracle, op.kind, op.pad_qubits)
-        if (1 << len(qubits)) != mat.shape[0]:
+        first, width = _block(layout, op.registers)
+        control = op.kind in ("controlled", "controlled_inverse")
+        if control:
+            _one_qubit(layout, op.registers[0], "control")
+        if width - control < op.oracle.num_qubits:
             raise ValueError(
-                f"oracle op on registers {op.registers} spans {len(qubits)} qubits "
-                f"but its matrix is {mat.shape[0]}x{mat.shape[0]}"
+                f"oracle op on {op.registers} spans {width} qubits, too few for its oracle"
             )
+        mat = op.oracle.unitary
+        if op.kind in ("inverse", "controlled_inverse"):
+            mat = mat.conj().T
         if count_queries:
             op.oracle.record(op.kind)
-        return _apply_matrix(tensor, mat, qubits)
+        applied = _apply_matrix(state, mat, first + control)
+        return _controlled(state, applied, first) if control else applied
     if isinstance(op, Gate1Q):
-        q = layout.qubits(op.register)[op.qubit]
-        return _apply_matrix(tensor, _GATES_1Q[op.gate], [q])
+        return _apply_matrix(state, _GATES_1Q[op.gate], _one_qubit(layout, op.register, "gate"))
     if isinstance(op, RegisterSwap):
-        return _apply_register_swap(tensor, layout, op.first, op.second)
+        return _swap(state, layout, op.first, op.second)
     if isinstance(op, ControlledRegisterSwap):
-        return _apply_controlled_swap(tensor, layout, op.control, op.first, op.second)
+        control = _one_qubit(layout, op.control, "control")
+        return _controlled(state, _swap(state, layout, op.first, op.second), control)
     if isinstance(op, FlagOnNonzero):
-        return _apply_flag(tensor, layout, op.flag_register, op.zero_registers)
+        _one_qubit(layout, op.flag_register, "flag")
+        first, width = _block(layout, (op.flag_register,) + op.zero_registers)
+        # (flag, zero...) block: flip the flag on every nonzero zero-register value
+        parts = state.reshape(1 << first, 2, 1 << (width - 1), -1)
+        out = parts.copy()
+        out[:, :, 1:] = parts[:, ::-1, 1:]
+        return out.reshape(state.shape)
     raise TypeError(f"unknown circuit op {op!r}")
 
 
@@ -248,11 +250,11 @@ def execute(circuit: Circuit, count_queries: bool = True) -> np.ndarray:
     cap = qubit_cap()
     if n > cap:
         raise QubitCapExceeded(f"circuit needs {n} qubits, cap is {cap} (override with {QUBIT_CAP_ENV})")
-    tensor = np.zeros((1 << n, 1), dtype=complex).reshape((2,) * n + (1,))
-    tensor[(0,) * n + (0,)] = 1.0
+    state = np.zeros((1 << n, 1), dtype=complex)
+    state[0, 0] = 1.0
     for op in circuit.ops:
-        tensor = _apply_op(op, tensor, circuit.layout, count_queries)
-    state = tensor.reshape(-1)
+        state = _apply_op(op, state, circuit.layout, count_queries)
+    state = state.reshape(-1)
     norm = float(np.linalg.norm(state))
     if abs(norm - 1.0) > ATOL_STRUCT:
         raise RuntimeError(f"executed state norm drifted to {norm}")
@@ -265,17 +267,15 @@ def analyze_flagged(state: np.ndarray, layout: RegisterLayout, zero_registers) -
     An empty register list means the identity projector.  The flagged
     amplitude is the norm of the projected component, so for the encoding
     circuit with zero_registers=("A", "B") it equals the encoded overlap.
+    The registers must sit next to each other in layout order.
     """
     zero_registers = tuple(zero_registers)
-    n = layout.total_qubits
-    state = np.asarray(state, dtype=complex).reshape((2,) * n)
-    zq = [q for name in zero_registers for q in layout.qubits(name)]
-    if not zq:
-        total = float(np.linalg.norm(state))
-        return FlaggedAmplitudeAnalysis(total, 0.0, zero_registers)
-    moved = np.moveaxis(state, zq, range(len(zq))).reshape(1 << len(zq), -1)
-    flagged = float(np.linalg.norm(moved[0]))
-    residual = float(np.linalg.norm(moved[1:]))
+    first, width = _block(layout, zero_registers) if zero_registers else (0, 0)
+    blocks = np.asarray(state, dtype=complex).reshape(1 << first, 1 << width, -1)
+    # rows: the zero registers' value; columns: the other qubits in order
+    rows = blocks.swapaxes(0, 1).reshape(1 << width, -1)
+    flagged = float(np.linalg.norm(rows[0]))
+    residual = float(np.linalg.norm(rows[1:]))
     return FlaggedAmplitudeAnalysis(flagged, residual, zero_registers)
 
 
@@ -315,6 +315,15 @@ def build_swap_test(rho_oracle: PreparationOracle, psi_oracle: PreparationOracle
     return Circuit(layout, ops)
 
 
+def _encoding(u: PreparationOracle, v: PreparationOracle, *tail) -> Circuit:
+    """U on AB and V on A'B', both ancillas as wide as the larger one, then ``tail``."""
+    k = _check_system_match(u, v)
+    b = max(u.ancilla_qubits, v.ancilla_qubits)
+    layout = RegisterLayout(("A", "B", "A'", "B'"), (k, b, k, b))
+    prepare = (OracleOp(u, "plain", ("A", "B")), OracleOp(v, "plain", ("A'", "B'")))
+    return Circuit(layout, prepare + tail)
+
+
 def build_encoding_circuit(u: PreparationOracle, v: PreparationOracle) -> Circuit:
     """Amplitude-encoding circuit: (V^dag on AB) . SWAP_BB' . (U on AB, V on A'B').
 
@@ -322,16 +331,7 @@ def build_encoding_circuit(u: PreparationOracle, v: PreparationOracle) -> Circui
     the all-zeros A,B subspace squares to <psi|rho|psi> for a pure second
     state and to tr(rho sigma^2) in general.
     """
-    k = _check_system_match(u, v)
-    b = max(u.ancilla_qubits, v.ancilla_qubits)
-    layout = RegisterLayout(("A", "B", "A'", "B'"), (k, b, k, b))
-    ops = (
-        OracleOp(u, "plain", ("A", "B"), pad_qubits=b - u.ancilla_qubits),
-        OracleOp(v, "plain", ("A'", "B'"), pad_qubits=b - v.ancilla_qubits),
-        RegisterSwap("B", "B'"),
-        OracleOp(v, "inverse", ("A", "B"), pad_qubits=b - v.ancilla_qubits),
-    )
-    return Circuit(layout, ops)
+    return _encoding(u, v, RegisterSwap("B", "B'"), OracleOp(v, "inverse", ("A", "B")))
 
 
 def build_flagged_encoding(u: PreparationOracle, v: PreparationOracle) -> Circuit:
@@ -354,13 +354,4 @@ def build_restructured_encoding(u: PreparationOracle, v: PreparationOracle) -> C
     post-selecting A'B' = 0 therefore flags the same squared amplitude as
     the plain encoding circuit.
     """
-    k = _check_system_match(u, v)
-    b = max(u.ancilla_qubits, v.ancilla_qubits)
-    layout = RegisterLayout(("A", "B", "A'", "B'"), (k, b, k, b))
-    ops = (
-        OracleOp(u, "plain", ("A", "B"), pad_qubits=b - u.ancilla_qubits),
-        OracleOp(v, "plain", ("A'", "B'"), pad_qubits=b - v.ancilla_qubits),
-        RegisterSwap("A", "A'"),
-        OracleOp(v, "inverse", ("A'", "B'"), pad_qubits=b - v.ancilla_qubits),
-    )
-    return Circuit(layout, ops)
+    return _encoding(u, v, RegisterSwap("A", "A'"), OracleOp(v, "inverse", ("A'", "B'")))

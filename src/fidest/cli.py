@@ -13,6 +13,7 @@ import dataclasses
 import io
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -97,8 +98,15 @@ class ExperimentConfig:
         for name in ("command", "estimator", "format"):
             if not isinstance(getattr(self, name), str):
                 raise ValueError(f"{name} must be a string, got {getattr(self, name)!r}")
-        if self.output_path is not None and not isinstance(self.output_path, str):
-            raise ValueError(f"output_path must be a string, got {self.output_path!r}")
+        if self.output_path is not None:
+            if not isinstance(self.output_path, str):
+                raise ValueError(f"output_path must be a string, got {self.output_path!r}")
+            # an unwritable path fails here, before any work, not after the last trial
+            folder = os.path.dirname(self.output_path) or "."
+            if not self.output_path or os.path.isdir(self.output_path) or not os.path.isdir(folder):
+                raise ValueError(
+                    f"output path {self.output_path!r} is not a file in an existing directory"
+                )
         if not isinstance(self.epsilons, (list, tuple)) or not all(
             _is_number(e, (int, float)) for e in self.epsilons
         ):

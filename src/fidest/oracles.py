@@ -206,28 +206,6 @@ def preparation_oracle(
     )
 
 
-def invocation_unitary(oracle: PreparationOracle, kind: str, pad_qubits: int = 0) -> np.ndarray:
-    """Dense matrix of one oracle invocation, optionally identity-padded.
-
-    Padding appends ``pad_qubits`` untouched qubits after the ancilla (how
-    a smaller ancilla register is widened to match a partner oracle); for
-    controlled kinds the control qubit is prepended after padding.
-    """
-    if kind not in QUERY_KINDS:
-        raise ValueError(f"unknown query kind {kind!r}")
-    mat = oracle.unitary
-    if kind in ("inverse", "controlled_inverse"):
-        mat = mat.conj().T
-    if pad_qubits:
-        mat = np.kron(mat, np.eye(1 << pad_qubits, dtype=complex))
-    if kind in ("controlled", "controlled_inverse"):
-        d = mat.shape[0]
-        out = np.eye(2 * d, dtype=complex)
-        out[d:, d:] = mat
-        mat = out
-    return mat
-
-
 def purified_channel_oracle(
     channel_unitary: np.ndarray, system_qubits: int, label: str = "U"
 ) -> PreparationOracle:
@@ -348,4 +326,8 @@ def instance_from_json(obj: dict):
         rho = DensityMatrix(matrix_from_json(obj["rho"]))
     except KeyError as exc:
         raise ValueError(f"malformed instance JSON: missing {exc}") from exc
+    except TypeError as exc:
+        raise ValueError(f"malformed instance JSON: {exc}") from exc
+    if rho.dim != 1 << spec.k:
+        raise ValueError(f"instance rho is {rho.dim}x{rho.dim}, but k = {spec.k} needs {1 << spec.k}")
     return spec, rho

@@ -25,11 +25,10 @@ def circuit_unitary(circuit: Circuit, cap: int = 12) -> np.ndarray:
     n = circuit.layout.total_qubits
     if n > cap:
         raise QubitCapExceeded(f"circuit unitary needs {n} qubits, cap is {cap}")
-    dim = 1 << n
-    tensor = np.eye(dim, dtype=complex).reshape((2,) * n + (dim,))
+    state = np.eye(1 << n, dtype=complex)
     for op in circuit.ops:
-        tensor = _apply_op(op, tensor, circuit.layout, count_queries=False)
-    return tensor.reshape(dim, dim)
+        state = _apply_op(op, state, circuit.layout, count_queries=False)
+    return state
 
 
 def grover_operator(problem: AmplitudeProblem, max_qubits: int = GROVER_MAX_QUBITS) -> np.ndarray:

@@ -5,6 +5,8 @@ import pytest
 
 from fidest.circuits import (
     Circuit,
+    ControlledRegisterSwap,
+    FlagOnNonzero,
     Gate1Q,
     OracleOp,
     QubitCapExceeded,
@@ -103,6 +105,62 @@ class TestExecute:
         expected = np.concatenate([np.zeros(4), u.prepared_state])
         assert np.max(np.abs(state - expected)) <= 1e-12
         assert u.queries["controlled"] == 1
+
+
+class TestRegisterBlocks:
+    """Ops address adjacent registers as one qubit block of the flat state."""
+
+    @pytest.mark.parametrize(
+        "layout,op",
+        [
+            (("A", "B", "A'", "B'"), lambda u: OracleOp(u, "plain", ("A", "A'"))),
+            (("A", "B", "A'", "B'"), lambda u: OracleOp(u, "plain", ("B", "A"))),
+            (("C", "A", "B"), lambda u: FlagOnNonzero("C", ("B",))),
+            (("A", "C", "B"), lambda u: FlagOnNonzero("C", ("A", "B"))),
+        ],
+    )
+    def test_non_adjacent_registers_raise(self, layout, op):
+        _, u = mixed_instance(1, 2, 63)
+        circ = Circuit(RegisterLayout(layout, (1,) * len(layout)), (op(u),))
+        with pytest.raises(ValueError, match="adjacent"):
+            execute(circ)
+
+    def test_registers_narrower_than_oracle_raise(self):
+        _, u = mixed_instance(1, 2, 64)  # one system and one ancilla qubit
+        circ = Circuit(RegisterLayout(("A", "B"), (1, 1)), (OracleOp(u, "plain", ("A",)),))
+        with pytest.raises(ValueError, match="too few"):
+            execute(circ)
+
+    @pytest.mark.parametrize("zero_ancilla,b", [(False, 1), (False, 3), (True, 0), (True, 2)])
+    def test_padded_oracle_op_is_kron_with_identity(self, zero_ancilla, b):
+        u = state_oracle([0.6, 0.8j], "U") if zero_ancilla else mixed_instance(1, 2, 65)[1]
+        circ = Circuit(RegisterLayout(("A", "B"), (1, b)), (OracleOp(u, "plain", ("A", "B")),))
+        pad = 1 + b - u.num_qubits
+        expected = np.kron(u.unitary, np.eye(1 << pad))
+        assert np.max(np.abs(circuit_unitary(circ) - expected)) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "names,sizes,swap",
+        [
+            (("C", "A", "A'"), (1, 2, 2), ("C", "A", "A'")),
+            (("A", "C", "A'"), (1, 1, 1), ("C", "A", "A'")),  # control between the two
+            (("A", "B", "C", "A'"), (2, 1, 1, 2), ("C", "A'", "A")),
+            (("C", "A"), (1, 2), ("C", "A", "A")),  # a register swapped with itself
+        ],
+    )
+    def test_controlled_register_swap_is_dense_permutation(self, names, sizes, swap):
+        layout = RegisterLayout(names, sizes)
+        control, first, second = swap
+        n = layout.total_qubits
+        expected = np.zeros((1 << n, 1 << n))
+        for x in range(1 << n):
+            bits = [(x >> (n - 1 - q)) & 1 for q in range(n)]
+            if bits[layout.qubits(control)[0]]:
+                for qa, qb in zip(layout.qubits(first), layout.qubits(second)):
+                    bits[qa], bits[qb] = bits[qb], bits[qa]
+            expected[int("".join(map(str, bits)), 2), x] = 1.0
+        circ = Circuit(layout, (ControlledRegisterSwap(control, first, second),))
+        assert np.array_equal(circuit_unitary(circ), expected)
 
 
 class TestSwapTest:

@@ -484,6 +484,21 @@ class TestMainEntry:
         assert "25-qubit" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [["sweep", "--trials", "30"], ["single"], ["hard-instance"]])
+    @pytest.mark.parametrize("target", ["missing/out.csv", ".", ""])
+    def test_bad_output_path_fails_before_any_work(self, tmp_path, monkeypatch, capsys, argv, target):
+        forbid_sampling(monkeypatch)
+
+        def no_instances(*args, **kwargs):
+            raise AssertionError("hard_pair called before the config checks")
+
+        monkeypatch.setattr(fidest.cli, "hard_pair", no_instances)
+        assert main([*argv, "--output", target and str(tmp_path / target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "output" in captured.err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize(
         "raw",
         [

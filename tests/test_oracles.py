@@ -1,10 +1,16 @@
 """Tests for state construction and oracle synthesis."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fidest.circuits import Circuit, OracleOp, RegisterLayout
 from fidest.linalg import DensityMatrix, kron, partial_trace, unitarity_error, zero_state
 from fidest.oracles import (
+    INSTANCE_KINDS,
     PreparationOracle,
     RandomInstanceSpec,
     complete_to_unitary,
@@ -12,12 +18,12 @@ from fidest.oracles import (
     instance_from_json,
     instance_to_json,
     invert_kind,
-    invocation_unitary,
     preparation_oracle,
     purified_channel_oracle,
     purify,
     sample_instance,
 )
+from fidest.reference import circuit_unitary
 
 from conftest import mixed_instance, pure_instance
 
@@ -102,26 +108,40 @@ class TestCompleteToUnitary:
 
 
 class TestControlledAndInverse:
+    """Oracle invocation kinds, read off the dense unitary of a one-op circuit."""
+
+    @staticmethod
+    def unitary_of(oracle, *kinds):
+        """Dense unitary of the ops of these kinds on layout (C, A, B); C controls."""
+        layout = RegisterLayout(("C", "A", "B"), (1, oracle.system_qubits, oracle.ancilla_qubits))
+        ops = [
+            OracleOp(oracle, k, ("C", "A", "B") if k.startswith("controlled") else ("A", "B"))
+            for k in kinds
+        ]
+        return circuit_unitary(Circuit(layout, ops))
+
     def test_control_off_is_identity(self):
         _, oracle = mixed_instance(1, 2, 5)
-        cu = invocation_unitary(oracle, "controlled")
         dim = oracle.unitary.shape[0]
-        x = np.zeros(2 * dim, dtype=complex)
-        x[1] = 1.0  # |0>|x>, control clear
-        assert np.allclose(cu @ x, x)
+        for kind in ("controlled", "controlled_inverse"):
+            cu = self.unitary_of(oracle, kind)
+            # control clear: rows [I, 0] and column block [I; 0], bit for bit
+            assert np.array_equal(cu[:dim], np.eye(dim, 2 * dim))
+            assert np.array_equal(cu[:, :dim], np.eye(2 * dim, dim))
 
     def test_control_on_prepares_state(self):
         _, oracle = mixed_instance(1, 2, 5)
-        cu = invocation_unitary(oracle, "controlled")
         dim = oracle.unitary.shape[0]
-        x = np.zeros(2 * dim, dtype=complex)
-        x[dim] = 1.0  # |1>|0...0>
-        expected = np.concatenate([np.zeros(dim), oracle.prepared_state])
-        assert np.max(np.abs(cu @ x - expected)) <= 1e-12
+        zero = np.zeros((dim, dim))
+        for kind, u in (("controlled", oracle.unitary), ("controlled_inverse", oracle.unitary.conj().T)):
+            cu = self.unitary_of(oracle, kind)
+            assert np.max(np.abs(cu - np.block([[np.eye(dim), zero], [zero, u]]))) <= 1e-12
+        expected = np.concatenate([np.zeros(dim), oracle.prepared_state])  # |1>|0...0> in
+        assert np.max(np.abs(self.unitary_of(oracle, "controlled")[:, dim] - expected)) <= 1e-12
 
     def test_inverse_times_forward_is_identity(self):
         _, oracle = mixed_instance(2, 4, 6)
-        prod = invocation_unitary(oracle, "inverse") @ oracle.unitary
+        prod = self.unitary_of(oracle, "plain", "inverse")
         assert np.max(np.abs(prod - np.eye(prod.shape[0]))) <= 1e-10
 
     def test_kind_algebra(self):
@@ -239,6 +259,37 @@ class TestInstanceJson:
     def test_missing_key(self):
         with pytest.raises(ValueError, match="malformed"):
             instance_from_json({"k": 1, "rank": 1, "seed": 0})
+
+    @pytest.mark.parametrize(
+        "change,message",
+        [
+            ({"k": None}, "malformed"),
+            ({"spectrum": 5}, "malformed"),
+            ({"k": 3}, "4x4, but k = 3 needs 8"),  # a k = 2 rho under a k = 3 record
+        ],
+    )
+    def test_rejects_bad_record(self, change, message):
+        spec = RandomInstanceSpec(2, 3, 21, "ginibre_mixed")
+        record = {**instance_to_json(spec, sample_instance(spec)[0]), **change}
+        with pytest.raises(ValueError, match=message):
+            instance_from_json(record)
+
+    @settings(database=None, deadline=None, max_examples=40)
+    @given(data=st.data())
+    def test_round_trip_through_json_text(self, data):
+        k = data.draw(st.integers(1, 3), label="k")
+        kind = data.draw(st.sampled_from(INSTANCE_KINDS), label="kind")
+        rank = 1 if kind == "haar_pure" else data.draw(st.integers(1, 1 << k), label="rank")
+        spectrum = None
+        if kind == "fixed_spectrum":
+            weights = data.draw(st.lists(st.floats(0.01, 1.0), min_size=rank, max_size=rank))
+            spectrum = tuple(w / sum(weights) for w in weights)
+        seed = data.draw(st.integers(0, 2**64 - 1), label="seed")
+        spec = RandomInstanceSpec(k, rank, seed, kind, spectrum)
+        dm, _ = sample_instance(spec)
+        spec2, dm2 = instance_from_json(json.loads(json.dumps(instance_to_json(spec, dm))))
+        assert spec2 == spec
+        assert np.array_equal(dm2.matrix, dm.matrix)
 
 
 def test_preparation_oracle_validates_shape():

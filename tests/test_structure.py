@@ -1,5 +1,6 @@
-"""Structure guards: the dense references stay out of the production path, and
-estimators are defined only by the table in fidest.fidelity."""
+"""Structure guards: the dense references stay out of the production path,
+estimators are defined only by the table in fidest.fidelity, and the circuit
+executor builds no dense padded or controlled matrix."""
 
 import ast
 import os
@@ -66,3 +67,24 @@ def test_no_module_branches_on_an_estimator_name():
     for path in sorted(PACKAGE.glob("*.py")):
         if path.name != "fidelity.py":
             assert compared_estimator_names(path) == [], path.name
+
+
+def called_names(path):
+    """Names of the functions a source file calls (``f(...)`` or ``mod.f(...)``)."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Call):
+            func = node.func
+            found.append(func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None))
+    return found
+
+
+def test_executor_builds_no_dense_embedding():
+    # every op is a reshape of the flat state: no padding kron, axis moves or identity blocks
+    calls = called_names(PACKAGE / "circuits.py")
+    assert not {"kron", "moveaxis", "eye"} & set(calls)
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defined = [n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
+        imported = [a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names]
+        assert "invocation_unitary" not in defined + imported, path.name
