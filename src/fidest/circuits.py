@@ -9,6 +9,8 @@ oracle it invokes.
 The state is one flat (2^n, columns) array.  Every op acts on adjacent
 registers of it, as one reshape to (2^first, 2^width, rest); identity
 padding and control come from that block view, not from dense matrices.
+An oracle op hands its (2^n_oracle, rest) block to the oracle's own
+O(2^n_oracle)-per-column Householder apply; no oracle matrix is ever read.
 
 Two circuit families matter here.  The encoding circuit applies both
 oracles side by side, swaps the ancilla registers, then undoes the second
@@ -173,11 +175,10 @@ def _block(layout: RegisterLayout, names) -> tuple:
     return sum(layout.sizes[:start]), sum(layout.sizes[start:stop])
 
 
-def _apply_matrix(state: np.ndarray, mat: np.ndarray, first: int) -> np.ndarray:
-    """mat applied to the qubit block that starts at ``first`` of a flat state."""
-    d = mat.shape[0]
+def _apply_block(state: np.ndarray, first: int, d: int, apply) -> np.ndarray:
+    """``apply`` to the (d, rest) block of the qubits that start at ``first`` of a flat state."""
     block = state.reshape(1 << first, d, -1).swapaxes(0, 1).reshape(d, -1)
-    return (mat @ block).reshape(d, 1 << first, -1).swapaxes(0, 1).reshape(state.shape)
+    return apply(block).reshape(d, 1 << first, -1).swapaxes(0, 1).reshape(state.shape)
 
 
 def _controlled(state: np.ndarray, applied: np.ndarray, control: int) -> np.ndarray:
@@ -215,15 +216,15 @@ def _apply_op(op, state, layout, count_queries):
             raise ValueError(
                 f"oracle op on {op.registers} spans {width} qubits, too few for its oracle"
             )
-        mat = op.oracle.unitary
-        if op.kind in ("inverse", "controlled_inverse"):
-            mat = mat.conj().T
         if count_queries:
             op.oracle.record(op.kind)
-        applied = _apply_matrix(state, mat, first + control)
+        inverse = op.kind in ("inverse", "controlled_inverse")
+        d = 1 << op.oracle.num_qubits
+        applied = _apply_block(state, first + control, d, lambda block: op.oracle.apply(block, inverse))
         return _controlled(state, applied, first) if control else applied
     if isinstance(op, Gate1Q):
-        return _apply_matrix(state, _GATES_1Q[op.gate], _one_qubit(layout, op.register, "gate"))
+        first = _one_qubit(layout, op.register, "gate")
+        return _apply_block(state, first, 2, lambda block: _GATES_1Q[op.gate] @ block)
     if isinstance(op, RegisterSwap):
         return _swap(state, layout, op.first, op.second)
     if isinstance(op, ControlledRegisterSwap):

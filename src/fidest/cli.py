@@ -35,7 +35,6 @@ from .circuits import (
 from .estimation import ESTIMATOR_MAX_M
 from .fidelity import (
     ESTIMATORS,
-    exact_fidelity_to_pure,
     exact_tr_rho_sigma2,
     hard_pair,
     hard_pair_hellinger,
@@ -144,8 +143,8 @@ class ExperimentConfig:
                 for e in eps:
                     if not (0.0 < p - e and p + e < 1.0):
                         raise ValueError(f"p={p} with epsilon={e} leaves (0, 1)")
-            # a dense k-qubit operator has as many entries as a 2k-qubit state
-            n, what = 2 * self.k, "dense operators"
+            # the family is built from k-qubit weight and amplitude vectors
+            n, what = self.k, "states"
         else:
             # every circuit these commands run has 1 + 4k qubits: a flag or
             # control qubit, two k-qubit systems and their k-qubit ancillas
@@ -337,7 +336,8 @@ def _run_hard_instance(config: ExperimentConfig) -> int:
             hell = hellinger_distance(plus.distribution, minus.distribution)
             hell_closed = hard_pair_hellinger(p, eps)
             for inst in (plus, minus):
-                fid = exact_fidelity_to_pure(inst.rho, inst.target)
+                # the fidelity the oracle loads, read from its prepared column
+                fid = float(abs(np.vdot(inst.target, inst.oracle.prepared_state)))
                 expected = math.sqrt(p + inst.sign * eps)
                 rows.append(
                     {

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 
@@ -17,7 +18,7 @@ from .estimation import (
     sqrt_amplitude_estimate,
 )
 from .linalg import DensityMatrix, zero_state
-from .oracles import PreparationOracle, complete_to_unitary
+from .oracles import PreparationOracle
 
 #: A state counts as pure when tr(rho^2) >= 1 - PURITY_ATOL.
 PURITY_ATOL = 1e-9
@@ -167,7 +168,8 @@ class HardInstance:
 
     The oracle loads sqrt(weights) amplitudes directly (zero-size ancilla);
     its fidelity to |0> is sqrt(p + sign*eps) exactly, while the +/- pair's
-    loading distributions sit at Hellinger distance O(eps).
+    loading distributions sit at Hellinger distance O(eps).  Everything is
+    O(2^k) except ``rho``, the dense diagonal state, built on first read.
     """
 
     p: float
@@ -175,9 +177,12 @@ class HardInstance:
     rank: int
     sign: int
     distribution: np.ndarray
-    rho: DensityMatrix
     oracle: PreparationOracle
     target: np.ndarray
+
+    @functools.cached_property
+    def rho(self) -> DensityMatrix:
+        return DensityMatrix(np.diag(self.distribution).astype(complex))
 
 
 def hard_instance(p: float, eps: float, rank: int, sign: int, k: int, label: str = "U") -> HardInstance:
@@ -194,10 +199,8 @@ def hard_instance(p: float, eps: float, rank: int, sign: int, k: int, label: str
     weights = np.zeros(d, dtype=float)
     weights[0] = p + sign * eps
     weights[1:rank] = (1.0 - p - sign * eps) / (rank - 1)
-    rho = DensityMatrix(np.diag(weights).astype(complex))
-    amplitudes = np.sqrt(weights).astype(complex)
-    oracle = PreparationOracle(complete_to_unitary(amplitudes), k, 0, label)
-    return HardInstance(p, eps, rank, sign, weights, rho, oracle, zero_state(k))
+    oracle = PreparationOracle(np.sqrt(weights), k, 0, label)
+    return HardInstance(p, eps, rank, sign, weights, oracle, zero_state(k))
 
 
 def hard_pair(p: float, eps: float, rank: int, k: int):

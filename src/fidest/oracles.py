@@ -2,8 +2,11 @@
 
 A mixed state is served through a unitary on a system register plus an
 ancilla register; applied to the all-zeros input it yields a pure state
-whose reduced system matrix is the target.  Invocations come in four kinds
-(plain, inverse, controlled, controlled_inverse) and every application made
+whose reduced system matrix is the target.  An oracle is held as that
+prepared column alone: its unitary is the column's Householder completion
+U = phase H diag(c, 1, ...), applied to a block in O(2^n) per column and
+built densely only on request.  Invocations come in four kinds (plain,
+inverse, controlled, controlled_inverse) and every application made
 through the circuit executor is tallied per kind on the oracle, which is
 how query-complexity claims get checked empirically.
 
@@ -80,37 +83,65 @@ class Purification:
 
 @dataclass(eq=False)
 class PreparationOracle:
-    """Unitary state-preparation oracle with a per-kind query tally.
+    """State-preparation oracle held as its prepared column, with a per-kind query tally.
 
-    ``unitary`` acts on system (most significant) then ancilla qubits; its
-    first column is the state prepared from |0...0>.
+    ``prepared_state`` (system qubits most significant, then ancilla) is
+    U|0...0>; U is its Householder completion, applied by ``apply``.
     """
 
-    unitary: np.ndarray
+    prepared_state: np.ndarray
     system_qubits: int
     ancilla_qubits: int
     label: str
     queries: dict = field(default_factory=lambda: {k: 0 for k in QUERY_KINDS})
 
     def __post_init__(self):
-        mat = np.array(self.unitary, dtype=complex)
-        dim = 1 << (self.system_qubits + self.ancilla_qubits)
-        if mat.shape != (dim, dim):
+        col = np.array(self.prepared_state, dtype=complex)
+        dim = 1 << self.num_qubits
+        if col.shape != (dim,):
             raise ValueError(
-                f"oracle unitary shape {mat.shape} != {dim}x{dim} for "
+                f"oracle column shape {col.shape} != ({dim},) for "
                 f"{self.system_qubits}+{self.ancilla_qubits} qubits"
             )
-        require_unitary(mat, what=f"oracle {self.label!r}")
-        mat.flags.writeable = False
-        self.unitary = mat
+        norm = float(np.linalg.norm(col))
+        if not abs(norm - 1.0) <= ATOL_STRUCT:  # also rejects a non-finite column
+            raise ValueError(f"oracle {self.label!r} column norm {norm} is not 1")
+        col.flags.writeable = False
+        self.prepared_state = col
+        # divide out the phase of the largest-magnitude entry (a well-conditioned
+        # choice); H = I - tau v v^dag then maps c e0 to that rotated column
+        j = int(np.argmax(np.abs(col)))
+        phase = col[j] / abs(col[j])
+        v = col / phase
+        c = v[0] / abs(v[0]) if abs(v[0]) > 0.0 else 1.0 + 0.0j
+        v[0] -= c
+        vnorm2 = float(np.real(np.vdot(v, v)))
+        self._householder = (v, 2.0 / vnorm2 if vnorm2 >= 1e-24 else 0.0, c, phase)
+
+    def apply(self, block: np.ndarray, inverse: bool = False) -> np.ndarray:
+        """U (or U^dag) times a (2^num_qubits, rest) block, U = phase (I - tau v v^dag) diag(c, 1, ...)."""
+        v, tau, c, phase = self._householder
+        if inverse:
+            c, phase = np.conj(c), np.conj(phase)
+        out = block * phase
+        if not inverse:
+            out[0] *= c
+        if tau:
+            # einsum, not a BLAS product: OpenBLAS hands even small products to
+            # worker threads, whose wake-ups stall on shared cores
+            out -= np.outer(tau * v, np.einsum("i,ij->j", v.conj(), out))
+        if inverse:
+            out[0] *= c
+        return out
 
     @property
     def num_qubits(self) -> int:
         return self.system_qubits + self.ancilla_qubits
 
     @property
-    def prepared_state(self) -> np.ndarray:
-        return self.unitary[:, 0].copy()
+    def unitary(self) -> np.ndarray:
+        """Dense U, built on request by applying the oracle to the identity."""
+        return self.apply(np.eye(1 << self.num_qubits, dtype=complex))
 
     def reduced_state(self) -> DensityMatrix:
         """Density matrix of the system register of the prepared state."""
@@ -166,34 +197,10 @@ def purify(rho: DensityMatrix, ancilla_qubits: int | None = None) -> Purificatio
 
 
 def complete_to_unitary(column: np.ndarray) -> np.ndarray:
-    """Deterministic unitary completion of a unit column: U|0...0> = column.
-
-    Uses a single Householder reflection after rotating the column's
-    largest-magnitude entry real-positive (a well-conditioned phase
-    choice), plus diagonal phase fixups so the first column matches the
-    input exactly.  Same input bits always produce the same matrix.
-    """
+    """Dense unitary completion of a unit column, U|0...0> = column: the matrix of
+    the oracle that prepares it.  Same input bits always give the same matrix."""
     col = np.asarray(column, dtype=complex).ravel()
-    n = col.size
-    norm = float(np.linalg.norm(col))
-    if abs(norm - 1.0) > ATOL_STRUCT:
-        raise ValueError(f"column norm {norm} is not 1")
-
-    j = int(np.argmax(np.abs(col)))
-    phase = col[j] / abs(col[j])
-    y = col / phase
-
-    y0 = y[0]
-    c = y0 / abs(y0) if abs(y0) > 0.0 else 1.0 + 0.0j
-    v = y.copy()
-    v[0] -= c
-    vnorm2 = float(np.real(np.vdot(v, v)))
-    if vnorm2 < 1e-24:
-        base = np.eye(n, dtype=complex)
-    else:
-        base = np.eye(n, dtype=complex) - (2.0 / vnorm2) * np.outer(v, v.conj())
-    base[:, 0] *= c
-    return phase * base
+    return PreparationOracle(col, col.size.bit_length() - 1, 0, "U").unitary
 
 
 def preparation_oracle(
@@ -201,9 +208,7 @@ def preparation_oracle(
 ) -> PreparationOracle:
     """Synthesize a preparation oracle for ``rho`` (ancilla = system size)."""
     pur = purify(rho, ancilla_qubits)
-    return PreparationOracle(
-        complete_to_unitary(pur.vector), pur.system_qubits, pur.ancilla_qubits, label
-    )
+    return PreparationOracle(pur.vector, pur.system_qubits, pur.ancilla_qubits, label)
 
 
 def purified_channel_oracle(
@@ -213,7 +218,9 @@ def purified_channel_oracle(
 
     The unitary acts on system plus environment; run on |0>|0> it prepares
     a purification of the channel's output on the all-zeros input, so it
-    serves as purified access to that state.
+    serves as purified access to that state.  Only its first column is kept:
+    the oracle is that column's completion, which agrees with the input on
+    every quantity read from U|0...0>.
     """
     u = np.asarray(channel_unitary, dtype=complex)
     require_unitary(u, what="channel unitary")
@@ -223,7 +230,7 @@ def purified_channel_oracle(
         raise ValueError(f"channel unitary dimension {dim} is not a power of two")
     if system_qubits < 1 or system_qubits > n:
         raise ValueError(f"system_qubits {system_qubits} invalid for a {n}-qubit unitary")
-    return PreparationOracle(u.copy(), system_qubits, n - system_qubits, label)
+    return PreparationOracle(u[:, 0], system_qubits, n - system_qubits, label)
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fidest.circuits import (
     Circuit,
@@ -20,7 +22,7 @@ from fidest.circuits import (
     register_zero_probability,
 )
 from fidest.linalg import DensityMatrix, zero_state
-from fidest.oracles import PreparationOracle, complete_to_unitary, preparation_oracle
+from fidest.oracles import PreparationOracle, preparation_oracle
 from fidest.reference import circuit_unitary
 
 from conftest import mixed_instance, pure_instance
@@ -30,7 +32,7 @@ def state_oracle(vec, label):
     """Zero-ancilla oracle preparing a given pure state."""
     vec = np.asarray(vec, dtype=complex)
     k = vec.size.bit_length() - 1
-    return PreparationOracle(complete_to_unitary(vec), k, 0, label)
+    return PreparationOracle(vec, k, 0, label)
 
 
 class TestRegisterLayout:
@@ -263,6 +265,35 @@ class TestEncodingCircuit:
         split = analyze_flagged(execute(circ), circ.layout, ("A", "B"))
         truth = float(rho.matrix[0, 0].real)  # <0|rho|0>
         assert abs(split.flagged_amplitude**2 - truth) <= 1e-10
+
+    @settings(database=None, deadline=None, max_examples=40)
+    @given(data=st.data())
+    def test_identities_hold_for_any_ancilla_sizes(self, data):
+        # each oracle's ancilla is rank-minimal, k-sized or oversized, chosen per side
+        k = data.draw(st.integers(1, 2), label="k")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+
+        def oracle(dm, rank, label):
+            size = data.draw(st.sampled_from(("minimal", "k", "oversized")), label=f"{label} ancilla")
+            a = {"minimal": (rank - 1).bit_length(), "k": k, "oversized": k + 1}[size]
+            return preparation_oracle(dm, label, ancilla_qubits=a)
+
+        r = data.draw(st.integers(1, 1 << k), label="rank rho")
+        s = data.draw(st.integers(1, 1 << k), label="rank sigma")
+        rho, sigma = mixed_instance(k, r, seed)[0], mixed_instance(k, s, seed + 1)[0]
+        psi = pure_instance(k, seed + 2)[0]
+        u, v, w = oracle(rho, r, "U"), oracle(psi, 1, "V"), oracle(sigma, s, "W")
+
+        def amp2(circuit, registers=("A", "B")):
+            return analyze_flagged(execute(circuit), circuit.layout, registers).flagged_amplitude ** 2
+
+        pure = amp2(build_encoding_circuit(u, v))
+        mixed = amp2(build_encoding_circuit(u, w))
+        flagged = build_flagged_encoding(u, v)
+        assert abs(pure - np.trace(rho.matrix @ psi.matrix).real) <= 1e-10
+        assert abs(mixed - np.trace(rho.matrix @ sigma.matrix @ sigma.matrix).real) <= 1e-10
+        assert abs(mixed - amp2(build_restructured_encoding(u, w), ("A'", "B'"))) <= 1e-10
+        assert abs(register_zero_probability(execute(flagged), flagged.layout, ("C",)) - pure) <= 1e-10
 
 
 class TestFlaggedEncoding:

@@ -407,8 +407,8 @@ class TestHardInstance:
     @pytest.mark.parametrize(
         "flags,code,message",
         [
-            # a dense 12-qubit operator has as many entries as a 24-qubit state
-            (["--k", "12"], 3, "24-qubit"),
+            # the family is built from k-qubit vectors; k = 23 is over the default cap of 22
+            (["--k", "23"], 3, "23-qubit"),
             (["--epsilons", "0.1,0.35"], 2, "p=0.3 with epsilon=0.35 leaves"),
         ],
     )

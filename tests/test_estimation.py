@@ -25,7 +25,7 @@ from fidest.estimation import (
     sqrt_amplitude_estimate,
 )
 from fidest.linalg import unitarity_error
-from fidest.oracles import PreparationOracle, complete_to_unitary
+from fidest.oracles import PreparationOracle
 from fidest.reference import circuit_unitary, grover_operator, qpe_distribution, qpe_grid_distribution
 
 from conftest import mixed_instance, pure_instance
@@ -38,7 +38,7 @@ INSTANCE_SQRT_P = 0.5965038883615562
 def flag_problem(p):
     """One-qubit amplitude problem with flagged probability exactly p."""
     col = np.array([math.sqrt(p), math.sqrt(1.0 - p)], dtype=complex)
-    oracle = PreparationOracle(complete_to_unitary(col), 1, 0, "U")
+    oracle = PreparationOracle(col, 1, 0, "U")
     prep = Circuit(RegisterLayout(("C",), (1,)), (OracleOp(oracle, "plain", ("C",)),))
     return AmplitudeProblem(prep, "C")
 

@@ -44,7 +44,7 @@ OVERLAP_SEEDS_401_402 = 0.7173016902543191
 def state_oracle(vec, label):
     vec = np.asarray(vec, dtype=complex)
     k = vec.size.bit_length() - 1
-    return PreparationOracle(complete_to_unitary(vec), k, 0, label)
+    return PreparationOracle(vec, k, 0, label)
 
 
 class TestExactReferences:

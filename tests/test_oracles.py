@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fidest.circuits import Circuit, OracleOp, RegisterLayout
+from fidest.circuits import (
+    Circuit,
+    OracleOp,
+    RegisterLayout,
+    analyze_flagged,
+    build_encoding_circuit,
+    execute,
+)
 from fidest.linalg import DensityMatrix, kron, partial_trace, unitarity_error, zero_state
 from fidest.oracles import (
     INSTANCE_KINDS,
@@ -72,6 +79,25 @@ class TestPurify:
         assert np.max(np.abs(reduced_system_state(pur) - dm.matrix)) <= 1e-9
 
 
+#: Householder edge cases, fed to the completion and invocation tests beside random columns
+EDGE_COLUMNS = {
+    "e0": [1, 0, 0, 0],
+    "-e0": [-1, 0, 0, 0],
+    "zero-first-entry": [0, 0.6j, 0, -0.8],
+    "largest-entry-not-first": [0.1, -0.2j, 0.9, 0.3 - 0.1j],
+}
+
+
+def unit_column(case, dim=8):
+    """The edge column named ``case``, or a random unit column of length ``dim`` seeded by it."""
+    if case in EDGE_COLUMNS:
+        col = np.asarray(EDGE_COLUMNS[case], dtype=complex)
+    else:
+        rng = np.random.default_rng(case)
+        col = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    return col / np.linalg.norm(col)
+
+
 class TestCompleteToUnitary:
     def test_zero_column_gives_identity(self):
         assert np.array_equal(complete_to_unitary(zero_state(1)), np.eye(2))
@@ -82,11 +108,9 @@ class TestCompleteToUnitary:
         assert unitarity_error(u) <= 1e-10
         assert np.max(np.abs(u[:, 0] - col)) <= 1e-12
 
-    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("seed", [*range(8), *EDGE_COLUMNS])
     def test_random_columns_are_unitary_with_exact_first_column(self, seed):
-        rng = np.random.default_rng(seed)
-        col = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        col /= np.linalg.norm(col)
+        col = unit_column(seed)
         u = complete_to_unitary(col)
         assert unitarity_error(u) <= 1e-10
         assert np.max(np.abs(u[:, 0] - col)) <= 1e-12
@@ -108,41 +132,55 @@ class TestCompleteToUnitary:
 
 
 class TestControlledAndInverse:
-    """Oracle invocation kinds, read off the dense unitary of a one-op circuit."""
+    """Oracle invocation kinds, read off the dense unitary of a one-op circuit and
+    held to the dense completion of the oracle's column."""
 
     @staticmethod
-    def unitary_of(oracle, *kinds):
-        """Dense unitary of the ops of these kinds on layout (C, A, B); C controls."""
-        layout = RegisterLayout(("C", "A", "B"), (1, oracle.system_qubits, oracle.ancilla_qubits))
+    def cases():
+        """(oracle, pad): a mixed instance, the edge columns, and a random column
+        whose ops span two padding qubits beyond the oracle."""
+        _, mixed = mixed_instance(1, 2, 5)
+        edges = [(PreparationOracle(unit_column(name), 2, 0, name), 0) for name in EDGE_COLUMNS]
+        return [(mixed, 0), *edges, (PreparationOracle(unit_column(3), 3, 0, "padded"), 2)]
+
+    @staticmethod
+    def unitary_of(oracle, *kinds, pad=0):
+        """Dense unitary of the ops of these kinds on layout (C, A, B, P); C controls,
+        and every op spans the ``pad`` trailing qubits of P."""
+        sizes = (1, oracle.system_qubits, oracle.ancilla_qubits, pad)
         ops = [
-            OracleOp(oracle, k, ("C", "A", "B") if k.startswith("controlled") else ("A", "B"))
+            OracleOp(oracle, k, ("C", "A", "B", "P") if k.startswith("controlled") else ("A", "B", "P"))
             for k in kinds
         ]
-        return circuit_unitary(Circuit(layout, ops))
+        return circuit_unitary(Circuit(RegisterLayout(("C", "A", "B", "P"), sizes), ops))
 
     def test_control_off_is_identity(self):
-        _, oracle = mixed_instance(1, 2, 5)
-        dim = oracle.unitary.shape[0]
-        for kind in ("controlled", "controlled_inverse"):
-            cu = self.unitary_of(oracle, kind)
-            # control clear: rows [I, 0] and column block [I; 0], bit for bit
-            assert np.array_equal(cu[:dim], np.eye(dim, 2 * dim))
-            assert np.array_equal(cu[:, :dim], np.eye(2 * dim, dim))
+        for oracle, pad in self.cases():
+            dim = 1 << (oracle.num_qubits + pad)
+            for kind in ("controlled", "controlled_inverse"):
+                cu = self.unitary_of(oracle, kind, pad=pad)
+                # control clear: rows [I, 0] and column block [I; 0], bit for bit
+                assert np.array_equal(cu[:dim], np.eye(dim, 2 * dim)), oracle.label
+                assert np.array_equal(cu[:, :dim], np.eye(2 * dim, dim)), oracle.label
 
     def test_control_on_prepares_state(self):
-        _, oracle = mixed_instance(1, 2, 5)
-        dim = oracle.unitary.shape[0]
-        zero = np.zeros((dim, dim))
-        for kind, u in (("controlled", oracle.unitary), ("controlled_inverse", oracle.unitary.conj().T)):
-            cu = self.unitary_of(oracle, kind)
-            assert np.max(np.abs(cu - np.block([[np.eye(dim), zero], [zero, u]]))) <= 1e-12
-        expected = np.concatenate([np.zeros(dim), oracle.prepared_state])  # |1>|0...0> in
-        assert np.max(np.abs(self.unitary_of(oracle, "controlled")[:, dim] - expected)) <= 1e-12
+        for oracle, pad in self.cases():
+            u = np.kron(complete_to_unitary(oracle.prepared_state), np.eye(1 << pad))
+            dim, zero = u.shape[0], np.zeros(u.shape)
+            for kind, on in (("plain", u), ("inverse", u.conj().T)):
+                expected = np.block([[on, zero], [zero, on]])  # C is idle
+                assert np.max(np.abs(self.unitary_of(oracle, kind, pad=pad) - expected)) <= 1e-12
+            for kind, on in (("controlled", u), ("controlled_inverse", u.conj().T)):
+                expected = np.block([[np.eye(dim), zero], [zero, on]])
+                assert np.max(np.abs(self.unitary_of(oracle, kind, pad=pad) - expected)) <= 1e-12
+            loaded = np.kron(oracle.prepared_state, zero_state(pad))
+            expected = np.concatenate([np.zeros(dim), loaded])  # |1>|0...0> in
+            assert np.max(np.abs(self.unitary_of(oracle, "controlled", pad=pad)[:, dim] - expected)) <= 1e-12
 
     def test_inverse_times_forward_is_identity(self):
-        _, oracle = mixed_instance(2, 4, 6)
-        prod = self.unitary_of(oracle, "plain", "inverse")
-        assert np.max(np.abs(prod - np.eye(prod.shape[0]))) <= 1e-10
+        for oracle, pad in [(mixed_instance(2, 4, 6)[1], 0), *self.cases()]:
+            prod = self.unitary_of(oracle, "plain", "inverse", pad=pad)
+            assert np.max(np.abs(prod - np.eye(prod.shape[0]))) <= 1e-10, oracle.label
 
     def test_kind_algebra(self):
         assert invert_kind("plain") == "inverse"
@@ -175,6 +213,19 @@ class TestPurifiedChannelOracle:
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError, match="unitary"):
             purified_channel_oracle(np.ones((4, 4)), 1)
+
+    def test_encoding_amplitude_matches_raw_unitary(self):
+        # the oracle keeps only q's first column; the encoding reads no other
+        rng = np.random.default_rng(78)
+        q, _ = np.linalg.qr(rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))
+        dm, _ = mixed_instance(1, 2, 79)
+        u = preparation_oracle(dm, "U", ancilla_qubits=2)
+        circuit = build_encoding_circuit(u, purified_channel_oracle(q, 1, "V"))
+        amp = analyze_flagged(execute(circuit), circuit.layout, ("A", "B")).flagged_amplitude
+        # inline with the raw q: U|0> V|0> on (A, B, A', B'), swap B and B', q^dag on A, B
+        state = np.kron(u.prepared_state, q[:, 0]).reshape(2, 4, 2, 4).transpose(0, 3, 2, 1)
+        inline = np.linalg.norm((q.conj().T @ state.reshape(8, 8))[0])
+        assert abs(amp - inline) <= 1e-12
 
 
 class TestSampleInstance:
@@ -295,6 +346,12 @@ class TestInstanceJson:
 def test_preparation_oracle_validates_shape():
     with pytest.raises(ValueError, match="shape"):
         PreparationOracle(np.eye(4), 1, 2, "U")
+
+
+@pytest.mark.parametrize("column", [[1.0, 1.0], [np.nan, 0.0], [np.inf, 0.0]])
+def test_preparation_oracle_rejects_non_unit_column(column):
+    with pytest.raises(ValueError, match="norm"):
+        PreparationOracle(np.array(column), 1, 0, "U")
 
 
 def test_preparation_oracle_first_column_matches_purification():

@@ -1,6 +1,6 @@
 """Structure guards: the dense references stay out of the production path,
 estimators are defined only by the table in fidest.fidelity, and the circuit
-executor builds no dense padded or controlled matrix."""
+executor builds no dense padded or controlled matrix and reads no oracle matrix."""
 
 import ast
 import os
@@ -8,8 +8,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import fidest
 from fidest.fidelity import ESTIMATORS
+from fidest.linalg import DensityMatrix
+from fidest.oracles import preparation_oracle
 
 PACKAGE = Path(fidest.__file__).parent
 
@@ -83,6 +87,13 @@ def test_executor_builds_no_dense_embedding():
     # every op is a reshape of the flat state: no padding kron, axis moves or identity blocks
     calls = called_names(PACKAGE / "circuits.py")
     assert not {"kron", "moveaxis", "eye"} & set(calls)
+    # an oracle is applied through its column, never as a matrix
+    tree = ast.parse((PACKAGE / "circuits.py").read_text(encoding="utf-8"))
+    assert not [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Attribute) and n.attr == "unitary"]
+    oracle = preparation_oracle(DensityMatrix(np.eye(4) / 4))
+    values = list(vars(oracle).values())
+    leaves = [x for v in values for x in (v if isinstance(v, tuple) else (v,))]
+    assert max(np.ndim(x) for x in leaves) <= 1
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         defined = [n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
