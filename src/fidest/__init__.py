@@ -36,7 +36,6 @@ from .fidelity import (
 from .linalg import DensityMatrix, herm_eig, kron, matrix_sqrt_psd, partial_trace
 from .oracles import (
     PreparationOracle,
-    Purification,
     RandomInstanceSpec,
     complete_to_unitary,
     preparation_oracle,

@@ -3,8 +3,8 @@
 Registers are laid out most-significant first in a fixed order, typically
 (C, A, B, A', B'): A and A' hold the two system states, B and B' their
 purifying ancillas, C a one-qubit control/flag.  Circuits are immutable op
-lists; ``execute`` runs them on |0...0> and tallies every oracle op on the
-oracle it invokes.
+lists; ``execute`` runs them on |0...0>, and ``Circuit.queries`` reads the
+oracle queries of one run off the op list.
 
 The state is one flat (2^n, columns) array.  Every op acts on adjacent
 registers of it, as one reshape to (2^first, 2^width, rest); identity
@@ -151,8 +151,13 @@ class Circuit:
     def __post_init__(self):
         object.__setattr__(self, "ops", tuple(self.ops))
 
-    def oracle_op_count(self) -> int:
-        return sum(1 for op in self.ops if isinstance(op, OracleOp))
+    def queries(self) -> dict:
+        """{oracle label: {kind: count}} of one execution: each OracleOp is one query."""
+        tally: dict = {}
+        for op in self.ops:
+            if isinstance(op, OracleOp):
+                tally.setdefault(op.oracle.label, dict.fromkeys(QUERY_KINDS, 0))[op.kind] += 1
+        return tally
 
 
 @dataclass(frozen=True)
@@ -206,7 +211,7 @@ def _swap(state: np.ndarray, layout: RegisterLayout, first: str, second: str) ->
     return parts.swapaxes(1, 3).reshape(state.shape)
 
 
-def _apply_op(op, state, layout, count_queries):
+def _apply_op(op, state, layout):
     if isinstance(op, OracleOp):
         first, width = _block(layout, op.registers)
         control = op.kind in ("controlled", "controlled_inverse")
@@ -216,8 +221,6 @@ def _apply_op(op, state, layout, count_queries):
             raise ValueError(
                 f"oracle op on {op.registers} spans {width} qubits, too few for its oracle"
             )
-        if count_queries:
-            op.oracle.record(op.kind)
         inverse = op.kind in ("inverse", "controlled_inverse")
         d = 1 << op.oracle.num_qubits
         applied = _apply_block(state, first + control, d, lambda block: op.oracle.apply(block, inverse))
@@ -241,12 +244,8 @@ def _apply_op(op, state, layout, count_queries):
     raise TypeError(f"unknown circuit op {op!r}")
 
 
-def execute(circuit: Circuit, count_queries: bool = True) -> np.ndarray:
-    """Exact final statevector of the circuit from |0...0>.
-
-    Every OracleOp executed increments the matching kind on its oracle's
-    query counter unless ``count_queries`` is False (analysis-only runs).
-    """
+def execute(circuit: Circuit) -> np.ndarray:
+    """Exact final statevector of the circuit from |0...0>."""
     n = circuit.layout.total_qubits
     cap = qubit_cap()
     if n > cap:
@@ -254,7 +253,7 @@ def execute(circuit: Circuit, count_queries: bool = True) -> np.ndarray:
     state = np.zeros((1 << n, 1), dtype=complex)
     state[0, 0] = 1.0
     for op in circuit.ops:
-        state = _apply_op(op, state, circuit.layout, count_queries)
+        state = _apply_op(op, state, circuit.layout)
     state = state.reshape(-1)
     norm = float(np.linalg.norm(state))
     if abs(norm - 1.0) > ATOL_STRUCT:

@@ -114,8 +114,9 @@ class ExperimentConfig:
             raise ValueError(f"unknown command {self.command!r}; expected one of {COMMANDS}")
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
-        if not 1 <= self.rank <= (1 << self.k):
-            raise ValueError(f"rank {self.rank} out of range [1, {1 << self.k}] for k={self.k}")
+        # rank <= 2^k, tested without building 2^k: k may be far over the qubit cap
+        if self.rank < 1 or (self.rank - 1).bit_length() > self.k:
+            raise ValueError(f"rank {self.rank} out of range [1, 2^{self.k}] for k={self.k}")
         if self.estimator not in ESTIMATORS:
             raise ValueError(
                 f"unknown estimator {self.estimator!r}; expected one of {tuple(ESTIMATORS)}"

@@ -35,8 +35,9 @@ reference the sampler is tested against.
 
 Query accounting is closed-form: each repetition costs one plain preparer
 application plus 2^m - 1 controlled Grover steps, and each Grover step
-applies the preparer once forward and once inverted.  Tallies are recorded
-on the underlying oracles and returned per run.
+applies the preparer once forward and once inverted.  A run's per-oracle
+tallies are derived from those of one preparer execution
+(``Circuit.queries``) and returned with its result.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import Circuit, OracleOp, QubitCapExceeded, analyze_flagged, execute
+from .circuits import Circuit, QubitCapExceeded, analyze_flagged, execute
 from .oracles import QUERY_KINDS, controlled_kind, invert_kind
 
 #: Repetitions whose lower median is reported.
@@ -88,7 +89,7 @@ class AmplitudeProblem:
 
     @functools.cached_property
     def p(self) -> float:
-        """flag_probability(self), computed once: the circuit is frozen and oracle unitaries read-only."""
+        """flag_probability(self), computed once: the circuit and its oracles are frozen."""
         return flag_probability(self)
 
 
@@ -124,8 +125,8 @@ class EstimationResult:
 
 
 def flag_probability(problem: AmplitudeProblem) -> float:
-    """Exact probability of flag = 0 after the preparer (no queries counted)."""
-    state = execute(problem.preparer, count_queries=False)
+    """Exact probability of flag = 0 after the preparer."""
+    state = execute(problem.preparer)
     amp = analyze_flagged(state, problem.preparer.layout, (problem.flag_register,))
     return min(max(amp.flagged_amplitude**2, 0.0), 1.0)
 
@@ -205,21 +206,16 @@ def readout_qubits(delta: float, square: bool) -> int:
     return math.ceil(math.log2(math.pi / delta)) + (2 if square else 1)
 
 
-def _record_queries(problem: AmplitudeProblem, m: int, repetitions: int) -> dict:
-    """Closed-form per-oracle tallies for one estimator run, recorded and returned."""
+def _query_tally(problem: AmplitudeProblem, m: int, repetitions: int) -> dict:
+    """Closed-form per-oracle tallies of one estimator run, built from one preparer execution's."""
     grover_steps = ((1 << m) - 1) * repetitions
     tally: dict = {}
-    for op in problem.preparer.ops:
-        if not isinstance(op, OracleOp):
-            continue
-        per_oracle = tally.setdefault(op.oracle.label, {k: 0 for k in QUERY_KINDS})
-        for kind, count in (
-            (op.kind, repetitions),  # initial state preparations
-            (controlled_kind(op.kind), grover_steps),  # forward pass of each Grover step
-            (controlled_kind(invert_kind(op.kind)), grover_steps),  # inverse pass
-        ):
-            per_oracle[kind] += count
-            op.oracle.record(kind, count)
+    for label, once in problem.preparer.queries().items():
+        per_oracle = tally[label] = dict.fromkeys(QUERY_KINDS, 0)
+        for kind, count in once.items():
+            per_oracle[kind] += count * repetitions  # initial state preparations
+            per_oracle[controlled_kind(kind)] += count * grover_steps  # each Grover step's forward
+            per_oracle[controlled_kind(invert_kind(kind))] += count * grover_steps  # and inverse pass
     return tally
 
 
@@ -239,7 +235,7 @@ def _estimate(problem, delta, seed, square):
         amp = math.sin(math.pi * y / M)
         values.append(amp * amp if square else amp)
     estimate = sorted(values)[(DEFAULT_REPETITIONS - 1) // 2]
-    queries = _record_queries(problem, m, DEFAULT_REPETITIONS)
+    queries = _query_tally(problem, m, DEFAULT_REPETITIONS)
     return EstimationResult(
         estimate=float(estimate),
         delta=float(delta),

@@ -7,9 +7,9 @@ Conventions, fixed package-wide:
   most significant).
 - Matrices are row-major; statevectors are 1-D complex arrays.
 - Structural invariants (norm, Hermiticity, unitarity, trace, positivity)
-  are held to ``ATOL_STRUCT``; decomposition residuals to ``ATOL_RESIDUAL``.
+  are held to ``ATOL_STRUCT``.
 
-The tolerances leave ample double-precision headroom at the scales this
+The tolerance leaves ample double-precision headroom at the scales this
 package targets (statevectors up to 2**22 entries, operator matrices up to
 a few thousand rows).
 """
@@ -23,9 +23,6 @@ import numpy as np
 
 #: Tolerance for structural invariants (unitarity, Hermiticity, norms, trace).
 ATOL_STRUCT = 1e-10
-
-#: Tolerance for decomposition residuals (eigen/sqrt reconstructions).
-ATOL_RESIDUAL = 1e-8
 
 
 def kron(*factors: np.ndarray) -> np.ndarray:
@@ -77,7 +74,7 @@ def partial_trace(mat: np.ndarray, dims, keep) -> np.ndarray:
     return reduced.reshape(dk, dk)
 
 
-def herm_eig(mat: np.ndarray, atol: float = ATOL_STRUCT):
+def herm_eig(mat: np.ndarray):
     """Eigendecomposition of a Hermitian matrix.
 
     Returns ``(eigenvalues, eigenvectors)`` with eigenvalues ascending and
@@ -87,7 +84,7 @@ def herm_eig(mat: np.ndarray, atol: float = ATOL_STRUCT):
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")
     dev = float(np.max(np.abs(mat - mat.conj().T)))
-    if dev > atol:
+    if dev > ATOL_STRUCT:
         raise ValueError(f"matrix is not Hermitian (max |M - M^dag| = {dev:.3e})")
     return np.linalg.eigh(mat)
 
@@ -111,9 +108,9 @@ def unitarity_error(u: np.ndarray) -> float:
     return float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
 
 
-def require_unitary(u: np.ndarray, what: str = "matrix", atol: float = ATOL_STRUCT) -> None:
+def require_unitary(u: np.ndarray, what: str = "matrix") -> None:
     err = unitarity_error(u)
-    if err > atol:
+    if err > ATOL_STRUCT:
         raise ValueError(f"{what} is not unitary (max |U^dag U - I| = {err:.3e})")
 
 

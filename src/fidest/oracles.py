@@ -5,18 +5,14 @@ ancilla register; applied to the all-zeros input it yields a pure state
 whose reduced system matrix is the target.  An oracle is held as that
 prepared column alone: its unitary is the column's Householder completion
 U = phase H diag(c, 1, ...), applied to a block in O(2^n) per column and
-built densely only on request.  Invocations come in four kinds (plain,
-inverse, controlled, controlled_inverse) and every application made
-through the circuit executor is tallied per kind on the oracle, which is
-how query-complexity claims get checked empirically.
-
-An oracle instance is confined to one executor at a time; counters use
-plain increments under that contract.
+built densely only on request.  Oracles are immutable values.  Invocations
+come in four kinds (plain, inverse, controlled, controlled_inverse); the
+circuits that invoke an oracle say how often, per kind (``Circuit.queries``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,31 +55,8 @@ def controlled_kind(kind: str) -> str:
 
 
 @dataclass(frozen=True, eq=False)
-class Purification:
-    """Pure bipartite state whose reduced system matrix is a given mixed state."""
-
-    system_qubits: int
-    ancilla_qubits: int
-    vector: np.ndarray
-
-    def __post_init__(self):
-        vec = np.array(self.vector, dtype=complex).ravel()
-        expected = 1 << (self.system_qubits + self.ancilla_qubits)
-        if vec.size != expected:
-            raise ValueError(
-                f"purification vector length {vec.size} != 2^({self.system_qubits}"
-                f"+{self.ancilla_qubits})"
-            )
-        norm = float(np.linalg.norm(vec))
-        if abs(norm - 1.0) > ATOL_STRUCT:
-            raise ValueError(f"purification vector norm {norm} is not 1")
-        vec.flags.writeable = False
-        object.__setattr__(self, "vector", vec)
-
-
-@dataclass(eq=False)
 class PreparationOracle:
-    """State-preparation oracle held as its prepared column, with a per-kind query tally.
+    """State-preparation oracle held as its prepared column.
 
     ``prepared_state`` (system qubits most significant, then ancilla) is
     U|0...0>; U is its Householder completion, applied by ``apply``.
@@ -93,7 +66,6 @@ class PreparationOracle:
     system_qubits: int
     ancilla_qubits: int
     label: str
-    queries: dict = field(default_factory=lambda: {k: 0 for k in QUERY_KINDS})
 
     def __post_init__(self):
         col = np.array(self.prepared_state, dtype=complex)
@@ -107,7 +79,7 @@ class PreparationOracle:
         if not abs(norm - 1.0) <= ATOL_STRUCT:  # also rejects a non-finite column
             raise ValueError(f"oracle {self.label!r} column norm {norm} is not 1")
         col.flags.writeable = False
-        self.prepared_state = col
+        object.__setattr__(self, "prepared_state", col)
         # divide out the phase of the largest-magnitude entry (a well-conditioned
         # choice); H = I - tau v v^dag then maps c e0 to that rotated column
         j = int(np.argmax(np.abs(col)))
@@ -116,7 +88,9 @@ class PreparationOracle:
         c = v[0] / abs(v[0]) if abs(v[0]) > 0.0 else 1.0 + 0.0j
         v[0] -= c
         vnorm2 = float(np.real(np.vdot(v, v)))
-        self._householder = (v, 2.0 / vnorm2 if vnorm2 >= 1e-24 else 0.0, c, phase)
+        tau = 2.0 / vnorm2 if vnorm2 >= 1e-24 else 0.0
+        v.flags.writeable = False
+        object.__setattr__(self, "_householder", (v, tau, c, phase))
 
     def apply(self, block: np.ndarray, inverse: bool = False) -> np.ndarray:
         """U (or U^dag) times a (2^num_qubits, rest) block, U = phase (I - tau v v^dag) diag(c, 1, ...)."""
@@ -149,24 +123,10 @@ class PreparationOracle:
         rho = m @ m.conj().T
         return DensityMatrix(0.5 * (rho + rho.conj().T))
 
-    def record(self, kind: str, count: int = 1) -> None:
-        if kind not in QUERY_KINDS:
-            raise ValueError(f"unknown query kind {kind!r}")
-        self.queries[kind] += count
 
-    def total_queries(self) -> int:
-        return sum(self.queries.values())
-
-    def query_snapshot(self) -> dict:
-        return dict(self.queries)
-
-    def reset_queries(self) -> None:
-        for k in QUERY_KINDS:
-            self.queries[k] = 0
-
-
-def purify(rho: DensityMatrix, ancilla_qubits: int | None = None) -> Purification:
-    """Canonical purification of ``rho``, ancilla size equal to the system.
+def purify(rho: DensityMatrix, ancilla_qubits: int | None = None) -> np.ndarray:
+    """Unit column of the canonical purification of ``rho`` (system qubits most
+    significant, then ancilla), ancilla size equal to the system.
 
     Eigenvectors are paired with ancilla basis states in descending
     eigenvalue order, so pure inputs purify to |psi>|0>.  Passing
@@ -193,7 +153,7 @@ def purify(rho: DensityMatrix, ancilla_qubits: int | None = None) -> Purificatio
     m = v * np.sqrt(w)
     if da > rho.dim:
         m = np.concatenate([m, np.zeros((rho.dim, da - rho.dim), dtype=complex)], axis=1)
-    return Purification(rho.num_qubits, ancilla_qubits, m.ravel())
+    return m.ravel()
 
 
 def complete_to_unitary(column: np.ndarray) -> np.ndarray:
@@ -207,8 +167,9 @@ def preparation_oracle(
     rho: DensityMatrix, label: str = "U", ancilla_qubits: int | None = None
 ) -> PreparationOracle:
     """Synthesize a preparation oracle for ``rho`` (ancilla = system size)."""
-    pur = purify(rho, ancilla_qubits)
-    return PreparationOracle(pur.vector, pur.system_qubits, pur.ancilla_qubits, label)
+    col = purify(rho, ancilla_qubits)
+    n = col.size.bit_length() - 1
+    return PreparationOracle(col, rho.num_qubits, n - rho.num_qubits, label)
 
 
 def purified_channel_oracle(

@@ -21,13 +21,13 @@ GROVER_MAX_QUBITS = 12
 
 
 def circuit_unitary(circuit: Circuit, cap: int = 12) -> np.ndarray:
-    """Dense unitary of the whole circuit (analysis only; never counts queries)."""
+    """Dense unitary of the whole circuit (analysis only)."""
     n = circuit.layout.total_qubits
     if n > cap:
         raise QubitCapExceeded(f"circuit unitary needs {n} qubits, cap is {cap}")
     state = np.eye(1 << n, dtype=complex)
     for op in circuit.ops:
-        state = _apply_op(op, state, circuit.layout, count_queries=False)
+        state = _apply_op(op, state, circuit.layout)
     return state
 
 

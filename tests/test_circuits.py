@@ -81,20 +81,8 @@ class TestExecute:
         _, u = mixed_instance(1, 2, 60)
         _, v = pure_instance(1, 61)
         circ = build_encoding_circuit(u, v)
-        u.reset_queries()
-        v.reset_queries()
-        execute(circ)
-        counted = u.total_queries() + v.total_queries()
-        assert counted == circ.oracle_op_count() == 3
-
-    def test_count_queries_flag(self):
-        _, u = mixed_instance(1, 2, 60)
-        _, v = pure_instance(1, 61)
-        circ = build_encoding_circuit(u, v)
-        u.reset_queries()
-        v.reset_queries()
-        execute(circ, count_queries=False)
-        assert u.total_queries() == v.total_queries() == 0
+        counted = sum(sum(kinds.values()) for kinds in circ.queries().values())
+        assert counted == sum(isinstance(op, OracleOp) for op in circ.ops) == 3
 
     def test_controlled_oracle_op(self):
         _, u = pure_instance(1, 62)
@@ -106,7 +94,9 @@ class TestExecute:
         state = execute(circ)
         expected = np.concatenate([np.zeros(4), u.prepared_state])
         assert np.max(np.abs(state - expected)) <= 1e-12
-        assert u.queries["controlled"] == 1
+        assert circ.queries() == {
+            u.label: {"plain": 0, "inverse": 0, "controlled": 1, "controlled_inverse": 0},
+        }
 
 
 class TestRegisterBlocks:
@@ -199,13 +189,10 @@ class TestSwapTest:
         _, u = mixed_instance(1, 2, 1)
         _, v = pure_instance(1, 2)
         circ = build_swap_test(u, v)
-        u.reset_queries()
-        v.reset_queries()
-        execute(circ)
-        assert u.query_snapshot() == {
-            "plain": 1, "inverse": 0, "controlled": 0, "controlled_inverse": 0,
+        assert circ.queries() == {
+            "U": {"plain": 1, "inverse": 0, "controlled": 0, "controlled_inverse": 0},
+            "V": {"plain": 1, "inverse": 0, "controlled": 0, "controlled_inverse": 0},
         }
-        assert v.total_queries() == 1
 
 
 class TestEncodingCircuit:
@@ -229,14 +216,9 @@ class TestEncodingCircuit:
         _, u = mixed_instance(1, 2, 5)
         _, v = pure_instance(1, 6)
         circ = build_encoding_circuit(u, v)
-        u.reset_queries()
-        v.reset_queries()
-        execute(circ)
-        assert u.query_snapshot() == {
-            "plain": 1, "inverse": 0, "controlled": 0, "controlled_inverse": 0,
-        }
-        assert v.query_snapshot() == {
-            "plain": 1, "inverse": 1, "controlled": 0, "controlled_inverse": 0,
+        assert circ.queries() == {
+            "U": {"plain": 1, "inverse": 0, "controlled": 0, "controlled_inverse": 0},
+            "V": {"plain": 1, "inverse": 1, "controlled": 0, "controlled_inverse": 0},
         }
 
     def test_decomposition_consistency(self):
@@ -381,6 +363,6 @@ def test_circuit_unitary_matches_execution():
     _, v = pure_instance(1, 92)
     circ = build_encoding_circuit(u, v)
     mat = circuit_unitary(circ)
-    state = execute(circ, count_queries=False)
+    state = execute(circ)
     assert np.max(np.abs(mat[:, 0] - state)) <= 1e-12
     assert np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[0]))) <= 1e-10

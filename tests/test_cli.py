@@ -484,6 +484,30 @@ class TestMainEntry:
         assert "25-qubit" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--k", str(2**70)],
+            ["single", "--k", str(2**70)],
+            ["verify-identities", "--k", str(2**70)],
+            ["hard-instance", "--k", str(2**70)],
+            ["--config", "{cfg}"],
+        ],
+    )
+    def test_huge_k_exits_3_before_any_work(self, tmp_path, monkeypatch, capsys, argv):
+        # 2^k is never built: at k = 2^70 it would not fit in memory
+        forbid_sampling(monkeypatch)
+
+        def no_instances(*args, **kwargs):
+            raise AssertionError("hard_pair called before the config checks")
+
+        monkeypatch.setattr(fidest.cli, "hard_pair", no_instances)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"command": "sweep", "k": 2**70}))
+        assert main([a.format(cfg=cfg) for a in argv]) == 3
+        err = capsys.readouterr().err
+        assert f"k = {2**70} needs" in err and "cap is" in err
+
     @pytest.mark.parametrize("argv", [["sweep", "--trials", "30"], ["single"], ["hard-instance"]])
     @pytest.mark.parametrize("target", ["missing/out.csv", ".", ""])
     def test_bad_output_path_fails_before_any_work(self, tmp_path, monkeypatch, capsys, argv, target):

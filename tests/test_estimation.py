@@ -367,14 +367,16 @@ class TestQueryAccounting:
         assert result.grover_applications == reps * grover
 
     def test_oracle_counters_accumulate(self):
+        # a run's tallies are a value: equal for every run on a problem, and one
+        # preparer execution's queries times a run's 1 + 2 (2^m - 1) per repetition
         _, u = mixed_instance(1, 2, 42)
         _, v = pure_instance(1, 43)
         problem = AmplitudeProblem(build_flagged_encoding(u, v), "C")
-        u.reset_queries()
-        v.reset_queries()
         result = sqrt_amplitude_estimate(problem, 0.1, seed=0)
-        assert u.query_snapshot() == result.queries["U"]
-        assert v.query_snapshot() == result.queries["V"]
+        assert sqrt_amplitude_estimate(problem, 0.1, seed=1).queries == result.queries
+        per_query = DEFAULT_REPETITIONS * (1 + 2 * ((1 << result.m) - 1))
+        for label, once in problem.preparer.queries().items():
+            assert result.total_queries(label) == per_query * sum(once.values())
 
     def test_query_count_scaling_law(self):
         # log-log slope of Grover applications vs 1/delta is 1.0 +- 0.1

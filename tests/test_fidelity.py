@@ -165,6 +165,35 @@ class TestEstimatorTable:
                 assert result.total_queries("V") == ratio * result.total_queries("U")
                 assert result.m == estimator.readout_qubits(eps)
 
+    # At epsilon 0.1, 15 repetitions of 1 preparation and 2^m - 1 Grover steps:
+    # the SWAP test reads delta = 0.1^2 / 4 with m = ceil(log2(pi / delta)) + 2 = 13,
+    # 8191 steps; the flagged encoding reads delta = 0.1 with m = 5 + 1 = 6, 63 steps.
+    # Each step is a controlled preparer and a controlled inverse preparer, so a
+    # plain op of the preparer costs 15 plain, 15 (2^m - 1) controlled and as many
+    # controlled_inverse queries, and the encoding's inverse V op the mirror image.
+    SWAP_ONE_PLAIN = {"plain": 15, "inverse": 0, "controlled": 122865, "controlled_inverse": 122865}
+    ENCODING_ONE_PLAIN = {"plain": 15, "inverse": 0, "controlled": 945, "controlled_inverse": 945}
+    ENCODING_PLAIN_AND_INVERSE = {
+        "plain": 15, "inverse": 15, "controlled": 1890, "controlled_inverse": 1890,
+    }
+
+    @pytest.mark.parametrize(
+        "name,m,u_queries,v_queries",
+        [
+            ("swap-baseline", 13, SWAP_ONE_PLAIN, SWAP_ONE_PLAIN),
+            ("optimal", 6, ENCODING_ONE_PLAIN, ENCODING_PLAIN_AND_INVERSE),
+            ("tr-rho-sigma2", 6, ENCODING_ONE_PLAIN, ENCODING_PLAIN_AND_INVERSE),
+            ("pure-pure", 6, ENCODING_ONE_PLAIN, ENCODING_PLAIN_AND_INVERSE),
+        ],
+    )
+    def test_query_tallies_by_hand(self, name, m, u_queries, v_queries):
+        _, u = pure_instance(1, 7, "U")
+        _, v = pure_instance(1, 8)
+        result = ESTIMATORS[name].bind(name, u, v)(0.1, 0)
+        assert result.m == m
+        assert result.grover_applications == 15 * ((1 << m) - 1)
+        assert result.queries == {"U": u_queries, "V": v_queries}
+
 
 class TestSwapTestEstimate:
     def test_perfect_fidelity(self):

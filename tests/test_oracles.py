@@ -1,5 +1,6 @@
 """Tests for state construction and oracle synthesis."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -35,37 +36,37 @@ from fidest.reference import circuit_unitary
 from conftest import mixed_instance, pure_instance
 
 
-def reduced_system_state(pur):
-    """System matrix of a purification: trace the ancilla out of its projector."""
-    outer = np.outer(pur.vector, pur.vector.conj())
-    return partial_trace(outer, [1 << pur.system_qubits, 1 << pur.ancilla_qubits], keep=[0])
+def reduced_system_state(col, system_qubits):
+    """System matrix of a purification column: trace the ancilla out of its projector."""
+    outer = np.outer(col, col.conj())
+    return partial_trace(outer, [1 << system_qubits, col.size >> system_qubits], keep=[0])
 
 
 class TestPurify:
     def test_pure_state_purifies_to_zero_ancilla_state(self):
-        pur = purify(DensityMatrix(np.diag([1.0, 0.0])))
+        col = purify(DensityMatrix(np.diag([1.0, 0.0])))
         # |0>_A |0>_B up to global phase
-        assert abs(abs(pur.vector[0]) - 1.0) <= 1e-10
-        assert np.linalg.norm(pur.vector[1:]) <= 1e-10
+        assert abs(abs(col[0]) - 1.0) <= 1e-10
+        assert np.linalg.norm(col[1:]) <= 1e-10
 
     def test_maximally_mixed(self):
-        pur = purify(DensityMatrix(np.eye(2) / 2))
-        reduced = reduced_system_state(pur)
+        col = purify(DensityMatrix(np.eye(2) / 2))
+        reduced = reduced_system_state(col, 1)
         assert np.max(np.abs(reduced - np.eye(2) / 2)) <= 1e-10
 
     @pytest.mark.parametrize("seed", range(6))
     def test_reduced_state_matches_source(self, seed):
         # oracle: partial trace of the purification projector
         dm, _ = mixed_instance(2, 3, 400 + seed)
-        pur = purify(dm)
-        assert np.max(np.abs(reduced_system_state(pur) - dm.matrix)) <= 1e-9
+        col = purify(dm)
+        assert np.max(np.abs(reduced_system_state(col, 2) - dm.matrix)) <= 1e-9
 
     def test_minimal_ancilla(self):
         # a rank-2 state on two qubits fits a one-qubit ancilla
         dm, _ = mixed_instance(2, 2, 410)
-        pur = purify(dm, ancilla_qubits=1)
-        assert pur.ancilla_qubits == 1
-        assert np.max(np.abs(reduced_system_state(pur) - dm.matrix)) <= 1e-9
+        col = purify(dm, ancilla_qubits=1)
+        assert col.size == 4 * 2
+        assert np.max(np.abs(reduced_system_state(col, 2) - dm.matrix)) <= 1e-9
 
     def test_minimal_ancilla_must_cover_rank(self):
         dm, _ = mixed_instance(2, 3, 411)
@@ -74,9 +75,9 @@ class TestPurify:
 
     def test_oversized_ancilla(self):
         dm, _ = mixed_instance(1, 2, 412)
-        pur = purify(dm, ancilla_qubits=3)
-        assert pur.vector.size == 2 * 8
-        assert np.max(np.abs(reduced_system_state(pur) - dm.matrix)) <= 1e-9
+        col = purify(dm, ancilla_qubits=3)
+        assert col.size == 2 * 8
+        assert np.max(np.abs(reduced_system_state(col, 1) - dm.matrix)) <= 1e-9
 
 
 #: Householder edge cases, fed to the completion and invocation tests beside random columns
@@ -273,27 +274,15 @@ class TestSampleInstance:
         # reduced state reproducing the source
         dm, oracle = sample_instance(RandomInstanceSpec(2, rank, 99, kind))
         assert unitarity_error(oracle.unitary) <= 1e-10
-        assert np.max(np.abs(purify(dm).vector - oracle.prepared_state)) <= 1e-10
+        assert np.max(np.abs(purify(dm) - oracle.prepared_state)) <= 1e-10
         assert np.max(np.abs(oracle.reduced_state().matrix - dm.matrix)) <= 1e-9
 
 
 class TestQueryCounter:
-    def test_record_and_reset(self):
-        _, oracle = pure_instance(1, 3)
-        oracle.record("plain")
-        oracle.record("controlled", 4)
-        assert oracle.queries["plain"] == 1
-        assert oracle.queries["controlled"] == 4
-        assert oracle.total_queries() == 5
-        snap = oracle.query_snapshot()
-        oracle.reset_queries()
-        assert oracle.total_queries() == 0
-        assert snap["controlled"] == 4
-
     def test_rejects_unknown_kind(self):
         _, oracle = pure_instance(1, 3)
         with pytest.raises(ValueError, match="kind"):
-            oracle.record("sideways")
+            OracleOp(oracle, "sideways", ("A", "B"))
 
 
 class TestInstanceJson:
@@ -357,4 +346,10 @@ def test_preparation_oracle_rejects_non_unit_column(column):
 def test_preparation_oracle_first_column_matches_purification():
     dm, _ = mixed_instance(1, 2, 55)
     oracle = preparation_oracle(dm, "U")
-    assert np.max(np.abs(oracle.prepared_state - purify(dm).vector)) <= 1e-10
+    assert np.max(np.abs(oracle.prepared_state - purify(dm))) <= 1e-10
+
+
+def test_preparation_oracle_is_frozen():
+    _, oracle = pure_instance(1, 3)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        oracle.label = "W"

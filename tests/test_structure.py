@@ -1,8 +1,10 @@
 """Structure guards: the dense references stay out of the production path,
-estimators are defined only by the table in fidest.fidelity, and the circuit
-executor builds no dense padded or controlled matrix and reads no oracle matrix."""
+estimators are defined only by the table in fidest.fidelity, the circuit
+executor builds no dense padded or controlled matrix and reads no oracle matrix,
+and oracles and circuits are immutable values whose queries are counted, not kept."""
 
 import ast
+import dataclasses
 import os
 import subprocess
 import sys
@@ -11,9 +13,11 @@ from pathlib import Path
 import numpy as np
 
 import fidest
+from fidest.circuits import Circuit, OracleOp, RegisterLayout
+from fidest.estimation import AmplitudeProblem
 from fidest.fidelity import ESTIMATORS
 from fidest.linalg import DensityMatrix
-from fidest.oracles import preparation_oracle
+from fidest.oracles import PreparationOracle, preparation_oracle
 
 PACKAGE = Path(fidest.__file__).parent
 
@@ -99,3 +103,15 @@ def test_executor_builds_no_dense_embedding():
         defined = [n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
         imported = [a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names]
         assert "invocation_unitary" not in defined + imported, path.name
+
+
+def test_oracles_and_circuits_are_frozen_values():
+    for cls in (PreparationOracle, Circuit, OracleOp, RegisterLayout, AmplitudeProblem):
+        assert dataclasses.is_dataclass(cls) and cls.__dataclass_params__.frozen, cls.__name__
+    # no query counter lives on an oracle, and no run switches counting off
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        functions = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
+        assert not {"record", "reset_queries"} & {f.name for f in functions}, path.name
+        params = [a.arg for f in functions for a in f.args.args + f.args.kwonlyargs]
+        assert "count_queries" not in params, path.name
