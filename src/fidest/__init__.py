@@ -33,7 +33,7 @@ from .fidelity import (
     sqrt_tr_rho_sigma2_estimate,
     swap_test_estimate,
 )
-from .linalg import DensityMatrix, herm_eig, kron, matrix_sqrt_psd, partial_trace
+from .linalg import DensityMatrix, herm_eig
 from .oracles import (
     PreparationOracle,
     RandomInstanceSpec,

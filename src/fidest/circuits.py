@@ -166,7 +166,6 @@ class FlaggedAmplitudeAnalysis:
 
     flagged_amplitude: float
     residual_norm: float
-    zero_registers: tuple
 
 
 def _block(layout: RegisterLayout, names) -> tuple:
@@ -276,7 +275,7 @@ def analyze_flagged(state: np.ndarray, layout: RegisterLayout, zero_registers) -
     rows = blocks.swapaxes(0, 1).reshape(1 << width, -1)
     flagged = float(np.linalg.norm(rows[0]))
     residual = float(np.linalg.norm(rows[1:]))
-    return FlaggedAmplitudeAnalysis(flagged, residual, zero_registers)
+    return FlaggedAmplitudeAnalysis(flagged, residual)
 
 
 def register_zero_probability(state, layout, registers) -> float:

@@ -33,11 +33,13 @@ probability at least 8/pi^2, and the median amplifies that well past 2/3.
 fidest.reference.qpe_grid_distribution builds the whole 2^m grid; it is the
 reference the sampler is tested against.
 
-Query accounting is closed-form: each repetition costs one plain preparer
-application plus 2^m - 1 controlled Grover steps, and each Grover step
-applies the preparer once forward and once inverted.  A run's per-oracle
-tallies are derived from those of one preparer execution
-(``Circuit.queries``) and returned with its result.
+Query accounting is closed-form, from the tallies of one preparer execution
+(``Circuit.queries``).  Each repetition runs the preparer once, so every
+query of it counts once per repetition with its own kind.  It then runs
+2^m - 1 Grover steps Q = -A S_0 A^dag S_chi under a readout control, and a
+step runs the preparer A once forward and once inverted, so every preparer
+query, of whatever kind, adds one controlled and one controlled_inverse
+query per step.  The tallies are returned with the run's result.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import Circuit, QubitCapExceeded, analyze_flagged, execute
-from .oracles import QUERY_KINDS, controlled_kind, invert_kind
+from .oracles import QUERY_KINDS
 
 #: Repetitions whose lower median is reported.
 DEFAULT_REPETITIONS = 15
@@ -200,10 +202,16 @@ class _KernelSampler:
 
 
 def readout_qubits(delta: float, square: bool) -> int:
-    """Readout qubits for error delta: ceil(log2(pi/delta)) + 2 for p, + 1 for sqrt(p)."""
+    """Readout qubits for error delta: ceil(log2(pi/delta)) + 2 for p, + 1 for sqrt(p).
+
+    Where pi/delta overflows (delta below ~2e-308) the logarithm is taken
+    term by term; that m is far past ESTIMATOR_MAX_M.
+    """
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
-    return math.ceil(math.log2(math.pi / delta)) + (2 if square else 1)
+    ratio = math.pi / delta
+    bits = math.log2(ratio) if ratio < math.inf else math.log2(math.pi) - math.log2(delta)
+    return math.ceil(bits) + (2 if square else 1)
 
 
 def _query_tally(problem: AmplitudeProblem, m: int, repetitions: int) -> dict:
@@ -211,11 +219,9 @@ def _query_tally(problem: AmplitudeProblem, m: int, repetitions: int) -> dict:
     grover_steps = ((1 << m) - 1) * repetitions
     tally: dict = {}
     for label, once in problem.preparer.queries().items():
-        per_oracle = tally[label] = dict.fromkeys(QUERY_KINDS, 0)
-        for kind, count in once.items():
-            per_oracle[kind] += count * repetitions  # initial state preparations
-            per_oracle[controlled_kind(kind)] += count * grover_steps  # each Grover step's forward
-            per_oracle[controlled_kind(invert_kind(kind))] += count * grover_steps  # and inverse pass
+        per_oracle = tally[label] = {kind: count * repetitions for kind, count in once.items()}
+        for kind in ("controlled", "controlled_inverse"):
+            per_oracle[kind] += sum(once.values()) * grover_steps
     return tally
 
 

@@ -9,8 +9,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import build_flagged_encoding, build_swap_test
+from .circuits import QubitCapExceeded, build_flagged_encoding, build_swap_test
 from .estimation import (
+    ESTIMATOR_MAX_M,
     AmplitudeProblem,
     EstimationResult,
     amplitude_estimate,
@@ -19,9 +20,6 @@ from .estimation import (
 )
 from .linalg import DensityMatrix, zero_state
 from .oracles import PreparationOracle
-
-#: A state counts as pure when tr(rho^2) >= 1 - PURITY_ATOL.
-PURITY_ATOL = 1e-9
 
 
 def exact_fidelity_to_pure(rho: DensityMatrix, psi: np.ndarray) -> float:
@@ -81,7 +79,13 @@ def _swap_delta(epsilon: float) -> float:
     # since |sqrt(x) - sqrt(y)| <= sqrt(|x - y|)
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
-    return epsilon**2 / 4.0
+    delta = epsilon**2 / 4.0
+    if delta == 0.0:  # underflow, below eps ~ 3e-162
+        raise QubitCapExceeded(
+            f"epsilon = {epsilon} needs over 1000 readout qubits for the SWAP baseline "
+            f"(eps^2/4 underflows to 0), cap is {ESTIMATOR_MAX_M}"
+        )
+    return delta
 
 
 @dataclass(frozen=True)
@@ -109,9 +113,9 @@ class Estimator:
         Returns estimate(epsilon, seed) -> EstimationResult; every call shares
         the pair's AmplitudeProblem, so the circuit is executed once.
         """
-        if self.second_pure and not second_oracle.reduced_state().is_pure(PURITY_ATOL):
+        if self.second_pure and not second_oracle.reduced_state().is_pure():
             raise ValueError(f"the {name} estimator requires a pure second state")
-        if self.first_pure and not rho_oracle.reduced_state().is_pure(PURITY_ATOL):
+        if self.first_pure and not rho_oracle.reduced_state().is_pure():
             raise ValueError(f"the {name} estimator requires a pure first state")
         build = build_swap_test if self.swap_test else build_flagged_encoding
         problem = AmplitudeProblem(build(rho_oracle, second_oracle), "C")

@@ -6,8 +6,10 @@ whose reduced system matrix is the target.  An oracle is held as that
 prepared column alone: its unitary is the column's Householder completion
 U = phase H diag(c, 1, ...), applied to a block in O(2^n) per column and
 built densely only on request.  Oracles are immutable values.  Invocations
-come in four kinds (plain, inverse, controlled, controlled_inverse); the
-circuits that invoke an oracle say how often, per kind (``Circuit.queries``).
+come in four kinds (plain, inverse, controlled, controlled_inverse); a
+circuit says how often it invokes each oracle, per kind (``Circuit.queries``),
+and the estimators derive a whole run's tallies from that in closed form
+(``fidest.estimation``).
 """
 
 from __future__ import annotations
@@ -28,30 +30,6 @@ from .linalg import (
 QUERY_KINDS = ("plain", "inverse", "controlled", "controlled_inverse")
 
 INSTANCE_KINDS = ("haar_pure", "ginibre_mixed", "fixed_spectrum")
-
-_INVERT = {
-    "plain": "inverse",
-    "inverse": "plain",
-    "controlled": "controlled_inverse",
-    "controlled_inverse": "controlled",
-}
-
-_CONTROL = {
-    "plain": "controlled",
-    "inverse": "controlled_inverse",
-    "controlled": "controlled",
-    "controlled_inverse": "controlled_inverse",
-}
-
-
-def invert_kind(kind: str) -> str:
-    """Invocation kind of the inverse of a ``kind`` invocation."""
-    return _INVERT[kind]
-
-
-def controlled_kind(kind: str) -> str:
-    """Invocation kind of a ``kind`` invocation under an added control."""
-    return _CONTROL[kind]
 
 
 @dataclass(frozen=True, eq=False)
@@ -221,7 +199,7 @@ class RandomInstanceSpec:
             spec = tuple(float(x) for x in self.spectrum)
             if len(spec) != self.rank:
                 raise ValueError(f"spectrum length {len(spec)} != rank {self.rank}")
-            if any(x < 0 for x in spec):
+            if any(not x >= 0 for x in spec):  # also rejects NaN
                 raise ValueError("spectrum entries must be non-negative")
             if abs(sum(spec) - 1.0) > 1e-9:
                 raise ValueError(f"spectrum sums to {sum(spec)}, expected 1")

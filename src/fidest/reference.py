@@ -2,9 +2,9 @@
 
 Nothing in the estimators or the CLI imports this module: the dense
 circuit unitary, the dense Grover operator, the full 2^m phase-estimation
-outcome grid (closed-form and Schur-based) and Uhlmann fidelity cost time
-and memory that grow with operator size or 2^m, and they are the only users
-of scipy in the package.
+outcome grid (closed-form and Schur-based), the partial trace of a dense
+matrix and Uhlmann fidelity cost time and memory that grow with operator
+size or 2^m, and they are the only users of scipy in the package.
 """
 
 from __future__ import annotations
@@ -102,6 +102,39 @@ def qpe_distribution(q: np.ndarray, initial: np.ndarray, m: int) -> np.ndarray:
     weights = np.abs(z.conj().T @ initial) ** 2
     keep = weights > 1e-15
     return qpe_grid_distribution(omega[keep], weights[keep], m)
+
+
+def partial_trace(mat: np.ndarray, dims, keep) -> np.ndarray:
+    """Trace out every subsystem not listed in ``keep``.
+
+    ``mat`` must be square on the tensor product of subsystems with
+    dimensions ``dims`` (in register order).  The result lives on the kept
+    subsystems, ordered as in ``keep``, and has the same trace as ``mat``.
+    """
+    mat = np.asarray(mat, dtype=complex)
+    dims = [int(d) for d in dims]
+    if any(d < 1 for d in dims):
+        raise ValueError(f"subsystem dims must be positive, got {dims}")
+    n = len(dims)
+    total = int(np.prod(dims))
+    if mat.ndim != 2 or mat.shape != (total, total):
+        raise ValueError(
+            f"matrix shape {mat.shape} does not match subsystem dims {dims} "
+            f"(expected {total}x{total})"
+        )
+    keep = [int(i) for i in keep]
+    if len(set(keep)) != len(keep) or any(i < 0 or i >= n for i in keep):
+        raise ValueError(f"keep indices {keep} invalid for {n} subsystems")
+
+    keep_set = set(keep)
+    tensor = mat.reshape(dims + dims)
+    row_labels = list(range(n))
+    # traced subsystems share the row label so einsum contracts them
+    col_labels = [i if i not in keep_set else n + i for i in range(n)]
+    out_labels = keep + [n + i for i in keep]
+    reduced = np.einsum(tensor, row_labels + col_labels, out_labels)
+    dk = int(np.prod([dims[i] for i in keep])) if keep else 1
+    return reduced.reshape(dk, dk)
 
 
 def _sqrt_eigenvalues_floored(mat: np.ndarray) -> np.ndarray:

@@ -473,6 +473,25 @@ class TestMainEntry:
         assert "epsilon = 1e-09" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "estimator,epsilon",
+        [
+            ("optimal", "1e-320"),
+            ("tr-rho-sigma2", "5e-324"),
+            ("swap-baseline", "1e-170"),
+            ("swap-baseline", "1e-320"),
+        ],
+    )
+    def test_tiny_epsilon_exits_3_before_any_work(self, monkeypatch, capsys, estimator, epsilon):
+        # pi / eps overflows, or the SWAP baseline's eps^2 / 4 underflows to 0
+        def no_synthesis(*args, **kwargs):
+            raise AssertionError("sample_instance called before the m budget check")
+
+        monkeypatch.setattr(fidest.cli, "sample_instance", no_synthesis)
+        assert main(["sweep", "--estimator", estimator, "--epsilons", epsilon]) == 3
+        err = capsys.readouterr().err
+        assert f"epsilon = {float(epsilon)}" in err and "cap is 48" in err
+
     def test_qubit_budget_fails_before_any_work(self, tmp_path, monkeypatch, capsys):
         def no_synthesis(*args, **kwargs):
             raise AssertionError("sample_instance called before the qubit budget check")

@@ -20,8 +20,10 @@ from fidest.estimation import (
     AmplitudeProblem,
     _kernel,
     _KernelSampler,
+    _query_tally,
     amplitude_estimate,
     flag_probability,
+    readout_qubits,
     sqrt_amplitude_estimate,
 )
 from fidest.linalg import unitarity_error
@@ -308,6 +310,22 @@ class TestAmplitudeEstimate:
         with pytest.raises(QubitCapExceeded, match="m = 49"):
             amplitude_estimate(problem, delta / 1.5, seed=0)
 
+    @pytest.mark.parametrize("estimate", [amplitude_estimate, sqrt_amplitude_estimate])
+    @pytest.mark.parametrize("delta", [1e-320, 5e-324, 1e-300])
+    def test_tiny_delta_exceeds_readout_cap(self, estimate, delta):
+        # pi / delta overflows below ~1e-308; m is then taken in logs, not lost to inf
+        with pytest.raises(QubitCapExceeded, match=f"cap is {ESTIMATOR_MAX_M}"):
+            estimate(flag_problem(0.37), delta, seed=0)
+
+    def test_m_formula_kept_where_pi_over_delta_is_finite(self):
+        deltas = np.geomspace(1e-2, 5e-324, 400)
+        for square in (True, False):
+            ms = [readout_qubits(float(d), square) for d in deltas]
+            assert ms == sorted(ms)  # monotone across the overflow boundary
+            for d, m in zip(deltas.tolist(), ms):
+                if math.pi / d < math.inf:
+                    assert m == math.ceil(math.log2(math.pi / d)) + (2 if square else 1)
+
 
 class TestSqrtAmplitudeEstimate:
     def test_half_is_exact(self):
@@ -377,6 +395,22 @@ class TestQueryAccounting:
         per_query = DEFAULT_REPETITIONS * (1 + 2 * ((1 << result.m) - 1))
         for label, once in problem.preparer.queries().items():
             assert result.total_queries(label) == per_query * sum(once.values())
+
+    def test_tally_of_a_preparer_with_every_kind(self):
+        # one execution: U plain x2, inverse, controlled, controlled_inverse;
+        # V controlled_inverse.  m = 2 and 3 repetitions give 9 Grover steps,
+        # each adding the execution's query total to both controlled kinds.
+        _, u = pure_instance(1, 3, "U")
+        _, v = pure_instance(1, 4, "V")
+        layout = RegisterLayout(("C", "A"), (1, 2))
+        ops = [OracleOp(u, kind, ("A",)) for kind in ("plain", "plain", "inverse")]
+        ops += [OracleOp(u, kind, ("C", "A")) for kind in ("controlled", "controlled_inverse")]
+        ops.append(OracleOp(v, "controlled_inverse", ("C", "A")))
+        problem = AmplitudeProblem(Circuit(layout, ops), "C")
+        assert _query_tally(problem, 2, 3) == {
+            "U": {"plain": 6, "inverse": 3, "controlled": 48, "controlled_inverse": 48},
+            "V": {"plain": 0, "inverse": 0, "controlled": 9, "controlled_inverse": 12},
+        }
 
     def test_query_count_scaling_law(self):
         # log-log slope of Grover applications vs 1/delta is 1.0 +- 0.1

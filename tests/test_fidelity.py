@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fidest.circuits import analyze_flagged, build_restructured_encoding, execute
+from fidest.circuits import QubitCapExceeded, analyze_flagged, build_restructured_encoding, execute
 from fidest.fidelity import (
     ESTIMATORS,
     FidelityTask,
@@ -23,7 +23,7 @@ from fidest.fidelity import (
     sqrt_tr_rho_sigma2_estimate,
     swap_test_estimate,
 )
-from fidest.linalg import DensityMatrix, kron, zero_state
+from fidest.linalg import DensityMatrix, zero_state
 from fidest.oracles import (
     PreparationOracle,
     complete_to_unitary,
@@ -212,6 +212,13 @@ class TestSwapTestEstimate:
             result = swap_test_estimate(task)
             assert result.estimate <= 0.1
 
+    @pytest.mark.parametrize("epsilon", [1e-170, 1e-320])
+    def test_underflowing_delta_exceeds_readout_cap(self, epsilon):
+        # eps^2 / 4 rounds to 0: the estimate is refused at the cap, not as a bad delta
+        task = make_task(state_oracle([1.0, 0.0], "U"), state_oracle([1.0, 0.0], "V"), epsilon, 0)
+        with pytest.raises(QubitCapExceeded, match="cap is 48"):
+            swap_test_estimate(task)
+
     def test_seeded_instance_success_rate(self):
         _, u = mixed_instance(1, 2, 42)
         _, v = pure_instance(1, 43)
@@ -326,8 +333,8 @@ class TestPurePureFidelity:
         u_phi = complete_to_unitary(phi)
         anc1 = complete_to_unitary(np.array([1.0, 0.0], dtype=complex))
         anc2 = complete_to_unitary(np.array([0.6, 0.8], dtype=complex))
-        o1 = purified_channel_oracle(kron(u_phi, anc1), 1, "U")
-        o2 = purified_channel_oracle(kron(u_phi, anc2), 1, "V")
+        o1 = purified_channel_oracle(np.kron(u_phi, anc1), 1, "U")
+        o2 = purified_channel_oracle(np.kron(u_phi, anc2), 1, "V")
         result = pure_pure_fidelity(make_task(o1, o2, 0.05, 3))
         assert abs(result.estimate - 1.0) <= 0.05
 

@@ -6,50 +6,19 @@ import pytest
 from fidest.linalg import (
     DensityMatrix,
     herm_eig,
-    kron,
     matrix_from_json,
     matrix_to_json,
-    matrix_sqrt_psd,
-    partial_trace,
+    require_unitary,
     unitarity_error,
     zero_state,
 )
+from fidest.reference import partial_trace
 
 from conftest import random_hermitian
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
-
-
-class TestKron:
-    def test_identity(self):
-        assert np.array_equal(kron(I2, I2), np.eye(4))
-
-    def test_basis_action_big_endian(self):
-        # qubit 0 is most significant: X (x) I maps |00> to |10>
-        state = kron(X, I2) @ zero_state(2)
-        expected = np.zeros(4, dtype=complex)
-        expected[2] = 1.0
-        assert np.allclose(state, expected)
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_mixed_product_property(self, seed):
-        # oracle: direct multiplication of the factors
-        rng = np.random.default_rng(seed)
-        a, b, c, d = (random_hermitian(rng, 2) + np.eye(2) for _ in range(4))
-        lhs = kron(a, b) @ kron(c, d)
-        rhs = kron(a @ c, b @ d)
-        assert np.max(np.abs(lhs - rhs)) <= 1e-12
-
-    def test_associativity(self):
-        rng = np.random.default_rng(3)
-        a, b, c = (random_hermitian(rng, 2) for _ in range(3))
-        assert np.max(np.abs(kron(kron(a, b), c) - kron(a, kron(b, c)))) <= 1e-12
-
-    def test_no_factors_rejected(self):
-        with pytest.raises(ValueError):
-            kron()
 
 
 class TestPartialTrace:
@@ -119,30 +88,6 @@ class TestHermEig:
         assert abs(np.sum(w) - 1.0) <= 1e-10
 
 
-class TestMatrixSqrtPsd:
-    def test_identity(self):
-        assert np.allclose(matrix_sqrt_psd(I2), I2)
-
-    def test_diagonal(self):
-        assert np.allclose(matrix_sqrt_psd(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]))
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_squaring_oracle(self, seed):
-        rng = np.random.default_rng(seed)
-        g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        psd = g @ g.conj().T
-        s = matrix_sqrt_psd(psd)
-        assert np.max(np.abs(s @ s - psd)) <= 1e-8
-
-    def test_rejects_negative_eigenvalue(self):
-        with pytest.raises(ValueError, match="PSD"):
-            matrix_sqrt_psd(np.diag([1.0, -1e-6]))
-
-    def test_clamps_tiny_negatives(self):
-        s = matrix_sqrt_psd(np.diag([1.0, -5e-11]))
-        assert np.allclose(s, np.diag([1.0, 0.0]))
-
-
 class TestDensityMatrix:
     def test_valid(self):
         dm = DensityMatrix(np.eye(2) / 2)
@@ -189,6 +134,34 @@ class TestMatrixJson:
     def test_rejects_missing_field(self):
         with pytest.raises(ValueError, match="malformed"):
             matrix_from_json({"rows": 1, "cols": 1, "re": [1.0]})
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["diagonal", "off-diagonal pair"])
+class TestNonFiniteEntries:
+    """A NaN or infinite entry fails every structural check, not only a finite deviation."""
+
+    @staticmethod
+    def matrix(bad, where):
+        mat = np.eye(2, dtype=complex) / 2
+        if where == "diagonal":
+            mat[1, 1] = bad
+        else:
+            mat[0, 1] = mat[1, 0] = bad
+        return mat
+
+    def test_density_matrix(self, bad, where):
+        with pytest.raises(ValueError, match="Hermitian"):
+            DensityMatrix(self.matrix(bad, where))
+
+    def test_herm_eig(self, bad, where):
+        with pytest.raises(ValueError, match="Hermitian"):
+            herm_eig(self.matrix(bad, where))
+
+    def test_require_unitary(self, bad, where):
+        with pytest.raises(ValueError, match="not unitary"):
+            require_unitary(2 * self.matrix(bad, where))
 
 
 def test_unitarity_error_flags_non_unitary():

@@ -16,22 +16,20 @@ from fidest.circuits import (
     build_encoding_circuit,
     execute,
 )
-from fidest.linalg import DensityMatrix, kron, partial_trace, unitarity_error, zero_state
+from fidest.linalg import DensityMatrix, unitarity_error, zero_state
 from fidest.oracles import (
     INSTANCE_KINDS,
     PreparationOracle,
     RandomInstanceSpec,
     complete_to_unitary,
-    controlled_kind,
     instance_from_json,
     instance_to_json,
-    invert_kind,
     preparation_oracle,
     purified_channel_oracle,
     purify,
     sample_instance,
 )
-from fidest.reference import circuit_unitary
+from fidest.reference import circuit_unitary, partial_trace
 
 from conftest import mixed_instance, pure_instance
 
@@ -183,12 +181,6 @@ class TestControlledAndInverse:
             prod = self.unitary_of(oracle, "plain", "inverse", pad=pad)
             assert np.max(np.abs(prod - np.eye(prod.shape[0]))) <= 1e-10, oracle.label
 
-    def test_kind_algebra(self):
-        assert invert_kind("plain") == "inverse"
-        assert invert_kind("controlled") == "controlled_inverse"
-        assert controlled_kind("plain") == "controlled"
-        assert controlled_kind("inverse") == "controlled_inverse"
-
 
 class TestPurifiedChannelOracle:
     def test_identity_channel(self):
@@ -196,11 +188,19 @@ class TestPurifiedChannelOracle:
         assert np.allclose(oracle.prepared_state, zero_state(2))
         assert np.max(np.abs(oracle.reduced_state().matrix - np.diag([1.0, 0.0]))) <= 1e-10
 
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_unitary(self, bad):
+        u = np.eye(4, dtype=complex)
+        u[1, 1] = bad
+        with pytest.raises(ValueError, match="not unitary"):
+            purified_channel_oracle(u, 1)
+
     def test_pure_state_channel_with_redundant_ancilla(self):
         # U_phi (x) I serves purified access to the pure state phi
         phi = np.array([0.6, 0.8j], dtype=complex)
         u_phi = complete_to_unitary(phi)
-        oracle = purified_channel_oracle(kron(u_phi, np.eye(2)), 1)
+        oracle = purified_channel_oracle(np.kron(u_phi, np.eye(2)), 1)
         assert np.max(np.abs(oracle.reduced_state().matrix - np.outer(phi, phi.conj()))) <= 1e-10
 
     @pytest.mark.parametrize("seed", range(4))
@@ -262,6 +262,11 @@ class TestSampleInstance:
         with pytest.raises(ValueError, match="rank 1"):
             RandomInstanceSpec(2, 2, 0, "haar_pure")
 
+    @pytest.mark.parametrize("spectrum", [(float("nan"), 1.0), (-0.5, 1.5)])
+    def test_fixed_spectrum_rejects_bad_weights(self, spectrum):
+        with pytest.raises(ValueError, match="non-negative"):
+            RandomInstanceSpec(1, 2, 0, "fixed_spectrum", spectrum)
+
     def test_fixed_spectrum_requires_spectrum(self):
         with pytest.raises(ValueError, match="spectrum"):
             RandomInstanceSpec(2, 2, 0, "fixed_spectrum")
@@ -313,6 +318,17 @@ class TestInstanceJson:
         record = {**instance_to_json(spec, sample_instance(spec)[0]), **change}
         with pytest.raises(ValueError, match=message):
             instance_from_json(record)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("part", ["re", "im"])
+    def test_rejects_non_finite_rho(self, bad, part):
+        spec = RandomInstanceSpec(2, 3, 21, "ginibre_mixed")
+        record = instance_to_json(spec, sample_instance(spec)[0])
+        record["rho"][part][5] = bad
+        # Python's json reads and writes NaN and Infinity, so such a record parses
+        with pytest.raises(ValueError, match="Hermitian"):
+            instance_from_json(json.loads(json.dumps(record)))
 
     @settings(database=None, deadline=None, max_examples=40)
     @given(data=st.data())

@@ -1,10 +1,12 @@
 """Structure guards: the dense references stay out of the production path,
 estimators are defined only by the table in fidest.fidelity, the circuit
 executor builds no dense padded or controlled matrix and reads no oracle matrix,
-and oracles and circuits are immutable values whose queries are counted, not kept."""
+oracles and circuits are immutable values whose queries are counted, not kept,
+and each rule (query kinds, test-only linear algebra, purity) has one home."""
 
 import ast
 import dataclasses
+import inspect
 import os
 import subprocess
 import sys
@@ -115,3 +117,20 @@ def test_oracles_and_circuits_are_frozen_values():
         assert not {"record", "reset_queries"} & {f.name for f in functions}, path.name
         params = [a.arg for f in functions for a in f.args.args + f.args.kwonlyargs]
         assert "count_queries" not in params, path.name
+
+
+def test_each_rule_has_one_home():
+    # the Grover-step query rule is estimation._query_tally's closed form, the
+    # dense partial trace is a test reference, and purity has one tolerance
+    defined, purity_tolerances = {}, []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef):
+                defined.setdefault(node.name, []).append(path.name)
+            targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+            if any(isinstance(t, ast.Name) and t.id == "PURITY_ATOL" for t in targets):
+                purity_tolerances.append(path.name)
+    assert not {"invert_kind", "controlled_kind", "kron", "matrix_sqrt_psd"} & set(defined)
+    assert defined["partial_trace"] == ["reference.py"]
+    assert purity_tolerances == ["linalg.py"]
+    assert list(inspect.signature(DensityMatrix.is_pure).parameters) == ["self"]
