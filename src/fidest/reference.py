@@ -4,7 +4,7 @@ Nothing in the estimators or the CLI imports this module: the dense
 circuit unitary, the dense Grover operator, the full 2^m phase-estimation
 outcome grid (closed-form and Schur-based), the partial trace of a dense
 matrix and Uhlmann fidelity cost time and memory that grow with operator
-size or 2^m, and they are the only users of scipy in the package.
+size or 2^m.  It is the only module of the package that imports scipy.
 """
 
 from __future__ import annotations
