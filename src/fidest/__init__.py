@@ -37,7 +37,6 @@ from .linalg import DensityMatrix, herm_eig
 from .oracles import (
     PreparationOracle,
     RandomInstanceSpec,
-    complete_to_unitary,
     preparation_oracle,
     purified_channel_oracle,
     purify,

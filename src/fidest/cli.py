@@ -337,8 +337,8 @@ def _run_hard_instance(config: ExperimentConfig) -> int:
             hell = hellinger_distance(plus.distribution, minus.distribution)
             hell_closed = hard_pair_hellinger(p, eps)
             for inst in (plus, minus):
-                # the fidelity the oracle loads, read from its prepared column
-                fid = float(abs(np.vdot(inst.target, inst.oracle.prepared_state)))
+                # the fidelity to |0...0> the oracle loads: |first entry| of its prepared column
+                fid = float(abs(inst.oracle.prepared_state[0]))
                 expected = math.sqrt(p + inst.sign * eps)
                 rows.append(
                     {

@@ -173,7 +173,8 @@ class HardInstance:
     The oracle loads sqrt(weights) amplitudes directly (zero-size ancilla);
     its fidelity to |0> is sqrt(p + sign*eps) exactly, while the +/- pair's
     loading distributions sit at Hellinger distance O(eps).  Everything is
-    O(2^k) except ``rho``, the dense diagonal state, built on first read.
+    O(2^k) except ``rho``, the dense diagonal state.  ``rho`` and ``target``
+    (the state |0...0> the fidelity is taken to) are built on first read.
     """
 
     p: float
@@ -182,11 +183,19 @@ class HardInstance:
     sign: int
     distribution: np.ndarray
     oracle: PreparationOracle
-    target: np.ndarray
+
+    @functools.cached_property
+    def target(self) -> np.ndarray:
+        return zero_state(self.oracle.system_qubits)
 
     @functools.cached_property
     def rho(self) -> DensityMatrix:
         return DensityMatrix(np.diag(self.distribution).astype(complex))
+
+
+def _check_hard_pair_weights(p: float, eps: float) -> None:
+    if not (0.0 < p + eps < 1.0 and 0.0 < p - eps < 1.0):
+        raise ValueError(f"p +- eps must stay in (0, 1), got p={p}, eps={eps}")
 
 
 def hard_instance(p: float, eps: float, rank: int, sign: int, k: int, label: str = "U") -> HardInstance:
@@ -197,14 +206,13 @@ def hard_instance(p: float, eps: float, rank: int, sign: int, k: int, label: str
         raise ValueError(f"rank must be >= 2, got {rank}")
     if rank > (1 << k):
         raise ValueError(f"rank {rank} exceeds 2^{k}")
-    if not (0.0 < p + eps < 1.0 and 0.0 < p - eps < 1.0):
-        raise ValueError(f"p +- eps must stay in (0, 1), got p={p}, eps={eps}")
+    _check_hard_pair_weights(p, eps)
     d = 1 << k
     weights = np.zeros(d, dtype=float)
     weights[0] = p + sign * eps
     weights[1:rank] = (1.0 - p - sign * eps) / (rank - 1)
     oracle = PreparationOracle(np.sqrt(weights), k, 0, label)
-    return HardInstance(p, eps, rank, sign, weights, oracle, zero_state(k))
+    return HardInstance(p, eps, rank, sign, weights, oracle)
 
 
 def hard_pair(p: float, eps: float, rank: int, k: int):
@@ -217,7 +225,6 @@ def hard_pair_hellinger(p: float, eps: float) -> float:
 
     sqrt(1 - sqrt(p^2 - eps^2) - sqrt((1-p)^2 - eps^2)); independent of rank.
     """
-    if not (0.0 < p + eps < 1.0 and 0.0 < p - eps < 1.0):
-        raise ValueError(f"p +- eps must stay in (0, 1), got p={p}, eps={eps}")
+    _check_hard_pair_weights(p, eps)
     inner = 1.0 - math.sqrt(p * p - eps * eps) - math.sqrt((1.0 - p) ** 2 - eps * eps)
     return math.sqrt(max(inner, 0.0))

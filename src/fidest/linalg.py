@@ -37,6 +37,13 @@ def zero_state(num_qubits: int) -> np.ndarray:
     return state
 
 
+def _hermiticity_error(mat: np.ndarray) -> float:
+    """Max-entry deviation of M from M^dag; NaN or inf for a non-finite or
+    overflowing M, without a warning."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        return float(np.max(np.abs(mat - mat.conj().T)))
+
+
 def herm_eig(mat: np.ndarray):
     """Eigendecomposition of a Hermitian matrix.
 
@@ -46,7 +53,7 @@ def herm_eig(mat: np.ndarray):
     mat = np.asarray(mat, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-    dev = float(np.max(np.abs(mat - mat.conj().T)))
+    dev = _hermiticity_error(mat)
     if not dev <= ATOL_STRUCT:
         raise ValueError(f"matrix is not Hermitian (max |M - M^dag| = {dev:.3e})")
     return np.linalg.eigh(mat)
@@ -55,7 +62,9 @@ def herm_eig(mat: np.ndarray):
 def unitarity_error(u: np.ndarray) -> float:
     """Max-entry deviation of U^dag U from the identity."""
     u = np.asarray(u, dtype=complex)
-    return float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
+    # a non-finite or overflowing U reads NaN or inf, without a warning
+    with np.errstate(invalid="ignore", over="ignore"):
+        return float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
 
 
 def require_unitary(u: np.ndarray, what: str = "matrix") -> None:
@@ -77,7 +86,7 @@ class DensityMatrix:
         dim = mat.shape[0]
         if dim < 1 or dim & (dim - 1):
             raise ValueError(f"density matrix dimension {dim} is not a power of two")
-        herm = float(np.max(np.abs(mat - mat.conj().T)))
+        herm = _hermiticity_error(mat)
         if not herm <= ATOL_STRUCT:
             raise ValueError(f"density matrix not Hermitian (max deviation {herm:.3e})")
         tr = complex(np.trace(mat))
@@ -103,31 +112,3 @@ class DensityMatrix:
     def is_pure(self) -> bool:
         return self.purity() >= 1.0 - PURITY_ATOL
 
-
-def matrix_to_json(mat: np.ndarray) -> dict:
-    """Serialize a complex matrix to the shared row-major JSON schema."""
-    mat = np.asarray(mat, dtype=complex)
-    if mat.ndim != 2:
-        raise ValueError(f"expected a matrix, got ndim {mat.ndim}")
-    return {
-        "rows": mat.shape[0],
-        "cols": mat.shape[1],
-        "re": mat.real.ravel().tolist(),
-        "im": mat.imag.ravel().tolist(),
-    }
-
-
-def matrix_from_json(obj: dict) -> np.ndarray:
-    """Parse a matrix from the shared JSON schema, validating shape."""
-    try:
-        rows, cols = int(obj["rows"]), int(obj["cols"])
-        re, im = obj["re"], obj["im"]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed matrix JSON: {exc}") from exc
-    if rows < 1 or cols < 1:
-        raise ValueError(f"matrix JSON has non-positive shape {rows}x{cols}")
-    if len(re) != rows * cols or len(im) != rows * cols:
-        raise ValueError(
-            f"matrix JSON entry count mismatch: {rows}x{cols} vs {len(re)} re / {len(im)} im"
-        )
-    return (np.asarray(re, dtype=float) + 1j * np.asarray(im, dtype=float)).reshape(rows, cols)

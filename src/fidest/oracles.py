@@ -18,18 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
-    ATOL_STRUCT,
-    DensityMatrix,
-    herm_eig,
-    matrix_from_json,
-    matrix_to_json,
-    require_unitary,
-)
+from .linalg import ATOL_STRUCT, DensityMatrix, herm_eig, require_unitary
 
 QUERY_KINDS = ("plain", "inverse", "controlled", "controlled_inverse")
 
-INSTANCE_KINDS = ("haar_pure", "ginibre_mixed", "fixed_spectrum")
+INSTANCE_KINDS = ("haar_pure", "ginibre_mixed")
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,13 +127,6 @@ def purify(rho: DensityMatrix, ancilla_qubits: int | None = None) -> np.ndarray:
     return m.ravel()
 
 
-def complete_to_unitary(column: np.ndarray) -> np.ndarray:
-    """Dense unitary completion of a unit column, U|0...0> = column: the matrix of
-    the oracle that prepares it.  Same input bits always give the same matrix."""
-    col = np.asarray(column, dtype=complex).ravel()
-    return PreparationOracle(col, col.size.bit_length() - 1, 0, "U").unitary
-
-
 def preparation_oracle(
     rho: DensityMatrix, label: str = "U", ancilla_qubits: int | None = None
 ) -> PreparationOracle:
@@ -180,7 +166,6 @@ class RandomInstanceSpec:
     rank: int
     seed: int
     kind: str
-    spectrum: tuple | None = None
 
     def __post_init__(self):
         if self.k < 1:
@@ -193,19 +178,6 @@ class RandomInstanceSpec:
             raise ValueError(f"kind {self.kind!r} not in {INSTANCE_KINDS}")
         if self.kind == "haar_pure" and self.rank != 1:
             raise ValueError("haar_pure instances must have rank 1")
-        if self.kind == "fixed_spectrum":
-            if self.spectrum is None:
-                raise ValueError("fixed_spectrum instances need a spectrum")
-            spec = tuple(float(x) for x in self.spectrum)
-            if len(spec) != self.rank:
-                raise ValueError(f"spectrum length {len(spec)} != rank {self.rank}")
-            if any(not x >= 0 for x in spec):  # also rejects NaN
-                raise ValueError("spectrum entries must be non-negative")
-            if abs(sum(spec) - 1.0) > 1e-9:
-                raise ValueError(f"spectrum sums to {sum(spec)}, expected 1")
-            object.__setattr__(self, "spectrum", spec)
-        elif self.spectrum is not None:
-            raise ValueError(f"{self.kind} instances take no spectrum")
 
 
 def _haar_vector(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -213,67 +185,22 @@ def _haar_vector(rng: np.random.Generator, dim: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def _haar_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(g)
-    d = np.diag(r)
-    return q * (d / np.abs(d))
-
-
 def sample_instance(spec: RandomInstanceSpec, label: str = "U"):
     """Draw ``(DensityMatrix, PreparationOracle)`` deterministically from a spec.
 
     haar_pure normalizes a complex-Gaussian vector; ginibre_mixed traces an
-    ancilla of dimension ``rank`` out of a Haar-random bipartite pure state;
-    fixed_spectrum places the supplied spectrum in a Haar-random basis.
+    ancilla of dimension ``rank`` out of a Haar-random bipartite pure state.
     """
     rng = np.random.default_rng(spec.seed)
     d = 1 << spec.k
     if spec.kind == "haar_pure":
         psi = _haar_vector(rng, d)
         rho = np.outer(psi, psi.conj())
-    elif spec.kind == "ginibre_mixed":
+    else:
         g = _haar_vector(rng, d * spec.rank).reshape(d, spec.rank)
         rho = g @ g.conj().T
-    else:
-        basis = _haar_unitary(rng, d)[:, : spec.rank]
-        lam = np.asarray(spec.spectrum, dtype=float)
-        rho = (basis * lam) @ basis.conj().T
     rho = 0.5 * (rho + rho.conj().T)
     rho /= np.trace(rho).real
     dm = DensityMatrix(rho)
     return dm, preparation_oracle(dm, label)
 
-
-def instance_to_json(spec: RandomInstanceSpec, rho: DensityMatrix) -> dict:
-    """Instance file record: {"k", "rank", "seed", "kind", "rho": matrix-JSON}."""
-    obj = {
-        "k": spec.k,
-        "rank": spec.rank,
-        "seed": spec.seed,
-        "kind": spec.kind,
-        "rho": matrix_to_json(rho.matrix),
-    }
-    if spec.spectrum is not None:
-        obj["spectrum"] = list(spec.spectrum)
-    return obj
-
-
-def instance_from_json(obj: dict):
-    """Parse an instance record back to ``(RandomInstanceSpec, DensityMatrix)``."""
-    try:
-        spec = RandomInstanceSpec(
-            k=int(obj["k"]),
-            rank=int(obj["rank"]),
-            seed=int(obj["seed"]),
-            kind=str(obj["kind"]),
-            spectrum=tuple(obj["spectrum"]) if "spectrum" in obj else None,
-        )
-        rho = DensityMatrix(matrix_from_json(obj["rho"]))
-    except KeyError as exc:
-        raise ValueError(f"malformed instance JSON: missing {exc}") from exc
-    except TypeError as exc:
-        raise ValueError(f"malformed instance JSON: {exc}") from exc
-    if rho.dim != 1 << spec.k:
-        raise ValueError(f"instance rho is {rho.dim}x{rho.dim}, but k = {spec.k} needs {1 << spec.k}")
-    return spec, rho

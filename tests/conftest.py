@@ -1,6 +1,6 @@
 import numpy as np
 
-from fidest.oracles import RandomInstanceSpec, sample_instance
+from fidest.oracles import PreparationOracle, RandomInstanceSpec, sample_instance
 
 
 def mixed_instance(k, rank, seed, label="U"):
@@ -9,6 +9,13 @@ def mixed_instance(k, rank, seed, label="U"):
 
 def pure_instance(k, seed, label="V"):
     return sample_instance(RandomInstanceSpec(k, 1, seed, "haar_pure"), label)
+
+
+def state_oracle(vec, label="U"):
+    """Zero-ancilla oracle preparing a given pure state; its ``unitary`` is the
+    dense completion U with U|0...0> = vec."""
+    vec = np.asarray(vec, dtype=complex)
+    return PreparationOracle(vec, vec.size.bit_length() - 1, 0, label)
 
 
 def principal_eigvec(dm):

@@ -22,17 +22,10 @@ from fidest.circuits import (
     register_zero_probability,
 )
 from fidest.linalg import DensityMatrix, zero_state
-from fidest.oracles import PreparationOracle, preparation_oracle
+from fidest.oracles import preparation_oracle
 from fidest.reference import circuit_unitary
 
-from conftest import mixed_instance, pure_instance
-
-
-def state_oracle(vec, label):
-    """Zero-ancilla oracle preparing a given pure state."""
-    vec = np.asarray(vec, dtype=complex)
-    k = vec.size.bit_length() - 1
-    return PreparationOracle(vec, k, 0, label)
+from conftest import mixed_instance, pure_instance, state_oracle
 
 
 class TestRegisterLayout:
@@ -315,8 +308,6 @@ class TestFlaggedEncoding:
 class TestRestructuredEncoding:
     def test_maximally_mixed_second_state(self):
         rho, u = mixed_instance(1, 2, 88)
-        sigma_dm, v = mixed_instance(1, 2, 89)
-        # sigma = I/2 via fixed spectrum would do; directly use I/2
         half = DensityMatrix(np.eye(2) / 2)
         v = preparation_oracle(half, "V")
         circ = build_restructured_encoding(u, v)

@@ -24,27 +24,16 @@ from fidest.fidelity import (
     swap_test_estimate,
 )
 from fidest.linalg import DensityMatrix, zero_state
-from fidest.oracles import (
-    PreparationOracle,
-    complete_to_unitary,
-    preparation_oracle,
-    purified_channel_oracle,
-)
+from fidest.oracles import preparation_oracle, purified_channel_oracle
 from fidest.reference import uhlmann_fidelity
 
-from conftest import mixed_instance, principal_eigvec, pure_instance
+from conftest import mixed_instance, principal_eigvec, pure_instance, state_oracle
 
 # frozen truths, computed with the dense references on the named seeds
 F_K1_SEEDS_42_43 = 0.5965038883615562
 F_K2R3_SEEDS_777_778 = 0.635172020948945
 TRS_K1_SEEDS_301_302 = 0.5620164634217469
 OVERLAP_SEEDS_401_402 = 0.7173016902543191
-
-
-def state_oracle(vec, label):
-    vec = np.asarray(vec, dtype=complex)
-    k = vec.size.bit_length() - 1
-    return PreparationOracle(vec, k, 0, label)
 
 
 class TestExactReferences:
@@ -330,9 +319,9 @@ class TestPurePureFidelity:
         # purified access built from a channel unitary with a redundant
         # ancilla rotation; fidelity to itself must estimate 1
         phi = np.array([0.28, 0.96j], dtype=complex)
-        u_phi = complete_to_unitary(phi)
-        anc1 = complete_to_unitary(np.array([1.0, 0.0], dtype=complex))
-        anc2 = complete_to_unitary(np.array([0.6, 0.8], dtype=complex))
+        u_phi = state_oracle(phi).unitary
+        anc1 = state_oracle(np.array([1.0, 0.0], dtype=complex)).unitary
+        anc2 = state_oracle(np.array([0.6, 0.8], dtype=complex)).unitary
         o1 = purified_channel_oracle(np.kron(u_phi, anc1), 1, "U")
         o2 = purified_channel_oracle(np.kron(u_phi, anc2), 1, "V")
         result = pure_pure_fidelity(make_task(o1, o2, 0.05, 3))

@@ -6,8 +6,6 @@ import pytest
 from fidest.linalg import (
     DensityMatrix,
     herm_eig,
-    matrix_from_json,
-    matrix_to_json,
     require_unitary,
     unitarity_error,
     zero_state,
@@ -120,31 +118,14 @@ class TestDensityMatrix:
             dm.matrix[0, 0] = 2.0
 
 
-class TestMatrixJson:
-    def test_round_trip(self):
-        rng = np.random.default_rng(0)
-        mat = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
-        back = matrix_from_json(matrix_to_json(mat))
-        assert np.array_equal(back, mat)
-
-    def test_rejects_wrong_entry_count(self):
-        with pytest.raises(ValueError, match="entry count"):
-            matrix_from_json({"rows": 2, "cols": 2, "re": [1.0], "im": [0.0]})
-
-    def test_rejects_missing_field(self):
-        with pytest.raises(ValueError, match="malformed"):
-            matrix_from_json({"rows": 1, "cols": 1, "re": [1.0]})
-
-
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("where", ["diagonal", "off-diagonal pair"])
 class TestNonFiniteEntries:
     """A NaN or infinite entry fails every structural check, not only a finite deviation."""
 
     @staticmethod
-    def matrix(bad, where):
-        mat = np.eye(2, dtype=complex) / 2
+    def matrix(bad, where, scale=0.5):
+        mat = scale * np.eye(2, dtype=complex)
         if where == "diagonal":
             mat[1, 1] = bad
         else:
@@ -161,7 +142,18 @@ class TestNonFiniteEntries:
 
     def test_require_unitary(self, bad, where):
         with pytest.raises(ValueError, match="not unitary"):
-            require_unitary(2 * self.matrix(bad, where))
+            require_unitary(self.matrix(bad, where, scale=1.0))
+
+
+def test_overflowing_entries_fail_without_a_warning():
+    # the deviation overflows to inf, which the checks reject like a NaN
+    skew = np.array([[0.5, 1e308], [-1e308, 0.5]], dtype=complex)
+    with pytest.raises(ValueError, match="Hermitian"):
+        DensityMatrix(skew)
+    with pytest.raises(ValueError, match="Hermitian"):
+        herm_eig(skew)
+    with pytest.raises(ValueError, match="not unitary"):
+        require_unitary(1e200 * np.eye(2))
 
 
 def test_unitarity_error_flags_non_unitary():

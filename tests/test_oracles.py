@@ -1,7 +1,6 @@
 """Tests for state construction and oracle synthesis."""
 
 import dataclasses
-import json
 
 import numpy as np
 import pytest
@@ -21,9 +20,6 @@ from fidest.oracles import (
     INSTANCE_KINDS,
     PreparationOracle,
     RandomInstanceSpec,
-    complete_to_unitary,
-    instance_from_json,
-    instance_to_json,
     preparation_oracle,
     purified_channel_oracle,
     purify,
@@ -31,7 +27,7 @@ from fidest.oracles import (
 )
 from fidest.reference import circuit_unitary, partial_trace
 
-from conftest import mixed_instance, pure_instance
+from conftest import mixed_instance, pure_instance, state_oracle
 
 
 def reduced_system_state(col, system_qubits):
@@ -99,18 +95,18 @@ def unit_column(case, dim=8):
 
 class TestCompleteToUnitary:
     def test_zero_column_gives_identity(self):
-        assert np.array_equal(complete_to_unitary(zero_state(1)), np.eye(2))
+        assert np.array_equal(state_oracle(zero_state(1)).unitary, np.eye(2))
 
     def test_plus_state(self):
         col = np.array([1, 1], dtype=complex) / np.sqrt(2)
-        u = complete_to_unitary(col)
+        u = state_oracle(col).unitary
         assert unitarity_error(u) <= 1e-10
         assert np.max(np.abs(u[:, 0] - col)) <= 1e-12
 
     @pytest.mark.parametrize("seed", [*range(8), *EDGE_COLUMNS])
     def test_random_columns_are_unitary_with_exact_first_column(self, seed):
         col = unit_column(seed)
-        u = complete_to_unitary(col)
+        u = state_oracle(col).unitary
         assert unitarity_error(u) <= 1e-10
         assert np.max(np.abs(u[:, 0] - col)) <= 1e-12
 
@@ -118,14 +114,14 @@ class TestCompleteToUnitary:
         rng = np.random.default_rng(7)
         col = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         col /= np.linalg.norm(col)
-        assert np.array_equal(complete_to_unitary(col), complete_to_unitary(col))
+        assert np.array_equal(state_oracle(col).unitary, state_oracle(col).unitary)
 
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError, match="norm"):
-            complete_to_unitary(np.array([1.0, 1.0]))
+            state_oracle(np.array([1.0, 1.0])).unitary
 
     def test_negative_basis_column(self):
-        u = complete_to_unitary(np.array([-1.0, 0.0], dtype=complex))
+        u = state_oracle(np.array([-1.0, 0.0], dtype=complex)).unitary
         assert np.max(np.abs(u[:, 0] - [-1.0, 0.0])) <= 1e-12
         assert unitarity_error(u) <= 1e-10
 
@@ -164,7 +160,7 @@ class TestControlledAndInverse:
 
     def test_control_on_prepares_state(self):
         for oracle, pad in self.cases():
-            u = np.kron(complete_to_unitary(oracle.prepared_state), np.eye(1 << pad))
+            u = np.kron(oracle.unitary, np.eye(1 << pad))
             dim, zero = u.shape[0], np.zeros(u.shape)
             for kind, on in (("plain", u), ("inverse", u.conj().T)):
                 expected = np.block([[on, zero], [zero, on]])  # C is idle
@@ -188,7 +184,6 @@ class TestPurifiedChannelOracle:
         assert np.allclose(oracle.prepared_state, zero_state(2))
         assert np.max(np.abs(oracle.reduced_state().matrix - np.diag([1.0, 0.0]))) <= 1e-10
 
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_unitary(self, bad):
         u = np.eye(4, dtype=complex)
@@ -199,7 +194,7 @@ class TestPurifiedChannelOracle:
     def test_pure_state_channel_with_redundant_ancilla(self):
         # U_phi (x) I serves purified access to the pure state phi
         phi = np.array([0.6, 0.8j], dtype=complex)
-        u_phi = complete_to_unitary(phi)
+        u_phi = state_oracle(phi).unitary
         oracle = purified_channel_oracle(np.kron(u_phi, np.eye(2)), 1)
         assert np.max(np.abs(oracle.reduced_state().matrix - np.outer(phi, phi.conj()))) <= 1e-10
 
@@ -247,13 +242,6 @@ class TestSampleInstance:
         assert w[0] >= -1e-12
         assert abs(np.sum(w) - 1.0) <= 1e-10
 
-    def test_fixed_spectrum(self):
-        spec = RandomInstanceSpec(2, 3, 13, "fixed_spectrum", spectrum=(0.5, 0.3, 0.2))
-        dm, _ = sample_instance(spec)
-        w = np.sort(np.linalg.eigvalsh(dm.matrix))[::-1]
-        assert np.allclose(w[:3], [0.5, 0.3, 0.2], atol=1e-10)
-        assert abs(w[3]) <= 1e-12
-
     def test_rank_out_of_range(self):
         with pytest.raises(ValueError, match="rank"):
             RandomInstanceSpec(1, 3, 0, "ginibre_mixed")
@@ -261,15 +249,6 @@ class TestSampleInstance:
     def test_haar_pure_requires_rank_one(self):
         with pytest.raises(ValueError, match="rank 1"):
             RandomInstanceSpec(2, 2, 0, "haar_pure")
-
-    @pytest.mark.parametrize("spectrum", [(float("nan"), 1.0), (-0.5, 1.5)])
-    def test_fixed_spectrum_rejects_bad_weights(self, spectrum):
-        with pytest.raises(ValueError, match="non-negative"):
-            RandomInstanceSpec(1, 2, 0, "fixed_spectrum", spectrum)
-
-    def test_fixed_spectrum_requires_spectrum(self):
-        with pytest.raises(ValueError, match="spectrum"):
-            RandomInstanceSpec(2, 2, 0, "fixed_spectrum")
 
     @pytest.mark.parametrize(
         "kind,rank", [("haar_pure", 1), ("ginibre_mixed", 2), ("ginibre_mixed", 4)]
@@ -282,70 +261,26 @@ class TestSampleInstance:
         assert np.max(np.abs(purify(dm) - oracle.prepared_state)) <= 1e-10
         assert np.max(np.abs(oracle.reduced_state().matrix - dm.matrix)) <= 1e-9
 
+    @settings(database=None, deadline=None, max_examples=40)
+    @given(data=st.data())
+    def test_generated_specs_are_deterministic_and_sound(self, data):
+        k = data.draw(st.integers(1, 3), label="k")
+        kind = data.draw(st.sampled_from(INSTANCE_KINDS), label="kind")
+        rank = 1 if kind == "haar_pure" else data.draw(st.integers(1, 1 << k), label="rank")
+        seed = data.draw(st.integers(0, 2**64 - 1), label="seed")
+        spec = RandomInstanceSpec(k, rank, seed, kind)
+        dm, oracle = sample_instance(spec)
+        dm2, oracle2 = sample_instance(spec)
+        assert np.array_equal(dm2.matrix, dm.matrix)
+        assert np.array_equal(oracle2.prepared_state, oracle.prepared_state)
+        assert np.max(np.abs(oracle.reduced_state().matrix - dm.matrix)) <= 1e-9
+
 
 class TestQueryCounter:
     def test_rejects_unknown_kind(self):
         _, oracle = pure_instance(1, 3)
         with pytest.raises(ValueError, match="kind"):
             OracleOp(oracle, "sideways", ("A", "B"))
-
-
-class TestInstanceJson:
-    def test_round_trip(self):
-        spec = RandomInstanceSpec(2, 3, 21, "ginibre_mixed")
-        dm, _ = sample_instance(spec)
-        spec2, dm2 = instance_from_json(instance_to_json(spec, dm))
-        assert spec2 == spec
-        assert np.array_equal(dm2.matrix, dm.matrix)
-        # stored matrix regenerates from the spec alone
-        dm3, _ = sample_instance(spec2)
-        assert np.array_equal(dm3.matrix, dm2.matrix)
-
-    def test_missing_key(self):
-        with pytest.raises(ValueError, match="malformed"):
-            instance_from_json({"k": 1, "rank": 1, "seed": 0})
-
-    @pytest.mark.parametrize(
-        "change,message",
-        [
-            ({"k": None}, "malformed"),
-            ({"spectrum": 5}, "malformed"),
-            ({"k": 3}, "4x4, but k = 3 needs 8"),  # a k = 2 rho under a k = 3 record
-        ],
-    )
-    def test_rejects_bad_record(self, change, message):
-        spec = RandomInstanceSpec(2, 3, 21, "ginibre_mixed")
-        record = {**instance_to_json(spec, sample_instance(spec)[0]), **change}
-        with pytest.raises(ValueError, match=message):
-            instance_from_json(record)
-
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
-    @pytest.mark.parametrize("part", ["re", "im"])
-    def test_rejects_non_finite_rho(self, bad, part):
-        spec = RandomInstanceSpec(2, 3, 21, "ginibre_mixed")
-        record = instance_to_json(spec, sample_instance(spec)[0])
-        record["rho"][part][5] = bad
-        # Python's json reads and writes NaN and Infinity, so such a record parses
-        with pytest.raises(ValueError, match="Hermitian"):
-            instance_from_json(json.loads(json.dumps(record)))
-
-    @settings(database=None, deadline=None, max_examples=40)
-    @given(data=st.data())
-    def test_round_trip_through_json_text(self, data):
-        k = data.draw(st.integers(1, 3), label="k")
-        kind = data.draw(st.sampled_from(INSTANCE_KINDS), label="kind")
-        rank = 1 if kind == "haar_pure" else data.draw(st.integers(1, 1 << k), label="rank")
-        spectrum = None
-        if kind == "fixed_spectrum":
-            weights = data.draw(st.lists(st.floats(0.01, 1.0), min_size=rank, max_size=rank))
-            spectrum = tuple(w / sum(weights) for w in weights)
-        seed = data.draw(st.integers(0, 2**64 - 1), label="seed")
-        spec = RandomInstanceSpec(k, rank, seed, kind, spectrum)
-        dm, _ = sample_instance(spec)
-        spec2, dm2 = instance_from_json(json.loads(json.dumps(instance_to_json(spec, dm))))
-        assert spec2 == spec
-        assert np.array_equal(dm2.matrix, dm.matrix)
 
 
 def test_preparation_oracle_validates_shape():

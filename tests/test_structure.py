@@ -2,7 +2,8 @@
 estimators are defined only by the table in fidest.fidelity, the circuit
 executor builds no dense padded or controlled matrix and reads no oracle matrix,
 oracles and circuits are immutable values whose queries are counted, not kept,
-and each rule (query kinds, test-only linear algebra, purity) has one home."""
+each rule (query kinds, test-only linear algebra, purity) has one home, and the
+package keeps no surface that only tests reach."""
 
 import ast
 import dataclasses
@@ -17,9 +18,9 @@ import numpy as np
 import fidest
 from fidest.circuits import Circuit, OracleOp, RegisterLayout
 from fidest.estimation import AmplitudeProblem
-from fidest.fidelity import ESTIMATORS
+from fidest.fidelity import ESTIMATORS, HardInstance
 from fidest.linalg import DensityMatrix
-from fidest.oracles import PreparationOracle, preparation_oracle
+from fidest.oracles import INSTANCE_KINDS, PreparationOracle, RandomInstanceSpec, preparation_oracle
 
 PACKAGE = Path(fidest.__file__).parent
 
@@ -134,3 +135,24 @@ def test_each_rule_has_one_home():
     assert defined["partial_trace"] == ["reference.py"]
     assert purity_tolerances == ["linalg.py"]
     assert list(inspect.signature(DensityMatrix.is_pure).parameters) == ["self"]
+
+
+def test_no_test_only_surface():
+    # instance and matrix files, the prescribed-spectrum kind and the free-standing
+    # dense completion (read PreparationOracle.unitary) had no caller outside the tests
+    deleted = {
+        "instance_to_json",
+        "instance_from_json",
+        "matrix_to_json",
+        "matrix_from_json",
+        "complete_to_unitary",
+        "_haar_unitary",
+    }
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defined = {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+        assert not deleted & defined, path.name
+    assert not deleted & set(dir(fidest))
+    assert [f.name for f in dataclasses.fields(RandomInstanceSpec)] == ["k", "rank", "seed", "kind"]
+    assert INSTANCE_KINDS == ("haar_pure", "ginibre_mixed")
+    assert "target" not in [f.name for f in dataclasses.fields(HardInstance)]
