@@ -9,8 +9,8 @@ oracle queries of one run off the op list.
 The state is one flat (2^n, columns) array.  Every op acts on adjacent
 registers of it, as one reshape to (2^first, 2^width, rest); identity
 padding and control come from that block view, not from dense matrices.
-An oracle op hands its (2^n_oracle, rest) block to the oracle's own
-O(2^n_oracle)-per-column Householder apply; no oracle matrix is ever read.
+Oracle and gate ops act on axis 1 of that view; an oracle op runs the
+oracle's own O(2^n_oracle)-per-column Householder apply, never a matrix.
 
 Two circuit families matter here.  The encoding circuit applies both
 oracles side by side, swaps the ancilla registers, then undoes the second
@@ -179,12 +179,6 @@ def _block(layout: RegisterLayout, names) -> tuple:
     return sum(layout.sizes[:start]), sum(layout.sizes[start:stop])
 
 
-def _apply_block(state: np.ndarray, first: int, d: int, apply) -> np.ndarray:
-    """``apply`` to the (d, rest) block of the qubits that start at ``first`` of a flat state."""
-    block = state.reshape(1 << first, d, -1).swapaxes(0, 1).reshape(d, -1)
-    return apply(block).reshape(d, 1 << first, -1).swapaxes(0, 1).reshape(state.shape)
-
-
 def _controlled(state: np.ndarray, applied: np.ndarray, control: int) -> np.ndarray:
     """``state`` where qubit ``control`` is 0, ``applied`` where it is 1."""
     shape = (1 << control, 2, -1)
@@ -221,12 +215,12 @@ def _apply_op(op, state, layout):
                 f"oracle op on {op.registers} spans {width} qubits, too few for its oracle"
             )
         inverse = op.kind in ("inverse", "controlled_inverse")
-        d = 1 << op.oracle.num_qubits
-        applied = _apply_block(state, first + control, d, lambda block: op.oracle.apply(block, inverse))
+        blocks = state.reshape(1 << (first + control), 1 << op.oracle.num_qubits, -1)
+        applied = op.oracle.apply(blocks, inverse).reshape(state.shape)
         return _controlled(state, applied, first) if control else applied
     if isinstance(op, Gate1Q):
         first = _one_qubit(layout, op.register, "gate")
-        return _apply_block(state, first, 2, lambda block: _GATES_1Q[op.gate] @ block)
+        return np.matmul(_GATES_1Q[op.gate], state.reshape(1 << first, 2, -1)).reshape(state.shape)
     if isinstance(op, RegisterSwap):
         return _swap(state, layout, op.first, op.second)
     if isinstance(op, ControlledRegisterSwap):

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -432,6 +433,7 @@ def _epsilons_arg(text: str):
         raise argparse.ArgumentTypeError(f"bad epsilon list {text!r}: {exc}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fidest",
@@ -443,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--config",
         metavar="FILE",
-        help="JSON file mirroring the experiment config; replaces subcommand flags",
+        help="JSON file of a command and its flags' fields; replaces subcommand flags",
     )
     sub = parser.add_subparsers(dest="command")
 
@@ -466,7 +468,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--estimator", choices=ESTIMATORS, default="optimal")
         p.add_argument("--epsilons", type=_epsilons_arg, default=(0.1,), help="comma-separated")
         p.add_argument("--output", dest="output_path", help="output file (default stdout)")
-        p.add_argument("--format", choices=FORMATS, default="csv")
+        if name == "sweep":
+            p.add_argument("--format", choices=FORMATS, default="csv")
 
     p = sub.add_parser("hard-instance", help="emit the adversarial-family diagnostics")
     p.add_argument("--k", type=int, default=2, help="system qubits")
@@ -478,25 +481,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
+    raw = {}
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             raw = json.load(fh)
         if not isinstance(raw, dict):
             raise ValueError("config file must hold a JSON object")
-        allowed = {f.name for f in dataclasses.fields(ExperimentConfig)}
-        unknown = set(raw) - allowed
-        if unknown:
-            raise ValueError(f"unknown config keys {sorted(unknown)}")
-        if "command" not in raw:
-            raise ValueError("config file must name a command")
-        return ExperimentConfig(**raw)
+        if raw.get("command") not in COMMANDS:
+            raise ValueError(f"config file must name a command in {COMMANDS}, got {raw.get('command')!r}")
+        # a config file takes exactly its command's flags, with the same defaults
+        args = build_parser().parse_args([raw["command"]])
     if not args.command:
         raise ValueError("a command or --config is required (see --help)")
     # every subcommand flag is named after its ExperimentConfig field
-    fields = {
-        name: value for name, value in vars(args).items() if name != "config" and value is not None
-    }
-    return ExperimentConfig(**fields)
+    fields = {name: value for name, value in vars(args).items() if name != "config"}
+    unknown = set(raw) - set(fields)
+    if unknown:
+        raise ValueError(f"unknown config keys {sorted(unknown)} for {args.command}")
+    return ExperimentConfig(**{**fields, **raw})
 
 
 def main(argv=None) -> int:

@@ -198,7 +198,7 @@ def _check_hard_pair_weights(p: float, eps: float) -> None:
         raise ValueError(f"p +- eps must stay in (0, 1), got p={p}, eps={eps}")
 
 
-def hard_instance(p: float, eps: float, rank: int, sign: int, k: int, label: str = "U") -> HardInstance:
+def hard_instance(p: float, eps: float, rank: int, sign: int, k: int) -> HardInstance:
     """Build the rank-``rank`` instance with first weight p + sign*eps on 2^k outcomes."""
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
@@ -211,7 +211,7 @@ def hard_instance(p: float, eps: float, rank: int, sign: int, k: int, label: str
     weights = np.zeros(d, dtype=float)
     weights[0] = p + sign * eps
     weights[1:rank] = (1.0 - p - sign * eps) / (rank - 1)
-    oracle = PreparationOracle(np.sqrt(weights), k, 0, label)
+    oracle = PreparationOracle(np.sqrt(weights), k, 0, "U")
     return HardInstance(p, eps, rank, sign, weights, oracle)
 
 

@@ -4,12 +4,12 @@ A mixed state is served through a unitary on a system register plus an
 ancilla register; applied to the all-zeros input it yields a pure state
 whose reduced system matrix is the target.  An oracle is held as that
 prepared column alone: its unitary is the column's Householder completion
-U = phase H diag(c, 1, ...), applied to a block in O(2^n) per column and
-built densely only on request.  Oracles are immutable values.  Invocations
-come in four kinds (plain, inverse, controlled, controlled_inverse); a
-circuit says how often it invokes each oracle, per kind (``Circuit.queries``),
-and the estimators derive a whole run's tallies from that in closed form
-(``fidest.estimation``).
+U = phase H diag(c, 1, ...), applied along axis 1 of a (pre, 2^n, post)
+view of a state in O(2^n) per column and built densely only on request.
+Oracles are immutable values.  Invocations come in four kinds (plain,
+inverse, controlled, controlled_inverse); a circuit says how often it
+invokes each oracle, per kind (``Circuit.queries``), and the estimators
+derive a whole run's tallies from that in closed form (``fidest.estimation``).
 """
 
 from __future__ import annotations
@@ -63,20 +63,22 @@ class PreparationOracle:
         v.flags.writeable = False
         object.__setattr__(self, "_householder", (v, tau, c, phase))
 
-    def apply(self, block: np.ndarray, inverse: bool = False) -> np.ndarray:
-        """U (or U^dag) times a (2^num_qubits, rest) block, U = phase (I - tau v v^dag) diag(c, 1, ...)."""
+    def apply(self, blocks: np.ndarray, inverse: bool = False) -> np.ndarray:
+        """U (or U^dag) along axis 1 of a (pre, 2^num_qubits, post) array,
+        U = phase (I - tau v v^dag) diag(c, 1, ...)."""
         v, tau, c, phase = self._householder
         if inverse:
             c, phase = np.conj(c), np.conj(phase)
-        out = block * phase
+        out = blocks * phase
         if not inverse:
-            out[0] *= c
+            out[:, 0] *= c
         if tau:
             # einsum, not a BLAS product: OpenBLAS hands even small products to
             # worker threads, whose wake-ups stall on shared cores
-            out -= np.outer(tau * v, np.einsum("i,ij->j", v.conj(), out))
+            w = np.einsum("i,aij->aj", v.conj(), out)
+            out -= (tau * v)[:, np.newaxis] * w[:, np.newaxis]
         if inverse:
-            out[0] *= c
+            out[:, 0] *= c
         return out
 
     @property
@@ -86,7 +88,7 @@ class PreparationOracle:
     @property
     def unitary(self) -> np.ndarray:
         """Dense U, built on request by applying the oracle to the identity."""
-        return self.apply(np.eye(1 << self.num_qubits, dtype=complex))
+        return self.apply(np.eye(1 << self.num_qubits, dtype=complex)[np.newaxis])[0]
 
     def reduced_state(self) -> DensityMatrix:
         """Density matrix of the system register of the prepared state."""

@@ -1,5 +1,7 @@
 """Tests for circuit construction, execution, and flagged-amplitude analysis."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from fidest.circuits import (
     OracleOp,
     QubitCapExceeded,
     RegisterLayout,
+    _apply_op,
     analyze_flagged,
     build_encoding_circuit,
     build_flagged_encoding,
@@ -303,6 +306,26 @@ class TestFlaggedEncoding:
         flagged = build_flagged_encoding(u, v)
         pr0 = register_zero_probability(execute(flagged), flagged.layout, ("C",))
         assert abs(amp2 - pr0) <= 1e-10
+
+
+def test_oracle_ops_allocate_at_most_two_and_a_half_states():
+    # an oracle op reads a view of the flat state: its output and one rank-1
+    # update temporary are the only state-sized allocations
+    _, u = mixed_instance(4, 3, 90)
+    _, v = pure_instance(4, 91)
+    circ = build_flagged_encoding(u, v)  # 17 qubits, a 2 MiB state
+    state = np.zeros((1 << circ.layout.total_qubits, 1), dtype=complex)
+    state[0, 0] = 1.0
+    for op in circ.ops:
+        if isinstance(op, OracleOp):
+            tracemalloc.start()
+            try:
+                _apply_op(op, state, circ.layout)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 2.5 * state.nbytes, (op.kind, peak / state.nbytes)
+        state = _apply_op(op, state, circ.layout)
 
 
 class TestRestructuredEncoding:

@@ -13,17 +13,29 @@ import fidest.estimation
 import fidest.fidelity
 from fidest.circuits import QubitCapExceeded
 from fidest.cli import (
+    COMMANDS,
     CSV_HEADER,
     HARD_CSV_HEADER,
     IDENTITY_BOUNDS,
     ExperimentConfig,
     ExperimentRecord,
     _identity_residuals,
+    build_parser,
+    config_from_args,
     derive_seed,
     fit_scaling,
     main,
     run,
 )
+
+#: each command's flags, by ExperimentConfig field: exactly the keys its config file takes
+COMMAND_FLAGS = {
+    "verify-identities": {"k", "seed", "trials"},
+    "sweep": {"k", "seed", "trials", "rank", "estimator", "epsilons", "output_path", "format"},
+    "single": {"k", "seed", "rank", "estimator", "epsilons", "output_path"},
+    "hard-instance": {"k", "rank", "epsilons", "output_path", "format"},
+}
+CONFIG_FIELDS = set(ExperimentConfig.__dataclass_fields__) - {"command"}
 
 
 def read_csv(path):
@@ -355,7 +367,14 @@ class TestSingle:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"command": "single", **fields}))
         assert main(["--config", str(cfg)]) == 2
-        assert "single runs one estimate" in capsys.readouterr().err
+        # single has no --trials flag, so its config file has no trials key
+        expected = "unknown config keys ['trials']" if "trials" in fields else "single runs one estimate"
+        assert expected in capsys.readouterr().err
+
+    def test_has_no_format_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["single", "--format", "json"])
+        assert exc.value.code == 2
 
     def test_swap_baseline_reaches_eps_1e_4(self, capsys):
         # m = 33 is far past any 2^m outcome grid; the sampler costs O(reps)
@@ -451,6 +470,38 @@ class TestMainEntry:
         cfg.write_text(json.dumps({"command": "single", "banana": 1}))
         assert main(["--config", str(cfg)]) == 2
         assert "unknown config keys" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_config_file_defaults_are_the_flag_defaults(self, tmp_path, command):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"command": command}))
+        from_file = config_from_args(build_parser().parse_args(["--config", str(cfg)]))
+        assert from_file == config_from_args(build_parser().parse_args([command]))
+
+    @pytest.mark.parametrize(
+        "command,key",
+        [
+            (command, key)
+            for command, flags in COMMAND_FLAGS.items()
+            for key in sorted(CONFIG_FIELDS - flags)
+        ],
+    )
+    def test_config_key_without_a_flag_exits_2_before_any_work(
+        self, tmp_path, monkeypatch, capsys, command, key
+    ):
+        forbid_sampling(monkeypatch)
+
+        def no_instances(*args, **kwargs):
+            raise AssertionError("hard_pair called before the config checks")
+
+        monkeypatch.setattr(fidest.cli, "hard_pair", no_instances)
+        cfg = tmp_path / "cfg.json"
+        value = ExperimentConfig.__dataclass_fields__[key].default  # a valid value
+        cfg.write_text(json.dumps({"command": command, key: value}))
+        assert main(["--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert f"unknown config keys [{key!r}] for {command}" in captured.err
+        assert captured.out == ""
 
     def test_no_command(self, capsys):
         assert main([]) == 2
@@ -556,6 +607,8 @@ class TestMainEntry:
             {"command": "sweep", "output_path": 7},
             {"command": None},
             {"k": 1},
+            {"command": ["sweep"]},
+            {"command": "banana"},
         ],
     )
     def test_malformed_config_file_exits_2(self, tmp_path, capsys, raw):

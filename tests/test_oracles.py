@@ -126,6 +126,25 @@ class TestCompleteToUnitary:
         assert unitarity_error(u) <= 1e-10
 
 
+@pytest.mark.parametrize("case", [*EDGE_COLUMNS, "mixed"])
+def test_apply_acts_on_axis_1(case):
+    if case == "mixed":
+        oracle = mixed_instance(2, 3, 12)[1]
+    else:
+        oracle = PreparationOracle(unit_column(case), 2, 0, case)
+    u = oracle.unitary
+    assert unitarity_error(u) <= 1e-10
+    assert np.max(np.abs(u[:, 0] - oracle.prepared_state)) <= 1e-12
+    rng = np.random.default_rng(13)
+    for pre, post in ((1, 1), (1, 5), (4, 1), (3, 2)):
+        shape = (pre, u.shape[0], post)
+        x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        for inverse, op in ((False, u), (True, u.conj().T)):
+            out = oracle.apply(x, inverse)
+            assert out.shape == shape
+            assert np.max(np.abs(out - np.einsum("ij,ajk->aik", op, x))) <= 1e-12
+
+
 class TestControlledAndInverse:
     """Oracle invocation kinds, read off the dense unitary of a one-op circuit and
     held to the dense completion of the oracle's column."""
