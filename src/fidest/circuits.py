@@ -38,7 +38,6 @@ QUBIT_CAP_ENV = "FIDEST_QUBIT_CAP"
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 _GATES_1Q = {
     "H": np.array([[_SQRT_HALF, _SQRT_HALF], [_SQRT_HALF, -_SQRT_HALF]], dtype=complex),
-    "X": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
 }
 
 

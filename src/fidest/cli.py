@@ -81,21 +81,28 @@ def _is_number(value, types) -> bool:
 @dataclass(frozen=True)
 class ExperimentConfig:
     command: str
-    k: int = 1
+    k: int | None = None  # None: the command's flag default
     rank: int = 2
     estimator: str = "optimal"
     epsilons: tuple = (0.1,)
-    trials: int = 1
+    trials: int | None = None  # None: the command's flag default, or 1 without the flag
     seed: int = 0
     output_path: str | None = None
     format: str = "csv"
 
     def __post_init__(self):
+        if self.command not in COMMANDS:
+            raise ValueError(f"unknown command {self.command!r}; expected one of {COMMANDS}")
+        if self.k is None or self.trials is None:
+            flags = vars(build_parser().parse_args([self.command]))
+            for name in ("k", "trials"):
+                if getattr(self, name) is None:
+                    object.__setattr__(self, name, flags.get(name, 1))
         # a --config file reaches here unparsed, so check types before values
         for name in ("k", "rank", "trials", "seed"):
             if not _is_number(getattr(self, name), int):
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        for name in ("command", "estimator", "format"):
+        for name in ("estimator", "format"):
             if not isinstance(getattr(self, name), str):
                 raise ValueError(f"{name} must be a string, got {getattr(self, name)!r}")
         if self.output_path is not None:
@@ -111,8 +118,6 @@ class ExperimentConfig:
             _is_number(e, (int, float)) for e in self.epsilons
         ):
             raise ValueError(f"epsilons must be a list of numbers, got {self.epsilons!r}")
-        if self.command not in COMMANDS:
-            raise ValueError(f"unknown command {self.command!r}; expected one of {COMMANDS}")
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
         # rank <= 2^k, tested without building 2^k: k may be far over the qubit cap
@@ -341,21 +346,11 @@ def _run_hard_instance(config: ExperimentConfig) -> int:
                 # the fidelity to |0...0> the oracle loads: |first entry| of its prepared column
                 fid = float(abs(inst.oracle.prepared_state[0]))
                 expected = math.sqrt(p + inst.sign * eps)
-                rows.append(
-                    {
-                        "p": p,
-                        "epsilon": eps,
-                        "rank": config.rank,
-                        "k": config.k,
-                        "sign": "+" if inst.sign > 0 else "-",
-                        "fidelity": fid,
-                        "expected_fidelity": expected,
-                        "fidelity_residual": abs(fid - expected),
-                        "hellinger": hell,
-                        "expected_hellinger": hell_closed,
-                        "hellinger_residual": abs(hell - hell_closed),
-                    }
+                values = (
+                    p, eps, config.rank, config.k, "+" if inst.sign > 0 else "-",
+                    fid, expected, abs(fid - expected), hell, hell_closed, abs(hell - hell_closed),
                 )
+                rows.append(dict(zip(HARD_CSV_HEADER.split(","), values, strict=True)))
     worst_fid = max(r["fidelity_residual"] for r in rows)
     worst_hell = max(r["hellinger_residual"] for r in rows)
     summary = sys.stderr if config.output_path is None else sys.stdout

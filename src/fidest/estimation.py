@@ -85,10 +85,6 @@ class AmplitudeProblem:
         if self.preparer.layout.size(self.flag_register) != 1:
             raise ValueError(f"flag register {self.flag_register!r} must be one qubit")
 
-    @property
-    def total_qubits(self) -> int:
-        return self.preparer.layout.total_qubits
-
     @functools.cached_property
     def p(self) -> float:
         """flag_probability(self), computed once: the circuit and its oracles are frozen."""
@@ -145,7 +141,11 @@ def _kernel(f: float, d, M: int):
 
 
 class _KernelSampler:
-    """Exact O(1) sampler of the two-branch QPE readout law (see module docstring)."""
+    """Exact O(1) sampler of the two-branch QPE readout law (see module docstring).
+
+    Needs m >= 3, which readout_qubits guarantees: the period then holds the
+    window and at least two tail bins on each side.
+    """
 
     def __init__(self, omega: float, m: int):
         self.M = M = 1 << m
@@ -154,14 +154,10 @@ class _KernelSampler:
         self.f = f = scaled - self.a
         if f == 0.0:
             return
-        half = M // 2
-        self.window = np.arange(max(1 - _WINDOW, 1 - half), min(_WINDOW, half) + 1)
-        cum = np.cumsum(_kernel(f, self.window, M))
-        self.tail_bins = n = half - _WINDOW
-        if n <= 0:  # the window is the whole period; absorb rounding
-            self.cum = (cum / cum[-1]).tolist()
-            return
-        self.cum = cum.tolist()  # the tail holds the remaining mass 1 - cum[-1]
+        self.window = np.arange(1 - _WINDOW, _WINDOW + 1)
+        # the tail holds the remaining mass 1 - cum[-1]
+        self.cum = np.cumsum(_kernel(f, self.window, M)).tolist()
+        self.tail_bins = n = M // 2 - _WINDOW
         # Tail bin j on a side sits at distance z = c + j from f: d = _WINDOW + 1 + j
         # on the right (c = _WINDOW + 1 - f), d = -_WINDOW - j on the left
         # (c = _WINDOW + f).  Its envelope, over sin^2(pi f) / 4, is bounded by

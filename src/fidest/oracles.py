@@ -97,45 +97,22 @@ class PreparationOracle:
         return DensityMatrix(0.5 * (rho + rho.conj().T))
 
 
-def purify(rho: DensityMatrix, ancilla_qubits: int | None = None) -> np.ndarray:
+def purify(rho: DensityMatrix) -> np.ndarray:
     """Unit column of the canonical purification of ``rho`` (system qubits most
-    significant, then ancilla), ancilla size equal to the system.
+    significant, then an ancilla of the system's size).
 
     Eigenvectors are paired with ancilla basis states in descending
-    eigenvalue order, so pure inputs purify to |psi>|0>.  Passing
-    ``ancilla_qubits`` overrides the register size; it must still cover the
-    state's rank (so minimal, rank-sized ancillas are allowed).
+    eigenvalue order, so pure inputs purify to |psi>|0>.  Other ancilla sizes
+    are built as a ``PreparationOracle`` from a column directly.
     """
     w, v = herm_eig(rho.matrix)
     w = np.clip(w[::-1], 0.0, None)
-    v = v[:, ::-1]
-    if ancilla_qubits is None:
-        ancilla_qubits = rho.num_qubits
-    if ancilla_qubits < 0:
-        raise ValueError(f"ancilla_qubits must be non-negative, got {ancilla_qubits}")
-    da = 1 << ancilla_qubits
-    if da < rho.dim:
-        tail = float(np.sum(w[da:]))
-        if tail > 1e-12:
-            raise ValueError(
-                f"{ancilla_qubits} ancilla qubits cannot purify a state with "
-                f"weight {tail:.3e} beyond rank {da}"
-            )
-        w = w[:da]
-        v = v[:, :da]
-    m = v * np.sqrt(w)
-    if da > rho.dim:
-        m = np.concatenate([m, np.zeros((rho.dim, da - rho.dim), dtype=complex)], axis=1)
-    return m.ravel()
+    return (v[:, ::-1] * np.sqrt(w)).ravel()
 
 
-def preparation_oracle(
-    rho: DensityMatrix, label: str = "U", ancilla_qubits: int | None = None
-) -> PreparationOracle:
+def preparation_oracle(rho: DensityMatrix, label: str = "U") -> PreparationOracle:
     """Synthesize a preparation oracle for ``rho`` (ancilla = system size)."""
-    col = purify(rho, ancilla_qubits)
-    n = col.size.bit_length() - 1
-    return PreparationOracle(col, rho.num_qubits, n - rho.num_qubits, label)
+    return PreparationOracle(purify(rho), rho.num_qubits, rho.num_qubits, label)
 
 
 def purified_channel_oracle(

@@ -38,7 +38,7 @@ def grover_operator(problem: AmplitudeProblem, max_qubits: int = GROVER_MAX_QUBI
     about the flag = 0 subspace; with that sign convention the eigenphases
     on the prepared-state plane are exactly +-2 arcsin(sqrt(p)).
     """
-    n = problem.total_qubits
+    n = problem.preparer.layout.total_qubits
     if n > max_qubits:
         raise QubitCapExceeded(f"Grover operator needs {n} qubits, cap is {max_qubits}")
     ua = circuit_unitary(problem.preparer, cap=max_qubits)

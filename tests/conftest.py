@@ -1,6 +1,6 @@
 import numpy as np
 
-from fidest.oracles import PreparationOracle, RandomInstanceSpec, sample_instance
+from fidest.oracles import PreparationOracle, RandomInstanceSpec, purify, sample_instance
 
 
 def mixed_instance(k, rank, seed, label="U"):
@@ -16,6 +16,16 @@ def state_oracle(vec, label="U"):
     dense completion U with U|0...0> = vec."""
     vec = np.asarray(vec, dtype=complex)
     return PreparationOracle(vec, vec.size.bit_length() - 1, 0, label)
+
+
+def resized_oracle(dm, ancilla_qubits, label="U"):
+    """Oracle for ``dm`` with an ``ancilla_qubits``-qubit ancilla: the columns of
+    purify(dm), one per ancilla state, cut to the first 2^ancilla_qubits or
+    zero-padded to them.  A cut must keep the state's rank."""
+    m = purify(dm).reshape(dm.dim, dm.dim)
+    da = 1 << ancilla_qubits
+    m = m[:, :da] if da <= dm.dim else np.pad(m, ((0, 0), (0, da - dm.dim)))
+    return PreparationOracle(m.ravel(), dm.num_qubits, ancilla_qubits, label)
 
 
 def principal_eigvec(dm):

@@ -28,7 +28,7 @@ from fidest.linalg import DensityMatrix, zero_state
 from fidest.oracles import preparation_oracle
 from fidest.reference import circuit_unitary
 
-from conftest import mixed_instance, pure_instance, state_oracle
+from conftest import mixed_instance, pure_instance, resized_oracle, state_oracle
 
 
 class TestRegisterLayout:
@@ -85,10 +85,11 @@ class TestExecute:
         layout = RegisterLayout(("C", "A", "B"), (1, 1, 1))
         circ = Circuit(
             layout,
-            (Gate1Q("X", "C"), OracleOp(u, "controlled", ("C", "A", "B"))),
+            (Gate1Q("H", "C"), OracleOp(u, "controlled", ("C", "A", "B"))),
         )
         state = execute(circ)
-        expected = np.concatenate([np.zeros(4), u.prepared_state])
+        # control |0> leaves |00>, control |1> prepares U|00>
+        expected = np.concatenate([[1.0, 0.0, 0.0, 0.0], u.prepared_state]) / np.sqrt(2.0)
         assert np.max(np.abs(state - expected)) <= 1e-12
         assert circ.queries() == {
             u.label: {"plain": 0, "inverse": 0, "controlled": 1, "controlled_inverse": 0},
@@ -254,7 +255,7 @@ class TestEncodingCircuit:
         def oracle(dm, rank, label):
             size = data.draw(st.sampled_from(("minimal", "k", "oversized")), label=f"{label} ancilla")
             a = {"minimal": (rank - 1).bit_length(), "k": k, "oversized": k + 1}[size]
-            return preparation_oracle(dm, label, ancilla_qubits=a)
+            return resized_oracle(dm, a, label)
 
         r = data.draw(st.integers(1, 1 << k), label="rank rho")
         s = data.draw(st.integers(1, 1 << k), label="rank sigma")

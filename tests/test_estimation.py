@@ -202,19 +202,21 @@ class TestKernelSampler:
         phases = (0.0, 0.5, 1 / M, (M - 1) / M, (5 * M // 7) / M, 1 - 1e-9, *self.GENERIC_PHASES)
         for omega in phases:
             grid = qpe_grid_distribution([omega], [1.0], m)
-            sampler = _KernelSampler(omega, m)
-            if sampler.f == 0.0:
+            a = math.floor(M * omega)
+            f = M * omega - a
+            if f == 0.0:
                 # on-grid phase: a point mass at a, drawn without randomness
-                assert abs(grid[sampler.a % M] - 1.0) <= 1e-12
-                assert sampler.offset(np.random.default_rng(0)) == 0
+                assert abs(grid[a % M] - 1.0) <= 1e-12
+                assert _KernelSampler(omega, m).offset(np.random.default_rng(0)) == 0
                 continue
             d = period_offsets(M)
-            kern = _kernel(sampler.f, d, M)
-            assert np.max(np.abs(kern - grid[(sampler.a + d) % M])) <= 1e-12
-            in_window = np.isin(d, sampler.window)
-            if sampler.tail_bins <= 0:
-                assert in_window.all()
+            kern = _kernel(f, d, M)
+            assert np.max(np.abs(kern - grid[(a + d) % M])) <= 1e-12
+            if m < 3:  # readout_qubits never gives m < 3; the window needs m >= 3
                 continue
+            sampler = _KernelSampler(omega, m)
+            assert (sampler.a, sampler.f) == (a, f)
+            in_window = np.isin(d, sampler.window)
             assert abs(sampler.cum[-1] - kern[in_window].sum()) <= 1e-12
             # the rejection envelope dominates K on every tail bin, and each
             # side's closed-form mass is the sum of its bins
@@ -224,19 +226,6 @@ class TestKernelSampler:
             assert np.all(kern[~in_window] <= envelope)
             for (_, _, mass), side in zip(sampler.sides, (tail > 0, tail < 0)):
                 assert abs(mass - np.sum(1.0 / (z[side] * (z[side] - 1.0)))) <= 1e-12 * mass
-
-    @pytest.mark.parametrize("m", [1, 2])
-    def test_small_m_window_is_whole_period(self, m):
-        M = 1 << m
-        for omega in self.GENERIC_PHASES:
-            sampler = _KernelSampler(omega, m)
-            assert sampler.tail_bins <= 0
-            assert sorted((sampler.a + sampler.window) % M) == list(range(M))
-            grid = qpe_grid_distribution([omega], [1.0], m)
-            probs = np.diff([0.0, *sampler.cum])
-            assert np.max(np.abs(probs - grid[(sampler.a + sampler.window) % M])) <= 1e-12
-            rng = np.random.default_rng(m)
-            assert all(sampler.offset(rng) in sampler.window for _ in range(1000))
 
     @pytest.mark.parametrize("m", [4, 8, 10])
     def test_draws_fit_two_branch_grid(self, m):
@@ -325,6 +314,14 @@ class TestAmplitudeEstimate:
             for d, m in zip(deltas.tolist(), ms):
                 if math.pi / d < math.inf:
                     assert m == math.ceil(math.log2(math.pi / d)) + (2 if square else 1)
+
+    def test_readout_never_below_three_qubits(self):
+        # the precondition of _KernelSampler's fixed window: a tail on both sides
+        deltas = [*np.linspace(1e-3, 0.999, 1000).tolist(), 1.0 - 2.0**-53]
+        for square in (True, False):
+            for delta in deltas:
+                m = readout_qubits(delta, square)
+                assert m >= 3 and (1 << m) // 2 > _WINDOW, (delta, square)
 
 
 class TestSqrtAmplitudeEstimate:

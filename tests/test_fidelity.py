@@ -27,7 +27,7 @@ from fidest.linalg import DensityMatrix, zero_state
 from fidest.oracles import preparation_oracle, purified_channel_oracle
 from fidest.reference import uhlmann_fidelity
 
-from conftest import mixed_instance, principal_eigvec, pure_instance, state_oracle
+from conftest import mixed_instance, principal_eigvec, pure_instance, resized_oracle, state_oracle
 
 # frozen truths, computed with the dense references on the named seeds
 F_K1_SEEDS_42_43 = 0.5965038883615562
@@ -277,7 +277,7 @@ class TestFidelityToPure:
         # unaffected
         rho, _ = mixed_instance(2, 2, 555)
         psi_dm, v = pure_instance(2, 556)
-        u_min = preparation_oracle(rho, "U", ancilla_qubits=1)
+        u_min = resized_oracle(rho, 1, "U")
         truth = exact_fidelity_to_pure(rho, principal_eigvec(psi_dm))
         hits = 0
         for seed in range(40):

@@ -27,7 +27,7 @@ from fidest.oracles import (
 )
 from fidest.reference import circuit_unitary, partial_trace
 
-from conftest import mixed_instance, pure_instance, state_oracle
+from conftest import mixed_instance, pure_instance, resized_oracle, state_oracle
 
 
 def reduced_system_state(col, system_qubits):
@@ -54,24 +54,6 @@ class TestPurify:
         dm, _ = mixed_instance(2, 3, 400 + seed)
         col = purify(dm)
         assert np.max(np.abs(reduced_system_state(col, 2) - dm.matrix)) <= 1e-9
-
-    def test_minimal_ancilla(self):
-        # a rank-2 state on two qubits fits a one-qubit ancilla
-        dm, _ = mixed_instance(2, 2, 410)
-        col = purify(dm, ancilla_qubits=1)
-        assert col.size == 4 * 2
-        assert np.max(np.abs(reduced_system_state(col, 2) - dm.matrix)) <= 1e-9
-
-    def test_minimal_ancilla_must_cover_rank(self):
-        dm, _ = mixed_instance(2, 3, 411)
-        with pytest.raises(ValueError, match="cannot purify"):
-            purify(dm, ancilla_qubits=1)
-
-    def test_oversized_ancilla(self):
-        dm, _ = mixed_instance(1, 2, 412)
-        col = purify(dm, ancilla_qubits=3)
-        assert col.size == 2 * 8
-        assert np.max(np.abs(reduced_system_state(col, 1) - dm.matrix)) <= 1e-9
 
 
 #: Householder edge cases, fed to the completion and invocation tests beside random columns
@@ -234,7 +216,7 @@ class TestPurifiedChannelOracle:
         rng = np.random.default_rng(78)
         q, _ = np.linalg.qr(rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))
         dm, _ = mixed_instance(1, 2, 79)
-        u = preparation_oracle(dm, "U", ancilla_qubits=2)
+        u = resized_oracle(dm, 2, "U")
         circuit = build_encoding_circuit(u, purified_channel_oracle(q, 1, "V"))
         amp = analyze_flagged(execute(circuit), circuit.layout, ("A", "B")).flagged_amplitude
         # inline with the raw q: U|0> V|0> on (A, B, A', B'), swap B and B', q^dag on A, B

@@ -2,8 +2,9 @@
 estimators are defined only by the table in fidest.fidelity, the circuit
 executor builds no dense padded or controlled matrix and reads no oracle matrix,
 oracles and circuits are immutable values whose queries are counted, not kept,
-each rule (query kinds, test-only linear algebra, purity) has one home, and the
-package keeps no surface that only tests reach."""
+each rule (query kinds, test-only linear algebra, purity) has one home, the
+package keeps no surface that only tests reach, and a config's defaults are
+its command's flag defaults."""
 
 import ast
 import dataclasses
@@ -14,13 +15,21 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import fidest
-from fidest.circuits import Circuit, OracleOp, RegisterLayout
+from fidest.circuits import _GATES_1Q, Circuit, OracleOp, RegisterLayout
+from fidest.cli import COMMANDS, ExperimentConfig, build_parser, config_from_args
 from fidest.estimation import AmplitudeProblem
 from fidest.fidelity import ESTIMATORS, HardInstance
 from fidest.linalg import DensityMatrix
-from fidest.oracles import INSTANCE_KINDS, PreparationOracle, RandomInstanceSpec, preparation_oracle
+from fidest.oracles import (
+    INSTANCE_KINDS,
+    PreparationOracle,
+    RandomInstanceSpec,
+    preparation_oracle,
+    purify,
+)
 
 PACKAGE = Path(fidest.__file__).parent
 
@@ -39,8 +48,12 @@ def imported_modules(path):
     return names
 
 
-def test_cli_import_loads_no_scipy():
-    code = "import sys, fidest.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+def loaded_modules(module):
+    """Sorted fidest and scipy modules a fresh interpreter holds after importing ``module``."""
+    code = (
+        f"import sys, {module}; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('fidest', 'scipy')))"
+    )
     out = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
@@ -48,7 +61,21 @@ def test_cli_import_loads_no_scipy():
         check=True,
         env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
     ).stdout
-    assert out.strip() == "[]"
+    return ast.literal_eval(out.strip())
+
+
+def test_cli_import_loads_no_scipy():
+    assert not [m for m in loaded_modules("fidest.cli") if m.startswith("scipy")]
+
+
+def test_package_import_loads_the_production_modules_only():
+    # the modules the CLI runs, loaded before the CLI binds their functions;
+    # neither the CLI, the dense reference nor scipy
+    production = ["circuits", "estimation", "fidelity", "linalg", "oracles"]
+    assert loaded_modules("fidest") == ["fidest", *(f"fidest.{name}" for name in production)]
+    # names are imported from their modules: the package binds no function or class
+    values = [getattr(fidest, name) for name in dir(fidest)]
+    assert not [v for v in values if inspect.isfunction(v) or inspect.isclass(v)]
 
 
 def test_only_the_reference_module_imports_scipy():
@@ -156,3 +183,17 @@ def test_no_test_only_surface():
     assert [f.name for f in dataclasses.fields(RandomInstanceSpec)] == ["k", "rank", "seed", "kind"]
     assert INSTANCE_KINDS == ("haar_pure", "ginibre_mixed")
     assert "target" not in [f.name for f in dataclasses.fields(HardInstance)]
+
+
+def test_only_production_options_remain():
+    # purify's ancilla override, the X gate and AmplitudeProblem.total_qubits
+    # had no caller outside the tests
+    for function in (purify, preparation_oracle):
+        assert "ancilla_qubits" not in inspect.signature(function).parameters
+    assert set(_GATES_1Q) == {"H"}
+    assert not hasattr(AmplitudeProblem, "total_qubits")
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_config_defaults_are_the_flag_defaults(command):
+    assert ExperimentConfig(command=command) == config_from_args(build_parser().parse_args([command]))
