@@ -26,8 +26,10 @@ integral over the unit interval between that bin and the peak, and those
 integrals telescope, so the proposal's inverse CDF is closed-form.
 
 The estimators read out sin^2(pi y / M) (for p) or sin(pi y / M) (for
-sqrt(p)) and take the lower median of 15 repetitions, each drawn from its
-own generator default_rng([seed, rep]).  With M >= 4 pi / delta
+sqrt(p)) and take the lower median of 15 repetitions.  Repetition rep draws
+the uniform stream of default_rng([seed, rep]); the streams depend only on
+the seed, so they are built once per seed and replayed, and an estimate does
+not depend on which delta ran before it.  With M >= 4 pi / delta
 (respectively 2 pi / delta) a single repetition lands within delta with
 probability at least 8/pi^2, and the median amplifies that well past 2/3.
 fidest.reference.qpe_grid_distribution builds the whole 2^m grid; it is the
@@ -48,6 +50,7 @@ import bisect
 import functools
 import json
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -221,6 +224,47 @@ def _query_tally(problem: AmplitudeProblem, m: int, repetitions: int) -> dict:
     return tally
 
 
+@functools.lru_cache(maxsize=1)
+def _repetition_streams(seed: int) -> tuple:
+    """Per repetition, the generator default_rng([seed, rep]) and the uniforms drawn from it.
+
+    Every epsilon of a sweep trial shares its seed, so the streams are built
+    once per seed and replayed.  Each record starts with the branch and the
+    window draw (random(2) yields the same doubles as two scalar calls) and
+    _Replay extends it past that on demand.
+    """
+    streams = []
+    for rep in range(DEFAULT_REPETITIONS):
+        rng = np.random.default_rng([seed, rep])
+        streams.append((rng, rng.random(2).tolist()))
+    return tuple(streams)
+
+
+#: Serialises extending a recorded stream, whose generator sits at its end.
+_EXTEND_LOCK = threading.Lock()
+
+
+class _Replay:
+    """Cursor over a recorded uniform stream: the random() of the generator it replays."""
+
+    __slots__ = ("_rng", "_drawn", "_next")
+
+    def __init__(self, rng: np.random.Generator, drawn: list):
+        self._rng = rng
+        self._drawn = drawn
+        self._next = 0
+
+    def random(self) -> float:
+        i = self._next
+        self._next = i + 1
+        drawn = self._drawn
+        if i >= len(drawn):
+            with _EXTEND_LOCK:
+                while len(drawn) <= i:
+                    drawn.append(self._rng.random())
+        return drawn[i]
+
+
 def _estimate(problem, delta, seed, square):
     m = readout_qubits(delta, square)
     if m > ESTIMATOR_MAX_M:
@@ -232,8 +276,8 @@ def _estimate(problem, delta, seed, square):
     sampler = _KernelSampler(math.asin(math.sqrt(problem.p)) / math.pi, m)
     M = 1 << m
     values = []
-    for rep in range(DEFAULT_REPETITIONS):
-        y = sampler.draw(np.random.default_rng([seed, rep]))
+    for rng, drawn in _repetition_streams(seed):
+        y = sampler.draw(_Replay(rng, drawn))
         amp = math.sin(math.pi * y / M)
         values.append(amp * amp if square else amp)
     estimate = sorted(values)[(DEFAULT_REPETITIONS - 1) // 2]

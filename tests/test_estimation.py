@@ -1,10 +1,14 @@
 """Tests for the amplitude/phase estimation engine."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fidest.circuits import (
     Circuit,
@@ -13,6 +17,7 @@ from fidest.circuits import (
     RegisterLayout,
     build_flagged_encoding,
 )
+from fidest.cli import main
 from fidest.estimation import (
     _WINDOW,
     DEFAULT_REPETITIONS,
@@ -21,6 +26,8 @@ from fidest.estimation import (
     _kernel,
     _KernelSampler,
     _query_tally,
+    _repetition_streams,
+    _Replay,
     amplitude_estimate,
     flag_probability,
     readout_qubits,
@@ -361,6 +368,103 @@ class TestSqrtAmplitudeEstimate:
         for seed in range(10):
             result = sqrt_amplitude_estimate(instance_problem(), 0.2, seed=seed)
             assert 0.0 <= result.estimate <= 1.0
+
+
+def fresh_stream_estimate(problem, delta, seed, square):
+    """The estimate with a fresh default_rng([seed, rep]) built for every repetition."""
+    m = readout_qubits(delta, square)
+    sampler = _KernelSampler(math.asin(math.sqrt(problem.p)) / math.pi, m)
+    values = []
+    for rep in range(DEFAULT_REPETITIONS):
+        amp = math.sin(math.pi * sampler.draw(np.random.default_rng([seed, rep])) / (1 << m))
+        values.append(amp * amp if square else amp)
+    return sorted(values)[(DEFAULT_REPETITIONS - 1) // 2]
+
+
+# neither increasing nor decreasing, so a replay follows both a smaller and a larger m
+REPLAY_DELTAS = (0.01, 0.1, 1e-5, 0.003, 0.05)
+
+
+def assert_replays_fresh_streams(problem, seeds):
+    for seed in seeds:
+        for delta in REPLAY_DELTAS:
+            for estimate, square in ((sqrt_amplitude_estimate, False), (amplitude_estimate, True)):
+                got = estimate(problem, delta, seed).estimate
+                assert got == fresh_stream_estimate(problem, delta, seed, square), (seed, delta, square)
+
+
+def heavy_tail_problem():
+    """Flagged probability whose phase sits at M omega = 100.37 for M = 2^10
+    (sqrt readout at delta 0.01): f = 0.37 puts 8.4% of each draw in the tail."""
+    return flag_problem(math.sin(math.pi * 100.37 / 1024) ** 2)
+
+
+class TestRepetitionStreams:
+    @settings(database=None, deadline=None, max_examples=30)
+    @given(
+        p=st.floats(0.0, 1.0),
+        seed_a=st.integers(0, 2**63 - 1),
+        seed_b=st.integers(0, 2**63 - 1),
+    )
+    def test_replay_changes_no_draw(self, p, seed_a, seed_b):
+        assert_replays_fresh_streams(flag_problem(p), (seed_a, seed_b, seed_a))
+
+    @pytest.mark.parametrize(
+        "p",
+        [math.sin(math.pi * 5 / 32) ** 2, 0.0, 1.0],
+        ids=["grid-aligned", "p0", "p1"],
+    )
+    def test_replay_changes_no_draw_at_a_point_mass(self, p):
+        assert_replays_fresh_streams(flag_problem(p), (3, 8, 3))
+
+    def test_replay_extends_a_heavy_tail_stream(self):
+        assert_replays_fresh_streams(heavy_tail_problem(), (3, 8, 3))
+        # the last seed's streams are still cached; the tail drew past the
+        # branch and window draws of at least one repetition
+        assert max(len(drawn) for _, drawn in _repetition_streams(3)) > 2
+
+    def test_concurrent_cursors_extend_a_stream_in_order(self):
+        # more threads than cores extend one shared record at once; each must
+        # read the generator's own sequence and the record must stay that sequence
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for seed in range(20):
+                rng, drawn = _repetition_streams(seed)[0]
+                start = threading.Barrier(4)
+                read = []
+
+                def work():
+                    cursor = _Replay(rng, drawn)
+                    start.wait(timeout=60)
+                    read.append([cursor.random() for _ in range(2000)])
+
+                threads = [threading.Thread(target=work) for _ in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                fresh = np.random.default_rng([seed, 0]).random(2000).tolist()
+                assert read == [fresh] * 4 and drawn == fresh, seed
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_sweep_builds_each_repetition_stream_once_per_seed(self, monkeypatch, capsys):
+        built = []
+        default_rng = np.random.default_rng
+
+        def counting_default_rng(seed=None):
+            if isinstance(seed, list) and len(seed) == 2:
+                built.append(tuple(seed))
+            return default_rng(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", counting_default_rng)
+        _repetition_streams.cache_clear()
+        argv = ["sweep", "--estimator", "optimal", "--k", "2", "--trials", "2"]
+        assert main([*argv, "--epsilons", "0.1,0.05,0.03,0.02,0.01"]) == 0
+        # 2 trials x 15 repetitions; one generator per estimate would be 5 x 30
+        assert len(built) == len(set(built)) == 2 * DEFAULT_REPETITIONS
 
 
 class TestQueryAccounting:
