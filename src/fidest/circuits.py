@@ -263,11 +263,10 @@ def analyze_flagged(state: np.ndarray, layout: RegisterLayout, zero_registers) -
     """
     zero_registers = tuple(zero_registers)
     first, width = _block(layout, zero_registers) if zero_registers else (0, 0)
+    # axis 1 holds the zero registers' value
     blocks = np.asarray(state, dtype=complex).reshape(1 << first, 1 << width, -1)
-    # rows: the zero registers' value; columns: the other qubits in order
-    rows = blocks.swapaxes(0, 1).reshape(1 << width, -1)
-    flagged = float(np.linalg.norm(rows[0]))
-    residual = float(np.linalg.norm(rows[1:]))
+    flagged = float(np.linalg.norm(blocks[:, 0]))
+    residual = float(np.linalg.norm(blocks[:, 1:]))
     return FlaggedAmplitudeAnalysis(flagged, residual)
 
 

@@ -23,7 +23,9 @@ against the envelope sin^2(pi f) / (4 (f - d)^2), which dominates K because
 |sin(pi t)| >= 2|t| for |t| <= 1/2 (Brassard, Hoyer, Mosca and Tapp,
 quant-ph/0005055, Thm 11).  The envelope at each bin is bounded by its
 integral over the unit interval between that bin and the peak, and those
-integrals telescope, so the proposal's inverse CDF is closed-form.
+integrals telescope, so the proposal's inverse CDF is closed-form.  Each
+outcome probability is one scalar float expression, K at one offset, and the
+sampler builds no arrays: numpy only seeds the repetition streams.
 
 The estimators read out sin^2(pi y / M) (for p) or sin(pi y / M) (for
 sqrt(p)) and take the lower median of 15 repetitions.  Repetition rep draws
@@ -48,6 +50,7 @@ from __future__ import annotations
 
 import bisect
 import functools
+import itertools
 import json
 import math
 import threading
@@ -132,22 +135,23 @@ def flag_probability(problem: AmplitudeProblem) -> float:
     return min(max(amp.flagged_amplitude**2, 0.0), 1.0)
 
 
-def _kernel(f: float, d, M: int):
-    """K(d) = sin^2(pi f) / (M^2 sin^2(pi (f - d) / M)) for 0 < f < 1 and offsets d.
+def _kernel(f: float, d: int, M: int) -> float:
+    """K(d) = sin^2(pi f) / (M^2 sin^2(pi (f - d) / M)) for 0 < f < 1 and one integer offset d.
 
     The probability that the readout lands at a + d when M omega = a + f.
     sin(pi f) is taken on min(f, 1 - f), which is exact (1 - f is, for
     f >= 1/2), so K keeps full relative precision when f is near 0 or 1.
     """
-    num = math.sin(math.pi * min(f, 1.0 - f))
-    return (num / (M * np.sin(np.pi * (f - d) / M))) ** 2
+    t = math.sin(math.pi * min(f, 1.0 - f)) / (M * math.sin(math.pi * (f - d) / M))
+    return t * t
 
 
 class _KernelSampler:
     """Exact O(1) sampler of the two-branch QPE readout law (see module docstring).
 
     Needs m >= 3, which readout_qubits guarantees: the period then holds the
-    window and at least two tail bins on each side.
+    window and at least two tail bins on each side.  An rng is anything whose
+    random() returns uniform doubles.
     """
 
     def __init__(self, omega: float, m: int):
@@ -157,9 +161,9 @@ class _KernelSampler:
         self.f = f = scaled - self.a
         if f == 0.0:
             return
-        self.window = np.arange(1 - _WINDOW, _WINDOW + 1)
         # the tail holds the remaining mass 1 - cum[-1]
-        self.cum = np.cumsum(_kernel(f, self.window, M)).tolist()
+        window = range(1 - _WINDOW, _WINDOW + 1)
+        self.cum = list(itertools.accumulate(_kernel(f, d, M) for d in window))
         self.tail_bins = n = M // 2 - _WINDOW
         # Tail bin j on a side sits at distance z = c + j from f: d = _WINDOW + 1 + j
         # on the right (c = _WINDOW + 1 - f), d = -_WINDOW - j on the left
@@ -172,13 +176,13 @@ class _KernelSampler:
         self.right_share = self.sides[0][2] / (self.sides[0][2] + self.sides[1][2])
         self.scale = math.sin(math.pi * min(f, 1.0 - f)) ** 2 / 4.0
 
-    def offset(self, rng: np.random.Generator) -> int:
+    def offset(self, rng) -> int:
         """One offset d of the branch at omega, so the outcome is (a + d) mod M."""
         if self.f == 0.0:
             return 0
         i = bisect.bisect_right(self.cum, rng.random())
         if i < len(self.cum):
-            return int(self.window[i])
+            return i + 1 - _WINDOW
         # Tail: pick a side with probability proportional to its envelope
         # mass, then a bin by inverse CDF (1/z is uniform between the side's
         # ends), and accept with probability K(d) / envelope(d).
@@ -192,7 +196,7 @@ class _KernelSampler:
             if rng.random() * self.scale / (z * (z - 1.0)) <= _kernel(self.f, d, self.M):
                 return d
 
-    def draw(self, rng: np.random.Generator) -> int:
+    def draw(self, rng) -> int:
         """One outcome y in [0, M): branch omega or 1 - omega with probability 1/2 each."""
         mirrored = rng.random() < 0.5
         y = (self.a + self.offset(rng)) % self.M
@@ -249,7 +253,7 @@ class _Replay:
 
     __slots__ = ("_rng", "_drawn", "_next")
 
-    def __init__(self, rng: np.random.Generator, drawn: list):
+    def __init__(self, rng, drawn: list):
         self._rng = rng
         self._drawn = drawn
         self._next = 0
@@ -274,21 +278,18 @@ def _estimate(problem, delta, seed, square):
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
     sampler = _KernelSampler(math.asin(math.sqrt(problem.p)) / math.pi, m)
-    M = 1 << m
     values = []
     for rng, drawn in _repetition_streams(seed):
         y = sampler.draw(_Replay(rng, drawn))
-        amp = math.sin(math.pi * y / M)
+        amp = math.sin(math.pi * y / sampler.M)
         values.append(amp * amp if square else amp)
-    estimate = sorted(values)[(DEFAULT_REPETITIONS - 1) // 2]
-    queries = _query_tally(problem, m, DEFAULT_REPETITIONS)
     return EstimationResult(
-        estimate=float(estimate),
+        estimate=sorted(values)[(DEFAULT_REPETITIONS - 1) // 2],
         delta=float(delta),
         m=m,
         repetitions=DEFAULT_REPETITIONS,
         seed=seed,
-        queries=queries,
+        queries=_query_tally(problem, m, DEFAULT_REPETITIONS),
         grover_applications=((1 << m) - 1) * DEFAULT_REPETITIONS,
     )
 

@@ -202,6 +202,8 @@ def period_offsets(M):
 
 class TestKernelSampler:
     GENERIC_PHASES = (0.123456789, 0.3, 0.7071, 0.987654321)
+    # the offsets the sampler draws by inverse CDF; the rest of the period is its tail
+    WINDOW = np.arange(1 - _WINDOW, _WINDOW + 1)
 
     @pytest.mark.parametrize("m", range(1, 15))
     def test_kernel_matches_grid_entry_by_entry(self, m):
@@ -217,13 +219,13 @@ class TestKernelSampler:
                 assert _KernelSampler(omega, m).offset(np.random.default_rng(0)) == 0
                 continue
             d = period_offsets(M)
-            kern = _kernel(f, d, M)
+            kern = np.array([_kernel(f, offset, M) for offset in d.tolist()])
             assert np.max(np.abs(kern - grid[(a + d) % M])) <= 1e-12
             if m < 3:  # readout_qubits never gives m < 3; the window needs m >= 3
                 continue
             sampler = _KernelSampler(omega, m)
             assert (sampler.a, sampler.f) == (a, f)
-            in_window = np.isin(d, sampler.window)
+            in_window = np.isin(d, self.WINDOW)
             assert abs(sampler.cum[-1] - kern[in_window].sum()) <= 1e-12
             # the rejection envelope dominates K on every tail bin, and each
             # side's closed-form mass is the sum of its bins
@@ -250,14 +252,14 @@ class TestKernelSampler:
         omega = (int(0.3 * M) + 0.37) / M  # f = 0.37: a heavy, asymmetric tail
         sampler = _KernelSampler(omega, m)
         d = period_offsets(M)
-        tail = d[~np.isin(d, sampler.window)]
+        tail = d[~np.isin(d, self.WINDOW)]
         tail_probs = qpe_grid_distribution([omega], [1.0], m)[(sampler.a + tail) % M]
         tail_mass = tail_probs.sum()
         rng = np.random.default_rng(2000 + m)
         n = 50_000
         offsets = np.array([sampler.offset(rng) for _ in range(n)])
         assert np.all((offsets >= 1 - M // 2) & (offsets <= M // 2))
-        drawn_tail = offsets[~np.isin(offsets, sampler.window)]
+        drawn_tail = offsets[~np.isin(offsets, self.WINDOW)]
         rate = drawn_tail.size / n
         assert abs(rate - tail_mass) <= 5.0 * math.sqrt(tail_mass * (1.0 - tail_mass) / n)
         # shape of the tail draws, bucketed by side and octave of |d|

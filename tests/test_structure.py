@@ -3,8 +3,8 @@ estimators are defined only by the table in fidest.fidelity, the circuit
 executor builds no dense padded or controlled matrix and reads no oracle matrix,
 oracles and circuits are immutable values whose queries are counted, not kept,
 each rule (query kinds, test-only linear algebra, purity) has one home, the
-package keeps no surface that only tests reach, and a config's defaults are
-its command's flag defaults."""
+package keeps no surface that only tests reach, a config's defaults are its
+command's flag defaults, and the QPE sampler draws in plain floats."""
 
 import ast
 import dataclasses
@@ -20,7 +20,7 @@ import pytest
 import fidest
 from fidest.circuits import _GATES_1Q, Circuit, OracleOp, RegisterLayout
 from fidest.cli import COMMANDS, ExperimentConfig, build_parser, config_from_args
-from fidest.estimation import AmplitudeProblem
+from fidest.estimation import AmplitudeProblem, _KernelSampler
 from fidest.fidelity import ESTIMATORS, HardInstance
 from fidest.linalg import DensityMatrix
 from fidest.oracles import (
@@ -197,3 +197,17 @@ def test_only_production_options_remain():
 @pytest.mark.parametrize("command", COMMANDS)
 def test_config_defaults_are_the_flag_defaults(command):
     assert ExperimentConfig(command=command) == config_from_args(build_parser().parse_args([command]))
+
+
+def numpy_names(node):
+    return [n.id for n in ast.walk(node) if isinstance(n, ast.Name) and n.id in ("np", "numpy")]
+
+
+def test_the_sampler_draws_in_plain_floats():
+    # K(d) is one scalar float expression evaluated one offset at a time; numpy
+    # only builds the repetition generators
+    tree = ast.parse((PACKAGE / "estimation.py").read_text(encoding="utf-8"))
+    top = {n.name: n for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+    # so _kernel and _KernelSampler name no np or numpy
+    assert [name for name, node in top.items() if numpy_names(node)] == ["_repetition_streams"]
+    assert not hasattr(_KernelSampler(0.3, 4), "window")
