@@ -79,9 +79,6 @@ class RegisterLayout:
     def total_qubits(self) -> int:
         return sum(self.sizes)
 
-    def size(self, name: str) -> int:
-        return self.sizes[self.names.index(name)]
-
     def qubits(self, name: str) -> list:
         """Global qubit indices of a register (qubit 0 = most significant)."""
         if name not in self.names:

@@ -127,11 +127,12 @@ class ExperimentConfig:
             raise ValueError(
                 f"unknown estimator {self.estimator!r}; expected one of {tuple(ESTIMATORS)}"
             )
-        eps = tuple(float(e) for e in self.epsilons)
-        if not eps:
+        if not self.epsilons:
             raise ValueError("at least one epsilon is required")
-        if any(not 0.0 < e < 1.0 for e in eps):
-            raise ValueError(f"epsilons must lie in (0, 1), got {eps}")
+        # compared before float(): an integer too large for a float is out of range, not an overflow
+        if any(not 0.0 < e < 1.0 for e in self.epsilons):
+            raise ValueError(f"epsilons must lie in (0, 1), got {tuple(self.epsilons)}")
+        eps = tuple(float(e) for e in self.epsilons)
         object.__setattr__(self, "epsilons", eps)
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")

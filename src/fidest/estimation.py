@@ -37,13 +37,15 @@ probability at least 8/pi^2, and the median amplifies that well past 2/3.
 fidest.reference.qpe_grid_distribution builds the whole 2^m grid; it is the
 reference the sampler is tested against.
 
-Query accounting is closed-form, from the tallies of one preparer execution
-(``Circuit.queries``).  Each repetition runs the preparer once, so every
-query of it counts once per repetition with its own kind.  It then runs
-2^m - 1 Grover steps Q = -A S_0 A^dag S_chi under a readout control, and a
-step runs the preparer A once forward and once inverted, so every preparer
-query, of whatever kind, adds one controlled and one controlled_inverse
-query per step.  The tallies are returned with the run's result.
+An estimate is a function of the flagged probability p, the tallies of one
+preparer execution (``Circuit.queries``), delta and the seed; nothing here
+runs a circuit.  Query accounting is closed-form, from those tallies.  Each
+repetition runs the preparer once, so every query of it counts once per
+repetition with its own kind.  It then runs 2^m - 1 Grover steps
+Q = -A S_0 A^dag S_chi under a readout control, and a step runs the
+preparer A once forward and once inverted, so every preparer query, of
+whatever kind, adds one controlled and one controlled_inverse query per
+step.  The tallies are returned with the run's result.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import Circuit, QubitCapExceeded, analyze_flagged, execute
+from .circuits import QubitCapExceeded
 from .oracles import QUERY_KINDS
 
 #: Repetitions whose lower median is reported.
@@ -72,29 +74,6 @@ ESTIMATOR_MAX_M = 48
 #: Offsets d in [1 - _WINDOW, _WINDOW] around the kernel peak are drawn by
 #: inverse CDF, the rest of the period by rejection.
 _WINDOW = 2
-
-
-@dataclass(frozen=True, eq=False)
-class AmplitudeProblem:
-    """A state preparer whose flag register carries the amplitude of interest.
-
-    The good subspace is flag = |0>: the preparer maps |0...0> to
-    sqrt(p)|0>_flag|phi0> + sqrt(1-p)|1>_flag|phi1>.
-    """
-
-    preparer: Circuit
-    flag_register: str
-
-    def __post_init__(self):
-        if self.flag_register not in self.preparer.layout.names:
-            raise ValueError(f"flag register {self.flag_register!r} not in layout")
-        if self.preparer.layout.size(self.flag_register) != 1:
-            raise ValueError(f"flag register {self.flag_register!r} must be one qubit")
-
-    @functools.cached_property
-    def p(self) -> float:
-        """flag_probability(self), computed once: the circuit and its oracles are frozen."""
-        return flag_probability(self)
 
 
 @dataclass(eq=False)
@@ -126,13 +105,6 @@ class EstimationResult:
             "grover_applications": self.grover_applications,
         }
         return json.dumps(payload)
-
-
-def flag_probability(problem: AmplitudeProblem) -> float:
-    """Exact probability of flag = 0 after the preparer."""
-    state = execute(problem.preparer)
-    amp = analyze_flagged(state, problem.preparer.layout, (problem.flag_register,))
-    return min(max(amp.flagged_amplitude**2, 0.0), 1.0)
 
 
 def _kernel(f: float, d: int, M: int) -> float:
@@ -217,14 +189,14 @@ def readout_qubits(delta: float, square: bool) -> int:
     return math.ceil(bits) + (2 if square else 1)
 
 
-def _query_tally(problem: AmplitudeProblem, m: int, repetitions: int) -> dict:
-    """Closed-form per-oracle tallies of one estimator run, built from one preparer execution's."""
+def _query_tally(once: dict, m: int, repetitions: int) -> dict:
+    """Closed-form per-oracle tallies of one estimator run, from one preparer execution's."""
     grover_steps = ((1 << m) - 1) * repetitions
     tally: dict = {}
-    for label, once in problem.preparer.queries().items():
-        per_oracle = tally[label] = {kind: count * repetitions for kind, count in once.items()}
+    for label, counts in once.items():
+        per_oracle = tally[label] = {kind: count * repetitions for kind, count in counts.items()}
         for kind in ("controlled", "controlled_inverse"):
-            per_oracle[kind] += sum(once.values()) * grover_steps
+            per_oracle[kind] += sum(counts.values()) * grover_steps
     return tally
 
 
@@ -269,7 +241,7 @@ class _Replay:
         return drawn[i]
 
 
-def _estimate(problem, delta, seed, square):
+def _estimate(p, once, delta, seed, square):
     m = readout_qubits(delta, square)
     if m > ESTIMATOR_MAX_M:
         raise QubitCapExceeded(
@@ -277,7 +249,7 @@ def _estimate(problem, delta, seed, square):
         )
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
-    sampler = _KernelSampler(math.asin(math.sqrt(problem.p)) / math.pi, m)
+    sampler = _KernelSampler(math.asin(math.sqrt(p)) / math.pi, m)
     values = []
     for rng, drawn in _repetition_streams(seed):
         y = sampler.draw(_Replay(rng, drawn))
@@ -289,25 +261,25 @@ def _estimate(problem, delta, seed, square):
         m=m,
         repetitions=DEFAULT_REPETITIONS,
         seed=seed,
-        queries=_query_tally(problem, m, DEFAULT_REPETITIONS),
+        queries=_query_tally(once, m, DEFAULT_REPETITIONS),
         grover_applications=((1 << m) - 1) * DEFAULT_REPETITIONS,
     )
 
 
-def amplitude_estimate(problem: AmplitudeProblem, delta: float, seed: int) -> EstimationResult:
-    """Estimate the flagged probability p to within delta (prob >= 2/3).
+def amplitude_estimate(p: float, once: dict, delta: float, seed: int) -> EstimationResult:
+    """Estimate the flagged probability p of a preparer that queries ``once`` to within delta.
 
-    Uses m = ceil(log2(pi/delta)) + 2 readout qubits and O(1/delta) preparer
-    queries; deterministic given (problem, delta, seed).
+    Succeeds with probability >= 2/3, using m = ceil(log2(pi/delta)) + 2
+    readout qubits and O(1/delta) preparer queries.
     """
-    return _estimate(problem, delta, seed, True)
+    return _estimate(p, once, delta, seed, True)
 
 
-def sqrt_amplitude_estimate(problem: AmplitudeProblem, delta: float, seed: int) -> EstimationResult:
+def sqrt_amplitude_estimate(p: float, once: dict, delta: float, seed: int) -> EstimationResult:
     """Estimate the flagged amplitude sqrt(p) to within delta (prob >= 2/3).
 
     Same machinery as amplitude_estimate with a sin readout and
     m = ceil(log2(pi/delta)) + 1: since |sin(pi y/M) - sin(pi omega)| <=
     pi |y/M - omega|, the QPE grid guarantee transfers to sqrt(p) directly.
     """
-    return _estimate(problem, delta, seed, False)
+    return _estimate(p, once, delta, seed, False)

@@ -12,7 +12,6 @@ import numpy as np
 from .circuits import QubitCapExceeded, build_flagged_encoding, build_swap_test
 from .estimation import (
     ESTIMATOR_MAX_M,
-    AmplitudeProblem,
     EstimationResult,
     amplitude_estimate,
     readout_qubits,
@@ -107,23 +106,42 @@ class Estimator:
             return readout_qubits(_swap_delta(epsilon), square=True)
         return readout_qubits(epsilon, square=False)
 
+    def flag_probability(self, rho_oracle: PreparationOracle, second_oracle: PreparationOracle):
+        """Pr[C = 0] of this estimator's circuit on the pair, from the two prepared columns.
+
+        With M_u, M_v the columns as 2^k x 2^ancilla matrices (rho = M_u M_u^dag,
+        sigma = M_v M_v^dag), the flagged encoding has p = tr(rho sigma^2) =
+        ||M_v M_v^dag M_u||_F^2 and the SWAP test p = (1 + ||M_u^dag M_v||_F^2)/2.
+        """
+        mu = rho_oracle.prepared_state.reshape(1 << rho_oracle.system_qubits, -1)
+        mv = second_oracle.prepared_state.reshape(1 << second_oracle.system_qubits, -1)
+        # einsum, not BLAS, as in PreparationOracle.apply
+        overlap = np.einsum("ia,ib->ab", mu.conj(), mv)
+        if self.swap_test:
+            p = (1.0 + float(np.vdot(overlap, overlap).real)) / 2.0
+        else:
+            flagged = np.einsum("ib,ab->ia", mv, overlap.conj())
+            p = float(np.vdot(flagged, flagged).real)
+        return min(max(p, 0.0), 1.0)
+
     def bind(self, name: str, rho_oracle: PreparationOracle, second_oracle: PreparationOracle):
         """Check the required purities and build the circuit once for an oracle pair.
 
         Returns estimate(epsilon, seed) -> EstimationResult; every call shares
-        the pair's AmplitudeProblem, so the circuit is executed once.
+        the pair's p, taken once from the columns, and the circuit is never executed.
         """
         if self.second_pure and not second_oracle.reduced_state().is_pure():
             raise ValueError(f"the {name} estimator requires a pure second state")
         if self.first_pure and not rho_oracle.reduced_state().is_pure():
             raise ValueError(f"the {name} estimator requires a pure first state")
         build = build_swap_test if self.swap_test else build_flagged_encoding
-        problem = AmplitudeProblem(build(rho_oracle, second_oracle), "C")
+        once = build(rho_oracle, second_oracle).queries()  # building checks the pair
+        p = self.flag_probability(rho_oracle, second_oracle)
         if not self.swap_test:
-            return lambda epsilon, seed: sqrt_amplitude_estimate(problem, epsilon, seed)
+            return lambda epsilon, seed: sqrt_amplitude_estimate(p, once, epsilon, seed)
 
         def estimate(epsilon: float, seed: int) -> EstimationResult:
-            inner = amplitude_estimate(problem, _swap_delta(epsilon), seed)
+            inner = amplitude_estimate(p, once, _swap_delta(epsilon), seed)
             # near F = 0 the back-transform 2p - 1 can go negative; clamping
             # it at zero inflates the worst-case error there
             value = math.sqrt(max(2.0 * inner.estimate - 1.0, 0.0))

@@ -1,10 +1,11 @@
 """Brute-force dense references that the tests check the production path against.
 
-Nothing in the estimators or the CLI imports this module: the dense
-circuit unitary, the dense Grover operator, the full 2^m phase-estimation
-outcome grid (closed-form and Schur-based), the partial trace of a dense
-matrix and Uhlmann fidelity cost time and memory that grow with operator
-size or 2^m.  It is the only module of the package that imports scipy.
+Nothing in the estimators or the CLI imports this module: the executed
+flag probability, the dense circuit unitary, the dense Grover operator, the
+full 2^m phase-estimation outcome grid (closed-form and Schur-based), the
+partial trace of a dense matrix and Uhlmann fidelity cost time and memory
+that grow with the state, the operator or 2^m.  It is the only module of
+the package that imports scipy.
 """
 
 from __future__ import annotations
@@ -12,8 +13,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-from .circuits import Circuit, QubitCapExceeded, _apply_op
-from .estimation import AmplitudeProblem
+from .circuits import Circuit, QubitCapExceeded, _apply_op, analyze_flagged, execute
 from .linalg import DensityMatrix, herm_eig, require_unitary
 
 #: Qubit cap for materializing a dense Grover operator.
@@ -31,21 +31,29 @@ def circuit_unitary(circuit: Circuit, cap: int = 12) -> np.ndarray:
     return state
 
 
-def grover_operator(problem: AmplitudeProblem, max_qubits: int = GROVER_MAX_QUBITS) -> np.ndarray:
-    """Dense Grover operator A S0 A^dag S_good of an amplitude problem.
+def flag_probability(preparer: Circuit, flag_register: str) -> float:
+    """Pr[flag = 0] of the executed preparer; Estimator.flag_probability has it in closed form."""
+    amp = analyze_flagged(execute(preparer), preparer.layout, (flag_register,))
+    return min(max(amp.flagged_amplitude**2, 0.0), 1.0)
+
+
+def grover_operator(
+    preparer: Circuit, flag_register: str, max_qubits: int = GROVER_MAX_QUBITS
+) -> np.ndarray:
+    """Dense Grover operator A S0 A^dag S_good of a preparer A and its flag register.
 
     S0 = 2|0><0| - I reflects about the all-zeros input, S_good = I - 2 Pi
     about the flag = 0 subspace; with that sign convention the eigenphases
     on the prepared-state plane are exactly +-2 arcsin(sqrt(p)).
     """
-    n = problem.preparer.layout.total_qubits
+    n = preparer.layout.total_qubits
     if n > max_qubits:
         raise QubitCapExceeded(f"Grover operator needs {n} qubits, cap is {max_qubits}")
-    ua = circuit_unitary(problem.preparer, cap=max_qubits)
+    ua = circuit_unitary(preparer, cap=max_qubits)
     dim = ua.shape[0]
     s0 = -np.eye(dim, dtype=complex)
     s0[0, 0] = 1.0
-    flag_qubit = problem.preparer.layout.qubits(problem.flag_register)[0]
+    flag_qubit = preparer.layout.qubits(flag_register)[0]
     flag_bit = (np.arange(dim) >> (n - 1 - flag_qubit)) & 1
     s_good = np.where(flag_bit == 0, -1.0, 1.0)
     return (ua @ s0 @ ua.conj().T) * s_good[np.newaxis, :]

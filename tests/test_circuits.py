@@ -240,7 +240,7 @@ class TestEncodingCircuit:
         rho, u = mixed_instance(1, 2, 44)  # one ancilla qubit
         v = state_oracle([1.0, 0.0], "V")  # zero ancilla qubits
         circ = build_encoding_circuit(u, v)
-        assert circ.layout.size("B") == circ.layout.size("B'") == 1
+        assert len(circ.layout.qubits("B")) == len(circ.layout.qubits("B'")) == 1
         split = analyze_flagged(execute(circ), circ.layout, ("A", "B"))
         truth = float(rho.matrix[0, 0].real)  # <0|rho|0>
         assert abs(split.flagged_amplitude**2 - truth) <= 1e-10

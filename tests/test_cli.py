@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fidest.circuits
 import fidest.cli
-import fidest.estimation
 import fidest.fidelity
 from fidest.circuits import QubitCapExceeded
 from fidest.cli import (
@@ -27,6 +27,7 @@ from fidest.cli import (
     main,
     run,
 )
+from fidest.fidelity import Estimator
 
 #: each command's flags, by ExperimentConfig field: exactly the keys its config file takes
 COMMAND_FLAGS = {
@@ -258,11 +259,11 @@ class TestSweep:
         original = fidest.fidelity.sqrt_amplitude_estimate
         bad_seed = derive_seed(0, 1, 2)  # task seed of trial 1 under master seed 0
 
-        def failing(problem, delta, seed):
+        def failing(p, once, delta, seed):
             # the optimal estimator reads its amplitude to delta = epsilon
             if seed == bad_seed and delta == 0.03:
                 raise ValueError("injected failure")
-            return original(problem, delta, seed)
+            return original(p, once, delta, seed)
 
         monkeypatch.setattr(fidest.fidelity, "sqrt_amplitude_estimate", failing)
         out = tmp_path / "sweep.csv"
@@ -273,15 +274,21 @@ class TestSweep:
         assert not out.exists()
 
     def test_executes_each_trial_circuit_once(self, tmp_path, monkeypatch):
-        # p depends only on the trial's oracle pair, not on epsilon
+        # p depends only on the trial's oracle pair, not on epsilon: one
+        # closed-form evaluation per trial, and no circuit is executed
         calls = []
-        original = fidest.estimation.flag_probability
+        original = Estimator.flag_probability
 
-        def counting(problem):
-            calls.append(problem)
-            return original(problem)
+        def counting(estimator, rho_oracle, second_oracle):
+            calls.append(rho_oracle)
+            return original(estimator, rho_oracle, second_oracle)
 
-        monkeypatch.setattr(fidest.estimation, "flag_probability", counting)
+        def executing(circuit):
+            raise AssertionError("a sweep executed a circuit")
+
+        monkeypatch.setattr(Estimator, "flag_probability", counting)
+        for module in (fidest.circuits, fidest.cli):
+            monkeypatch.setattr(module, "execute", executing)
         config = ExperimentConfig(
             command="sweep",
             k=1,
@@ -609,6 +616,9 @@ class TestMainEntry:
             {"k": 1},
             {"command": ["sweep"]},
             {"command": "banana"},
+            # too large for a float: refused before float() can overflow
+            {"command": "sweep", "epsilons": [10**400]},
+            {"command": "hard-instance", "epsilons": [10**400]},
         ],
     )
     def test_malformed_config_file_exits_2(self, tmp_path, capsys, raw):

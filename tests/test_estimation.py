@@ -22,20 +22,24 @@ from fidest.estimation import (
     _WINDOW,
     DEFAULT_REPETITIONS,
     ESTIMATOR_MAX_M,
-    AmplitudeProblem,
     _kernel,
     _KernelSampler,
     _query_tally,
     _repetition_streams,
     _Replay,
     amplitude_estimate,
-    flag_probability,
     readout_qubits,
     sqrt_amplitude_estimate,
 )
 from fidest.linalg import unitarity_error
 from fidest.oracles import PreparationOracle
-from fidest.reference import circuit_unitary, grover_operator, qpe_distribution, qpe_grid_distribution
+from fidest.reference import (
+    circuit_unitary,
+    flag_probability,
+    grover_operator,
+    qpe_distribution,
+    qpe_grid_distribution,
+)
 
 from conftest import mixed_instance, pure_instance
 
@@ -44,60 +48,57 @@ from conftest import mixed_instance, pure_instance
 INSTANCE_SQRT_P = 0.5965038883615562
 
 
-def flag_problem(p):
-    """One-qubit amplitude problem with flagged probability exactly p."""
+#: Query tallies of one execution of a preparer that queries U once, plainly.
+ONE_PLAIN_U = {"U": {"plain": 1, "inverse": 0, "controlled": 0, "controlled_inverse": 0}}
+
+
+def flag_preparer(p):
+    """One-qubit preparer whose flag C = 0 has probability exactly p."""
     col = np.array([math.sqrt(p), math.sqrt(1.0 - p)], dtype=complex)
     oracle = PreparationOracle(col, 1, 0, "U")
-    prep = Circuit(RegisterLayout(("C",), (1,)), (OracleOp(oracle, "plain", ("C",)),))
-    return AmplitudeProblem(prep, "C")
+    return Circuit(RegisterLayout(("C",), (1,)), (OracleOp(oracle, "plain", ("C",)),))
+
+
+def instance_preparer(seed_u=42, seed_v=43):
+    _, u = mixed_instance(1, 2, seed_u)
+    _, v = pure_instance(1, seed_v)
+    return build_flagged_encoding(u, v)
 
 
 def instance_problem(seed_u=42, seed_v=43):
-    _, u = mixed_instance(1, 2, seed_u)
-    _, v = pure_instance(1, seed_v)
-    return AmplitudeProblem(build_flagged_encoding(u, v), "C")
-
-
-class TestAmplitudeProblem:
-    def test_rejects_missing_flag_register(self):
-        prep = Circuit(RegisterLayout(("A",), (1,)), ())
-        with pytest.raises(ValueError, match="flag register"):
-            AmplitudeProblem(prep, "C")
-
-    def test_rejects_wide_flag_register(self):
-        prep = Circuit(RegisterLayout(("C",), (2,)), ())
-        with pytest.raises(ValueError, match="one qubit"):
-            AmplitudeProblem(prep, "C")
-
-    def test_flag_probability(self):
-        assert abs(flag_probability(flag_problem(0.3)) - 0.3) <= 1e-12
+    """(p, one execution's tallies) of the flagged encoding of instance_preparer."""
+    preparer = instance_preparer(seed_u, seed_v)
+    return flag_probability(preparer, "C"), preparer.queries()
 
 
 class TestGroverOperator:
+    def test_flag_probability(self):
+        assert abs(flag_probability(flag_preparer(0.3), "C") - 0.3) <= 1e-12
+        assert flag_preparer(0.3).queries() == ONE_PLAIN_U
+
     def test_p_zero_fixes_prepared_state(self):
-        problem = flag_problem(0.0)
-        q = grover_operator(problem)
-        init = circuit_unitary(problem.preparer)[:, 0]
+        preparer = flag_preparer(0.0)
+        q = grover_operator(preparer, "C")
+        init = circuit_unitary(preparer)[:, 0]
         assert np.max(np.abs(q @ init - init)) <= 1e-10
 
     def test_p_one_gives_phase_pi(self):
-        problem = flag_problem(1.0)
-        q = grover_operator(problem)
-        init = circuit_unitary(problem.preparer)[:, 0]
+        preparer = flag_preparer(1.0)
+        q = grover_operator(preparer, "C")
+        init = circuit_unitary(preparer)[:, 0]
         assert np.max(np.abs(q @ init + init)) <= 1e-10
 
     @pytest.mark.parametrize("seed", range(4))
     def test_eigenphases_on_invariant_plane(self, seed):
         # oracle: dense eigendecomposition of Q projected onto the plane
         # spanned by the prepared state and its flagged component
-        problem = instance_problem(2000 + seed, 2100 + seed)
-        p = flag_probability(problem)
-        theta = math.asin(math.sqrt(p))
-        q = grover_operator(problem)
+        preparer = instance_preparer(2000 + seed, 2100 + seed)
+        theta = math.asin(math.sqrt(flag_probability(preparer, "C")))
+        q = grover_operator(preparer, "C")
         assert unitarity_error(q) <= 1e-10
-        layout = problem.preparer.layout
+        layout = preparer.layout
         n = layout.total_qubits
-        state = circuit_unitary(problem.preparer)[:, 0]
+        state = circuit_unitary(preparer)[:, 0]
         fq = layout.qubits("C")[0]
         mask = ((np.arange(1 << n) >> (n - 1 - fq)) & 1) == 0
         good = state * mask
@@ -109,9 +110,8 @@ class TestGroverOperator:
         assert np.max(np.abs(phases - [-2 * theta, 2 * theta])) <= 1e-8
 
     def test_qubit_cap(self):
-        problem = instance_problem()
         with pytest.raises(QubitCapExceeded):
-            grover_operator(problem, max_qubits=3)
+            grover_operator(instance_preparer(), "C", max_qubits=3)
 
 
 class TestPhaseEstimate:
@@ -146,12 +146,11 @@ class TestPhaseEstimate:
     def test_analytic_matches_dense_distribution(self):
         # dual route: closed-form two-phase mixture vs Schur-decomposed
         # Grover operator fed through the generic QPE distribution
-        problem = instance_problem()
-        p = flag_probability(problem)
-        omega = math.asin(math.sqrt(p)) / math.pi
+        preparer = instance_preparer()
+        omega = math.asin(math.sqrt(flag_probability(preparer, "C"))) / math.pi
         analytic = qpe_grid_distribution([omega, 1.0 - omega], [0.5, 0.5], 6)
-        q = grover_operator(problem)
-        init = circuit_unitary(problem.preparer)[:, 0]
+        q = grover_operator(preparer, "C")
+        init = circuit_unitary(preparer)[:, 0]
         dense = qpe_distribution(q, init, 6)
         assert np.max(np.abs(analytic - dense)) <= 1e-10
 
@@ -275,45 +274,43 @@ class TestKernelSampler:
 
 class TestAmplitudeEstimate:
     def test_p_zero(self):
-        result = amplitude_estimate(flag_problem(0.0), 0.1, seed=0)
+        result = amplitude_estimate(0.0, ONE_PLAIN_U, 0.1, seed=0)
         assert result.estimate == 0.0
 
     def test_p_one(self):
-        result = amplitude_estimate(flag_problem(1.0), 0.1, seed=0)
+        result = amplitude_estimate(1.0, ONE_PLAIN_U, 0.1, seed=0)
         assert result.estimate == 1.0
 
     @pytest.mark.parametrize("seed", [0, 7, 123])
     def test_grid_aligned_phase_recovers_exactly(self, seed):
         p = math.sin(math.pi * 5 / 32) ** 2
-        result = amplitude_estimate(flag_problem(p), 0.05, seed=seed)
+        result = amplitude_estimate(p, ONE_PLAIN_U, 0.05, seed=seed)
         assert result.m >= 5
         assert abs(result.estimate - p) <= 1e-12
 
     def test_delta_out_of_range(self):
         with pytest.raises(ValueError, match="delta"):
-            amplitude_estimate(flag_problem(0.5), 1.5, seed=0)
+            amplitude_estimate(0.5, ONE_PLAIN_U, 1.5, seed=0)
 
     def test_m_formula(self):
-        result = amplitude_estimate(flag_problem(0.5), 0.05, seed=0)
+        result = amplitude_estimate(0.5, ONE_PLAIN_U, 0.05, seed=0)
         assert result.m == math.ceil(math.log2(math.pi / 0.05)) + 2
 
     def test_readout_cap(self):
         # delta = pi / 2^46 needs exactly m = 48; a smaller delta needs 49
-        problem = flag_problem(0.37)
-        p = flag_probability(problem)
         delta = math.pi / 2.0**46
-        result = amplitude_estimate(problem, delta, seed=0)
+        result = amplitude_estimate(0.37, ONE_PLAIN_U, delta, seed=0)
         assert result.m == ESTIMATOR_MAX_M == 48
-        assert abs(result.estimate - p) <= delta
+        assert abs(result.estimate - 0.37) <= delta
         with pytest.raises(QubitCapExceeded, match="m = 49"):
-            amplitude_estimate(problem, delta / 1.5, seed=0)
+            amplitude_estimate(0.37, ONE_PLAIN_U, delta / 1.5, seed=0)
 
     @pytest.mark.parametrize("estimate", [amplitude_estimate, sqrt_amplitude_estimate])
     @pytest.mark.parametrize("delta", [1e-320, 5e-324, 1e-300])
     def test_tiny_delta_exceeds_readout_cap(self, estimate, delta):
         # pi / delta overflows below ~1e-308; m is then taken in logs, not lost to inf
         with pytest.raises(QubitCapExceeded, match=f"cap is {ESTIMATOR_MAX_M}"):
-            estimate(flag_problem(0.37), delta, seed=0)
+            estimate(0.37, ONE_PLAIN_U, delta, seed=0)
 
     def test_m_formula_kept_where_pi_over_delta_is_finite(self):
         deltas = np.geomspace(1e-2, 5e-324, 400)
@@ -335,11 +332,11 @@ class TestAmplitudeEstimate:
 
 class TestSqrtAmplitudeEstimate:
     def test_half_is_exact(self):
-        result = sqrt_amplitude_estimate(flag_problem(0.5), 0.05, seed=0)
+        result = sqrt_amplitude_estimate(0.5, ONE_PLAIN_U, 0.05, seed=0)
         assert abs(result.estimate - math.sqrt(0.5)) <= 1e-12
 
     def test_p_zero(self):
-        result = sqrt_amplitude_estimate(flag_problem(0.0), 0.1, seed=0)
+        result = sqrt_amplitude_estimate(0.0, ONE_PLAIN_U, 0.1, seed=0)
         assert result.estimate == 0.0
 
     def test_seeded_instance_success_rate(self):
@@ -348,34 +345,34 @@ class TestSqrtAmplitudeEstimate:
         problem = instance_problem()
         hits = 0
         for seed in range(200):
-            result = sqrt_amplitude_estimate(problem, 0.02, seed=seed)
+            result = sqrt_amplitude_estimate(*problem, 0.02, seed=seed)
             hits += abs(result.estimate - INSTANCE_SQRT_P) <= 0.02
         assert hits >= 120
 
     def test_agrees_with_amplitude_estimate(self):
         problem = instance_problem()
         delta = 0.05
-        sq = sqrt_amplitude_estimate(problem, delta, seed=11)
-        am = amplitude_estimate(problem, delta, seed=11)
+        sq = sqrt_amplitude_estimate(*problem, delta, seed=11)
+        am = amplitude_estimate(*problem, delta, seed=11)
         assert abs(sq.estimate**2 - am.estimate) <= 2 * delta
 
     def test_deterministic(self):
         problem = instance_problem()
-        a = sqrt_amplitude_estimate(problem, 0.03, seed=5)
-        b = sqrt_amplitude_estimate(problem, 0.03, seed=5)
+        a = sqrt_amplitude_estimate(*problem, 0.03, seed=5)
+        b = sqrt_amplitude_estimate(*problem, 0.03, seed=5)
         assert a.estimate == b.estimate
         assert a.queries == b.queries
 
     def test_estimate_in_unit_interval(self):
         for seed in range(10):
-            result = sqrt_amplitude_estimate(instance_problem(), 0.2, seed=seed)
+            result = sqrt_amplitude_estimate(*instance_problem(), 0.2, seed=seed)
             assert 0.0 <= result.estimate <= 1.0
 
 
-def fresh_stream_estimate(problem, delta, seed, square):
+def fresh_stream_estimate(p, delta, seed, square):
     """The estimate with a fresh default_rng([seed, rep]) built for every repetition."""
     m = readout_qubits(delta, square)
-    sampler = _KernelSampler(math.asin(math.sqrt(problem.p)) / math.pi, m)
+    sampler = _KernelSampler(math.asin(math.sqrt(p)) / math.pi, m)
     values = []
     for rep in range(DEFAULT_REPETITIONS):
         amp = math.sin(math.pi * sampler.draw(np.random.default_rng([seed, rep])) / (1 << m))
@@ -387,18 +384,17 @@ def fresh_stream_estimate(problem, delta, seed, square):
 REPLAY_DELTAS = (0.01, 0.1, 1e-5, 0.003, 0.05)
 
 
-def assert_replays_fresh_streams(problem, seeds):
+def assert_replays_fresh_streams(p, seeds):
     for seed in seeds:
         for delta in REPLAY_DELTAS:
             for estimate, square in ((sqrt_amplitude_estimate, False), (amplitude_estimate, True)):
-                got = estimate(problem, delta, seed).estimate
-                assert got == fresh_stream_estimate(problem, delta, seed, square), (seed, delta, square)
+                got = estimate(p, ONE_PLAIN_U, delta, seed).estimate
+                assert got == fresh_stream_estimate(p, delta, seed, square), (seed, delta, square)
 
 
-def heavy_tail_problem():
-    """Flagged probability whose phase sits at M omega = 100.37 for M = 2^10
-    (sqrt readout at delta 0.01): f = 0.37 puts 8.4% of each draw in the tail."""
-    return flag_problem(math.sin(math.pi * 100.37 / 1024) ** 2)
+#: Flagged probability whose phase sits at M omega = 100.37 for M = 2^10
+#: (sqrt readout at delta 0.01): f = 0.37 puts 8.4% of each draw in the tail.
+HEAVY_TAIL_P = math.sin(math.pi * 100.37 / 1024) ** 2
 
 
 class TestRepetitionStreams:
@@ -409,7 +405,7 @@ class TestRepetitionStreams:
         seed_b=st.integers(0, 2**63 - 1),
     )
     def test_replay_changes_no_draw(self, p, seed_a, seed_b):
-        assert_replays_fresh_streams(flag_problem(p), (seed_a, seed_b, seed_a))
+        assert_replays_fresh_streams(p, (seed_a, seed_b, seed_a))
 
     @pytest.mark.parametrize(
         "p",
@@ -417,10 +413,10 @@ class TestRepetitionStreams:
         ids=["grid-aligned", "p0", "p1"],
     )
     def test_replay_changes_no_draw_at_a_point_mass(self, p):
-        assert_replays_fresh_streams(flag_problem(p), (3, 8, 3))
+        assert_replays_fresh_streams(p, (3, 8, 3))
 
     def test_replay_extends_a_heavy_tail_stream(self):
-        assert_replays_fresh_streams(heavy_tail_problem(), (3, 8, 3))
+        assert_replays_fresh_streams(HEAVY_TAIL_P, (3, 8, 3))
         # the last seed's streams are still cached; the tail drew past the
         # branch and window draws of at least one repetition
         assert max(len(drawn) for _, drawn in _repetition_streams(3)) > 2
@@ -471,9 +467,8 @@ class TestRepetitionStreams:
 
 class TestQueryAccounting:
     def test_closed_form_counts(self):
-        problem = instance_problem()
         reps = DEFAULT_REPETITIONS
-        result = sqrt_amplitude_estimate(problem, 0.1, seed=0)
+        result = sqrt_amplitude_estimate(*instance_problem(), 0.1, seed=0)
         grover = (1 << result.m) - 1
         u = result.queries["U"]
         v = result.queries["V"]
@@ -488,16 +483,14 @@ class TestQueryAccounting:
         assert result.grover_applications == reps * grover
 
     def test_oracle_counters_accumulate(self):
-        # a run's tallies are a value: equal for every run on a problem, and one
+        # a run's tallies are a value: equal for every run on a preparer, and one
         # preparer execution's queries times a run's 1 + 2 (2^m - 1) per repetition
-        _, u = mixed_instance(1, 2, 42)
-        _, v = pure_instance(1, 43)
-        problem = AmplitudeProblem(build_flagged_encoding(u, v), "C")
-        result = sqrt_amplitude_estimate(problem, 0.1, seed=0)
-        assert sqrt_amplitude_estimate(problem, 0.1, seed=1).queries == result.queries
+        p, once = instance_problem()
+        result = sqrt_amplitude_estimate(p, once, 0.1, seed=0)
+        assert sqrt_amplitude_estimate(p, once, 0.1, seed=1).queries == result.queries
         per_query = DEFAULT_REPETITIONS * (1 + 2 * ((1 << result.m) - 1))
-        for label, once in problem.preparer.queries().items():
-            assert result.total_queries(label) == per_query * sum(once.values())
+        for label, counts in once.items():
+            assert result.total_queries(label) == per_query * sum(counts.values())
 
     def test_tally_of_a_preparer_with_every_kind(self):
         # one execution: U plain x2, inverse, controlled, controlled_inverse;
@@ -509,18 +502,16 @@ class TestQueryAccounting:
         ops = [OracleOp(u, kind, ("A",)) for kind in ("plain", "plain", "inverse")]
         ops += [OracleOp(u, kind, ("C", "A")) for kind in ("controlled", "controlled_inverse")]
         ops.append(OracleOp(v, "controlled_inverse", ("C", "A")))
-        problem = AmplitudeProblem(Circuit(layout, ops), "C")
-        assert _query_tally(problem, 2, 3) == {
+        assert _query_tally(Circuit(layout, ops).queries(), 2, 3) == {
             "U": {"plain": 6, "inverse": 3, "controlled": 48, "controlled_inverse": 48},
             "V": {"plain": 0, "inverse": 0, "controlled": 9, "controlled_inverse": 12},
         }
 
     def test_query_count_scaling_law(self):
         # log-log slope of Grover applications vs 1/delta is 1.0 +- 0.1
-        problem = flag_problem(0.37)
         deltas = [2.0**-t for t in range(3, 9)]
         counts = [
-            sqrt_amplitude_estimate(problem, d, seed=0).grover_applications for d in deltas
+            sqrt_amplitude_estimate(0.37, ONE_PLAIN_U, d, seed=0).grover_applications for d in deltas
         ]
         slope = np.polyfit(np.log(1.0 / np.array(deltas)), np.log(counts), 1)[0]
         assert abs(slope - 1.0) <= 0.1
@@ -528,8 +519,7 @@ class TestQueryAccounting:
 
 class TestEstimationResult:
     def test_json_schema_and_determinism(self):
-        problem = instance_problem()
-        result = sqrt_amplitude_estimate(problem, 0.1, seed=3)
+        result = sqrt_amplitude_estimate(*instance_problem(), 0.1, seed=3)
         import json
 
         payload = json.loads(result.to_json())
@@ -540,5 +530,5 @@ class TestEstimationResult:
         assert set(payload["queries"]["U"]) == {
             "plain", "inverse", "controlled", "controlled_inverse",
         }
-        again = sqrt_amplitude_estimate(instance_problem(), 0.1, seed=3)
+        again = sqrt_amplitude_estimate(*instance_problem(), 0.1, seed=3)
         assert result.to_json() == again.to_json()

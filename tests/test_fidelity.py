@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fidest.circuits import QubitCapExceeded, analyze_flagged, build_restructured_encoding, execute
+from fidest.circuits import (
+    QubitCapExceeded,
+    analyze_flagged,
+    build_flagged_encoding,
+    build_restructured_encoding,
+    build_swap_test,
+    execute,
+)
 from fidest.fidelity import (
     ESTIMATORS,
     FidelityTask,
@@ -24,8 +31,8 @@ from fidest.fidelity import (
     swap_test_estimate,
 )
 from fidest.linalg import DensityMatrix, zero_state
-from fidest.oracles import preparation_oracle, purified_channel_oracle
-from fidest.reference import uhlmann_fidelity
+from fidest.oracles import PreparationOracle, preparation_oracle, purified_channel_oracle
+from fidest.reference import flag_probability, uhlmann_fidelity
 
 from conftest import mixed_instance, principal_eigvec, pure_instance, resized_oracle, state_oracle
 
@@ -118,6 +125,27 @@ class TestTaskConstruction:
             make_task(u, v, 0.1, 0)
 
 
+def ancilla_rotated(oracle, seed):
+    """The oracle's reduced state behind a random unitary on its ancilla: a
+    purification that is not the canonical one."""
+    rng = np.random.default_rng(seed)
+    da = 1 << oracle.ancilla_qubits
+    w, _ = np.linalg.qr(rng.standard_normal((da, da)) + 1j * rng.standard_normal((da, da)))
+    m = oracle.prepared_state.reshape(-1, da) @ w
+    return PreparationOracle(m.ravel(), oracle.system_qubits, oracle.ancilla_qubits, oracle.label)
+
+
+def assert_flag_probability_matches(name, u, v):
+    """The p bind takes for the pair, held to the executed circuit within 1e-12; returns it."""
+    estimator = ESTIMATORS[name]
+    estimator.bind(name, u, v)  # the pair passes the estimator's purity and size checks
+    p = estimator.flag_probability(u, v)
+    circuit = (build_swap_test if estimator.swap_test else build_flagged_encoding)(u, v)
+    assert 0.0 <= p <= 1.0
+    assert abs(p - flag_probability(circuit, "C")) <= 1e-12, name
+    return p
+
+
 #: each estimator's public front end
 FRONT_ENDS = {
     "swap-baseline": swap_test_estimate,
@@ -165,6 +193,47 @@ class TestEstimatorTable:
     ENCODING_PLAIN_AND_INVERSE = {
         "plain": 15, "inverse": 15, "controlled": 1890, "controlled_inverse": 1890,
     }
+
+    @settings(database=None, deadline=None, max_examples=30)
+    @given(
+        k=st.integers(1, 3),
+        rank_indices=st.tuples(st.integers(0, 7), st.integers(0, 7)),
+        extra_ancillas=st.tuples(st.integers(0, 2), st.integers(0, 2)),
+        seed=st.integers(0, (1 << 62) - 1),
+    )
+    def test_flag_probability_matches_executed_circuit(self, k, rank_indices, extra_ancillas, seed):
+        # the closed form from the oracle columns is the executed circuit's
+        # Pr[C = 0], for ancillas as wide as each rank needs and wider, in a
+        # basis where the columns' ancilla Gram matrix is complex
+        for name, estimator in ESTIMATORS.items():
+            oracles = []
+            for pure, rank_index, extra, label, offset in zip(
+                (estimator.first_pure, estimator.second_pure), rank_indices, extra_ancillas, "UV", (0, 1)
+            ):
+                rank = 1 if pure else rank_index % (1 << k) + 1
+                dm, _ = mixed_instance(k, rank, seed + offset, label)
+                oracle = resized_oracle(dm, (rank - 1).bit_length() + extra, label)
+                oracles.append(ancilla_rotated(oracle, seed + offset))
+            assert_flag_probability_matches(name, *oracles)
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_flag_probability_at_the_clamp(self, seed, extra):
+        # identical pure states flag with p = 1 and orthogonal ones with p = 0,
+        # where the SWAP test reads 1 and 1/2; rounding puts the raw sums on
+        # either side of those values
+        dm, _ = pure_instance(2, seed, "U")
+        psi = principal_eigvec(dm)
+        u = resized_oracle(dm, extra, "U")
+        orthogonal = principal_eigvec(pure_instance(2, seed + 10)[0])
+        orthogonal -= np.vdot(psi, orthogonal) * psi
+        for v, flagged, swap in (
+            (resized_oracle(dm, 1 - extra, "V"), 1.0, 1.0),
+            (state_oracle(orthogonal / np.linalg.norm(orthogonal), "V"), 0.0, 0.5),
+        ):
+            for name, estimator in ESTIMATORS.items():
+                p = assert_flag_probability_matches(name, u, v)
+                assert abs(p - (swap if estimator.swap_test else flagged)) <= 1e-12
 
     @pytest.mark.parametrize(
         "name,m,u_queries,v_queries",

@@ -4,7 +4,8 @@ executor builds no dense padded or controlled matrix and reads no oracle matrix,
 oracles and circuits are immutable values whose queries are counted, not kept,
 each rule (query kinds, test-only linear algebra, purity) has one home, the
 package keeps no surface that only tests reach, a config's defaults are its
-command's flag defaults, and the QPE sampler draws in plain floats."""
+command's flag defaults, the QPE sampler draws in plain floats, and no
+estimate executes a circuit."""
 
 import ast
 import dataclasses
@@ -18,9 +19,10 @@ import numpy as np
 import pytest
 
 import fidest
+from fidest import estimation
 from fidest.circuits import _GATES_1Q, Circuit, OracleOp, RegisterLayout
 from fidest.cli import COMMANDS, ExperimentConfig, build_parser, config_from_args
-from fidest.estimation import AmplitudeProblem, _KernelSampler
+from fidest.estimation import _KernelSampler
 from fidest.fidelity import ESTIMATORS, HardInstance
 from fidest.linalg import DensityMatrix
 from fidest.oracles import (
@@ -136,7 +138,7 @@ def test_executor_builds_no_dense_embedding():
 
 
 def test_oracles_and_circuits_are_frozen_values():
-    for cls in (PreparationOracle, Circuit, OracleOp, RegisterLayout, AmplitudeProblem):
+    for cls in (PreparationOracle, Circuit, OracleOp, RegisterLayout):
         assert dataclasses.is_dataclass(cls) and cls.__dataclass_params__.frozen, cls.__name__
     # no query counter lives on an oracle, and no run switches counting off
     for path in sorted(PACKAGE.glob("*.py")):
@@ -186,12 +188,23 @@ def test_no_test_only_surface():
 
 
 def test_only_production_options_remain():
-    # purify's ancilla override, the X gate and AmplitudeProblem.total_qubits
-    # had no caller outside the tests
+    # purify's ancilla override, the X gate and RegisterLayout.size had no
+    # caller outside the tests
     for function in (purify, preparation_oracle):
         assert "ancilla_qubits" not in inspect.signature(function).parameters
     assert set(_GATES_1Q) == {"H"}
-    assert not hasattr(AmplitudeProblem, "total_qubits")
+    assert not hasattr(RegisterLayout, "size")
+
+
+def test_estimates_execute_no_circuit():
+    # an estimate is a function of p, which fidelity takes from the oracle
+    # columns; the executed flag probability is a reference
+    for name in ("estimation.py", "fidelity.py"):
+        path = PACKAGE / name
+        used = set(called_names(path)) | {n.rsplit(".", 1)[-1] for n in imported_modules(path)}
+        assert not {"execute", "analyze_flagged", "AmplitudeProblem"} & used, name
+    assert not hasattr(estimation, "AmplitudeProblem")
+    assert not hasattr(estimation, "flag_probability")
 
 
 @pytest.mark.parametrize("command", COMMANDS)
