@@ -115,7 +115,7 @@ class Estimator:
         """
         mu = rho_oracle.prepared_state.reshape(1 << rho_oracle.system_qubits, -1)
         mv = second_oracle.prepared_state.reshape(1 << second_oracle.system_qubits, -1)
-        # einsum, not BLAS, as in PreparationOracle.apply
+        # einsum, not a BLAS product (see fidest.linalg)
         overlap = np.einsum("ia,ib->ab", mu.conj(), mv)
         if self.swap_test:
             p = (1.0 + float(np.vdot(overlap, overlap).real)) / 2.0

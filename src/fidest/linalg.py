@@ -13,6 +13,10 @@ Conventions, fixed package-wide:
 The tolerance leaves ample double-precision headroom at the scales this
 package targets (statevectors up to 2**22 entries, operator matrices up to
 a few thousand rows).
+
+Per-record code uses einsum or elementwise numpy, not BLAS products
+(``@``, ``matmul``, ``dot``, ``tensordot``): OpenBLAS hands even small
+products to worker threads, which then spin on the shared cores.
 """
 
 from __future__ import annotations

@@ -73,10 +73,21 @@ class PreparationOracle:
         if not inverse:
             out[:, 0] *= c
         if tau:
-            # einsum, not a BLAS product: OpenBLAS hands even small products to
-            # worker threads, whose wake-ups stall on shared cores
-            w = np.einsum("i,aij->aj", v.conj(), out)
-            out -= (tau * v)[:, np.newaxis] * w[:, np.newaxis]
+            # einsum, not a BLAS product (see fidest.linalg)
+            w = np.einsum("i,aij->aj", v.conj(), out)[:, np.newaxis]
+            tv = (tau * v)[:, np.newaxis]
+            # the rank-one update runs on two contiguous halves (of the leading
+            # axis, or of the rows if that axis has length 1): a whole-size
+            # product, with numpy's broadcast buffers, is freed at the top of the
+            # heap, where glibc trims it and faults it back in on the next op
+            h = len(out) // 2
+            if h:
+                for a in (slice(None, h), slice(h, None)):
+                    out[a] -= tv * w[a]
+            else:
+                h = len(v) // 2
+                for i in (slice(None, h), slice(h, None)):
+                    out[:, i] -= tv[i] * w
         if inverse:
             out[:, 0] *= c
         return out

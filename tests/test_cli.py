@@ -4,6 +4,7 @@ import csv
 import json
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +21,7 @@ from fidest.cli import (
     ExperimentConfig,
     ExperimentRecord,
     _identity_residuals,
+    _oracle_unitarity_residual,
     build_parser,
     config_from_args,
     derive_seed,
@@ -27,7 +29,14 @@ from fidest.cli import (
     main,
     run,
 )
-from fidest.fidelity import Estimator
+from fidest.fidelity import Estimator, hard_pair
+from fidest.linalg import unitarity_error
+from fidest.oracles import (
+    PreparationOracle,
+    RandomInstanceSpec,
+    purified_channel_oracle,
+    sample_instance,
+)
 
 #: each command's flags, by ExperimentConfig field: exactly the keys its config file takes
 COMMAND_FLAGS = {
@@ -169,6 +178,69 @@ class TestVerifyIdentities:
         calls = count_sampling(monkeypatch)
         assert run(ExperimentConfig(command="verify-identities", k=1, trials=4)) == 0
         assert len(calls) == 3 * 4
+
+    @pytest.mark.parametrize("trial", [0, 11])
+    def test_identity_residuals_within_bounds_at_k4(self, trial):
+        # 17-qubit circuits and 256 x 256 oracles, one rank per trial (1 and 12)
+        config = ExperimentConfig(command="verify-identities", k=4, seed=5)
+        residuals = _identity_residuals(config, trial)
+        for name, bound in IDENTITY_BOUNDS.items():
+            assert residuals[name] <= bound, name
+
+
+def generated_oracles():
+    """Oracles of every kind verify-identities and the tests build: sampled
+    instances at k = 1-3 (every rank), hard instances (zero ancilla) and
+    purified channels."""
+    for k in (1, 2, 3):
+        specs = [(1, "haar_pure")] + [(r, "ginibre_mixed") for r in range(1, (1 << k) + 1)]
+        for seed in range(3):
+            for rank, kind in specs:
+                yield sample_instance(RandomInstanceSpec(k, rank, seed, kind))[1]
+    for k, rank in ((1, 2), (2, 3), (3, 5)):
+        yield from (inst.oracle for inst in hard_pair(0.5, 0.1, rank, k))
+    rng = np.random.default_rng(3)
+    for n, system in ((2, 1), (3, 1), (4, 2)):
+        g = rng.standard_normal((1 << n, 1 << n)) + 1j * rng.standard_normal((1 << n, 1 << n))
+        yield purified_channel_oracle(np.linalg.qr(g)[0], system)
+
+
+def corrupted(oracle):
+    """The oracle with its Householder tau scaled by 1.5, so its U is not unitary."""
+    v, tau, c, phase = oracle._householder
+    object.__setattr__(oracle, "_householder", (v, 1.5 * tau, c, phase))
+    return oracle
+
+
+class TestOracleUnitarityResidual:
+    def test_matches_the_dense_residual(self):
+        oracles = list(generated_oracles())
+        assert len(oracles) == 60
+        for oracle in oracles:
+            dense = unitarity_error(oracle.unitary)
+            assert abs(_oracle_unitarity_residual(oracle) - dense) <= 1e-14
+
+    def test_fails_a_non_unitary_oracle(self):
+        oracle = corrupted(sample_instance(RandomInstanceSpec(2, 2, 0, "ginibre_mixed"))[1])
+        assert unitarity_error(oracle.unitary) > 1e-10
+        assert _oracle_unitarity_residual(oracle) > 1e-10
+
+    def test_fails_an_inverse_query_that_is_not_the_adjoint(self, monkeypatch):
+        unitary = sample_instance(RandomInstanceSpec(2, 2, 0, "ginibre_mixed"))[1]
+        bad = corrupted(sample_instance(RandomInstanceSpec(2, 2, 0, "ginibre_mixed"))[1])
+        # inverse queries: U for the unitary oracle, and the exact inverse of
+        # the corrupted U, which passes U^-1 U = I and is caught only as not U^dag
+        wrong = {id(unitary): unitary.unitary, id(bad): np.linalg.inv(bad.unitary)}
+        forward = PreparationOracle.apply
+
+        def apply(self, blocks, inverse=False):
+            if inverse:
+                return np.einsum("ij,ajk->aik", wrong[id(self)], blocks)
+            return forward(self, blocks)
+
+        monkeypatch.setattr(PreparationOracle, "apply", apply)
+        for oracle in (unitary, bad):
+            assert _oracle_unitarity_residual(oracle) > 1e-10
 
 
 class TestSweep:

@@ -1,6 +1,7 @@
 """Tests for state construction and oracle synthesis."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -125,6 +126,22 @@ def test_apply_acts_on_axis_1(case):
             out = oracle.apply(x, inverse)
             assert out.shape == shape
             assert np.max(np.abs(out - np.einsum("ij,ajk->aik", op, x))) <= 1e-12
+
+
+def test_apply_allocates_less_than_three_inputs():
+    # a whole-size rank-one product, with numpy's broadcast buffers, took four
+    # inputs' worth; freed at the heap top, it let glibc trim the heap and fault
+    # it back in on every circuit op
+    oracle = mixed_instance(3, 3, 12)[1]
+    x = np.ones((2, 1 << oracle.num_qubits, 64), dtype=complex)
+    for inverse in (False, True):
+        tracemalloc.start()
+        try:
+            oracle.apply(x, inverse)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * x.nbytes, inverse
 
 
 class TestControlledAndInverse:

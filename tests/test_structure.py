@@ -4,8 +4,9 @@ executor builds no dense padded or controlled matrix and reads no oracle matrix,
 oracles and circuits are immutable values whose queries are counted, not kept,
 each rule (query kinds, test-only linear algebra, purity) has one home, the
 package keeps no surface that only tests reach, a config's defaults are its
-command's flag defaults, the QPE sampler draws in plain floats, and no
-estimate executes a circuit."""
+command's flag defaults, the QPE sampler draws in plain floats, no
+estimate executes a circuit, and verify-identities checks oracle unitarity
+through the oracle's queries, with no dense product."""
 
 import ast
 import dataclasses
@@ -224,3 +225,19 @@ def test_the_sampler_draws_in_plain_floats():
     # so _kernel and _KernelSampler name no np or numpy
     assert [name for name, node in top.items() if numpy_names(node)] == ["_repetition_streams"]
     assert not hasattr(_KernelSampler(0.3, 4), "window")
+
+
+def test_cli_checks_unitarity_through_the_oracle_queries():
+    # the oracle unitarity residual is O(4^n) per oracle: queries on the
+    # identity and on U, no dense U^dag U product
+    path = PACKAGE / "cli.py"
+    names = imported_modules(path) + called_names(path)
+    assert not [n for n in names if n and n.rsplit(".", 1)[-1] == "unitarity_error"]
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    functions = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    for name in ("_identity_residuals", "_oracle_unitarity_residual"):
+        nodes = list(ast.walk(functions[name]))
+        assert not [n for n in nodes if isinstance(n, ast.BinOp) and isinstance(n.op, ast.MatMult)]
+        used = {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+        used |= {n.id for n in nodes if isinstance(n, ast.Name)}
+        assert not {"matmul", "dot", "tensordot"} & used, name
