@@ -343,8 +343,8 @@ def _run_hard_instance(config: ExperimentConfig) -> int:
             hell = hellinger_distance(plus.distribution, minus.distribution)
             hell_closed = hard_pair_hellinger(p, eps)
             for inst in (plus, minus):
-                # the fidelity to |0...0> the oracle loads: |first entry| of its prepared column
-                fid = float(abs(inst.oracle.prepared_state[0]))
+                # |first entry| of the oracle's column, sqrt(w0): no 2^k oracle is built
+                fid = math.sqrt(inst.distribution[0])
                 expected = math.sqrt(p + inst.sign * eps)
                 values = (
                     p, eps, config.rank, config.k, "+" if inst.sign > 0 else "-",

@@ -190,9 +190,9 @@ class HardInstance:
 
     The oracle loads sqrt(weights) amplitudes directly (zero-size ancilla);
     its fidelity to |0> is sqrt(p + sign*eps) exactly, while the +/- pair's
-    loading distributions sit at Hellinger distance O(eps).  Everything is
-    O(2^k) except ``rho``, the dense diagonal state.  ``rho`` and ``target``
-    (the state |0...0> the fidelity is taken to) are built on first read.
+    loading distributions sit at Hellinger distance O(eps).  An instance holds
+    only its weights; ``oracle``, ``target`` (the state |0...0> the fidelity
+    is taken to) and ``rho`` (the dense diagonal state) are built on first read.
     """
 
     p: float
@@ -200,7 +200,11 @@ class HardInstance:
     rank: int
     sign: int
     distribution: np.ndarray
-    oracle: PreparationOracle
+
+    @functools.cached_property
+    def oracle(self) -> PreparationOracle:
+        k = self.distribution.size.bit_length() - 1
+        return PreparationOracle(np.sqrt(self.distribution), k, 0, "U")
 
     @functools.cached_property
     def target(self) -> np.ndarray:
@@ -229,8 +233,7 @@ def hard_instance(p: float, eps: float, rank: int, sign: int, k: int) -> HardIns
     weights = np.zeros(d, dtype=float)
     weights[0] = p + sign * eps
     weights[1:rank] = (1.0 - p - sign * eps) / (rank - 1)
-    oracle = PreparationOracle(np.sqrt(weights), k, 0, "U")
-    return HardInstance(p, eps, rank, sign, weights, oracle)
+    return HardInstance(p, eps, rank, sign, weights)
 
 
 def hard_pair(p: float, eps: float, rank: int, k: int):

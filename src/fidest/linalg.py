@@ -48,21 +48,6 @@ def _hermiticity_error(mat: np.ndarray) -> float:
         return float(np.max(np.abs(mat - mat.conj().T)))
 
 
-def herm_eig(mat: np.ndarray):
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns ``(eigenvalues, eigenvectors)`` with eigenvalues ascending and
-    eigenvectors as columns, so ``mat = V @ diag(w) @ V.conj().T``.
-    """
-    mat = np.asarray(mat, dtype=complex)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-    dev = _hermiticity_error(mat)
-    if not dev <= ATOL_STRUCT:
-        raise ValueError(f"matrix is not Hermitian (max |M - M^dag| = {dev:.3e})")
-    return np.linalg.eigh(mat)
-
-
 def unitarity_error(u: np.ndarray) -> float:
     """Max-entry deviation of U^dag U from the identity."""
     u = np.asarray(u, dtype=complex)

@@ -6,6 +6,8 @@ whose reduced system matrix is the target.  An oracle is held as that
 prepared column alone: its unitary is the column's Householder completion
 U = phase H diag(c, 1, ...), applied along axis 1 of a (pre, 2^n, post)
 view of a state in O(2^n) per column and built densely only on request.
+A random instance's column is the Gaussian factor its state is drawn from;
+the eigh purification of a given state is a reference (``fidest.reference``).
 Oracles are immutable values.  Invocations come in four kinds (plain,
 inverse, controlled, controlled_inverse); a circuit says how often it
 invokes each oracle, per kind (``Circuit.queries``), and the estimators
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ATOL_STRUCT, DensityMatrix, herm_eig, require_unitary
+from .linalg import ATOL_STRUCT, DensityMatrix, require_unitary
 
 QUERY_KINDS = ("plain", "inverse", "controlled", "controlled_inverse")
 
@@ -108,24 +110,6 @@ class PreparationOracle:
         return DensityMatrix(0.5 * (rho + rho.conj().T))
 
 
-def purify(rho: DensityMatrix) -> np.ndarray:
-    """Unit column of the canonical purification of ``rho`` (system qubits most
-    significant, then an ancilla of the system's size).
-
-    Eigenvectors are paired with ancilla basis states in descending
-    eigenvalue order, so pure inputs purify to |psi>|0>.  Other ancilla sizes
-    are built as a ``PreparationOracle`` from a column directly.
-    """
-    w, v = herm_eig(rho.matrix)
-    w = np.clip(w[::-1], 0.0, None)
-    return (v[:, ::-1] * np.sqrt(w)).ravel()
-
-
-def preparation_oracle(rho: DensityMatrix, label: str = "U") -> PreparationOracle:
-    """Synthesize a preparation oracle for ``rho`` (ancilla = system size)."""
-    return PreparationOracle(purify(rho), rho.num_qubits, rho.num_qubits, label)
-
-
 def purified_channel_oracle(
     channel_unitary: np.ndarray, system_qubits: int, label: str = "U"
 ) -> PreparationOracle:
@@ -170,27 +154,21 @@ class RandomInstanceSpec:
             raise ValueError("haar_pure instances must have rank 1")
 
 
-def _haar_vector(rng: np.random.Generator, dim: int) -> np.ndarray:
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return v / np.linalg.norm(v)
-
-
 def sample_instance(spec: RandomInstanceSpec, label: str = "U"):
     """Draw ``(DensityMatrix, PreparationOracle)`` deterministically from a spec.
 
-    haar_pure normalizes a complex-Gaussian vector; ginibre_mixed traces an
-    ancilla of dimension ``rank`` out of a Haar-random bipartite pure state.
+    Both kinds draw g, a normalized complex-Gaussian d x rank matrix: a
+    Haar-random pure state whose reduced system state is rho = g g^dag (the
+    induced measure), so the oracle's column is g itself, zero-padded to a
+    d x d ancilla (psi (x) |0> for haar_pure, whose rho is psi psi^dag).
     """
     rng = np.random.default_rng(spec.seed)
     d = 1 << spec.k
-    if spec.kind == "haar_pure":
-        psi = _haar_vector(rng, d)
-        rho = np.outer(psi, psi.conj())
-    else:
-        g = _haar_vector(rng, d * spec.rank).reshape(d, spec.rank)
-        rho = g @ g.conj().T
+    g = rng.standard_normal(d * spec.rank) + 1j * rng.standard_normal(d * spec.rank)
+    g = (g / np.linalg.norm(g)).reshape(d, spec.rank)
+    rho = np.outer(g, g.conj()) if spec.kind == "haar_pure" else g @ g.conj().T
     rho = 0.5 * (rho + rho.conj().T)
     rho /= np.trace(rho).real
-    dm = DensityMatrix(rho)
-    return dm, preparation_oracle(dm, label)
-
+    column = np.zeros((d, d), dtype=complex)
+    column[:, : spec.rank] = g
+    return DensityMatrix(rho), PreparationOracle(column.ravel(), spec.k, spec.k, label)

@@ -3,9 +3,9 @@
 Nothing in the estimators or the CLI imports this module: the executed
 flag probability, the dense circuit unitary, the dense Grover operator, the
 full 2^m phase-estimation outcome grid (closed-form and Schur-based), the
-partial trace of a dense matrix and Uhlmann fidelity cost time and memory
-that grow with the state, the operator or 2^m.  It is the only module of
-the package that imports scipy.
+partial trace of a dense matrix, Uhlmann fidelity and the eigh purification
+cost time and memory that grow with the state, the operator or 2^m.  It is
+the only module of the package that imports scipy or calls ``eigh``.
 """
 
 from __future__ import annotations
@@ -14,10 +14,41 @@ import numpy as np
 import scipy.linalg
 
 from .circuits import Circuit, QubitCapExceeded, _apply_op, analyze_flagged, execute
-from .linalg import DensityMatrix, herm_eig, require_unitary
+from .linalg import ATOL_STRUCT, DensityMatrix, _hermiticity_error, require_unitary
+from .oracles import PreparationOracle
 
 #: Qubit cap for materializing a dense Grover operator.
 GROVER_MAX_QUBITS = 12
+
+
+def herm_eig(mat: np.ndarray):
+    """Eigendecomposition of a Hermitian matrix.
+
+    Returns ``(eigenvalues, eigenvectors)`` with eigenvalues ascending and
+    eigenvectors as columns, so ``mat = V @ diag(w) @ V.conj().T``.
+    """
+    mat = np.asarray(mat, dtype=complex)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {mat.shape}")
+    dev = _hermiticity_error(mat)
+    if not dev <= ATOL_STRUCT:
+        raise ValueError(f"matrix is not Hermitian (max |M - M^dag| = {dev:.3e})")
+    return np.linalg.eigh(mat)
+
+
+def purify(rho: DensityMatrix) -> np.ndarray:
+    """Unit column of the canonical purification of ``rho`` (system qubits most
+    significant, then an ancilla of the system's size): eigenvectors paired
+    with ancilla basis states in descending eigenvalue order, so a pure input
+    purifies to |psi>|0>."""
+    w, v = herm_eig(rho.matrix)
+    w = np.clip(w[::-1], 0.0, None)
+    return (v[:, ::-1] * np.sqrt(w)).ravel()
+
+
+def preparation_oracle(rho: DensityMatrix, label: str = "U") -> PreparationOracle:
+    """Synthesize a preparation oracle for ``rho`` (ancilla = system size)."""
+    return PreparationOracle(purify(rho), rho.num_qubits, rho.num_qubits, label)
 
 
 def circuit_unitary(circuit: Circuit, cap: int = 12) -> np.ndarray:

@@ -1,6 +1,7 @@
 import numpy as np
 
-from fidest.oracles import PreparationOracle, RandomInstanceSpec, purify, sample_instance
+from fidest.oracles import PreparationOracle, RandomInstanceSpec, sample_instance
+from fidest.reference import purify
 
 
 def mixed_instance(k, rank, seed, label="U"):

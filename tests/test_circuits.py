@@ -25,7 +25,7 @@ from fidest.circuits import (
     register_zero_probability,
 )
 from fidest.linalg import DensityMatrix, zero_state
-from fidest.oracles import preparation_oracle
+from fidest.reference import preparation_oracle
 from fidest.reference import circuit_unitary
 
 from conftest import mixed_instance, pure_instance, resized_oracle, state_oracle

@@ -1,8 +1,10 @@
 """Tests for the experiment harness CLI."""
 
 import csv
+import io
 import json
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,7 +31,7 @@ from fidest.cli import (
     main,
     run,
 )
-from fidest.fidelity import Estimator, hard_pair
+from fidest.fidelity import Estimator, hard_instance, hard_pair
 from fidest.linalg import unitarity_error
 from fidest.oracles import (
     PreparationOracle,
@@ -492,6 +494,29 @@ class TestHardInstance:
         captured = capsys.readouterr()
         assert captured.out.splitlines()[0] == HARD_CSV_HEADER
         assert captured.err.startswith("hard-instance residuals: fidelity ")
+
+    def test_builds_no_oracle(self, capsys):
+        # the rows need only each instance's first weight and the closed forms:
+        # no 2^k oracle column, Householder vector or zero-state target is built
+        weights_nbytes = 8 << 18
+        tracemalloc.start()
+        try:
+            assert main(["hard-instance", "--k", "18", "--rank", "3", "--epsilons", "0.1"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * weights_nbytes
+
+    @pytest.mark.parametrize("k,rank", [(1, 2), (2, 3), (3, 8), (5, 7), (8, 2)])
+    def test_fidelity_column_is_the_oracle_amplitude(self, capsys, k, rank):
+        # sqrt of the first weight is |first entry| of the oracle's column, bit for bit
+        assert main(["hard-instance", "--k", str(k), "--rank", str(rank), "--epsilons", "0.03,0.1"]) == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert {row["sign"] for row in rows} == {"+", "-"}
+        for row in rows:
+            sign = 1 if row["sign"] == "+" else -1
+            inst = hard_instance(float(row["p"]), float(row["epsilon"]), rank, sign, k)
+            assert float(row["fidelity"]) == float(abs(inst.oracle.prepared_state[0]))
 
     def test_rejects_rank_one(self):
         with pytest.raises(ValueError, match="rank"):

@@ -31,8 +31,8 @@ from fidest.fidelity import (
     swap_test_estimate,
 )
 from fidest.linalg import DensityMatrix, zero_state
-from fidest.oracles import PreparationOracle, preparation_oracle, purified_channel_oracle
-from fidest.reference import flag_probability, uhlmann_fidelity
+from fidest.oracles import PreparationOracle, purified_channel_oracle
+from fidest.reference import flag_probability, preparation_oracle, uhlmann_fidelity
 
 from conftest import mixed_instance, principal_eigvec, pure_instance, resized_oracle, state_oracle
 

@@ -3,14 +3,8 @@
 import numpy as np
 import pytest
 
-from fidest.linalg import (
-    DensityMatrix,
-    herm_eig,
-    require_unitary,
-    unitarity_error,
-    zero_state,
-)
-from fidest.reference import partial_trace
+from fidest.linalg import DensityMatrix, require_unitary, unitarity_error, zero_state
+from fidest.reference import herm_eig, partial_trace
 
 from conftest import random_hermitian
 

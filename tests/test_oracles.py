@@ -21,12 +21,10 @@ from fidest.oracles import (
     INSTANCE_KINDS,
     PreparationOracle,
     RandomInstanceSpec,
-    preparation_oracle,
     purified_channel_oracle,
-    purify,
     sample_instance,
 )
-from fidest.reference import circuit_unitary, partial_trace
+from fidest.reference import circuit_unitary, partial_trace, preparation_oracle, purify
 
 from conftest import mixed_instance, pure_instance, resized_oracle, state_oracle
 
@@ -272,12 +270,14 @@ class TestSampleInstance:
         "kind,rank", [("haar_pure", 1), ("ginibre_mixed", 2), ("ginibre_mixed", 4)]
     )
     def test_oracle_soundness(self, kind, rank):
-        # every synthesized oracle: unitary, first column the purification,
-        # reduced state reproducing the source
+        # every synthesized oracle: unitary, its column the instance's Gaussian
+        # factor on the first ``rank`` ancilla states and exactly zero on the
+        # rest, reduced state reproducing the source
         dm, oracle = sample_instance(RandomInstanceSpec(2, rank, 99, kind))
         assert unitarity_error(oracle.unitary) <= 1e-10
-        assert np.max(np.abs(purify(dm) - oracle.prepared_state)) <= 1e-10
-        assert np.max(np.abs(oracle.reduced_state().matrix - dm.matrix)) <= 1e-9
+        m = oracle.prepared_state.reshape(4, 4)
+        assert not np.any(m[:, rank:])
+        assert np.max(np.abs(oracle.reduced_state().matrix - dm.matrix)) <= 1e-12
 
     @settings(database=None, deadline=None, max_examples=40)
     @given(data=st.data())

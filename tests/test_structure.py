@@ -5,8 +5,9 @@ oracles and circuits are immutable values whose queries are counted, not kept,
 each rule (query kinds, test-only linear algebra, purity) has one home, the
 package keeps no surface that only tests reach, a config's defaults are its
 command's flag defaults, the QPE sampler draws in plain floats, no
-estimate executes a circuit, and verify-identities checks oracle unitarity
-through the oracle's queries, with no dense product."""
+estimate executes a circuit, verify-identities checks oracle unitarity
+through the oracle's queries, with no dense product, only the reference
+module calls eigh, and a hard instance holds no oracle."""
 
 import ast
 import dataclasses
@@ -26,13 +27,8 @@ from fidest.cli import COMMANDS, ExperimentConfig, build_parser, config_from_arg
 from fidest.estimation import _KernelSampler
 from fidest.fidelity import ESTIMATORS, HardInstance
 from fidest.linalg import DensityMatrix
-from fidest.oracles import (
-    INSTANCE_KINDS,
-    PreparationOracle,
-    RandomInstanceSpec,
-    preparation_oracle,
-    purify,
-)
+from fidest.oracles import INSTANCE_KINDS, PreparationOracle, RandomInstanceSpec
+from fidest.reference import preparation_oracle, purify
 
 PACKAGE = Path(fidest.__file__).parent
 
@@ -185,7 +181,22 @@ def test_no_test_only_surface():
     assert not deleted & set(dir(fidest))
     assert [f.name for f in dataclasses.fields(RandomInstanceSpec)] == ["k", "rank", "seed", "kind"]
     assert INSTANCE_KINDS == ("haar_pure", "ginibre_mixed")
-    assert "target" not in [f.name for f in dataclasses.fields(HardInstance)]
+    # a hard instance holds its weights; its oracle and target are built on first read
+    assert not {"target", "oracle"} & {f.name for f in dataclasses.fields(HardInstance)}
+
+
+def test_eigendecompositions_live_in_the_reference():
+    # a sampled instance's oracle is the Gaussian factor its state is drawn from;
+    # the eigh purification, its oracle and the Hermitian eigensolver are references
+    defined = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef):
+                defined.setdefault(node.name, []).append(path.name)
+        if path.name != "reference.py":
+            assert "eigh" not in called_names(path), path.name
+    for name in ("purify", "preparation_oracle", "herm_eig"):
+        assert defined[name] == ["reference.py"], name
 
 
 def test_only_production_options_remain():
