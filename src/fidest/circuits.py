@@ -11,6 +11,9 @@ registers of it, as one reshape to (2^first, 2^width, rest); identity
 padding and control come from that block view, not from dense matrices.
 Oracle and gate ops act on axis 1 of that view; an oracle op runs the
 oracle's own O(2^n_oracle)-per-column Householder apply, never a matrix.
+Each op is one or two elementwise passes over the state (a controlled op
+copies its control = 0 half and acts on the control = 1 half), and no op
+makes a BLAS call, which OpenBLAS would thread on a large state.
 
 Two circuit families matter here.  The encoding circuit applies both
 oracles side by side, swaps the ancilla registers, then undoes the second
@@ -23,6 +26,7 @@ amplitude-estimation interface.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -36,9 +40,18 @@ DEFAULT_QUBIT_CAP = 22
 QUBIT_CAP_ENV = "FIDEST_QUBIT_CAP"
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
-_GATES_1Q = {
-    "H": np.array([[_SQRT_HALF, _SQRT_HALF], [_SQRT_HALF, -_SQRT_HALF]], dtype=complex),
-}
+
+
+def _hadamard(parts: np.ndarray) -> np.ndarray:
+    """H on axis 1 of a (pre, 2, post) array: the butterfly (a +- b)/sqrt(2)."""
+    out = np.empty_like(parts)
+    np.add(parts[:, 0], parts[:, 1], out=out[:, 0])
+    np.subtract(parts[:, 0], parts[:, 1], out=out[:, 1])
+    out *= _SQRT_HALF
+    return out
+
+
+_GATES_1Q = {"H": _hadamard}
 
 
 class QubitCapExceeded(ValueError):
@@ -164,8 +177,12 @@ class FlaggedAmplitudeAnalysis:
     residual_norm: float
 
 
-def _block(layout: RegisterLayout, names) -> tuple:
-    """(first qubit, width) of registers that sit next to each other in layout order."""
+@functools.lru_cache
+def _block(layout: RegisterLayout, names: tuple) -> tuple:
+    """(first qubit, width) of registers that sit next to each other in layout order.
+
+    Cached: a layout and a register tuple are frozen values, so each op's
+    geometry is resolved once; a failed check raises again on every call."""
     for name in names:
         layout.qubits(name)  # raises on an unknown register
     positions = [layout.names.index(name) for name in names]
@@ -175,13 +192,6 @@ def _block(layout: RegisterLayout, names) -> tuple:
     return sum(layout.sizes[:start]), sum(layout.sizes[start:stop])
 
 
-def _controlled(state: np.ndarray, applied: np.ndarray, control: int) -> np.ndarray:
-    """``state`` where qubit ``control`` is 0, ``applied`` where it is 1."""
-    shape = (1 << control, 2, -1)
-    on = np.array([False, True])[:, np.newaxis]
-    return np.where(on, applied.reshape(shape), state.reshape(shape)).reshape(state.shape)
-
-
 def _one_qubit(layout: RegisterLayout, name: str, role: str) -> int:
     first, width = _block(layout, (name,))
     if width != 1:
@@ -189,15 +199,28 @@ def _one_qubit(layout: RegisterLayout, name: str, role: str) -> int:
     return first
 
 
-def _swap(state: np.ndarray, layout: RegisterLayout, first: str, second: str) -> np.ndarray:
+@functools.lru_cache
+def _swap_geometry(layout: RegisterLayout, first: str, second: str, control=None):
+    """How a register swap, controlled by a one-qubit register or not, reshapes the
+    state: ``(shape, axis, axis, control axis or None)``, one axis per run of qubits
+    between the swapped registers' and the control's edges, then the columns.
+    None when the swap is the identity."""
+    c = None if control is None else _one_qubit(layout, control, "control")
     (a, wa), (b, wb) = sorted((_block(layout, (first,)), _block(layout, (second,))))
     if first == second:
-        return state
+        return None
     if wa != wb:
         raise ValueError(f"cannot swap registers {first!r} and {second!r} of unequal size")
-    d = 1 << wa
-    parts = state.reshape(1 << a, d, 1 << (b - a - wa), d, -1)
-    return parts.swapaxes(1, 3).reshape(state.shape)
+    if control in (first, second):
+        raise ValueError(f"control register {control!r} is also swapped")
+    if wa == 0:
+        return None
+    edges = {0, a, a + wa, b, b + wb, layout.total_qubits}
+    if c is not None:
+        edges |= {c, c + 1}
+    cuts = sorted(edges)
+    shape = tuple(1 << (hi - lo) for lo, hi in zip(cuts, cuts[1:])) + (-1,)
+    return shape, cuts.index(a), cuts.index(b), None if c is None else cuts.index(c)
 
 
 def _apply_op(op, state, layout):
@@ -206,31 +229,58 @@ def _apply_op(op, state, layout):
         control = op.kind in ("controlled", "controlled_inverse")
         if control:
             _one_qubit(layout, op.registers[0], "control")
-        if width - control < op.oracle.num_qubits:
+        n = op.oracle.num_qubits
+        if width - control < n:
             raise ValueError(
                 f"oracle op on {op.registers} spans {width} qubits, too few for its oracle"
             )
         inverse = op.kind in ("inverse", "controlled_inverse")
-        blocks = state.reshape(1 << (first + control), 1 << op.oracle.num_qubits, -1)
-        applied = op.oracle.apply(blocks, inverse).reshape(state.shape)
-        return _controlled(state, applied, first) if control else applied
+        if not control:
+            blocks = state.reshape(1 << first, 1 << n, -1)
+            return op.oracle.apply(blocks, inverse).reshape(state.shape)
+        # the oracle acts on the control = 1 half only
+        parts = state.reshape(1 << first, 2, 1 << n, -1)
+        out = np.empty_like(parts)
+        out[:, 0] = parts[:, 0]
+        out[:, 1] = op.oracle.apply(parts[:, 1], inverse)
+        return out.reshape(state.shape)
     if isinstance(op, Gate1Q):
         first = _one_qubit(layout, op.register, "gate")
-        return np.matmul(_GATES_1Q[op.gate], state.reshape(1 << first, 2, -1)).reshape(state.shape)
-    if isinstance(op, RegisterSwap):
-        return _swap(state, layout, op.first, op.second)
-    if isinstance(op, ControlledRegisterSwap):
-        control = _one_qubit(layout, op.control, "control")
-        return _controlled(state, _swap(state, layout, op.first, op.second), control)
+        return _GATES_1Q[op.gate](state.reshape(1 << first, 2, -1)).reshape(state.shape)
+    if isinstance(op, (RegisterSwap, ControlledRegisterSwap)):
+        control = op.control if isinstance(op, ControlledRegisterSwap) else None
+        geometry = _swap_geometry(layout, op.first, op.second, control)
+        if geometry is None:
+            return state
+        shape, a, b, c = geometry
+        parts = state.reshape(shape)
+        if c is None:
+            return parts.swapaxes(a, b).reshape(state.shape)
+        # one pass: the control = 0 half as it is, the control = 1 half swapped
+        out = np.empty_like(parts)
+        off, on = (slice(None),) * c + (0,), (slice(None),) * c + (1,)
+        out[off] = parts[off]
+        out[on] = parts.swapaxes(a, b)[on]
+        return out.reshape(state.shape)
     if isinstance(op, FlagOnNonzero):
         _one_qubit(layout, op.flag_register, "flag")
         first, width = _block(layout, (op.flag_register,) + op.zero_registers)
         # (flag, zero...) block: flip the flag on every nonzero zero-register value
         parts = state.reshape(1 << first, 2, 1 << (width - 1), -1)
-        out = parts.copy()
+        out = np.empty_like(parts)
+        out[:, :, 0] = parts[:, :, 0]
         out[:, :, 1:] = parts[:, ::-1, 1:]
         return out.reshape(state.shape)
     raise TypeError(f"unknown circuit op {op!r}")
+
+
+def _norm(x: np.ndarray) -> float:
+    """2-norm of a complex array with a contiguous last axis, as an einsum over
+    its real view: np.linalg.norm is a BLAS dot, which OpenBLAS threads on a
+    large state (see fidest.linalg)."""
+    r = x.view(np.float64)
+    axes = list(range(r.ndim))
+    return math.sqrt(np.einsum(r, axes, r, axes, []))
 
 
 def execute(circuit: Circuit) -> np.ndarray:
@@ -244,7 +294,7 @@ def execute(circuit: Circuit) -> np.ndarray:
     for op in circuit.ops:
         state = _apply_op(op, state, circuit.layout)
     state = state.reshape(-1)
-    norm = float(np.linalg.norm(state))
+    norm = _norm(state)
     if abs(norm - 1.0) > ATOL_STRUCT:
         raise RuntimeError(f"executed state norm drifted to {norm}")
     return state
@@ -261,9 +311,9 @@ def analyze_flagged(state: np.ndarray, layout: RegisterLayout, zero_registers) -
     zero_registers = tuple(zero_registers)
     first, width = _block(layout, zero_registers) if zero_registers else (0, 0)
     # axis 1 holds the zero registers' value
-    blocks = np.asarray(state, dtype=complex).reshape(1 << first, 1 << width, -1)
-    flagged = float(np.linalg.norm(blocks[:, 0]))
-    residual = float(np.linalg.norm(blocks[:, 1:]))
+    blocks = np.ascontiguousarray(state, dtype=complex).reshape(1 << first, 1 << width, -1)
+    flagged = _norm(blocks[:, 0])
+    residual = _norm(blocks[:, 1:])
     return FlaggedAmplitudeAnalysis(flagged, residual)
 
 

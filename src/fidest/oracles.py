@@ -75,8 +75,8 @@ class PreparationOracle:
         if not inverse:
             out[:, 0] *= c
         if tau:
-            # einsum, not a BLAS product (see fidest.linalg)
-            w = np.einsum("i,aij->aj", v.conj(), out)[:, np.newaxis]
+            # v^dag x per column: one short dot each, never a BLAS product (see fidest.linalg)
+            w = np.vecdot(v, out.swapaxes(1, 2))[:, np.newaxis]
             tv = (tau * v)[:, np.newaxis]
             # the rank-one update runs on two contiguous halves (of the leading
             # axis, or of the rows if that axis has length 1): a whole-size

@@ -151,6 +151,27 @@ class TestRegisterBlocks:
         circ = Circuit(layout, (ControlledRegisterSwap(control, first, second),))
         assert np.array_equal(circuit_unitary(circ), expected)
 
+    def test_controlled_swap_of_its_own_control_raises(self):
+        layout = RegisterLayout(("C", "A"), (1, 1))
+        circ = Circuit(layout, (ControlledRegisterSwap("C", "C", "A"),))
+        with pytest.raises(ValueError, match="also swapped"):
+            execute(circ)
+
+    @pytest.mark.parametrize("register", ["A", "C"])
+    def test_hadamard_is_kron_with_identity(self, register):
+        layout = RegisterLayout(("A", "B", "C"), (1, 2, 1))
+        h = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+        sizes = dict(zip(layout.names, layout.sizes))
+        a, b, c = (h if name == register else np.eye(1 << sizes[name]) for name in layout.names)
+        expected = np.kron(np.kron(a, b), c)
+        circ = Circuit(layout, (Gate1Q("H", register),))
+        assert np.max(np.abs(circuit_unitary(circ) - expected)) <= 1e-15
+
+    def test_hadamard_on_a_wide_register_raises(self):
+        circ = Circuit(RegisterLayout(("A", "B", "C"), (1, 2, 1)), (Gate1Q("H", "B"),))
+        with pytest.raises(ValueError, match="one qubit"):
+            execute(circ)
+
 
 class TestSwapTest:
     def test_identical_pure_states(self):
@@ -329,6 +350,28 @@ def test_oracle_ops_allocate_at_most_two_and_a_half_states():
         state = _apply_op(op, state, circ.layout)
 
 
+def test_swap_test_gates_allocate_one_state():
+    # H is a butterfly into one output, and the controlled swap copies the
+    # control = 0 half and swaps the control = 1 half into that same output
+    _, u = mixed_instance(4, 3, 92)
+    _, v = pure_instance(4, 93)
+    circ = build_swap_test(u, v)  # 17 qubits, a 2 MiB state
+    state = np.zeros((1 << circ.layout.total_qubits, 1), dtype=complex)
+    state[0, 0] = 1.0
+    bounds = {Gate1Q: 1.01, ControlledRegisterSwap: 1.6}
+    for op in circ.ops:
+        if type(op) in bounds:
+            tracemalloc.start()
+            try:
+                _apply_op(op, state, circ.layout)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= bounds[type(op)] * state.nbytes, (op, peak / state.nbytes)
+        state = _apply_op(op, state, circ.layout)
+    assert {type(op) for op in circ.ops} >= set(bounds)
+
+
 class TestRestructuredEncoding:
     def test_maximally_mixed_second_state(self):
         rho, u = mixed_instance(1, 2, 88)
@@ -373,10 +416,15 @@ class TestAnalyzeFlagged:
         assert abs(split.flagged_amplitude - np.sqrt(0.5)) <= 1e-12
 
 
-def test_circuit_unitary_matches_execution():
+@pytest.mark.parametrize(
+    "build",
+    [build_swap_test, build_encoding_circuit, build_flagged_encoding, build_restructured_encoding],
+    ids=lambda build: build.__name__,
+)
+def test_circuit_unitary_matches_execution(build):
     _, u = mixed_instance(1, 2, 91)
     _, v = pure_instance(1, 92)
-    circ = build_encoding_circuit(u, v)
+    circ = build(u, v)
     mat = circuit_unitary(circ)
     state = execute(circ)
     assert np.max(np.abs(mat[:, 0] - state)) <= 1e-12

@@ -7,7 +7,8 @@ package keeps no surface that only tests reach, a config's defaults are its
 command's flag defaults, the QPE sampler draws in plain floats, no
 estimate executes a circuit, verify-identities checks oracle unitarity
 through the oracle's queries, with no dense product, only the reference
-module calls eigh, and a hard instance holds no oracle."""
+module calls eigh, a hard instance holds no oracle, and executed circuit ops
+make no BLAS call that OpenBLAS can thread."""
 
 import ast
 import dataclasses
@@ -238,6 +239,20 @@ def test_the_sampler_draws_in_plain_floats():
     assert not hasattr(_KernelSampler(0.3, 4), "window")
 
 
+def used_names(node):
+    """Attribute and variable names under an AST node, plus "@" for a matrix product."""
+    nodes = list(ast.walk(node))
+    used = {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+    used |= {n.id for n in nodes if isinstance(n, ast.Name)}
+    products = [n for n in nodes if isinstance(n, (ast.BinOp, ast.AugAssign))]
+    if any(isinstance(n.op, ast.MatMult) for n in products):
+        used.add("@")
+    return used
+
+
+PRODUCTS = {"@", "matmul", "dot", "tensordot"}
+
+
 def test_cli_checks_unitarity_through_the_oracle_queries():
     # the oracle unitarity residual is O(4^n) per oracle: queries on the
     # identity and on U, no dense U^dag U product
@@ -247,8 +262,18 @@ def test_cli_checks_unitarity_through_the_oracle_queries():
     tree = ast.parse(path.read_text(encoding="utf-8"))
     functions = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
     for name in ("_identity_residuals", "_oracle_unitarity_residual"):
-        nodes = list(ast.walk(functions[name]))
-        assert not [n for n in nodes if isinstance(n, ast.BinOp) and isinstance(n.op, ast.MatMult)]
-        used = {n.attr for n in nodes if isinstance(n, ast.Attribute)}
-        used |= {n.id for n in nodes if isinstance(n, ast.Name)}
-        assert not {"matmul", "dot", "tensordot"} & used, name
+        assert not PRODUCTS & used_names(functions[name]), name
+
+
+def test_executed_ops_make_no_threaded_blas_call():
+    # every executor op is one or two elementwise passes over a view of the
+    # state, and norms are einsums over its real view: OpenBLAS threads a
+    # product, a whole-state dot or a norm, and np.where writes a second state
+    path = PACKAGE / "circuits.py"
+    assert "@" not in used_names(ast.parse(path.read_text(encoding="utf-8")))
+    assert not {"matmul", "dot", "vdot", "tensordot", "norm", "where"} & set(called_names(path))
+    # the oracle's Householder reduction is one short dot per column, no product
+    tree = ast.parse((PACKAGE / "oracles.py").read_text(encoding="utf-8"))
+    oracle = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "PreparationOracle")
+    apply = next(n for n in oracle.body if isinstance(n, ast.FunctionDef) and n.name == "apply")
+    assert not PRODUCTS & used_names(apply)
