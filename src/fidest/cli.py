@@ -41,7 +41,7 @@ from .fidelity import (
     hard_pair_hellinger,
     hellinger_distance,
 )
-from .oracles import RandomInstanceSpec, sample_instance
+from .oracles import RandomInstanceSpec, sample_instance, synthesize_instance
 
 COMMANDS = ("verify-identities", "sweep", "hard-instance", "single")
 FORMATS = ("csv", "json")
@@ -224,12 +224,9 @@ def fit_scaling(records) -> dict:
     return slopes
 
 
-def _instance(
-    config: ExperimentConfig, trial: int, stream: int, kind: str, rank: int, label: str
-):
-    """The seeded (density matrix, oracle) of one trial's instance stream."""
-    spec = RandomInstanceSpec(config.k, rank, derive_seed(config.seed, trial, stream), kind)
-    return sample_instance(spec, label)
+def _spec(config: ExperimentConfig, trial: int, stream: int, kind: str, rank: int):
+    """The seeded instance spec of one trial's instance stream."""
+    return RandomInstanceSpec(config.k, rank, derive_seed(config.seed, trial, stream), kind)
 
 
 def _estimate_trial(config: ExperimentConfig, trial: int) -> list:
@@ -242,9 +239,10 @@ def _estimate_trial(config: ExperimentConfig, trial: int) -> list:
     """
     estimator = ESTIMATORS[config.estimator]
     kinds = {True: ("haar_pure", 1), False: ("ginibre_mixed", config.rank)}
-    rho_dm, rho_oracle = _instance(config, trial, 0, *kinds[estimator.first_pure], "U")
-    second_dm, second_oracle = _instance(config, trial, 1, *kinds[estimator.second_pure], "V")
-    truth = math.sqrt(exact_tr_rho_sigma2(rho_dm, second_dm))
+    first, second = kinds[estimator.first_pure], kinds[estimator.second_pure]
+    rho, rho_oracle = synthesize_instance(_spec(config, trial, 0, *first), "U")
+    sigma, second_oracle = synthesize_instance(_spec(config, trial, 1, *second), "V")
+    truth = math.sqrt(exact_tr_rho_sigma2(rho, sigma))
     seed = derive_seed(config.seed, trial, 2)
     out = []
     epsilon = config.epsilons[0]
@@ -383,9 +381,9 @@ def _oracle_unitarity_residual(oracle) -> float:
 def _identity_residuals(config: ExperimentConfig, trial: int) -> dict:
     """Every IDENTITY_BOUNDS residual on one trial's seeded instances."""
     rank = trial % (1 << config.k) + 1
-    rho_dm, rho_oracle = _instance(config, trial, 0, "ginibre_mixed", rank, "U")
-    psi_dm, psi_oracle = _instance(config, trial, 1, "haar_pure", 1, "V")
-    sigma_dm, sigma_oracle = _instance(config, trial, 2, "ginibre_mixed", rank, "V")
+    rho_dm, rho_oracle = sample_instance(_spec(config, trial, 0, "ginibre_mixed", rank), "U")
+    psi_dm, psi_oracle = sample_instance(_spec(config, trial, 1, "haar_pure", 1), "V")
+    sigma_dm, sigma_oracle = sample_instance(_spec(config, trial, 2, "ginibre_mixed", rank), "V")
     pure_truth = exact_tr_rho_sigma2(rho_dm, psi_dm)
 
     def split(circuit, registers=("A", "B")):

@@ -29,13 +29,21 @@ sampler builds no arrays: numpy only seeds the repetition streams.
 
 The estimators read out sin^2(pi y / M) (for p) or sin(pi y / M) (for
 sqrt(p)) and take the lower median of 15 repetitions.  Repetition rep draws
-the uniform stream of default_rng([seed, rep]); the streams depend only on
-the seed, so they are built once per seed and replayed, and an estimate does
-not depend on which delta ran before it.  With M >= 4 pi / delta
-(respectively 2 pi / delta) a single repetition lands within delta with
-probability at least 8/pi^2, and the median amplifies that well past 2/3.
-fidest.reference.qpe_grid_distribution builds the whole 2^m grid; it is the
-reference the sampler is tested against.
+the uniform stream of default_rng([seed, rep]), seeded directly with the
+uint32 entropy words numpy derives from [seed, rep]; the streams depend only
+on the seed, so they are built once per seed and replayed, and an estimate
+does not depend on which delta ran before it.  Each stream's record starts
+with its branch and window uniforms, which _estimate reads directly; a
+_Replay cursor, which draws the record on, is built only for a repetition
+whose window misses and whose tail rejection loop needs more uniforms.
+The cached records are extended without a lock: the package runs its
+estimates in one thread, and estimates run from concurrent threads could
+record a stream's uniforms out of order.
+
+With M >= 4 pi / delta (respectively 2 pi / delta) a single repetition lands
+within delta with probability at least 8/pi^2, and the median amplifies that
+well past 2/3.  fidest.reference.qpe_grid_distribution builds the whole 2^m
+grid; it is the reference the sampler is tested against.
 
 An estimate is a function of the flagged probability p, the tallies of one
 preparer execution (``Circuit.queries``), delta and the seed; nothing here
@@ -55,7 +63,6 @@ import functools
 import itertools
 import json
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -152,12 +159,21 @@ class _KernelSampler:
         """One offset d of the branch at omega, so the outcome is (a + d) mod M."""
         if self.f == 0.0:
             return 0
-        i = bisect.bisect_right(self.cum, rng.random())
-        if i < len(self.cum):
-            return i + 1 - _WINDOW
-        # Tail: pick a side with probability proportional to its envelope
-        # mass, then a bin by inverse CDF (1/z is uniform between the side's
-        # ends), and accept with probability K(d) / envelope(d).
+        d = self.window_offset(rng.random())
+        return self.tail_offset(rng) if d is None else d
+
+    def window_offset(self, u: float):
+        """The offset that the window uniform u selects, or None if u falls in the tail."""
+        if self.f == 0.0:
+            return 0
+        i = bisect.bisect_right(self.cum, u)
+        return i + 1 - _WINDOW if i < len(self.cum) else None
+
+    def tail_offset(self, rng) -> int:
+        """One offset drawn from the tail, the period outside the window."""
+        # Pick a side with probability proportional to its envelope mass, then
+        # a bin by inverse CDF (1/z is uniform between the side's ends), and
+        # accept with probability K(d) / envelope(d).
         while True:
             right = rng.random() < self.right_share
             c, inv_far, mass = self.sides[0 if right else 1]
@@ -168,12 +184,16 @@ class _KernelSampler:
             if rng.random() * self.scale / (z * (z - 1.0)) <= _kernel(self.f, d, self.M):
                 return d
 
+    def outcome(self, mirrored: bool, d: int) -> int:
+        """The outcome at offset d of the branch at omega, or of 1 - omega if mirrored."""
+        y = (self.a + d) % self.M
+        # Pr_{1-omega}[y] = Pr_omega[M - y]: mirror instead of rounding 1 - omega
+        return (self.M - y) % self.M if mirrored else y
+
     def draw(self, rng) -> int:
         """One outcome y in [0, M): branch omega or 1 - omega with probability 1/2 each."""
         mirrored = rng.random() < 0.5
-        y = (self.a + self.offset(rng)) % self.M
-        # Pr_{1-omega}[y] = Pr_omega[M - y]: mirror instead of rounding 1 - omega
-        return (self.M - y) % self.M if mirrored else y
+        return self.outcome(mirrored, self.offset(rng))
 
 
 def readout_qubits(delta: float, square: bool) -> int:
@@ -205,39 +225,41 @@ def _repetition_streams(seed: int) -> tuple:
     """Per repetition, the generator default_rng([seed, rep]) and the uniforms drawn from it.
 
     Every epsilon of a sweep trial shares its seed, so the streams are built
-    once per seed and replayed.  Each record starts with the branch and the
-    window draw (random(2) yields the same doubles as two scalar calls) and
-    _Replay extends it past that on demand.
+    once per seed and replayed.  Each generator is seeded with the entropy
+    numpy derives from [seed, rep], built here as uint32 words once per seed:
+    the seed's 32-bit words, least significant first, then rep.  Each record
+    starts with the branch and the window draw (random(2) yields the same
+    doubles as two scalar calls); a _Replay cursor extends it past that when
+    the tail is drawn.
     """
+    words = [(seed >> shift) & 0xFFFFFFFF for shift in range(0, max(seed.bit_length(), 1), 32)]
+    entropy = np.empty((DEFAULT_REPETITIONS, len(words) + 1), dtype=np.uint32)
+    entropy[:, :-1] = words
+    entropy[:, -1] = np.arange(DEFAULT_REPETITIONS)
     streams = []
-    for rep in range(DEFAULT_REPETITIONS):
-        rng = np.random.default_rng([seed, rep])
+    for words_and_rep in entropy:
+        rng = np.random.default_rng(words_and_rep)
         streams.append((rng, rng.random(2).tolist()))
     return tuple(streams)
 
 
-#: Serialises extending a recorded stream, whose generator sits at its end.
-_EXTEND_LOCK = threading.Lock()
-
-
 class _Replay:
-    """Cursor over a recorded uniform stream: the random() of the generator it replays."""
+    """Cursor over a recorded uniform stream from position ``start``: the random()
+    of the generator it replays, which sits at the record's end."""
 
     __slots__ = ("_rng", "_drawn", "_next")
 
-    def __init__(self, rng, drawn: list):
+    def __init__(self, rng, drawn: list, start: int):
         self._rng = rng
         self._drawn = drawn
-        self._next = 0
+        self._next = start
 
     def random(self) -> float:
         i = self._next
         self._next = i + 1
         drawn = self._drawn
-        if i >= len(drawn):
-            with _EXTEND_LOCK:
-                while len(drawn) <= i:
-                    drawn.append(self._rng.random())
+        while len(drawn) <= i:
+            drawn.append(self._rng.random())
         return drawn[i]
 
 
@@ -252,8 +274,12 @@ def _estimate(p, once, delta, seed, square):
     sampler = _KernelSampler(math.asin(math.sqrt(p)) / math.pi, m)
     values = []
     for rng, drawn in _repetition_streams(seed):
-        y = sampler.draw(_Replay(rng, drawn))
-        amp = math.sin(math.pi * y / sampler.M)
+        # the branch and window uniforms are the record's first two; a cursor
+        # is built only when the window misses and the tail draws on
+        d = sampler.window_offset(drawn[1])
+        if d is None:
+            d = sampler.tail_offset(_Replay(rng, drawn, 2))
+        amp = math.sin(math.pi * sampler.outcome(drawn[0] < 0.5, d) / sampler.M)
         values.append(amp * amp if square else amp)
     return EstimationResult(
         estimate=sorted(values)[(DEFAULT_REPETITIONS - 1) // 2],

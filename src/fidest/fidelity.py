@@ -17,7 +17,7 @@ from .estimation import (
     readout_qubits,
     sqrt_amplitude_estimate,
 )
-from .linalg import DensityMatrix, zero_state
+from .linalg import PURITY_ATOL, DensityMatrix, zero_state
 from .oracles import PreparationOracle
 
 
@@ -30,11 +30,15 @@ def exact_fidelity_to_pure(rho: DensityMatrix, psi: np.ndarray) -> float:
     return math.sqrt(min(max(val, 0.0), 1.0))
 
 
-def exact_tr_rho_sigma2(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """tr(rho sigma^2); equals <psi|rho|psi> when sigma is pure."""
-    if rho.dim != sigma.dim:
-        raise ValueError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
-    val = float(np.trace(rho.matrix @ sigma.matrix @ sigma.matrix).real)
+def exact_tr_rho_sigma2(rho, sigma) -> float:
+    """tr(rho sigma^2); equals <psi|rho|psi> when sigma is pure.
+
+    rho and sigma are DensityMatrix values or the raw states a sweep synthesises.
+    """
+    rho, sigma = np.asarray(rho), np.asarray(sigma)
+    if len(rho) != len(sigma):
+        raise ValueError(f"dimension mismatch: {len(rho)} vs {len(sigma)}")
+    val = float(np.trace(rho @ sigma @ sigma).real)
     return min(max(val, 0.0), 1.0)
 
 
@@ -130,9 +134,9 @@ class Estimator:
         Returns estimate(epsilon, seed) -> EstimationResult; every call shares
         the pair's p, taken once from the columns, and the circuit is never executed.
         """
-        if self.second_pure and not second_oracle.reduced_state().is_pure():
+        if self.second_pure and not second_oracle.purity() >= 1.0 - PURITY_ATOL:
             raise ValueError(f"the {name} estimator requires a pure second state")
-        if self.first_pure and not rho_oracle.reduced_state().is_pure():
+        if self.first_pure and not rho_oracle.purity() >= 1.0 - PURITY_ATOL:
             raise ValueError(f"the {name} estimator requires a pure first state")
         build = build_swap_test if self.swap_test else build_flagged_encoding
         once = build(rho_oracle, second_oracle).queries()  # building checks the pair

@@ -91,6 +91,10 @@ class DensityMatrix:
         mat.flags.writeable = False
         object.__setattr__(self, "matrix", mat)
 
+    def __array__(self, dtype=None, copy=None):
+        """The validated matrix, so numpy reads a DensityMatrix as its array."""
+        return np.array(self.matrix, dtype=dtype, copy=copy)
+
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]

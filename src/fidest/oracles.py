@@ -6,8 +6,11 @@ whose reduced system matrix is the target.  An oracle is held as that
 prepared column alone: its unitary is the column's Householder completion
 U = phase H diag(c, 1, ...), applied along axis 1 of a (pre, 2^n, post)
 view of a state in O(2^n) per column and built densely only on request.
-A random instance's column is the Gaussian factor its state is drawn from;
-the eigh purification of a given state is a reference (``fidest.reference``).
+The Householder factors are built on the first application, and the reduced
+state's purity is read from the column, so an oracle that is only read
+builds neither them nor a density matrix.  A random instance's column is the
+Gaussian factor its state is drawn from (``synthesize_instance``); the eigh
+purification of a given state is a reference (``fidest.reference``).
 Oracles are immutable values.  Invocations come in four kinds (plain,
 inverse, controlled, controlled_inverse); a circuit says how often it
 invokes each oracle, per kind (``Circuit.queries``), and the estimators
@@ -16,6 +19,7 @@ derive a whole run's tallies from that in closed form (``fidest.estimation``).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +36,9 @@ class PreparationOracle:
     """State-preparation oracle held as its prepared column.
 
     ``prepared_state`` (system qubits most significant, then ancilla) is
-    U|0...0>; U is its Householder completion, applied by ``apply``.
+    U|0...0>; U is its Householder completion, applied by ``apply``.  The
+    column is checked on construction; the Householder factors are built on
+    the first ``apply``, so an oracle that is only read (a sweep's) builds none.
     """
 
     prepared_state: np.ndarray
@@ -53,6 +59,11 @@ class PreparationOracle:
             raise ValueError(f"oracle {self.label!r} column norm {norm} is not 1")
         col.flags.writeable = False
         object.__setattr__(self, "prepared_state", col)
+
+    @functools.cached_property
+    def _householder(self) -> tuple:
+        """(v, tau, c, phase) of U = phase (I - tau v v^dag) diag(c, 1, ...)."""
+        col = self.prepared_state
         # divide out the phase of the largest-magnitude entry (a well-conditioned
         # choice); H = I - tau v v^dag then maps c e0 to that rotated column
         j = int(np.argmax(np.abs(col)))
@@ -63,7 +74,7 @@ class PreparationOracle:
         vnorm2 = float(np.real(np.vdot(v, v)))
         tau = 2.0 / vnorm2 if vnorm2 >= 1e-24 else 0.0
         v.flags.writeable = False
-        object.__setattr__(self, "_householder", (v, tau, c, phase))
+        return v, tau, c, phase
 
     def apply(self, blocks: np.ndarray, inverse: bool = False) -> np.ndarray:
         """U (or U^dag) along axis 1 of a (pre, 2^num_qubits, post) array,
@@ -102,6 +113,14 @@ class PreparationOracle:
     def unitary(self) -> np.ndarray:
         """Dense U, built on request by applying the oracle to the identity."""
         return self.apply(np.eye(1 << self.num_qubits, dtype=complex)[np.newaxis])[0]
+
+    def purity(self) -> float:
+        """tr(rho^2) of the reduced system state rho = M M^dag, read from the
+        column M (2^system x 2^ancilla) as ||M^dag M||_F^2: an einsum, no BLAS
+        product (see fidest.linalg) and no density matrix."""
+        m = self.prepared_state.reshape(1 << self.system_qubits, 1 << self.ancilla_qubits)
+        gram = np.einsum("ia,ib->ab", m.conj(), m)
+        return float(np.vdot(gram, gram).real)
 
     def reduced_state(self) -> DensityMatrix:
         """Density matrix of the system register of the prepared state."""
@@ -154,13 +173,17 @@ class RandomInstanceSpec:
             raise ValueError("haar_pure instances must have rank 1")
 
 
-def sample_instance(spec: RandomInstanceSpec, label: str = "U"):
-    """Draw ``(DensityMatrix, PreparationOracle)`` deterministically from a spec.
+def synthesize_instance(spec: RandomInstanceSpec, label: str = "U"):
+    """Draw ``(rho, PreparationOracle)`` deterministically from a spec; rho is a
+    read-only array.
 
     Both kinds draw g, a normalized complex-Gaussian d x rank matrix: a
     Haar-random pure state whose reduced system state is rho = g g^dag (the
     induced measure), so the oracle's column is g itself, zero-padded to a
     d x d ancilla (psi (x) |0> for haar_pure, whose rho is psi psi^dag).
+    rho, a Gram matrix symmetrised and divided by its trace, is Hermitian,
+    unit-trace and PSD by construction, so it is not re-validated here;
+    ``sample_instance`` wraps it in a checked ``DensityMatrix``.
     """
     rng = np.random.default_rng(spec.seed)
     d = 1 << spec.k
@@ -169,6 +192,13 @@ def sample_instance(spec: RandomInstanceSpec, label: str = "U"):
     rho = np.outer(g, g.conj()) if spec.kind == "haar_pure" else g @ g.conj().T
     rho = 0.5 * (rho + rho.conj().T)
     rho /= np.trace(rho).real
+    rho.flags.writeable = False
     column = np.zeros((d, d), dtype=complex)
     column[:, : spec.rank] = g
-    return DensityMatrix(rho), PreparationOracle(column.ravel(), spec.k, spec.k, label)
+    return rho, PreparationOracle(column.ravel(), spec.k, spec.k, label)
+
+
+def sample_instance(spec: RandomInstanceSpec, label: str = "U"):
+    """``synthesize_instance`` with its state as a validated ``DensityMatrix``."""
+    rho, oracle = synthesize_instance(spec, label)
+    return DensityMatrix(rho), oracle

@@ -1,6 +1,12 @@
 import numpy as np
 
-from fidest.oracles import PreparationOracle, RandomInstanceSpec, sample_instance
+from fidest.fidelity import hard_pair
+from fidest.oracles import (
+    PreparationOracle,
+    RandomInstanceSpec,
+    purified_channel_oracle,
+    sample_instance,
+)
 from fidest.reference import purify
 
 
@@ -38,3 +44,20 @@ def principal_eigvec(dm):
 def random_hermitian(rng, dim):
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return 0.5 * (g + g.conj().T)
+
+
+def generated_oracles():
+    """Oracles of every kind verify-identities and the tests build: sampled
+    instances at k = 1-3 (every rank), hard instances (zero ancilla) and
+    purified channels."""
+    for k in (1, 2, 3):
+        specs = [(1, "haar_pure")] + [(r, "ginibre_mixed") for r in range(1, (1 << k) + 1)]
+        for seed in range(3):
+            for rank, kind in specs:
+                yield sample_instance(RandomInstanceSpec(k, rank, seed, kind))[1]
+    for k, rank in ((1, 2), (2, 3), (3, 5)):
+        yield from (inst.oracle for inst in hard_pair(0.5, 0.1, rank, k))
+    rng = np.random.default_rng(3)
+    for n, system in ((2, 1), (3, 1), (4, 2)):
+        g = rng.standard_normal((1 << n, 1 << n)) + 1j * rng.standard_normal((1 << n, 1 << n))
+        yield purified_channel_oracle(np.linalg.qr(g)[0], system)

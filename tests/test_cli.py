@@ -31,14 +31,11 @@ from fidest.cli import (
     main,
     run,
 )
-from fidest.fidelity import Estimator, hard_instance, hard_pair
+from fidest.fidelity import Estimator, hard_instance
 from fidest.linalg import unitarity_error
-from fidest.oracles import (
-    PreparationOracle,
-    RandomInstanceSpec,
-    purified_channel_oracle,
-    sample_instance,
-)
+from fidest.oracles import PreparationOracle, RandomInstanceSpec, sample_instance
+
+from conftest import generated_oracles
 
 #: each command's flags, by ExperimentConfig field: exactly the keys its config file takes
 COMMAND_FLAGS = {
@@ -133,26 +130,33 @@ class TestFitScaling:
         assert fit_scaling(records)["optimal"] == pytest.approx(-1.0, abs=1e-9)
 
 
+#: The instance samplers the CLI calls: a sweep synthesises raw states,
+#: verify-identities samples validated DensityMatrix states.
+SAMPLERS = ("synthesize_instance", "sample_instance")
+
+
 def count_sampling(monkeypatch):
-    """Wrap fidest.cli.sample_instance; return the list its calls append to."""
+    """Wrap both fidest.cli samplers; return the list of sampler names called."""
     calls = []
-    original = fidest.cli.sample_instance
+    for name in SAMPLERS:
+        original = getattr(fidest.cli, name)
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
+        def counting(*args, name=name, original=original, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
 
-    monkeypatch.setattr(fidest.cli, "sample_instance", counting)
+        monkeypatch.setattr(fidest.cli, name, counting)
     return calls
 
 
-def forbid_sampling(monkeypatch):
-    """Make any fidest.cli.sample_instance call fail the test."""
+def forbid_sampling(monkeypatch, check="the config checks"):
+    """Make any call of either fidest.cli sampler fail the test."""
 
     def no_synthesis(*args, **kwargs):
-        raise AssertionError("sample_instance called before the config checks")
+        raise AssertionError(f"an instance was sampled before {check}")
 
-    monkeypatch.setattr(fidest.cli, "sample_instance", no_synthesis)
+    for name in SAMPLERS:
+        monkeypatch.setattr(fidest.cli, name, no_synthesis)
 
 
 class TestVerifyIdentities:
@@ -179,7 +183,7 @@ class TestVerifyIdentities:
     def test_samples_three_instances_per_trial(self, monkeypatch, capsys):
         calls = count_sampling(monkeypatch)
         assert run(ExperimentConfig(command="verify-identities", k=1, trials=4)) == 0
-        assert len(calls) == 3 * 4
+        assert calls == ["sample_instance"] * (3 * 4)
 
     @pytest.mark.parametrize("trial", [0, 11])
     def test_identity_residuals_within_bounds_at_k4(self, trial):
@@ -188,23 +192,6 @@ class TestVerifyIdentities:
         residuals = _identity_residuals(config, trial)
         for name, bound in IDENTITY_BOUNDS.items():
             assert residuals[name] <= bound, name
-
-
-def generated_oracles():
-    """Oracles of every kind verify-identities and the tests build: sampled
-    instances at k = 1-3 (every rank), hard instances (zero ancilla) and
-    purified channels."""
-    for k in (1, 2, 3):
-        specs = [(1, "haar_pure")] + [(r, "ginibre_mixed") for r in range(1, (1 << k) + 1)]
-        for seed in range(3):
-            for rank, kind in specs:
-                yield sample_instance(RandomInstanceSpec(k, rank, seed, kind))[1]
-    for k, rank in ((1, 2), (2, 3), (3, 5)):
-        yield from (inst.oracle for inst in hard_pair(0.5, 0.1, rank, k))
-    rng = np.random.default_rng(3)
-    for n, system in ((2, 1), (3, 1), (4, 2)):
-        g = rng.standard_normal((1 << n, 1 << n)) + 1j * rng.standard_normal((1 << n, 1 << n))
-        yield purified_channel_oracle(np.linalg.qr(g)[0], system)
 
 
 def corrupted(oracle):
@@ -286,6 +273,13 @@ class TestSweep:
             paths.append(out)
         assert strip_wall_ms(paths[0]) == strip_wall_ms(paths[1])
 
+    def test_json_file_is_its_payload_at_indent_2(self, tmp_path, capsys):
+        out = tmp_path / "sweep.json"
+        argv = ["sweep", "--k", "2", "--format", "json", "--epsilons", "0.2,0.1,0.05", "--trials", "2"]
+        assert main([*argv, "--output", str(out)]) == 0
+        text = out.read_text()
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
     def test_json_format_embeds_scaling(self, tmp_path):
         out = tmp_path / "sweep.json"
         config = ExperimentConfig(
@@ -316,7 +310,8 @@ class TestSweep:
             output_path=str(tmp_path / "sweep.csv"),
         )
         assert run(config) == 0
-        assert len(calls) == 2 * 3
+        # raw states: a sweep validates no DensityMatrix
+        assert calls == ["synthesize_instance"] * (2 * 3)
 
     @pytest.mark.parametrize("estimator,slope", [("optimal", -1.0), ("swap-baseline", -2.0)])
     def test_scaling_over_three_decades(self, tmp_path, capsys, estimator, slope):
@@ -616,10 +611,7 @@ class TestMainEntry:
         assert "epsilons" in capsys.readouterr().err
 
     def test_readout_budget_fails_before_any_work(self, tmp_path, monkeypatch, capsys):
-        def no_synthesis(*args, **kwargs):
-            raise AssertionError("sample_instance called before the m budget check")
-
-        monkeypatch.setattr(fidest.cli, "sample_instance", no_synthesis)
+        forbid_sampling(monkeypatch, "the m budget check")
         out = tmp_path / "sweep.csv"
         code = main(
             ["sweep", "--estimator", "swap-baseline", "--epsilons", "1e-9", "--output", str(out)]
@@ -639,19 +631,13 @@ class TestMainEntry:
     )
     def test_tiny_epsilon_exits_3_before_any_work(self, monkeypatch, capsys, estimator, epsilon):
         # pi / eps overflows, or the SWAP baseline's eps^2 / 4 underflows to 0
-        def no_synthesis(*args, **kwargs):
-            raise AssertionError("sample_instance called before the m budget check")
-
-        monkeypatch.setattr(fidest.cli, "sample_instance", no_synthesis)
+        forbid_sampling(monkeypatch, "the m budget check")
         assert main(["sweep", "--estimator", estimator, "--epsilons", epsilon]) == 3
         err = capsys.readouterr().err
         assert f"epsilon = {float(epsilon)}" in err and "cap is 48" in err
 
     def test_qubit_budget_fails_before_any_work(self, tmp_path, monkeypatch, capsys):
-        def no_synthesis(*args, **kwargs):
-            raise AssertionError("sample_instance called before the qubit budget check")
-
-        monkeypatch.setattr(fidest.cli, "sample_instance", no_synthesis)
+        forbid_sampling(monkeypatch, "the qubit budget check")
         out = tmp_path / "sweep.csv"
         # k = 6 runs 1 + 4k = 25-qubit circuits, past the default cap of 22
         assert main(["sweep", "--k", "6", "--output", str(out)]) == 3

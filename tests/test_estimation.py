@@ -1,8 +1,6 @@
 """Tests for the amplitude/phase estimation engine."""
 
 import math
-import sys
-import threading
 
 import numpy as np
 import pytest
@@ -10,6 +8,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fidest import estimation
 from fidest.circuits import (
     Circuit,
     OracleOp,
@@ -26,7 +25,6 @@ from fidest.estimation import (
     _KernelSampler,
     _query_tally,
     _repetition_streams,
-    _Replay,
     amplitude_estimate,
     readout_qubits,
     sqrt_amplitude_estimate,
@@ -421,40 +419,36 @@ class TestRepetitionStreams:
         # branch and window draws of at least one repetition
         assert max(len(drawn) for _, drawn in _repetition_streams(3)) > 2
 
-    def test_concurrent_cursors_extend_a_stream_in_order(self):
-        # more threads than cores extend one shared record at once; each must
-        # read the generator's own sequence and the record must stay that sequence
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for seed in range(20):
-                rng, drawn = _repetition_streams(seed)[0]
-                start = threading.Barrier(4)
-                read = []
+    def test_a_cursor_is_built_only_when_the_window_misses(self, monkeypatch):
+        cursors, tails = [], []
+        replay, tail_offset = estimation._Replay, _KernelSampler.tail_offset
 
-                def work():
-                    cursor = _Replay(rng, drawn)
-                    start.wait(timeout=60)
-                    read.append([cursor.random() for _ in range(2000)])
+        def counting_replay(*args):
+            cursors.append(args[2])
+            return replay(*args)
 
-                threads = [threading.Thread(target=work) for _ in range(4)]
-                for thread in threads:
-                    thread.start()
-                for thread in threads:
-                    thread.join(timeout=60)
-                assert not any(thread.is_alive() for thread in threads)
-                fresh = np.random.default_rng([seed, 0]).random(2000).tolist()
-                assert read == [fresh] * 4 and drawn == fresh, seed
-        finally:
-            sys.setswitchinterval(interval)
+        def counting_tail(self, rng):
+            tails.append(rng)
+            return tail_offset(self, rng)
+
+        monkeypatch.setattr(estimation, "_Replay", counting_replay)
+        monkeypatch.setattr(_KernelSampler, "tail_offset", counting_tail)
+        # p = 0 is a point mass (f = 0): no window and no tail
+        sqrt_amplitude_estimate(0.0, ONE_PLAIN_U, 0.1, 3)
+        assert cursors == tails == []
+        sqrt_amplitude_estimate(HEAVY_TAIL_P, ONE_PLAIN_U, 0.01, 3)
+        # one cursor per tail draw, each reading on past the branch and window uniforms
+        assert 0 < len(cursors) == len(tails) < DEFAULT_REPETITIONS
+        assert set(cursors) == {2}
 
     def test_sweep_builds_each_repetition_stream_once_per_seed(self, monkeypatch, capsys):
         built = []
         default_rng = np.random.default_rng
 
         def counting_default_rng(seed=None):
-            if isinstance(seed, list) and len(seed) == 2:
-                built.append(tuple(seed))
+            # a repetition stream is seeded with the uint32 words of [seed, rep]
+            if isinstance(seed, np.ndarray):
+                built.append(tuple(seed.tolist()))
             return default_rng(seed)
 
         monkeypatch.setattr(np.random, "default_rng", counting_default_rng)
@@ -463,6 +457,30 @@ class TestRepetitionStreams:
         assert main([*argv, "--epsilons", "0.1,0.05,0.03,0.02,0.01"]) == 0
         # 2 trials x 15 repetitions; one generator per estimate would be 5 x 30
         assert len(built) == len(set(built)) == 2 * DEFAULT_REPETITIONS
+
+
+#: Seeds at the 32- and 64-bit word boundaries of the stream entropy.
+EDGE_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64 - 1)
+
+
+def assert_streams_are_default_rng(seed):
+    # built uncached, so drawing past the record leaves the cached streams alone
+    streams = _repetition_streams.__wrapped__(seed)
+    assert len(streams) == DEFAULT_REPETITIONS
+    for rep, (rng, drawn) in enumerate(streams):
+        expected = np.random.default_rng([seed, rep]).random(10).tolist()
+        assert drawn + rng.random(8).tolist() == expected, (seed, rep)
+
+
+class TestStreamSeeding:
+    @pytest.mark.parametrize("seed", EDGE_SEEDS)
+    def test_streams_are_default_rng_of_seed_and_rep_at_word_edges(self, seed):
+        assert_streams_are_default_rng(seed)
+
+    @settings(database=None, deadline=None, max_examples=30)
+    @given(seed=st.integers(0, 2**64 - 1))
+    def test_streams_are_default_rng_of_seed_and_rep(self, seed):
+        assert_streams_are_default_rng(seed)
 
 
 class TestQueryAccounting:

@@ -16,17 +16,18 @@ from fidest.circuits import (
     build_encoding_circuit,
     execute,
 )
-from fidest.linalg import DensityMatrix, unitarity_error, zero_state
+from fidest.linalg import PURITY_ATOL, DensityMatrix, unitarity_error, zero_state
 from fidest.oracles import (
     INSTANCE_KINDS,
     PreparationOracle,
     RandomInstanceSpec,
     purified_channel_oracle,
     sample_instance,
+    synthesize_instance,
 )
 from fidest.reference import circuit_unitary, partial_trace, preparation_oracle, purify
 
-from conftest import mixed_instance, pure_instance, resized_oracle, state_oracle
+from conftest import generated_oracles, mixed_instance, pure_instance, resized_oracle, state_oracle
 
 
 def reduced_system_state(col, system_qubits):
@@ -292,6 +293,53 @@ class TestSampleInstance:
         assert np.array_equal(dm2.matrix, dm.matrix)
         assert np.array_equal(oracle2.prepared_state, oracle.prepared_state)
         assert np.max(np.abs(oracle.reduced_state().matrix - dm.matrix)) <= 1e-9
+
+
+    @settings(database=None, deadline=None, max_examples=60)
+    @given(data=st.data())
+    def test_synthesized_state_is_a_valid_density_matrix(self, data):
+        # the sweep takes rho raw; the DensityMatrix checks it skips hold for every spec
+        k = data.draw(st.integers(1, 4), label="k")
+        kind = data.draw(st.sampled_from(INSTANCE_KINDS), label="kind")
+        rank = 1 if kind == "haar_pure" else data.draw(st.integers(1, 1 << k), label="rank")
+        seed = data.draw(st.integers(0, 2**64 - 1), label="seed")
+        spec = RandomInstanceSpec(k, rank, seed, kind)
+        rho, oracle = synthesize_instance(spec)
+        dm, sampled = sample_instance(spec)
+        assert not rho.flags.writeable
+        assert rho.tobytes() == dm.matrix.tobytes()
+        assert sampled.prepared_state.tobytes() == oracle.prepared_state.tobytes()
+        DensityMatrix(rho)  # validation is the assertion
+
+
+class TestColumnPurity:
+    def test_matches_the_reduced_state(self):
+        pure = 0
+        for oracle in generated_oracles():
+            reduced = oracle.reduced_state()
+            assert abs(oracle.purity() - reduced.purity()) <= 1e-14
+            assert (oracle.purity() >= 1.0 - PURITY_ATOL) == reduced.is_pure()
+            pure += reduced.is_pure()
+        # both classes are covered: haar_pure, rank 1 and hard instances are pure
+        assert 0 < pure < 60
+
+    def test_each_rank_at_k3(self):
+        for rank in range(1, 9):
+            dm, oracle = mixed_instance(3, rank, 40 + rank)
+            assert abs(oracle.purity() - dm.purity()) <= 1e-14
+            assert (oracle.purity() >= 1.0 - PURITY_ATOL) == (rank == 1)
+
+
+def test_householder_factors_are_built_on_first_apply():
+    _, oracle = mixed_instance(2, 3, 8)
+    assert "_householder" not in vars(oracle)
+    oracle.purity()
+    oracle.reduced_state()
+    assert "_householder" not in vars(oracle)
+    u = oracle.unitary
+    assert "_householder" in vars(oracle)
+    assert unitarity_error(u) <= 1e-10
+    assert np.allclose(u[:, 0], oracle.prepared_state, rtol=0.0, atol=1e-12)
 
 
 class TestQueryCounter:

@@ -7,8 +7,9 @@ package keeps no surface that only tests reach, a config's defaults are its
 command's flag defaults, the QPE sampler draws in plain floats, no
 estimate executes a circuit, verify-identities checks oracle unitarity
 through the oracle's queries, with no dense product, only the reference
-module calls eigh, a hard instance holds no oracle, and executed circuit ops
-make no BLAS call that OpenBLAS can thread."""
+module calls eigh, a hard instance holds no oracle, executed circuit ops
+make no BLAS call that OpenBLAS can thread, and a sweep validates no state
+and factors no oracle."""
 
 import ast
 import dataclasses
@@ -22,9 +23,10 @@ import numpy as np
 import pytest
 
 import fidest
+import fidest.cli
 from fidest import estimation
 from fidest.circuits import _GATES_1Q, Circuit, OracleOp, RegisterLayout
-from fidest.cli import COMMANDS, ExperimentConfig, build_parser, config_from_args
+from fidest.cli import COMMANDS, ExperimentConfig, build_parser, config_from_args, main
 from fidest.estimation import _KernelSampler
 from fidest.fidelity import ESTIMATORS, HardInstance
 from fidest.linalg import DensityMatrix
@@ -277,3 +279,40 @@ def test_executed_ops_make_no_threaded_blas_call():
     oracle = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "PreparationOracle")
     apply = next(n for n in oracle.body if isinstance(n, ast.FunctionDef) and n.name == "apply")
     assert not PRODUCTS & used_names(apply)
+
+
+@pytest.mark.parametrize("estimator", ESTIMATORS)
+def test_a_sweep_validates_no_state_and_factors_no_oracle(monkeypatch, capsys, estimator):
+    # a sweep's states are Gram matrices, valid by construction (their checks
+    # run over generated specs in test_oracles), its purity is read from the
+    # columns, and it never applies an oracle
+    def forbidden(*args, **kwargs):
+        raise AssertionError("called by a sweep")
+
+    monkeypatch.setattr(DensityMatrix, "__post_init__", forbidden)
+    monkeypatch.setattr(PreparationOracle, "reduced_state", forbidden)
+    monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+    oracles = []
+    synthesize = fidest.cli.synthesize_instance
+
+    def recording(*args, **kwargs):
+        rho, oracle = synthesize(*args, **kwargs)
+        oracles.append(oracle)
+        return rho, oracle
+
+    monkeypatch.setattr(fidest.cli, "synthesize_instance", recording)
+    rank = "1" if estimator == "pure-pure" else "3"
+    argv = ["sweep", "--estimator", estimator, "--k", "2", "--rank", rank, "--trials", "2"]
+    assert main([*argv, "--epsilons", "0.1,0.01"]) == 0
+    assert len(oracles) == 4
+    assert not [oracle for oracle in oracles if "_householder" in vars(oracle)]
+
+
+def test_one_function_synthesises_instances():
+    # sample_instance wraps synthesize_instance's state; nothing else draws one
+    drawing = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef) and "standard_normal" in used_names(node):
+                drawing.append(node.name)
+    assert drawing == ["synthesize_instance"]
