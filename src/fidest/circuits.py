@@ -9,11 +9,12 @@ oracle queries of one run off the op list.
 The state is one flat (2^n, columns) array.  Every op acts on adjacent
 registers of it, as one reshape to (2^first, 2^width, rest); identity
 padding and control come from that block view, not from dense matrices.
-Oracle and gate ops act on axis 1 of that view; an oracle op runs the
+Oracle ops and H act on axis 1 of that view; an oracle op runs the
 oracle's own O(2^n_oracle)-per-column Householder apply, never a matrix.
-Each op is one or two elementwise passes over the state (a controlled op
-copies its control = 0 half and acts on the control = 1 half), and no op
-makes a BLAS call, which OpenBLAS would thread on a large state.
+``execute`` holds one state from start to end and every op writes into it:
+a controlled op writes into its control = 1 view and never touches or
+copies the control = 0 half.  Each op is one or two elementwise passes,
+and no op makes a BLAS call, which OpenBLAS would thread on a large state.
 
 Two circuit families matter here.  The encoding circuit applies both
 oracles side by side, swaps the ancilla registers, then undoes the second
@@ -42,16 +43,16 @@ QUBIT_CAP_ENV = "FIDEST_QUBIT_CAP"
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
 
-def _hadamard(parts: np.ndarray) -> np.ndarray:
-    """H on axis 1 of a (pre, 2, post) array: the butterfly (a +- b)/sqrt(2)."""
-    out = np.empty_like(parts)
-    np.add(parts[:, 0], parts[:, 1], out=out[:, 0])
-    np.subtract(parts[:, 0], parts[:, 1], out=out[:, 1])
-    out *= _SQRT_HALF
-    return out
+def _hadamard(parts: np.ndarray) -> None:
+    """H on axis 1 of a (pre, 2, post) array, in place: the butterfly (a +- b)/sqrt(2).
 
-
-_GATES_1Q = {"H": _hadamard}
+    a + b is exact to rounding; b becomes (a + b) - 2b, which is a - b to
+    one more rounding."""
+    a, b = parts[:, 0], parts[:, 1]
+    a += b
+    b *= -2.0
+    b += a
+    parts *= _SQRT_HALF
 
 
 class QubitCapExceeded(ValueError):
@@ -119,25 +120,17 @@ class OracleOp:
 
 @dataclass(frozen=True)
 class RegisterSwap:
+    """Swap two equal-size registers; with a one-qubit control register, on its
+    control = 1 half only."""
+
     first: str
     second: str
+    control: str | None = None
 
 
 @dataclass(frozen=True)
-class ControlledRegisterSwap:
-    control: str
-    first: str
-    second: str
-
-
-@dataclass(frozen=True)
-class Gate1Q:
-    gate: str
+class Hadamard:
     register: str
-
-    def __post_init__(self):
-        if self.gate not in _GATES_1Q:
-            raise ValueError(f"unsupported gate {self.gate!r}")
 
 
 @dataclass(frozen=True)
@@ -223,10 +216,11 @@ def _swap_geometry(layout: RegisterLayout, first: str, second: str, control=None
     return shape, cuts.index(a), cuts.index(b), None if c is None else cuts.index(c)
 
 
-def _apply_op(op, state, layout):
+def _apply_op(op, state, layout) -> None:
+    """Apply one op to the flat (2^n, columns) state, in place."""
     if isinstance(op, OracleOp):
         first, width = _block(layout, op.registers)
-        control = op.kind in ("controlled", "controlled_inverse")
+        control = int(op.kind in ("controlled", "controlled_inverse"))
         if control:
             _one_qubit(layout, op.registers[0], "control")
         n = op.oracle.num_qubits
@@ -235,43 +229,29 @@ def _apply_op(op, state, layout):
                 f"oracle op on {op.registers} spans {width} qubits, too few for its oracle"
             )
         inverse = op.kind in ("inverse", "controlled_inverse")
-        if not control:
-            blocks = state.reshape(1 << first, 1 << n, -1)
-            return op.oracle.apply(blocks, inverse).reshape(state.shape)
-        # the oracle acts on the control = 1 half only
-        parts = state.reshape(1 << first, 2, 1 << n, -1)
-        out = np.empty_like(parts)
-        out[:, 0] = parts[:, 0]
-        out[:, 1] = op.oracle.apply(parts[:, 1], inverse)
-        return out.reshape(state.shape)
-    if isinstance(op, Gate1Q):
+        # a controlled op acts on the control = 1 view only
+        blocks = state.reshape(1 << first, 1 + control, 1 << n, -1)[:, control]
+        op.oracle.apply(blocks, inverse)
+    elif isinstance(op, Hadamard):
         first = _one_qubit(layout, op.register, "gate")
-        return _GATES_1Q[op.gate](state.reshape(1 << first, 2, -1)).reshape(state.shape)
-    if isinstance(op, (RegisterSwap, ControlledRegisterSwap)):
-        control = op.control if isinstance(op, ControlledRegisterSwap) else None
-        geometry = _swap_geometry(layout, op.first, op.second, control)
-        if geometry is None:
-            return state
-        shape, a, b, c = geometry
-        parts = state.reshape(shape)
-        if c is None:
-            return parts.swapaxes(a, b).reshape(state.shape)
-        # one pass: the control = 0 half as it is, the control = 1 half swapped
-        out = np.empty_like(parts)
-        off, on = (slice(None),) * c + (0,), (slice(None),) * c + (1,)
-        out[off] = parts[off]
-        out[on] = parts.swapaxes(a, b)[on]
-        return out.reshape(state.shape)
-    if isinstance(op, FlagOnNonzero):
+        _hadamard(state.reshape(1 << first, 2, -1))
+    elif isinstance(op, RegisterSwap):
+        geometry = _swap_geometry(layout, op.first, op.second, op.control)
+        if geometry is not None:
+            shape, a, b, c = geometry
+            parts = state.reshape(shape)
+            # the whole state, or its control = 1 view; numpy copies the
+            # overlapping swapped source before it writes
+            on = () if c is None else (slice(None),) * c + (1,)
+            parts[on] = parts.swapaxes(a, b)[on]
+    elif isinstance(op, FlagOnNonzero):
         _one_qubit(layout, op.flag_register, "flag")
         first, width = _block(layout, (op.flag_register,) + op.zero_registers)
         # (flag, zero...) block: flip the flag on every nonzero zero-register value
         parts = state.reshape(1 << first, 2, 1 << (width - 1), -1)
-        out = np.empty_like(parts)
-        out[:, :, 0] = parts[:, :, 0]
-        out[:, :, 1:] = parts[:, ::-1, 1:]
-        return out.reshape(state.shape)
-    raise TypeError(f"unknown circuit op {op!r}")
+        parts[:, :, 1:] = parts[:, ::-1, 1:]
+    else:
+        raise TypeError(f"unknown circuit op {op!r}")
 
 
 def _norm(x: np.ndarray) -> float:
@@ -292,7 +272,7 @@ def execute(circuit: Circuit) -> np.ndarray:
     state = np.zeros((1 << n, 1), dtype=complex)
     state[0, 0] = 1.0
     for op in circuit.ops:
-        state = _apply_op(op, state, circuit.layout)
+        _apply_op(op, state, circuit.layout)
     state = state.reshape(-1)
     norm = _norm(state)
     if abs(norm - 1.0) > ATOL_STRUCT:
@@ -346,9 +326,9 @@ def build_swap_test(rho_oracle: PreparationOracle, psi_oracle: PreparationOracle
     ops = (
         OracleOp(rho_oracle, "plain", ("A", "B")),
         OracleOp(psi_oracle, "plain", ("A'", "B'")),
-        Gate1Q("H", "C"),
-        ControlledRegisterSwap("C", "A", "A'"),
-        Gate1Q("H", "C"),
+        Hadamard("C"),
+        RegisterSwap("A", "A'", control="C"),
+        Hadamard("C"),
     )
     return Circuit(layout, ops)
 

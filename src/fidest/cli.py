@@ -367,15 +367,18 @@ def _oracle_unitarity_residual(oracle) -> float:
     The inverse query applied to U gives U^dag U, and the inverse query is
     checked against U's conjugate transpose; the residual is the larger of the
     two deviations, so a non-unitary U fails even if the inverse query
-    compensated for it.  Each query costs O(4^n) on the n-qubit identity; no
-    BLAS product (see ``fidest.linalg``).
+    compensated for it.  Each query acts in place, in O(4^n), on U or on one
+    n-qubit identity buffer; no BLAS product (see ``fidest.linalg``).
     """
-    eye = np.eye(1 << oracle.num_qubits, dtype=complex)[np.newaxis]
-    u = oracle.apply(eye)
-    return max(
-        float(np.max(np.abs(oracle.apply(u, inverse=True) - eye))),
-        float(np.max(np.abs(oracle.apply(eye, inverse=True) - u[0].conj().T))),
-    )
+    u = oracle.unitary
+    work = np.eye(len(u), dtype=complex)
+    oracle.apply(work[np.newaxis], inverse=True)
+    np.conjugate(work, out=work)
+    work -= u.T  # the conjugate of (inverse query) - U^dag
+    adjoint = float(np.max(np.abs(work)))
+    oracle.apply(u[np.newaxis], inverse=True)
+    u.reshape(-1)[:: len(u) + 1] -= 1.0  # U^dag U - I
+    return max(float(np.max(np.abs(u))), adjoint)
 
 
 def _identity_residuals(config: ExperimentConfig, trial: int) -> dict:

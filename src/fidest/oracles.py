@@ -4,8 +4,8 @@ A mixed state is served through a unitary on a system register plus an
 ancilla register; applied to the all-zeros input it yields a pure state
 whose reduced system matrix is the target.  An oracle is held as that
 prepared column alone: its unitary is the column's Householder completion
-U = phase H diag(c, 1, ...), applied along axis 1 of a (pre, 2^n, post)
-view of a state in O(2^n) per column and built densely only on request.
+U = phase H diag(c, 1, ...), applied in place along axis 1 of a (pre, 2^n,
+post) view of a state in O(2^n) per column, built densely only on request.
 The Householder factors are built on the first application, and the reduced
 state's purity is read from the column, so an oracle that is only read
 builds neither them nor a density matrix.  A random instance's column is the
@@ -76,34 +76,33 @@ class PreparationOracle:
         v.flags.writeable = False
         return v, tau, c, phase
 
-    def apply(self, blocks: np.ndarray, inverse: bool = False) -> np.ndarray:
-        """U (or U^dag) along axis 1 of a (pre, 2^num_qubits, post) array,
+    def apply(self, blocks: np.ndarray, inverse: bool = False) -> None:
+        """U (or U^dag) along axis 1 of a (pre, 2^num_qubits, post) array, in place,
         U = phase (I - tau v v^dag) diag(c, 1, ...)."""
         v, tau, c, phase = self._householder
         if inverse:
             c, phase = np.conj(c), np.conj(phase)
-        out = blocks * phase
+        blocks *= phase
         if not inverse:
-            out[:, 0] *= c
+            blocks[:, 0] *= c
         if tau:
             # v^dag x per column: one short dot each, never a BLAS product (see fidest.linalg)
-            w = np.vecdot(v, out.swapaxes(1, 2))[:, np.newaxis]
+            w = np.vecdot(v, blocks.swapaxes(1, 2))[:, np.newaxis]
             tv = (tau * v)[:, np.newaxis]
             # the rank-one update runs on two contiguous halves (of the leading
             # axis, or of the rows if that axis has length 1): a whole-size
             # product, with numpy's broadcast buffers, is freed at the top of the
             # heap, where glibc trims it and faults it back in on the next op
-            h = len(out) // 2
+            h = len(blocks) // 2
             if h:
                 for a in (slice(None, h), slice(h, None)):
-                    out[a] -= tv * w[a]
+                    blocks[a] -= tv * w[a]
             else:
                 h = len(v) // 2
                 for i in (slice(None, h), slice(h, None)):
-                    out[:, i] -= tv[i] * w
+                    blocks[:, i] -= tv[i] * w
         if inverse:
-            out[:, 0] *= c
-        return out
+            blocks[:, 0] *= c
 
     @property
     def num_qubits(self) -> int:
@@ -111,8 +110,10 @@ class PreparationOracle:
 
     @property
     def unitary(self) -> np.ndarray:
-        """Dense U, built on request by applying the oracle to the identity."""
-        return self.apply(np.eye(1 << self.num_qubits, dtype=complex)[np.newaxis])[0]
+        """Dense U, built on request: the oracle applied in place to the identity."""
+        u = np.eye(1 << self.num_qubits, dtype=complex)
+        self.apply(u[np.newaxis])
+        return u
 
     def purity(self) -> float:
         """tr(rho^2) of the reduced system state rho = M M^dag, read from the

@@ -58,7 +58,7 @@ def circuit_unitary(circuit: Circuit, cap: int = 12) -> np.ndarray:
         raise QubitCapExceeded(f"circuit unitary needs {n} qubits, cap is {cap}")
     state = np.eye(1 << n, dtype=complex)
     for op in circuit.ops:
-        state = _apply_op(op, state, circuit.layout)
+        _apply_op(op, state, circuit.layout)
     return state
 
 

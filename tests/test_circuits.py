@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 
 from fidest.circuits import (
     Circuit,
-    ControlledRegisterSwap,
     FlagOnNonzero,
-    Gate1Q,
+    Hadamard,
     OracleOp,
     QubitCapExceeded,
     RegisterLayout,
+    RegisterSwap,
     _apply_op,
     analyze_flagged,
     build_encoding_circuit,
@@ -55,7 +55,7 @@ class TestExecute:
         assert np.array_equal(execute(circ), zero_state(2))
 
     def test_single_hadamard(self):
-        circ = Circuit(RegisterLayout(("A",), (1,)), (Gate1Q("H", "A"),))
+        circ = Circuit(RegisterLayout(("A",), (1,)), (Hadamard("A"),))
         assert np.allclose(execute(circ), [1 / np.sqrt(2), 1 / np.sqrt(2)])
 
     def test_qubit_cap(self, monkeypatch):
@@ -85,7 +85,7 @@ class TestExecute:
         layout = RegisterLayout(("C", "A", "B"), (1, 1, 1))
         circ = Circuit(
             layout,
-            (Gate1Q("H", "C"), OracleOp(u, "controlled", ("C", "A", "B"))),
+            (Hadamard("C"), OracleOp(u, "controlled", ("C", "A", "B"))),
         )
         state = execute(circ)
         # control |0> leaves |00>, control |1> prepares U|00>
@@ -148,12 +148,12 @@ class TestRegisterBlocks:
                 for qa, qb in zip(layout.qubits(first), layout.qubits(second)):
                     bits[qa], bits[qb] = bits[qb], bits[qa]
             expected[int("".join(map(str, bits)), 2), x] = 1.0
-        circ = Circuit(layout, (ControlledRegisterSwap(control, first, second),))
+        circ = Circuit(layout, (RegisterSwap(first, second, control),))
         assert np.array_equal(circuit_unitary(circ), expected)
 
     def test_controlled_swap_of_its_own_control_raises(self):
         layout = RegisterLayout(("C", "A"), (1, 1))
-        circ = Circuit(layout, (ControlledRegisterSwap("C", "C", "A"),))
+        circ = Circuit(layout, (RegisterSwap("C", "A", control="C"),))
         with pytest.raises(ValueError, match="also swapped"):
             execute(circ)
 
@@ -164,11 +164,11 @@ class TestRegisterBlocks:
         sizes = dict(zip(layout.names, layout.sizes))
         a, b, c = (h if name == register else np.eye(1 << sizes[name]) for name in layout.names)
         expected = np.kron(np.kron(a, b), c)
-        circ = Circuit(layout, (Gate1Q("H", register),))
+        circ = Circuit(layout, (Hadamard(register),))
         assert np.max(np.abs(circuit_unitary(circ) - expected)) <= 1e-15
 
     def test_hadamard_on_a_wide_register_raises(self):
-        circ = Circuit(RegisterLayout(("A", "B", "C"), (1, 2, 1)), (Gate1Q("H", "B"),))
+        circ = Circuit(RegisterLayout(("A", "B", "C"), (1, 2, 1)), (Hadamard("B"),))
         with pytest.raises(ValueError, match="one qubit"):
             execute(circ)
 
@@ -330,46 +330,61 @@ class TestFlaggedEncoding:
         assert abs(amp2 - pr0) <= 1e-10
 
 
-def test_oracle_ops_allocate_at_most_two_and_a_half_states():
-    # an oracle op reads a view of the flat state: its output and one rank-1
-    # update temporary are the only state-sized allocations
+def traced_peak(call):
+    """Peak bytes the Python allocator holds during ``call()``."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def state_ratios(circ, kinds):
+    """Run the circuit op by op on its flat state; each op of a listed type is
+    applied once under tracemalloc.  Returns (op, peak / state bytes) pairs."""
+    state = np.zeros((1 << circ.layout.total_qubits, 1), dtype=complex)
+    state[0, 0] = 1.0
+    ratios = []
+    for op in circ.ops:
+        if isinstance(op, kinds):
+            ratios.append((op, traced_peak(lambda: _apply_op(op, state, circ.layout)) / state.nbytes))
+        else:
+            _apply_op(op, state, circ.layout)
+    return ratios
+
+
+def test_oracle_ops_write_into_the_state():
+    # an oracle op acts on a view of the flat state: one rank-1 update
+    # temporary on half the rows is its only state-sized allocation
     _, u = mixed_instance(4, 3, 90)
     _, v = pure_instance(4, 91)
-    circ = build_flagged_encoding(u, v)  # 17 qubits, a 2 MiB state
-    state = np.zeros((1 << circ.layout.total_qubits, 1), dtype=complex)
-    state[0, 0] = 1.0
-    for op in circ.ops:
-        if isinstance(op, OracleOp):
-            tracemalloc.start()
-            try:
-                _apply_op(op, state, circ.layout)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak <= 2.5 * state.nbytes, (op.kind, peak / state.nbytes)
-        state = _apply_op(op, state, circ.layout)
+    ratios = state_ratios(build_flagged_encoding(u, v), OracleOp)  # 17 qubits, a 2 MiB state
+    assert len(ratios) == 3
+    for op, ratio in ratios:
+        assert ratio <= 0.7, (op.kind, ratio)
 
 
-def test_swap_test_gates_allocate_one_state():
-    # H is a butterfly into one output, and the controlled swap copies the
-    # control = 0 half and swaps the control = 1 half into that same output
+def test_swap_test_gates_write_into_the_state():
+    # H is an in-place butterfly on the two halves, and the controlled swap
+    # writes into the control = 1 view from numpy's copy of that half
     _, u = mixed_instance(4, 3, 92)
     _, v = pure_instance(4, 93)
-    circ = build_swap_test(u, v)  # 17 qubits, a 2 MiB state
-    state = np.zeros((1 << circ.layout.total_qubits, 1), dtype=complex)
-    state[0, 0] = 1.0
-    bounds = {Gate1Q: 1.01, ControlledRegisterSwap: 1.6}
-    for op in circ.ops:
-        if type(op) in bounds:
-            tracemalloc.start()
-            try:
-                _apply_op(op, state, circ.layout)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak <= bounds[type(op)] * state.nbytes, (op, peak / state.nbytes)
-        state = _apply_op(op, state, circ.layout)
-    assert {type(op) for op in circ.ops} >= set(bounds)
+    bounds = {Hadamard: 0.01, RegisterSwap: 0.51}
+    ratios = state_ratios(build_swap_test(u, v), tuple(bounds))  # 17 qubits, a 2 MiB state
+    assert [type(op) for op, _ in ratios] == [Hadamard, RegisterSwap, Hadamard]
+    for op, ratio in ratios:
+        assert ratio <= bounds[type(op)], (op, ratio)
+
+
+def test_execute_holds_one_state():
+    # the state and numpy's copy of an overlapping source (the uncontrolled
+    # swap's or the flag fold's) are all execute holds at once
+    _, u = mixed_instance(4, 3, 90)
+    _, v = pure_instance(4, 91)
+    circ = build_flagged_encoding(u, v)
+    peak = traced_peak(lambda: execute(circ))
+    assert peak <= 2.05 * (16 << circ.layout.total_qubits), peak
 
 
 class TestRestructuredEncoding:

@@ -214,22 +214,35 @@ class TestOracleUnitarityResidual:
         assert unitarity_error(oracle.unitary) > 1e-10
         assert _oracle_unitarity_residual(oracle) > 1e-10
 
+    @staticmethod
+    def with_inverse_queries(monkeypatch, inverses):
+        """Patch the inverse query of each oracle in ``inverses`` (keyed by id) to
+        write the given matrix's product into its blocks, in place as apply does."""
+        forward = PreparationOracle.apply
+
+        def apply(self, blocks, inverse=False):
+            if not inverse:
+                return forward(self, blocks)
+            blocks[...] = np.einsum("ij,ajk->aik", inverses[id(self)], blocks)
+
+        monkeypatch.setattr(PreparationOracle, "apply", apply)
+
     def test_fails_an_inverse_query_that_is_not_the_adjoint(self, monkeypatch):
         unitary = sample_instance(RandomInstanceSpec(2, 2, 0, "ginibre_mixed"))[1]
         bad = corrupted(sample_instance(RandomInstanceSpec(2, 2, 0, "ginibre_mixed"))[1])
         # inverse queries: U for the unitary oracle, and the exact inverse of
         # the corrupted U, which passes U^-1 U = I and is caught only as not U^dag
         wrong = {id(unitary): unitary.unitary, id(bad): np.linalg.inv(bad.unitary)}
-        forward = PreparationOracle.apply
-
-        def apply(self, blocks, inverse=False):
-            if inverse:
-                return np.einsum("ij,ajk->aik", wrong[id(self)], blocks)
-            return forward(self, blocks)
-
-        monkeypatch.setattr(PreparationOracle, "apply", apply)
+        self.with_inverse_queries(monkeypatch, wrong)
         for oracle in (unitary, bad):
             assert _oracle_unitarity_residual(oracle) > 1e-10
+
+    def test_passes_the_same_patched_query_with_the_adjoint(self, monkeypatch):
+        # the control for the test above: the patched query does reach the residual
+        oracles = [sample_instance(RandomInstanceSpec(2, 2, seed, "ginibre_mixed"))[1] for seed in (0, 1)]
+        self.with_inverse_queries(monkeypatch, {id(o): o.unitary.conj().T for o in oracles})
+        for oracle in oracles:
+            assert _oracle_unitarity_residual(oracle) <= 1e-10
 
 
 class TestSweep:

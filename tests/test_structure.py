@@ -8,8 +8,8 @@ command's flag defaults, the QPE sampler draws in plain floats, no
 estimate executes a circuit, verify-identities checks oracle unitarity
 through the oracle's queries, with no dense product, only the reference
 module calls eigh, a hard instance holds no oracle, executed circuit ops
-make no BLAS call that OpenBLAS can thread, and a sweep validates no state
-and factors no oracle."""
+act in place and make no BLAS call that OpenBLAS can thread, and a sweep
+validates no state and factors no oracle."""
 
 import ast
 import dataclasses
@@ -23,9 +23,10 @@ import numpy as np
 import pytest
 
 import fidest
+import fidest.circuits
 import fidest.cli
 from fidest import estimation
-from fidest.circuits import _GATES_1Q, Circuit, OracleOp, RegisterLayout
+from fidest.circuits import Circuit, OracleOp, RegisterLayout
 from fidest.cli import COMMANDS, ExperimentConfig, build_parser, config_from_args, main
 from fidest.estimation import _KernelSampler
 from fidest.fidelity import ESTIMATORS, HardInstance
@@ -109,10 +110,11 @@ def test_no_module_branches_on_an_estimator_name():
             assert compared_estimator_names(path) == [], path.name
 
 
-def called_names(path):
-    """Names of the functions a source file calls (``f(...)`` or ``mod.f(...)``)."""
+def called_names(source):
+    """Names of the functions a source file (or an AST node) calls (``f(...)`` or ``mod.f(...)``)."""
+    tree = ast.parse(source.read_text(encoding="utf-8")) if isinstance(source, Path) else source
     found = []
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Call):
             func = node.func
             found.append(func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None))
@@ -204,10 +206,11 @@ def test_eigendecompositions_live_in_the_reference():
 
 def test_only_production_options_remain():
     # purify's ancilla override, the X gate and RegisterLayout.size had no
-    # caller outside the tests
+    # caller outside the tests; H is the one gate, and a swap's control is optional
     for function in (purify, preparation_oracle):
         assert "ancilla_qubits" not in inspect.signature(function).parameters
-    assert set(_GATES_1Q) == {"H"}
+    for name in ("Gate1Q", "_GATES_1Q", "ControlledRegisterSwap"):
+        assert not hasattr(fidest.circuits, name), name
     assert not hasattr(RegisterLayout, "size")
 
 
@@ -279,6 +282,17 @@ def test_executed_ops_make_no_threaded_blas_call():
     oracle = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "PreparationOracle")
     apply = next(n for n in oracle.body if isinstance(n, ast.FunctionDef) and n.name == "apply")
     assert not PRODUCTS & used_names(apply)
+
+
+def test_ops_act_in_place():
+    # an executed op writes into the state it is given: it allocates no output
+    # state and returns nothing, and no copy of a control = 0 half is taken
+    trees = [ast.parse((PACKAGE / name).read_text(encoding="utf-8")) for name in ("circuits.py", "oracles.py")]
+    functions = {n.name: n for tree in trees for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+    for name in ("_apply_op", "_hadamard", "apply"):
+        assert not {"empty_like", "empty", "zeros", "copy"} & set(called_names(functions[name])), name
+        assert not [n.lineno for n in ast.walk(functions[name]) if isinstance(n, ast.Return) and n.value], name
+    assert "empty_like" not in called_names(PACKAGE / "circuits.py")
 
 
 @pytest.mark.parametrize("estimator", ESTIMATORS)
