@@ -33,9 +33,10 @@ the uniform stream of default_rng([seed, rep]), seeded directly with the
 uint32 entropy words numpy derives from [seed, rep]; the streams depend only
 on the seed, so they are built once per seed and replayed, and an estimate
 does not depend on which delta ran before it.  Each stream's record starts
-with its branch and window uniforms, which _estimate reads directly; a
-_Replay cursor, which draws the record on, is built only for a repetition
-whose window misses and whose tail rejection loop needs more uniforms.
+with its branch and window uniforms, which _KernelSampler.draw reads
+directly; only a repetition whose window misses builds a _replay generator,
+which reads the record on and extends it when the tail's rejection loop
+needs more uniforms.
 The cached records are extended without a lock: the package runs its
 estimates in one thread, and estimates run from concurrent threads could
 record a stream's uniforms out of order.
@@ -129,8 +130,9 @@ class _KernelSampler:
     """Exact O(1) sampler of the two-branch QPE readout law (see module docstring).
 
     Needs m >= 3, which readout_qubits guarantees: the period then holds the
-    window and at least two tail bins on each side.  An rng is anything whose
-    random() returns uniform doubles.
+    window and at least two tail bins on each side.  A stream is its
+    generator, anything whose random() returns uniform doubles, and the list
+    of uniforms recorded from it, at least its first two.
     """
 
     def __init__(self, omega: float, m: int):
@@ -155,45 +157,46 @@ class _KernelSampler:
         self.right_share = self.sides[0][2] / (self.sides[0][2] + self.sides[1][2])
         self.scale = math.sin(math.pi * min(f, 1.0 - f)) ** 2 / 4.0
 
-    def offset(self, rng) -> int:
-        """One offset d of the branch at omega, so the outcome is (a + d) mod M."""
-        if self.f == 0.0:
-            return 0
-        d = self.window_offset(rng.random())
-        return self.tail_offset(rng) if d is None else d
+    def draw(self, rng, drawn: list) -> int:
+        """One outcome y in [0, M) of the stream whose recorded uniforms are ``drawn``.
 
-    def window_offset(self, u: float):
-        """The offset that the window uniform u selects, or None if u falls in the tail."""
+        drawn[0] < 1/2 picks the branch at 1 - omega, drawn[1] the offset in
+        the window; on a miss the tail reads on through _replay.
+        """
+        M = self.M
         if self.f == 0.0:
-            return 0
-        i = bisect.bisect_right(self.cum, u)
-        return i + 1 - _WINDOW if i < len(self.cum) else None
+            y = self.a % M
+        else:
+            i = bisect.bisect_right(self.cum, drawn[1])
+            d = i + 1 - _WINDOW if i < len(self.cum) else self._tail_offset(_replay(rng, drawn))
+            y = (self.a + d) % M
+        # Pr_{1-omega}[y] = Pr_omega[M - y]: mirror instead of rounding 1 - omega
+        return (M - y) % M if drawn[0] < 0.5 else y
 
-    def tail_offset(self, rng) -> int:
+    def _tail_offset(self, uniforms) -> int:
         """One offset drawn from the tail, the period outside the window."""
         # Pick a side with probability proportional to its envelope mass, then
         # a bin by inverse CDF (1/z is uniform between the side's ends), and
         # accept with probability K(d) / envelope(d).
         while True:
-            right = rng.random() < self.right_share
+            right = next(uniforms) < self.right_share
             c, inv_far, mass = self.sides[0 if right else 1]
-            z = 1.0 / (inv_far + rng.random() * mass)
+            z = 1.0 / (inv_far + next(uniforms) * mass)
             j = min(max(math.ceil(z - c), 0), self.tail_bins - 1)
             d = _WINDOW + 1 + j if right else -_WINDOW - j
             z = c + j
-            if rng.random() * self.scale / (z * (z - 1.0)) <= _kernel(self.f, d, self.M):
+            if next(uniforms) * self.scale / (z * (z - 1.0)) <= _kernel(self.f, d, self.M):
                 return d
 
-    def outcome(self, mirrored: bool, d: int) -> int:
-        """The outcome at offset d of the branch at omega, or of 1 - omega if mirrored."""
-        y = (self.a + d) % self.M
-        # Pr_{1-omega}[y] = Pr_omega[M - y]: mirror instead of rounding 1 - omega
-        return (self.M - y) % self.M if mirrored else y
 
-    def draw(self, rng) -> int:
-        """One outcome y in [0, M): branch omega or 1 - omega with probability 1/2 each."""
-        mirrored = rng.random() < 0.5
-        return self.outcome(mirrored, self.offset(rng))
+def _replay(rng, drawn: list):
+    """A stream's uniforms past its branch and window draws: the recorded ones,
+    then fresh rng.random() draws, each appended to the record as it is taken."""
+    yield from drawn[2:]
+    while True:
+        u = rng.random()
+        drawn.append(u)
+        yield u
 
 
 def readout_qubits(delta: float, square: bool) -> int:
@@ -209,9 +212,8 @@ def readout_qubits(delta: float, square: bool) -> int:
     return math.ceil(bits) + (2 if square else 1)
 
 
-def _query_tally(once: dict, m: int, repetitions: int) -> dict:
+def _query_tally(once: dict, grover_steps: int, repetitions: int) -> dict:
     """Closed-form per-oracle tallies of one estimator run, from one preparer execution's."""
-    grover_steps = ((1 << m) - 1) * repetitions
     tally: dict = {}
     for label, counts in once.items():
         per_oracle = tally[label] = {kind: count * repetitions for kind, count in counts.items()}
@@ -229,8 +231,8 @@ def _repetition_streams(seed: int) -> tuple:
     numpy derives from [seed, rep], built here as uint32 words once per seed:
     the seed's 32-bit words, least significant first, then rep.  Each record
     starts with the branch and the window draw (random(2) yields the same
-    doubles as two scalar calls); a _Replay cursor extends it past that when
-    the tail is drawn.
+    doubles as two scalar calls); _replay extends it past that when the tail
+    is drawn.
     """
     words = [(seed >> shift) & 0xFFFFFFFF for shift in range(0, max(seed.bit_length(), 1), 32)]
     entropy = np.empty((DEFAULT_REPETITIONS, len(words) + 1), dtype=np.uint32)
@@ -243,26 +245,6 @@ def _repetition_streams(seed: int) -> tuple:
     return tuple(streams)
 
 
-class _Replay:
-    """Cursor over a recorded uniform stream from position ``start``: the random()
-    of the generator it replays, which sits at the record's end."""
-
-    __slots__ = ("_rng", "_drawn", "_next")
-
-    def __init__(self, rng, drawn: list, start: int):
-        self._rng = rng
-        self._drawn = drawn
-        self._next = start
-
-    def random(self) -> float:
-        i = self._next
-        self._next = i + 1
-        drawn = self._drawn
-        while len(drawn) <= i:
-            drawn.append(self._rng.random())
-        return drawn[i]
-
-
 def _estimate(p, once, delta, seed, square):
     m = readout_qubits(delta, square)
     if m > ESTIMATOR_MAX_M:
@@ -272,14 +254,10 @@ def _estimate(p, once, delta, seed, square):
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
     sampler = _KernelSampler(math.asin(math.sqrt(p)) / math.pi, m)
+    grover_steps = ((1 << m) - 1) * DEFAULT_REPETITIONS
     values = []
     for rng, drawn in _repetition_streams(seed):
-        # the branch and window uniforms are the record's first two; a cursor
-        # is built only when the window misses and the tail draws on
-        d = sampler.window_offset(drawn[1])
-        if d is None:
-            d = sampler.tail_offset(_Replay(rng, drawn, 2))
-        amp = math.sin(math.pi * sampler.outcome(drawn[0] < 0.5, d) / sampler.M)
+        amp = math.sin(math.pi * sampler.draw(rng, drawn) / sampler.M)
         values.append(amp * amp if square else amp)
     return EstimationResult(
         estimate=sorted(values)[(DEFAULT_REPETITIONS - 1) // 2],
@@ -287,8 +265,8 @@ def _estimate(p, once, delta, seed, square):
         m=m,
         repetitions=DEFAULT_REPETITIONS,
         seed=seed,
-        queries=_query_tally(once, m, DEFAULT_REPETITIONS),
-        grover_applications=((1 << m) - 1) * DEFAULT_REPETITIONS,
+        queries=_query_tally(once, grover_steps, DEFAULT_REPETITIONS),
+        grover_applications=grover_steps,
     )
 
 

@@ -183,11 +183,6 @@ def sqrt_tr_rho_sigma2_estimate(task: FidelityTask) -> EstimationResult:
     return _run_task("tr-rho-sigma2", task)
 
 
-def pure_pure_fidelity(task: FidelityTask) -> EstimationResult:
-    """|<phi|psi>| for two pure states served through purified access."""
-    return _run_task("pure-pure", task)
-
-
 @dataclass(frozen=True, eq=False)
 class HardInstance:
     """One member of the rank-r adversarial family against |0>.

@@ -1,5 +1,6 @@
 """Tests for the amplitude/phase estimation engine."""
 
+import itertools
 import math
 
 import numpy as np
@@ -197,6 +198,17 @@ def period_offsets(M):
     return np.arange(1 - M // 2, M // 2 + 1)
 
 
+def unmirrored_offset(sampler, rng):
+    """One offset d of the branch at omega, recovered from its outcome y = (a + d) mod M.
+
+    The branch uniform 0.75 keeps the branch unmirrored; the window and the
+    tail read on from rng.
+    """
+    M = sampler.M
+    y = sampler.draw(rng, [0.75, rng.random()])
+    return (y - sampler.a - 1 + M // 2) % M + 1 - M // 2
+
+
 class TestKernelSampler:
     GENERIC_PHASES = (0.123456789, 0.3, 0.7071, 0.987654321)
     # the offsets the sampler draws by inverse CDF; the rest of the period is its tail
@@ -213,7 +225,7 @@ class TestKernelSampler:
             if f == 0.0:
                 # on-grid phase: a point mass at a, drawn without randomness
                 assert abs(grid[a % M] - 1.0) <= 1e-12
-                assert _KernelSampler(omega, m).offset(np.random.default_rng(0)) == 0
+                assert unmirrored_offset(_KernelSampler(omega, m), np.random.default_rng(0)) == 0
                 continue
             d = period_offsets(M)
             kern = np.array([_kernel(f, offset, M) for offset in d.tolist()])
@@ -238,13 +250,13 @@ class TestKernelSampler:
         omega = 0.3
         sampler = _KernelSampler(omega, m)
         rng = np.random.default_rng(1000 + m)
-        draws = np.array([sampler.draw(rng) for _ in range(200_000)])
+        draws = np.array([sampler.draw(rng, rng.random(2).tolist()) for _ in range(200_000)])
         expected = qpe_grid_distribution([omega, 1.0 - omega], [0.5, 0.5], m) * draws.size
         observed = np.bincount(draws, minlength=1 << m)
         assert pooled_chisquare_pvalue(observed, expected) >= 1e-3
 
     @pytest.mark.parametrize("m", [4, 8, 10])
-    def test_tail_path_rate_and_shape(self, m):
+    def test_tail_path_rate_and_shape(self, m, monkeypatch):
         M = 1 << m
         omega = (int(0.3 * M) + 0.37) / M  # f = 0.37: a heavy, asymmetric tail
         sampler = _KernelSampler(omega, m)
@@ -252,11 +264,21 @@ class TestKernelSampler:
         tail = d[~np.isin(d, self.WINDOW)]
         tail_probs = qpe_grid_distribution([omega], [1.0], m)[(sampler.a + tail) % M]
         tail_mass = tail_probs.sum()
+        # the tail's offsets as it returns them, before draw reduces a + d mod M
+        raw_tail, tail_offset = [], _KernelSampler._tail_offset
+
+        def recording_tail(self, uniforms):
+            raw_tail.append(tail_offset(self, uniforms))
+            return raw_tail[-1]
+
+        monkeypatch.setattr(_KernelSampler, "_tail_offset", recording_tail)
         rng = np.random.default_rng(2000 + m)
         n = 50_000
-        offsets = np.array([sampler.offset(rng) for _ in range(n)])
-        assert np.all((offsets >= 1 - M // 2) & (offsets <= M // 2))
+        offsets = np.array([unmirrored_offset(sampler, rng) for _ in range(n)])
+        raw_tail = np.array(raw_tail)
+        assert np.all((raw_tail >= 1 - M // 2) & (raw_tail <= M // 2))
         drawn_tail = offsets[~np.isin(offsets, self.WINDOW)]
+        assert np.array_equal(drawn_tail, raw_tail)
         rate = drawn_tail.size / n
         assert abs(rate - tail_mass) <= 5.0 * math.sqrt(tail_mass * (1.0 - tail_mass) / n)
         # shape of the tail draws, bucketed by side and octave of |d|
@@ -373,7 +395,8 @@ def fresh_stream_estimate(p, delta, seed, square):
     sampler = _KernelSampler(math.asin(math.sqrt(p)) / math.pi, m)
     values = []
     for rep in range(DEFAULT_REPETITIONS):
-        amp = math.sin(math.pi * sampler.draw(np.random.default_rng([seed, rep])) / (1 << m))
+        rng = np.random.default_rng([seed, rep])
+        amp = math.sin(math.pi * sampler.draw(rng, rng.random(2).tolist()) / (1 << m))
         values.append(amp * amp if square else amp)
     return sorted(values)[(DEFAULT_REPETITIONS - 1) // 2]
 
@@ -421,18 +444,21 @@ class TestRepetitionStreams:
 
     def test_a_cursor_is_built_only_when_the_window_misses(self, monkeypatch):
         cursors, tails = [], []
-        replay, tail_offset = estimation._Replay, _KernelSampler.tail_offset
+        replay, tail_offset = estimation._replay, _KernelSampler._tail_offset
 
-        def counting_replay(*args):
-            cursors.append(args[2])
-            return replay(*args)
+        def counting_replay(rng, drawn):
+            uniforms = replay(rng, drawn)
+            first = next(uniforms)
+            # the index the cursor starts reading the record at
+            cursors.append(drawn.index(first))
+            return itertools.chain([first], uniforms)
 
-        def counting_tail(self, rng):
-            tails.append(rng)
-            return tail_offset(self, rng)
+        def counting_tail(self, uniforms):
+            tails.append(uniforms)
+            return tail_offset(self, uniforms)
 
-        monkeypatch.setattr(estimation, "_Replay", counting_replay)
-        monkeypatch.setattr(_KernelSampler, "tail_offset", counting_tail)
+        monkeypatch.setattr(estimation, "_replay", counting_replay)
+        monkeypatch.setattr(_KernelSampler, "_tail_offset", counting_tail)
         # p = 0 is a point mass (f = 0): no window and no tail
         sqrt_amplitude_estimate(0.0, ONE_PLAIN_U, 0.1, 3)
         assert cursors == tails == []
@@ -520,7 +546,7 @@ class TestQueryAccounting:
         ops = [OracleOp(u, kind, ("A",)) for kind in ("plain", "plain", "inverse")]
         ops += [OracleOp(u, kind, ("C", "A")) for kind in ("controlled", "controlled_inverse")]
         ops.append(OracleOp(v, "controlled_inverse", ("C", "A")))
-        assert _query_tally(Circuit(layout, ops).queries(), 2, 3) == {
+        assert _query_tally(Circuit(layout, ops).queries(), 9, 3) == {
             "U": {"plain": 6, "inverse": 3, "controlled": 48, "controlled_inverse": 48},
             "V": {"plain": 0, "inverse": 0, "controlled": 9, "controlled_inverse": 12},
         }

@@ -18,6 +18,7 @@ from fidest.circuits import (
 from fidest.fidelity import (
     ESTIMATORS,
     FidelityTask,
+    _run_task,
     exact_fidelity_to_pure,
     exact_tr_rho_sigma2,
     fidelity_to_pure,
@@ -26,7 +27,6 @@ from fidest.fidelity import (
     hard_pair_hellinger,
     hellinger_distance,
     make_task,
-    pure_pure_fidelity,
     sqrt_tr_rho_sigma2_estimate,
     swap_test_estimate,
 )
@@ -146,7 +146,12 @@ def assert_flag_probability_matches(name, u, v):
     return p
 
 
-#: each estimator's public front end
+def pure_pure_fidelity(task):
+    """|<phi|psi>| for two pure states, through ESTIMATORS["pure-pure"] as the CLI runs it."""
+    return _run_task("pure-pure", task)
+
+
+#: each estimator's front end on a task: the package's three, and pure-pure's bind
 FRONT_ENDS = {
     "swap-baseline": swap_test_estimate,
     "optimal": fidelity_to_pure,

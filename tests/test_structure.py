@@ -239,9 +239,19 @@ def test_the_sampler_draws_in_plain_floats():
     # only builds the repetition generators
     tree = ast.parse((PACKAGE / "estimation.py").read_text(encoding="utf-8"))
     top = {n.name: n for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
-    # so _kernel and _KernelSampler name no np or numpy
+    # so _kernel, _KernelSampler and _replay name no np or numpy
+    assert "_replay" in top
     assert [name for name, node in top.items() if numpy_names(node)] == ["_repetition_streams"]
     assert not hasattr(_KernelSampler(0.3, 4), "window")
+    # one draw routine: an estimate's outcome, and the tests' fresh-stream
+    # reference, come only from _KernelSampler.draw(rng, drawn)
+    methods = [n.name for n in top["_KernelSampler"].body if isinstance(n, ast.FunctionDef)]
+    assert [name for name in methods if not name.startswith("_")] == ["draw"]
+    assert list(inspect.signature(_KernelSampler.draw).parameters) == ["self", "rng", "drawn"]
+    assert "draw" in called_names(top["_estimate"])
+    assert not hasattr(estimation, "_Replay")
+    for name in ("offset", "window_offset", "outcome", "tail_offset"):
+        assert not hasattr(_KernelSampler, name), name
 
 
 def used_names(node):
