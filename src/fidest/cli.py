@@ -335,10 +335,11 @@ def _run_single(config: ExperimentConfig) -> int:
 
 def _run_hard_instance(config: ExperimentConfig) -> int:
     rows = []
+    support = slice(config.rank)  # every later weight is zero in both members of a pair
     for p in HARD_P_GRID:
         for eps in config.epsilons:
             plus, minus = hard_pair(p, eps, config.rank, config.k)
-            hell = hellinger_distance(plus.distribution, minus.distribution)
+            hell = hellinger_distance(plus.distribution[support], minus.distribution[support])
             hell_closed = hard_pair_hellinger(p, eps)
             for inst in (plus, minus):
                 # |first entry| of the oracle's column, sqrt(w0): no 2^k oracle is built

@@ -4,8 +4,8 @@ A mixed state is served through a unitary on a system register plus an
 ancilla register; applied to the all-zeros input it yields a pure state
 whose reduced system matrix is the target.  An oracle is held as that
 prepared column alone: its unitary is the column's Householder completion
-U = phase H diag(c, 1, ...), applied in place along axis 1 of a (pre, 2^n,
-post) view of a state in O(2^n) per column, built densely only on request.
+U = (I - tau v v^dag) diag(d, 1, ...), applied in place along axis 1 of a
+(pre, 2^n, post) view as two passes and a row scale, built densely on request.
 The Householder factors are built on the first application, and the reduced
 state's purity is read from the column, so an oracle that is only read
 builds neither them nor a density matrix.  A random instance's column is the
@@ -62,47 +62,44 @@ class PreparationOracle:
 
     @functools.cached_property
     def _householder(self) -> tuple:
-        """(v, tau, c, phase) of U = phase (I - tau v v^dag) diag(c, 1, ...)."""
+        """(v, tau, d) of U = (I - tau v v^dag) diag(d, 1, ...) (Golub and Van Loan,
+        Matrix Computations, 5.1.3): v = e0 - conj(d) col maps d e0 to col, and
+        d = -col[0]/|col[0]| (-1 if 0) makes v[0] = 1 + |col[0]| >= 1, so tau needs
+        no guard.  tau = 2/||v||^2, not 1/(1 + |col[0]|), keeps H an exact
+        reflection for any column norm within ATOL_STRUCT of 1."""
         col = self.prepared_state
-        # divide out the phase of the largest-magnitude entry (a well-conditioned
-        # choice); H = I - tau v v^dag then maps c e0 to that rotated column
-        j = int(np.argmax(np.abs(col)))
-        phase = col[j] / abs(col[j])
-        v = col / phase
-        c = v[0] / abs(v[0]) if abs(v[0]) > 0.0 else 1.0 + 0.0j
-        v[0] -= c
-        vnorm2 = float(np.real(np.vdot(v, v)))
-        tau = 2.0 / vnorm2 if vnorm2 >= 1e-24 else 0.0
+        r = abs(col[0])
+        d = -col[0] / r if r else complex(-1.0)
+        v = -np.conj(d) * col
+        v[0] += 1.0
+        tau = 2.0 / float(np.vdot(v, v).real)
         v.flags.writeable = False
-        return v, tau, c, phase
+        return v, tau, d
 
     def apply(self, blocks: np.ndarray, inverse: bool = False) -> None:
         """U (or U^dag) along axis 1 of a (pre, 2^num_qubits, post) array, in place,
-        U = phase (I - tau v v^dag) diag(c, 1, ...)."""
-        v, tau, c, phase = self._householder
-        if inverse:
-            c, phase = np.conj(c), np.conj(phase)
-        blocks *= phase
+        as one dot pass and one update pass, after a scale of row 0 by d (or
+        before one by conj(d), for U^dag)."""
+        v, tau, d = self._householder
         if not inverse:
-            blocks[:, 0] *= c
-        if tau:
-            # v^dag x per column: one short dot each, never a BLAS product (see fidest.linalg)
-            w = np.vecdot(v, blocks.swapaxes(1, 2))[:, np.newaxis]
-            tv = (tau * v)[:, np.newaxis]
-            # the rank-one update runs on two contiguous halves (of the leading
-            # axis, or of the rows if that axis has length 1): a whole-size
-            # product, with numpy's broadcast buffers, is freed at the top of the
-            # heap, where glibc trims it and faults it back in on the next op
-            h = len(blocks) // 2
-            if h:
-                for a in (slice(None, h), slice(h, None)):
-                    blocks[a] -= tv * w[a]
-            else:
-                h = len(v) // 2
-                for i in (slice(None, h), slice(h, None)):
-                    blocks[:, i] -= tv[i] * w
+            blocks[:, 0] *= d
+        # v^dag x per column: one short dot each, never a BLAS product (see fidest.linalg)
+        w = np.vecdot(v, blocks.swapaxes(1, 2))[:, np.newaxis]
+        tv = (tau * v)[:, np.newaxis]
+        # the rank-one update runs on two contiguous halves (of the leading
+        # axis, or of the rows if that axis has length 1): a whole-size
+        # product, with numpy's broadcast buffers, is freed at the top of the
+        # heap, where glibc trims it and faults it back in on the next op
+        h = len(blocks) // 2
+        if h:
+            for a in (slice(None, h), slice(h, None)):
+                blocks[a] -= tv * w[a]
+        else:
+            h = len(v) // 2
+            for i in (slice(None, h), slice(h, None)):
+                blocks[:, i] -= tv[i] * w
         if inverse:
-            blocks[:, 0] *= c
+            blocks[:, 0] *= np.conj(d)
 
     @property
     def num_qubits(self) -> int:

@@ -109,6 +109,11 @@ class TestConfigValidation:
         # hard-instance runs no estimator
         ExperimentConfig(command="hard-instance", estimator="swap-baseline", epsilons=(1e-9,))
 
+    def test_hard_instance_rejects_p_equal_to_eps(self):
+        # p = 0.3 on the grid minus eps = 0.3 is exactly 0, outside (0, 1)
+        with pytest.raises(ValueError, match=r"p=0\.3 with epsilon=0\.3 leaves"):
+            ExperimentConfig("hard-instance", k=2, rank=2, epsilons=(0.3,))
+
 
 class TestFitScaling:
     def test_constant_counts_give_zero_slope(self):
@@ -196,8 +201,8 @@ class TestVerifyIdentities:
 
 def corrupted(oracle):
     """The oracle with its Householder tau scaled by 1.5, so its U is not unitary."""
-    v, tau, c, phase = oracle._householder
-    object.__setattr__(oracle, "_householder", (v, 1.5 * tau, c, phase))
+    v, tau, d = oracle._householder
+    object.__setattr__(oracle, "_householder", (v, 1.5 * tau, d))
     return oracle
 
 
@@ -502,6 +507,19 @@ class TestHardInstance:
         captured = capsys.readouterr()
         assert captured.out.splitlines()[0] == HARD_CSV_HEADER
         assert captured.err.startswith("hard-instance residuals: fidelity ")
+
+    @pytest.mark.parametrize("k,rank", [(2, 3), (4, 3), (5, 12)])
+    def test_hellinger_reads_only_the_nonzero_weights(self, monkeypatch, capsys, k, rank):
+        lengths = []
+
+        def recording(p, q):
+            lengths.extend((len(p), len(q)))
+            return fidest.fidelity.hellinger_distance(p, q)
+
+        monkeypatch.setattr(fidest.cli, "hellinger_distance", recording)
+        assert main(["hard-instance", "--k", str(k), "--rank", str(rank), "--epsilons", "0.1"]) == 0
+        assert len(lengths) == 2 * 3
+        assert max(lengths) <= rank
 
     def test_builds_no_oracle(self, capsys):
         # the rows need only each instance's first weight and the closed forms:

@@ -275,6 +275,12 @@ class TestSwapTestEstimate:
             result = swap_test_estimate(task)
             assert result.estimate <= 0.1
 
+    def test_zero_epsilon_is_a_bad_epsilon_not_a_cap(self):
+        # eps = 0 is outside (0, 1); it must not pass on to eps^2/4 = 0 and the cap error
+        with pytest.raises(ValueError, match="epsilon must be in") as info:
+            ESTIMATORS["swap-baseline"].readout_qubits(0.0)
+        assert not isinstance(info.value, QubitCapExceeded)
+
     @pytest.mark.parametrize("epsilon", [1e-170, 1e-320])
     def test_underflowing_delta_exceeds_readout_cap(self, epsilon):
         # eps^2 / 4 rounds to 0: the estimate is refused at the cap, not as a bad delta
@@ -462,6 +468,10 @@ class TestHardInstances:
             hard_instance(0.95, 0.1, 2, 1, k=1)
         with pytest.raises(ValueError, match="sign"):
             hard_instance(0.5, 0.1, 2, 0, k=1)
+        # p - eps <= 0 leaves (0, 1): refused by the family itself, not only by the CLI
+        for p in (0.05, 0.1):
+            with pytest.raises(ValueError, match="0, 1"):
+                hard_pair(p, 0.1, 2, 2)
 
     def test_estimator_runs_on_hard_instance(self):
         # the loading oracle serves the estimator directly: the estimate

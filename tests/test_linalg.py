@@ -85,6 +85,9 @@ class TestDensityMatrix:
         dm = DensityMatrix(np.eye(2) / 2)
         assert dm.dim == 2 and dm.num_qubits == 1
         assert abs(dm.purity() - 0.5) <= 1e-12
+        # dim 1 = 2^0 sits on the power-of-two check's lower edge
+        dm = DensityMatrix([[1.0]])
+        assert dm.dim == 1 and dm.num_qubits == 0
 
     def test_rejects_bad_trace(self):
         with pytest.raises(ValueError, match="trace"):

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fidest.circuits import (
@@ -125,6 +125,46 @@ def test_apply_acts_on_axis_1(case):
             out = x.copy()
             assert oracle.apply(out, inverse) is None
             assert np.max(np.abs(out - np.einsum("ij,ajk->aik", op, x))) <= 1e-12
+
+
+@settings(database=None, deadline=None, max_examples=200)
+@given(data=st.data())
+def test_completion_of_generated_columns(data):
+    # U e0 = col and U unitary for every column, the reflection's edges included:
+    # col[0] = 0 (d = -1) and col = e^{i theta} e0 (v = 2 e0 up to rounding)
+    n = data.draw(st.integers(1, 4), label="qubits")
+    kind = data.draw(st.sampled_from(["entries", "zero-first-entry", "phased-e0"]), label="kind")
+    if kind == "phased-e0":
+        col = np.zeros(1 << n, dtype=complex)
+        col[0] = np.exp(1j * data.draw(st.floats(-np.pi, np.pi), label="theta"))
+    else:
+        part = st.floats(-1.0, 1.0, allow_subnormal=False)
+        parts = data.draw(st.lists(part, min_size=2 << n, max_size=2 << n), label="parts")
+        col = np.array(parts[::2]) + 1j * np.array(parts[1::2])
+        if kind == "zero-first-entry":
+            col[0] = 0.0
+        assume(np.linalg.norm(col) >= 1e-3)
+        col /= np.linalg.norm(col)
+    u = PreparationOracle(col, n, 0, kind).unitary
+    assert np.max(np.abs(u[:, 0] - col)) <= 1e-15
+    assert unitarity_error(u) <= 1e-14
+
+
+def test_queries_keep_rows_off_the_column_support():
+    # a haar_pure column lives on its ancilla-0 entries; the reflection and the
+    # scale of row 0 write only those rows, so every other row is kept bit for bit
+    _, oracle = sample_instance(RandomInstanceSpec(2, 1, 21, "haar_pure"))
+    off = oracle.prepared_state == 0
+    assert off.sum() == 12
+    rng = np.random.default_rng(22)
+    for pre, post in ((1, 1), (1, 5), (4, 1), (3, 2)):
+        shape = (pre, off.size, post)
+        x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        for inverse in (False, True):
+            out = x.copy()
+            oracle.apply(out, inverse)
+            assert np.array_equal(out[:, off], x[:, off]), (pre, post, inverse)
+            assert not np.array_equal(out[:, ~off], x[:, ~off])
 
 
 def test_apply_allocates_less_than_two_inputs():
@@ -263,6 +303,11 @@ class TestSampleInstance:
     def test_rank_out_of_range(self):
         with pytest.raises(ValueError, match="rank"):
             RandomInstanceSpec(1, 3, 0, "ginibre_mixed")
+
+    def test_seed_is_a_64_bit_unsigned_integer(self):
+        RandomInstanceSpec(1, 1, 2**64 - 1, "haar_pure")
+        with pytest.raises(ValueError, match="64-bit"):
+            RandomInstanceSpec(1, 1, 2**64, "haar_pure")
 
     def test_haar_pure_requires_rank_one(self):
         with pytest.raises(ValueError, match="rank 1"):
