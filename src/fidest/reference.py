@@ -1,24 +1,23 @@
 """Brute-force dense references that the tests check the production path against.
 
 Nothing in the estimators or the CLI imports this module: the executed
-flag probability, the dense circuit unitary, the dense Grover operator, the
-full 2^m phase-estimation outcome grid (closed-form and Schur-based), the
+flag probability, the dense circuit unitary, the full 2^m phase-estimation
+outcome grid, closed-form and executed through the Grover steps, the
 partial trace of a dense matrix, Uhlmann fidelity and the eigh purification
 cost time and memory that grow with the state, the operator or 2^m.  It is
-the only module of the package that imports scipy or calls ``eigh``.
+the only module of the package that calls ``eigh``.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
-from .circuits import Circuit, QubitCapExceeded, _apply_op, analyze_flagged, execute
-from .linalg import ATOL_STRUCT, DensityMatrix, _hermiticity_error, require_unitary
+from .circuits import Circuit, OracleOp, QubitCapExceeded, _apply_op, analyze_flagged, execute
+from .linalg import ATOL_STRUCT, DensityMatrix, _hermiticity_error
 from .oracles import PreparationOracle
 
-#: Qubit cap for materializing a dense Grover operator.
-GROVER_MAX_QUBITS = 12
+#: Qubit cap for materializing a dense circuit unitary (a 4^n matrix).
+UNITARY_MAX_QUBITS = 12
 
 
 def herm_eig(mat: np.ndarray):
@@ -51,11 +50,11 @@ def preparation_oracle(rho: DensityMatrix, label: str = "U") -> PreparationOracl
     return PreparationOracle(purify(rho), rho.num_qubits, rho.num_qubits, label)
 
 
-def circuit_unitary(circuit: Circuit, cap: int = 12) -> np.ndarray:
+def circuit_unitary(circuit: Circuit) -> np.ndarray:
     """Dense unitary of the whole circuit (analysis only)."""
     n = circuit.layout.total_qubits
-    if n > cap:
-        raise QubitCapExceeded(f"circuit unitary needs {n} qubits, cap is {cap}")
+    if n > UNITARY_MAX_QUBITS:
+        raise QubitCapExceeded(f"circuit unitary needs {n} qubits, cap is {UNITARY_MAX_QUBITS}")
     state = np.eye(1 << n, dtype=complex)
     for op in circuit.ops:
         _apply_op(op, state, circuit.layout)
@@ -66,28 +65,6 @@ def flag_probability(preparer: Circuit, flag_register: str) -> float:
     """Pr[flag = 0] of the executed preparer; Estimator.flag_probability has it in closed form."""
     amp = analyze_flagged(execute(preparer), preparer.layout, (flag_register,))
     return min(max(amp.flagged_amplitude**2, 0.0), 1.0)
-
-
-def grover_operator(
-    preparer: Circuit, flag_register: str, max_qubits: int = GROVER_MAX_QUBITS
-) -> np.ndarray:
-    """Dense Grover operator A S0 A^dag S_good of a preparer A and its flag register.
-
-    S0 = 2|0><0| - I reflects about the all-zeros input, S_good = I - 2 Pi
-    about the flag = 0 subspace; with that sign convention the eigenphases
-    on the prepared-state plane are exactly +-2 arcsin(sqrt(p)).
-    """
-    n = preparer.layout.total_qubits
-    if n > max_qubits:
-        raise QubitCapExceeded(f"Grover operator needs {n} qubits, cap is {max_qubits}")
-    ua = circuit_unitary(preparer, cap=max_qubits)
-    dim = ua.shape[0]
-    s0 = -np.eye(dim, dtype=complex)
-    s0[0, 0] = 1.0
-    flag_qubit = preparer.layout.qubits(flag_register)[0]
-    flag_bit = (np.arange(dim) >> (n - 1 - flag_qubit)) & 1
-    s_good = np.where(flag_bit == 0, -1.0, 1.0)
-    return (ua @ s0 @ ua.conj().T) * s_good[np.newaxis, :]
 
 
 def qpe_grid_distribution(phases, weights, m: int) -> np.ndarray:
@@ -121,26 +98,46 @@ def qpe_grid_distribution(phases, weights, m: int) -> np.ndarray:
     return probs / total
 
 
-def qpe_distribution(q: np.ndarray, initial: np.ndarray, m: int) -> np.ndarray:
-    """Exact QPE outcome distribution for a dense unitary and initial state.
+_INVERSE_KIND = {
+    "plain": "inverse",
+    "inverse": "plain",
+    "controlled": "controlled_inverse",
+    "controlled_inverse": "controlled",
+}
 
-    The unitary is spectrally decomposed (Schur form; exact for normal
-    matrices up to roundoff) and the initial state's weights on each
-    eigenvector feed the kernel mixture.
+
+def executed_qpe_distribution(preparer: Circuit, flag_register: str, m: int) -> np.ndarray:
+    """QPE readout law of the Grover operator Q = A S0 A^dag S_good, executed step by step.
+
+    S_good = I - 2 Pi negates the flag = 0 half and S0 = 2|0><0| - I
+    reflects about the all-zeros input (Brassard-Hoyer-Mosca-Tapp), so the
+    eigenphases on the prepared-state plane are +-2 arcsin(sqrt(p)).  H on
+    every readout qubit and the controlled Q^(2^j) leave
+    sum_t |t> Q^t A|0> / sqrt(M): the 2^m - 1 steps run through the
+    executor, and the inverse QFT on the readout is an FFT over t.
     """
-    q = np.asarray(q, dtype=complex)
-    require_unitary(q, what="phase-estimation unitary")
-    initial = np.asarray(initial, dtype=complex).ravel()
-    if initial.size != q.shape[0]:
-        raise ValueError(f"initial state length {initial.size} != matrix dim {q.shape[0]}")
-    t, z = scipy.linalg.schur(q, output="complex")
-    offdiag = float(np.max(np.abs(t - np.diag(np.diag(t))))) if t.shape[0] > 1 else 0.0
-    if offdiag > 1e-8:
-        raise ValueError(f"matrix is not normal (Schur off-diagonal {offdiag:.3e})")
-    omega = (np.angle(np.diag(t)) / (2.0 * np.pi)) % 1.0
-    weights = np.abs(z.conj().T @ initial) ** 2
-    keep = weights > 1e-15
-    return qpe_grid_distribution(omega[keep], weights[keep], m)
+    layout = preparer.layout
+    (flag,) = layout.qubits(flag_register)
+    # A^dag: A's ops reversed, each query inverted; H, register swaps and the
+    # flag fold are their own inverses
+    adjoint = [
+        OracleOp(op.oracle, _INVERSE_KIND[op.kind], op.registers) if isinstance(op, OracleOp) else op
+        for op in reversed(preparer.ops)
+    ]
+    M = 1 << m
+    state = execute(preparer).reshape(-1, 1)
+    rows = np.empty((M, state.shape[0]), dtype=complex)
+    rows[0] = state[:, 0]
+    for t in range(1, M):
+        state.reshape(1 << flag, 2, -1)[:, 0] *= -1.0  # S_good
+        for op in adjoint:
+            _apply_op(op, state, layout)
+        state[1:] *= -1.0  # S0
+        for op in preparer.ops:
+            _apply_op(op, state, layout)
+        rows[t] = state[:, 0]
+    amplitudes = np.fft.fft(rows, axis=0) / M
+    return np.sum(np.abs(amplitudes) ** 2, axis=1)
 
 
 def partial_trace(mat: np.ndarray, dims, keep) -> np.ndarray:

@@ -444,3 +444,9 @@ def test_circuit_unitary_matches_execution(build):
     state = execute(circ)
     assert np.max(np.abs(mat[:, 0] - state)) <= 1e-12
     assert np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[0]))) <= 1e-10
+
+
+def test_circuit_unitary_qubit_cap():
+    # checked before the 4^n matrix is allocated
+    with pytest.raises(QubitCapExceeded, match="13 qubits, cap is 12"):
+        circuit_unitary(Circuit(RegisterLayout(("A",), (13,)), ()))

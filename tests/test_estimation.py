@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from fidest.circuits import (
     QubitCapExceeded,
     RegisterLayout,
     build_flagged_encoding,
+    build_swap_test,
 )
 from fidest.cli import main
 from fidest.estimation import (
@@ -30,15 +32,8 @@ from fidest.estimation import (
     readout_qubits,
     sqrt_amplitude_estimate,
 )
-from fidest.linalg import unitarity_error
 from fidest.oracles import PreparationOracle
-from fidest.reference import (
-    circuit_unitary,
-    flag_probability,
-    grover_operator,
-    qpe_distribution,
-    qpe_grid_distribution,
-)
+from fidest.reference import executed_qpe_distribution, flag_probability, qpe_grid_distribution
 
 from conftest import mixed_instance, pure_instance
 
@@ -70,109 +65,80 @@ def instance_problem(seed_u=42, seed_v=43):
     return flag_probability(preparer, "C"), preparer.queries()
 
 
+def two_phase_law(p, m):
+    """The readout law the sampler draws from: eigenphases +-asin(sqrt(p))/pi, half the weight each."""
+    omega = math.asin(math.sqrt(p)) / math.pi
+    return qpe_grid_distribution([omega, 1.0 - omega], [0.5, 0.5], m)
+
+
 class TestGroverOperator:
     def test_flag_probability(self):
         assert abs(flag_probability(flag_preparer(0.3), "C") - 0.3) <= 1e-12
         assert flag_preparer(0.3).queries() == ONE_PLAIN_U
 
-    def test_p_zero_fixes_prepared_state(self):
-        preparer = flag_preparer(0.0)
-        q = grover_operator(preparer, "C")
-        init = circuit_unitary(preparer)[:, 0]
-        assert np.max(np.abs(q @ init - init)) <= 1e-10
+    @settings(database=None, deadline=None, max_examples=24)
+    @given(
+        data=st.data(),
+        k=st.sampled_from((1, 2)),
+        build=st.sampled_from((build_flagged_encoding, build_swap_test)),
+        m=st.sampled_from((3, 4)),
+    )
+    def test_executed_steps_follow_the_sampled_law(self, data, k, build, m):
+        # the 2^m - 1 Grover steps, executed, read out with the kernel mixture the
+        # sampler draws from (a sign slip in Q moves every eigenphase by 1/2),
+        # and apply each oracle as often as _query_tally counts it
+        rank, seed = st.integers(1, 1 << k), st.integers(0, 2**32 - 1)
+        _, u = mixed_instance(k, data.draw(rank, label="rank U"), data.draw(seed, label="seed U"))
+        _, v = mixed_instance(k, data.draw(rank, label="rank V"), data.draw(seed, label="seed V"), "V")
+        preparer = build(u, v)
+        applied = []
+        apply = PreparationOracle.apply
 
-    def test_p_one_gives_phase_pi(self):
-        preparer = flag_preparer(1.0)
-        q = grover_operator(preparer, "C")
-        init = circuit_unitary(preparer)[:, 0]
-        assert np.max(np.abs(q @ init + init)) <= 1e-10
+        def counting(oracle, blocks, inverse=False):
+            applied.append(oracle.label)
+            apply(oracle, blocks, inverse)
 
-    @pytest.mark.parametrize("seed", range(4))
-    def test_eigenphases_on_invariant_plane(self, seed):
-        # oracle: dense eigendecomposition of Q projected onto the plane
-        # spanned by the prepared state and its flagged component
-        preparer = instance_preparer(2000 + seed, 2100 + seed)
-        theta = math.asin(math.sqrt(flag_probability(preparer, "C")))
-        q = grover_operator(preparer, "C")
-        assert unitarity_error(q) <= 1e-10
-        layout = preparer.layout
-        n = layout.total_qubits
-        state = circuit_unitary(preparer)[:, 0]
-        fq = layout.qubits("C")[0]
-        mask = ((np.arange(1 << n) >> (n - 1 - fq)) & 1) == 0
-        good = state * mask
-        good /= np.linalg.norm(good)
-        bad = state - (good.conj() @ state) * good
-        bad /= np.linalg.norm(bad)
-        basis = np.stack([good, bad], axis=1)
-        phases = np.sort(np.angle(np.linalg.eigvals(basis.conj().T @ q @ basis)))
-        assert np.max(np.abs(phases - [-2 * theta, 2 * theta])) <= 1e-8
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(PreparationOracle, "apply", counting)
+            executed = executed_qpe_distribution(preparer, "C", m)
+        expected = two_phase_law(flag_probability(preparer, "C"), m)
+        assert 0.5 * np.sum(np.abs(executed - expected)) <= 1e-12
+        tally = _query_tally(preparer.queries(), (1 << m) - 1, 1)
+        assert Counter(applied) == {label: sum(counts.values()) for label, counts in tally.items()}
 
-    def test_qubit_cap(self):
-        with pytest.raises(QubitCapExceeded):
-            grover_operator(instance_preparer(), "C", max_qubits=3)
+    @pytest.mark.parametrize("m", (3, 4))
+    @pytest.mark.parametrize("p, outcome", [(0.0, 0), (1.0, 0.5)])
+    def test_certain_flags_read_out_exactly(self, p, outcome, m):
+        # p = 0: Q fixes the prepared state; p = 1: Q negates it (phase 1/2)
+        probs = executed_qpe_distribution(flag_preparer(p), "C", m)
+        assert abs(probs[int(outcome * (1 << m))] - 1.0) <= 1e-12
+
+    def test_instance_law_at_six_readout_qubits(self):
+        preparer = instance_preparer()
+        executed = executed_qpe_distribution(preparer, "C", 6)
+        expected = two_phase_law(flag_probability(preparer, "C"), 6)
+        assert np.max(np.abs(executed - expected)) <= 1e-10
 
 
 class TestPhaseEstimate:
-    def test_exactly_representable_phase(self):
-        q = np.diag([1.0, np.exp(2j * np.pi * 3 / 8)])
-        init = np.array([0.0, 1.0], dtype=complex)
-        probs = qpe_distribution(q, init, 3)
-        assert abs(probs[3] - 1.0) <= 1e-12
-
-    def test_identity_operator(self):
-        probs = qpe_distribution(np.eye(2), np.array([1.0, 0.0]), 4)
-        assert abs(probs[0] - 1.0) <= 1e-12
-
-    def test_third_phase_concentration(self):
-        # standard QPE bound: mass within one grid unit of the phase >= 8/pi^2
-        q = np.diag([np.exp(2j * np.pi / 3), 1.0])
-        init = np.array([1.0, 0.0], dtype=complex)
-        probs = qpe_distribution(q, init, 6)
-        target = 64 / 3
-        near = [y for y in range(64) if min(abs(y - target), 64 - abs(y - target)) <= 1.0]
-        assert sum(probs[y] for y in near) >= 8 / np.pi**2
-
-    def test_rejects_non_unitary(self):
-        with pytest.raises(ValueError, match="unitary"):
-            qpe_distribution(np.ones((2, 2)), np.array([1.0, 0.0]), 3)
+    @pytest.mark.parametrize(
+        "omega, m, target, within, mass",
+        [
+            (3 / 8, 3, 3, 0.0, 1.0 - 1e-12),  # exactly representable phase
+            (0.0, 4, 0, 0.0, 1.0 - 1e-12),  # the identity's phase
+            (1 / 3, 6, 64 / 3, 1.0, 8 / math.pi**2),  # standard QPE bound
+        ],
+    )
+    def test_kernel_concentrates_on_the_phase(self, omega, m, target, within, mass):
+        M = 1 << m
+        probs = qpe_grid_distribution([omega], [1.0], m)
+        near = [y for y in range(M) if min(abs(y - target), M - abs(y - target)) <= within]
+        assert sum(probs[y] for y in near) >= mass
 
     def test_grid_distribution_normalized_mixture(self):
         probs = qpe_grid_distribution([0.2, 0.8], [0.5, 0.5], 7)
         assert abs(probs.sum() - 1.0) <= 1e-12
         assert np.all(probs >= 0.0)
-
-    def test_analytic_matches_dense_distribution(self):
-        # dual route: closed-form two-phase mixture vs Schur-decomposed
-        # Grover operator fed through the generic QPE distribution
-        preparer = instance_preparer()
-        omega = math.asin(math.sqrt(flag_probability(preparer, "C"))) / math.pi
-        analytic = qpe_grid_distribution([omega, 1.0 - omega], [0.5, 0.5], 6)
-        q = grover_operator(preparer, "C")
-        init = circuit_unitary(preparer)[:, 0]
-        dense = qpe_distribution(q, init, 6)
-        assert np.max(np.abs(analytic - dense)) <= 1e-10
-
-    @pytest.mark.parametrize("seed", range(3))
-    def test_matches_brute_force_controlled_power_simulation(self, seed):
-        # oracle: simulate the readout register explicitly (Hadamards,
-        # controlled powers Q^t, inverse Fourier transform) and marginalize
-        rng = np.random.default_rng(seed)
-        g = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-        q, _ = np.linalg.qr(g)
-        init = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        init /= np.linalg.norm(init)
-        m = 5
-        M = 1 << m
-        state = np.repeat(init[np.newaxis, :], M, axis=0) / math.sqrt(M)
-        power = np.eye(8, dtype=complex)
-        for t in range(M):
-            state[t] = power @ state[t]
-            power = q @ power
-        grid = np.arange(M)
-        inv_fourier = np.exp(-2j * np.pi * np.outer(grid, grid) / M) / math.sqrt(M)
-        brute = np.sum(np.abs(inv_fourier @ state) ** 2, axis=1)
-        assert np.max(np.abs(qpe_distribution(q, init, m) - brute)) <= 1e-10
 
 
 def pooled_chisquare_pvalue(observed, expected):

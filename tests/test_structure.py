@@ -1,5 +1,5 @@
 """Structure guards: the dense references stay out of the production path,
-estimators are defined only by the table in fidest.fidelity, the circuit
+no package module imports scipy, estimators are defined only by the table in fidest.fidelity, the circuit
 executor builds no dense padded or controlled matrix and reads no oracle matrix,
 oracles and circuits are immutable values whose queries are counted, not kept,
 each rule (query kinds, test-only linear algebra, purity) has one home, the
@@ -81,15 +81,16 @@ def test_package_import_loads_the_production_modules_only():
     assert not [v for v in values if inspect.isfunction(v) or inspect.isclass(v)]
 
 
-def test_only_the_reference_module_imports_scipy():
+def test_no_package_module_imports_scipy():
+    # scipy is a test dependency only; the reference loads none of it either
     sources = sorted(PACKAGE.glob("*.py"))
     assert PACKAGE / "reference.py" in sources
     for path in sources:
-        if path.name == "reference.py":
-            continue
         names = imported_modules(path)
         assert not [n for n in names if n.split(".")[0] == "scipy"], path.name
-        assert not [n for n in names if n.startswith("fidest.reference")], path.name
+        if path.name != "reference.py":
+            assert not [n for n in names if n.startswith("fidest.reference")], path.name
+    assert not [m for m in loaded_modules("fidest.reference") if m.startswith("scipy")]
 
 
 def compared_estimator_names(path):
