@@ -119,6 +119,27 @@ class TestGroverOperator:
         expected = two_phase_law(flag_probability(preparer, "C"), 6)
         assert np.max(np.abs(executed - expected)) <= 1e-10
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_eigenphases_on_invariant_plane(self, seed):
+        # Q acts on the plane of the prepared state and its flagged component
+        # with eigenphases +-2 arcsin(sqrt(p)), half the prepared state's
+        # weight on each: the executed readout at m = 6 is that mixture's law
+        preparer = instance_preparer(2000 + seed, 2100 + seed)
+        executed = executed_qpe_distribution(preparer, "C", 6)
+        expected = two_phase_law(flag_probability(preparer, "C"), 6)
+        assert np.max(np.abs(executed - expected)) <= 1e-10
+
+    @pytest.mark.parametrize("build", (build_flagged_encoding, build_swap_test))
+    def test_one_readout_qubit_reads_p(self, build):
+        # M = 2: the inverse QFT is one Hadamard, so Pr[y = 1] is
+        # |(A|0> - Q A|0>) / 2|^2 = (1 - cos 2 theta) / 2 = p, without the kernel
+        _, u = mixed_instance(1, 2, 3000)
+        _, v = mixed_instance(1, 2, 3001, "V")
+        preparer = build(u, v)
+        p = flag_probability(preparer, "C")
+        executed = executed_qpe_distribution(preparer, "C", 1)
+        assert np.max(np.abs(executed - [1.0 - p, p])) <= 1e-12
+
 
 class TestPhaseEstimate:
     @pytest.mark.parametrize(
