@@ -8,13 +8,14 @@ oracle queries of one run off the op list.
 
 The state is one flat (2^n, columns) array.  Every op acts on adjacent
 registers of it, as one reshape to (2^first, 2^width, rest); identity
-padding and control come from that block view, not from dense matrices.
-Oracle ops and H act on axis 1 of that view; an oracle op runs the
-oracle's own O(2^n_oracle)-per-column Householder apply, never a matrix.
-``execute`` holds one state from start to end and every op writes into it:
-a controlled op writes into its control = 1 view and never touches or
-copies the control = 0 half.  Each op is one or two elementwise passes,
-and no op makes a BLAS call, which OpenBLAS would thread on a large state.
+padding and a swap's control come from that block view, not from dense
+matrices.  H and oracle ops act on axis 1 of that view; an oracle op calls
+the oracle plain or inverse, by its O(2^n_oracle)-per-column Householder
+apply, never a matrix (controlled queries are only tallies, which
+``fidest.estimation._query_tally`` fills).  ``execute`` holds one state and
+every op writes into it; a controlled swap never touches or copies the
+control = 0 half.  Each op is one or two elementwise passes, and no op
+makes a BLAS call, which OpenBLAS would thread on a large state.
 
 Two circuit families matter here.  The encoding circuit applies both
 oracles side by side, swaps the ancilla registers, then undoes the second
@@ -29,7 +30,6 @@ from __future__ import annotations
 
 import functools
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,8 +37,7 @@ import numpy as np
 from .linalg import ATOL_STRUCT
 from .oracles import QUERY_KINDS, PreparationOracle
 
-DEFAULT_QUBIT_CAP = 22
-QUBIT_CAP_ENV = "FIDEST_QUBIT_CAP"
+QUBIT_CAP = 22  # a 22-qubit statevector is 64 MiB
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -56,18 +55,7 @@ def _hadamard(parts: np.ndarray) -> None:
 
 
 class QubitCapExceeded(ValueError):
-    """A circuit or operator would exceed the configured qubit cap."""
-
-
-def qubit_cap() -> int:
-    """Statevector qubit cap; override with the FIDEST_QUBIT_CAP env var."""
-    raw = os.environ.get(QUBIT_CAP_ENV)
-    if raw is None:
-        return DEFAULT_QUBIT_CAP
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{QUBIT_CAP_ENV}={raw!r} is not an integer") from exc
+    """A circuit or operator would exceed its qubit cap."""
 
 
 @dataclass(frozen=True)
@@ -104,17 +92,18 @@ class RegisterLayout:
 
 @dataclass(frozen=True, eq=False)
 class OracleOp:
-    """One oracle invocation on adjacent registers in layout order (a one-qubit
-    control register first for controlled kinds).  They may be wider than the
-    oracle, which then leaves the extra trailing qubits untouched."""
+    """One plain or inverse oracle invocation on adjacent registers in layout order.
+    They may be wider than the oracle, which then leaves the extra trailing qubits
+    untouched.  No op is a controlled query: the controlled ``QUERY_KINDS`` tally a
+    run's Grover steps, which only ``fidest.estimation._query_tally`` counts."""
 
     oracle: PreparationOracle
     kind: str
     registers: tuple
 
     def __post_init__(self):
-        if self.kind not in QUERY_KINDS:
-            raise ValueError(f"unknown query kind {self.kind!r}")
+        if self.kind not in ("plain", "inverse"):
+            raise ValueError(f"oracle op kind must be plain or inverse, got {self.kind!r}")
         object.__setattr__(self, "registers", tuple(self.registers))
 
 
@@ -220,18 +209,12 @@ def _apply_op(op, state, layout) -> None:
     """Apply one op to the flat (2^n, columns) state, in place."""
     if isinstance(op, OracleOp):
         first, width = _block(layout, op.registers)
-        control = int(op.kind in ("controlled", "controlled_inverse"))
-        if control:
-            _one_qubit(layout, op.registers[0], "control")
         n = op.oracle.num_qubits
-        if width - control < n:
+        if width < n:
             raise ValueError(
                 f"oracle op on {op.registers} spans {width} qubits, too few for its oracle"
             )
-        inverse = op.kind in ("inverse", "controlled_inverse")
-        # a controlled op acts on the control = 1 view only
-        blocks = state.reshape(1 << first, 1 + control, 1 << n, -1)[:, control]
-        op.oracle.apply(blocks, inverse)
+        op.oracle.apply(state.reshape(1 << first, 1 << n, -1), op.kind == "inverse")
     elif isinstance(op, Hadamard):
         first = _one_qubit(layout, op.register, "gate")
         _hadamard(state.reshape(1 << first, 2, -1))
@@ -266,9 +249,8 @@ def _norm(x: np.ndarray) -> float:
 def execute(circuit: Circuit) -> np.ndarray:
     """Exact final statevector of the circuit from |0...0>."""
     n = circuit.layout.total_qubits
-    cap = qubit_cap()
-    if n > cap:
-        raise QubitCapExceeded(f"circuit needs {n} qubits, cap is {cap} (override with {QUBIT_CAP_ENV})")
+    if n > QUBIT_CAP:
+        raise QubitCapExceeded(f"circuit needs {n} qubits, cap is {QUBIT_CAP}")
     state = np.zeros((1 << n, 1), dtype=complex)
     state[0, 0] = 1.0
     for op in circuit.ops:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import (
-    QUBIT_CAP_ENV,
+    QUBIT_CAP,
     QubitCapExceeded,
     analyze_flagged,
     build_encoding_circuit,
@@ -30,7 +30,6 @@ from .circuits import (
     build_restructured_encoding,
     build_swap_test,
     execute,
-    qubit_cap,
     register_zero_probability,
 )
 from .estimation import ESTIMATOR_MAX_M
@@ -156,12 +155,8 @@ class ExperimentConfig:
             # every circuit these commands run has 1 + 4k qubits: a flag or
             # control qubit, two k-qubit systems and their k-qubit ancillas
             n, what = 1 + 4 * self.k, "circuits"
-        cap = qubit_cap()
-        if n > cap:
-            raise QubitCapExceeded(
-                f"k = {self.k} needs {n}-qubit {what}, cap is {cap} "
-                f"(override with {QUBIT_CAP_ENV})"
-            )
+        if n > QUBIT_CAP:
+            raise QubitCapExceeded(f"k = {self.k} needs {n}-qubit {what}, cap is {QUBIT_CAP}")
         if self.command in ("sweep", "single"):
             for e in eps:
                 m = ESTIMATORS[self.estimator].readout_qubits(e)

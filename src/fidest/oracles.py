@@ -11,10 +11,10 @@ state's purity is read from the column, so an oracle that is only read
 builds neither them nor a density matrix.  A random instance's column is the
 Gaussian factor its state is drawn from (``synthesize_instance``); the eigh
 purification of a given state is a reference (``fidest.reference``).
-Oracles are immutable values.  Invocations come in four kinds (plain,
-inverse, controlled, controlled_inverse); a circuit says how often it
-invokes each oracle, per kind (``Circuit.queries``), and the estimators
-derive a whole run's tallies from that in closed form (``fidest.estimation``).
+Oracles are immutable values.  A circuit invokes an oracle plain or inverse
+and says how often, per kind (``Circuit.queries``); the estimators derive a
+whole run's tallies from that in closed form, and its controlled and
+controlled_inverse kinds come only from ``fidest.estimation._query_tally``.
 """
 
 from __future__ import annotations
@@ -132,7 +132,7 @@ def purified_channel_oracle(
 ) -> PreparationOracle:
     """Wrap a purified channel unitary as a preparation oracle.
 
-    The unitary acts on system plus environment; run on |0>|0> it prepares
+    The unitary acts on system plus ancilla; run on |0>|0> it prepares
     a purification of the channel's output on the all-zeros input, so it
     serves as purified access to that state.  Only its first column is kept:
     the oracle is that column's completion, which agrees with the input on

@@ -98,14 +98,6 @@ def qpe_grid_distribution(phases, weights, m: int) -> np.ndarray:
     return probs / total
 
 
-_INVERSE_KIND = {
-    "plain": "inverse",
-    "inverse": "plain",
-    "controlled": "controlled_inverse",
-    "controlled_inverse": "controlled",
-}
-
-
 def executed_qpe_distribution(preparer: Circuit, flag_register: str, m: int) -> np.ndarray:
     """QPE readout law of the Grover operator Q = A S0 A^dag S_good, executed step by step.
 
@@ -121,7 +113,9 @@ def executed_qpe_distribution(preparer: Circuit, flag_register: str, m: int) -> 
     # A^dag: A's ops reversed, each query inverted; H, register swaps and the
     # flag fold are their own inverses
     adjoint = [
-        OracleOp(op.oracle, _INVERSE_KIND[op.kind], op.registers) if isinstance(op, OracleOp) else op
+        OracleOp(op.oracle, "plain" if op.kind == "inverse" else "inverse", op.registers)
+        if isinstance(op, OracleOp)
+        else op
         for op in reversed(preparer.ops)
     ]
     M = 1 << m

@@ -58,20 +58,32 @@ class TestExecute:
         circ = Circuit(RegisterLayout(("A",), (1,)), (Hadamard("A"),))
         assert np.allclose(execute(circ), [1 / np.sqrt(2), 1 / np.sqrt(2)])
 
-    def test_qubit_cap(self, monkeypatch):
-        # FIDEST_QUBIT_CAP is the only source of the cap
-        monkeypatch.setenv("FIDEST_QUBIT_CAP", "4")
-        circ = Circuit(RegisterLayout(("A",), (5,)), ())
-        with pytest.raises(QubitCapExceeded, match="FIDEST_QUBIT_CAP"):
-            execute(circ)
+    def test_qubit_cap(self):
+        # checked before the 128 MiB state of 23 qubits is allocated
+        circ = Circuit(RegisterLayout(("A",), (23,)), ())
+        tracemalloc.start()
+        try:
+            with pytest.raises(QubitCapExceeded, match="23 qubits, cap is 22"):
+                execute(circ)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
-    def test_env_override(self, monkeypatch):
+    def test_cap_ignores_the_environment(self, monkeypatch):
+        # the cap is a constant: the old FIDEST_QUBIT_CAP override moves it neither way
         monkeypatch.setenv("FIDEST_QUBIT_CAP", "3")
-        circ = Circuit(RegisterLayout(("A",), (4,)), ())
-        with pytest.raises(QubitCapExceeded, match="4 qubits, cap is 3"):
-            execute(circ)
-        monkeypatch.setenv("FIDEST_QUBIT_CAP", "4")
-        execute(circ)
+        assert np.allclose(execute(Circuit(RegisterLayout(("A",), (4,)), ()))[0], 1.0)
+        monkeypatch.setenv("FIDEST_QUBIT_CAP", "30")
+        with pytest.raises(QubitCapExceeded, match="23 qubits, cap is 22$"):
+            execute(Circuit(RegisterLayout(("A",), (23,)), ()))
+
+    @pytest.mark.parametrize("kind", ["controlled", "controlled_inverse", "adjoint"])
+    def test_oracle_op_is_plain_or_inverse(self, kind):
+        # controlled kinds are tallies of a run's Grover steps, never executed ops
+        _, u = pure_instance(1, 62)
+        with pytest.raises(ValueError, match=f"plain or inverse, got '{kind}'"):
+            OracleOp(u, kind, ("A", "B"))
 
     def test_oracle_counters_match_shadow_count(self):
         _, u = mixed_instance(1, 2, 60)
@@ -79,21 +91,6 @@ class TestExecute:
         circ = build_encoding_circuit(u, v)
         counted = sum(sum(kinds.values()) for kinds in circ.queries().values())
         assert counted == sum(isinstance(op, OracleOp) for op in circ.ops) == 3
-
-    def test_controlled_oracle_op(self):
-        _, u = pure_instance(1, 62)
-        layout = RegisterLayout(("C", "A", "B"), (1, 1, 1))
-        circ = Circuit(
-            layout,
-            (Hadamard("C"), OracleOp(u, "controlled", ("C", "A", "B"))),
-        )
-        state = execute(circ)
-        # control |0> leaves |00>, control |1> prepares U|00>
-        expected = np.concatenate([[1.0, 0.0, 0.0, 0.0], u.prepared_state]) / np.sqrt(2.0)
-        assert np.max(np.abs(state - expected)) <= 1e-12
-        assert circ.queries() == {
-            u.label: {"plain": 0, "inverse": 0, "controlled": 1, "controlled_inverse": 0},
-        }
 
 
 class TestRegisterBlocks:

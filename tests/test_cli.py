@@ -556,7 +556,7 @@ class TestHardInstance:
     @pytest.mark.parametrize(
         "flags,code,message",
         [
-            # the family is built from k-qubit vectors; k = 23 is over the default cap of 22
+            # the family is built from k-qubit vectors; k = 23 is over the cap of 22
             (["--k", "23"], 3, "23-qubit"),
             (["--epsilons", "0.1,0.35"], 2, "p=0.3 with epsilon=0.35 leaves"),
         ],
@@ -670,7 +670,7 @@ class TestMainEntry:
     def test_qubit_budget_fails_before_any_work(self, tmp_path, monkeypatch, capsys):
         forbid_sampling(monkeypatch, "the qubit budget check")
         out = tmp_path / "sweep.csv"
-        # k = 6 runs 1 + 4k = 25-qubit circuits, past the default cap of 22
+        # k = 6 runs 1 + 4k = 25-qubit circuits, past the cap of 22
         assert main(["sweep", "--k", "6", "--output", str(out)]) == 3
         assert "25-qubit" in capsys.readouterr().err
         assert not out.exists()
@@ -748,11 +748,16 @@ class TestMainEntry:
             main(["hard-instance", "--seed", "1"])
         assert exc.value.code == 2
 
-    def test_env_qubit_cap_respected(self, monkeypatch, capsys):
+    def test_cap_ignores_the_environment(self, monkeypatch, capsys):
+        # the old FIDEST_QUBIT_CAP override neither lowers nor raises the cap of 22
         monkeypatch.setenv("FIDEST_QUBIT_CAP", "3")
         code = main(
             ["single", "--estimator", "optimal", "--k", "1", "--rank", "2",
              "--epsilons", "0.1", "--seed", "3"]
         )
-        assert code == 3
-        assert "cap" in capsys.readouterr().err
+        assert code == 0
+        capsys.readouterr()
+        monkeypatch.setenv("FIDEST_QUBIT_CAP", "30")
+        forbid_sampling(monkeypatch, "the qubit budget check")
+        assert main(["hard-instance", "--k", "23", "--rank", "3", "--epsilons", "0.1"]) == 3
+        assert capsys.readouterr().err == "error: k = 23 needs 23-qubit states, cap is 22\n"

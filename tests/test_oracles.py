@@ -198,37 +198,19 @@ class TestControlledAndInverse:
 
     @staticmethod
     def unitary_of(oracle, *kinds, pad=0):
-        """Dense unitary of the ops of these kinds on layout (C, A, B, P); C controls,
+        """Dense unitary of the ops of these kinds on layout (C, A, B, P); C is idle,
         and every op spans the ``pad`` trailing qubits of P."""
         sizes = (1, oracle.system_qubits, oracle.ancilla_qubits, pad)
-        ops = [
-            OracleOp(oracle, k, ("C", "A", "B", "P") if k.startswith("controlled") else ("A", "B", "P"))
-            for k in kinds
-        ]
+        ops = [OracleOp(oracle, k, ("A", "B", "P")) for k in kinds]
         return circuit_unitary(Circuit(RegisterLayout(("C", "A", "B", "P"), sizes), ops))
-
-    def test_control_off_is_identity(self):
-        for oracle, pad in self.cases():
-            dim = 1 << (oracle.num_qubits + pad)
-            for kind in ("controlled", "controlled_inverse"):
-                cu = self.unitary_of(oracle, kind, pad=pad)
-                # control clear: rows [I, 0] and column block [I; 0], bit for bit
-                assert np.array_equal(cu[:dim], np.eye(dim, 2 * dim)), oracle.label
-                assert np.array_equal(cu[:, :dim], np.eye(2 * dim, dim)), oracle.label
 
     def test_control_on_prepares_state(self):
         for oracle, pad in self.cases():
             u = np.kron(oracle.unitary, np.eye(1 << pad))
-            dim, zero = u.shape[0], np.zeros(u.shape)
+            zero = np.zeros(u.shape)
             for kind, on in (("plain", u), ("inverse", u.conj().T)):
                 expected = np.block([[on, zero], [zero, on]])  # C is idle
                 assert np.max(np.abs(self.unitary_of(oracle, kind, pad=pad) - expected)) <= 1e-12
-            for kind, on in (("controlled", u), ("controlled_inverse", u.conj().T)):
-                expected = np.block([[np.eye(dim), zero], [zero, on]])
-                assert np.max(np.abs(self.unitary_of(oracle, kind, pad=pad) - expected)) <= 1e-12
-            loaded = np.kron(oracle.prepared_state, zero_state(pad))
-            expected = np.concatenate([np.zeros(dim), loaded])  # |1>|0...0> in
-            assert np.max(np.abs(self.unitary_of(oracle, "controlled", pad=pad)[:, dim] - expected)) <= 1e-12
 
     def test_inverse_times_forward_is_identity(self):
         for oracle, pad in [(mixed_instance(2, 4, 6)[1], 0), *self.cases()]:

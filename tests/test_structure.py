@@ -3,7 +3,8 @@ no package module imports scipy, estimators are defined only by the table in fid
 executor builds no dense padded or controlled matrix and reads no oracle matrix,
 oracles and circuits are immutable values whose queries are counted, not kept,
 each rule (query kinds, test-only linear algebra, purity) has one home, the
-package keeps no surface that only tests reach, a config's defaults are its
+package keeps no surface that only tests reach and reads no environment
+variable, no op is a controlled query, a config's defaults are its
 command's flag defaults, the QPE sampler draws in plain floats, no
 estimate executes a circuit, verify-identities checks oracle unitarity
 through the oracle's queries, with no dense product, only the reference
@@ -213,6 +214,16 @@ def test_only_production_options_remain():
     for name in ("Gate1Q", "_GATES_1Q", "ControlledRegisterSwap"):
         assert not hasattr(fidest.circuits, name), name
     assert not hasattr(RegisterLayout, "size")
+    # the qubit cap is a constant: no package module reads the environment
+    for path in sorted(PACKAGE.glob("*.py")):
+        assert not {"environ", "getenv"} & used_names(ast.parse(path.read_text(encoding="utf-8"))), path.name
+    for name in ("qubit_cap", "DEFAULT_QUBIT_CAP", "QUBIT_CAP_ENV"):
+        assert not hasattr(fidest.circuits, name), name
+    # no command runs a controlled query: those kinds are tallies, never ops
+    oracle = preparation_oracle(DensityMatrix(np.eye(2) / 2))
+    for kind in ("controlled", "controlled_inverse"):
+        with pytest.raises(ValueError, match="plain or inverse"):
+            OracleOp(oracle, kind, ("A", "B"))
 
 
 def test_estimates_execute_no_circuit():
