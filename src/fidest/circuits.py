@@ -6,16 +6,16 @@ purifying ancillas, C a one-qubit control/flag.  Circuits are immutable op
 lists; ``execute`` runs them on |0...0>, and ``Circuit.queries`` reads the
 oracle queries of one run off the op list.
 
-The state is one flat (2^n, columns) array.  Every op acts on adjacent
-registers of it, as one reshape to (2^first, 2^width, rest); identity
-padding and a swap's control come from that block view, not from dense
-matrices.  H and oracle ops act on axis 1 of that view; an oracle op calls
-the oracle plain or inverse, by its O(2^n_oracle)-per-column Householder
-apply, never a matrix (controlled queries are only tallies, which
-``fidest.estimation._query_tally`` fills).  ``execute`` holds one state and
-every op writes into it; a controlled swap never touches or copies the
-control = 0 half.  Each op is one or two elementwise passes, and no op
-makes a BLAS call, which OpenBLAS would thread on a large state.
+The state is one flat (2^n, columns) array.  H, oracle and flag ops reshape
+it to (2^first, 2^width, rest) around adjacent registers, so identity
+padding comes from that block view, not from dense matrices; an oracle op
+calls the oracle plain or inverse, by its O(2^n_oracle)-per-column
+Householder apply (controlled queries are only tallies, which
+``fidest.estimation._query_tally`` fills).  A register swap views the state
+with one axis per register and exchanges two of them, under a control on
+the control = 1 half only.  ``execute`` holds one state and every op writes
+into it.  Each op is one or two elementwise passes, and no op makes a BLAS
+call, which OpenBLAS would thread on a large state.
 
 Two circuit families matter here.  The encoding circuit applies both
 oracles side by side, swaps the ancilla registers, then undoes the second
@@ -183,26 +183,23 @@ def _one_qubit(layout: RegisterLayout, name: str, role: str) -> int:
 
 @functools.lru_cache
 def _swap_geometry(layout: RegisterLayout, first: str, second: str, control=None):
-    """How a register swap, controlled by a one-qubit register or not, reshapes the
-    state: ``(shape, axis, axis, control axis or None)``, one axis per run of qubits
-    between the swapped registers' and the control's edges, then the columns.
-    None when the swap is the identity."""
-    c = None if control is None else _one_qubit(layout, control, "control")
-    (a, wa), (b, wb) = sorted((_block(layout, (first,)), _block(layout, (second,))))
+    """A register swap's view of the state, ``(shape, axis, axis, on)``: one axis per
+    register and then the columns, and ``on`` indexes the half where a one-qubit
+    control is 1 (``()`` without one).  None when the swap is the identity."""
+    if control is not None:
+        _one_qubit(layout, control, "control")
+    (_, width), (_, other) = _block(layout, (first,)), _block(layout, (second,))
     if first == second:
         return None
-    if wa != wb:
+    if width != other:
         raise ValueError(f"cannot swap registers {first!r} and {second!r} of unequal size")
     if control in (first, second):
         raise ValueError(f"control register {control!r} is also swapped")
-    if wa == 0:
+    if width == 0:
         return None
-    edges = {0, a, a + wa, b, b + wb, layout.total_qubits}
-    if c is not None:
-        edges |= {c, c + 1}
-    cuts = sorted(edges)
-    shape = tuple(1 << (hi - lo) for lo, hi in zip(cuts, cuts[1:])) + (-1,)
-    return shape, cuts.index(a), cuts.index(b), None if c is None else cuts.index(c)
+    shape = tuple(1 << size for size in layout.sizes) + (-1,)
+    on = () if control is None else (slice(None),) * layout.names.index(control) + (1,)
+    return shape, layout.names.index(first), layout.names.index(second), on
 
 
 def _apply_op(op, state, layout) -> None:
@@ -221,11 +218,9 @@ def _apply_op(op, state, layout) -> None:
     elif isinstance(op, RegisterSwap):
         geometry = _swap_geometry(layout, op.first, op.second, op.control)
         if geometry is not None:
-            shape, a, b, c = geometry
+            shape, a, b, on = geometry
             parts = state.reshape(shape)
-            # the whole state, or its control = 1 view; numpy copies the
-            # overlapping swapped source before it writes
-            on = () if c is None else (slice(None),) * c + (1,)
+            # numpy copies the overlapping swapped source before it writes
             parts[on] = parts.swapaxes(a, b)[on]
     elif isinstance(op, FlagOnNonzero):
         _one_qubit(layout, op.flag_register, "flag")

@@ -507,6 +507,10 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     unknown = set(raw) - set(fields)
     if unknown:
         raise ValueError(f"unknown config keys {sorted(unknown)} for {args.command}")
+    # null means a flag's default only where that default is None (output_path: stdout)
+    nulls = sorted(name for name, value in raw.items() if value is None and fields[name] is not None)
+    if nulls:
+        raise ValueError(f"config keys {nulls} must not be null for {args.command}")
     return ExperimentConfig(**{**fields, **raw})
 
 

@@ -132,21 +132,29 @@ class TestRegisterBlocks:
             (("A", "C", "A'"), (1, 1, 1), ("C", "A", "A'")),  # control between the two
             (("A", "B", "C", "A'"), (2, 1, 1, 2), ("C", "A'", "A")),
             (("C", "A"), (1, 2), ("C", "A", "A")),  # a register swapped with itself
+            (("A", "A'", "C"), (1, 1, 1), ("C", "A", "A'")),  # control after both
+            (("A", "B", "A'", "B'"), (1, 2, 1, 2), (None, "B", "B'")),  # the encoding's, across A'
+            (("C", "A", "B", "A'", "B'"), (1, 1, 0, 1, 0), (None, "B", "B'")),  # zero width
         ],
     )
-    def test_controlled_register_swap_is_dense_permutation(self, names, sizes, swap):
+    def test_register_swap_is_dense_permutation(self, names, sizes, swap):
         layout = RegisterLayout(names, sizes)
         control, first, second = swap
         n = layout.total_qubits
         expected = np.zeros((1 << n, 1 << n))
         for x in range(1 << n):
             bits = [(x >> (n - 1 - q)) & 1 for q in range(n)]
-            if bits[layout.qubits(control)[0]]:
+            if control is None or bits[layout.qubits(control)[0]]:
                 for qa, qb in zip(layout.qubits(first), layout.qubits(second)):
                     bits[qa], bits[qb] = bits[qb], bits[qa]
             expected[int("".join(map(str, bits)), 2), x] = 1.0
         circ = Circuit(layout, (RegisterSwap(first, second, control),))
         assert np.array_equal(circuit_unitary(circ), expected)
+
+    def test_swap_of_unequal_registers_raises(self):
+        circ = Circuit(RegisterLayout(("A", "A'"), (1, 2)), (RegisterSwap("A", "A'"),))
+        with pytest.raises(ValueError, match="cannot swap"):
+            execute(circ)
 
     def test_controlled_swap_of_its_own_control_raises(self):
         layout = RegisterLayout(("C", "A"), (1, 1))

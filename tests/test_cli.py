@@ -584,6 +584,7 @@ class TestMainEntry:
                     "estimator": "optimal",
                     "epsilons": [0.1],
                     "seed": 3,
+                    "output_path": None,  # null is the flag default: stdout
                 }
             )
         )
@@ -733,12 +734,18 @@ class TestMainEntry:
             # too large for a float: refused before float() can overflow
             {"command": "sweep", "epsilons": [10**400]},
             {"command": "hard-instance", "epsilons": [10**400]},
+            # null is no flag default where the default is not None
+            {"command": "sweep", "k": None},
+            {"command": "sweep", "trials": None},
+            {"command": "verify-identities", "trials": None},
         ],
     )
     def test_malformed_config_file_exits_2(self, tmp_path, capsys, raw):
         out = tmp_path / "out.csv"
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"output_path": str(out), **raw}))
+        # verify-identities has no --output: an output_path key alone would exit 2
+        target = {} if raw.get("command") == "verify-identities" else {"output_path": str(out)}
+        cfg.write_text(json.dumps({**target, **raw}))
         assert main(["--config", str(cfg)]) == 2
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
