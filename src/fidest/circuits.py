@@ -6,16 +6,17 @@ purifying ancillas, C a one-qubit control/flag.  Circuits are immutable op
 lists; ``execute`` runs them on |0...0>, and ``Circuit.queries`` reads the
 oracle queries of one run off the op list.
 
-The state is one flat (2^n, columns) array.  H, oracle and flag ops reshape
-it to (2^first, 2^width, rest) around adjacent registers, so identity
-padding comes from that block view, not from dense matrices; an oracle op
-calls the oracle plain or inverse, by its O(2^n_oracle)-per-column
-Householder apply (controlled queries are only tallies, which
-``fidest.estimation._query_tally`` fills).  A register swap views the state
-with one axis per register and exchanges two of them, under a control on
-the control = 1 half only.  ``execute`` holds one state and every op writes
-into it.  Each op is one or two elementwise passes, and no op makes a BLAS
-call, which OpenBLAS would thread on a large state.
+``execute`` holds one 1-D state of 2^n amplitudes and every op writes into
+it; each op's view ends in a -1 axis, so the ops also act on a (2^n, columns)
+array.  H, oracle and flag ops reshape it to (2^first, 2^width, rest) around
+adjacent registers, so identity padding comes from that block view, not from
+dense matrices; an oracle op calls the oracle plain or inverse, by its
+O(2^n_oracle)-per-column Householder apply (controlled queries are only
+tallies, which ``fidest.estimation._query_tally`` fills).  A register swap
+views the state with one axis per register and exchanges two of them, under
+a control on the control = 1 half only, by one path for every swap.  Each op
+is one or two elementwise passes, and no op makes a BLAS call, which OpenBLAS
+would thread on a large state.
 
 Two circuit families matter here.  The encoding circuit applies both
 oracles side by side, swaps the ancilla registers, then undoes the second
@@ -184,26 +185,23 @@ def _one_qubit(layout: RegisterLayout, name: str, role: str) -> int:
 @functools.lru_cache
 def _swap_geometry(layout: RegisterLayout, first: str, second: str, control=None):
     """A register swap's view of the state, ``(shape, axis, axis, on)``: one axis per
-    register and then the columns, and ``on`` indexes the half where a one-qubit
-    control is 1 (``()`` without one).  None when the swap is the identity."""
+    register and then the rest, and ``on`` indexes the half where a one-qubit
+    control is 1 (``()`` without one).  Swapping a register with itself, or two
+    zero-width registers (length-1 axes), leaves the state as it was."""
     if control is not None:
         _one_qubit(layout, control, "control")
     (_, width), (_, other) = _block(layout, (first,)), _block(layout, (second,))
-    if first == second:
-        return None
     if width != other:
         raise ValueError(f"cannot swap registers {first!r} and {second!r} of unequal size")
     if control in (first, second):
         raise ValueError(f"control register {control!r} is also swapped")
-    if width == 0:
-        return None
     shape = tuple(1 << size for size in layout.sizes) + (-1,)
     on = () if control is None else (slice(None),) * layout.names.index(control) + (1,)
     return shape, layout.names.index(first), layout.names.index(second), on
 
 
 def _apply_op(op, state, layout) -> None:
-    """Apply one op to the flat (2^n, columns) state, in place."""
+    """Apply one op in place to the state: 2^n amplitudes, or a (2^n, columns) array."""
     if isinstance(op, OracleOp):
         first, width = _block(layout, op.registers)
         n = op.oracle.num_qubits
@@ -216,12 +214,10 @@ def _apply_op(op, state, layout) -> None:
         first = _one_qubit(layout, op.register, "gate")
         _hadamard(state.reshape(1 << first, 2, -1))
     elif isinstance(op, RegisterSwap):
-        geometry = _swap_geometry(layout, op.first, op.second, op.control)
-        if geometry is not None:
-            shape, a, b, on = geometry
-            parts = state.reshape(shape)
-            # numpy copies the overlapping swapped source before it writes
-            parts[on] = parts.swapaxes(a, b)[on]
+        shape, a, b, on = _swap_geometry(layout, op.first, op.second, op.control)
+        parts = state.reshape(shape)
+        # numpy copies the overlapping swapped source before it writes
+        parts[on] = parts.swapaxes(a, b)[on]
     elif isinstance(op, FlagOnNonzero):
         _one_qubit(layout, op.flag_register, "flag")
         first, width = _block(layout, (op.flag_register,) + op.zero_registers)
@@ -246,11 +242,10 @@ def execute(circuit: Circuit) -> np.ndarray:
     n = circuit.layout.total_qubits
     if n > QUBIT_CAP:
         raise QubitCapExceeded(f"circuit needs {n} qubits, cap is {QUBIT_CAP}")
-    state = np.zeros((1 << n, 1), dtype=complex)
-    state[0, 0] = 1.0
+    state = np.zeros(1 << n, dtype=complex)
+    state[0] = 1.0
     for op in circuit.ops:
         _apply_op(op, state, circuit.layout)
-    state = state.reshape(-1)
     norm = _norm(state)
     if abs(norm - 1.0) > ATOL_STRUCT:
         raise RuntimeError(f"executed state norm drifted to {norm}")

@@ -243,8 +243,10 @@ def hard_pair(p: float, eps: float, rank: int, k: int):
 def hard_pair_hellinger(p: float, eps: float) -> float:
     """Closed-form Hellinger distance between the +/- loading distributions.
 
-    sqrt(1 - sqrt(p^2 - eps^2) - sqrt((1-p)^2 - eps^2)); independent of rank.
+    H^2 = 1 - sqrt(p^2 - eps^2) - sqrt((1-p)^2 - eps^2), independent of rank,
+    summed as x - sqrt(x^2 - eps^2) = eps^2 / (x + sqrt(x^2 - eps^2)) over
+    x = p and 1 - p: two positive terms, so nothing cancels as eps -> 0.
     """
     _check_hard_pair_weights(p, eps)
-    inner = 1.0 - math.sqrt(p * p - eps * eps) - math.sqrt((1.0 - p) ** 2 - eps * eps)
-    return math.sqrt(max(inner, 0.0))
+    squared = sum(eps * eps / (x + math.sqrt((x - eps) * (x + eps))) for x in (p, 1.0 - p))
+    return math.sqrt(squared)

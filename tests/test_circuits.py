@@ -156,9 +156,13 @@ class TestRegisterBlocks:
         with pytest.raises(ValueError, match="cannot swap"):
             execute(circ)
 
-    def test_controlled_swap_of_its_own_control_raises(self):
-        layout = RegisterLayout(("C", "A"), (1, 1))
-        circ = Circuit(layout, (RegisterSwap("C", "A", control="C"),))
+    @pytest.mark.parametrize(
+        "swap",
+        [RegisterSwap("C", "A", control="C"), RegisterSwap("A", "A", control="A")],
+        ids=["with-another", "with-itself"],
+    )
+    def test_controlled_swap_of_its_own_control_raises(self, swap):
+        circ = Circuit(RegisterLayout(("C", "A"), (1, 1)), (swap,))
         with pytest.raises(ValueError, match="also swapped"):
             execute(circ)
 
@@ -447,6 +451,7 @@ def test_circuit_unitary_matches_execution(build):
     circ = build(u, v)
     mat = circuit_unitary(circ)
     state = execute(circ)
+    assert state.shape == (1 << circ.layout.total_qubits,)
     assert np.max(np.abs(mat[:, 0] - state)) <= 1e-12
     assert np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[0]))) <= 1e-10
 

@@ -508,6 +508,10 @@ class TestHardInstance:
         assert captured.out.splitlines()[0] == HARD_CSV_HEADER
         assert captured.err.startswith("hard-instance residuals: fidelity ")
 
+    def test_hellinger_check_passes_at_tiny_epsilon(self, capsys):
+        # the closed form sums two positive terms, so it cancels nothing as eps -> 0
+        assert main(["hard-instance", "--k", "2", "--rank", "3", "--epsilons", "1e-6,1e-9,1e-12"]) == 0
+
     @pytest.mark.parametrize("k,rank", [(2, 3), (4, 3), (5, 12)])
     def test_hellinger_reads_only_the_nonzero_weights(self, monkeypatch, capsys, k, rank):
         lengths = []

@@ -1,5 +1,6 @@
 """Tests for the fidelity estimators, exact references, and hard instances."""
 
+import decimal
 import math
 
 import numpy as np
@@ -448,8 +449,20 @@ class TestHardInstances:
     def test_degenerate_limit(self):
         eps = 1e-9
         plus, minus = hard_pair(0.5, eps, 2, k=1)
-        assert hard_pair_hellinger(0.5, eps) <= 1e-8
+        # H^2 = 2 eps^2 / (1/2 + sqrt(1/4 - eps^2)) = 2 eps^2 (1 + O(eps^2))
+        assert abs(hard_pair_hellinger(0.5, eps) / (math.sqrt(2.0) * eps) - 1.0) <= 1e-12
         assert np.max(np.abs(plus.rho.matrix - minus.rho.matrix)) <= 3 * eps
+
+    @settings(database=None, deadline=None, max_examples=200)
+    @given(p=st.floats(0.05, 0.95), exponent=st.floats(-12.0, -1.31))
+    def test_hellinger_closed_form_to_a_few_ulps(self, p, exponent):
+        eps = 10.0**exponent  # below 0.05, so p +- eps stays in (0, 1)
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60
+            q, e = decimal.Decimal(p), decimal.Decimal(eps)
+            squared = 1 - (q * q - e * e).sqrt() - ((1 - q) ** 2 - e * e).sqrt()
+            want = float(squared.sqrt())
+        assert abs(hard_pair_hellinger(p, eps) - want) <= 4 * math.ulp(want)
 
     def test_rank_exact(self):
         inst = hard_instance(0.5, 0.1, 3, 1, k=2)
