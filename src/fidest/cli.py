@@ -32,7 +32,6 @@ from .circuits import (
     execute,
     register_zero_probability,
 )
-from .estimation import ESTIMATOR_MAX_M
 from .fidelity import (
     ESTIMATORS,
     exact_tr_rho_sigma2,
@@ -159,12 +158,10 @@ class ExperimentConfig:
             raise QubitCapExceeded(f"k = {self.k} needs {n}-qubit {what}, cap is {QUBIT_CAP}")
         if self.command in ("sweep", "single"):
             for e in eps:
-                m = ESTIMATORS[self.estimator].readout_qubits(e)
-                if m > ESTIMATOR_MAX_M:
-                    raise QubitCapExceeded(
-                        f"epsilon = {e} needs m = {m} readout qubits for the "
-                        f"{self.estimator} estimator, cap is {ESTIMATOR_MAX_M}"
-                    )
+                try:
+                    ESTIMATORS[self.estimator].readout_qubits(e)
+                except QubitCapExceeded as exc:
+                    raise QubitCapExceeded(f"epsilon = {e} for the {self.estimator} estimator: {exc}") from exc
 
 
 @dataclass(frozen=True)

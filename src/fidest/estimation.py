@@ -129,10 +129,11 @@ def _kernel(f: float, d: int, M: int) -> float:
 class _KernelSampler:
     """Exact O(1) sampler of the two-branch QPE readout law (see module docstring).
 
-    Needs m >= 3, which readout_qubits guarantees: the period then holds the
-    window and at least two tail bins on each side.  A stream is its
-    generator, anything whose random() returns uniform doubles, and the list
-    of uniforms recorded from it, at least its first two.
+    Needs m >= 3, which follows from readout_qubits: delta < 1 has exponent
+    e <= 0, so j >= 2.  The period then holds the window and at least two
+    tail bins on each side.  A stream is its generator, anything whose
+    random() returns uniform doubles, and the list of uniforms recorded from
+    it, at least its first two.
     """
 
     def __init__(self, omega: float, m: int):
@@ -200,16 +201,20 @@ def _replay(rng, drawn: list):
 
 
 def readout_qubits(delta: float, square: bool) -> int:
-    """Readout qubits for error delta: ceil(log2(pi/delta)) + 2 for p, + 1 for sqrt(p).
+    """Readout qubits m for error delta: j + 2 for p, j + 1 for sqrt(p), where j
+    is the least integer with delta 2^j >= pi.  The one place m meets ESTIMATOR_MAX_M.
 
-    Where pi/delta overflows (delta below ~2e-308) the logarithm is taken
-    term by term; that m is far past ESTIMATOR_MAX_M.
+    With delta = f 2^e (1/2 <= f < 1), delta 2^(2-e) = 4f lies in [2, 4) and
+    is exact, so j is 2 - e or 3 - e; and since math.pi < pi <
+    nextafter(math.pi, inf), a double is >= pi exactly when it is > math.pi.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
-    ratio = math.pi / delta
-    bits = math.log2(ratio) if ratio < math.inf else math.log2(math.pi) - math.log2(delta)
-    return math.ceil(bits) + (2 if square else 1)
+    e = math.frexp(delta)[1]
+    m = (2 - e if math.ldexp(delta, 2 - e) > math.pi else 3 - e) + (2 if square else 1)
+    if m > ESTIMATOR_MAX_M:
+        raise QubitCapExceeded(f"delta = {delta} needs m = {m} readout qubits, cap is {ESTIMATOR_MAX_M}")
+    return m
 
 
 def _query_tally(once: dict, grover_steps: int, repetitions: int) -> dict:
@@ -247,10 +252,6 @@ def _repetition_streams(seed: int) -> tuple:
 
 def _estimate(p, once, delta, seed, square):
     m = readout_qubits(delta, square)
-    if m > ESTIMATOR_MAX_M:
-        raise QubitCapExceeded(
-            f"delta = {delta} needs m = {m} readout qubits, cap is {ESTIMATOR_MAX_M}"
-        )
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
     sampler = _KernelSampler(math.asin(math.sqrt(p)) / math.pi, m)
@@ -273,7 +274,7 @@ def _estimate(p, once, delta, seed, square):
 def amplitude_estimate(p: float, once: dict, delta: float, seed: int) -> EstimationResult:
     """Estimate the flagged probability p of a preparer that queries ``once`` to within delta.
 
-    Succeeds with probability >= 2/3, using m = ceil(log2(pi/delta)) + 2
+    Succeeds with probability >= 2/3, using readout_qubits(delta, True)
     readout qubits and O(1/delta) preparer queries.
     """
     return _estimate(p, once, delta, seed, True)
@@ -282,8 +283,8 @@ def amplitude_estimate(p: float, once: dict, delta: float, seed: int) -> Estimat
 def sqrt_amplitude_estimate(p: float, once: dict, delta: float, seed: int) -> EstimationResult:
     """Estimate the flagged amplitude sqrt(p) to within delta (prob >= 2/3).
 
-    Same machinery as amplitude_estimate with a sin readout and
-    m = ceil(log2(pi/delta)) + 1: since |sin(pi y/M) - sin(pi omega)| <=
-    pi |y/M - omega|, the QPE grid guarantee transfers to sqrt(p) directly.
+    Same machinery as amplitude_estimate with a sin readout and one readout
+    qubit fewer: since |sin(pi y/M) - sin(pi omega)| <= pi |y/M - omega|,
+    the QPE grid guarantee transfers to sqrt(p) directly.
     """
     return _estimate(p, once, delta, seed, False)

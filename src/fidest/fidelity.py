@@ -77,20 +77,6 @@ def make_task(rho_oracle, second_oracle, epsilon: float, seed: int) -> FidelityT
     return FidelityTask(rho_oracle, second_oracle, epsilon, seed)
 
 
-def _swap_delta(epsilon: float) -> float:
-    # Pr[C=0] = (1 + F^2)/2 to within eps^2/4 gives F to within eps/sqrt(2),
-    # since |sqrt(x) - sqrt(y)| <= sqrt(|x - y|)
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
-    delta = epsilon**2 / 4.0
-    if delta == 0.0:  # underflow, below eps ~ 3e-162
-        raise QubitCapExceeded(
-            f"epsilon = {epsilon} needs over 1000 readout qubits for the SWAP baseline "
-            f"(eps^2/4 underflows to 0), cap is {ESTIMATOR_MAX_M}"
-        )
-    return delta
-
-
 @dataclass(frozen=True)
 class Estimator:
     """Which circuit an estimator runs and which of its two states must be pure.
@@ -104,11 +90,26 @@ class Estimator:
     first_pure: bool
     second_pure: bool
 
+    def delta(self, epsilon: float) -> float:
+        """The error delta the readout must reach for target error epsilon: eps^2/4 on the
+        SWAP test's p, else eps on the flagged amplitude."""
+        if not 0.0 < epsilon < 1.0:
+            raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
+        if not self.swap_test:
+            return epsilon
+        # Pr[C=0] = (1 + F^2)/2 to within eps^2/4 gives F to within eps/sqrt(2),
+        # since |sqrt(x) - sqrt(y)| <= sqrt(|x - y|)
+        delta = epsilon**2 / 4.0
+        if delta == 0.0:  # underflow, below eps ~ 3e-162
+            raise QubitCapExceeded(
+                f"delta = eps^2/4 underflows to 0: it needs m over 1000 readout qubits, "
+                f"cap is {ESTIMATOR_MAX_M}"
+            )
+        return delta
+
     def readout_qubits(self, epsilon: float) -> int:
-        """Readout qubits m this estimator uses at target error epsilon."""
-        if self.swap_test:
-            return readout_qubits(_swap_delta(epsilon), square=True)
-        return readout_qubits(epsilon, square=False)
+        """Readout qubits m this estimator uses at target error epsilon; the SWAP test reads p."""
+        return readout_qubits(self.delta(epsilon), square=self.swap_test)
 
     def flag_probability(self, rho_oracle: PreparationOracle, second_oracle: PreparationOracle):
         """Pr[C = 0] of this estimator's circuit on the pair, from the two prepared columns.
@@ -142,10 +143,10 @@ class Estimator:
         once = build(rho_oracle, second_oracle).queries()  # building checks the pair
         p = self.flag_probability(rho_oracle, second_oracle)
         if not self.swap_test:
-            return lambda epsilon, seed: sqrt_amplitude_estimate(p, once, epsilon, seed)
+            return lambda epsilon, seed: sqrt_amplitude_estimate(p, once, self.delta(epsilon), seed)
 
         def estimate(epsilon: float, seed: int) -> EstimationResult:
-            inner = amplitude_estimate(p, once, _swap_delta(epsilon), seed)
+            inner = amplitude_estimate(p, once, self.delta(epsilon), seed)
             # near F = 0 the back-transform 2p - 1 can go negative; clamping
             # it at zero inflates the worst-case error there
             value = math.sqrt(max(2.0 * inner.estimate - 1.0, 0.0))

@@ -103,7 +103,7 @@ class TestConfigValidation:
     def test_readout_budget_checked_per_estimator(self):
         # swap baseline: m = ceil(log2(4 pi / eps^2)) + 2; the others
         # m = ceil(log2(pi / eps)) + 1, so eps = 1e-9 fits them (m = 33)
-        with pytest.raises(QubitCapExceeded, match="epsilon = 1e-09 needs m = 66"):
+        with pytest.raises(QubitCapExceeded, match=r"epsilon = 1e-09 for the swap-baseline .* needs m = 66 "):
             ExperimentConfig(command="sweep", estimator="swap-baseline", epsilons=(0.1, 1e-9))
         ExperimentConfig(command="sweep", estimator="optimal", epsilons=(1e-9,))
         # hard-instance runs no estimator
@@ -481,6 +481,11 @@ class TestSingle:
         assert payload["grover_applications"] == 15 * ((1 << 33) - 1)
         assert 0.0 <= payload["estimate"] <= 1.0
         assert elapsed < 1.0
+
+    def test_readout_at_pi_over_a_power_of_two(self, capsys):
+        # math.pi / 8 is below pi / 8, so delta 2^3 < pi: j = 4 and m = j + 1
+        assert main(["single", "--estimator", "optimal", "--k", "1", "--epsilons", "0.39269908169872414"]) == 0
+        assert '"m": 5' in capsys.readouterr().out
 
 
 class TestHardInstance:

@@ -1,7 +1,9 @@
 """Tests for the amplitude/phase estimation engine."""
 
+import decimal
 import itertools
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -36,6 +38,8 @@ from fidest.oracles import PreparationOracle
 from fidest.reference import executed_qpe_distribution, flag_probability, qpe_grid_distribution
 
 from conftest import mixed_instance, pure_instance
+
+PI_80_DIGITS = "3.1415926535897932384626433832795028841971693993751058209749445923078164062862090"
 
 # sqrt of the flagged probability of the (k=1, rank 2, seeds 42/43) instance,
 # computed with the dense reference sqrt(tr(rho |psi><psi|))
@@ -304,29 +308,43 @@ class TestAmplitudeEstimate:
         assert result.m == math.ceil(math.log2(math.pi / 0.05)) + 2
 
     def test_readout_cap(self):
-        # delta = pi / 2^46 needs exactly m = 48; a smaller delta needs 49
-        delta = math.pi / 2.0**46
+        # a delta just above pi 2^-46 needs exactly m = 48; math.pi 2^-46 is below
+        # pi 2^-46, so it needs j = 47 and m = 49
+        delta = math.ldexp(math.nextafter(math.pi, math.inf), -46)
         result = amplitude_estimate(0.37, ONE_PLAIN_U, delta, seed=0)
         assert result.m == ESTIMATOR_MAX_M == 48
         assert abs(result.estimate - 0.37) <= delta
-        with pytest.raises(QubitCapExceeded, match="m = 49"):
-            amplitude_estimate(0.37, ONE_PLAIN_U, delta / 1.5, seed=0)
+        with pytest.raises(QubitCapExceeded, match="m = 49 readout qubits, cap is 48"):
+            amplitude_estimate(0.37, ONE_PLAIN_U, math.ldexp(math.pi, -46), seed=0)
 
     @pytest.mark.parametrize("estimate", [amplitude_estimate, sqrt_amplitude_estimate])
     @pytest.mark.parametrize("delta", [1e-320, 5e-324, 1e-300])
     def test_tiny_delta_exceeds_readout_cap(self, estimate, delta):
-        # pi / delta overflows below ~1e-308; m is then taken in logs, not lost to inf
+        # subnormal deltas included: m comes from the exponent, never from pi / delta
         with pytest.raises(QubitCapExceeded, match=f"cap is {ESTIMATOR_MAX_M}"):
             estimate(0.37, ONE_PLAIN_U, delta, seed=0)
 
-    def test_m_formula_kept_where_pi_over_delta_is_finite(self):
-        deltas = np.geomspace(1e-2, 5e-324, 400)
-        for square in (True, False):
-            ms = [readout_qubits(float(d), square) for d in deltas]
-            assert ms == sorted(ms)  # monotone across the overflow boundary
-            for d, m in zip(deltas.tolist(), ms):
-                if math.pi / d < math.inf:
-                    assert m == math.ceil(math.log2(math.pi / d)) + (2 if square else 1)
+    def test_m_is_exact_against_decimal_pi(self):
+        # the least j with delta 2^j >= pi, checked with pi to 80 digits; at
+        # math.pi 2^-j and its neighbours a float log2(math.pi / delta) is off by one
+        pi = decimal.Decimal(PI_80_DIGITS)
+        probes = [math.ldexp(math.pi, -j) for j in range(2, 1074)]
+        probes += [math.nextafter(x, to) for x in probes for to in (0.0, 1.0)]
+        rng = np.random.default_rng(5)
+        probes += np.ldexp(rng.uniform(0.5, 1.0, 4000), rng.integers(-1073, 1, 4000)).tolist()
+        probes += [5e-324, math.nextafter(1.0, 0.0)]
+        with decimal.localcontext() as context:
+            context.prec = 120  # delta 2^j is within 1e-100 relative, pi within 1e-79
+            for delta in sorted(set(probes)):
+                exact = decimal.Decimal(delta)  # exact: a double is a dyadic rational
+                for square in (True, False):
+                    try:
+                        m = readout_qubits(delta, square)
+                    except QubitCapExceeded as exc:
+                        m = int(re.search(r"needs m = (\d+) ", str(exc))[1])
+                        assert m > ESTIMATOR_MAX_M, (delta, square)
+                    j = m - (2 if square else 1)
+                    assert exact * 2**j >= pi > exact * 2 ** (j - 1), (delta, square, m)
 
     def test_readout_never_below_three_qubits(self):
         # the precondition of _KernelSampler's fixed window: a tail on both sides

@@ -2,7 +2,7 @@
 no package module imports scipy, estimators are defined only by the table in fidest.fidelity, the circuit
 executor builds no dense padded or controlled matrix and reads no oracle matrix,
 oracles and circuits are immutable values whose queries are counted, not kept,
-each rule (query kinds, test-only linear algebra, purity) has one home, the
+each rule (query kinds, test-only linear algebra, purity, the readout cap) has one home, the
 package keeps no surface that only tests reach and reads no environment
 variable, no op is a controlled query, a config's defaults are its
 command's flag defaults, the QPE sampler draws in plain floats, no
@@ -168,6 +168,17 @@ def test_each_rule_has_one_home():
     assert defined["partial_trace"] == ["reference.py"]
     assert purity_tolerances == ["linalg.py"]
     assert list(inspect.signature(DensityMatrix.is_pure).parameters) == ["self"]
+    # the readout cap is compared in estimation.readout_qubits alone, which takes no logarithm
+    cap_checks = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Compare) and "ESTIMATOR_MAX_M" in used_names(node):
+                cap_checks.add((path.name, node.lineno))
+    tree = ast.parse((PACKAGE / "estimation.py").read_text(encoding="utf-8"))
+    [readout] = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "readout_qubits"]
+    in_readout = {("estimation.py", n.lineno) for n in ast.walk(readout) if isinstance(n, ast.Compare)}
+    assert cap_checks and cap_checks <= in_readout, cap_checks - in_readout
+    assert not {"log2", "log"} & set(called_names(readout))
 
 
 def test_no_test_only_surface():
