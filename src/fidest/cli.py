@@ -44,11 +44,6 @@ from .oracles import RandomInstanceSpec, sample_instance, synthesize_instance
 COMMANDS = ("verify-identities", "sweep", "hard-instance", "single")
 FORMATS = ("csv", "json")
 
-CSV_HEADER = (
-    "instance_id,estimator,epsilon,seed,true_value,estimate,abs_error,success,"
-    "queries_U,queries_V,grover_applications,wall_ms"
-)
-
 HARD_CSV_HEADER = (
     "p,epsilon,rank,k,sign,fidelity,expected_fidelity,fidelity_residual,"
     "hellinger,expected_hellinger,hellinger_residual"
@@ -190,29 +185,34 @@ class ExperimentRecord:
         return [getattr(self, f.name) for f in dataclasses.fields(self)]
 
 
+CSV_HEADER = ",".join(f.name for f in dataclasses.fields(ExperimentRecord))
+
+
 def derive_seed(*parts) -> int:
     """Stable 64-bit child seed from integer parts."""
     return int(np.random.SeedSequence(list(parts)).generate_state(1, np.uint64)[0])
 
 
 def fit_scaling(records) -> dict:
-    """Least-squares slope of log(median total queries) vs log(epsilon), per estimator."""
+    """Least-squares slope of log(median total queries) vs log(epsilon), per estimator.
+
+    The closed form sum(dx dy) / sum(dx^2), each sum a math.fsum: it rests on libm alone, not on
+    LAPACK, SIMD or record order.  Epsilons sharing a log are one x, so 3 xs make sum(dx^2) > 0.
+    """
     groups: dict = {}
     for rec in records:
-        groups.setdefault(rec.estimator, {}).setdefault(rec.epsilon, []).append(
-            rec.queries_U + rec.queries_V
-        )
+        by_x = groups.setdefault(rec.estimator, {})
+        by_x.setdefault(math.log(rec.epsilon), []).append(rec.queries_U + rec.queries_V)
     slopes = {}
-    for estimator, by_eps in groups.items():
-        if len(by_eps) < 3:
-            raise ValueError(
-                f"need >= 3 distinct epsilon values for a scaling fit, "
-                f"estimator {estimator!r} has {len(by_eps)}"
-            )
-        eps = sorted(by_eps)
-        medians = [float(np.median(by_eps[e])) for e in eps]
-        slope = float(np.polyfit(np.log(eps), np.log(medians), 1)[0])
-        slopes[estimator] = slope
+    for estimator, by_x in groups.items():
+        if len(by_x) < 3:
+            raise ValueError(f"need >= 3 distinct log(epsilon) values for a fit, {estimator!r} has {len(by_x)}")
+        xs = list(by_x)
+        # each median is the mean of the middle two sorted totals, or of the middle one twice
+        ys = [math.log((t[(len(t) - 1) // 2] + t[len(t) // 2]) / 2) for t in map(sorted, by_x.values())]
+        x_bar, y_bar = math.fsum(xs) / len(xs), math.fsum(ys) / len(ys)
+        dx = [x - x_bar for x in xs]
+        slopes[estimator] = math.fsum(d * (y - y_bar) for d, y in zip(dx, ys)) / math.fsum(d * d for d in dx)
     return slopes
 
 
@@ -301,7 +301,7 @@ def _run_sweep(config: ExperimentConfig) -> int:
         )
 
     slopes = None
-    if len(set(config.epsilons)) >= 3:
+    if len({math.log(e) for e in config.epsilons}) >= 3:
         slopes = fit_scaling(records)
         for estimator, slope in sorted(slopes.items()):
             print(f"scaling {estimator}: log-log slope {slope:.3f}", file=summary)

@@ -14,13 +14,13 @@ The tolerance leaves ample double-precision headroom at the scales this
 package targets (statevectors up to 2**22 entries, operator matrices up to
 a few thousand rows).
 
-Per-record code uses einsum or elementwise numpy: no BLAS product (``@``,
-``matmul``, ``dot``, ``tensordot``), and no level-1 BLAS call over a whole
-state (``np.linalg.norm``, ``vdot``).  OpenBLAS hands even small products,
-and dots over a large state, to worker threads, which then spin on the
-shared cores.  Short per-column dots (``np.vecdot`` over an oracle's
-column) are allowed: OpenBLAS runs dots below about 10^4 entries on one
-thread.
+Executed circuit ops and ``PreparationOracle.apply`` make no BLAS product
+(``@``, ``matmul``, ``dot``, ``tensordot``) and no level-1 BLAS call over a
+whole state (``norm``, ``vdot``): OpenBLAS hands even small products, and dots
+over a large state, to threads that spin on the shared cores; per-column
+``np.vecdot`` stays on one thread below ~10^4 entries.  Other per-record code
+calls BLAS or LAPACK on k-qubit matrices (ROADMAP item 3): ``synthesize_instance``,
+``exact_tr_rho_sigma2``, ``PreparationOracle.reduced_state`` and ``DensityMatrix``.
 """
 
 from __future__ import annotations

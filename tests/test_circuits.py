@@ -43,6 +43,14 @@ class TestRegisterLayout:
         with pytest.raises(ValueError, match="duplicate"):
             RegisterLayout(("A", "A"), (1, 1))
 
+    def test_rejects_a_size_per_name_mismatch(self):
+        with pytest.raises(ValueError, match="differ in length"):
+            RegisterLayout(("A",), (1, 2))
+
+    def test_rejects_a_negative_size(self):
+        with pytest.raises(ValueError, match=r"non-negative, got \(1, -1\)"):
+            RegisterLayout(("A", "B"), (1, -1))
+
     def test_unknown_register(self):
         layout = RegisterLayout(("A",), (1,))
         with pytest.raises(ValueError, match="unknown register"):

@@ -1,10 +1,15 @@
 """Tests for the experiment harness CLI."""
 
 import csv
+import dataclasses
 import io
 import json
+import math
+import random
+import statistics
 import time
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -100,6 +105,19 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="trials"):
             ExperimentConfig(command="sweep", trials=0)
 
+    @pytest.mark.parametrize(
+        "fields,message",
+        [
+            ({"k": 0}, "k must be >= 1, got 0"),
+            ({"epsilons": ()}, "at least one epsilon is required"),
+            ({"seed": 2**63}, "seed must be a non-negative 63-bit integer"),
+            ({"format": "xml"}, "unknown format 'xml'"),
+        ],
+    )
+    def test_out_of_range_field(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(command="sweep", **fields)
+
     def test_readout_budget_checked_per_estimator(self):
         # swap baseline: m = ceil(log2(4 pi / eps^2)) + 2; the others
         # m = ceil(log2(pi / eps)) + 1, so eps = 1e-9 fits them (m = 33)
@@ -133,6 +151,45 @@ class TestFitScaling:
             fake_record("optimal", 0.05, 400),
         ]
         assert fit_scaling(records)["optimal"] == pytest.approx(-1.0, abs=1e-9)
+
+    @staticmethod
+    def exact_slope(pairs):
+        """Least squares in Fractions over the float logs of the medians fit_scaling takes."""
+        by_eps = {}
+        for eps, total in pairs:
+            by_eps.setdefault(eps, []).append(total)
+        xs = [Fraction(math.log(eps)) for eps in by_eps]
+        ys = [Fraction(math.log(statistics.median(totals))) for totals in by_eps.values()]
+        x_bar, y_bar = sum(xs) / len(xs), sum(ys) / len(ys)
+        return float(sum((x - x_bar) * (y - y_bar) for x, y in zip(xs, ys)) / sum((x - x_bar) ** 2 for x in xs))
+
+    def test_slope_is_the_exact_fit_in_any_record_order(self):
+        # 2,000 generated grids: 3-6 epsilons over 12 decades, 1-5 trials each,
+        # totals on a power law of exponent -3..3 with noise
+        rng = random.Random(7)
+        for _ in range(2000):
+            epsilons = {10 ** -rng.uniform(0.3, 12) for _ in range(rng.randint(3, 6))}
+            power = rng.uniform(-3, 3)
+            pairs = [
+                (eps, max(1, round(rng.uniform(1, 100) * eps**power * rng.uniform(0.5, 2))))
+                for eps in epsilons
+                for _ in range(rng.randint(1, 5))
+            ]
+            slope = fit_scaling([fake_record("optimal", eps, total) for eps, total in pairs])["optimal"]
+            assert abs(slope - self.exact_slope(pairs)) <= 1e-14 * max(1.0, abs(slope))
+            rng.shuffle(pairs)
+            assert fit_scaling([fake_record("optimal", eps, total) for eps, total in pairs])["optimal"] == slope
+
+    def test_epsilons_with_one_log_are_one_abscissa(self):
+        # 0.1 and the next two doubles up share one log: one point, not three
+        near = [0.1, math.nextafter(0.1, 1.0), math.nextafter(math.nextafter(0.1, 1.0), 1.0)]
+        assert len({math.log(eps) for eps in near}) == 1
+        with pytest.raises(ValueError, match="3 distinct"):
+            fit_scaling([fake_record("optimal", eps, 640) for eps in near])
+        records = [fake_record("optimal", eps, 100 * i) for i, eps in enumerate(near, 1)]
+        records += [fake_record("optimal", 0.01, 400), fake_record("optimal", 0.001, 800)]
+        # median total 400 at log(0.1), then 800 and 1600: slope -log(2)/log(10)
+        assert fit_scaling(records)["optimal"] == pytest.approx(-math.log10(2), abs=1e-12)
 
 
 #: The instance samplers the CLI calls: a sweep synthesises raw states,
@@ -409,6 +466,24 @@ class TestSweep:
         assert "scaling optimal" in captured.out
         assert captured.err == ""
 
+    def test_csv_header_is_the_record_fields(self):
+        # the public column order, and csv_row's order, both come from the fields
+        assert CSV_HEADER == (
+            "instance_id,estimator,epsilon,seed,true_value,estimate,abs_error,success,"
+            "queries_U,queries_V,grover_applications,wall_ms"
+        )
+        assert CSV_HEADER.split(",") == [f.name for f in dataclasses.fields(ExperimentRecord)]
+        record = fake_record("optimal", 0.1, 7)
+        assert dict(zip(CSV_HEADER.split(","), record.csv_row(), strict=True)) == dataclasses.asdict(record)
+
+    def test_epsilons_with_one_log_fit_no_slope(self, capsys):
+        # three epsilons but one abscissa: no line to fit, and the records still print
+        argv = ["sweep", "--format", "json", "--epsilons", "0.1,0.10000000000000002,0.10000000000000003"]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert len(json.loads(captured.out)["records"]) == 3
+        assert "scaling" not in json.loads(captured.out) and "scaling" not in captured.err
+
     def test_record_invariants_hold(self, tmp_path):
         out = tmp_path / "sweep.csv"
         config = ExperimentConfig(
@@ -444,6 +519,12 @@ class TestSingle:
         payload = json.loads(first)
         assert 0.0 <= payload["estimate"] <= 1.0
         assert payload["queries"]["V"]["controlled"] > 0
+
+    def test_output_file_is_the_stdout_line(self, tmp_path, capsys):
+        out = tmp_path / "single.json"
+        assert main(["single", "--k", "1", "--epsilons", "0.1", "--output", str(out)]) == 0
+        stdout = capsys.readouterr().out
+        assert stdout.count("\n") == 1 and out.read_text(encoding="utf-8") == stdout
 
     def test_rejects_trials_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -651,6 +732,12 @@ class TestMainEntry:
         assert main(["sweep", "--epsilons", "2.0"]) == 2
         assert "epsilons" in capsys.readouterr().err
 
+    def test_unparsable_epsilon_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--epsilons", "0.1,abc"])
+        assert exc.value.code == 2
+        assert "bad epsilon list '0.1,abc'" in capsys.readouterr().err
+
     def test_readout_budget_fails_before_any_work(self, tmp_path, monkeypatch, capsys):
         forbid_sampling(monkeypatch, "the m budget check")
         out = tmp_path / "sweep.csv"
@@ -747,6 +834,11 @@ class TestMainEntry:
             {"command": "sweep", "k": None},
             {"command": "sweep", "trials": None},
             {"command": "verify-identities", "trials": None},
+            # in range for JSON, out of range for a config
+            {"command": "sweep", "k": 0},
+            {"command": "sweep", "epsilons": []},
+            {"command": "sweep", "seed": 2**63},
+            {"command": "sweep", "format": "xml"},
         ],
     )
     def test_malformed_config_file_exits_2(self, tmp_path, capsys, raw):
@@ -758,6 +850,12 @@ class TestMainEntry:
         assert main(["--config", str(cfg)]) == 2
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_config_file_holding_a_list_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps([{"command": "sweep"}]))
+        assert main(["--config", str(cfg)]) == 2
+        assert "error: config file must hold a JSON object" in capsys.readouterr().err
 
     def test_hard_instance_has_no_seed_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

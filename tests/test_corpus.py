@@ -5,11 +5,14 @@ CLI.  Sweeps cover all four estimators at k = 1-3 in CSV and in JSON (one
 seed at or past 2^62), ``single`` runs once per estimator, ``hard-instance``
 runs at four (k, rank) sizes with epsilon down to 1e-12, and
 ``verify-identities`` runs at k = 1-4.  Every cell must match exactly,
-except those that pass through LAPACK or BLAS, whose last bits depend on the
-CPU kernel OpenBLAS picks: ``true_value``, ``abs_error`` and the JSON
-``scaling`` slopes are held to 1e-12.  wall_ms is masked, and
-verify-identities is pinned as its PASS lines and exit code, not its
-residual digits.
+except ``true_value`` and ``abs_error``, which are held to 1e-12: they pass
+through BLAS products and numpy's SIMD loops, so their last bits move with
+the CPU kernel OpenBLAS picks and with numpy's dispatch.  The JSON
+``scaling`` slopes are plain-float closed forms and are exact on every
+kernel; ``test_json_sweeps_match_on_every_kernel`` reruns the JSON sweeps
+under other kernels and at baseline dispatch to hold them there.  wall_ms is
+masked, and verify-identities is pinned as its PASS lines and exit code, not
+its residual digits.
 
 Regenerate (only for a change meant to alter outputs) with
 ``PYTHONPATH=src python tests/test_corpus.py``.
@@ -19,9 +22,14 @@ import contextlib
 import csv
 import io
 import json
+import os
+import platform
 import re
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fidest import estimation
@@ -47,8 +55,8 @@ HARD = [
 ]
 IDENTITIES = [f"verify-identities --k {k} --trials 2 --seed 3" for k in (1, 2, 3, 4)]
 CORPUS = SWEEPS + SINGLES + HARD + IDENTITIES
-# CSV columns and JSON keys held to 1e-12; an estimator name keys a JSON scaling slope
-LOOSE = {"true_value", "abs_error", *ESTIMATORS}
+# CSV columns and JSON keys held to 1e-12
+LOOSE = {"true_value", "abs_error"}
 JSON_FIELD = re.compile(r'\s*"([^"]+)": (.*?),?$')
 
 
@@ -117,6 +125,57 @@ def test_corpus_is_the_pinned_one(pinned):
 @pytest.mark.parametrize("argv", CORPUS)
 def test_output_matches_pinned_corpus(runs, pinned, argv):
     assert_same(argv, runs[0][argv], tuple(pinned[argv]))
+
+
+CPUINFO = Path("/proc/cpuinfo")
+# OPENBLAS_CORETYPE names OpenBLAS's x86-64 kernels
+KERNELS_APPLY = (
+    platform.machine() == "x86_64"
+    and CPUINFO.exists()
+    and "openblas" in np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+)
+
+
+def kernel_settings():
+    """The environment of every BLAS kernel and dispatch setting this CPU can
+    run: OpenBLAS's Prescott kernel, Haswell when the CPU has AVX2, and
+    numpy's baseline dispatch, with every dispatched feature disabled."""
+    settings = [pytest.param({"OPENBLAS_CORETYPE": "Prescott"}, id="Prescott")]
+    if "avx2" in CPUINFO.read_text(encoding="utf-8").split():
+        settings.append(pytest.param({"OPENBLAS_CORETYPE": "Haswell"}, id="Haswell"))
+    dispatch = ",".join(np._core._multiarray_umath.__cpu_dispatch__)
+    return settings + [pytest.param({"NPY_DISABLE_CPU_FEATURES": dispatch}, id="baseline-dispatch")]
+
+
+JSON_SWEEPS = [argv for argv in SWEEPS if "--format json" in argv]
+# run in a child: numpy fixes the kernel and the dispatch when it loads
+CHILD = """
+import json, os
+import numpy._core._multiarray_umath as umath
+from test_corpus import JSON_SWEEPS, cli_output
+if os.environ.get("NPY_DISABLE_CPU_FEATURES"):
+    assert not any(umath.__cpu_features__[name] for name in umath.__cpu_dispatch__)
+print(json.dumps({argv: cli_output(argv) for argv in JSON_SWEEPS}))
+"""
+
+
+@pytest.mark.skipif(not KERNELS_APPLY, reason="needs x86-64 Linux and numpy on OpenBLAS")
+@pytest.mark.parametrize("env", kernel_settings() if KERNELS_APPLY else [])
+def test_json_sweeps_match_on_every_kernel(pinned, env):
+    # every cell but true_value and abs_error, the scaling slopes included,
+    # keeps the pinned bits under each kernel and dispatch
+    tests = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+    proc = subprocess.run(
+        [sys.executable, "-c", CHILD],
+        env={**os.environ, **env, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    got = json.loads(proc.stdout)
+    assert list(got) == JSON_SWEEPS
+    for argv in JSON_SWEEPS:
+        assert_same(argv, tuple(got[argv]), tuple(pinned[argv]))
 
 
 def test_corpus_draws_from_every_estimators_tail(runs):

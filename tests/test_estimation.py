@@ -324,6 +324,11 @@ class TestAmplitudeEstimate:
         with pytest.raises(QubitCapExceeded, match=f"cap is {ESTIMATOR_MAX_M}"):
             estimate(0.37, ONE_PLAIN_U, delta, seed=0)
 
+    @pytest.mark.parametrize("estimate", [amplitude_estimate, sqrt_amplitude_estimate])
+    def test_negative_seed(self, estimate):
+        with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+            estimate(0.37, ONE_PLAIN_U, 0.1, seed=-1)
+
     def test_m_is_exact_against_decimal_pi(self):
         # the least j with delta 2^j >= pi, checked with pi to 80 digits; at
         # math.pi 2^-j and its neighbours a float log2(math.pi / delta) is off by one

@@ -125,6 +125,12 @@ class TestTaskConstruction:
         with pytest.raises(ValueError, match="mismatch"):
             make_task(u, v, 0.1, 0)
 
+    def test_negative_seed(self):
+        _, u = mixed_instance(1, 2, 20)
+        _, v = pure_instance(1, 21)
+        with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+            make_task(u, v, 0.1, -1)
+
 
 def ancilla_rotated(oracle, seed):
     """The oracle's reduced state behind a random unitary on its ancilla: a

@@ -4,8 +4,9 @@ golden_records.json holds, per argv, the stdout lines of the CLI as computed
 at commit 9ebbab4: sweep and hard-instance CSV without the wall_ms column,
 and the single JSON line.  Any change to an instance, a draw, an estimate or
 a query tally fails here.  Every cell must match exactly except true_value
-and abs_error, which pass through LAPACK and BLAS, whose last bits depend on
-the CPU kernel OpenBLAS picks; those are held to 1e-12.
+and abs_error, which pass through BLAS products and numpy's SIMD loops: their
+last bits move with the CPU kernel OpenBLAS picks and with numpy's dispatch,
+so they are held to 1e-12.
 
 Regenerate (only for a change meant to alter outputs) with
 ``PYTHONPATH=src python tests/test_golden.py``.

@@ -5,10 +5,10 @@ oracles and circuits are immutable values whose queries are counted, not kept,
 each rule (query kinds, test-only linear algebra, purity, the readout cap) has one home, the
 package keeps no surface that only tests reach and reads no environment
 variable, no op is a controlled query, a config's defaults are its
-command's flag defaults, the QPE sampler draws in plain floats, no
-estimate executes a circuit, verify-identities checks oracle unitarity
-through the oracle's queries, with no dense product, only the reference
-module calls eigh, a hard instance holds no oracle, executed circuit ops
+command's flag defaults, the QPE sampler and the scaling fit compute in
+plain floats, no estimate executes a circuit, verify-identities checks
+oracle unitarity through the oracle's queries, with no dense product, only
+the reference module calls eigh, a hard instance holds no oracle, executed circuit ops
 act in place and make no BLAS call that OpenBLAS can thread, and a sweep
 validates no state and factors no oracle."""
 
@@ -275,6 +275,16 @@ def test_the_sampler_draws_in_plain_floats():
     assert not hasattr(estimation, "_Replay")
     for name in ("offset", "window_offset", "outcome", "tail_offset"):
         assert not hasattr(_KernelSampler, name), name
+
+
+def test_the_scaling_fit_is_plain_floats():
+    # the slope is a closed form in math.log and math.fsum: no numpy call, so
+    # no LAPACK solve and no SIMD loop, and no stdlib module the CLI did not load
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    [fit] = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "fit_scaling"]
+    assert not numpy_names(fit)
+    assert {"log", "fsum"} <= set(called_names(fit))
+    assert not {"statistics", "fractions", "decimal"} & set(imported_modules(PACKAGE / "cli.py"))
 
 
 def used_names(node):
