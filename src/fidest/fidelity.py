@@ -53,27 +53,17 @@ def hellinger_distance(p, q) -> float:
 
 @dataclass(frozen=True, eq=False)
 class FidelityTask:
-    """One estimation job: two oracles, a target error, and a seed."""
+    """One estimation job, a plain record; the estimator that runs it checks each field before
+    sampling: purities and system sizes in ``bind``, epsilon in ``delta``, the seed in ``_estimate``."""
 
     rho_oracle: PreparationOracle
     second_oracle: PreparationOracle
     epsilon: float
     seed: int
 
-    def __post_init__(self):
-        if not 0.0 < self.epsilon < 1.0:
-            raise ValueError(f"epsilon must be in (0, 1), got {self.epsilon}")
-        if self.rho_oracle.system_qubits != self.second_oracle.system_qubits:
-            raise ValueError(
-                f"system size mismatch: {self.rho_oracle.system_qubits} vs "
-                f"{self.second_oracle.system_qubits}"
-            )
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
-
 
 def make_task(rho_oracle, second_oracle, epsilon: float, seed: int) -> FidelityTask:
-    """Build a validated task; purity is checked by the estimator that runs it."""
+    """Build a task; the front end that runs it checks every argument (see FidelityTask)."""
     return FidelityTask(rho_oracle, second_oracle, epsilon, seed)
 
 

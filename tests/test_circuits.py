@@ -25,6 +25,7 @@ from fidest.circuits import (
     register_zero_probability,
 )
 from fidest.linalg import DensityMatrix, zero_state
+from fidest.oracles import PreparationOracle
 from fidest.reference import preparation_oracle
 from fidest.reference import circuit_unitary
 
@@ -92,6 +93,24 @@ class TestExecute:
         _, u = pure_instance(1, 62)
         with pytest.raises(ValueError, match=f"plain or inverse, got '{kind}'"):
             OracleOp(u, kind, ("A", "B"))
+
+    def test_unknown_op_raises(self):
+        with pytest.raises(TypeError, match="unknown circuit op"):
+            execute(Circuit(RegisterLayout(("A",), (1,)), (object(),)))
+
+    def test_norm_drift_raises(self, monkeypatch):
+        apply = PreparationOracle.apply
+
+        def doubling(self, blocks, inverse=False):
+            apply(self, blocks, inverse)
+            blocks *= 2.0
+
+        monkeypatch.setattr(PreparationOracle, "apply", doubling)
+        u = state_oracle([0.6, 0.8])
+        circ = Circuit(RegisterLayout(("A",), (1,)), (OracleOp(u, "plain", ("A",)),))
+        with pytest.raises(RuntimeError, match="executed state norm drifted to ") as info:
+            execute(circ)
+        assert float(str(info.value).split()[-1]) == pytest.approx(2.0)
 
     def test_oracle_counters_match_shadow_count(self):
         _, u = mixed_instance(1, 2, 60)

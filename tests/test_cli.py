@@ -80,6 +80,20 @@ def fake_record(estimator, epsilon, queries, seed=0):
     )
 
 
+@pytest.mark.parametrize(
+    "fields,message",
+    [
+        ({"success": False}, "success flag inconsistent with abs_error <= epsilon"),
+        ({"abs_error": 0.2}, "success flag inconsistent with abs_error <= epsilon"),
+        ({"queries_U": -1}, "query and timing fields must be non-negative"),
+        ({"wall_ms": -1}, "query and timing fields must be non-negative"),
+    ],
+)
+def test_record_rejects_inconsistent_fields(fields, message):
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(fake_record("optimal", 0.1, 10), **fields)
+
+
 class TestConfigValidation:
     def test_unknown_command(self):
         with pytest.raises(ValueError, match="command"):

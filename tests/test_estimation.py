@@ -282,6 +282,18 @@ class TestKernelSampler:
         assert observed.sum() == drawn_tail.size
         assert pooled_chisquare_pvalue(observed, expected) >= 1e-3
 
+    def test_tail_acceptance_is_bounded_at_every_m(self):
+        # a tail round accepts with probability tail mass / envelope mass; at
+        # least 0.28 (0.3645 at m = 3, about 0.281 from m = 12 on) keeps a tail
+        # draw under 3.6 expected rounds at any m.  f stays off 0 and 1, where
+        # 1 - cum[-1] cancels
+        fractions = np.linspace(1e-3, 1.0 - 1e-3, 199).tolist()
+        for m in range(3, ESTIMATOR_MAX_M + 1):
+            for f in fractions:
+                s = _KernelSampler(f / 2**m, m)
+                acceptance = (1.0 - s.cum[-1]) / (s.scale * (s.sides[0][2] + s.sides[1][2]))
+                assert acceptance >= 0.28, (m, f)
+
 
 class TestAmplitudeEstimate:
     def test_p_zero(self):

@@ -2,12 +2,14 @@
 
 import decimal
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fidest import estimation
 from fidest.circuits import (
     QubitCapExceeded,
     analyze_flagged,
@@ -18,7 +20,6 @@ from fidest.circuits import (
 )
 from fidest.fidelity import (
     ESTIMATORS,
-    FidelityTask,
     _run_task,
     exact_fidelity_to_pure,
     exact_tr_rho_sigma2,
@@ -112,26 +113,6 @@ class TestExactReferences:
         assert abs(uhlmann_fidelity(a, b) - uhlmann_fidelity(b, a)) <= 1e-9
 
 
-class TestTaskConstruction:
-    def test_epsilon_validation(self):
-        _, u = mixed_instance(1, 2, 20)
-        _, v = pure_instance(1, 21)
-        with pytest.raises(ValueError, match="epsilon"):
-            FidelityTask(u, v, 1.0, 0)
-
-    def test_system_mismatch(self):
-        _, u = mixed_instance(1, 2, 20)
-        _, v = pure_instance(2, 21)
-        with pytest.raises(ValueError, match="mismatch"):
-            make_task(u, v, 0.1, 0)
-
-    def test_negative_seed(self):
-        _, u = mixed_instance(1, 2, 20)
-        _, v = pure_instance(1, 21)
-        with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
-            make_task(u, v, 0.1, -1)
-
-
 def ancilla_rotated(oracle, seed):
     """The oracle's reduced state behind a random unitary on its ancilla: a
     purification that is not the canonical one."""
@@ -165,6 +146,43 @@ FRONT_ENDS = {
     "tr-rho-sigma2": sqrt_tr_rho_sigma2_estimate,
     "pure-pure": pure_pure_fidelity,
 }
+
+
+def _no_sampling(seed):
+    raise AssertionError("a bad task reached the repetition streams")
+
+
+#: (epsilon, seed, qubits of the second state, the error) of each bad task
+BAD_TASKS = [
+    *(
+        pytest.param(eps, 0, 1, f"epsilon must be in (0, 1), got {eps}", id=f"epsilon-{eps}")
+        for eps in (0.0, 1.0, 1.5, math.nan)
+    ),
+    pytest.param(0.1, -1, 1, "seed must be non-negative, got -1", id="negative-seed"),
+    pytest.param(0.1, 0, 2, "system size mismatch: 'U' has 1 qubits, 'V' has 2", id="size-mismatch"),
+]
+
+
+class TestTaskConstruction:
+    """A task is a plain record; the estimator that runs it checks each field
+    before any repetition stream is built."""
+
+    @pytest.mark.parametrize("name", FRONT_ENDS)
+    @pytest.mark.parametrize("epsilon,seed,k,message", BAD_TASKS)
+    def test_front_end_rejects_before_sampling(self, monkeypatch, name, epsilon, seed, k, message):
+        monkeypatch.setattr(estimation, "_repetition_streams", _no_sampling)
+        task = make_task(pure_instance(1, 20, "U")[1], pure_instance(k, 21)[1], epsilon, seed)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            FRONT_ENDS[name](task)
+
+    @pytest.mark.parametrize("name", ["swap-baseline", "optimal", "pure-pure"])
+    def test_purity_is_checked_first(self, monkeypatch, name):
+        # invalid in every field: the purity check in bind is the first one reached
+        monkeypatch.setattr(estimation, "_repetition_streams", _no_sampling)
+        _, u = pure_instance(1, 20, "U")
+        _, v = mixed_instance(2, 2, 21, "V")
+        with pytest.raises(ValueError, match=f"the {name} estimator requires a pure second state"):
+            FRONT_ENDS[name](make_task(u, v, 1.5, -1))
 
 
 class TestEstimatorTable:
@@ -451,6 +469,25 @@ class TestHardInstances:
         plus, minus = hard_pair(p, eps, r, k=2)
         direct = hellinger_distance(plus.distribution, minus.distribution)
         assert abs(direct - hard_pair_hellinger(p, eps)) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "k,rank,p,eps",
+        [
+            (k, rank, p, eps)
+            for k in range(2, 6)
+            for rank in range(2, min(4, 1 << k) + 1)
+            for p in (0.3, 0.5, 0.7)
+            for eps in (0.15, 0.1, 1e-2, 1e-3, 1e-4, 1e-5)
+            if 0.0 < p - eps and p + eps < 1.0
+        ],
+    )
+    def test_operator_distance_is_sqrt2_hellinger(self, k, rank, p, eps):
+        # the Householder completions of the +/- loading columns sit at operator
+        # distance sqrt(2) H, the gap the hybrid-argument lower bound takes
+        # (Bennett, Bernstein, Brassard and Vazirani, quant-ph/9701001)
+        plus, minus = hard_pair(p, eps, rank, k)
+        distance = np.linalg.norm(plus.oracle.unitary - minus.oracle.unitary, 2)
+        assert distance == pytest.approx(math.sqrt(2.0) * hard_pair_hellinger(p, eps), rel=1e-9, abs=0.0)
 
     def test_degenerate_limit(self):
         eps = 1e-9

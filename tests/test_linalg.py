@@ -105,6 +105,11 @@ class TestDensityMatrix:
         with pytest.raises(ValueError, match="power of two"):
             DensityMatrix(np.eye(3) / 3)
 
+    @pytest.mark.parametrize("matrix", [np.ones((2, 4)) / 2, np.ones(4) / 4])
+    def test_rejects_non_square(self, matrix):
+        with pytest.raises(ValueError, match="must be square"):
+            DensityMatrix(matrix)
+
     def test_is_pure(self):
         assert DensityMatrix(np.diag([1.0, 0.0])).is_pure()
         assert not DensityMatrix(np.eye(2) / 2).is_pure()
@@ -113,6 +118,11 @@ class TestDensityMatrix:
         dm = DensityMatrix(np.eye(2) / 2)
         with pytest.raises(ValueError):
             dm.matrix[0, 0] = 2.0
+
+
+def test_zero_state_rejects_negative_qubits():
+    with pytest.raises(ValueError, match="num_qubits must be non-negative"):
+        zero_state(-1)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -231,6 +231,18 @@ class TestPurifiedChannelOracle:
         with pytest.raises(ValueError, match="not unitary"):
             purified_channel_oracle(u, 1)
 
+    @pytest.mark.parametrize(
+        "unitary,system_qubits,message",
+        [
+            (np.eye(3), 1, "dimension 3 is not a power of two"),
+            (np.eye(4), 0, "system_qubits 0 invalid for a 2-qubit unitary"),
+            (np.eye(4), 3, "system_qubits 3 invalid for a 2-qubit unitary"),
+        ],
+    )
+    def test_rejects_a_bad_dimension_or_split(self, unitary, system_qubits, message):
+        with pytest.raises(ValueError, match=message):
+            purified_channel_oracle(unitary, system_qubits)
+
     def test_pure_state_channel_with_redundant_ancilla(self):
         # U_phi (x) I serves purified access to the pure state phi
         phi = np.array([0.6, 0.8j], dtype=complex)
@@ -290,6 +302,14 @@ class TestSampleInstance:
         RandomInstanceSpec(1, 1, 2**64 - 1, "haar_pure")
         with pytest.raises(ValueError, match="64-bit"):
             RandomInstanceSpec(1, 1, 2**64, "haar_pure")
+
+    @pytest.mark.parametrize(
+        "k,kind,message",
+        [(0, "haar_pure", "k must be >= 1, got 0"), (1, "wishart", "kind 'wishart' not in")],
+    )
+    def test_rejects_bad_k_or_kind(self, k, kind, message):
+        with pytest.raises(ValueError, match=message):
+            RandomInstanceSpec(k, 1, 0, kind)
 
     def test_haar_pure_requires_rank_one(self):
         with pytest.raises(ValueError, match="rank 1"):
