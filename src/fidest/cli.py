@@ -34,12 +34,13 @@ from .circuits import (
 )
 from .fidelity import (
     ESTIMATORS,
+    check_hard_family,
     exact_tr_rho_sigma2,
     hard_pair,
     hard_pair_hellinger,
     hellinger_distance,
 )
-from .oracles import RandomInstanceSpec, sample_instance, synthesize_instance
+from .oracles import RandomInstanceSpec, check_instance_size, sample_instance, synthesize_instance
 
 COMMANDS = ("verify-identities", "sweep", "hard-instance", "single")
 FORMATS = ("csv", "json")
@@ -72,6 +73,8 @@ def _is_number(value, types) -> bool:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A command's settings, checked before any work; instances by check_instance_size, check_hard_family."""
+
     command: str
     k: int | None = None  # None: the command's flag default
     rank: int = 2
@@ -110,11 +113,7 @@ class ExperimentConfig:
             _is_number(e, (int, float)) for e in self.epsilons
         ):
             raise ValueError(f"epsilons must be a list of numbers, got {self.epsilons!r}")
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
-        # rank <= 2^k, tested without building 2^k: k may be far over the qubit cap
-        if self.rank < 1 or (self.rank - 1).bit_length() > self.k:
-            raise ValueError(f"rank {self.rank} out of range [1, 2^{self.k}] for k={self.k}")
+        check_instance_size(self.k, self.rank)
         if self.estimator not in ESTIMATORS:
             raise ValueError(
                 f"unknown estimator {self.estimator!r}; expected one of {tuple(ESTIMATORS)}"
@@ -137,12 +136,9 @@ class ExperimentConfig:
         if self.command == "single" and (len(eps) != 1 or self.trials != 1):
             raise ValueError(f"single runs one estimate: got {len(eps)} epsilons, {self.trials} trials")
         if self.command == "hard-instance":
-            if self.rank < 2:
-                raise ValueError("hard-instance needs rank >= 2")
             for p in HARD_P_GRID:
                 for e in eps:
-                    if not (0.0 < p - e and p + e < 1.0):
-                        raise ValueError(f"p={p} with epsilon={e} leaves (0, 1)")
+                    check_hard_family(p, e, self.rank, self.k)
             # the family is built from k-qubit weight and amplitude vectors
             n, what = self.k, "states"
         else:

@@ -18,7 +18,7 @@ from .estimation import (
     sqrt_amplitude_estimate,
 )
 from .linalg import PURITY_ATOL, DensityMatrix, zero_state
-from .oracles import PreparationOracle
+from .oracles import PreparationOracle, check_instance_size
 
 
 def exact_fidelity_to_pure(rho: DensityMatrix, psi: np.ndarray) -> float:
@@ -207,20 +207,23 @@ class HardInstance:
 
 def _check_hard_pair_weights(p: float, eps: float) -> None:
     if not (0.0 < p + eps < 1.0 and 0.0 < p - eps < 1.0):
-        raise ValueError(f"p +- eps must stay in (0, 1), got p={p}, eps={eps}")
+        raise ValueError(f"p={p} with epsilon={eps} leaves (0, 1)")
+
+
+def check_hard_family(p: float, eps: float, rank: int, k: int) -> None:
+    """The one check of a hard-family member: its size, rank >= 2 and first weights p +- eps in (0, 1)."""
+    check_instance_size(k, rank)
+    if rank < 2:
+        raise ValueError(f"rank must be >= 2, got {rank}")
+    _check_hard_pair_weights(p, eps)
 
 
 def hard_instance(p: float, eps: float, rank: int, sign: int, k: int) -> HardInstance:
-    """Build the rank-``rank`` instance with first weight p + sign*eps on 2^k outcomes."""
+    """Build the rank-``rank`` instance with first weight p + sign*eps on 2^k outcomes (check_hard_family)."""
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
-    if rank < 2:
-        raise ValueError(f"rank must be >= 2, got {rank}")
-    if rank > (1 << k):
-        raise ValueError(f"rank {rank} exceeds 2^{k}")
-    _check_hard_pair_weights(p, eps)
-    d = 1 << k
-    weights = np.zeros(d, dtype=float)
+    check_hard_family(p, eps, rank, k)
+    weights = np.zeros(1 << k)
     weights[0] = p + sign * eps
     weights[1:rank] = (1.0 - p - sign * eps) / (rank - 1)
     return HardInstance(p, eps, rank, sign, weights)

@@ -32,7 +32,7 @@ import numpy as np
 #: Tolerance for structural invariants (unitarity, Hermiticity, norms, trace).
 ATOL_STRUCT = 1e-10
 
-#: A state counts as pure when tr(rho^2) >= 1 - PURITY_ATOL.
+#: A state counts as pure when tr(rho^2) >= 1 - PURITY_ATOL; compared in ``Estimator.bind`` alone.
 PURITY_ATOL = 1e-9
 
 
@@ -102,10 +102,4 @@ class DensityMatrix:
     @property
     def num_qubits(self) -> int:
         return self.dim.bit_length() - 1
-
-    def purity(self) -> float:
-        return float(np.trace(self.matrix @ self.matrix).real)
-
-    def is_pure(self) -> bool:
-        return self.purity() >= 1.0 - PURITY_ATOL
 

@@ -149,9 +149,18 @@ def purified_channel_oracle(
     return PreparationOracle(u[:, 0], system_qubits, n - system_qubits, label)
 
 
+def check_instance_size(k: int, rank: int) -> None:
+    """The one check of an instance's size, k >= 1 and 1 <= rank <= 2^k; the rank is tested by
+    bit length, so 2^k is never built and a k far over the qubit cap is checked in O(1)."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    if rank < 1 or (rank - 1).bit_length() > k:
+        raise ValueError(f"rank {rank} out of range [1, 2^{k}] for k={k}")
+
+
 @dataclass(frozen=True)
 class RandomInstanceSpec:
-    """Seed-deterministic recipe for a random state instance."""
+    """Seed-deterministic recipe for a random state instance; k and rank meet check_instance_size."""
 
     k: int
     rank: int
@@ -159,10 +168,7 @@ class RandomInstanceSpec:
     kind: str
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
-        if not 1 <= self.rank <= (1 << self.k):
-            raise ValueError(f"rank {self.rank} out of range [1, {1 << self.k}]")
+        check_instance_size(self.k, self.rank)
         if not 0 <= self.seed < (1 << 64):
             raise ValueError(f"seed {self.seed} is not a 64-bit unsigned integer")
         if self.kind not in INSTANCE_KINDS:

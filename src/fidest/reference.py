@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .circuits import Circuit, OracleOp, QubitCapExceeded, _apply_op, analyze_flagged, execute
+from .circuits import Circuit, OracleOp, QubitCapExceeded, _apply_op, execute, register_zero_probability
 from .linalg import ATOL_STRUCT, DensityMatrix, _hermiticity_error
 from .oracles import PreparationOracle
 
@@ -63,8 +63,8 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
 
 def flag_probability(preparer: Circuit, flag_register: str) -> float:
     """Pr[flag = 0] of the executed preparer; Estimator.flag_probability has it in closed form."""
-    amp = analyze_flagged(execute(preparer), preparer.layout, (flag_register,))
-    return min(max(amp.flagged_amplitude**2, 0.0), 1.0)
+    p = register_zero_probability(execute(preparer), preparer.layout, (flag_register,))
+    return min(max(p, 0.0), 1.0)
 
 
 def qpe_grid_distribution(phases, weights, m: int) -> np.ndarray:

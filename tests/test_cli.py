@@ -36,7 +36,7 @@ from fidest.cli import (
     main,
     run,
 )
-from fidest.fidelity import Estimator, hard_instance
+from fidest.fidelity import Estimator, hard_instance, hard_pair_hellinger
 from fidest.linalg import unitarity_error
 from fidest.oracles import PreparationOracle, RandomInstanceSpec, sample_instance
 
@@ -145,6 +145,27 @@ class TestConfigValidation:
         # p = 0.3 on the grid minus eps = 0.3 is exactly 0, outside (0, 1)
         with pytest.raises(ValueError, match=r"p=0\.3 with epsilon=0\.3 leaves"):
             ExperimentConfig("hard-instance", k=2, rank=2, epsilons=(0.3,))
+
+    @pytest.mark.parametrize(
+        "fields,library",
+        [
+            ({"command": "sweep", "k": 0}, lambda: RandomInstanceSpec(0, 2, 0, "ginibre_mixed")),
+            ({"command": "sweep", "k": 1, "rank": 3}, lambda: RandomInstanceSpec(1, 3, 0, "ginibre_mixed")),
+            ({"command": "hard-instance", "k": 2, "rank": 5}, lambda: hard_instance(0.5, 0.1, 5, 1, 2)),
+            ({"command": "hard-instance", "k": 2, "rank": 1}, lambda: hard_instance(0.5, 0.1, 1, 1, 2)),
+            (
+                {"command": "hard-instance", "k": 2, "rank": 3, "epsilons": (0.35,)},
+                lambda: hard_pair_hellinger(0.3, 0.35),
+            ),
+        ],
+    )
+    def test_config_and_library_raise_one_text_per_rule(self, fields, library):
+        # each rule has one home, so a config and the library refuse it alike
+        with pytest.raises(ValueError) as config_error:
+            ExperimentConfig(**fields)
+        with pytest.raises(ValueError) as library_error:
+            library()
+        assert str(config_error.value) == str(library_error.value)
 
 
 class TestFitScaling:
@@ -649,8 +670,23 @@ class TestHardInstance:
             assert float(row["fidelity"]) == float(abs(inst.oracle.prepared_state[0]))
 
     def test_rejects_rank_one(self):
-        with pytest.raises(ValueError, match="rank"):
+        with pytest.raises(ValueError, match=r"^rank must be >= 2, got 1$"):
             run(ExperimentConfig(command="hard-instance", k=1, rank=1))
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            ("sweep --k 0", "k must be >= 1, got 0"),
+            ("sweep --k 1 --rank 3", "rank 3 out of range [1, 2^1] for k=1"),
+            ("hard-instance --k 1 --rank 3", "rank 3 out of range [1, 2^1] for k=1"),
+            ("hard-instance --k 2 --rank 3 --epsilons 0.35", "p=0.3 with epsilon=0.35 leaves (0, 1)"),
+            ("hard-instance --k 2 --rank 1", "rank must be >= 2, got 1"),
+        ],
+    )
+    def test_instance_rules_exit_2_with_their_message(self, capsys, argv, message):
+        assert main(argv.split()) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
     def test_rejects_epsilon_leaving_unit_interval(self):
         with pytest.raises(ValueError, match="leaves"):

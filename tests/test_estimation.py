@@ -34,6 +34,7 @@ from fidest.estimation import (
     readout_qubits,
     sqrt_amplitude_estimate,
 )
+from fidest.fidelity import ESTIMATORS
 from fidest.oracles import PreparationOracle
 from fidest.reference import executed_qpe_distribution, flag_probability, qpe_grid_distribution
 
@@ -409,6 +410,57 @@ class TestSqrtAmplitudeEstimate:
         for seed in range(10):
             result = sqrt_amplitude_estimate(*instance_problem(), 0.2, seed=seed)
             assert 0.0 <= result.estimate <= 1.0
+
+
+def hit_probability(p, m, square, target, tolerance, back_transform=None):
+    """Exact per-repetition probability that the readout of p on m qubits, sin^2(pi y/M) if
+    ``square`` else sin(pi y/M), then ``back_transform`` if given, lands within ``tolerance``
+    of ``target``: the two-branch grid law summed over the outcomes y that do."""
+    amp = np.sin(np.pi * np.arange(1 << m) / (1 << m))
+    value = amp * amp if square else amp
+    if back_transform is not None:
+        value = back_transform(value)
+    return math.fsum(two_phase_law(p, m)[np.abs(value - target) <= tolerance])
+
+
+def median_success(q):
+    """Pr[Bin(R, q) >= R // 2 + 1] for R = DEFAULT_REPETITIONS: a lower bound on the
+    probability that the lower median of R readouts hits, since it hits whenever a
+    majority of them do."""
+    r = DEFAULT_REPETITIONS
+    return math.fsum(math.comb(r, j) * q**j * (1.0 - q) ** (r - j) for j in range(r // 2 + 1, r + 1))
+
+
+class TestExactSuccessGuarantee:
+    """The documented guarantees, at least 8/pi^2 per repetition and 2/3 per estimate,
+    computed from the exact readout law rather than observed on sampled estimates."""
+
+    @settings(database=None, deadline=None, max_examples=200)
+    @given(
+        p=st.floats(1e-6, 1.0 - 1e-6, exclude_min=True, exclude_max=True),
+        delta=st.floats(1e-3, 0.3),
+    )
+    def test_both_readouts_meet_the_guarantee(self, p, delta):
+        # m <= 14 here, so the whole 2^m grid is cheap
+        for square, target in ((True, p), (False, math.sqrt(p))):
+            q = hit_probability(p, readout_qubits(delta, square), square, target, delta)
+            assert q >= 8.0 / math.pi**2, (square, q)
+            assert median_success(q) >= 2.0 / 3.0, (square, q)
+
+    @pytest.mark.parametrize("epsilon", [0.2, 0.1, 0.05])
+    def test_swap_back_transform_meets_the_guarantee(self, epsilon):
+        # the SWAP baseline reads p = (1 + F^2)/2 to eps^2/4 and clamps its back-transform
+        # at zero: near F = 0, where 2p - 1 can go negative, is its documented weak spot,
+        # so F runs in even steps over [0, 1] and in log steps down to 1e-4
+        def back_transform(p_hat):
+            return np.minimum(np.sqrt(np.maximum(2.0 * p_hat - 1.0, 0.0)), 1.0)
+
+        m = ESTIMATORS["swap-baseline"].readout_qubits(epsilon)
+        for fidelity in np.concatenate([np.linspace(0.0, 1.0, 41), np.geomspace(1e-4, 0.3, 60)]):
+            p = (1.0 + fidelity * fidelity) / 2.0
+            q = hit_probability(p, m, True, fidelity, epsilon, back_transform)
+            assert q >= 8.0 / math.pi**2, (fidelity, q)
+            assert median_success(q) >= 2.0 / 3.0, (fidelity, q)
 
 
 def fresh_stream_estimate(p, delta, seed, square):

