@@ -41,6 +41,7 @@ from .fidelity import (
     hellinger_distance,
 )
 from .oracles import RandomInstanceSpec, check_instance_size, sample_instance, synthesize_instance
+from .streams import derive_seed
 
 COMMANDS = ("verify-identities", "sweep", "hard-instance", "single")
 FORMATS = ("csv", "json")
@@ -182,11 +183,6 @@ class ExperimentRecord:
 
 
 CSV_HEADER = ",".join(f.name for f in dataclasses.fields(ExperimentRecord))
-
-
-def derive_seed(*parts) -> int:
-    """Stable 64-bit child seed from integer parts."""
-    return int(np.random.SeedSequence(list(parts)).generate_state(1, np.uint64)[0])
 
 
 def fit_scaling(records) -> dict:

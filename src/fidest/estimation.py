@@ -25,21 +25,16 @@ quant-ph/0005055, Thm 11).  The envelope at each bin is bounded by its
 integral over the unit interval between that bin and the peak, and those
 integrals telescope, so the proposal's inverse CDF is closed-form.  Each
 outcome probability is one scalar float expression, K at one offset, and the
-sampler builds no arrays: numpy only seeds the repetition streams.
+sampler builds no arrays and calls no numpy.
 
 The estimators read out sin^2(pi y / M) (for p) or sin(pi y / M) (for
-sqrt(p)) and take the lower median of 15 repetitions.  Repetition rep draws
-the uniform stream of default_rng([seed, rep]), seeded directly with the
-uint32 entropy words numpy derives from [seed, rep]; the streams depend only
-on the seed, so they are built once per seed and replayed, and an estimate
-does not depend on which delta ran before it.  Each stream's record starts
-with its branch and window uniforms, which _KernelSampler.draw reads
-directly; only a repetition whose window misses builds a _replay generator,
-which reads the record on and extends it when the tail's rejection loop
-needs more uniforms.
-The cached records are extended without a lock: the package runs its
-estimates in one thread, and estimates run from concurrent threads could
-record a stream's uniforms out of order.
+sqrt(p)) and take the lower median of 15 repetitions.  Their uniforms come
+from fidest.streams, SHAKE-128 keyed by the seed: repetition rep's branch and
+window uniforms are entries 2 rep and 2 rep + 1 of uniforms(b"head", (seed,),
+30), read once per estimate, and a repetition whose window misses reads its
+tail rounds from uniforms(b"tail", (seed, rep), n), read on in chunks that
+double.  An estimate is a function of its arguments alone: it does not
+depend on which seed or delta ran before it, or on the thread it runs in.
 
 With M >= 4 pi / delta (respectively 2 pi / delta) a single repetition lands
 within delta with probability at least 8/pi^2, and the median amplifies that
@@ -60,16 +55,14 @@ step.  The tallies are returned with the run's result.
 from __future__ import annotations
 
 import bisect
-import functools
 import itertools
 import json
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .circuits import QubitCapExceeded
 from .oracles import QUERY_KINDS
+from .streams import uniforms
 
 #: Repetitions whose lower median is reported.
 DEFAULT_REPETITIONS = 15
@@ -131,9 +124,7 @@ class _KernelSampler:
 
     Needs m >= 3, which follows from readout_qubits: delta < 1 has exponent
     e <= 0, so j >= 2.  The period then holds the window and at least two
-    tail bins on each side.  A stream is its generator, anything whose
-    random() returns uniform doubles, and the list of uniforms recorded from
-    it, at least its first two.
+    tail bins on each side.
     """
 
     def __init__(self, omega: float, m: int):
@@ -158,46 +149,45 @@ class _KernelSampler:
         self.right_share = self.sides[0][2] / (self.sides[0][2] + self.sides[1][2])
         self.scale = math.sin(math.pi * min(f, 1.0 - f)) ** 2 / 4.0
 
-    def draw(self, rng, drawn: list) -> int:
-        """One outcome y in [0, M) of the stream whose recorded uniforms are ``drawn``.
+    def draw(self, branch: float, window: float, tail) -> int:
+        """One outcome y in [0, M) from two uniforms and an iterator of more.
 
-        drawn[0] < 1/2 picks the branch at 1 - omega, drawn[1] the offset in
-        the window; on a miss the tail reads on through _replay.
+        branch < 1/2 picks the branch at 1 - omega, window the offset in the
+        window; only on a miss does the tail read from ``tail``.
         """
         M = self.M
         if self.f == 0.0:
             y = self.a % M
         else:
-            i = bisect.bisect_right(self.cum, drawn[1])
-            d = i + 1 - _WINDOW if i < len(self.cum) else self._tail_offset(_replay(rng, drawn))
+            i = bisect.bisect_right(self.cum, window)
+            d = i + 1 - _WINDOW if i < len(self.cum) else self._tail_offset(tail)
             y = (self.a + d) % M
         # Pr_{1-omega}[y] = Pr_omega[M - y]: mirror instead of rounding 1 - omega
-        return (M - y) % M if drawn[0] < 0.5 else y
+        return (M - y) % M if branch < 0.5 else y
 
-    def _tail_offset(self, uniforms) -> int:
+    def _tail_offset(self, tail) -> int:
         """One offset drawn from the tail, the period outside the window."""
         # Pick a side with probability proportional to its envelope mass, then
         # a bin by inverse CDF (1/z is uniform between the side's ends), and
         # accept with probability K(d) / envelope(d).
         while True:
-            right = next(uniforms) < self.right_share
+            right = next(tail) < self.right_share
             c, inv_far, mass = self.sides[0 if right else 1]
-            z = 1.0 / (inv_far + next(uniforms) * mass)
+            z = 1.0 / (inv_far + next(tail) * mass)
             j = min(max(math.ceil(z - c), 0), self.tail_bins - 1)
             d = _WINDOW + 1 + j if right else -_WINDOW - j
             z = c + j
-            if next(uniforms) * self.scale / (z * (z - 1.0)) <= _kernel(self.f, d, self.M):
+            if next(tail) * self.scale / (z * (z - 1.0)) <= _kernel(self.f, d, self.M):
                 return d
 
 
-def _replay(rng, drawn: list):
-    """A stream's uniforms past its branch and window draws: the recorded ones,
-    then fresh rng.random() draws, each appended to the record as it is taken."""
-    yield from drawn[2:]
+def _tail_uniforms(seed: int, rep: int):
+    """Repetition rep's tail uniforms, uniforms(b"tail", (seed, rep), n) read on in
+    chunks that double; each read extends the last (see fidest.streams)."""
+    start, n = 0, 6
     while True:
-        u = rng.random()
-        drawn.append(u)
-        yield u
+        yield from uniforms(b"tail", (seed, rep), n)[start:]
+        start, n = n, 2 * n
 
 
 def readout_qubits(delta: float, square: bool) -> int:
@@ -227,38 +217,17 @@ def _query_tally(once: dict, grover_steps: int, repetitions: int) -> dict:
     return tally
 
 
-@functools.lru_cache(maxsize=1)
-def _repetition_streams(seed: int) -> tuple:
-    """Per repetition, the generator default_rng([seed, rep]) and the uniforms drawn from it.
-
-    Every epsilon of a sweep trial shares its seed, so the streams are built
-    once per seed and replayed.  Each generator is seeded with the entropy
-    numpy derives from [seed, rep], built here as uint32 words once per seed:
-    the seed's 32-bit words, least significant first, then rep.  Each record
-    starts with the branch and the window draw (random(2) yields the same
-    doubles as two scalar calls); _replay extends it past that when the tail
-    is drawn.
-    """
-    words = [(seed >> shift) & 0xFFFFFFFF for shift in range(0, max(seed.bit_length(), 1), 32)]
-    entropy = np.empty((DEFAULT_REPETITIONS, len(words) + 1), dtype=np.uint32)
-    entropy[:, :-1] = words
-    entropy[:, -1] = np.arange(DEFAULT_REPETITIONS)
-    streams = []
-    for words_and_rep in entropy:
-        rng = np.random.default_rng(words_and_rep)
-        streams.append((rng, rng.random(2).tolist()))
-    return tuple(streams)
-
-
 def _estimate(p, once, delta, seed, square):
     m = readout_qubits(delta, square)
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
     sampler = _KernelSampler(math.asin(math.sqrt(p)) / math.pi, m)
     grover_steps = ((1 << m) - 1) * DEFAULT_REPETITIONS
+    head = uniforms(b"head", (seed,), 2 * DEFAULT_REPETITIONS)
     values = []
-    for rng, drawn in _repetition_streams(seed):
-        amp = math.sin(math.pi * sampler.draw(rng, drawn) / sampler.M)
+    for rep in range(DEFAULT_REPETITIONS):
+        y = sampler.draw(head[2 * rep], head[2 * rep + 1], _tail_uniforms(seed, rep))
+        amp = math.sin(math.pi * y / sampler.M)
         values.append(amp * amp if square else amp)
     return EstimationResult(
         estimate=sorted(values)[(DEFAULT_REPETITIONS - 1) // 2],

@@ -20,11 +20,13 @@ controlled_inverse kinds come only from ``fidest.estimation._query_tally``.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import ATOL_STRUCT, DensityMatrix, require_unitary
+from .streams import uniforms
 
 QUERY_KINDS = ("plain", "inverse", "controlled", "controlled_inverse")
 
@@ -177,11 +179,27 @@ class RandomInstanceSpec:
             raise ValueError("haar_pure instances must have rank 1")
 
 
+def complex_gaussians(seed: int, n: int) -> list:
+    """n standard complex Gaussians (Re and Im each N(0, 1/2), so |z|^2 is Exp(1)),
+    by Box-Muller in scalar math from the stream uniforms(b"inst", (seed,), 2n).
+
+    The uniform pair (u, v) gives sqrt(-log(1 - u)) e^(2 pi i v); 1 - u is exact
+    and at least 2^-53, so the log is finite.
+    """
+    u = uniforms(b"inst", (seed,), 2 * n)
+    out = []
+    for r, t in zip(u[::2], u[1::2]):
+        radius, angle = math.sqrt(-math.log(1.0 - r)), math.tau * t
+        out.append(complex(radius * math.cos(angle), radius * math.sin(angle)))
+    return out
+
+
 def synthesize_instance(spec: RandomInstanceSpec, label: str = "U"):
     """Draw ``(rho, PreparationOracle)`` deterministically from a spec; rho is a
     read-only array.
 
-    Both kinds draw g, a normalized complex-Gaussian d x rank matrix: a
+    Both kinds draw g, a normalized complex-Gaussian d x rank matrix
+    (``complex_gaussians`` of the spec's seed, row by row): a
     Haar-random pure state whose reduced system state is rho = g g^dag (the
     induced measure), so the oracle's column is g itself, zero-padded to a
     d x d ancilla (psi (x) |0> for haar_pure, whose rho is psi psi^dag).
@@ -189,10 +207,10 @@ def synthesize_instance(spec: RandomInstanceSpec, label: str = "U"):
     unit-trace and PSD by construction, so it is not re-validated here;
     ``sample_instance`` wraps it in a checked ``DensityMatrix``.
     """
-    rng = np.random.default_rng(spec.seed)
     d = 1 << spec.k
-    g = rng.standard_normal(d * spec.rank) + 1j * rng.standard_normal(d * spec.rank)
-    g = (g / np.linalg.norm(g)).reshape(d, spec.rank)
+    parts = np.array(complex_gaussians(spec.seed, d * spec.rank)).view(float)  # Re, Im interleaved
+    # a math.fsum norm and elementwise float ops: the column rests on libm, not on a BLAS kernel
+    g = (parts / math.sqrt(math.fsum((parts * parts).tolist()))).view(complex).reshape(d, spec.rank)
     rho = np.outer(g, g.conj()) if spec.kind == "haar_pure" else g @ g.conj().T
     rho = 0.5 * (rho + rho.conj().T)
     rho /= np.trace(rho).real

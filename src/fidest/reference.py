@@ -84,8 +84,10 @@ def qpe_grid_distribution(phases, weights, m: int) -> np.ndarray:
         # round there.
         r = M * float(omega) - y
         r -= M * np.round(r / M)
-        # sin(pi r) evaluated as sin(pi (r mod 2)) avoids large-argument error.
-        num = np.sin(np.pi * np.mod(r, 2.0))
+        # sin(pi r) is evaluated at r reduced to [-1, 1] by an even integer, which
+        # is exact and keeps a small |r| small: r mod 2 would turn r = -1e-10
+        # into 2 - 1e-10 and lose six digits of sin(pi r) to rounding.
+        num = np.sin(np.pi * (r - 2.0 * np.round(r / 2.0)))
         den = M * np.sin(np.pi * r / M)
         on_grid = r == 0.0
         den[on_grid] = 1.0

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 
 from fidest.fidelity import hard_pair
@@ -39,6 +41,11 @@ def principal_eigvec(dm):
     """Unit eigenvector of the largest eigenvalue (the pure state of a rank-1 dm)."""
     _, vecs = np.linalg.eigh(dm.matrix)
     return vecs[:, -1]
+
+
+def dense_sqrt_tr_rho_sigma2(rho, sigma):
+    """sqrt(tr(rho sigma^2)) of two DensityMatrix values, from their dense matrices."""
+    return math.sqrt(np.trace(rho.matrix @ sigma.matrix @ sigma.matrix).real)
 
 
 def random_hermitian(rng, dim):

@@ -1,15 +1,17 @@
 """Tests for the amplitude/phase estimation engine."""
 
 import decimal
-import itertools
+import functools
 import math
 import re
+import sys
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fidest import estimation
@@ -29,22 +31,24 @@ from fidest.estimation import (
     _kernel,
     _KernelSampler,
     _query_tally,
-    _repetition_streams,
+    _tail_uniforms,
     amplitude_estimate,
     readout_qubits,
     sqrt_amplitude_estimate,
 )
 from fidest.fidelity import ESTIMATORS
 from fidest.oracles import PreparationOracle
-from fidest.reference import executed_qpe_distribution, flag_probability, qpe_grid_distribution
+from fidest.reference import (
+    executed_qpe_distribution,
+    flag_probability,
+    qpe_grid_distribution,
+    uhlmann_fidelity,
+)
+from fidest.streams import derive_seed, uniforms
 
 from conftest import mixed_instance, pure_instance
 
 PI_80_DIGITS = "3.1415926535897932384626433832795028841971693993751058209749445923078164062862090"
-
-# sqrt of the flagged probability of the (k=1, rank 2, seeds 42/43) instance,
-# computed with the dense reference sqrt(tr(rho |psi><psi|))
-INSTANCE_SQRT_P = 0.5965038883615562
 
 
 #: Query tallies of one execution of a preparer that queries U once, plainly.
@@ -166,6 +170,14 @@ class TestPhaseEstimate:
         assert abs(probs.sum() - 1.0) <= 1e-12
         assert np.all(probs >= 0.0)
 
+    @pytest.mark.parametrize("r", [1e-10, -1e-10, 1e-13, -1e-13])
+    def test_the_peak_keeps_its_mass_just_off_the_grid(self, r):
+        # M omega = 5 + r: the peak bin holds sin^2(pi r) / (M sin(pi r / M))^2 = 1 - O(r^2)
+        # on both sides of the grid point, so sin(pi r) must keep its digits for r < 0 too;
+        # the on-grid second phase keeps the normalisation from hiding a lost digit
+        probs = qpe_grid_distribution([(5 + r) / 64, 0.5], [0.5, 0.5], 6)
+        assert probs[5] == pytest.approx(0.5, rel=0.0, abs=1e-13)
+
 
 def pooled_chisquare_pvalue(observed, expected):
     """Chi-square p-value with the bins expecting fewer than 5 counts pooled.
@@ -197,7 +209,8 @@ def unmirrored_offset(sampler, rng):
     tail read on from rng.
     """
     M = sampler.M
-    y = sampler.draw(rng, [0.75, rng.random()])
+    uniform = iter(rng.random, None)  # endless: random() never returns None
+    y = sampler.draw(0.75, next(uniform), uniform)
     return (y - sampler.a - 1 + M // 2) % M + 1 - M // 2
 
 
@@ -241,8 +254,8 @@ class TestKernelSampler:
     def test_draws_fit_two_branch_grid(self, m):
         omega = 0.3
         sampler = _KernelSampler(omega, m)
-        rng = np.random.default_rng(1000 + m)
-        draws = np.array([sampler.draw(rng, rng.random(2).tolist()) for _ in range(200_000)])
+        uniform = iter(np.random.default_rng(1000 + m).random, None)
+        draws = np.array([sampler.draw(next(uniform), next(uniform), uniform) for _ in range(200_000)])
         expected = qpe_grid_distribution([omega, 1.0 - omega], [0.5, 0.5], m) * draws.size
         observed = np.bincount(draws, minlength=1 << m)
         assert pooled_chisquare_pvalue(observed, expected) >= 1e-3
@@ -383,13 +396,14 @@ class TestSqrtAmplitudeEstimate:
         assert result.estimate == 0.0
 
     def test_seeded_instance_success_rate(self):
-        # truth frozen from the dense oracle; per-seed success should be
-        # well above the nominal 2/3
+        # truth from the dense reference, sqrt(p) = F(rho, psi) for the pure psi;
+        # per-seed success should be well above the nominal 2/3
         problem = instance_problem()
+        truth = uhlmann_fidelity(mixed_instance(1, 2, 42)[0], pure_instance(1, 43)[0])
         hits = 0
         for seed in range(200):
             result = sqrt_amplitude_estimate(*problem, 0.02, seed=seed)
-            hits += abs(result.estimate - INSTANCE_SQRT_P) <= 0.02
+            hits += abs(result.estimate - truth) <= 0.02
         assert hits >= 120
 
     def test_agrees_with_amplitude_estimate(self):
@@ -463,124 +477,313 @@ class TestExactSuccessGuarantee:
             assert median_success(q) >= 2.0 / 3.0, (fidelity, q)
 
 
-def fresh_stream_estimate(p, delta, seed, square):
-    """The estimate with a fresh default_rng([seed, rep]) built for every repetition."""
+def long_tail(seed, rep):
+    """Repetition rep's tail as one read of 300 uniforms (100 rounds, each accepting
+    with probability at least 0.28), taken on the first next()."""
+    yield from uniforms(b"tail", (seed, rep), 300)
+
+
+def stream_estimate(p, delta, seed, square):
+    """The estimate rebuilt from the stream definition: branch and window uniforms
+    2 rep and 2 rep + 1 of one b"head" read, and each repetition's tail from one
+    long b"tail" read instead of the estimator's doubling chunks."""
     m = readout_qubits(delta, square)
     sampler = _KernelSampler(math.asin(math.sqrt(p)) / math.pi, m)
+    head = uniforms(b"head", (seed,), 2 * DEFAULT_REPETITIONS)
     values = []
     for rep in range(DEFAULT_REPETITIONS):
-        rng = np.random.default_rng([seed, rep])
-        amp = math.sin(math.pi * sampler.draw(rng, rng.random(2).tolist()) / (1 << m))
+        y = sampler.draw(head[2 * rep], head[2 * rep + 1], long_tail(seed, rep))
+        amp = math.sin(math.pi * y / (1 << m))
         values.append(amp * amp if square else amp)
     return sorted(values)[(DEFAULT_REPETITIONS - 1) // 2]
 
 
-# neither increasing nor decreasing, so a replay follows both a smaller and a larger m
-REPLAY_DELTAS = (0.01, 0.1, 1e-5, 0.003, 0.05)
+# neither increasing nor decreasing, so an estimate follows both a smaller and a larger m
+STREAM_DELTAS = (0.01, 0.1, 1e-5, 0.003, 0.05)
 
 
-def assert_replays_fresh_streams(p, seeds):
+def assert_estimates_follow_the_streams(p, seeds):
     for seed in seeds:
-        for delta in REPLAY_DELTAS:
+        for delta in STREAM_DELTAS:
             for estimate, square in ((sqrt_amplitude_estimate, False), (amplitude_estimate, True)):
                 got = estimate(p, ONE_PLAIN_U, delta, seed).estimate
-                assert got == fresh_stream_estimate(p, delta, seed, square), (seed, delta, square)
+                assert got == stream_estimate(p, delta, seed, square), (seed, delta, square)
 
 
 #: Flagged probability whose phase sits at M omega = 100.37 for M = 2^10
 #: (sqrt readout at delta 0.01): f = 0.37 puts 8.4% of each draw in the tail.
 HEAVY_TAIL_P = math.sin(math.pi * 100.37 / 1024) ** 2
 
+#: Seeds at the 32- and 64-bit word boundaries, where a key's part grows a byte.
+EDGE_SEEDS = (0, 1, 255, 256, 2**32 - 1, 2**32, 2**63 - 1, 2**64 - 1, 2**64)
 
-class TestRepetitionStreams:
+
+class TestStreams:
+    @settings(database=None, deadline=None, max_examples=40)
+    @given(
+        parts=st.lists(st.integers(0, 2**70), max_size=3),
+        n=st.integers(1, 64),
+        extra=st.integers(0, 64),
+    )
+    def test_a_longer_read_extends_a_shorter_one(self, parts, n, extra):
+        short = uniforms(b"head", tuple(parts), n)
+        assert uniforms(b"head", tuple(parts), n + extra)[:n] == short
+        assert all(0.0 <= u < 1.0 and (u * 2**53).is_integer() for u in short)
+
+    @pytest.mark.parametrize("seed", EDGE_SEEDS)
+    def test_tail_chunks_read_one_stream(self, seed):
+        # the doubling chunks (6, 12, 24, ...) join into the one long read
+        tail = _tail_uniforms(seed, 3)
+        assert [next(tail) for _ in range(200)] == uniforms(b"tail", (seed, 3), 200)
+
+    def test_domains_and_parts_are_separated(self):
+        # the length prefixes keep every (domain, parts) key distinct: parts that
+        # concatenate to the same bytes, a zero part and no part, each domain
+        keys = [
+            (domain, parts)
+            for domain in (b"head", b"tail", b"inst", b"seed", b"hea", b"headd")
+            for parts in ((), (0,), (0, 0), (1, 2), (513,), (2, 1), (1, 2, 0), (2**64,), (2**64 - 1,))
+        ]
+        heads = {tuple(uniforms(domain, parts, 4)) for domain, parts in keys}
+        assert len(heads) == len(keys)
+        assert len({uniforms(b"head", (seed,), 1)[0] for seed in EDGE_SEEDS}) == len(EDGE_SEEDS)
+
+    def test_stream_key_parts_are_non_negative(self):
+        with pytest.raises(ValueError, match="non-negative integers, got -1"):
+            uniforms(b"head", (3, -1), 2)
+        with pytest.raises(ValueError, match="non-negative integers, got -1"):
+            derive_seed(0, -1)
+
+    @settings(database=None, deadline=None, max_examples=30)
+    @given(parts=st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=3))
+    def test_a_derived_seed_is_the_first_word_of_its_stream(self, parts):
+        seed = derive_seed(*parts)
+        assert 0 <= seed < 2**64
+        assert (seed >> 11) * 2.0**-53 == uniforms(b"seed", tuple(parts), 1)[0]
+
+
+class TestEstimateStreams:
     @settings(database=None, deadline=None, max_examples=30)
     @given(
         p=st.floats(0.0, 1.0),
-        seed_a=st.integers(0, 2**63 - 1),
-        seed_b=st.integers(0, 2**63 - 1),
+        seed_a=st.integers(0, 2**64 - 1),
+        seed_b=st.integers(0, 2**64 - 1),
     )
-    def test_replay_changes_no_draw(self, p, seed_a, seed_b):
-        assert_replays_fresh_streams(p, (seed_a, seed_b, seed_a))
+    def test_an_estimate_follows_its_streams_whatever_ran_before(self, p, seed_a, seed_b):
+        # seed_a again after seed_b and every delta: nothing carries between estimates
+        assert_estimates_follow_the_streams(p, (seed_a, seed_b, seed_a))
 
     @pytest.mark.parametrize(
         "p",
         [math.sin(math.pi * 5 / 32) ** 2, 0.0, 1.0],
         ids=["grid-aligned", "p0", "p1"],
     )
-    def test_replay_changes_no_draw_at_a_point_mass(self, p):
-        assert_replays_fresh_streams(p, (3, 8, 3))
+    def test_point_masses_follow_the_streams(self, p):
+        assert_estimates_follow_the_streams(p, (3, 8, 3))
 
-    def test_replay_extends_a_heavy_tail_stream(self):
-        assert_replays_fresh_streams(HEAVY_TAIL_P, (3, 8, 3))
-        # the last seed's streams are still cached; the tail drew past the
-        # branch and window draws of at least one repetition
-        assert max(len(drawn) for _, drawn in _repetition_streams(3)) > 2
+    def test_heavy_tail_estimates_follow_the_streams(self):
+        assert_estimates_follow_the_streams(HEAVY_TAIL_P, EDGE_SEEDS)
 
-    def test_a_cursor_is_built_only_when_the_window_misses(self, monkeypatch):
-        cursors, tails = [], []
-        replay, tail_offset = estimation._replay, _KernelSampler._tail_offset
+    def test_the_tail_is_read_only_when_the_window_misses(self, monkeypatch):
+        reads = []
 
-        def counting_replay(rng, drawn):
-            uniforms = replay(rng, drawn)
-            first = next(uniforms)
-            # the index the cursor starts reading the record at
-            cursors.append(drawn.index(first))
-            return itertools.chain([first], uniforms)
+        def counting(domain, parts, n):
+            reads.append((domain, parts, n))
+            return uniforms(domain, parts, n)
 
-        def counting_tail(self, uniforms):
-            tails.append(uniforms)
-            return tail_offset(self, uniforms)
-
-        monkeypatch.setattr(estimation, "_replay", counting_replay)
-        monkeypatch.setattr(_KernelSampler, "_tail_offset", counting_tail)
-        # p = 0 is a point mass (f = 0): no window and no tail
+        monkeypatch.setattr(estimation, "uniforms", counting)
+        # p = 0 is a point mass (f = 0): the head is read once, the tail never
         sqrt_amplitude_estimate(0.0, ONE_PLAIN_U, 0.1, 3)
-        assert cursors == tails == []
-        sqrt_amplitude_estimate(HEAVY_TAIL_P, ONE_PLAIN_U, 0.01, 3)
-        # one cursor per tail draw, each reading on past the branch and window uniforms
-        assert 0 < len(cursors) == len(tails) < DEFAULT_REPETITIONS
-        assert set(cursors) == {2}
+        assert reads == [(b"head", (3,), 2 * DEFAULT_REPETITIONS)]
+        tailed = 0
+        for seed in range(10):
+            reads.clear()
+            sqrt_amplitude_estimate(HEAVY_TAIL_P, ONE_PLAIN_U, 0.01, seed)
+            head, *tails = reads
+            assert head == (b"head", (seed,), 2 * DEFAULT_REPETITIONS)
+            # each missed window reads its own repetition's tail, in chunks of 6, 12, 24, ...
+            chunks = {}
+            for domain, parts, n in tails:
+                assert domain == b"tail" and parts[0] == seed
+                chunks.setdefault(parts, []).append(n)
+            assert len(chunks) < DEFAULT_REPETITIONS
+            assert all(n == [6 << i for i in range(len(n))] for n in chunks.values())
+            tailed += bool(chunks)
+        assert tailed > 0
 
-    def test_sweep_builds_each_repetition_stream_once_per_seed(self, monkeypatch, capsys):
-        built = []
-        default_rng = np.random.default_rng
+    def test_estimates_from_threads_equal_sequential_ones(self):
+        # nothing is cached or shared: four threads give the sequential estimates
+        jobs = [
+            (estimate, p, delta, seed)
+            for estimate in (sqrt_amplitude_estimate, amplitude_estimate)
+            for p in (HEAVY_TAIL_P, 0.37, 0.9)
+            for delta in (0.1, 0.01, 0.003)
+            for seed in range(8)
+        ]
 
-        def counting_default_rng(seed=None):
-            # a repetition stream is seeded with the uint32 words of [seed, rep]
-            if isinstance(seed, np.ndarray):
-                built.append(tuple(seed.tolist()))
-            return default_rng(seed)
+        def run(job):
+            estimate, p, delta, seed = job
+            return estimate(p, ONE_PLAIN_U, delta, seed).estimate
 
-        monkeypatch.setattr(np.random, "default_rng", counting_default_rng)
-        _repetition_streams.cache_clear()
+        sequential = [run(job) for job in jobs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter allows
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                assert list(pool.map(run, jobs * 4, timeout=120)) == sequential * 4
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_a_sweep_reads_one_head_per_estimate(self, monkeypatch, capsys):
+        heads = []
+
+        def counting(domain, parts, n):
+            if domain == b"head":
+                heads.append(parts)
+            return uniforms(domain, parts, n)
+
+        monkeypatch.setattr(estimation, "uniforms", counting)
         argv = ["sweep", "--estimator", "optimal", "--k", "2", "--trials", "2"]
         assert main([*argv, "--epsilons", "0.1,0.05,0.03,0.02,0.01"]) == 0
-        # 2 trials x 15 repetitions; one generator per estimate would be 5 x 30
-        assert len(built) == len(set(built)) == 2 * DEFAULT_REPETITIONS
+        # 2 trials x 5 epsilons, each estimate keyed by its trial's seed
+        assert sorted(heads) == sorted([(derive_seed(0, trial, 2),) for trial in range(2)] * 5)
 
 
-#: Seeds at the 32- and 64-bit word boundaries of the stream entropy.
-EDGE_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64 - 1)
+def scripted_outcome(sampler, branch, window, *tail):
+    """The production draw's outcome y on scripted uniforms, or None where it reads past them."""
+    try:
+        return sampler.draw(branch, window, iter(tail))
+    except StopIteration:  # the window missed, or a tail round rejected
+        return None
 
 
-def assert_streams_are_default_rng(seed):
-    # built uncached, so drawing past the record leaves the cached streams alone
-    streams = _repetition_streams.__wrapped__(seed)
-    assert len(streams) == DEFAULT_REPETITIONS
-    for rep, (rng, drawn) in enumerate(streams):
-        expected = np.random.default_rng([seed, rep]).random(10).tolist()
-        assert drawn + rng.random(8).tolist() == expected, (seed, rep)
+def snapped(g, e):
+    """The float where g steps, if it steps within 63 floats of e; else e."""
+    if g(math.nextafter(e, 0.0)) != g(e):
+        return e
+    ends = {0.0: e, 1.0: e}  # per direction, the furthest float still valued g(e)
+    for k in range(6):
+        for toward, near in ends.items():
+            far = near
+            for _ in range(1 << k):  # 1, 2, 4, ... floats further out
+                far = math.nextafter(far, toward)
+            if g(far) != g(e):
+                while math.nextafter(near, toward) != far:  # bisect to the adjacent pair
+                    mid = (near + far) / 2.0
+                    near, far = (mid, far) if g(mid) == g(e) else (near, mid)
+                return max(near, far)
+            ends[toward] = far
+    return e
 
 
-class TestStreamSeeding:
-    @pytest.mark.parametrize("seed", EDGE_SEEDS)
-    def test_streams_are_default_rng_of_seed_and_rep_at_word_edges(self, seed):
-        assert_streams_are_default_rng(seed)
+def step_pieces(g, edges):
+    """[(u, measure)] of the intervals of [0, 1) on which g is constant, u each one's start.
 
-    @settings(database=None, deadline=None, max_examples=30)
-    @given(seed=st.integers(0, 2**64 - 1))
-    def test_streams_are_default_rng_of_seed_and_rep(self, seed):
-        assert_streams_are_default_rng(seed)
+    g is a step function whose every value holds on one interval.  ``edges``
+    are its closed-form steps, each moved to where g steps within a few
+    floats of it.  An interval between two edges is one piece if g agrees at
+    its first float and its last, so each edge is probed on both sides, and is
+    bisected down to the step if not: the pieces are g's own wherever it steps.
+    """
+    g = functools.cache(g)
+    pieces = []
+
+    def split(lo, hi):
+        if g(lo) == g(math.nextafter(hi, 0.0)):
+            pieces.append((lo, hi - lo))
+            return
+        mid = lo + (hi - lo) / 2.0
+        if not lo < mid < hi:
+            mid = math.nextafter(lo, 1.0)
+        split(lo, mid)
+        split(mid, hi)
+
+    points = sorted({0.0, 1.0, *(snapped(g, e) for e in edges if 0.0 < e < 1.0)})
+    for lo, hi in zip(points, points[1:]):
+        split(lo, hi)
+    return pieces
+
+
+def executed_sampler_law(omega, m):
+    """The exact law of _KernelSampler(omega, m).draw, computed by running it on scripted uniforms.
+
+    Every uniform draw reads is cut into step_pieces at its closed-form edges:
+    the branch at 1/2, the window at the edges of cum, and in a tail round the
+    side at right_share, the bin where 1/z crosses a bin edge, and acceptance
+    at K(d) / envelope(d).  A piece weighs its length.  A window miss passes
+    its weight to the tail, whose rounds are independent: the tail draws d
+    with probability prop(d) acc(d) / sum prop acc (Devroye, Non-Uniform Random
+    Variate Generation, 1986, II.3).
+    """
+    sampler = _KernelSampler(omega, m)
+    M, f = sampler.M, sampler.f
+    law = np.zeros(M)
+    # the branch shows in the outcomes of two window offsets, which no mirror maps to themselves
+    probes = [0.0] if f == 0.0 else [0.0, sampler.cum[0]]
+    branches = step_pieces(lambda u: tuple(scripted_outcome(sampler, u, w) for w in probes), [0.5])
+    for branch, w_branch in branches:
+        windows = step_pieces(lambda u: scripted_outcome(sampler, branch, u), getattr(sampler, "cum", []))
+        for window, w_window in windows:
+            y = scripted_outcome(sampler, branch, window)
+            if y is not None:
+                law[y] += w_branch * w_window
+                continue
+            rounds = tail_round_law(
+                sampler, branch < 0.5, lambda *tail: scripted_outcome(sampler, branch, window, *tail)
+            )
+            total = math.fsum(rounds.values())
+            for y, weight in rounds.items():
+                law[y] += w_branch * w_window * weight / total
+    return law
+
+
+def tail_round_law(sampler, mirrored, outcome):
+    """{y: probability that one tail round accepts y}, outcome(side, bin, accept)
+    running the draw on the round's three uniforms; accept = 0.0 always accepts.
+    The acceptance edges take y as mirrored or not, as the branch uniform says."""
+    M, f, a, scale = sampler.M, sampler.f, sampler.a, sampler.scale
+    accepted = Counter()
+    for side, w_side in step_pieces(lambda u: outcome(u, 0.0, 0.0), [sampler.right_share]):
+        c, inv_far, mass = sampler.sides[0 if side < sampler.right_share else 1]
+        bin_edges = [(1.0 / (c + j) - inv_far) / mass for j in range(sampler.tail_bins)]
+        for bin_u, w_bin in step_pieces(lambda u: outcome(side, u, 0.0), bin_edges):
+            y = outcome(side, bin_u, 0.0)
+            # the offset d of y, and its acceptance edge K(d) z (z - 1) / scale with z = |d - f|;
+            # a scale that underflows to 0 (f below about 1e-154) accepts every round
+            d = ((M - y if mirrored else y) - a - 1 + M // 2) % M + 1 - M // 2
+            z = abs(d - f)
+            edge = _kernel(f, d, M) * z * (z - 1.0) / scale if scale else math.inf
+            for accept, w_accept in step_pieces(lambda u: outcome(side, bin_u, u), [edge]):
+                if outcome(side, bin_u, accept) is not None:
+                    accepted[y] += w_side * w_bin * w_accept
+    return accepted
+
+
+class TestExecutedSamplerLaw:
+    """The sampler's law, computed exactly from the production draw on scripted
+    uniforms, equals the two-branch grid law bin by bin; the chi-square tests
+    above sample the same law."""
+
+    @staticmethod
+    def assert_law(omega, m):
+        grid = qpe_grid_distribution([omega, 1.0 - omega], [0.5, 0.5], m)
+        np.testing.assert_allclose(executed_sampler_law(omega, m), grid, rtol=1e-9, atol=1e-13)
+
+    @settings(database=None, deadline=None, max_examples=4)
+    @given(f=st.floats(0.0, 1.0, exclude_max=True), a=st.integers(0, 2**9))
+    @example(f=0.37, a=100)  # a heavy, asymmetric tail
+    @example(f=1e-10, a=1)  # just off the grid: each branch's mass is nearly all in one bin
+    @example(f=5e-324, a=3)  # the envelope's scale underflows to 0, so every tail round accepts
+    def test_law_equals_the_grid_law(self, f, a):
+        for m in range(3, 11):
+            self.assert_law(((a % (1 << (m - 1))) + f) / (1 << m), m)
+
+    @pytest.mark.parametrize("m", range(3, 11))
+    def test_law_on_the_grid(self, m):
+        # f = 0: a point mass on each branch, read from no window or tail uniform
+        M = 1 << m
+        for a in (0, 1, M // 5, M // 2 - 1, M // 2):
+            self.assert_law(a / M, m)
 
 
 class TestQueryAccounting:

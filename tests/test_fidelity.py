@@ -36,13 +36,14 @@ from fidest.linalg import DensityMatrix, zero_state
 from fidest.oracles import PreparationOracle, purified_channel_oracle
 from fidest.reference import flag_probability, preparation_oracle, uhlmann_fidelity
 
-from conftest import mixed_instance, principal_eigvec, pure_instance, resized_oracle, state_oracle
-
-# frozen truths, computed with the dense references on the named seeds
-F_K1_SEEDS_42_43 = 0.5965038883615562
-F_K2R3_SEEDS_777_778 = 0.635172020948945
-TRS_K1_SEEDS_301_302 = 0.5620164634217469
-OVERLAP_SEEDS_401_402 = 0.7173016902543191
+from conftest import (
+    dense_sqrt_tr_rho_sigma2,
+    mixed_instance,
+    principal_eigvec,
+    pure_instance,
+    resized_oracle,
+    state_oracle,
+)
 
 
 class TestExactReferences:
@@ -148,7 +149,7 @@ FRONT_ENDS = {
 }
 
 
-def _no_sampling(seed):
+def _no_sampling(*key):
     raise AssertionError("a bad task reached the repetition streams")
 
 
@@ -170,7 +171,7 @@ class TestTaskConstruction:
     @pytest.mark.parametrize("name", FRONT_ENDS)
     @pytest.mark.parametrize("epsilon,seed,k,message", BAD_TASKS)
     def test_front_end_rejects_before_sampling(self, monkeypatch, name, epsilon, seed, k, message):
-        monkeypatch.setattr(estimation, "_repetition_streams", _no_sampling)
+        monkeypatch.setattr(estimation, "uniforms", _no_sampling)
         task = make_task(pure_instance(1, 20, "U")[1], pure_instance(k, 21)[1], epsilon, seed)
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             FRONT_ENDS[name](task)
@@ -178,7 +179,7 @@ class TestTaskConstruction:
     @pytest.mark.parametrize("name", ["swap-baseline", "optimal", "pure-pure"])
     def test_purity_is_checked_first(self, monkeypatch, name):
         # invalid in every field: the purity check in bind is the first one reached
-        monkeypatch.setattr(estimation, "_repetition_streams", _no_sampling)
+        monkeypatch.setattr(estimation, "uniforms", _no_sampling)
         _, u = pure_instance(1, 20, "U")
         _, v = mixed_instance(2, 2, 21, "V")
         with pytest.raises(ValueError, match=f"the {name} estimator requires a pure second state"):
@@ -314,13 +315,14 @@ class TestSwapTestEstimate:
             swap_test_estimate(task)
 
     def test_seeded_instance_success_rate(self):
-        _, u = mixed_instance(1, 2, 42)
-        _, v = pure_instance(1, 43)
+        rho, u = mixed_instance(1, 2, 42)
+        psi, v = pure_instance(1, 43)
+        truth = uhlmann_fidelity(rho, psi)
         hits = 0
         for seed in range(200):
             task = make_task(u, v, 0.05, seed)
             result = swap_test_estimate(task)
-            hits += abs(result.estimate - F_K1_SEEDS_42_43) <= 0.05
+            hits += abs(result.estimate - truth) <= 0.05
         assert hits >= 120
 
     def test_rejects_mixed_second_state(self):
@@ -355,12 +357,13 @@ class TestFidelityToPure:
             assert abs(result.estimate - math.sqrt(0.5)) <= 1e-12
 
     def test_seeded_k2_rank3_success_rate(self):
-        _, u = mixed_instance(2, 3, 777)
-        _, v = pure_instance(2, 778)
+        rho, u = mixed_instance(2, 3, 777)
+        psi, v = pure_instance(2, 778)
+        truth = uhlmann_fidelity(rho, psi)
         hits = 0
         for seed in range(200):
             result = fidelity_to_pure(make_task(u, v, 0.02, seed))
-            hits += abs(result.estimate - F_K2R3_SEEDS_777_778) <= 0.02
+            hits += abs(result.estimate - truth) <= 0.02
         assert hits >= 120
 
     def test_query_ratio_exact(self):
@@ -410,12 +413,13 @@ class TestSqrtTrRhoSigma2Estimate:
             assert abs(result.estimate - 0.5) <= 0.05
 
     def test_seeded_mixed_pair_success_rate(self):
-        _, u = mixed_instance(1, 2, 301)
-        _, v = mixed_instance(1, 2, 302)
+        rho, u = mixed_instance(1, 2, 301)
+        sigma, v = mixed_instance(1, 2, 302)
+        truth = dense_sqrt_tr_rho_sigma2(rho, sigma)
         hits = 0
         for seed in range(200):
             result = sqrt_tr_rho_sigma2_estimate(make_task(u, v, 0.05, seed))
-            hits += abs(result.estimate - TRS_K1_SEEDS_301_302) <= 0.05
+            hits += abs(result.estimate - truth) <= 0.05
         assert hits >= 120
 
 
@@ -437,12 +441,13 @@ class TestPurePureFidelity:
         assert pure_pure_fidelity(task).estimate <= 0.05
 
     def test_seeded_haar_pair_success_rate(self):
-        _, u = pure_instance(1, 401, label="U")
-        _, v = pure_instance(1, 402)
+        phi, u = pure_instance(1, 401, label="U")
+        psi, v = pure_instance(1, 402)
+        truth = uhlmann_fidelity(phi, psi)
         hits = 0
         for seed in range(200):
             result = pure_pure_fidelity(make_task(u, v, 0.05, seed))
-            hits += abs(result.estimate - OVERLAP_SEEDS_401_402) <= 0.05
+            hits += abs(result.estimate - truth) <= 0.05
         assert hits >= 120
 
     def test_rejects_mixed_first_state(self):

@@ -1,9 +1,10 @@
 """Golden CLI records: a small corpus of every command whose output is pinned.
 
-golden_records.json holds, per argv, the stdout lines of the CLI as computed
-at commit 9ebbab4: sweep and hard-instance CSV without the wall_ms column,
-and the single JSON line.  Any change to an instance, a draw, an estimate or
-a query tally fails here.  Every cell must match exactly except true_value
+golden_records.json holds, per argv, the stdout lines of the CLI, last
+regenerated when every uniform, seed and instance moved to the SHAKE-128
+streams of fidest.streams: sweep and hard-instance CSV without the wall_ms
+column, and the single JSON line.  Any change to an instance, a draw, an
+estimate or a query tally fails here.  Every cell must match exactly except true_value
 and abs_error, which pass through BLAS products and numpy's SIMD loops: their
 last bits move with the CPU kernel OpenBLAS picks and with numpy's dispatch,
 so they are held to 1e-12.

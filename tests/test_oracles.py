@@ -1,11 +1,13 @@
 """Tests for state construction and oracle synthesis."""
 
 import dataclasses
+import math
 import re
 import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.stats
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -23,6 +25,7 @@ from fidest.oracles import (
     PreparationOracle,
     RandomInstanceSpec,
     check_instance_size,
+    complex_gaussians,
     purified_channel_oracle,
     sample_instance,
     synthesize_instance,
@@ -373,6 +376,29 @@ class TestSampleInstance:
         assert rho.tobytes() == dm.matrix.tobytes()
         assert sampled.prepared_state.tobytes() == oracle.prepared_state.tobytes()
         DensityMatrix(rho)  # validation is the assertion
+
+
+class TestComplexGaussians:
+    """The Box-Muller draws behind every instance, checked against their laws."""
+
+    DRAWS = complex_gaussians(2024, 20_000)
+
+    @pytest.mark.parametrize("part", ["real", "imag"])
+    def test_each_part_is_normal_with_variance_one_half(self, part):
+        values = [getattr(z, part) for z in self.DRAWS]
+        assert scipy.stats.kstest(values, scipy.stats.norm(scale=math.sqrt(0.5)).cdf).pvalue >= 1e-3
+
+    def test_squared_modulus_is_exponential(self):
+        values = [abs(z) ** 2 for z in self.DRAWS]
+        assert scipy.stats.kstest(values, scipy.stats.expon.cdf).pvalue >= 1e-3
+
+    def test_parts_are_uncorrelated(self):
+        # independent parts: Re z Im z has mean 0 and variance 1/4, so n draws average within 5 sd
+        mean = math.fsum(z.real * z.imag for z in self.DRAWS) / len(self.DRAWS)
+        assert abs(mean) <= 5.0 * 0.5 / math.sqrt(len(self.DRAWS))
+
+    def test_a_longer_draw_extends_a_shorter_one(self):
+        assert complex_gaussians(2024, 100) == self.DRAWS[:100]
 
 
 class TestColumnPurity:

@@ -1,82 +1,101 @@
-"""Canary for the numpy random layers every output rests on.
+"""Canary for the random layers every output rests on.
 
-NEP 19 keeps bit-generator streams stable across numpy releases, but lets
-``Generator`` methods change their algorithms between feature releases.
-Instances come from ``Generator.standard_normal``, the QPE sampler's
-uniforms from ``Generator.random`` over PCG64's raw words, and every seed
-from ``SeedSequence``.  Each pin below fails with the name of the layer that
-moved, so a numpy upgrade that changes outputs names its cause instead of
-failing dozens of golden cells.
+Every uniform comes from ``fidest.streams``: SHAKE-128 (FIPS 202) from the
+stdlib's hashlib, read as 64-bit words w and mapped to (w >> 11) * 2^-53.
+Every seed is a stream's first word (``derive_seed``), and instances draw
+their Gaussians from a stream by Box-Muller in scalar math, so their bits
+rest on libm's log, cos and sin as well.  Each pin below fails with the name
+of the layer that moved.  No numpy random layer reaches an output: no
+package module names ``np.random``, and no command imports ``numpy.random``.
 """
 
+import ast
 import hashlib
+import os
+import struct
+import subprocess
+import sys
+from pathlib import Path
 
-import numpy as np
 import pytest
 
-from fidest.estimation import _repetition_streams
+import fidest
+from fidest.oracles import RandomInstanceSpec, synthesize_instance
+from fidest.streams import derive_seed, uniforms
 
+PACKAGE = Path(fidest.__file__).parent
 DRAWS = 1000
-SEEDS = {
-    "0": 0,
-    "1": 1,
-    "2^62+5": 2**62 + 5,
-    # the uint32 [w0, w1, rep] entropy of repetition 3 under seed 2^62 + 5
-    "[5, 2^30, 3]": np.array([5, 1 << 30, 3], dtype=np.uint32),
-}
-LAYERS = {
-    "PCG64.random_raw (the bit generator's stream)": lambda s: np.random.PCG64(s).random_raw(DRAWS),
-    "Generator.random (the QPE sampler's uniforms)": lambda s: np.random.default_rng(s).random(DRAWS),
-    "Generator.standard_normal (instance synthesis)": lambda s: np.random.default_rng(s).standard_normal(DRAWS),
-    "SeedSequence.generate_state (every seed)": lambda s: np.random.SeedSequence(s).generate_state(4, np.uint64),
-}
-SHA256 = {
-    "PCG64.random_raw (the bit generator's stream)": {
-        "0": "37eebb6c5d32acb227b3de8744b218894657b469d744f6e02c57f43dccb6d0aa",
-        "1": "31bd4e2883afa6c9d4b473762138ba78e2e015089470432079223002002ec7f8",
-        "2^62+5": "dd167d7fa7a2af90f0c7592128554e00cbdb7d30ea10f4731756c2aeddda7dae",
-        "[5, 2^30, 3]": "848f188351c532fc78fd6599ce72fd76b2df969dfe2566a108d633a870008b0b",
-    },
-    "Generator.random (the QPE sampler's uniforms)": {
-        "0": "7eaf3168ef8150e60745193d9afcd72c6b1218c71791c4283214b4feb2108ddd",
-        "1": "9ae6875ee2d535ad2a4780960ed443f7101080feebda6975a02d678d7914e6c1",
-        "2^62+5": "2e0584987192bcf8df74c88851bf9596b3c89bef04ba77d1461a7be26e80b7b0",
-        "[5, 2^30, 3]": "3944588cff09aa8fb2694a4e0680176e5eb602779be658b2b960040b47540525",
-    },
-    "Generator.standard_normal (instance synthesis)": {
-        "0": "cc0b03e91cf55ab725aaa2be63067b7bc76f08787209974cb1e275aad78b4d8e",
-        "1": "56d130ac43197a3c3e5ea5b167b8f556a86775073667667eaf3eba5e9b7c7916",
-        "2^62+5": "7fa03d6cef355d738ea2f6f9cf3fad37cfb9dec2e20d8a7ddfdf754b0f7f7acb",
-        "[5, 2^30, 3]": "9f6e35217d4bd1cdb02ce91aa440b764850e6ea5a44471323a6ee4e71da6a2b0",
-    },
-    "SeedSequence.generate_state (every seed)": {
-        "0": "d1dc8abad612fe44a7248fafc370e13573283627771ab88c4396a36d417c9175",
-        "1": "8e2e9dcf82c11b2706379fb2fef9b9caba638d653483509d46094f8eea04f6fb",
-        "2^62+5": "509c1a227727cf2a5549d6515359699979f0db9aa0cfdfd16d4a241d979c29be",
-        "[5, 2^30, 3]": "6bc4d00615347f281a8119aaf6a87d1c55e158b8b30f18833568e8b346eb824c",
-    },
+#: key -> (the first three uniforms, as float.hex, and the sha256 of the first DRAWS as little-endian doubles)
+STREAMS = {
+    (b"head", (0,)): (
+        ["0x1.402ecb548c89ep-1", "0x1.9ef7582116a42p-2", "0x1.c9f2033b88b66p-2"],
+        "efaab30fc39a1e34dbeb9c59da7fff5775169d50f2f63009687dd058d9966246",
+    ),
+    (b"tail", (2**62 + 5, 3)): (
+        ["0x1.1198c8805e941p-1", "0x1.58ba6b4fcd4e1p-1", "0x1.83ed9ecacdd54p-2"],
+        "ec1f07e0a66c68112c24d212749e94043004e94e51008486202a71acc7c6de80",
+    ),
+    (b"inst", (2**64 - 1,)): (
+        ["0x1.14b999d61b320p-2", "0x1.c479cd9bb8031p-1", "0x1.48d02320debe1p-1"],
+        "4ad3f00b5c72e8f9fa3bfbcf9d2bb3977dcd98105831dc71fc2c1bb16aa38ffc",
+    ),
 }
 
 
-@pytest.mark.parametrize("seed", list(SEEDS))
-@pytest.mark.parametrize("layer", list(LAYERS))
-def test_layer_is_pinned(layer, seed):
-    values = LAYERS[layer](SEEDS[seed])
-    digest = hashlib.sha256(values.astype(values.dtype.newbyteorder("<")).tobytes()).hexdigest()
-    assert digest == SHA256[layer][seed], f"numpy layer moved: {layer}, seed {seed}"
+def test_shake_128_known_answer():
+    # FIPS 202's SHAKE128 of the empty message, first 256 bits
+    assert hashlib.shake_128(b"").hexdigest(32) == (
+        "7f9c2ba4e88f827d616045507605853ed73b8093f6efbc88eb1a6eacfa66ef26"
+    ), "hashlib layer moved: shake_128"
 
 
-@pytest.mark.parametrize("seed", list(SEEDS))
-def test_uniforms_are_the_top_53_raw_bits(seed):
-    raw = np.random.PCG64(SEEDS[seed]).random_raw(DRAWS)
-    uniforms = np.random.default_rng(SEEDS[seed]).random(DRAWS)
-    assert np.array_equal(uniforms, (raw >> 11) * 2.0**-53), (
-        "numpy layer moved: Generator.random no longer maps a PCG64 word w to (w >> 11) * 2^-53"
+@pytest.mark.parametrize("key", list(STREAMS), ids=lambda key: f"{key[0].decode()}{key[1]}")
+def test_stream_is_pinned(key):
+    first, digest = STREAMS[key]
+    values = uniforms(*key, DRAWS)
+    assert [u.hex() for u in values[:3]] == first, f"fidest layer moved: streams.uniforms{key}"
+    assert hashlib.sha256(struct.pack(f"<{DRAWS}d", *values)).hexdigest() == digest, key
+
+
+def test_derived_seed_is_pinned():
+    assert derive_seed(0, 1, 2) == 9438345762444847869, "fidest layer moved: streams.derive_seed"
+
+
+def test_instance_column_is_pinned():
+    # Box-Muller on libm's log, cos and sin, then a math.fsum norm: no BLAS kernel
+    _, oracle = synthesize_instance(RandomInstanceSpec(1, 2, 7, "ginibre_mixed"))
+    digest = hashlib.sha256(oracle.prepared_state.astype("<c16").tobytes()).hexdigest()
+    assert digest == "ec13fc0cb2cf2a30ea79a0ab920dc2d45d9a4edfdf690c4cdde7c02aa5c343d6", (
+        "instance layer moved: oracles.synthesize_instance (libm log, cos or sin, or the stream)"
     )
 
 
-def test_canary_entropy_is_the_streams_entropy():
-    rng, _ = _repetition_streams(2**62 + 5)[3]
-    assert np.array_equal(rng.bit_generator.seed_seq.entropy, SEEDS["[5, 2^30, 3]"]), (
-        "fidest layer moved: _repetition_streams no longer seeds from [w0, w1, rep]"
+def test_no_package_module_names_np_random():
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr == "random":
+                assert not (isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")), path.name
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [alias.name for alias in node.names] + [getattr(node, "module", None) or ""]
+                assert not [n for n in names if n.startswith("numpy.random")], path.name
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--k", "2", "--epsilons", "0.2,0.1,0.05", "--trials", "2"],
+        ["single", "--estimator", "swap-baseline", "--k", "1", "--epsilons", "0.1"],
+        ["verify-identities", "--k", "2", "--trials", "2"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_no_command_loads_numpy_random(argv):
+    code = (
+        "import contextlib, io, sys; from fidest.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        f"    assert main({argv!r}) == 0\n"
+        "print(sorted(m for m in sys.modules if m.startswith('numpy.random')))"
     )
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "[]"

@@ -76,7 +76,7 @@ def test_cli_import_loads_no_scipy():
 def test_package_import_loads_the_production_modules_only():
     # the modules the CLI runs, loaded before the CLI binds their functions;
     # neither the CLI, the dense reference nor scipy
-    production = ["circuits", "estimation", "fidelity", "linalg", "oracles"]
+    production = ["circuits", "estimation", "fidelity", "linalg", "oracles", "streams"]
     assert loaded_modules("fidest") == ["fidest", *(f"fidest.{name}" for name in production)]
     # names are imported from their modules: the package binds no function or class
     values = [getattr(fidest, name) for name in dir(fidest)]
@@ -321,21 +321,23 @@ def numpy_names(node):
 
 
 def test_the_sampler_draws_in_plain_floats():
-    # K(d) is one scalar float expression evaluated one offset at a time; numpy
-    # only builds the repetition generators
-    tree = ast.parse((PACKAGE / "estimation.py").read_text(encoding="utf-8"))
+    # K(d) is one scalar float expression evaluated one offset at a time, and
+    # the uniforms come from fidest.streams: estimation names no np or numpy
+    source = (PACKAGE / "estimation.py").read_text(encoding="utf-8")
+    tree = ast.parse(source)
+    assert not numpy_names(tree)
+    assert not [n for n in imported_modules(PACKAGE / "estimation.py") if n.split(".")[0] == "numpy"]
     top = {n.name: n for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
-    # so _kernel, _KernelSampler and _replay name no np or numpy
-    assert "_replay" in top
-    assert [name for name, node in top.items() if numpy_names(node)] == ["_repetition_streams"]
     assert not hasattr(_KernelSampler(0.3, 4), "window")
-    # one draw routine: an estimate's outcome, and the tests' fresh-stream
-    # reference, come only from _KernelSampler.draw(rng, drawn)
+    # one draw routine, fed explicit uniforms: an estimate's outcome, and the
+    # tests' scripted-uniform law, come only from _KernelSampler.draw
     methods = [n.name for n in top["_KernelSampler"].body if isinstance(n, ast.FunctionDef)]
     assert [name for name in methods if not name.startswith("_")] == ["draw"]
-    assert list(inspect.signature(_KernelSampler.draw).parameters) == ["self", "rng", "drawn"]
+    assert list(inspect.signature(_KernelSampler.draw).parameters) == ["self", "branch", "window", "tail"]
     assert "draw" in called_names(top["_estimate"])
-    assert not hasattr(estimation, "_Replay")
+    # no per-seed stream cache or record replay: each estimate reads its own stream
+    for name in ("_Replay", "_replay", "_repetition_streams", "functools"):
+        assert not hasattr(estimation, name), name
     for name in ("offset", "window_offset", "outcome", "tail_offset"):
         assert not hasattr(_KernelSampler, name), name
 
@@ -433,6 +435,17 @@ def test_one_function_synthesises_instances():
     drawing = []
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.FunctionDef) and "standard_normal" in used_names(node):
+            if isinstance(node, ast.FunctionDef) and "complex_gaussians" in called_names(node):
                 drawing.append(node.name)
     assert drawing == ["synthesize_instance"]
+
+
+def test_each_stream_domain_has_one_reader():
+    # two call sites reading one domain with the same parts would draw the same uniforms
+    domains = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("uniforms", "_words"):
+                if isinstance(node.args[0], ast.Constant):
+                    domains.append(node.args[0].value)
+    assert sorted(domains) == [b"head", b"inst", b"seed", b"tail"]
