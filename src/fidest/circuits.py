@@ -1,22 +1,14 @@
-"""Named-register circuits executed on exact statevectors.
+"""Named-register circuits: immutable descriptions that ``fidest.linalg`` executes.
 
 Registers are laid out most-significant first in a fixed order, typically
 (C, A, B, A', B'): A and A' hold the two system states, B and B' their
 purifying ancillas, C a one-qubit control/flag.  Circuits are immutable op
-lists; ``execute`` runs them on |0...0>, and ``Circuit.queries`` reads the
-oracle queries of one run off the op list.
-
-``execute`` holds one 1-D state of 2^n amplitudes and every op writes into
-it; each op's view ends in a -1 axis, so the ops also act on a (2^n, columns)
-array.  H, oracle and flag ops reshape it to (2^first, 2^width, rest) around
-adjacent registers, so identity padding comes from that block view, not from
-dense matrices; an oracle op calls the oracle plain or inverse, by its
-O(2^n_oracle)-per-column Householder apply (controlled queries are only
-tallies, which ``fidest.estimation._query_tally`` fills).  A register swap
-views the state with one axis per register and exchanges two of them, under
-a control on the control = 1 half only, by one path for every swap.  Each op
-is one or two elementwise passes, and no op makes a BLAS call, which OpenBLAS
-would thread on a large state.
+lists, and ``Circuit.queries`` reads the oracle queries of one run off the
+op list: it is the one place a run's queries are counted, and it is what an
+estimate's tallies start from.  This module imports no numpy, so a sweep
+builds its circuits (for their checks and tallies) without loading it;
+``fidest.linalg.execute`` runs a circuit on an exact statevector, for
+verify-identities and the tests.
 
 Two circuit families matter here.  The encoding circuit applies both
 oracles side by side, swaps the ancilla registers, then undoes the second
@@ -29,34 +21,9 @@ amplitude-estimation interface.
 
 from __future__ import annotations
 
-import functools
-import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .linalg import ATOL_STRUCT
 from .oracles import QUERY_KINDS, PreparationOracle
-
-QUBIT_CAP = 22  # a 22-qubit statevector is 64 MiB
-
-_SQRT_HALF = 1.0 / math.sqrt(2.0)
-
-
-def _hadamard(parts: np.ndarray) -> None:
-    """H on axis 1 of a (pre, 2, post) array, in place: the butterfly (a +- b)/sqrt(2).
-
-    a + b is exact to rounding; b becomes (a + b) - 2b, which is a - b to
-    one more rounding."""
-    a, b = parts[:, 0], parts[:, 1]
-    a += b
-    b *= -2.0
-    b += a
-    parts *= _SQRT_HALF
-
-
-class QubitCapExceeded(ValueError):
-    """A circuit or operator would exceed its qubit cap."""
 
 
 @dataclass(frozen=True)
@@ -150,128 +117,6 @@ class Circuit:
             if isinstance(op, OracleOp):
                 tally.setdefault(op.oracle.label, dict.fromkeys(QUERY_KINDS, 0))[op.kind] += 1
         return tally
-
-
-@dataclass(frozen=True)
-class FlaggedAmplitudeAnalysis:
-    """Split of a state into its good-subspace component and the rest."""
-
-    flagged_amplitude: float
-    residual_norm: float
-
-
-@functools.lru_cache
-def _block(layout: RegisterLayout, names: tuple) -> tuple:
-    """(first qubit, width) of registers that sit next to each other in layout order.
-
-    Cached: a layout and a register tuple are frozen values, so each op's
-    geometry is resolved once; a failed check raises again on every call."""
-    for name in names:
-        layout.qubits(name)  # raises on an unknown register
-    positions = [layout.names.index(name) for name in names]
-    start, stop = positions[0], positions[0] + len(positions)
-    if positions != list(range(start, stop)):
-        raise ValueError(f"registers {tuple(names)} are not adjacent in layout order {layout.names}")
-    return sum(layout.sizes[:start]), sum(layout.sizes[start:stop])
-
-
-def _one_qubit(layout: RegisterLayout, name: str, role: str) -> int:
-    first, width = _block(layout, (name,))
-    if width != 1:
-        raise ValueError(f"{role} register {name!r} must be one qubit")
-    return first
-
-
-@functools.lru_cache
-def _swap_geometry(layout: RegisterLayout, first: str, second: str, control=None):
-    """A register swap's view of the state, ``(shape, axis, axis, on)``: one axis per
-    register and then the rest, and ``on`` indexes the half where a one-qubit
-    control is 1 (``()`` without one).  Swapping a register with itself, or two
-    zero-width registers (length-1 axes), leaves the state as it was."""
-    if control is not None:
-        _one_qubit(layout, control, "control")
-    (_, width), (_, other) = _block(layout, (first,)), _block(layout, (second,))
-    if width != other:
-        raise ValueError(f"cannot swap registers {first!r} and {second!r} of unequal size")
-    if control in (first, second):
-        raise ValueError(f"control register {control!r} is also swapped")
-    shape = tuple(1 << size for size in layout.sizes) + (-1,)
-    on = () if control is None else (slice(None),) * layout.names.index(control) + (1,)
-    return shape, layout.names.index(first), layout.names.index(second), on
-
-
-def _apply_op(op, state, layout) -> None:
-    """Apply one op in place to the state: 2^n amplitudes, or a (2^n, columns) array."""
-    if isinstance(op, OracleOp):
-        first, width = _block(layout, op.registers)
-        n = op.oracle.num_qubits
-        if width < n:
-            raise ValueError(
-                f"oracle op on {op.registers} spans {width} qubits, too few for its oracle"
-            )
-        op.oracle.apply(state.reshape(1 << first, 1 << n, -1), op.kind == "inverse")
-    elif isinstance(op, Hadamard):
-        first = _one_qubit(layout, op.register, "gate")
-        _hadamard(state.reshape(1 << first, 2, -1))
-    elif isinstance(op, RegisterSwap):
-        shape, a, b, on = _swap_geometry(layout, op.first, op.second, op.control)
-        parts = state.reshape(shape)
-        # numpy copies the overlapping swapped source before it writes
-        parts[on] = parts.swapaxes(a, b)[on]
-    elif isinstance(op, FlagOnNonzero):
-        _one_qubit(layout, op.flag_register, "flag")
-        first, width = _block(layout, (op.flag_register,) + op.zero_registers)
-        # (flag, zero...) block: flip the flag on every nonzero zero-register value
-        parts = state.reshape(1 << first, 2, 1 << (width - 1), -1)
-        parts[:, :, 1:] = parts[:, ::-1, 1:]
-    else:
-        raise TypeError(f"unknown circuit op {op!r}")
-
-
-def _norm(x: np.ndarray) -> float:
-    """2-norm of a complex array with a contiguous last axis, as an einsum over
-    its real view: np.linalg.norm is a BLAS dot, which OpenBLAS threads on a
-    large state (see fidest.linalg)."""
-    r = x.view(np.float64)
-    axes = list(range(r.ndim))
-    return math.sqrt(np.einsum(r, axes, r, axes, []))
-
-
-def execute(circuit: Circuit) -> np.ndarray:
-    """Exact final statevector of the circuit from |0...0>."""
-    n = circuit.layout.total_qubits
-    if n > QUBIT_CAP:
-        raise QubitCapExceeded(f"circuit needs {n} qubits, cap is {QUBIT_CAP}")
-    state = np.zeros(1 << n, dtype=complex)
-    state[0] = 1.0
-    for op in circuit.ops:
-        _apply_op(op, state, circuit.layout)
-    norm = _norm(state)
-    if abs(norm - 1.0) > ATOL_STRUCT:
-        raise RuntimeError(f"executed state norm drifted to {norm}")
-    return state
-
-
-def analyze_flagged(state: np.ndarray, layout: RegisterLayout, zero_registers) -> FlaggedAmplitudeAnalysis:
-    """Norm split against the projector "these registers are all zero".
-
-    An empty register list means the identity projector.  The flagged
-    amplitude is the norm of the projected component, so for the encoding
-    circuit with zero_registers=("A", "B") it equals the encoded overlap.
-    The registers must sit next to each other in layout order.
-    """
-    zero_registers = tuple(zero_registers)
-    first, width = _block(layout, zero_registers) if zero_registers else (0, 0)
-    # axis 1 holds the zero registers' value
-    blocks = np.ascontiguousarray(state, dtype=complex).reshape(1 << first, 1 << width, -1)
-    flagged = _norm(blocks[:, 0])
-    residual = _norm(blocks[:, 1:])
-    return FlaggedAmplitudeAnalysis(flagged, residual)
-
-
-def register_zero_probability(state, layout, registers) -> float:
-    """Probability that measuring the given registers yields all zeros."""
-    return analyze_flagged(state, layout, registers).flagged_amplitude ** 2
 
 
 def _check_system_match(u: PreparationOracle, v: PreparationOracle) -> int:

@@ -19,28 +19,20 @@ import sys
 import time
 from dataclasses import dataclass
 
-import numpy as np
-
 from .circuits import (
-    QUBIT_CAP,
-    QubitCapExceeded,
-    analyze_flagged,
     build_encoding_circuit,
     build_flagged_encoding,
     build_restructured_encoding,
     build_swap_test,
-    execute,
-    register_zero_probability,
 )
-from .fidelity import (
-    ESTIMATORS,
-    check_hard_family,
-    exact_tr_rho_sigma2,
-    hard_pair,
-    hard_pair_hellinger,
-    hellinger_distance,
+from .fidelity import ESTIMATORS, check_hard_family, hard_pair_hellinger
+from .oracles import (
+    QUBIT_CAP,
+    QubitCapExceeded,
+    RandomInstanceSpec,
+    check_instance_size,
+    synthesize_instance,
 )
-from .oracles import RandomInstanceSpec, check_instance_size, sample_instance, synthesize_instance
 from .streams import derive_seed
 
 COMMANDS = ("verify-identities", "sweep", "hard-instance", "single")
@@ -224,14 +216,14 @@ def _estimate_trial(config: ExperimentConfig, trial: int) -> list:
     estimator = ESTIMATORS[config.estimator]
     kinds = {True: ("haar_pure", 1), False: ("ginibre_mixed", config.rank)}
     first, second = kinds[estimator.first_pure], kinds[estimator.second_pure]
-    rho, rho_oracle = synthesize_instance(_spec(config, trial, 0, *first), "U")
-    sigma, second_oracle = synthesize_instance(_spec(config, trial, 1, *second), "V")
-    truth = math.sqrt(exact_tr_rho_sigma2(rho, sigma))
+    rho_oracle = synthesize_instance(_spec(config, trial, 0, *first), "U")
+    second_oracle = synthesize_instance(_spec(config, trial, 1, *second), "V")
     seed = derive_seed(config.seed, trial, 2)
     out = []
     epsilon = config.epsilons[0]
     try:
         estimate = estimator.bind(config.estimator, rho_oracle, second_oracle)
+        truth = estimate.true_value
         for epsilon in config.epsilons:
             start = time.perf_counter()
             result = estimate(epsilon, seed)
@@ -318,12 +310,14 @@ def _run_single(config: ExperimentConfig) -> int:
 
 
 def _run_hard_instance(config: ExperimentConfig) -> int:
+    from . import linalg  # the numpy side: the family's weight vectors
+
     rows = []
     support = slice(config.rank)  # every later weight is zero in both members of a pair
     for p in HARD_P_GRID:
         for eps in config.epsilons:
-            plus, minus = hard_pair(p, eps, config.rank, config.k)
-            hell = hellinger_distance(plus.distribution[support], minus.distribution[support])
+            plus, minus = linalg.hard_pair(p, eps, config.rank, config.k)
+            hell = linalg.hellinger_distance(plus.distribution[support], minus.distribution[support])
             hell_closed = hard_pair_hellinger(p, eps)
             for inst in (plus, minus):
                 # |first entry| of the oracle's column, sqrt(w0): no 2^k oracle is built
@@ -346,39 +340,21 @@ def _run_hard_instance(config: ExperimentConfig) -> int:
     return 0 if max(worst_fid, worst_hell) <= 1e-12 else 1
 
 
-def _oracle_unitarity_residual(oracle) -> float:
-    """max|U^dag U - I| of the dense U, taken through the oracle's own queries.
-
-    The inverse query applied to U gives U^dag U, and the inverse query is
-    checked against U's conjugate transpose; the residual is the larger of the
-    two deviations, so a non-unitary U fails even if the inverse query
-    compensated for it.  Each query acts in place, in O(4^n), on U or on one
-    n-qubit identity buffer; no BLAS product (see ``fidest.linalg``).
-    """
-    u = oracle.unitary
-    work = np.eye(len(u), dtype=complex)
-    oracle.apply(work[np.newaxis], inverse=True)
-    np.conjugate(work, out=work)
-    work -= u.T  # the conjugate of (inverse query) - U^dag
-    adjoint = float(np.max(np.abs(work)))
-    oracle.apply(u[np.newaxis], inverse=True)
-    u.reshape(-1)[:: len(u) + 1] -= 1.0  # U^dag U - I
-    return max(float(np.max(np.abs(u))), adjoint)
-
-
 def _identity_residuals(config: ExperimentConfig, trial: int) -> dict:
-    """Every IDENTITY_BOUNDS residual on one trial's seeded instances."""
+    """Every IDENTITY_BOUNDS residual on one trial's seeded instances, executed on statevectors."""
+    from . import linalg  # the numpy side: dense states and the circuit executor
+
     rank = trial % (1 << config.k) + 1
-    rho_dm, rho_oracle = sample_instance(_spec(config, trial, 0, "ginibre_mixed", rank), "U")
-    psi_dm, psi_oracle = sample_instance(_spec(config, trial, 1, "haar_pure", 1), "V")
-    sigma_dm, sigma_oracle = sample_instance(_spec(config, trial, 2, "ginibre_mixed", rank), "V")
-    pure_truth = exact_tr_rho_sigma2(rho_dm, psi_dm)
+    rho_dm, rho_oracle = linalg.sample_instance(_spec(config, trial, 0, "ginibre_mixed", rank), "U")
+    psi_dm, psi_oracle = linalg.sample_instance(_spec(config, trial, 1, "haar_pure", 1), "V")
+    sigma_dm, sigma_oracle = linalg.sample_instance(_spec(config, trial, 2, "ginibre_mixed", rank), "V")
+    pure_truth = linalg.exact_tr_rho_sigma2(rho_dm, psi_dm)
 
     def split(circuit, registers=("A", "B")):
-        return analyze_flagged(execute(circuit), circuit.layout, registers)
+        return linalg.analyze_flagged(linalg.execute(circuit), circuit.layout, registers)
 
     def pr_zero(circuit):
-        return register_zero_probability(execute(circuit), circuit.layout, ("C",))
+        return linalg.register_zero_probability(linalg.execute(circuit), circuit.layout, ("C",))
 
     pure = split(build_encoding_circuit(rho_oracle, psi_oracle))
     amp2 = pure.flagged_amplitude**2
@@ -389,13 +365,13 @@ def _identity_residuals(config: ExperimentConfig, trial: int) -> dict:
     pairs = ((rho_oracle, rho_dm), (psi_oracle, psi_dm), (sigma_oracle, sigma_dm))
     values = (  # in IDENTITY_BOUNDS order
         abs(amp2 - pure_truth),
-        abs(amp2_mixed - exact_tr_rho_sigma2(rho_dm, sigma_dm)),
+        abs(amp2_mixed - linalg.exact_tr_rho_sigma2(rho_dm, sigma_dm)),
         abs(amp2_mixed - amp2_restr),
         abs(pr_zero(build_flagged_encoding(rho_oracle, psi_oracle)) - amp2),
         abs(amp2 + pure.residual_norm**2 - 1.0),
         abs(pr_zero(build_swap_test(rho_oracle, psi_oracle)) - (1.0 + pure_truth) / 2.0),
-        max(_oracle_unitarity_residual(oracle) for oracle, _ in pairs),
-        max(float(np.max(np.abs(o.reduced_state().matrix - dm.matrix))) for o, dm in pairs),
+        max(linalg.oracle_unitarity_residual(oracle) for oracle, _ in pairs),
+        max(linalg.reconstruction_error(oracle, dm) for oracle, dm in pairs),
     )
     return dict(zip(IDENTITY_BOUNDS, values, strict=True))
 

@@ -60,8 +60,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .circuits import QubitCapExceeded
-from .oracles import QUERY_KINDS
+from .oracles import QUERY_KINDS, QubitCapExceeded
 from .streams import uniforms
 
 #: Repetitions whose lower median is reported.

@@ -1,15 +1,19 @@
-"""Fidelity estimators, exact classical references, and adversarial instances."""
+"""Fidelity estimators and the adversarial family's input rule.
+
+An estimate of a pair reads only the two prepared columns: ``Estimator.bind``
+takes the pair's flag probability p and true value from one ``math.fsum``
+contraction of them (``fidest.oracles.pair_traces``), so this module imports
+no numpy.  The dense references and the hard family's instances are in
+``fidest.linalg``.
+"""
 
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .circuits import QubitCapExceeded, build_flagged_encoding, build_swap_test
+from .circuits import build_flagged_encoding, build_swap_test
 from .estimation import (
     ESTIMATOR_MAX_M,
     EstimationResult,
@@ -17,38 +21,10 @@ from .estimation import (
     readout_qubits,
     sqrt_amplitude_estimate,
 )
-from .linalg import PURITY_ATOL, DensityMatrix, zero_state
-from .oracles import PreparationOracle, check_instance_size
+from .oracles import PreparationOracle, QubitCapExceeded, check_instance_size, pair_traces
 
-
-def exact_fidelity_to_pure(rho: DensityMatrix, psi: np.ndarray) -> float:
-    """sqrt(<psi|rho|psi>), the fidelity of rho to the pure state psi."""
-    psi = np.asarray(psi, dtype=complex).ravel()
-    if psi.size != rho.dim:
-        raise ValueError(f"state length {psi.size} != density matrix dim {rho.dim}")
-    val = float(np.real(np.vdot(psi, rho.matrix @ psi)))
-    return math.sqrt(min(max(val, 0.0), 1.0))
-
-
-def exact_tr_rho_sigma2(rho, sigma) -> float:
-    """tr(rho sigma^2); equals <psi|rho|psi> when sigma is pure.
-
-    rho and sigma are DensityMatrix values or the raw states a sweep synthesises.
-    """
-    rho, sigma = np.asarray(rho), np.asarray(sigma)
-    if len(rho) != len(sigma):
-        raise ValueError(f"dimension mismatch: {len(rho)} vs {len(sigma)}")
-    val = float(np.trace(rho @ sigma @ sigma).real)
-    return min(max(val, 0.0), 1.0)
-
-
-def hellinger_distance(p, q) -> float:
-    """sqrt(1/2 sum_j (sqrt(p_j) - sqrt(q_j))^2) for two distributions."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if p.shape != q.shape:
-        raise ValueError(f"distribution shapes differ: {p.shape} vs {q.shape}")
-    return math.sqrt(0.5 * float(np.sum((np.sqrt(p) - np.sqrt(q)) ** 2)))
+#: A state counts as pure when tr(rho^2) >= 1 - PURITY_ATOL; compared in ``Estimator.bind`` alone.
+PURITY_ATOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,29 +77,11 @@ class Estimator:
         """Readout qubits m this estimator uses at target error epsilon; the SWAP test reads p."""
         return readout_qubits(self.delta(epsilon), square=self.swap_test)
 
-    def flag_probability(self, rho_oracle: PreparationOracle, second_oracle: PreparationOracle):
-        """Pr[C = 0] of this estimator's circuit on the pair, from the two prepared columns.
-
-        With M_u, M_v the columns as 2^k x 2^ancilla matrices (rho = M_u M_u^dag,
-        sigma = M_v M_v^dag), the flagged encoding has p = tr(rho sigma^2) =
-        ||M_v M_v^dag M_u||_F^2 and the SWAP test p = (1 + ||M_u^dag M_v||_F^2)/2.
-        """
-        mu = rho_oracle.prepared_state.reshape(1 << rho_oracle.system_qubits, -1)
-        mv = second_oracle.prepared_state.reshape(1 << second_oracle.system_qubits, -1)
-        # einsum, not a BLAS product (see fidest.linalg)
-        overlap = np.einsum("ia,ib->ab", mu.conj(), mv)
-        if self.swap_test:
-            p = (1.0 + float(np.vdot(overlap, overlap).real)) / 2.0
-        else:
-            flagged = np.einsum("ib,ab->ia", mv, overlap.conj())
-            p = float(np.vdot(flagged, flagged).real)
-        return min(max(p, 0.0), 1.0)
-
     def bind(self, name: str, rho_oracle: PreparationOracle, second_oracle: PreparationOracle):
         """Check the required purities and build the circuit once for an oracle pair.
 
-        Returns estimate(epsilon, seed) -> EstimationResult; every call shares
-        the pair's p, taken once from the columns, and the circuit is never executed.
+        Returns the ``BoundEstimator`` of the pair: its p and true value come
+        from one contraction of the two columns, and the circuit is never executed.
         """
         if self.second_pure and not second_oracle.purity() >= 1.0 - PURITY_ATOL:
             raise ValueError(f"the {name} estimator requires a pure second state")
@@ -131,18 +89,42 @@ class Estimator:
             raise ValueError(f"the {name} estimator requires a pure first state")
         build = build_swap_test if self.swap_test else build_flagged_encoding
         once = build(rho_oracle, second_oracle).queries()  # building checks the pair
-        p = self.flag_probability(rho_oracle, second_oracle)
-        if not self.swap_test:
-            return lambda epsilon, seed: sqrt_amplitude_estimate(p, once, self.delta(epsilon), seed)
+        tr_sigma, tr_sigma2 = pair_traces(rho_oracle, second_oracle)
+        p = _unit((1.0 + tr_sigma) / 2.0 if self.swap_test else tr_sigma2)
+        return BoundEstimator(self, p, math.sqrt(_unit(tr_sigma2)), once)
 
-        def estimate(epsilon: float, seed: int) -> EstimationResult:
-            inner = amplitude_estimate(p, once, self.delta(epsilon), seed)
-            # near F = 0 the back-transform 2p - 1 can go negative; clamping
-            # it at zero inflates the worst-case error there
-            value = math.sqrt(max(2.0 * inner.estimate - 1.0, 0.0))
-            return dataclasses.replace(inner, estimate=min(value, 1.0))
 
-        return estimate
+def _unit(x: float) -> float:
+    return min(max(x, 0.0), 1.0)
+
+
+@dataclass(frozen=True, eq=False)
+class BoundEstimator:
+    """An estimator bound to one checked oracle pair (``Estimator.bind``).
+
+    With M_u, M_v the prepared columns as 2^k x 2^ancilla matrices (rho =
+    M_u M_u^dag, sigma = M_v M_v^dag), ``p`` is Pr[C = 0] of the estimator's
+    circuit: tr(rho sigma^2) = ||M_v M_v^dag M_u||_F^2 for the flagged
+    encoding and (1 + ||M_u^dag M_v||_F^2)/2 for the SWAP test.
+    ``true_value`` is sqrt(tr(rho sigma^2)) from the same contraction, so for
+    the flagged encoding it is sqrt(p) to the bit.  A call estimates at
+    (epsilon, seed); every call shares p.
+    """
+
+    estimator: Estimator
+    p: float
+    true_value: float
+    once: dict
+
+    def __call__(self, epsilon: float, seed: int) -> EstimationResult:
+        delta = self.estimator.delta(epsilon)
+        if not self.estimator.swap_test:
+            return sqrt_amplitude_estimate(self.p, self.once, delta, seed)
+        inner = amplitude_estimate(self.p, self.once, delta, seed)
+        # near F = 0 the back-transform 2p - 1 can go negative; clamping
+        # it at zero inflates the worst-case error there
+        value = math.sqrt(max(2.0 * inner.estimate - 1.0, 0.0))
+        return dataclasses.replace(inner, estimate=min(value, 1.0))
 
 
 #: estimator name -> Estimator; the CLI's --estimator choices, in this order
@@ -174,37 +156,6 @@ def sqrt_tr_rho_sigma2_estimate(task: FidelityTask) -> EstimationResult:
     return _run_task("tr-rho-sigma2", task)
 
 
-@dataclass(frozen=True, eq=False)
-class HardInstance:
-    """One member of the rank-r adversarial family against |0>.
-
-    The oracle loads sqrt(weights) amplitudes directly (zero-size ancilla);
-    its fidelity to |0> is sqrt(p + sign*eps) exactly, while the +/- pair's
-    loading distributions sit at Hellinger distance O(eps).  An instance holds
-    only its weights; ``oracle``, ``target`` (the state |0...0> the fidelity
-    is taken to) and ``rho`` (the dense diagonal state) are built on first read.
-    """
-
-    p: float
-    eps: float
-    rank: int
-    sign: int
-    distribution: np.ndarray
-
-    @functools.cached_property
-    def oracle(self) -> PreparationOracle:
-        k = self.distribution.size.bit_length() - 1
-        return PreparationOracle(np.sqrt(self.distribution), k, 0, "U")
-
-    @functools.cached_property
-    def target(self) -> np.ndarray:
-        return zero_state(self.oracle.system_qubits)
-
-    @functools.cached_property
-    def rho(self) -> DensityMatrix:
-        return DensityMatrix(np.diag(self.distribution).astype(complex))
-
-
 def _check_hard_pair_weights(p: float, eps: float) -> None:
     if not (0.0 < p + eps < 1.0 and 0.0 < p - eps < 1.0):
         raise ValueError(f"p={p} with epsilon={eps} leaves (0, 1)")
@@ -216,22 +167,6 @@ def check_hard_family(p: float, eps: float, rank: int, k: int) -> None:
     if rank < 2:
         raise ValueError(f"rank must be >= 2, got {rank}")
     _check_hard_pair_weights(p, eps)
-
-
-def hard_instance(p: float, eps: float, rank: int, sign: int, k: int) -> HardInstance:
-    """Build the rank-``rank`` instance with first weight p + sign*eps on 2^k outcomes (check_hard_family)."""
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
-    check_hard_family(p, eps, rank, k)
-    weights = np.zeros(1 << k)
-    weights[0] = p + sign * eps
-    weights[1:rank] = (1.0 - p - sign * eps) / (rank - 1)
-    return HardInstance(p, eps, rank, sign, weights)
-
-
-def hard_pair(p: float, eps: float, rank: int, k: int):
-    """The +/- instance pair sharing (p, eps, rank)."""
-    return hard_instance(p, eps, rank, 1, k), hard_instance(p, eps, rank, -1, k)
 
 
 def hard_pair_hellinger(p: float, eps: float) -> float:

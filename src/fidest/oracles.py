@@ -3,34 +3,55 @@
 A mixed state is served through a unitary on a system register plus an
 ancilla register; applied to the all-zeros input it yields a pure state
 whose reduced system matrix is the target.  An oracle is held as that
-prepared column alone: its unitary is the column's Householder completion
-U = (I - tau v v^dag) diag(d, 1, ...), applied in place along axis 1 of a
-(pre, 2^n, post) view as two passes and a row scale, built densely on request.
-The Householder factors are built on the first application, and the reduced
-state's purity is read from the column, so an oracle that is only read
-builds neither them nor a density matrix.  A random instance's column is the
-Gaussian factor its state is drawn from (``synthesize_instance``); the eigh
-purification of a given state is a reference (``fidest.reference``).
-Oracles are immutable values.  A circuit invokes an oracle plain or inverse
-and says how often, per kind (``Circuit.queries``); the estimators derive a
-whole run's tallies from that in closed form, and its controlled and
-controlled_inverse kinds come only from ``fidest.estimation._query_tally``.
+prepared column alone, a tuple of Python complex: its unitary is the
+column's Householder completion, which ``fidest.linalg`` applies and builds.
+Everything a sweep reads of an oracle pair is a ``math.fsum`` contraction of
+the two columns over the ancilla columns that hold a nonzero entry: the
+reduced state's purity (``PreparationOracle.purity``) and the traces
+tr(rho sigma) and tr(rho sigma^2) (``pair_traces``), so a rank-r_u, rank-r_v
+pair costs O((2^k + r_u) r_v (r_u + r_v)) products and rests on no BLAS
+kernel.  A random instance's
+column is the Gaussian factor its state is drawn from
+(``synthesize_instance``); the eigh purification of a given state is a
+reference (``fidest.reference``).  Oracles are immutable values.  A circuit
+invokes an oracle plain or inverse and says how often, per kind
+(``Circuit.queries``); the estimators derive a whole run's tallies from that
+in closed form, and its controlled and controlled_inverse kinds come only
+from ``fidest.estimation._query_tally``.
+
+This module imports no numpy: with ``fidest.streams``, ``fidest.circuits``,
+``fidest.estimation`` and ``fidest.fidelity`` it is the whole of what a sweep
+or a single estimate runs.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 
-import numpy as np
-
-from .linalg import ATOL_STRUCT, DensityMatrix, require_unitary
 from .streams import uniforms
 
 QUERY_KINDS = ("plain", "inverse", "controlled", "controlled_inverse")
 
 INSTANCE_KINDS = ("haar_pure", "ginibre_mixed")
+
+#: Tolerance for structural invariants (unitarity, Hermiticity, norms, trace).
+ATOL_STRUCT = 1e-10
+
+#: Qubit cap of an executed statevector: a 22-qubit state is 64 MiB.
+QUBIT_CAP = 22
+
+
+class QubitCapExceeded(ValueError):
+    """A circuit, an operator or a readout register would exceed its qubit cap."""
+
+
+def _dot(x, y) -> float:
+    """sum_i x_i y_i as one math.fsum of the rounded products: the exact sum, rounded once."""
+    return math.fsum(map(operator.mul, x, y))
 
 
 @dataclass(frozen=True, eq=False)
@@ -38,117 +59,100 @@ class PreparationOracle:
     """State-preparation oracle held as its prepared column.
 
     ``prepared_state`` (system qubits most significant, then ancilla) is
-    U|0...0>; U is its Householder completion, applied by ``apply``.  The
-    column is checked on construction; the Householder factors are built on
-    the first ``apply``, so an oracle that is only read (a sweep's) builds none.
+    U|0...0>, held as a tuple of Python complex; its norm is checked on
+    construction, by a ``math.fsum``.  U is the column's Householder
+    completion (``fidest.linalg.apply_oracle``).
     """
 
-    prepared_state: np.ndarray
+    prepared_state: tuple
     system_qubits: int
     ancilla_qubits: int
     label: str
 
     def __post_init__(self):
-        col = np.array(self.prepared_state, dtype=complex)
+        col = tuple(map(complex, self.prepared_state))
         dim = 1 << self.num_qubits
-        if col.shape != (dim,):
+        if len(col) != dim:
             raise ValueError(
-                f"oracle column shape {col.shape} != ({dim},) for "
+                f"oracle column length {len(col)} != {dim} for "
                 f"{self.system_qubits}+{self.ancilla_qubits} qubits"
             )
-        norm = float(np.linalg.norm(col))
+        try:
+            norm = math.sqrt(_dot(map(abs, col), map(abs, col)))
+        except OverflowError:  # finite squares whose sum overflows
+            norm = math.inf
         if not abs(norm - 1.0) <= ATOL_STRUCT:  # also rejects a non-finite column
             raise ValueError(f"oracle {self.label!r} column norm {norm} is not 1")
-        col.flags.writeable = False
         object.__setattr__(self, "prepared_state", col)
-
-    @functools.cached_property
-    def _householder(self) -> tuple:
-        """(v, tau, d) of U = (I - tau v v^dag) diag(d, 1, ...) (Golub and Van Loan,
-        Matrix Computations, 5.1.3): v = e0 - conj(d) col maps d e0 to col, and
-        d = -col[0]/|col[0]| (-1 if 0) makes v[0] = 1 + |col[0]| >= 1, so tau needs
-        no guard.  tau = 2/||v||^2, not 1/(1 + |col[0]|), keeps H an exact
-        reflection for any column norm within ATOL_STRUCT of 1."""
-        col = self.prepared_state
-        r = abs(col[0])
-        d = -col[0] / r if r else complex(-1.0)
-        v = -np.conj(d) * col
-        v[0] += 1.0
-        tau = 2.0 / float(np.vdot(v, v).real)
-        v.flags.writeable = False
-        return v, tau, d
-
-    def apply(self, blocks: np.ndarray, inverse: bool = False) -> None:
-        """U (or U^dag) along axis 1 of a (pre, 2^num_qubits, post) array, in place,
-        as one dot pass and one update pass, after a scale of row 0 by d (or
-        before one by conj(d), for U^dag)."""
-        v, tau, d = self._householder
-        if not inverse:
-            blocks[:, 0] *= d
-        # v^dag x per column: one short dot each, never a BLAS product (see fidest.linalg)
-        w = np.vecdot(v, blocks.swapaxes(1, 2))[:, np.newaxis]
-        tv = (tau * v)[:, np.newaxis]
-        # the rank-one update runs on two contiguous halves (of the leading
-        # axis, or of the rows if that axis has length 1): a whole-size
-        # product, with numpy's broadcast buffers, is freed at the top of the
-        # heap, where glibc trims it and faults it back in on the next op
-        h = len(blocks) // 2
-        if h:
-            for a in (slice(None, h), slice(h, None)):
-                blocks[a] -= tv * w[a]
-        else:
-            h = len(v) // 2
-            for i in (slice(None, h), slice(h, None)):
-                blocks[:, i] -= tv[i] * w
-        if inverse:
-            blocks[:, 0] *= np.conj(d)
 
     @property
     def num_qubits(self) -> int:
         return self.system_qubits + self.ancilla_qubits
 
-    @property
-    def unitary(self) -> np.ndarray:
-        """Dense U, built on request: the oracle applied in place to the identity."""
-        u = np.eye(1 << self.num_qubits, dtype=complex)
-        self.apply(u[np.newaxis])
-        return u
+    @functools.cached_property
+    def _columns(self) -> list:
+        """The ancilla columns of M (the column as a 2^system x 2^ancilla matrix) that hold a
+        nonzero entry, each as its 2^system real parts followed by its 2^system imaginary parts."""
+        width = 1 << self.ancilla_qubits
+        columns = (self.prepared_state[a::width] for a in range(width))
+        return [[z.real for z in col] + [z.imag for z in col] for col in columns if any(col)]
+
+    @functools.cached_property
+    def _gram(self) -> list:
+        """M^dag M over the nonzero ancilla columns, in ``_overlap``'s layout."""
+        return _gram_of(self._columns)
 
     def purity(self) -> float:
-        """tr(rho^2) of the reduced system state rho = M M^dag, read from the
-        column M (2^system x 2^ancilla) as ||M^dag M||_F^2: an einsum, no BLAS
-        product (see fidest.linalg) and no density matrix."""
-        m = self.prepared_state.reshape(1 << self.system_qubits, 1 << self.ancilla_qubits)
-        gram = np.einsum("ia,ib->ab", m.conj(), m)
-        return float(np.vdot(gram, gram).real)
-
-    def reduced_state(self) -> DensityMatrix:
-        """Density matrix of the system register of the prepared state."""
-        m = self.prepared_state.reshape(1 << self.system_qubits, 1 << self.ancilla_qubits)
-        rho = m @ m.conj().T
-        return DensityMatrix(0.5 * (rho + rho.conj().T))
+        """tr(rho^2) of the reduced system state rho = M M^dag, read from the column
+        M (2^system x 2^ancilla) as ||M^dag M||_F^2, a math.fsum contraction: no density matrix."""
+        return math.fsum(x * x for row in self._gram for x in row)
 
 
-def purified_channel_oracle(
-    channel_unitary: np.ndarray, system_qubits: int, label: str = "U"
-) -> PreparationOracle:
-    """Wrap a purified channel unitary as a preparation oracle.
+def _turned(column: list) -> list:
+    """(Im, -Re) of a column held as (Re, Im), so that <x|y> = x . y + i x . turned(y)."""
+    d = len(column) // 2
+    return column[d:] + [-x for x in column[:d]]
 
-    The unitary acts on system plus ancilla; run on |0>|0> it prepares
-    a purification of the channel's output on the all-zeros input, so it
-    serves as purified access to that state.  Only its first column is kept:
-    the oracle is that column's completion, which agrees with the input on
-    every quantity read from U|0...0>.
-    """
-    u = np.asarray(channel_unitary, dtype=complex)
-    require_unitary(u, what="channel unitary")
-    dim = u.shape[0]
-    n = dim.bit_length() - 1
-    if dim < 2 or dim & (dim - 1):
-        raise ValueError(f"channel unitary dimension {dim} is not a power of two")
-    if system_qubits < 1 or system_qubits > n:
-        raise ValueError(f"system_qubits {system_qubits} invalid for a {n}-qubit unitary")
-    return PreparationOracle(u[:, 0], system_qubits, n - system_qubits, label)
+
+def _overlap(xs: list, ys: list) -> list:
+    """X^dag Y of two lists of columns, each held as its real parts then its imaginary parts:
+    row a holds the real parts of <x_a|y_b> over b, then their imaginary parts, each a
+    math.fsum of its rounded products."""
+    turned = [_turned(y) for y in ys]
+    return [[_dot(x, y) for y in ys] + [_dot(x, t) for t in turned] for x in xs]
+
+
+def _gram_of(xs: list) -> list:
+    """``_overlap(xs, xs)``, to the bit, summing only <x_a|x_b> for b >= a: <x_b|x_a> sums the
+    same products, with the imaginary ones negated, so the rest is an exact mirror."""
+    n = len(xs)
+    rows = [[0.0] * (2 * n) for _ in xs]
+    turned = [_turned(x) for x in xs]
+    for a, x in enumerate(xs):
+        for b in range(a, n):
+            re, im = _dot(x, xs[b]), _dot(x, turned[b])
+            rows[b][a], rows[b][n + a] = re, -im
+            rows[a][b], rows[a][n + b] = re, im  # written last, so the diagonal keeps +im
+    return rows
+
+
+def pair_traces(u: PreparationOracle, v: PreparationOracle) -> tuple:
+    """(tr(rho sigma), tr(rho sigma^2)) of the states rho = M_u M_u^dag and sigma = M_v M_v^dag the
+    oracles prepare, from one contraction of their columns.  With O = M_u^dag M_v, Z = O^dag O and
+    the Gram matrix G = M_v^dag M_v, tr(rho sigma) = ||O||_F^2 and tr(rho sigma^2) = tr(Z G), the
+    real inner product of the two Hermitian matrices.  Each entry is a math.fsum of its rounded
+    real products, so the traces rest on IEEE arithmetic alone, on no BLAS kernel.  Only the
+    ancilla columns that hold a nonzero entry are read: a rank-r_u, rank-r_v pair costs
+    O((2^k + r_u) r_v (r_u + r_v)) products."""
+    if u.system_qubits != v.system_qubits:
+        raise ValueError(f"system size mismatch: {u.system_qubits} vs {v.system_qubits} qubits")
+    overlap = _overlap(u._columns, v._columns)
+    r = len(v._columns)
+    z = _gram_of([[row[b] for row in overlap] + [row[r + b] for row in overlap] for b in range(r)])
+    return (
+        math.fsum(x * x for row in overlap for x in row),
+        _dot(itertools.chain(*z), itertools.chain(*v._gram)),
+    )
 
 
 def check_instance_size(k: int, rank: int) -> None:
@@ -194,33 +198,22 @@ def complex_gaussians(seed: int, n: int) -> list:
     return out
 
 
-def synthesize_instance(spec: RandomInstanceSpec, label: str = "U"):
-    """Draw ``(rho, PreparationOracle)`` deterministically from a spec; rho is a
-    read-only array.
+def synthesize_instance(spec: RandomInstanceSpec, label: str = "U") -> PreparationOracle:
+    """The oracle of a spec's random state, drawn deterministically from its seed.
 
     Both kinds draw g, a normalized complex-Gaussian d x rank matrix
-    (``complex_gaussians`` of the spec's seed, row by row): a
-    Haar-random pure state whose reduced system state is rho = g g^dag (the
-    induced measure), so the oracle's column is g itself, zero-padded to a
-    d x d ancilla (psi (x) |0> for haar_pure, whose rho is psi psi^dag).
-    rho, a Gram matrix symmetrised and divided by its trace, is Hermitian,
-    unit-trace and PSD by construction, so it is not re-validated here;
-    ``sample_instance`` wraps it in a checked ``DensityMatrix``.
+    (``complex_gaussians`` of the spec's seed, row by row): a Haar-random
+    pure state whose reduced system state is rho = g g^dag (the induced
+    measure), so the oracle's column is g itself, zero-padded to a d x d
+    ancilla (psi (x) |0> for haar_pure, whose rho is psi psi^dag).  g is
+    normalised entry by entry by a math.fsum norm, so the column rests on
+    libm alone.  ``fidest.linalg.sample_instance`` adds the dense rho.
     """
     d = 1 << spec.k
-    parts = np.array(complex_gaussians(spec.seed, d * spec.rank)).view(float)  # Re, Im interleaved
-    # a math.fsum norm and elementwise float ops: the column rests on libm, not on a BLAS kernel
-    g = (parts / math.sqrt(math.fsum((parts * parts).tolist()))).view(complex).reshape(d, spec.rank)
-    rho = np.outer(g, g.conj()) if spec.kind == "haar_pure" else g @ g.conj().T
-    rho = 0.5 * (rho + rho.conj().T)
-    rho /= np.trace(rho).real
-    rho.flags.writeable = False
-    column = np.zeros((d, d), dtype=complex)
-    column[:, : spec.rank] = g
-    return rho, PreparationOracle(column.ravel(), spec.k, spec.k, label)
-
-
-def sample_instance(spec: RandomInstanceSpec, label: str = "U"):
-    """``synthesize_instance`` with its state as a validated ``DensityMatrix``."""
-    rho, oracle = synthesize_instance(spec, label)
-    return DensityMatrix(rho), oracle
+    gaussians = complex_gaussians(spec.seed, d * spec.rank)
+    re, im = [z.real for z in gaussians], [z.imag for z in gaussians]
+    norm = math.sqrt(_dot(re + im, re + im))
+    g = [complex(a / norm, b / norm) for a, b in zip(re, im)]
+    pad = [0j] * (d - spec.rank)
+    column = [z for i in range(0, d * spec.rank, spec.rank) for z in g[i : i + spec.rank] + pad]
+    return PreparationOracle(column, spec.k, spec.k, label)

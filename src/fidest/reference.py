@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .circuits import Circuit, OracleOp, QubitCapExceeded, _apply_op, execute, register_zero_probability
-from .linalg import ATOL_STRUCT, DensityMatrix, _hermiticity_error
-from .oracles import PreparationOracle
+from .circuits import Circuit, OracleOp
+from .linalg import DensityMatrix, _apply_op, _hermiticity_error, execute, register_zero_probability
+from .oracles import ATOL_STRUCT, PreparationOracle, QubitCapExceeded
 
 #: Qubit cap for materializing a dense circuit unitary (a 4^n matrix).
 UNITARY_MAX_QUBITS = 12
@@ -62,7 +62,7 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
 
 
 def flag_probability(preparer: Circuit, flag_register: str) -> float:
-    """Pr[flag = 0] of the executed preparer; Estimator.flag_probability has it in closed form."""
+    """Pr[flag = 0] of the executed preparer; Estimator.bind takes it in closed form from the columns."""
     p = register_zero_probability(execute(preparer), preparer.layout, (flag_register,))
     return min(max(p, 0.0), 1.0)
 

@@ -2,13 +2,8 @@ import math
 
 import numpy as np
 
-from fidest.fidelity import hard_pair
-from fidest.oracles import (
-    PreparationOracle,
-    RandomInstanceSpec,
-    purified_channel_oracle,
-    sample_instance,
-)
+from fidest.linalg import hard_pair, purified_channel_oracle, sample_instance
+from fidest.oracles import PreparationOracle, RandomInstanceSpec
 from fidest.reference import purify
 
 
@@ -35,6 +30,16 @@ def resized_oracle(dm, ancilla_qubits, label="U"):
     da = 1 << ancilla_qubits
     m = m[:, :da] if da <= dm.dim else np.pad(m, ((0, 0), (0, da - dm.dim)))
     return PreparationOracle(m.ravel(), dm.num_qubits, ancilla_qubits, label)
+
+
+def ancilla_rotated(oracle, seed):
+    """The oracle's reduced state behind a random unitary on its ancilla: a
+    purification that is not the canonical one."""
+    rng = np.random.default_rng(seed)
+    da = 1 << oracle.ancilla_qubits
+    w, _ = np.linalg.qr(rng.standard_normal((da, da)) + 1j * rng.standard_normal((da, da)))
+    m = np.array(oracle.prepared_state).reshape(-1, da) @ w
+    return PreparationOracle(m.ravel(), oracle.system_qubits, oracle.ancilla_qubits, oracle.label)
 
 
 def principal_eigvec(dm):

@@ -11,33 +11,31 @@ import time
 
 import numpy as np
 
-from fidest.circuits import (
-    analyze_flagged,
-    build_encoding_circuit,
-    build_restructured_encoding,
-    build_swap_test,
-    execute,
-    register_zero_probability,
-)
+from fidest.circuits import build_encoding_circuit, build_restructured_encoding, build_swap_test
 from fidest.cli import ExperimentConfig, ExperimentRecord, fit_scaling, main, run
 from fidest.fidelity import (
-    exact_fidelity_to_pure,
-    exact_tr_rho_sigma2,
     fidelity_to_pure,
-    hard_instance,
-    hard_pair,
     hard_pair_hellinger,
-    hellinger_distance,
     make_task,
     sqrt_tr_rho_sigma2_estimate,
     swap_test_estimate,
 )
-from fidest.linalg import unitarity_error
-from fidest.oracles import (
-    RandomInstanceSpec,
+from fidest.linalg import (
+    analyze_flagged,
+    exact_fidelity_to_pure,
+    exact_tr_rho_sigma2,
+    execute,
+    hard_instance,
+    hard_pair,
+    hellinger_distance,
+    oracle_unitary,
     purified_channel_oracle,
+    reduced_state,
+    register_zero_probability,
     sample_instance,
+    unitarity_error,
 )
+from fidest.oracles import RandomInstanceSpec
 from fidest.reference import uhlmann_fidelity
 
 from conftest import dense_sqrt_tr_rho_sigma2
@@ -252,10 +250,10 @@ def test_criterion_9_oracle_soundness():
     total = 0
     for _, rho, u, psi, v, sigma, w in corpus_pairs():
         for oracle, dm in ((u, rho), (v, psi), (w, sigma)):
-            worst_unitarity = max(worst_unitarity, unitarity_error(oracle.unitary))
+            worst_unitarity = max(worst_unitarity, unitarity_error(oracle_unitary(oracle)))
             worst_reconstruction = max(
                 worst_reconstruction,
-                float(np.max(np.abs(oracle.reduced_state().matrix - dm.matrix))),
+                float(np.max(np.abs(reduced_state(oracle).matrix - dm.matrix))),
             )
             total += 1
     # channel-wrapped and amplitude-loading oracles
@@ -263,16 +261,16 @@ def test_criterion_9_oracle_soundness():
     g = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
     q, _ = np.linalg.qr(g)
     chan = purified_channel_oracle(q, 1)
-    worst_unitarity = max(worst_unitarity, unitarity_error(chan.unitary))
+    worst_unitarity = max(worst_unitarity, unitarity_error(oracle_unitary(chan)))
     total += 1
     for sign in (1, -1):
         inst = hard_instance(0.5, 0.1, 2, sign, k=2)
-        worst_unitarity = max(worst_unitarity, unitarity_error(inst.oracle.unitary))
+        worst_unitarity = max(worst_unitarity, unitarity_error(oracle_unitary(inst.oracle)))
         loaded = np.sqrt(inst.distribution)
         expected = np.outer(loaded, loaded.conj())
         worst_reconstruction = max(
             worst_reconstruction,
-            float(np.max(np.abs(inst.oracle.reduced_state().matrix - expected))),
+            float(np.max(np.abs(reduced_state(inst.oracle).matrix - expected))),
         )
         total += 1
     _report(

@@ -16,10 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import fidest.circuits
 import fidest.cli
 import fidest.fidelity
-from fidest.circuits import QubitCapExceeded
+import fidest.linalg
 from fidest.cli import (
     COMMANDS,
     CSV_HEADER,
@@ -28,7 +27,6 @@ from fidest.cli import (
     ExperimentConfig,
     ExperimentRecord,
     _identity_residuals,
-    _oracle_unitarity_residual,
     build_parser,
     config_from_args,
     derive_seed,
@@ -36,9 +34,15 @@ from fidest.cli import (
     main,
     run,
 )
-from fidest.fidelity import Estimator, hard_instance, hard_pair_hellinger
-from fidest.linalg import unitarity_error
-from fidest.oracles import PreparationOracle, RandomInstanceSpec, sample_instance
+from fidest.fidelity import hard_pair_hellinger
+from fidest.linalg import (
+    hard_instance,
+    oracle_unitarity_residual,
+    oracle_unitary,
+    sample_instance,
+    unitarity_error,
+)
+from fidest.oracles import QubitCapExceeded, RandomInstanceSpec
 
 from conftest import generated_oracles
 
@@ -227,33 +231,33 @@ class TestFitScaling:
         assert fit_scaling(records)["optimal"] == pytest.approx(-math.log10(2), abs=1e-12)
 
 
-#: The instance samplers the CLI calls: a sweep synthesises raw states,
-#: verify-identities samples validated DensityMatrix states.
-SAMPLERS = ("synthesize_instance", "sample_instance")
+#: The instance samplers the CLI calls, by module: a sweep synthesises oracles alone,
+#: verify-identities samples them with validated DensityMatrix states.
+SAMPLERS = ((fidest.cli, "synthesize_instance"), (fidest.linalg, "sample_instance"))
 
 
 def count_sampling(monkeypatch):
-    """Wrap both fidest.cli samplers; return the list of sampler names called."""
+    """Wrap both samplers where the CLI reads them; return the list of sampler names called."""
     calls = []
-    for name in SAMPLERS:
-        original = getattr(fidest.cli, name)
+    for module, name in SAMPLERS:
+        original = getattr(module, name)
 
         def counting(*args, name=name, original=original, **kwargs):
             calls.append(name)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(fidest.cli, name, counting)
+        monkeypatch.setattr(module, name, counting)
     return calls
 
 
 def forbid_sampling(monkeypatch, check="the config checks"):
-    """Make any call of either fidest.cli sampler fail the test."""
+    """Make any call of either sampler fail the test."""
 
     def no_synthesis(*args, **kwargs):
         raise AssertionError(f"an instance was sampled before {check}")
 
-    for name in SAMPLERS:
-        monkeypatch.setattr(fidest.cli, name, no_synthesis)
+    for module, name in SAMPLERS:
+        monkeypatch.setattr(module, name, no_synthesis)
 
 
 class TestVerifyIdentities:
@@ -293,8 +297,8 @@ class TestVerifyIdentities:
 
 def corrupted(oracle):
     """The oracle with its Householder tau scaled by 1.5, so its U is not unitary."""
-    v, tau, d = oracle._householder
-    object.__setattr__(oracle, "_householder", (v, 1.5 * tau, d))
+    v, tau, d = fidest.linalg._householder(oracle)
+    fidest.linalg._FACTORS[oracle] = (v, 1.5 * tau, d)
     return oracle
 
 
@@ -303,43 +307,43 @@ class TestOracleUnitarityResidual:
         oracles = list(generated_oracles())
         assert len(oracles) == 60
         for oracle in oracles:
-            dense = unitarity_error(oracle.unitary)
-            assert abs(_oracle_unitarity_residual(oracle) - dense) <= 1e-14
+            dense = unitarity_error(oracle_unitary(oracle))
+            assert abs(oracle_unitarity_residual(oracle) - dense) <= 1e-14
 
     def test_fails_a_non_unitary_oracle(self):
         oracle = corrupted(sample_instance(RandomInstanceSpec(2, 2, 0, "ginibre_mixed"))[1])
-        assert unitarity_error(oracle.unitary) > 1e-10
-        assert _oracle_unitarity_residual(oracle) > 1e-10
+        assert unitarity_error(oracle_unitary(oracle)) > 1e-10
+        assert oracle_unitarity_residual(oracle) > 1e-10
 
     @staticmethod
     def with_inverse_queries(monkeypatch, inverses):
         """Patch the inverse query of each oracle in ``inverses`` (keyed by id) to
         write the given matrix's product into its blocks, in place as apply does."""
-        forward = PreparationOracle.apply
+        forward = fidest.linalg.apply_oracle
 
-        def apply(self, blocks, inverse=False):
+        def apply(oracle, blocks, inverse=False):
             if not inverse:
-                return forward(self, blocks)
-            blocks[...] = np.einsum("ij,ajk->aik", inverses[id(self)], blocks)
+                return forward(oracle, blocks)
+            blocks[...] = np.einsum("ij,ajk->aik", inverses[id(oracle)], blocks)
 
-        monkeypatch.setattr(PreparationOracle, "apply", apply)
+        monkeypatch.setattr(fidest.linalg, "apply_oracle", apply)
 
     def test_fails_an_inverse_query_that_is_not_the_adjoint(self, monkeypatch):
         unitary = sample_instance(RandomInstanceSpec(2, 2, 0, "ginibre_mixed"))[1]
         bad = corrupted(sample_instance(RandomInstanceSpec(2, 2, 0, "ginibre_mixed"))[1])
         # inverse queries: U for the unitary oracle, and the exact inverse of
         # the corrupted U, which passes U^-1 U = I and is caught only as not U^dag
-        wrong = {id(unitary): unitary.unitary, id(bad): np.linalg.inv(bad.unitary)}
+        wrong = {id(unitary): oracle_unitary(unitary), id(bad): np.linalg.inv(oracle_unitary(bad))}
         self.with_inverse_queries(monkeypatch, wrong)
         for oracle in (unitary, bad):
-            assert _oracle_unitarity_residual(oracle) > 1e-10
+            assert oracle_unitarity_residual(oracle) > 1e-10
 
     def test_passes_the_same_patched_query_with_the_adjoint(self, monkeypatch):
         # the control for the test above: the patched query does reach the residual
         oracles = [sample_instance(RandomInstanceSpec(2, 2, seed, "ginibre_mixed"))[1] for seed in (0, 1)]
-        self.with_inverse_queries(monkeypatch, {id(o): o.unitary.conj().T for o in oracles})
+        self.with_inverse_queries(monkeypatch, {id(o): oracle_unitary(o).conj().T for o in oracles})
         for oracle in oracles:
-            assert _oracle_unitarity_residual(oracle) <= 1e-10
+            assert oracle_unitarity_residual(oracle) <= 1e-10
 
 
 class TestSweep:
@@ -453,21 +457,20 @@ class TestSweep:
         assert not out.exists()
 
     def test_executes_each_trial_circuit_once(self, tmp_path, monkeypatch):
-        # p depends only on the trial's oracle pair, not on epsilon: one
-        # closed-form evaluation per trial, and no circuit is executed
+        # p and the true value depend only on the trial's oracle pair, not on
+        # epsilon: one column contraction per trial, and no circuit is executed
         calls = []
-        original = Estimator.flag_probability
+        original = fidest.fidelity.pair_traces
 
-        def counting(estimator, rho_oracle, second_oracle):
+        def counting(rho_oracle, second_oracle):
             calls.append(rho_oracle)
-            return original(estimator, rho_oracle, second_oracle)
+            return original(rho_oracle, second_oracle)
 
         def executing(circuit):
             raise AssertionError("a sweep executed a circuit")
 
-        monkeypatch.setattr(Estimator, "flag_probability", counting)
-        for module in (fidest.circuits, fidest.cli):
-            monkeypatch.setattr(module, "execute", executing)
+        monkeypatch.setattr(fidest.fidelity, "pair_traces", counting)
+        monkeypatch.setattr(fidest.linalg, "execute", executing)
         config = ExperimentConfig(
             command="sweep",
             k=1,
@@ -637,11 +640,13 @@ class TestHardInstance:
     def test_hellinger_reads_only_the_nonzero_weights(self, monkeypatch, capsys, k, rank):
         lengths = []
 
+        original = fidest.linalg.hellinger_distance
+
         def recording(p, q):
             lengths.extend((len(p), len(q)))
-            return fidest.fidelity.hellinger_distance(p, q)
+            return original(p, q)
 
-        monkeypatch.setattr(fidest.cli, "hellinger_distance", recording)
+        monkeypatch.setattr(fidest.linalg, "hellinger_distance", recording)
         assert main(["hard-instance", "--k", str(k), "--rank", str(rank), "--epsilons", "0.1"]) == 0
         assert len(lengths) == 2 * 3
         assert max(lengths) <= rank
@@ -705,7 +710,7 @@ class TestHardInstance:
         def no_instances(*args, **kwargs):
             raise AssertionError("hard_pair called before the config checks")
 
-        monkeypatch.setattr(fidest.cli, "hard_pair", no_instances)
+        monkeypatch.setattr(fidest.linalg, "hard_pair", no_instances)
         out = tmp_path / "hard.csv"
         assert main(["hard-instance", *flags, "--output", str(out)]) == code
         assert message in capsys.readouterr().err
@@ -765,7 +770,7 @@ class TestMainEntry:
         def no_instances(*args, **kwargs):
             raise AssertionError("hard_pair called before the config checks")
 
-        monkeypatch.setattr(fidest.cli, "hard_pair", no_instances)
+        monkeypatch.setattr(fidest.linalg, "hard_pair", no_instances)
         cfg = tmp_path / "cfg.json"
         value = ExperimentConfig.__dataclass_fields__[key].default  # a valid value
         cfg.write_text(json.dumps({"command": command, key: value}))
@@ -839,7 +844,7 @@ class TestMainEntry:
         def no_instances(*args, **kwargs):
             raise AssertionError("hard_pair called before the config checks")
 
-        monkeypatch.setattr(fidest.cli, "hard_pair", no_instances)
+        monkeypatch.setattr(fidest.linalg, "hard_pair", no_instances)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"command": "sweep", "k": 2**70}))
         assert main([a.format(cfg=cfg) for a in argv]) == 3
@@ -854,7 +859,7 @@ class TestMainEntry:
         def no_instances(*args, **kwargs):
             raise AssertionError("hard_pair called before the config checks")
 
-        monkeypatch.setattr(fidest.cli, "hard_pair", no_instances)
+        monkeypatch.setattr(fidest.linalg, "hard_pair", no_instances)
         assert main([*argv, "--output", target and str(tmp_path / target)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -4,12 +4,11 @@ corpus_records.json holds, per argv, the exit code and stdout lines of the
 CLI.  Sweeps cover all four estimators at k = 1-3 in CSV and in JSON (one
 seed at or past 2^62), ``single`` runs once per estimator, ``hard-instance``
 runs at four (k, rank) sizes with epsilon down to 1e-12, and
-``verify-identities`` runs at k = 1-4.  Every cell must match exactly,
-except ``true_value`` and ``abs_error``, which are held to 1e-12: they pass
-through BLAS products and numpy's SIMD loops, so their last bits move with
-the CPU kernel OpenBLAS picks and with numpy's dispatch.  The JSON
-``scaling`` slopes are plain-float closed forms and are exact on every
-kernel; ``test_json_sweeps_match_on_every_kernel`` reruns the JSON sweeps
+``verify-identities`` runs at k = 1-4.  Every cell must match exactly:
+a sweep or a single estimate never loads numpy, so each of its cells, the
+``true_value``, ``abs_error`` and JSON ``scaling`` slopes included, rests on
+SHAKE-128, libm and ``math.fsum`` and not on a BLAS kernel or numpy's SIMD
+dispatch; ``test_json_sweeps_match_on_every_kernel`` reruns the JSON sweeps
 under other kernels and at baseline dispatch to hold them there.  wall_ms is
 masked, and verify-identities is pinned as its PASS lines and exit code, not
 its residual digits.
@@ -55,8 +54,6 @@ HARD = [
 ]
 IDENTITIES = [f"verify-identities --k {k} --trials 2 --seed 3" for k in (1, 2, 3, 4)]
 CORPUS = SWEEPS + SINGLES + HARD + IDENTITIES
-# CSV columns and JSON keys held to 1e-12
-LOOSE = {"true_value", "abs_error"}
 JSON_FIELD = re.compile(r'\s*"([^"]+)": (.*?),?$')
 
 
@@ -88,10 +85,7 @@ def assert_same(argv, got, want):
     assert len(got[1]) == len(want[1]), argv
     assert got[1][:1] == want[1][:1], argv  # a CSV header, or the first JSON line
     for (name, g), (_, w) in zip(cells(argv, got[1]), cells(argv, want[1]), strict=True):
-        if name in LOOSE:
-            assert abs(float(g) - float(w)) <= 1e-12, (argv, name, g, w)
-        else:
-            assert g == w, (argv, name, g, w)
+        assert g == w, (argv, name, g, w)
 
 
 @pytest.fixture(scope="module")
@@ -162,8 +156,8 @@ print(json.dumps({argv: cli_output(argv) for argv in JSON_SWEEPS}))
 @pytest.mark.skipif(not KERNELS_APPLY, reason="needs x86-64 Linux and numpy on OpenBLAS")
 @pytest.mark.parametrize("env", kernel_settings() if KERNELS_APPLY else [])
 def test_json_sweeps_match_on_every_kernel(pinned, env):
-    # every cell but true_value and abs_error, the scaling slopes included,
-    # keeps the pinned bits under each kernel and dispatch
+    # every cell, the true values and the scaling slopes included, keeps the
+    # pinned bits under each kernel and dispatch
     tests = Path(__file__).resolve().parent
     path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
     proc = subprocess.run(

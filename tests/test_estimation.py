@@ -14,15 +14,8 @@ import scipy.stats
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fidest import estimation
-from fidest.circuits import (
-    Circuit,
-    OracleOp,
-    QubitCapExceeded,
-    RegisterLayout,
-    build_flagged_encoding,
-    build_swap_test,
-)
+from fidest import estimation, linalg
+from fidest.circuits import Circuit, OracleOp, RegisterLayout, build_flagged_encoding, build_swap_test
 from fidest.cli import main
 from fidest.estimation import (
     _WINDOW,
@@ -37,7 +30,7 @@ from fidest.estimation import (
     sqrt_amplitude_estimate,
 )
 from fidest.fidelity import ESTIMATORS
-from fidest.oracles import PreparationOracle
+from fidest.oracles import PreparationOracle, QubitCapExceeded
 from fidest.reference import (
     executed_qpe_distribution,
     flag_probability,
@@ -101,14 +94,14 @@ class TestGroverOperator:
         _, v = mixed_instance(k, data.draw(rank, label="rank V"), data.draw(seed, label="seed V"), "V")
         preparer = build(u, v)
         applied = []
-        apply = PreparationOracle.apply
+        apply = linalg.apply_oracle
 
         def counting(oracle, blocks, inverse=False):
             applied.append(oracle.label)
             apply(oracle, blocks, inverse)
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(PreparationOracle, "apply", counting)
+            patch.setattr(linalg, "apply_oracle", counting)
             executed = executed_qpe_distribution(preparer, "C", m)
         expected = two_phase_law(flag_probability(preparer, "C"), m)
         assert 0.5 * np.sum(np.abs(executed - expected)) <= 1e-12

@@ -10,33 +10,37 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fidest import estimation
-from fidest.circuits import (
-    QubitCapExceeded,
-    analyze_flagged,
-    build_flagged_encoding,
-    build_restructured_encoding,
-    build_swap_test,
-    execute,
-)
+from fidest import cli
+from fidest.circuits import build_flagged_encoding, build_restructured_encoding, build_swap_test
 from fidest.fidelity import (
     ESTIMATORS,
     _run_task,
-    exact_fidelity_to_pure,
-    exact_tr_rho_sigma2,
     fidelity_to_pure,
-    hard_instance,
-    hard_pair,
     hard_pair_hellinger,
-    hellinger_distance,
     make_task,
     sqrt_tr_rho_sigma2_estimate,
     swap_test_estimate,
 )
-from fidest.linalg import DensityMatrix, zero_state
-from fidest.oracles import PreparationOracle, purified_channel_oracle
+from fidest.linalg import (
+    DensityMatrix,
+    analyze_flagged,
+    exact_fidelity_to_pure,
+    exact_tr_rho_sigma2,
+    execute,
+    hard_instance,
+    hard_pair,
+    hellinger_distance,
+    oracle_unitary,
+    purified_channel_oracle,
+    reduced_state,
+    sample_instance,
+    zero_state,
+)
+from fidest.oracles import QubitCapExceeded
 from fidest.reference import flag_probability, preparation_oracle, uhlmann_fidelity
 
 from conftest import (
+    ancilla_rotated,
     dense_sqrt_tr_rho_sigma2,
     mixed_instance,
     principal_eigvec,
@@ -114,21 +118,10 @@ class TestExactReferences:
         assert abs(uhlmann_fidelity(a, b) - uhlmann_fidelity(b, a)) <= 1e-9
 
 
-def ancilla_rotated(oracle, seed):
-    """The oracle's reduced state behind a random unitary on its ancilla: a
-    purification that is not the canonical one."""
-    rng = np.random.default_rng(seed)
-    da = 1 << oracle.ancilla_qubits
-    w, _ = np.linalg.qr(rng.standard_normal((da, da)) + 1j * rng.standard_normal((da, da)))
-    m = oracle.prepared_state.reshape(-1, da) @ w
-    return PreparationOracle(m.ravel(), oracle.system_qubits, oracle.ancilla_qubits, oracle.label)
-
-
 def assert_flag_probability_matches(name, u, v):
     """The p bind takes for the pair, held to the executed circuit within 1e-12; returns it."""
     estimator = ESTIMATORS[name]
-    estimator.bind(name, u, v)  # the pair passes the estimator's purity and size checks
-    p = estimator.flag_probability(u, v)
+    p = estimator.bind(name, u, v).p  # the pair passes the estimator's purity and size checks
     circuit = (build_swap_test if estimator.swap_test else build_flagged_encoding)(u, v)
     assert 0.0 <= p <= 1.0
     assert abs(p - flag_probability(circuit, "C")) <= 1e-12, name
@@ -265,6 +258,45 @@ class TestEstimatorTable:
             for name, estimator in ESTIMATORS.items():
                 p = assert_flag_probability_matches(name, u, v)
                 assert abs(p - (swap if estimator.swap_test else flagged)) <= 1e-12
+
+    @settings(database=None, deadline=None, max_examples=30)
+    @given(k=st.integers(1, 3), rank_index=st.integers(0, 7), seed=st.integers(0, (1 << 62) - 1))
+    def test_sweep_truth_is_the_dense_reference(self, k, rank_index, seed):
+        # a sweep's true value comes from the contraction that gives p: it is
+        # tr(rho sigma^2) of the dense states within 1e-12, and sqrt(p) to the
+        # bit for the flagged encoding
+        for name, estimator in ESTIMATORS.items():
+            rank = 1 if estimator.first_pure else rank_index % (1 << k) + 1
+            config = cli.ExperimentConfig(command="sweep", estimator=name, k=k, rank=rank, seed=seed)
+            [(record, _)] = cli._estimate_trial(config, 0)
+            kinds = {True: ("haar_pure", 1), False: ("ginibre_mixed", rank)}
+            rho, u = sample_instance(cli._spec(config, 0, 0, *kinds[estimator.first_pure]), "U")
+            sigma, v = sample_instance(cli._spec(config, 0, 1, *kinds[estimator.second_pure]), "V")
+            bound = estimator.bind(name, u, v)
+            assert record.true_value == bound.true_value, name
+            assert abs(bound.true_value**2 - exact_tr_rho_sigma2(rho, sigma)) <= 1e-12, name
+            if not estimator.swap_test:
+                assert bound.true_value == math.sqrt(bound.p), name
+
+    @settings(database=None, deadline=None, max_examples=30)
+    @given(
+        k=st.integers(1, 3),
+        rank_indices=st.tuples(st.integers(0, 7), st.integers(0, 7)),
+        extra_ancillas=st.tuples(st.integers(0, 2), st.integers(0, 2)),
+        seed=st.integers(0, (1 << 62) - 1),
+    )
+    def test_truth_of_any_purification_is_the_dense_reference(self, k, rank_indices, extra_ancillas, seed):
+        # the contraction reads a pair's columns in any ancilla basis and width
+        oracles = []
+        for rank_index, extra, label, offset in zip(rank_indices, extra_ancillas, "UV", (0, 1)):
+            rank = rank_index % (1 << k) + 1
+            dm, _ = mixed_instance(k, rank, seed + offset, label)
+            oracle = resized_oracle(dm, (rank - 1).bit_length() + extra, label)
+            oracles.append(ancilla_rotated(oracle, seed + offset))
+        bound = ESTIMATORS["tr-rho-sigma2"].bind("tr-rho-sigma2", *oracles)
+        exact = exact_tr_rho_sigma2(*(reduced_state(oracle) for oracle in oracles))
+        assert abs(bound.true_value**2 - exact) <= 1e-12
+        assert bound.true_value == math.sqrt(bound.p)
 
     @pytest.mark.parametrize(
         "name,m,u_queries,v_queries",
@@ -428,9 +460,9 @@ class TestPurePureFidelity:
         # purified access built from a channel unitary with a redundant
         # ancilla rotation; fidelity to itself must estimate 1
         phi = np.array([0.28, 0.96j], dtype=complex)
-        u_phi = state_oracle(phi).unitary
-        anc1 = state_oracle(np.array([1.0, 0.0], dtype=complex)).unitary
-        anc2 = state_oracle(np.array([0.6, 0.8], dtype=complex)).unitary
+        u_phi = oracle_unitary(state_oracle(phi))
+        anc1 = oracle_unitary(state_oracle(np.array([1.0, 0.0], dtype=complex)))
+        anc2 = oracle_unitary(state_oracle(np.array([0.6, 0.8], dtype=complex)))
         o1 = purified_channel_oracle(np.kron(u_phi, anc1), 1, "U")
         o2 = purified_channel_oracle(np.kron(u_phi, anc2), 1, "V")
         result = pure_pure_fidelity(make_task(o1, o2, 0.05, 3))
@@ -491,7 +523,7 @@ class TestHardInstances:
         # distance sqrt(2) H, the gap the hybrid-argument lower bound takes
         # (Bennett, Bernstein, Brassard and Vazirani, quant-ph/9701001)
         plus, minus = hard_pair(p, eps, rank, k)
-        distance = np.linalg.norm(plus.oracle.unitary - minus.oracle.unitary, 2)
+        distance = np.linalg.norm(oracle_unitary(plus.oracle) - oracle_unitary(minus.oracle), 2)
         assert distance == pytest.approx(math.sqrt(2.0) * hard_pair_hellinger(p, eps), rel=1e-9, abs=0.0)
 
     def test_degenerate_limit(self):

@@ -2,12 +2,12 @@
 
 golden_records.json holds, per argv, the stdout lines of the CLI, last
 regenerated when every uniform, seed and instance moved to the SHAKE-128
-streams of fidest.streams: sweep and hard-instance CSV without the wall_ms
+streams of fidest.streams, and again when the true value came to be read from the
+column contraction that gives p: sweep and hard-instance CSV without the wall_ms
 column, and the single JSON line.  Any change to an instance, a draw, an
-estimate or a query tally fails here.  Every cell must match exactly except true_value
-and abs_error, which pass through BLAS products and numpy's SIMD loops: their
-last bits move with the CPU kernel OpenBLAS picks and with numpy's dispatch,
-so they are held to 1e-12.
+estimate, a true value or a query tally fails here.  Every cell must match
+exactly: sweep and single outputs rest on SHAKE-128, libm and ``math.fsum``,
+with no numpy and no BLAS kernel.
 
 Regenerate (only for a change meant to alter outputs) with
 ``PYTHONPATH=src python tests/test_golden.py``.
@@ -34,7 +34,6 @@ CORPUS = [
     "single --estimator tr-rho-sigma2 --k 1 --seed 5 --epsilons 0.003",
     "hard-instance --k 2 --rank 3 --epsilons 0.1,0.01,0.001",
 ]
-LOOSE = {"true_value", "abs_error"}
 
 
 def cli_lines(argv):
@@ -56,16 +55,8 @@ def test_output_matches_golden_record(argv):
     assert list(golden) == CORPUS
     got, want = cli_lines(argv), golden[argv]
     assert len(got) == len(want)
-    assert got[0] == want[0]
-    if argv.startswith("single"):
-        return
-    header = got[0].split(",")
-    for got_row, want_row in zip(got[1:], want[1:]):
-        for name, g, w in zip(header, got_row.split(","), want_row.split(","), strict=True):
-            if name in LOOSE:
-                assert abs(float(g) - float(w)) <= 1e-12, (name, got_row, want_row)
-            else:
-                assert g == w, (name, got_row, want_row)
+    for got_row, want_row in zip(got, want):
+        assert got_row == want_row
 
 
 def test_corpus_reaches_the_rejection_tail(monkeypatch):

@@ -63,8 +63,10 @@ def test_derived_seed_is_pinned():
 
 def test_instance_column_is_pinned():
     # Box-Muller on libm's log, cos and sin, then a math.fsum norm: no BLAS kernel
-    _, oracle = synthesize_instance(RandomInstanceSpec(1, 2, 7, "ginibre_mixed"))
-    digest = hashlib.sha256(oracle.prepared_state.astype("<c16").tobytes()).hexdigest()
+    oracle = synthesize_instance(RandomInstanceSpec(1, 2, 7, "ginibre_mixed"))
+    digest = hashlib.sha256(struct.pack(f"<{2 * len(oracle.prepared_state)}d", *(
+        x for z in oracle.prepared_state for x in (z.real, z.imag)
+    ))).hexdigest()
     assert digest == "ec13fc0cb2cf2a30ea79a0ab920dc2d45d9a4edfdf690c4cdde7c02aa5c343d6", (
         "instance layer moved: oracles.synthesize_instance (libm log, cos or sin, or the stream)"
     )

@@ -10,8 +10,9 @@ command's flag defaults, the QPE sampler and the scaling fit compute in
 plain floats, no estimate executes a circuit, verify-identities checks
 oracle unitarity through the oracle's queries, with no dense product, only
 the reference module calls eigh, a hard instance holds no oracle, executed circuit ops
-act in place and make no BLAS call that OpenBLAS can thread, and a sweep
-validates no state and factors no oracle."""
+act in place and make no BLAS call that OpenBLAS can thread, a sweep
+validates no state and factors no oracle, and the estimate path (sweep and
+single) imports no numpy: fidest.linalg is its one module boundary."""
 
 import ast
 import dataclasses
@@ -27,22 +28,23 @@ import pytest
 import fidest
 import fidest.circuits
 import fidest.cli
-from fidest import estimation
+from fidest import estimation, linalg
 from fidest.circuits import Circuit, OracleOp, RegisterLayout
 from fidest.cli import COMMANDS, ExperimentConfig, build_parser, config_from_args, main
 from fidest.estimation import _KernelSampler
-from fidest.fidelity import ESTIMATORS, HardInstance
-from fidest.linalg import DensityMatrix
+from fidest.fidelity import ESTIMATORS
+from fidest.linalg import DensityMatrix, HardInstance
 from fidest.oracles import INSTANCE_KINDS, PreparationOracle, RandomInstanceSpec
 from fidest.reference import preparation_oracle, purify
 
 PACKAGE = Path(fidest.__file__).parent
 
 
-def imported_modules(path):
-    """Absolute names of the modules a package source file imports."""
+def imported_modules(source):
+    """Absolute names of the modules a package source file (or an AST node) imports."""
+    tree = ast.parse(source.read_text(encoding="utf-8")) if isinstance(source, Path) else source
     names = []
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             names.extend(alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
@@ -74,13 +76,82 @@ def test_cli_import_loads_no_scipy():
 
 
 def test_package_import_loads_the_production_modules_only():
-    # the modules the CLI runs, loaded before the CLI binds their functions;
-    # neither the CLI, the dense reference nor scipy
-    production = ["circuits", "estimation", "fidelity", "linalg", "oracles", "streams"]
+    # the modules a sweep or a single estimate runs, loaded before the CLI binds
+    # their functions; neither the CLI, the numpy side, the dense reference nor scipy
+    production = ["circuits", "estimation", "fidelity", "oracles", "streams"]
     assert loaded_modules("fidest") == ["fidest", *(f"fidest.{name}" for name in production)]
     # names are imported from their modules: the package binds no function or class
     values = [getattr(fidest, name) for name in dir(fidest)]
     assert not [v for v in values if inspect.isfunction(v) or inspect.isclass(v)]
+
+
+#: The modules a sweep or a single estimate runs: none of them imports numpy.
+ESTIMATE_PATH = ("__init__.py", "circuits.py", "cli.py", "estimation.py", "fidelity.py", "oracles.py", "streams.py")
+
+
+def test_the_estimate_path_imports_no_numpy():
+    # numpy is reached through one module boundary, fidest.linalg, which only
+    # the CLI's verify-identities and hard-instance functions import when they run
+    assert sorted(path.name for path in PACKAGE.glob("*.py")) == sorted(
+        ESTIMATE_PATH + ("linalg.py", "reference.py")
+    )
+    for name in ESTIMATE_PATH:
+        tree = ast.parse((PACKAGE / name).read_text(encoding="utf-8"))
+        assert not [n for n in imported_modules(PACKAGE / name) if n.split(".")[0] == "numpy"], name
+        assert not numpy_names(tree), name
+        module_level = [n for n in tree.body if isinstance(n, (ast.Import, ast.ImportFrom))]
+        top = [m for node in module_level for m in imported_modules(ast.Module([node], []))]
+        assert not [m for m in top if m.startswith(("fidest.linalg", "fidest.reference"))], name
+        lazy = [
+            (f.name, m)
+            for f in ast.walk(tree)
+            if isinstance(f, ast.FunctionDef)
+            for node in f.body
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for m in imported_modules(ast.Module([node], []))
+        ]
+        if name == "cli.py":
+            assert lazy == [
+                ("_run_hard_instance", "fidest"),
+                ("_run_hard_instance", "fidest.linalg"),
+                ("_identity_residuals", "fidest"),
+                ("_identity_residuals", "fidest.linalg"),
+            ]
+        else:
+            assert lazy == [], name
+
+
+NUMPY_FREE_RUN = """
+import contextlib, io, sys
+import fidest, fidest.cli
+assert "numpy" not in sys.modules, "import"
+from fidest.cli import main
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    for estimator, rank in (("swap-baseline", 2), ("optimal", 2), ("tr-rho-sigma2", 2), ("pure-pure", 1)):
+        for fmt in ("csv", "json"):
+            argv = ["sweep", "--estimator", estimator, "--k", "2", "--rank", str(rank), "--trials", "2",
+                    "--epsilons", "0.2,0.1,0.05", "--format", fmt]
+            assert main(argv) == 0, argv
+            assert "numpy" not in sys.modules, argv
+    assert main(["single", "--estimator", "tr-rho-sigma2", "--k", "2", "--epsilons", "0.01"]) == 0
+    assert "numpy" not in sys.modules, "single"
+    # the commands that execute circuits or build the hard family load it, and still pass
+    assert main(["verify-identities", "--k", "1"]) == 0
+    assert "numpy" in sys.modules
+    assert main(["hard-instance"]) == 0
+print("ok")
+"""
+
+
+def test_sweep_and_single_leave_numpy_unloaded():
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_FREE_RUN],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout == "ok\n"
 
 
 def test_no_package_module_imports_scipy():
@@ -124,13 +195,23 @@ def called_names(source):
     return found
 
 
+#: The executor's functions in fidest.linalg: the ops, the oracle's application and the norms.
+EXECUTOR = ("_block", "_one_qubit", "_swap_geometry", "_hadamard", "apply_oracle", "_apply_op", "_norm",
+            "execute", "analyze_flagged", "register_zero_probability")
+
+
+def executor_functions():
+    tree = ast.parse((PACKAGE / "linalg.py").read_text(encoding="utf-8"))
+    functions = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    assert set(EXECUTOR) <= set(functions)
+    return {name: functions[name] for name in EXECUTOR}
+
+
 def test_executor_builds_no_dense_embedding():
-    # every op is a reshape of the flat state: no padding kron, axis moves or identity blocks
-    calls = called_names(PACKAGE / "circuits.py")
-    assert not {"kron", "moveaxis", "eye"} & set(calls)
-    # an oracle is applied through its column, never as a matrix
-    tree = ast.parse((PACKAGE / "circuits.py").read_text(encoding="utf-8"))
-    assert not [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Attribute) and n.attr == "unitary"]
+    # every op is a reshape of the flat state: no padding kron, axis moves or identity blocks,
+    # and an oracle is applied through its column, never as a matrix
+    for name, function in executor_functions().items():
+        assert not {"kron", "moveaxis", "eye", "oracle_unitary"} & set(called_names(function)), name
     oracle = preparation_oracle(DensityMatrix(np.eye(4) / 4))
     values = list(vars(oracle).values())
     leaves = [x for v in values for x in (v if isinstance(v, tuple) else (v,))]
@@ -221,7 +302,7 @@ def test_each_rule_has_one_home():
                 purity_tolerances.append(path.name)
     assert not {"invert_kind", "controlled_kind", "kron", "matrix_sqrt_psd"} & set(defined)
     assert defined["partial_trace"] == ["reference.py"]
-    assert purity_tolerances == ["linalg.py"]
+    assert purity_tolerances == ["fidelity.py"]
     assert not {"purity", "is_pure"} & set(vars(DensityMatrix))
     # each input rule is compared in one function, and no rank is tested
     # against a built 2^k: k may be far over the qubit cap
@@ -246,7 +327,7 @@ def test_each_rule_has_one_home():
 
 def test_no_test_only_surface():
     # instance and matrix files, the prescribed-spectrum kind and the free-standing
-    # dense completion (read PreparationOracle.unitary) had no caller outside the tests
+    # dense completion (read fidest.linalg.oracle_unitary) had no caller outside the tests
     deleted = {
         "instance_to_json",
         "instance_from_json",
@@ -372,66 +453,63 @@ def test_cli_checks_unitarity_through_the_oracle_queries():
     path = PACKAGE / "cli.py"
     names = imported_modules(path) + called_names(path)
     assert not [n for n in names if n and n.rsplit(".", 1)[-1] == "unitarity_error"]
-    tree = ast.parse(path.read_text(encoding="utf-8"))
-    functions = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
-    for name in ("_identity_residuals", "_oracle_unitarity_residual"):
-        assert not PRODUCTS & used_names(functions[name]), name
+    for name, module in (("_identity_residuals", "cli.py"), ("oracle_unitarity_residual", "linalg.py")):
+        tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
+        [function] = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == name]
+        assert not PRODUCTS & used_names(function), name
+        assert "unitarity_error" not in called_names(function), name
 
 
 def test_executed_ops_make_no_threaded_blas_call():
     # every executor op is one or two elementwise passes over a view of the
     # state, and norms are einsums over its real view: OpenBLAS threads a
-    # product, a whole-state dot or a norm, and np.where writes a second state
-    path = PACKAGE / "circuits.py"
-    assert "@" not in used_names(ast.parse(path.read_text(encoding="utf-8")))
-    assert not {"matmul", "dot", "vdot", "tensordot", "norm", "where"} & set(called_names(path))
+    # product, a whole-state dot or a norm, and np.where writes a second state;
     # the oracle's Householder reduction is one short dot per column, no product
-    tree = ast.parse((PACKAGE / "oracles.py").read_text(encoding="utf-8"))
-    oracle = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "PreparationOracle")
-    apply = next(n for n in oracle.body if isinstance(n, ast.FunctionDef) and n.name == "apply")
-    assert not PRODUCTS & used_names(apply)
+    for name, function in executor_functions().items():
+        assert "@" not in used_names(function), name
+        assert not {"matmul", "dot", "vdot", "tensordot", "norm", "where"} & set(called_names(function)), name
 
 
 def test_ops_act_in_place():
     # an executed op writes into the state it is given: it allocates no output
     # state and returns nothing, and no copy of a control = 0 half is taken
-    trees = [ast.parse((PACKAGE / name).read_text(encoding="utf-8")) for name in ("circuits.py", "oracles.py")]
-    functions = {n.name: n for tree in trees for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
-    for name in ("_apply_op", "_hadamard", "apply"):
+    functions = executor_functions()
+    for name in ("_apply_op", "_hadamard", "apply_oracle"):
         assert not {"empty_like", "empty", "zeros", "copy"} & set(called_names(functions[name])), name
         assert not [n.lineno for n in ast.walk(functions[name]) if isinstance(n, ast.Return) and n.value], name
-    assert "empty_like" not in called_names(PACKAGE / "circuits.py")
+    for name, function in functions.items():
+        assert "empty_like" not in called_names(function), name
 
 
 @pytest.mark.parametrize("estimator", ESTIMATORS)
 def test_a_sweep_validates_no_state_and_factors_no_oracle(monkeypatch, capsys, estimator):
-    # a sweep's states are Gram matrices, valid by construction (their checks
-    # run over generated specs in test_oracles), its purity is read from the
-    # columns, and it never applies an oracle
+    # a sweep builds no density matrix (its purity and p are read from the
+    # columns) and never applies an oracle, so no Householder factors are built
     def forbidden(*args, **kwargs):
         raise AssertionError("called by a sweep")
 
+    for name in ("reduced_state", "sample_instance", "_householder", "exact_tr_rho_sigma2"):
+        monkeypatch.setattr(linalg, name, forbidden)
     monkeypatch.setattr(DensityMatrix, "__post_init__", forbidden)
-    monkeypatch.setattr(PreparationOracle, "reduced_state", forbidden)
     monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
     oracles = []
     synthesize = fidest.cli.synthesize_instance
 
     def recording(*args, **kwargs):
-        rho, oracle = synthesize(*args, **kwargs)
+        oracle = synthesize(*args, **kwargs)
         oracles.append(oracle)
-        return rho, oracle
+        return oracle
 
     monkeypatch.setattr(fidest.cli, "synthesize_instance", recording)
     rank = "1" if estimator == "pure-pure" else "3"
     argv = ["sweep", "--estimator", estimator, "--k", "2", "--rank", rank, "--trials", "2"]
     assert main([*argv, "--epsilons", "0.1,0.01"]) == 0
     assert len(oracles) == 4
-    assert not [oracle for oracle in oracles if "_householder" in vars(oracle)]
+    assert not [oracle for oracle in oracles if oracle in linalg._FACTORS]
 
 
 def test_one_function_synthesises_instances():
-    # sample_instance wraps synthesize_instance's state; nothing else draws one
+    # sample_instance adds the dense state to synthesize_instance's oracle; nothing else draws one
     drawing = []
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
