@@ -25,7 +25,7 @@ from .circuits import (
     build_restructured_encoding,
     build_swap_test,
 )
-from .fidelity import ESTIMATORS, check_hard_family, hard_pair_hellinger
+from .fidelity import ESTIMATORS
 from .oracles import (
     QUBIT_CAP,
     QubitCapExceeded,
@@ -129,9 +129,11 @@ class ExperimentConfig:
         if self.command == "single" and (len(eps) != 1 or self.trials != 1):
             raise ValueError(f"single runs one estimate: got {len(eps)} epsilons, {self.trials} trials")
         if self.command == "hard-instance":
+            from . import linalg  # the family's one home, on the numpy side the command runs on
+
             for p in HARD_P_GRID:
                 for e in eps:
-                    check_hard_family(p, e, self.rank, self.k)
+                    linalg.check_hard_family(p, e, self.rank, self.k)
             # the family is built from k-qubit weight and amplitude vectors
             n, what = self.k, "states"
         else:
@@ -318,7 +320,7 @@ def _run_hard_instance(config: ExperimentConfig) -> int:
         for eps in config.epsilons:
             plus, minus = linalg.hard_pair(p, eps, config.rank, config.k)
             hell = linalg.hellinger_distance(plus.distribution[support], minus.distribution[support])
-            hell_closed = hard_pair_hellinger(p, eps)
+            hell_closed = linalg.hard_pair_hellinger(p, eps)
             for inst in (plus, minus):
                 # |first entry| of the oracle's column, sqrt(w0): no 2^k oracle is built
                 fid = math.sqrt(inst.distribution[0])

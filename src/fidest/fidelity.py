@@ -1,10 +1,9 @@
-"""Fidelity estimators and the adversarial family's input rule.
+"""Fidelity estimators.
 
 An estimate of a pair reads only the two prepared columns: ``Estimator.bind``
 takes the pair's flag probability p and true value from one ``math.fsum``
 contraction of them (``fidest.oracles.pair_traces``), so this module imports
-no numpy.  The dense references and the hard family's instances are in
-``fidest.linalg``.
+no numpy.  The dense references and the hard family are in ``fidest.linalg``.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from .estimation import (
     readout_qubits,
     sqrt_amplitude_estimate,
 )
-from .oracles import PreparationOracle, QubitCapExceeded, check_instance_size, pair_traces
+from .oracles import PreparationOracle, QubitCapExceeded, pair_traces
 
 #: A state counts as pure when tr(rho^2) >= 1 - PURITY_ATOL; compared in ``Estimator.bind`` alone.
 PURITY_ATOL = 1e-9
@@ -154,28 +153,3 @@ def fidelity_to_pure(task: FidelityTask) -> EstimationResult:
 def sqrt_tr_rho_sigma2_estimate(task: FidelityTask) -> EstimationResult:
     """sqrt(tr(rho sigma^2)) for any sigma; reduces to fidelity_to_pure, seed for seed."""
     return _run_task("tr-rho-sigma2", task)
-
-
-def _check_hard_pair_weights(p: float, eps: float) -> None:
-    if not (0.0 < p + eps < 1.0 and 0.0 < p - eps < 1.0):
-        raise ValueError(f"p={p} with epsilon={eps} leaves (0, 1)")
-
-
-def check_hard_family(p: float, eps: float, rank: int, k: int) -> None:
-    """The one check of a hard-family member: its size, rank >= 2 and first weights p +- eps in (0, 1)."""
-    check_instance_size(k, rank)
-    if rank < 2:
-        raise ValueError(f"rank must be >= 2, got {rank}")
-    _check_hard_pair_weights(p, eps)
-
-
-def hard_pair_hellinger(p: float, eps: float) -> float:
-    """Closed-form Hellinger distance between the +/- loading distributions.
-
-    H^2 = 1 - sqrt(p^2 - eps^2) - sqrt((1-p)^2 - eps^2), independent of rank,
-    summed as x - sqrt(x^2 - eps^2) = eps^2 / (x + sqrt(x^2 - eps^2)) over
-    x = p and 1 - p: two positive terms, so nothing cancels as eps -> 0.
-    """
-    _check_hard_pair_weights(p, eps)
-    squared = sum(eps * eps / (x + math.sqrt((x - eps) * (x + eps))) for x in (p, 1.0 - p))
-    return math.sqrt(squared)

@@ -19,8 +19,10 @@ This is the one production module that imports numpy.  It holds
 on the one 1-D state), an oracle's Householder completion (``apply_oracle``,
 ``oracle_unitary``) and reduced state, ``sample_instance`` (an instance with
 its dense state), the dense references verify-identities checks against, and
-the hard family.  verify-identities and hard-instance import it when they
-run; ``sweep`` and ``single`` never load it, so their outputs rest on
+the whole hard family: its input rule (``check_hard_family``), its weight
+vectors and its closed-form Hellinger distance.  verify-identities and
+hard-instance (whose config is checked by ``check_hard_family``) import it
+when they run; ``sweep`` and ``single`` never load it, so their outputs rest on
 SHAKE-128, libm and ``math.fsum`` alone.
 
 No BLAS on an output path.  A sweep's and a single estimate's outputs never
@@ -45,13 +47,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import Circuit, FlagOnNonzero, Hadamard, OracleOp, RegisterLayout, RegisterSwap
-from .fidelity import check_hard_family
 from .oracles import (
     ATOL_STRUCT,
     QUBIT_CAP,
     PreparationOracle,
     QubitCapExceeded,
     RandomInstanceSpec,
+    check_instance_size,
     synthesize_instance,
 )
 
@@ -423,6 +425,31 @@ def hellinger_distance(p, q) -> float:
     if p.shape != q.shape:
         raise ValueError(f"distribution shapes differ: {p.shape} vs {q.shape}")
     return math.sqrt(0.5 * float(np.sum((np.sqrt(p) - np.sqrt(q)) ** 2)))
+
+
+def _check_hard_pair_weights(p: float, eps: float) -> None:
+    if not (0.0 < p + eps < 1.0 and 0.0 < p - eps < 1.0):
+        raise ValueError(f"p={p} with epsilon={eps} leaves (0, 1)")
+
+
+def check_hard_family(p: float, eps: float, rank: int, k: int) -> None:
+    """The one check of a hard-family member: its size, rank >= 2 and first weights p +- eps in (0, 1)."""
+    check_instance_size(k, rank)
+    if rank < 2:
+        raise ValueError(f"rank must be >= 2, got {rank}")
+    _check_hard_pair_weights(p, eps)
+
+
+def hard_pair_hellinger(p: float, eps: float) -> float:
+    """Closed-form Hellinger distance between the +/- loading distributions.
+
+    H^2 = 1 - sqrt(p^2 - eps^2) - sqrt((1-p)^2 - eps^2), independent of rank,
+    summed as x - sqrt(x^2 - eps^2) = eps^2 / (x + sqrt(x^2 - eps^2)) over
+    x = p and 1 - p: two positive terms, so nothing cancels as eps -> 0.
+    """
+    _check_hard_pair_weights(p, eps)
+    squared = sum(eps * eps / (x + math.sqrt((x - eps) * (x + eps))) for x in (p, 1.0 - p))
+    return math.sqrt(squared)
 
 
 @dataclass(frozen=True, eq=False)

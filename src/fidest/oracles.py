@@ -9,9 +9,8 @@ Everything a sweep reads of an oracle pair is a ``math.fsum`` contraction of
 the two columns over the ancilla columns that hold a nonzero entry: the
 reduced state's purity (``PreparationOracle.purity``) and the traces
 tr(rho sigma) and tr(rho sigma^2) (``pair_traces``), so a rank-r_u, rank-r_v
-pair costs O((2^k + r_u) r_v (r_u + r_v)) products and rests on no BLAS
-kernel.  A random instance's
-column is the Gaussian factor its state is drawn from
+pair costs O(2^k r_v (r_u + r_v)) products and rests on no BLAS kernel.  A
+random instance's column is the Gaussian factor its state is drawn from
 (``synthesize_instance``); the eigh purification of a given state is a
 reference (``fidest.reference``).  Oracles are immutable values.  A circuit
 invokes an oracle plain or inverse and says how often, per kind
@@ -29,6 +28,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -59,8 +59,9 @@ class PreparationOracle:
     """State-preparation oracle held as its prepared column.
 
     ``prepared_state`` (system qubits most significant, then ancilla) is
-    U|0...0>, held as a tuple of Python complex; its norm is checked on
-    construction, by a ``math.fsum``.  U is the column's Householder
+    U|0...0>, held as a tuple of Python complex; on construction its entries
+    must be scalars (a nested or 2-D column is refused, not flattened) and its
+    norm is checked by a ``math.fsum``.  U is the column's Householder
     completion (``fidest.linalg.apply_oracle``).
     """
 
@@ -70,7 +71,10 @@ class PreparationOracle:
     label: str
 
     def __post_init__(self):
-        col = tuple(map(complex, self.prepared_state))
+        entries = tuple(self.prepared_state)
+        if not all(issubclass(t, numbers.Number) for t in set(map(type, entries))):
+            raise ValueError(f"oracle {self.label!r} column shape: its entries must be scalars")
+        col = tuple(map(complex, entries))
         dim = 1 << self.num_qubits
         if len(col) != dim:
             raise ValueError(
@@ -97,15 +101,10 @@ class PreparationOracle:
         columns = (self.prepared_state[a::width] for a in range(width))
         return [[z.real for z in col] + [z.imag for z in col] for col in columns if any(col)]
 
-    @functools.cached_property
-    def _gram(self) -> list:
-        """M^dag M over the nonzero ancilla columns, in ``_overlap``'s layout."""
-        return _gram_of(self._columns)
-
     def purity(self) -> float:
         """tr(rho^2) of the reduced system state rho = M M^dag, read from the column
         M (2^system x 2^ancilla) as ||M^dag M||_F^2, a math.fsum contraction: no density matrix."""
-        return math.fsum(x * x for row in self._gram for x in row)
+        return _frobenius2(_overlap(self._columns, self._columns))
 
 
 def _turned(column: list) -> list:
@@ -122,18 +121,9 @@ def _overlap(xs: list, ys: list) -> list:
     return [[_dot(x, y) for y in ys] + [_dot(x, t) for t in turned] for x in xs]
 
 
-def _gram_of(xs: list) -> list:
-    """``_overlap(xs, xs)``, to the bit, summing only <x_a|x_b> for b >= a: <x_b|x_a> sums the
-    same products, with the imaginary ones negated, so the rest is an exact mirror."""
-    n = len(xs)
-    rows = [[0.0] * (2 * n) for _ in xs]
-    turned = [_turned(x) for x in xs]
-    for a, x in enumerate(xs):
-        for b in range(a, n):
-            re, im = _dot(x, xs[b]), _dot(x, turned[b])
-            rows[b][a], rows[b][n + a] = re, -im
-            rows[a][b], rows[a][n + b] = re, im  # written last, so the diagonal keeps +im
-    return rows
+def _frobenius2(rows: list) -> float:
+    """The squared Frobenius norm of a matrix in ``_overlap``'s layout, one math.fsum."""
+    return math.fsum(x * x for row in rows for x in row)
 
 
 def pair_traces(u: PreparationOracle, v: PreparationOracle) -> tuple:
@@ -143,16 +133,14 @@ def pair_traces(u: PreparationOracle, v: PreparationOracle) -> tuple:
     real inner product of the two Hermitian matrices.  Each entry is a math.fsum of its rounded
     real products, so the traces rest on IEEE arithmetic alone, on no BLAS kernel.  Only the
     ancilla columns that hold a nonzero entry are read: a rank-r_u, rank-r_v pair costs
-    O((2^k + r_u) r_v (r_u + r_v)) products."""
+    4 r_v (2^k (r_u + r_v) + r_u r_v) real products, so a pure sigma (r_v = 1) costs O(2^k r_u)."""
     if u.system_qubits != v.system_qubits:
         raise ValueError(f"system size mismatch: {u.system_qubits} vs {v.system_qubits} qubits")
     overlap = _overlap(u._columns, v._columns)
     r = len(v._columns)
-    z = _gram_of([[row[b] for row in overlap] + [row[r + b] for row in overlap] for b in range(r)])
-    return (
-        math.fsum(x * x for row in overlap for x in row),
-        _dot(itertools.chain(*z), itertools.chain(*v._gram)),
-    )
+    columns = [[row[b] for row in overlap] + [row[r + b] for row in overlap] for b in range(r)]
+    z, g = _overlap(columns, columns), _overlap(v._columns, v._columns)
+    return _frobenius2(overlap), _dot(itertools.chain(*z), itertools.chain(*g))
 
 
 def check_instance_size(k: int, rank: int) -> None:

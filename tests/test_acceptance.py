@@ -15,7 +15,6 @@ from fidest.circuits import build_encoding_circuit, build_restructured_encoding,
 from fidest.cli import ExperimentConfig, ExperimentRecord, fit_scaling, main, run
 from fidest.fidelity import (
     fidelity_to_pure,
-    hard_pair_hellinger,
     make_task,
     sqrt_tr_rho_sigma2_estimate,
     swap_test_estimate,
@@ -27,6 +26,7 @@ from fidest.linalg import (
     execute,
     hard_instance,
     hard_pair,
+    hard_pair_hellinger,
     hellinger_distance,
     oracle_unitary,
     purified_channel_oracle,

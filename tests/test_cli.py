@@ -34,9 +34,9 @@ from fidest.cli import (
     main,
     run,
 )
-from fidest.fidelity import hard_pair_hellinger
 from fidest.linalg import (
     hard_instance,
+    hard_pair_hellinger,
     oracle_unitarity_residual,
     oracle_unitary,
     sample_instance,

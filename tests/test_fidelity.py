@@ -16,7 +16,6 @@ from fidest.fidelity import (
     ESTIMATORS,
     _run_task,
     fidelity_to_pure,
-    hard_pair_hellinger,
     make_task,
     sqrt_tr_rho_sigma2_estimate,
     swap_test_estimate,
@@ -29,6 +28,7 @@ from fidest.linalg import (
     execute,
     hard_instance,
     hard_pair,
+    hard_pair_hellinger,
     hellinger_distance,
     oracle_unitary,
     purified_channel_oracle,

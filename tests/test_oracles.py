@@ -470,6 +470,10 @@ class TestQueryCounter:
 
 
 def test_preparation_oracle_validates_shape():
+    with pytest.raises(ValueError, match="shape"):
+        PreparationOracle(np.eye(4), 1, 2, "U")
+    with pytest.raises(ValueError, match="shape"):  # a (2^n, 1) column is not flattened
+        PreparationOracle(np.ones((8, 1)) / math.sqrt(8.0), 1, 2, "U")
     with pytest.raises(ValueError, match="length 4 != 8"):
         PreparationOracle(np.ones(4) / 2, 1, 2, "U")
 

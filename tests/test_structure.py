@@ -91,7 +91,8 @@ ESTIMATE_PATH = ("__init__.py", "circuits.py", "cli.py", "estimation.py", "fidel
 
 def test_the_estimate_path_imports_no_numpy():
     # numpy is reached through one module boundary, fidest.linalg, which only
-    # the CLI's verify-identities and hard-instance functions import when they run
+    # the CLI's verify-identities and hard-instance functions, and the hard-instance
+    # config check, import when they run
     assert sorted(path.name for path in PACKAGE.glob("*.py")) == sorted(
         ESTIMATE_PATH + ("linalg.py", "reference.py")
     )
@@ -106,7 +107,7 @@ def test_the_estimate_path_imports_no_numpy():
             (f.name, m)
             for f in ast.walk(tree)
             if isinstance(f, ast.FunctionDef)
-            for node in f.body
+            for node in ast.walk(f)
             if isinstance(node, (ast.Import, ast.ImportFrom))
             for m in imported_modules(ast.Module([node], []))
         ]
@@ -116,6 +117,8 @@ def test_the_estimate_path_imports_no_numpy():
                 ("_run_hard_instance", "fidest.linalg"),
                 ("_identity_residuals", "fidest"),
                 ("_identity_residuals", "fidest.linalg"),
+                ("__post_init__", "fidest"),  # ExperimentConfig's hard-instance check
+                ("__post_init__", "fidest.linalg"),
             ]
         else:
             assert lazy == [], name
@@ -282,8 +285,8 @@ INPUT_RULES = {
     "k >= 1": (lambda n: ordered_against(n, "k", 1), ("oracles.py", "check_instance_size")),
     "rank >= 1": (lambda n: ordered_against(n, "rank", 1), ("oracles.py", "check_instance_size")),
     "rank <= 2^k": (lambda n: {"rank", "k"} <= used_names(n), ("oracles.py", "check_instance_size")),
-    "hard family rank >= 2": (lambda n: ordered_against(n, "rank", 2), ("fidelity.py", "check_hard_family")),
-    "p +- eps in (0, 1)": (shifts_p, ("fidelity.py", "_check_hard_pair_weights")),
+    "hard family rank >= 2": (lambda n: ordered_against(n, "rank", 2), ("linalg.py", "check_hard_family")),
+    "p +- eps in (0, 1)": (shifts_p, ("linalg.py", "_check_hard_pair_weights")),
     "purity": (lambda n: "PURITY_ATOL" in used_names(n), ("fidelity.py", "bind")),
 }
 
