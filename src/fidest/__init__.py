@@ -1,6 +1,7 @@
 """Exact simulation and estimation of fidelity under purified state access.
 
-Names are imported from their modules: ``from fidest.fidelity import fidelity_to_pure``.
+Names are imported from their modules: ``from fidest.fidelity import ESTIMATORS``, then
+``ESTIMATORS["optimal"].bind(u, v)(epsilon, seed)`` runs an estimator on an oracle pair.
 """
 
 # loads what a sweep or a single estimate runs, none of which imports numpy, so a

@@ -118,6 +118,9 @@ class ExperimentConfig:
             raise ValueError(f"epsilons must lie in (0, 1), got {tuple(self.epsilons)}")
         eps = tuple(float(e) for e in self.epsilons)
         object.__setattr__(self, "epsilons", eps)
+        # an epsilon given twice would write each of its records twice
+        if len(set(eps)) != len(eps):
+            raise ValueError(f"epsilons must be distinct, got {eps}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if not 0 <= self.seed < (1 << 63):
@@ -224,7 +227,7 @@ def _estimate_trial(config: ExperimentConfig, trial: int) -> list:
     out = []
     epsilon = config.epsilons[0]
     try:
-        estimate = estimator.bind(config.estimator, rho_oracle, second_oracle)
+        estimate = estimator.bind(rho_oracle, second_oracle)
         truth = estimate.true_value
         for epsilon in config.epsilons:
             start = time.perf_counter()
@@ -278,7 +281,7 @@ def _run_sweep(config: ExperimentConfig) -> int:
     ]
     records.sort(key=lambda r: (r.epsilon, r.seed, r.instance_id))
     summary = sys.stderr if config.output_path is None else sys.stdout  # keep data on stdout clean
-    for epsilon in sorted(set(config.epsilons)):
+    for epsilon in sorted(config.epsilons):
         subset = [r for r in records if r.epsilon == epsilon]
         hits = sum(r.success for r in subset)
         print(
@@ -421,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--config",
         metavar="FILE",
-        help="JSON file of a command and its flags' fields; replaces subcommand flags",
+        help="JSON file of a command and its flags' fields, given instead of a command and its flags",
     )
     sub = parser.add_subparsers(dest="command")
 
@@ -459,6 +462,8 @@ def build_parser() -> argparse.ArgumentParser:
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     raw = {}
     if args.config:
+        if args.command:
+            raise ValueError(f"--config names its command: drop {args.command!r} from the command line")
         with open(args.config, encoding="utf-8") as fh:
             raw = json.load(fh)
         if not isinstance(raw, dict):

@@ -26,31 +26,16 @@ from .oracles import PreparationOracle, QubitCapExceeded, pair_traces
 PURITY_ATOL = 1e-9
 
 
-@dataclass(frozen=True, eq=False)
-class FidelityTask:
-    """One estimation job, a plain record; the estimator that runs it checks each field before
-    sampling: purities and system sizes in ``bind``, epsilon in ``delta``, the seed in ``_estimate``."""
-
-    rho_oracle: PreparationOracle
-    second_oracle: PreparationOracle
-    epsilon: float
-    seed: int
-
-
-def make_task(rho_oracle, second_oracle, epsilon: float, seed: int) -> FidelityTask:
-    """Build a task; the front end that runs it checks every argument (see FidelityTask)."""
-    return FidelityTask(rho_oracle, second_oracle, epsilon, seed)
-
-
 @dataclass(frozen=True)
 class Estimator:
     """Which circuit an estimator runs and which of its two states must be pure.
 
     The SWAP test reads (1 + F^2)/2 to eps^2/4 (Theta(1/eps^2) queries); the
     flagged encoding reads sqrt(tr(rho sigma^2)) to eps (Theta(1/eps) queries,
-    two V queries per U query).
+    two V queries per U query).  ``bind(u, v)(epsilon, seed)`` runs it.
     """
 
+    name: str
     swap_test: bool
     first_pure: bool
     second_pure: bool
@@ -76,16 +61,19 @@ class Estimator:
         """Readout qubits m this estimator uses at target error epsilon; the SWAP test reads p."""
         return readout_qubits(self.delta(epsilon), square=self.swap_test)
 
-    def bind(self, name: str, rho_oracle: PreparationOracle, second_oracle: PreparationOracle):
+    def bind(self, rho_oracle: PreparationOracle, second_oracle: PreparationOracle):
         """Check the required purities and build the circuit once for an oracle pair.
 
         Returns the ``BoundEstimator`` of the pair: its p and true value come
         from one contraction of the two columns, and the circuit is never executed.
+        The purities are checked first, then the system sizes (by the build);
+        epsilon (``delta``) and the seed (``fidest.estimation``) are checked by
+        each call, before any sampling.
         """
         if self.second_pure and not second_oracle.purity() >= 1.0 - PURITY_ATOL:
-            raise ValueError(f"the {name} estimator requires a pure second state")
+            raise ValueError(f"the {self.name} estimator requires a pure second state")
         if self.first_pure and not rho_oracle.purity() >= 1.0 - PURITY_ATOL:
-            raise ValueError(f"the {name} estimator requires a pure first state")
+            raise ValueError(f"the {self.name} estimator requires a pure first state")
         build = build_swap_test if self.swap_test else build_flagged_encoding
         once = build(rho_oracle, second_oracle).queries()  # building checks the pair
         tr_sigma, tr_sigma2 = pair_traces(rho_oracle, second_oracle)
@@ -128,28 +116,15 @@ class BoundEstimator:
 
 #: estimator name -> Estimator; the CLI's --estimator choices, in this order
 ESTIMATORS = {
-    "swap-baseline": Estimator(swap_test=True, first_pure=False, second_pure=True),
-    "optimal": Estimator(swap_test=False, first_pure=False, second_pure=True),
-    "tr-rho-sigma2": Estimator(swap_test=False, first_pure=False, second_pure=False),
-    "pure-pure": Estimator(swap_test=False, first_pure=True, second_pure=True),
+    e.name: e
+    for e in (
+        # F via Pr[C=0] = (1 + F^2)/2, Theta(1/eps^2) queries
+        Estimator("swap-baseline", swap_test=True, first_pure=False, second_pure=True),
+        # F(rho, |psi>) with O(1/eps) queries
+        Estimator("optimal", swap_test=False, first_pure=False, second_pure=True),
+        # sqrt(tr(rho sigma^2)) for any sigma; equals optimal, seed for seed, on a pure sigma
+        Estimator("tr-rho-sigma2", swap_test=False, first_pure=False, second_pure=False),
+        # |<phi|psi>| for two pure states
+        Estimator("pure-pure", swap_test=False, first_pure=True, second_pure=True),
+    )
 }
-
-
-def _run_task(name: str, task: FidelityTask) -> EstimationResult:
-    estimate = ESTIMATORS[name].bind(name, task.rho_oracle, task.second_oracle)
-    return estimate(task.epsilon, task.seed)
-
-
-def swap_test_estimate(task: FidelityTask) -> EstimationResult:
-    """SWAP-test baseline: F via Pr[C=0] = (1 + F^2)/2, Theta(1/eps^2) queries."""
-    return _run_task("swap-baseline", task)
-
-
-def fidelity_to_pure(task: FidelityTask) -> EstimationResult:
-    """F(rho, |psi>) to within epsilon with O(1/eps) queries; the second state must be pure."""
-    return _run_task("optimal", task)
-
-
-def sqrt_tr_rho_sigma2_estimate(task: FidelityTask) -> EstimationResult:
-    """sqrt(tr(rho sigma^2)) for any sigma; reduces to fidelity_to_pure, seed for seed."""
-    return _run_task("tr-rho-sigma2", task)

@@ -13,12 +13,7 @@ import numpy as np
 
 from fidest.circuits import build_encoding_circuit, build_restructured_encoding, build_swap_test
 from fidest.cli import ExperimentConfig, ExperimentRecord, fit_scaling, main, run
-from fidest.fidelity import (
-    fidelity_to_pure,
-    make_task,
-    sqrt_tr_rho_sigma2_estimate,
-    swap_test_estimate,
-)
+from fidest.fidelity import ESTIMATORS
 from fidest.linalg import (
     analyze_flagged,
     exact_fidelity_to_pure,
@@ -133,10 +128,11 @@ def test_criterion_4_optimal_estimator_success():
         rho, u = sample_instance(RandomInstanceSpec(k, rank, rho_seed, "ginibre_mixed"), "U")
         psi, v = sample_instance(RandomInstanceSpec(k, 1, psi_seed, "haar_pure"), "V")
         truth = uhlmann_fidelity(rho, psi)
+        bound = ESTIMATORS["optimal"].bind(u, v)
         for eps in (0.1, 0.05, 0.02):
             hits = 0
             for seed in range(200):
-                result = fidelity_to_pure(make_task(u, v, eps, seed))
+                result = bound(eps, seed)
                 hits += abs(result.estimate - truth) <= eps
             fractions.append(hits / 200.0)
     elapsed = time.perf_counter() - start
@@ -155,8 +151,8 @@ def test_criterion_5_quadratic_separation():
         _, u = sample_instance(RandomInstanceSpec(1, 2, 5000 + trial, "ginibre_mixed"), "U")
         _, v = sample_instance(RandomInstanceSpec(1, 1, 5100 + trial, "haar_pure"), "V")
         for eps in epsilons:
-            for estimator, fn in (("optimal", fidelity_to_pure), ("swap-baseline", swap_test_estimate)):
-                result = fn(make_task(u, v, eps, 6000 + trial))
+            for estimator in ("optimal", "swap-baseline"):
+                result = ESTIMATORS[estimator].bind(u, v)(eps, 6000 + trial)
                 records.append(
                     ExperimentRecord(
                         instance_id=f"t{trial}",
@@ -193,7 +189,7 @@ def test_criterion_6_query_accounting():
         _, v = sample_instance(RandomInstanceSpec(k, 1, psi_seed, "haar_pure"), "V")
         for eps in (0.2, 0.05, 0.01):
             for seed in (0, 1):
-                result = fidelity_to_pure(make_task(u, v, eps, seed))
+                result = ESTIMATORS["optimal"].bind(u, v)(eps, seed)
                 ok = ok and result.total_queries("V") == 2 * result.total_queries("U")
                 checked += 1
     _report("6 query accounting V = 2U", ok, f"runs checked={checked}")
@@ -205,17 +201,15 @@ def test_criterion_7_sqrt_tr_rho_sigma2():
     sigma, sig = sample_instance(RandomInstanceSpec(1, 2, 302, "ginibre_mixed"), "V")
     truth = dense_sqrt_tr_rho_sigma2(rho, sigma)
     hits = 0
+    bound = ESTIMATORS["tr-rho-sigma2"].bind(u, sig)
     for seed in range(200):
-        result = sqrt_tr_rho_sigma2_estimate(make_task(u, sig, 0.05, seed))
+        result = bound(0.05, seed)
         hits += abs(result.estimate - truth) <= 0.05
 
     _, v_pure = sample_instance(RandomInstanceSpec(1, 1, 43, "haar_pure"), "V")
     _, u2 = sample_instance(RandomInstanceSpec(1, 2, 42, "ginibre_mixed"), "U")
-    identical = all(
-        sqrt_tr_rho_sigma2_estimate(make_task(u2, v_pure, 0.05, seed)).to_json()
-        == fidelity_to_pure(make_task(u2, v_pure, 0.05, seed)).to_json()
-        for seed in range(40)
-    )
+    mixed, pure = (ESTIMATORS[name].bind(u2, v_pure) for name in ("tr-rho-sigma2", "optimal"))
+    identical = all(mixed(0.05, seed).to_json() == pure(0.05, seed).to_json() for seed in range(40))
     elapsed = time.perf_counter() - start
     _report(
         "7 sqrt(tr(rho sigma^2)) estimator",

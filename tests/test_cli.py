@@ -912,6 +912,43 @@ class TestMainEntry:
         assert main(["--config", str(cfg)]) == 2
         assert "error: config file must hold a JSON object" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("typed", [["verify-identities", "--k", "2"], ["sweep"]])
+    def test_config_with_a_command_exits_2_before_any_work(self, tmp_path, monkeypatch, capsys, typed):
+        # the file's sweep must not run in place of the typed command, nor the typed one
+        forbid_sampling(monkeypatch)
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps({"command": "sweep", "k": 2, "epsilons": [0.1, 0.05], "trials": 2}))
+        assert main(["--config", str(cfg), *typed]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --config names its command: drop {typed[0]!r} from the command line\n"
+
+    @pytest.mark.parametrize(
+        "argv,raw",
+        [
+            (["sweep", "--epsilons", "0.1,0.1", "--trials", "2"], None),
+            (["hard-instance", "--epsilons", "0.1,0.05,0.1"], None),
+            (None, {"command": "sweep", "epsilons": [0.05, 0.1, 0.05]}),
+            (None, {"command": "single", "epsilons": [0.1, 0.1]}),
+        ],
+    )
+    def test_equal_epsilons_exit_2_before_any_work(self, tmp_path, monkeypatch, capsys, argv, raw):
+        # one record per (epsilon, trial): an epsilon given twice would repeat its records
+        forbid_sampling(monkeypatch)
+
+        def no_instances(*args, **kwargs):
+            raise AssertionError("hard_pair called before the config checks")
+
+        monkeypatch.setattr(fidest.linalg, "hard_pair", no_instances)
+        if argv is None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(raw))
+            argv = ["--config", str(cfg)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: epsilons must be distinct, got (")
+
     def test_hard_instance_has_no_seed_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["hard-instance", "--seed", "1"])

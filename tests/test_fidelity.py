@@ -12,14 +12,7 @@ from hypothesis import strategies as st
 from fidest import estimation
 from fidest import cli
 from fidest.circuits import build_flagged_encoding, build_restructured_encoding, build_swap_test
-from fidest.fidelity import (
-    ESTIMATORS,
-    _run_task,
-    fidelity_to_pure,
-    make_task,
-    sqrt_tr_rho_sigma2_estimate,
-    swap_test_estimate,
-)
+from fidest.fidelity import ESTIMATORS
 from fidest.linalg import (
     DensityMatrix,
     analyze_flagged,
@@ -121,33 +114,19 @@ class TestExactReferences:
 def assert_flag_probability_matches(name, u, v):
     """The p bind takes for the pair, held to the executed circuit within 1e-12; returns it."""
     estimator = ESTIMATORS[name]
-    p = estimator.bind(name, u, v).p  # the pair passes the estimator's purity and size checks
+    p = estimator.bind(u, v).p  # the pair passes the estimator's purity and size checks
     circuit = (build_swap_test if estimator.swap_test else build_flagged_encoding)(u, v)
     assert 0.0 <= p <= 1.0
     assert abs(p - flag_probability(circuit, "C")) <= 1e-12, name
     return p
 
 
-def pure_pure_fidelity(task):
-    """|<phi|psi>| for two pure states, through ESTIMATORS["pure-pure"] as the CLI runs it."""
-    return _run_task("pure-pure", task)
-
-
-#: each estimator's front end on a task: the package's three, and pure-pure's bind
-FRONT_ENDS = {
-    "swap-baseline": swap_test_estimate,
-    "optimal": fidelity_to_pure,
-    "tr-rho-sigma2": sqrt_tr_rho_sigma2_estimate,
-    "pure-pure": pure_pure_fidelity,
-}
-
-
 def _no_sampling(*key):
-    raise AssertionError("a bad task reached the repetition streams")
+    raise AssertionError("a bad argument reached the repetition streams")
 
 
-#: (epsilon, seed, qubits of the second state, the error) of each bad task
-BAD_TASKS = [
+#: (epsilon, seed, qubits of the second state, the error) of each bad estimate
+BAD_ARGUMENTS = [
     *(
         pytest.param(eps, 0, 1, f"epsilon must be in (0, 1), got {eps}", id=f"epsilon-{eps}")
         for eps in (0.0, 1.0, 1.5, math.nan)
@@ -157,17 +136,17 @@ BAD_TASKS = [
 ]
 
 
-class TestTaskConstruction:
-    """A task is a plain record; the estimator that runs it checks each field
-    before any repetition stream is built."""
+class TestArgumentChecks:
+    """bind checks the oracle pair and each call its epsilon and seed, all
+    before any repetition stream is read."""
 
-    @pytest.mark.parametrize("name", FRONT_ENDS)
-    @pytest.mark.parametrize("epsilon,seed,k,message", BAD_TASKS)
-    def test_front_end_rejects_before_sampling(self, monkeypatch, name, epsilon, seed, k, message):
+    @pytest.mark.parametrize("name", ESTIMATORS)
+    @pytest.mark.parametrize("epsilon,seed,k,message", BAD_ARGUMENTS)
+    def test_estimate_rejects_before_sampling(self, monkeypatch, name, epsilon, seed, k, message):
         monkeypatch.setattr(estimation, "uniforms", _no_sampling)
-        task = make_task(pure_instance(1, 20, "U")[1], pure_instance(k, 21)[1], epsilon, seed)
+        u, v = pure_instance(1, 20, "U")[1], pure_instance(k, 21)[1]
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            FRONT_ENDS[name](task)
+            ESTIMATORS[name].bind(u, v)(epsilon, seed)
 
     @pytest.mark.parametrize("name", ["swap-baseline", "optimal", "pure-pure"])
     def test_purity_is_checked_first(self, monkeypatch, name):
@@ -176,7 +155,7 @@ class TestTaskConstruction:
         _, u = pure_instance(1, 20, "U")
         _, v = mixed_instance(2, 2, 21, "V")
         with pytest.raises(ValueError, match=f"the {name} estimator requires a pure second state"):
-            FRONT_ENDS[name](make_task(u, v, 1.5, -1))
+            ESTIMATORS[name].bind(u, v)(1.5, -1)
 
 
 class TestEstimatorTable:
@@ -186,9 +165,9 @@ class TestEstimatorTable:
         rank_index=st.integers(0, 3),
         seed=st.integers(0, (1 << 62) - 1),
     )
-    def test_bound_estimator_matches_front_end(self, k, rank_index, seed):
+    def test_one_bind_serves_every_epsilon(self, k, rank_index, seed):
         # one bind serves every epsilon with the same results, seed for seed,
-        # as a front end on a fresh task
+        # as a fresh bind at each (epsilon, seed)
         rank = rank_index % (1 << k) + 1
         for name, estimator in ESTIMATORS.items():
             first = pure_instance(k, seed, "U") if estimator.first_pure else mixed_instance(k, rank, seed)
@@ -198,10 +177,10 @@ class TestEstimatorTable:
                 else mixed_instance(k, rank, seed + 1, "V")
             )
             u, v = first[1], second[1]
-            bound = estimator.bind(name, u, v)
+            bound = estimator.bind(u, v)
             for eps in (0.1, 0.03, 0.01):
                 result = bound(eps, seed)
-                assert result.to_json() == FRONT_ENDS[name](make_task(u, v, eps, seed)).to_json()
+                assert result.to_json() == estimator.bind(u, v)(eps, seed).to_json(), name
                 ratio = 1 if estimator.swap_test else 2
                 assert result.total_queries("V") == ratio * result.total_queries("U")
                 assert result.m == estimator.readout_qubits(eps)
@@ -272,7 +251,7 @@ class TestEstimatorTable:
             kinds = {True: ("haar_pure", 1), False: ("ginibre_mixed", rank)}
             rho, u = sample_instance(cli._spec(config, 0, 0, *kinds[estimator.first_pure]), "U")
             sigma, v = sample_instance(cli._spec(config, 0, 1, *kinds[estimator.second_pure]), "V")
-            bound = estimator.bind(name, u, v)
+            bound = estimator.bind(u, v)
             assert record.true_value == bound.true_value, name
             assert abs(bound.true_value**2 - exact_tr_rho_sigma2(rho, sigma)) <= 1e-12, name
             if not estimator.swap_test:
@@ -293,7 +272,7 @@ class TestEstimatorTable:
             dm, _ = mixed_instance(k, rank, seed + offset, label)
             oracle = resized_oracle(dm, (rank - 1).bit_length() + extra, label)
             oracles.append(ancilla_rotated(oracle, seed + offset))
-        bound = ESTIMATORS["tr-rho-sigma2"].bind("tr-rho-sigma2", *oracles)
+        bound = ESTIMATORS["tr-rho-sigma2"].bind(*oracles)
         exact = exact_tr_rho_sigma2(*(reduced_state(oracle) for oracle in oracles))
         assert abs(bound.true_value**2 - exact) <= 1e-12
         assert bound.true_value == math.sqrt(bound.p)
@@ -310,7 +289,7 @@ class TestEstimatorTable:
     def test_query_tallies_by_hand(self, name, m, u_queries, v_queries):
         _, u = pure_instance(1, 7, "U")
         _, v = pure_instance(1, 8)
-        result = ESTIMATORS[name].bind(name, u, v)(0.1, 0)
+        result = ESTIMATORS[name].bind(u, v)(0.1, 0)
         assert result.m == m
         assert result.grover_applications == 15 * ((1 << m) - 1)
         assert result.queries == {"U": u_queries, "V": v_queries}
@@ -320,17 +299,14 @@ class TestSwapTestEstimate:
     def test_perfect_fidelity(self):
         psi = np.array([0.8, 0.6j], dtype=complex)
         dm = DensityMatrix(np.outer(psi, psi.conj()))
-        task = make_task(preparation_oracle(dm, "U"), preparation_oracle(dm, "V"), 0.1, 0)
-        result = swap_test_estimate(task)
+        result = ESTIMATORS["swap-baseline"].bind(preparation_oracle(dm, "U"), preparation_oracle(dm, "V"))(0.1, 0)
         assert abs(result.estimate - 1.0) <= 0.1
 
     def test_zero_fidelity_clamps(self):
         # p = 1/2 sits exactly on the phase grid, so the clamp fires every seed
+        bound = ESTIMATORS["swap-baseline"].bind(state_oracle([0.0, 1.0], "U"), state_oracle([1.0, 0.0], "V"))
         for seed in range(5):
-            task = make_task(
-                state_oracle([0.0, 1.0], "U"), state_oracle([1.0, 0.0], "V"), 0.1, seed
-            )
-            result = swap_test_estimate(task)
+            result = bound(0.1, seed)
             assert result.estimate <= 0.1
 
     def test_zero_epsilon_is_a_bad_epsilon_not_a_cap(self):
@@ -342,18 +318,18 @@ class TestSwapTestEstimate:
     @pytest.mark.parametrize("epsilon", [1e-170, 1e-320])
     def test_underflowing_delta_exceeds_readout_cap(self, epsilon):
         # eps^2 / 4 rounds to 0: the estimate is refused at the cap, not as a bad delta
-        task = make_task(state_oracle([1.0, 0.0], "U"), state_oracle([1.0, 0.0], "V"), epsilon, 0)
+        bound = ESTIMATORS["swap-baseline"].bind(state_oracle([1.0, 0.0], "U"), state_oracle([1.0, 0.0], "V"))
         with pytest.raises(QubitCapExceeded, match="cap is 48"):
-            swap_test_estimate(task)
+            bound(epsilon, 0)
 
     def test_seeded_instance_success_rate(self):
         rho, u = mixed_instance(1, 2, 42)
         psi, v = pure_instance(1, 43)
         truth = uhlmann_fidelity(rho, psi)
         hits = 0
+        bound = ESTIMATORS["swap-baseline"].bind(u, v)
         for seed in range(200):
-            task = make_task(u, v, 0.05, seed)
-            result = swap_test_estimate(task)
+            result = bound(0.05, seed)
             hits += abs(result.estimate - truth) <= 0.05
         assert hits >= 120
 
@@ -361,12 +337,12 @@ class TestSwapTestEstimate:
         _, u = mixed_instance(1, 2, 23)
         _, v = mixed_instance(1, 2, 24)
         with pytest.raises(ValueError, match="pure"):
-            swap_test_estimate(make_task(u, v, 0.1, 0))
+            ESTIMATORS["swap-baseline"].bind(u, v)
 
     def test_delta_is_quarter_epsilon_squared(self):
         _, u = mixed_instance(1, 2, 42)
         _, v = pure_instance(1, 43)
-        result = swap_test_estimate(make_task(u, v, 0.2, 0))
+        result = ESTIMATORS["swap-baseline"].bind(u, v)(0.2, 0)
         assert result.delta == pytest.approx(0.01)
 
 
@@ -374,18 +350,16 @@ class TestFidelityToPure:
     def test_identical_states(self):
         psi = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2)
         dm = DensityMatrix(np.outer(psi, psi.conj()))
-        task = make_task(preparation_oracle(dm, "U"), preparation_oracle(dm, "V"), 0.05, 0)
-        assert abs(fidelity_to_pure(task).estimate - 1.0) <= 0.05
+        result = ESTIMATORS["optimal"].bind(preparation_oracle(dm, "U"), preparation_oracle(dm, "V"))(0.05, 0)
+        assert abs(result.estimate - 1.0) <= 0.05
 
     def test_maximally_mixed_forced_value(self):
         # F = sqrt(1/2): the Grover phase sits exactly on the grid, so every
         # seed recovers sqrt(2)/2 exactly
         rho = DensityMatrix(np.eye(2) / 2)
+        bound = ESTIMATORS["optimal"].bind(preparation_oracle(rho, "U"), state_oracle([1.0, 0.0], "V"))
         for seed in range(5):
-            task = make_task(
-                preparation_oracle(rho, "U"), state_oracle([1.0, 0.0], "V"), 0.05, seed
-            )
-            result = fidelity_to_pure(task)
+            result = bound(0.05, seed)
             assert abs(result.estimate - math.sqrt(0.5)) <= 1e-12
 
     def test_seeded_k2_rank3_success_rate(self):
@@ -393,8 +367,9 @@ class TestFidelityToPure:
         psi, v = pure_instance(2, 778)
         truth = uhlmann_fidelity(rho, psi)
         hits = 0
+        bound = ESTIMATORS["optimal"].bind(u, v)
         for seed in range(200):
-            result = fidelity_to_pure(make_task(u, v, 0.02, seed))
+            result = bound(0.02, seed)
             hits += abs(result.estimate - truth) <= 0.02
         assert hits >= 120
 
@@ -402,14 +377,14 @@ class TestFidelityToPure:
         _, u = mixed_instance(2, 3, 777)
         _, v = pure_instance(2, 778)
         for eps in (0.2, 0.05, 0.01):
-            result = fidelity_to_pure(make_task(u, v, eps, 1))
+            result = ESTIMATORS["optimal"].bind(u, v)(eps, 1)
             assert result.total_queries("V") == 2 * result.total_queries("U")
 
     def test_rejects_mixed_second_state(self):
         _, u = mixed_instance(1, 2, 23)
         _, v = mixed_instance(1, 2, 24)
         with pytest.raises(ValueError, match="pure"):
-            fidelity_to_pure(make_task(u, v, 0.1, 0))
+            ESTIMATORS["optimal"].bind(u, v)
 
     def test_minimal_ancilla_oracle_serves_estimation(self):
         # a rank-2 state on k=2 purified with a single ancilla qubit; the
@@ -420,8 +395,9 @@ class TestFidelityToPure:
         u_min = resized_oracle(rho, 1, "U")
         truth = exact_fidelity_to_pure(rho, principal_eigvec(psi_dm))
         hits = 0
+        bound = ESTIMATORS["optimal"].bind(u_min, v)
         for seed in range(40):
-            result = fidelity_to_pure(make_task(u_min, v, 0.05, seed))
+            result = bound(0.05, seed)
             hits += abs(result.estimate - truth) <= 0.05
         assert hits >= 24
 
@@ -431,8 +407,8 @@ class TestSqrtTrRhoSigma2Estimate:
         _, u = mixed_instance(1, 2, 42)
         _, v = pure_instance(1, 43)
         for seed in (0, 5, 17):
-            a = sqrt_tr_rho_sigma2_estimate(make_task(u, v, 0.05, seed))
-            b = fidelity_to_pure(make_task(u, v, 0.05, seed))
+            a = ESTIMATORS["tr-rho-sigma2"].bind(u, v)(0.05, seed)
+            b = ESTIMATORS["optimal"].bind(u, v)(0.05, seed)
             assert a.estimate == b.estimate
             assert a.to_json() == b.to_json()
 
@@ -441,7 +417,7 @@ class TestSqrtTrRhoSigma2Estimate:
         v = preparation_oracle(DensityMatrix(np.eye(2) / 2), "V")
         # sqrt(tr(rho/4)) = 1/2 exactly, and the phase is grid-aligned
         for seed in range(3):
-            result = sqrt_tr_rho_sigma2_estimate(make_task(u, v, 0.05, seed))
+            result = ESTIMATORS["tr-rho-sigma2"].bind(u, v)(0.05, seed)
             assert abs(result.estimate - 0.5) <= 0.05
 
     def test_seeded_mixed_pair_success_rate(self):
@@ -449,8 +425,9 @@ class TestSqrtTrRhoSigma2Estimate:
         sigma, v = mixed_instance(1, 2, 302)
         truth = dense_sqrt_tr_rho_sigma2(rho, sigma)
         hits = 0
+        bound = ESTIMATORS["tr-rho-sigma2"].bind(u, v)
         for seed in range(200):
-            result = sqrt_tr_rho_sigma2_estimate(make_task(u, v, 0.05, seed))
+            result = bound(0.05, seed)
             hits += abs(result.estimate - truth) <= 0.05
         assert hits >= 120
 
@@ -465,20 +442,21 @@ class TestPurePureFidelity:
         anc2 = oracle_unitary(state_oracle(np.array([0.6, 0.8], dtype=complex)))
         o1 = purified_channel_oracle(np.kron(u_phi, anc1), 1, "U")
         o2 = purified_channel_oracle(np.kron(u_phi, anc2), 1, "V")
-        result = pure_pure_fidelity(make_task(o1, o2, 0.05, 3))
+        result = ESTIMATORS["pure-pure"].bind(o1, o2)(0.05, 3)
         assert abs(result.estimate - 1.0) <= 0.05
 
     def test_orthogonal_pair(self):
-        task = make_task(state_oracle([1.0, 0.0], "U"), state_oracle([0.0, 1.0], "V"), 0.05, 0)
-        assert pure_pure_fidelity(task).estimate <= 0.05
+        result = ESTIMATORS["pure-pure"].bind(state_oracle([1.0, 0.0], "U"), state_oracle([0.0, 1.0], "V"))(0.05, 0)
+        assert result.estimate <= 0.05
 
     def test_seeded_haar_pair_success_rate(self):
         phi, u = pure_instance(1, 401, label="U")
         psi, v = pure_instance(1, 402)
         truth = uhlmann_fidelity(phi, psi)
         hits = 0
+        bound = ESTIMATORS["pure-pure"].bind(u, v)
         for seed in range(200):
-            result = pure_pure_fidelity(make_task(u, v, 0.05, seed))
+            result = bound(0.05, seed)
             hits += abs(result.estimate - truth) <= 0.05
         assert hits >= 120
 
@@ -486,7 +464,7 @@ class TestPurePureFidelity:
         _, u = mixed_instance(1, 2, 27)
         _, v = pure_instance(1, 28)
         with pytest.raises(ValueError, match="pure first"):
-            pure_pure_fidelity(make_task(u, v, 0.1, 0))
+            ESTIMATORS["pure-pure"].bind(u, v)
 
 
 class TestHardInstances:
@@ -574,9 +552,9 @@ class TestHardInstances:
         inst = hard_instance(0.5, 0.1, 2, 1, k=1)
         target_oracle = state_oracle([1.0, 0.0], "V")
         hits = 0
+        bound = ESTIMATORS["optimal"].bind(inst.oracle, target_oracle)
         for seed in range(40):
-            task = make_task(inst.oracle, target_oracle, 0.05, seed)
-            result = fidelity_to_pure(task)
+            result = bound(0.05, seed)
             hits += abs(result.estimate - math.sqrt(0.6)) <= 0.05
         assert hits >= 24
 
@@ -588,20 +566,20 @@ class TestHardInstances:
         epsilons = np.logspace(-4.0, -1.0, 31)
         target = state_oracle([1.0, 0.0], "V")
         optimal_ratios = []
-        for estimate, slope in ((fidelity_to_pure, 0.0), (swap_test_estimate, -1.0)):
+        for name, slope in (("optimal", 0.0), ("swap-baseline", -1.0)):
             for p in (0.3, 0.5, 0.7):
                 ratios = []
                 for eps in epsilons.tolist():
                     bound = 1.0 / (3.0 * math.sqrt(2.0) * hard_pair_hellinger(p, eps))
                     queries = {
-                        estimate(make_task(inst.oracle, target, eps, 0)).total_queries("U")
+                        ESTIMATORS[name].bind(inst.oracle, target)(eps, 0).total_queries("U")
                         for inst in hard_pair(p, eps, 2, k=1)
                     }
                     [count] = queries  # the tally does not depend on the instance
                     ratios.append(count / bound)
                 fitted = np.polyfit(np.log(epsilons), np.log(ratios), 1)[0]
-                assert abs(fitted - slope) <= 0.1, (estimate.__name__, p, fitted)
-                if estimate is fidelity_to_pure:
+                assert abs(fitted - slope) <= 0.1, (name, p, fitted)
+                if name == "optimal":
                     optimal_ratios += ratios
         print(f"optimality gap: queries_U / T in [{min(optimal_ratios):.0f}, {max(optimal_ratios):.0f}]")
 

@@ -1,5 +1,5 @@
 """Structure guards: the dense references stay out of the production path,
-no package module imports scipy, estimators are defined only by the table in fidest.fidelity, the circuit
+no package module imports scipy, estimators are defined and run only through the table in fidest.fidelity, the circuit
 executor builds no dense padded or controlled matrix and reads no oracle matrix,
 oracles and circuits are immutable values whose queries are counted, not kept,
 each rule (query kinds, test-only linear algebra, purity, the readout cap, an
@@ -28,11 +28,12 @@ import pytest
 import fidest
 import fidest.circuits
 import fidest.cli
+import fidest.fidelity
 from fidest import estimation, linalg
 from fidest.circuits import Circuit, OracleOp, RegisterLayout
 from fidest.cli import COMMANDS, ExperimentConfig, build_parser, config_from_args, main
 from fidest.estimation import _KernelSampler
-from fidest.fidelity import ESTIMATORS
+from fidest.fidelity import ESTIMATORS, Estimator
 from fidest.linalg import DensityMatrix, HardInstance
 from fidest.oracles import INSTANCE_KINDS, PreparationOracle, RandomInstanceSpec
 from fidest.reference import preparation_oracle, purify
@@ -185,6 +186,20 @@ def test_no_module_branches_on_an_estimator_name():
     for path in sorted(PACKAGE.glob("*.py")):
         if path.name != "fidelity.py":
             assert compared_estimator_names(path) == [], path.name
+
+
+def test_the_table_is_the_one_way_to_run_an_estimator():
+    # the task record and the named front ends over the table had no caller outside the
+    # tests: an estimator runs as ESTIMATORS[name].bind(u, v)(epsilon, seed), as the CLI runs it,
+    # and fidest.fidelity defines no function or class besides the table's two and one clamp
+    defined = [
+        name
+        for name, value in vars(fidest.fidelity).items()
+        if (inspect.isfunction(value) or inspect.isclass(value)) and value.__module__ == "fidest.fidelity"
+    ]
+    assert sorted(defined) == ["BoundEstimator", "Estimator", "_unit"]
+    assert list(inspect.signature(Estimator.bind).parameters) == ["self", "rho_oracle", "second_oracle"]
+    assert [(key, estimator.name) for key, estimator in ESTIMATORS.items()] == [(key, key) for key in ESTIMATORS]
 
 
 def called_names(source):
