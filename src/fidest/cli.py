@@ -315,21 +315,20 @@ def _run_single(config: ExperimentConfig) -> int:
 
 
 def _run_hard_instance(config: ExperimentConfig) -> int:
-    from . import linalg  # the numpy side: the family's weight vectors
+    from . import linalg  # the numpy side: the family's rank weights
 
     rows = []
-    support = slice(config.rank)  # every later weight is zero in both members of a pair
     for p in HARD_P_GRID:
         for eps in config.epsilons:
             plus, minus = linalg.hard_pair(p, eps, config.rank, config.k)
-            hell = linalg.hellinger_distance(plus.distribution[support], minus.distribution[support])
+            hell = linalg.hellinger_distance(plus, minus)
             hell_closed = linalg.hard_pair_hellinger(p, eps)
-            for inst in (plus, minus):
+            for sign, weights in ((1, plus), (-1, minus)):
                 # |first entry| of the oracle's column, sqrt(w0): no 2^k oracle is built
-                fid = math.sqrt(inst.distribution[0])
-                expected = math.sqrt(p + inst.sign * eps)
+                fid = math.sqrt(weights[0])
+                expected = math.sqrt(p + sign * eps)
                 values = (
-                    p, eps, config.rank, config.k, "+" if inst.sign > 0 else "-",
+                    p, eps, config.rank, config.k, "+" if sign > 0 else "-",
                     fid, expected, abs(fid - expected), hell, hell_closed, abs(hell - hell_closed),
                 )
                 rows.append(dict(zip(HARD_CSV_HEADER.split(","), values, strict=True)))
@@ -350,9 +349,10 @@ def _identity_residuals(config: ExperimentConfig, trial: int) -> dict:
     from . import linalg  # the numpy side: dense states and the circuit executor
 
     rank = trial % (1 << config.k) + 1
-    rho_dm, rho_oracle = linalg.sample_instance(_spec(config, trial, 0, "ginibre_mixed", rank), "U")
-    psi_dm, psi_oracle = linalg.sample_instance(_spec(config, trial, 1, "haar_pure", 1), "V")
-    sigma_dm, sigma_oracle = linalg.sample_instance(_spec(config, trial, 2, "ginibre_mixed", rank), "V")
+    rho_oracle = synthesize_instance(_spec(config, trial, 0, "ginibre_mixed", rank), "U")
+    psi_oracle = synthesize_instance(_spec(config, trial, 1, "haar_pure", 1), "V")
+    sigma_oracle = synthesize_instance(_spec(config, trial, 2, "ginibre_mixed", rank), "V")
+    rho_dm, psi_dm, sigma_dm = map(linalg.reduced_state, (rho_oracle, psi_oracle, sigma_oracle))
     pure_truth = linalg.exact_tr_rho_sigma2(rho_dm, psi_dm)
 
     def split(circuit, registers=("A", "B")):

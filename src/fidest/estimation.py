@@ -113,7 +113,11 @@ def _kernel(f: float, d: int, M: int) -> float:
     The probability that the readout lands at a + d when M omega = a + f.
     sin(pi f) is taken on min(f, 1 - f), which is exact (1 - f is, for
     f >= 1/2), so K keeps full relative precision when f is near 0 or 1.
+    Below M * 2^-1022, f / M is subnormal and the ratio would lose bits; there
+    K(0) = 1 - O(f^2) rounds to 1.
     """
+    if d == 0 and f < M * 2.0**-1022:
+        return 1.0
     t = math.sin(math.pi * min(f, 1.0 - f)) / (M * math.sin(math.pi * (f - d) / M))
     return t * t
 

@@ -17,10 +17,10 @@ a few thousand rows).
 This is the one production module that imports numpy.  It holds
 ``DensityMatrix``, the circuit executor (``execute``: each op acts in place
 on the one 1-D state), an oracle's Householder completion (``apply_oracle``,
-``oracle_unitary``) and reduced state, ``sample_instance`` (an instance with
-its dense state), the dense references verify-identities checks against, and
-the whole hard family: its input rule (``check_hard_family``), its weight
-vectors and its closed-form Hellinger distance.  verify-identities and
+``oracle_unitary``) and reduced state (``reduced_state``, the one rule that
+turns a column into its state), the dense references verify-identities checks
+against, and the whole hard family: its input rule (``check_hard_family``),
+its rank weights (``hard_pair``) and its closed-form Hellinger distance.  verify-identities and
 hard-instance (whose config is checked by ``check_hard_family``) import it
 when they run; ``sweep`` and ``single`` never load it, so their outputs rest on
 SHAKE-128, libm and ``math.fsum`` alone.
@@ -33,7 +33,7 @@ over a large state, to threads that spin on the shared cores; per-column
 ``np.vecdot`` stays on one thread below ~10^4 entries.  verify-identities
 still reads BLAS or LAPACK on k-qubit matrices, which can move the last
 digits of its printed residuals from one BLAS kernel to another:
-``reduced_state``, ``sample_instance``, ``exact_tr_rho_sigma2``, the
+``reduced_state``, ``reconstruction_error``, ``exact_tr_rho_sigma2``, the
 Householder factors' ``vdot`` and ``DensityMatrix``.
 """
 
@@ -52,21 +52,10 @@ from .oracles import (
     QUBIT_CAP,
     PreparationOracle,
     QubitCapExceeded,
-    RandomInstanceSpec,
     check_instance_size,
-    synthesize_instance,
 )
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
-
-
-def zero_state(num_qubits: int) -> np.ndarray:
-    """The all-zeros basis state |0...0> on ``num_qubits`` qubits."""
-    if num_qubits < 0:
-        raise ValueError("num_qubits must be non-negative")
-    state = np.zeros(1 << num_qubits, dtype=complex)
-    state[0] = 1.0
-    return state
 
 
 def _hermiticity_error(mat: np.ndarray) -> float:
@@ -74,20 +63,6 @@ def _hermiticity_error(mat: np.ndarray) -> float:
     overflowing M, without a warning."""
     with np.errstate(invalid="ignore", over="ignore"):
         return float(np.max(np.abs(mat - mat.conj().T)))
-
-
-def unitarity_error(u: np.ndarray) -> float:
-    """Max-entry deviation of U^dag U from the identity."""
-    u = np.asarray(u, dtype=complex)
-    # a non-finite or overflowing U reads NaN or inf, without a warning
-    with np.errstate(invalid="ignore", over="ignore"):
-        return float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
-
-
-def require_unitary(u: np.ndarray, what: str = "matrix") -> None:
-    err = unitarity_error(u)
-    if not err <= ATOL_STRUCT:
-        raise ValueError(f"{what} is not unitary (max |U^dag U - I| = {err:.3e})")
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,46 +159,17 @@ def oracle_unitary(oracle: PreparationOracle) -> np.ndarray:
     return u
 
 
+def _system_matrix(column: np.ndarray, system_qubits: int) -> np.ndarray:
+    """tr_B|c><c| = M M^dag of a column c read as M, 2^system rows by 2^ancilla columns, made
+    exactly Hermitian: the one rule that turns a column into its system state."""
+    m = column.reshape(1 << system_qubits, -1)
+    rho = m @ m.conj().T
+    return 0.5 * (rho + rho.conj().T)
+
+
 def reduced_state(oracle: PreparationOracle) -> DensityMatrix:
     """Density matrix of the system register of the oracle's prepared state."""
-    m = np.array(oracle.prepared_state, dtype=complex).reshape(1 << oracle.system_qubits, -1)
-    rho = m @ m.conj().T
-    return DensityMatrix(0.5 * (rho + rho.conj().T))
-
-
-def purified_channel_oracle(
-    channel_unitary: np.ndarray, system_qubits: int, label: str = "U"
-) -> PreparationOracle:
-    """Wrap a purified channel unitary as a preparation oracle.
-
-    The unitary acts on system plus ancilla; run on |0>|0> it prepares
-    a purification of the channel's output on the all-zeros input, so it
-    serves as purified access to that state.  Only its first column is kept:
-    the oracle is that column's completion, which agrees with the input on
-    every quantity read from U|0...0>.
-    """
-    u = np.asarray(channel_unitary, dtype=complex)
-    require_unitary(u, what="channel unitary")
-    dim = u.shape[0]
-    n = dim.bit_length() - 1
-    if dim < 2 or dim & (dim - 1):
-        raise ValueError(f"channel unitary dimension {dim} is not a power of two")
-    if system_qubits < 1 or system_qubits > n:
-        raise ValueError(f"system_qubits {system_qubits} invalid for a {n}-qubit unitary")
-    return PreparationOracle(u[:, 0], system_qubits, n - system_qubits, label)
-
-
-def sample_instance(spec: RandomInstanceSpec, label: str = "U"):
-    """``(DensityMatrix, PreparationOracle)`` of a spec: ``synthesize_instance``'s oracle and
-    its state rho = g g^dag, from the column's Gaussian factor g (its first rank ancilla
-    columns), symmetrised and divided by its trace."""
-    oracle = synthesize_instance(spec, label)
-    d = 1 << spec.k
-    g = np.array(oracle.prepared_state, dtype=complex).reshape(d, d)[:, : spec.rank]
-    rho = np.outer(g, g.conj()) if spec.kind == "haar_pure" else g @ g.conj().T
-    rho = 0.5 * (rho + rho.conj().T)
-    rho /= np.trace(rho).real
-    return DensityMatrix(rho), oracle
+    return DensityMatrix(_system_matrix(np.array(oracle.prepared_state, dtype=complex), oracle.system_qubits))
 
 
 def _hadamard(parts: np.ndarray) -> None:
@@ -394,17 +340,12 @@ def oracle_unitarity_residual(oracle: PreparationOracle) -> float:
 
 
 def reconstruction_error(oracle: PreparationOracle, state: DensityMatrix) -> float:
-    """max|tr_B(U|0><0|U^dag) - rho| of an oracle against the state it should prepare."""
-    return float(np.max(np.abs(reduced_state(oracle).matrix - state.matrix)))
-
-
-def exact_fidelity_to_pure(rho: DensityMatrix, psi: np.ndarray) -> float:
-    """sqrt(<psi|rho|psi>), the fidelity of rho to the pure state psi."""
-    psi = np.asarray(psi, dtype=complex).ravel()
-    if psi.size != rho.dim:
-        raise ValueError(f"state length {psi.size} != density matrix dim {rho.dim}")
-    val = float(np.real(np.vdot(psi, rho.matrix @ psi)))
-    return math.sqrt(min(max(val, 0.0), 1.0))
+    """max|tr_B(U|0><0|U^dag) - rho| of an oracle against the state it should prepare: the
+    oracle's plain query runs on |0...0>, so the residual reads U, not the stored column."""
+    column = np.zeros(1 << oracle.num_qubits, dtype=complex)
+    column[0] = 1.0
+    apply_oracle(oracle, column.reshape(1, -1, 1))
+    return float(np.max(np.abs(_system_matrix(column, oracle.system_qubits) - state.matrix)))
 
 
 def exact_tr_rho_sigma2(rho, sigma) -> float:
@@ -452,48 +393,19 @@ def hard_pair_hellinger(p: float, eps: float) -> float:
     return math.sqrt(squared)
 
 
-@dataclass(frozen=True, eq=False)
-class HardInstance:
-    """One member of the rank-r adversarial family against |0>.
+def hard_pair(p: float, eps: float, rank: int, k: int) -> tuple:
+    """The +/- members' weights, each ``rank`` long, of the rank-r adversarial family against
+    |0> on k qubits (check_hard_family): w[0] = p +- eps, and the other rank - 1 share the rest.
 
-    The oracle loads sqrt(weights) amplitudes directly (zero-size ancilla);
-    its fidelity to |0> is sqrt(p + sign*eps) exactly, while the +/- pair's
-    loading distributions sit at Hellinger distance O(eps).  An instance holds
-    only its weights; ``oracle``, ``target`` (the state |0...0> the fidelity
-    is taken to) and ``rho`` (the dense diagonal state) are built on first read.
+    A member's oracle loads sqrt(w) directly (zero-size ancilla), so its fidelity to |0> is
+    sqrt(w[0]) = sqrt(p +- eps) exactly, while the pair's loading distributions sit at
+    Hellinger distance O(eps); every later weight of the 2^k outcomes is zero in both.
     """
-
-    p: float
-    eps: float
-    rank: int
-    sign: int
-    distribution: np.ndarray
-
-    @functools.cached_property
-    def oracle(self) -> PreparationOracle:
-        k = self.distribution.size.bit_length() - 1
-        return PreparationOracle(np.sqrt(self.distribution), k, 0, "U")
-
-    @functools.cached_property
-    def target(self) -> np.ndarray:
-        return zero_state(self.oracle.system_qubits)
-
-    @functools.cached_property
-    def rho(self) -> DensityMatrix:
-        return DensityMatrix(np.diag(self.distribution).astype(complex))
-
-
-def hard_instance(p: float, eps: float, rank: int, sign: int, k: int) -> HardInstance:
-    """Build the rank-``rank`` instance with first weight p + sign*eps on 2^k outcomes (check_hard_family)."""
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
     check_hard_family(p, eps, rank, k)
-    weights = np.zeros(1 << k)
-    weights[0] = p + sign * eps
-    weights[1:rank] = (1.0 - p - sign * eps) / (rank - 1)
-    return HardInstance(p, eps, rank, sign, weights)
-
-
-def hard_pair(p: float, eps: float, rank: int, k: int):
-    """The +/- instance pair sharing (p, eps, rank)."""
-    return hard_instance(p, eps, rank, 1, k), hard_instance(p, eps, rank, -1, k)
+    pair = []
+    for sign in (1, -1):
+        weights = np.empty(rank)
+        weights[0] = p + sign * eps
+        weights[1:] = (1.0 - p - sign * eps) / (rank - 1)
+        pair.append(weights)
+    return tuple(pair)

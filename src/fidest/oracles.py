@@ -195,7 +195,7 @@ def synthesize_instance(spec: RandomInstanceSpec, label: str = "U") -> Preparati
     measure), so the oracle's column is g itself, zero-padded to a d x d
     ancilla (psi (x) |0> for haar_pure, whose rho is psi psi^dag).  g is
     normalised entry by entry by a math.fsum norm, so the column rests on
-    libm alone.  ``fidest.linalg.sample_instance`` adds the dense rho.
+    libm alone.  ``fidest.linalg.reduced_state`` reads the dense rho from the column.
     """
     d = 1 << spec.k
     gaussians = complex_gaussians(spec.seed, d * spec.rank)

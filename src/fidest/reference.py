@@ -4,11 +4,15 @@ Nothing in the estimators or the CLI imports this module: the executed
 flag probability, the dense circuit unitary, the full 2^m phase-estimation
 outcome grid, closed-form and executed through the Grover steps, the
 partial trace of a dense matrix, Uhlmann fidelity and the eigh purification
-cost time and memory that grow with the state, the operator or 2^m.  It is
-the only module of the package that calls ``eigh``.
+cost time and memory that grow with the state, the operator or 2^m.  The
+dense unitarity residual and the fidelity to a pure state are references the
+tests compare against too.  It is the only module of the package that calls
+``eigh``.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -18,6 +22,23 @@ from .oracles import ATOL_STRUCT, PreparationOracle, QubitCapExceeded
 
 #: Qubit cap for materializing a dense circuit unitary (a 4^n matrix).
 UNITARY_MAX_QUBITS = 12
+
+
+def unitarity_error(u: np.ndarray) -> float:
+    """Max-entry deviation of U^dag U from the identity."""
+    u = np.asarray(u, dtype=complex)
+    # a non-finite or overflowing U reads NaN or inf, without a warning
+    with np.errstate(invalid="ignore", over="ignore"):
+        return float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
+
+
+def exact_fidelity_to_pure(rho: DensityMatrix, psi: np.ndarray) -> float:
+    """sqrt(<psi|rho|psi>), the fidelity of rho to the pure state psi."""
+    psi = np.asarray(psi, dtype=complex).ravel()
+    if psi.size != rho.dim:
+        raise ValueError(f"state length {psi.size} != density matrix dim {rho.dim}")
+    val = float(np.real(np.vdot(psi, rho.matrix @ psi)))
+    return math.sqrt(min(max(val, 0.0), 1.0))
 
 
 def herm_eig(mat: np.ndarray):

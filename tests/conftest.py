@@ -2,17 +2,23 @@ import math
 
 import numpy as np
 
-from fidest.linalg import hard_pair, purified_channel_oracle, sample_instance
-from fidest.oracles import PreparationOracle, RandomInstanceSpec
+from fidest.linalg import hard_pair, reduced_state
+from fidest.oracles import PreparationOracle, RandomInstanceSpec, synthesize_instance
 from fidest.reference import purify
 
 
+def sampled(spec, label="U"):
+    """``(DensityMatrix, PreparationOracle)`` of a spec: its oracle and the state it prepares."""
+    oracle = synthesize_instance(spec, label)
+    return reduced_state(oracle), oracle
+
+
 def mixed_instance(k, rank, seed, label="U"):
-    return sample_instance(RandomInstanceSpec(k, rank, seed, "ginibre_mixed"), label)
+    return sampled(RandomInstanceSpec(k, rank, seed, "ginibre_mixed"), label)
 
 
 def pure_instance(k, seed, label="V"):
-    return sample_instance(RandomInstanceSpec(k, 1, seed, "haar_pure"), label)
+    return sampled(RandomInstanceSpec(k, 1, seed, "haar_pure"), label)
 
 
 def state_oracle(vec, label="U"):
@@ -30,6 +36,23 @@ def resized_oracle(dm, ancilla_qubits, label="U"):
     da = 1 << ancilla_qubits
     m = m[:, :da] if da <= dm.dim else np.pad(m, ((0, 0), (0, da - dm.dim)))
     return PreparationOracle(m.ravel(), dm.num_qubits, ancilla_qubits, label)
+
+
+def channel_oracle(q, system, label="U"):
+    """The oracle of a purified channel unitary q on ``system`` qubits plus an ancilla: q run
+    on |0...0> prepares a purification of the channel's output, so its first column serves as
+    purified access to that state."""
+    n = len(q).bit_length() - 1
+    return PreparationOracle(q[:, 0], system, n - system, label)
+
+
+def hard_oracles(p, eps, rank, k, label="U"):
+    """The +/- members' oracles of the hard family: each loads the zero-padded sqrt of its
+    rank weights on k qubits, with zero ancilla qubits."""
+    return tuple(
+        PreparationOracle(np.sqrt(np.pad(weights, (0, (1 << k) - rank))), k, 0, label)
+        for weights in hard_pair(p, eps, rank, k)
+    )
 
 
 def ancilla_rotated(oracle, seed):
@@ -66,10 +89,10 @@ def generated_oracles():
         specs = [(1, "haar_pure")] + [(r, "ginibre_mixed") for r in range(1, (1 << k) + 1)]
         for seed in range(3):
             for rank, kind in specs:
-                yield sample_instance(RandomInstanceSpec(k, rank, seed, kind))[1]
+                yield synthesize_instance(RandomInstanceSpec(k, rank, seed, kind))
     for k, rank in ((1, 2), (2, 3), (3, 5)):
-        yield from (inst.oracle for inst in hard_pair(0.5, 0.1, rank, k))
+        yield from hard_oracles(0.5, 0.1, rank, k)
     rng = np.random.default_rng(3)
     for n, system in ((2, 1), (3, 1), (4, 2)):
         g = rng.standard_normal((1 << n, 1 << n)) + 1j * rng.standard_normal((1 << n, 1 << n))
-        yield purified_channel_oracle(np.linalg.qr(g)[0], system)
+        yield channel_oracle(np.linalg.qr(g)[0], system)

@@ -15,25 +15,21 @@ from fidest.circuits import build_encoding_circuit, build_restructured_encoding,
 from fidest.cli import ExperimentConfig, ExperimentRecord, fit_scaling, main, run
 from fidest.fidelity import ESTIMATORS
 from fidest.linalg import (
+    DensityMatrix,
     analyze_flagged,
-    exact_fidelity_to_pure,
     exact_tr_rho_sigma2,
     execute,
-    hard_instance,
     hard_pair,
     hard_pair_hellinger,
     hellinger_distance,
     oracle_unitary,
-    purified_channel_oracle,
-    reduced_state,
+    reconstruction_error,
     register_zero_probability,
-    sample_instance,
-    unitarity_error,
 )
 from fidest.oracles import RandomInstanceSpec
-from fidest.reference import uhlmann_fidelity
+from fidest.reference import exact_fidelity_to_pure, uhlmann_fidelity, unitarity_error
 
-from conftest import dense_sqrt_tr_rho_sigma2
+from conftest import channel_oracle, dense_sqrt_tr_rho_sigma2, hard_oracles, sampled
 
 # the identity corpus: k in {1, 2}, every rank, 17 seeds each => 102 instances
 CORPUS = [
@@ -62,9 +58,9 @@ def _report(criterion: str, ok: bool, detail: str = ""):
 
 def corpus_pairs():
     for k, rank, seed in CORPUS:
-        rho, u = sample_instance(RandomInstanceSpec(k, rank, seed, "ginibre_mixed"), "U")
-        psi, v = sample_instance(RandomInstanceSpec(k, 1, seed + 1, "haar_pure"), "V")
-        sigma, w = sample_instance(RandomInstanceSpec(k, rank, seed + 2, "ginibre_mixed"), "V")
+        rho, u = sampled(RandomInstanceSpec(k, rank, seed, "ginibre_mixed"), "U")
+        psi, v = sampled(RandomInstanceSpec(k, 1, seed + 1, "haar_pure"), "V")
+        sigma, w = sampled(RandomInstanceSpec(k, rank, seed + 2, "ginibre_mixed"), "V")
         yield k, rho, u, psi, v, sigma, w
 
 
@@ -125,8 +121,8 @@ def test_criterion_4_optimal_estimator_success():
     start = time.perf_counter()
     fractions = []
     for k, rank, rho_seed, psi_seed in FIXED_INSTANCES:
-        rho, u = sample_instance(RandomInstanceSpec(k, rank, rho_seed, "ginibre_mixed"), "U")
-        psi, v = sample_instance(RandomInstanceSpec(k, 1, psi_seed, "haar_pure"), "V")
+        rho, u = sampled(RandomInstanceSpec(k, rank, rho_seed, "ginibre_mixed"), "U")
+        psi, v = sampled(RandomInstanceSpec(k, 1, psi_seed, "haar_pure"), "V")
         truth = uhlmann_fidelity(rho, psi)
         bound = ESTIMATORS["optimal"].bind(u, v)
         for eps in (0.1, 0.05, 0.02):
@@ -148,8 +144,8 @@ def test_criterion_5_quadratic_separation():
     epsilons = (0.2, 0.1, 0.05, 0.025, 0.0125)
     records = []
     for trial in range(3):
-        _, u = sample_instance(RandomInstanceSpec(1, 2, 5000 + trial, "ginibre_mixed"), "U")
-        _, v = sample_instance(RandomInstanceSpec(1, 1, 5100 + trial, "haar_pure"), "V")
+        _, u = sampled(RandomInstanceSpec(1, 2, 5000 + trial, "ginibre_mixed"), "U")
+        _, v = sampled(RandomInstanceSpec(1, 1, 5100 + trial, "haar_pure"), "V")
         for eps in epsilons:
             for estimator in ("optimal", "swap-baseline"):
                 result = ESTIMATORS[estimator].bind(u, v)(eps, 6000 + trial)
@@ -185,8 +181,8 @@ def test_criterion_6_query_accounting():
     ok = True
     checked = 0
     for k, rank, rho_seed, psi_seed in FIXED_INSTANCES[:3]:
-        _, u = sample_instance(RandomInstanceSpec(k, rank, rho_seed, "ginibre_mixed"), "U")
-        _, v = sample_instance(RandomInstanceSpec(k, 1, psi_seed, "haar_pure"), "V")
+        _, u = sampled(RandomInstanceSpec(k, rank, rho_seed, "ginibre_mixed"), "U")
+        _, v = sampled(RandomInstanceSpec(k, 1, psi_seed, "haar_pure"), "V")
         for eps in (0.2, 0.05, 0.01):
             for seed in (0, 1):
                 result = ESTIMATORS["optimal"].bind(u, v)(eps, seed)
@@ -197,8 +193,8 @@ def test_criterion_6_query_accounting():
 
 def test_criterion_7_sqrt_tr_rho_sigma2():
     start = time.perf_counter()
-    rho, u = sample_instance(RandomInstanceSpec(1, 2, 301, "ginibre_mixed"), "U")
-    sigma, sig = sample_instance(RandomInstanceSpec(1, 2, 302, "ginibre_mixed"), "V")
+    rho, u = sampled(RandomInstanceSpec(1, 2, 301, "ginibre_mixed"), "U")
+    sigma, sig = sampled(RandomInstanceSpec(1, 2, 302, "ginibre_mixed"), "V")
     truth = dense_sqrt_tr_rho_sigma2(rho, sigma)
     hits = 0
     bound = ESTIMATORS["tr-rho-sigma2"].bind(u, sig)
@@ -206,8 +202,8 @@ def test_criterion_7_sqrt_tr_rho_sigma2():
         result = bound(0.05, seed)
         hits += abs(result.estimate - truth) <= 0.05
 
-    _, v_pure = sample_instance(RandomInstanceSpec(1, 1, 43, "haar_pure"), "V")
-    _, u2 = sample_instance(RandomInstanceSpec(1, 2, 42, "ginibre_mixed"), "U")
+    _, v_pure = sampled(RandomInstanceSpec(1, 1, 43, "haar_pure"), "V")
+    _, u2 = sampled(RandomInstanceSpec(1, 2, 42, "ginibre_mixed"), "U")
     mixed, pure = (ESTIMATORS[name].bind(u2, v_pure) for name in ("tr-rho-sigma2", "optimal"))
     identical = all(mixed(0.05, seed).to_json() == pure(0.05, seed).to_json() for seed in range(40))
     elapsed = time.perf_counter() - start
@@ -225,11 +221,12 @@ def test_criterion_8_hard_instance_family():
     for p in (0.2, 0.3, 0.5, 0.7, 0.8):
         for eps in (0.05, 0.1, 0.15):
             for r in (2, 3, 4):
-                plus, minus = hard_pair(p, eps, r, k=2)
-                for inst in (plus, minus):
-                    fid = exact_fidelity_to_pure(inst.rho, inst.target)
-                    worst_fid = max(worst_fid, abs(fid - math.sqrt(p + inst.sign * eps)))
-                direct = hellinger_distance(plus.distribution, minus.distribution)
+                # each member's state is diagonal in its 2^k weights; the target is |00>
+                plus, minus = (np.pad(weights, (0, 4 - r)) for weights in hard_pair(p, eps, r, k=2))
+                for sign, weights in ((1, plus), (-1, minus)):
+                    fid = exact_fidelity_to_pure(DensityMatrix(np.diag(weights)), np.eye(4)[0])
+                    worst_fid = max(worst_fid, abs(fid - math.sqrt(p + sign * eps)))
+                direct = hellinger_distance(plus, minus)
                 worst_hell = max(worst_hell, abs(direct - hard_pair_hellinger(p, eps)))
     _report(
         "8 hard-instance closed forms",
@@ -245,27 +242,20 @@ def test_criterion_9_oracle_soundness():
     for _, rho, u, psi, v, sigma, w in corpus_pairs():
         for oracle, dm in ((u, rho), (v, psi), (w, sigma)):
             worst_unitarity = max(worst_unitarity, unitarity_error(oracle_unitary(oracle)))
-            worst_reconstruction = max(
-                worst_reconstruction,
-                float(np.max(np.abs(reduced_state(oracle).matrix - dm.matrix))),
-            )
+            worst_reconstruction = max(worst_reconstruction, reconstruction_error(oracle, dm))
             total += 1
     # channel-wrapped and amplitude-loading oracles
     rng = np.random.default_rng(77)
     g = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
     q, _ = np.linalg.qr(g)
-    chan = purified_channel_oracle(q, 1)
+    chan = channel_oracle(q, 1)
     worst_unitarity = max(worst_unitarity, unitarity_error(oracle_unitary(chan)))
     total += 1
-    for sign in (1, -1):
-        inst = hard_instance(0.5, 0.1, 2, sign, k=2)
-        worst_unitarity = max(worst_unitarity, unitarity_error(oracle_unitary(inst.oracle)))
-        loaded = np.sqrt(inst.distribution)
-        expected = np.outer(loaded, loaded.conj())
-        worst_reconstruction = max(
-            worst_reconstruction,
-            float(np.max(np.abs(reduced_state(inst.oracle).matrix - expected))),
-        )
+    for oracle, weights in zip(hard_oracles(0.5, 0.1, 2, k=2), hard_pair(0.5, 0.1, 2, k=2)):
+        worst_unitarity = max(worst_unitarity, unitarity_error(oracle_unitary(oracle)))
+        loaded = np.sqrt(np.pad(weights, (0, 2)))
+        expected = DensityMatrix(np.outer(loaded, loaded.conj()))
+        worst_reconstruction = max(worst_reconstruction, reconstruction_error(oracle, expected))
         total += 1
     _report(
         "9 oracle synthesis soundness",

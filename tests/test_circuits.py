@@ -27,7 +27,6 @@ from fidest.linalg import (
     execute,
     oracle_unitary,
     register_zero_probability,
-    zero_state,
 )
 from fidest.oracles import QubitCapExceeded
 from fidest.reference import preparation_oracle
@@ -65,7 +64,7 @@ class TestRegisterLayout:
 class TestExecute:
     def test_empty_circuit(self):
         circ = Circuit(RegisterLayout(("A",), (2,)), ())
-        assert np.array_equal(execute(circ), zero_state(2))
+        assert np.array_equal(execute(circ), np.eye(4)[0])
 
     def test_single_hadamard(self):
         circ = Circuit(RegisterLayout(("A",), (1,)), (Hadamard("A"),))

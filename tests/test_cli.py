@@ -34,17 +34,11 @@ from fidest.cli import (
     main,
     run,
 )
-from fidest.linalg import (
-    hard_instance,
-    hard_pair_hellinger,
-    oracle_unitarity_residual,
-    oracle_unitary,
-    sample_instance,
-    unitarity_error,
-)
-from fidest.oracles import QubitCapExceeded, RandomInstanceSpec
+from fidest.linalg import hard_pair, hard_pair_hellinger, oracle_unitarity_residual, oracle_unitary
+from fidest.oracles import QubitCapExceeded, RandomInstanceSpec, synthesize_instance
+from fidest.reference import unitarity_error
 
-from conftest import generated_oracles
+from conftest import generated_oracles, hard_oracles
 
 #: each command's flags, by ExperimentConfig field: exactly the keys its config file takes
 COMMAND_FLAGS = {
@@ -155,8 +149,8 @@ class TestConfigValidation:
         [
             ({"command": "sweep", "k": 0}, lambda: RandomInstanceSpec(0, 2, 0, "ginibre_mixed")),
             ({"command": "sweep", "k": 1, "rank": 3}, lambda: RandomInstanceSpec(1, 3, 0, "ginibre_mixed")),
-            ({"command": "hard-instance", "k": 2, "rank": 5}, lambda: hard_instance(0.5, 0.1, 5, 1, 2)),
-            ({"command": "hard-instance", "k": 2, "rank": 1}, lambda: hard_instance(0.5, 0.1, 1, 1, 2)),
+            ({"command": "hard-instance", "k": 2, "rank": 5}, lambda: hard_pair(0.5, 0.1, 5, 2)),
+            ({"command": "hard-instance", "k": 2, "rank": 1}, lambda: hard_pair(0.5, 0.1, 1, 2)),
             (
                 {"command": "hard-instance", "k": 2, "rank": 3, "epsilons": (0.35,)},
                 lambda: hard_pair_hellinger(0.3, 0.35),
@@ -231,33 +225,28 @@ class TestFitScaling:
         assert fit_scaling(records)["optimal"] == pytest.approx(-math.log10(2), abs=1e-12)
 
 
-#: The instance samplers the CLI calls, by module: a sweep synthesises oracles alone,
-#: verify-identities samples them with validated DensityMatrix states.
-SAMPLERS = ((fidest.cli, "synthesize_instance"), (fidest.linalg, "sample_instance"))
-
-
 def count_sampling(monkeypatch):
-    """Wrap both samplers where the CLI reads them; return the list of sampler names called."""
+    """Wrap the one instance sampler where the CLI reads it; return the list of its calls.
+
+    A sweep and verify-identities alike synthesise their oracles with it."""
     calls = []
-    for module, name in SAMPLERS:
-        original = getattr(module, name)
+    original = fidest.cli.synthesize_instance
 
-        def counting(*args, name=name, original=original, **kwargs):
-            calls.append(name)
-            return original(*args, **kwargs)
+    def counting(*args, **kwargs):
+        calls.append("synthesize_instance")
+        return original(*args, **kwargs)
 
-        monkeypatch.setattr(module, name, counting)
+    monkeypatch.setattr(fidest.cli, "synthesize_instance", counting)
     return calls
 
 
 def forbid_sampling(monkeypatch, check="the config checks"):
-    """Make any call of either sampler fail the test."""
+    """Make any call of the instance sampler fail the test."""
 
     def no_synthesis(*args, **kwargs):
         raise AssertionError(f"an instance was sampled before {check}")
 
-    for module, name in SAMPLERS:
-        monkeypatch.setattr(module, name, no_synthesis)
+    monkeypatch.setattr(fidest.cli, "synthesize_instance", no_synthesis)
 
 
 class TestVerifyIdentities:
@@ -284,7 +273,35 @@ class TestVerifyIdentities:
     def test_samples_three_instances_per_trial(self, monkeypatch, capsys):
         calls = count_sampling(monkeypatch)
         assert run(ExperimentConfig(command="verify-identities", k=1, trials=4)) == 0
-        assert calls == ["sample_instance"] * (3 * 4)
+        assert calls == ["synthesize_instance"] * (3 * 4)
+
+    @pytest.mark.parametrize(
+        "twist,untwist",
+        [
+            ((1, 1j), (1, -1j)),  # row 1 times i
+            ((0, -1.0), (0, -1.0)),  # row 0 times -1
+            ((2, 1j), (2, -1j)),  # row 2 times i
+        ],
+        ids=["row 1 phase", "row 0 sign", "row 2 phase"],
+    )
+    def test_reconstruction_reads_the_executed_query(self, monkeypatch, twist, untwist):
+        # a plain query that multiplies one row by a phase, undone by the inverse query, keeps
+        # U unitary but prepares another state: the residual reads U|0...0>, not the stored column
+        forward = fidest.linalg.apply_oracle
+
+        def twisted(oracle, blocks, inverse=False):
+            if inverse:
+                blocks[:, untwist[0]] *= untwist[1]
+            forward(oracle, blocks, inverse)
+            if not inverse:
+                blocks[:, twist[0]] *= twist[1]
+
+        monkeypatch.setattr(fidest.linalg, "apply_oracle", twisted)
+        config = ExperimentConfig(command="verify-identities", k=2, seed=3)
+        trials = [_identity_residuals(config, trial) for trial in range(8)]
+        for name in ("oracle reconstruction max|tr_B - rho|", "oracle unitarity max|U^dag U - I|"):
+            worst = max(residuals[name] for residuals in trials)
+            assert (worst > IDENTITY_BOUNDS[name]) == ("reconstruction" in name), (name, worst)
 
     @pytest.mark.parametrize("trial", [0, 11])
     def test_identity_residuals_within_bounds_at_k4(self, trial):
@@ -311,7 +328,7 @@ class TestOracleUnitarityResidual:
             assert abs(oracle_unitarity_residual(oracle) - dense) <= 1e-14
 
     def test_fails_a_non_unitary_oracle(self):
-        oracle = corrupted(sample_instance(RandomInstanceSpec(2, 2, 0, "ginibre_mixed"))[1])
+        oracle = corrupted(synthesize_instance(RandomInstanceSpec(2, 2, 0, "ginibre_mixed")))
         assert unitarity_error(oracle_unitary(oracle)) > 1e-10
         assert oracle_unitarity_residual(oracle) > 1e-10
 
@@ -329,8 +346,8 @@ class TestOracleUnitarityResidual:
         monkeypatch.setattr(fidest.linalg, "apply_oracle", apply)
 
     def test_fails_an_inverse_query_that_is_not_the_adjoint(self, monkeypatch):
-        unitary = sample_instance(RandomInstanceSpec(2, 2, 0, "ginibre_mixed"))[1]
-        bad = corrupted(sample_instance(RandomInstanceSpec(2, 2, 0, "ginibre_mixed"))[1])
+        unitary = synthesize_instance(RandomInstanceSpec(2, 2, 0, "ginibre_mixed"))
+        bad = corrupted(synthesize_instance(RandomInstanceSpec(2, 2, 0, "ginibre_mixed")))
         # inverse queries: U for the unitary oracle, and the exact inverse of
         # the corrupted U, which passes U^-1 U = I and is caught only as not U^dag
         wrong = {id(unitary): oracle_unitary(unitary), id(bad): np.linalg.inv(oracle_unitary(bad))}
@@ -340,7 +357,7 @@ class TestOracleUnitarityResidual:
 
     def test_passes_the_same_patched_query_with_the_adjoint(self, monkeypatch):
         # the control for the test above: the patched query does reach the residual
-        oracles = [sample_instance(RandomInstanceSpec(2, 2, seed, "ginibre_mixed"))[1] for seed in (0, 1)]
+        oracles = [synthesize_instance(RandomInstanceSpec(2, 2, seed, "ginibre_mixed")) for seed in (0, 1)]
         self.with_inverse_queries(monkeypatch, {id(o): oracle_unitary(o).conj().T for o in oracles})
         for oracle in oracles:
             assert oracle_unitarity_residual(oracle) <= 1e-10
@@ -670,9 +687,9 @@ class TestHardInstance:
         rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
         assert {row["sign"] for row in rows} == {"+", "-"}
         for row in rows:
-            sign = 1 if row["sign"] == "+" else -1
-            inst = hard_instance(float(row["p"]), float(row["epsilon"]), rank, sign, k)
-            assert float(row["fidelity"]) == float(abs(inst.oracle.prepared_state[0]))
+            plus, minus = hard_oracles(float(row["p"]), float(row["epsilon"]), rank, k)
+            oracle = plus if row["sign"] == "+" else minus
+            assert float(row["fidelity"]) == float(abs(oracle.prepared_state[0]))
 
     def test_rejects_rank_one(self):
         with pytest.raises(ValueError, match=r"^rank must be >= 2, got 1$"):

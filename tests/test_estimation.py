@@ -767,6 +767,7 @@ class TestExecutedSamplerLaw:
     @example(f=0.37, a=100)  # a heavy, asymmetric tail
     @example(f=1e-10, a=1)  # just off the grid: each branch's mass is nearly all in one bin
     @example(f=5e-324, a=3)  # the envelope's scale underflows to 0, so every tail round accepts
+    @example(f=2.225073858507e-311, a=0)  # f / M is subnormal: K(0) rounds to 1, the tail keeps nothing
     def test_law_equals_the_grid_law(self, f, a):
         for m in range(3, 11):
             self.assert_law(((a % (1 << (m - 1))) + f) / (1 << m), m)

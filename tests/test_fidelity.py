@@ -16,31 +16,31 @@ from fidest.fidelity import ESTIMATORS
 from fidest.linalg import (
     DensityMatrix,
     analyze_flagged,
-    exact_fidelity_to_pure,
     exact_tr_rho_sigma2,
     execute,
-    hard_instance,
     hard_pair,
     hard_pair_hellinger,
     hellinger_distance,
     oracle_unitary,
-    purified_channel_oracle,
     reduced_state,
-    sample_instance,
-    zero_state,
 )
 from fidest.oracles import QubitCapExceeded
-from fidest.reference import flag_probability, preparation_oracle, uhlmann_fidelity
+from fidest.reference import exact_fidelity_to_pure, flag_probability, preparation_oracle, uhlmann_fidelity
 
 from conftest import (
     ancilla_rotated,
+    channel_oracle,
     dense_sqrt_tr_rho_sigma2,
+    hard_oracles,
     mixed_instance,
     principal_eigvec,
     pure_instance,
     resized_oracle,
+    sampled,
     state_oracle,
 )
+
+ZERO2 = np.eye(4)[0]  # |00>, the target the hard family's fidelity is taken to
 
 
 class TestExactReferences:
@@ -53,7 +53,7 @@ class TestExactReferences:
     def test_fidelity_maximally_mixed(self, k):
         d = 1 << k
         rho = DensityMatrix(np.eye(d) / d)
-        assert abs(exact_fidelity_to_pure(rho, zero_state(k)) - 2 ** (-k / 2)) <= 1e-12
+        assert abs(exact_fidelity_to_pure(rho, np.eye(d)[0]) - 2 ** (-k / 2)) <= 1e-12
 
     @pytest.mark.parametrize("seed", range(5))
     def test_fidelity_matches_uhlmann(self, seed):
@@ -66,7 +66,7 @@ class TestExactReferences:
     def test_fidelity_dim_mismatch(self):
         rho = DensityMatrix(np.eye(2) / 2)
         with pytest.raises(ValueError, match="dim"):
-            exact_fidelity_to_pure(rho, zero_state(2))
+            exact_fidelity_to_pure(rho, ZERO2)
 
     def test_tr_rho_sigma2_pure_second_state(self):
         rho, _ = mixed_instance(1, 2, 12)
@@ -249,8 +249,8 @@ class TestEstimatorTable:
             config = cli.ExperimentConfig(command="sweep", estimator=name, k=k, rank=rank, seed=seed)
             [(record, _)] = cli._estimate_trial(config, 0)
             kinds = {True: ("haar_pure", 1), False: ("ginibre_mixed", rank)}
-            rho, u = sample_instance(cli._spec(config, 0, 0, *kinds[estimator.first_pure]), "U")
-            sigma, v = sample_instance(cli._spec(config, 0, 1, *kinds[estimator.second_pure]), "V")
+            rho, u = sampled(cli._spec(config, 0, 0, *kinds[estimator.first_pure]), "U")
+            sigma, v = sampled(cli._spec(config, 0, 1, *kinds[estimator.second_pure]), "V")
             bound = estimator.bind(u, v)
             assert record.true_value == bound.true_value, name
             assert abs(bound.true_value**2 - exact_tr_rho_sigma2(rho, sigma)) <= 1e-12, name
@@ -440,8 +440,8 @@ class TestPurePureFidelity:
         u_phi = oracle_unitary(state_oracle(phi))
         anc1 = oracle_unitary(state_oracle(np.array([1.0, 0.0], dtype=complex)))
         anc2 = oracle_unitary(state_oracle(np.array([0.6, 0.8], dtype=complex)))
-        o1 = purified_channel_oracle(np.kron(u_phi, anc1), 1, "U")
-        o2 = purified_channel_oracle(np.kron(u_phi, anc2), 1, "V")
+        o1 = channel_oracle(np.kron(u_phi, anc1), 1, "U")
+        o2 = channel_oracle(np.kron(u_phi, anc2), 1, "V")
         result = ESTIMATORS["pure-pure"].bind(o1, o2)(0.05, 3)
         assert abs(result.estimate - 1.0) <= 0.05
 
@@ -472,17 +472,17 @@ class TestHardInstances:
     @pytest.mark.parametrize("eps", [0.05, 0.1])
     @pytest.mark.parametrize("r", [2, 3, 4])
     def test_fidelity_closed_form(self, p, eps, r):
-        for sign in (1, -1):
-            inst = hard_instance(p, eps, r, sign, k=2)
-            fid = exact_fidelity_to_pure(inst.rho, inst.target)
+        for sign, weights in zip((1, -1), hard_pair(p, eps, r, k=2)):
+            rho = DensityMatrix(np.diag(np.pad(weights, (0, 4 - r))))
+            fid = exact_fidelity_to_pure(rho, ZERO2)
             assert abs(fid - math.sqrt(p + sign * eps)) <= 1e-12
 
     @pytest.mark.parametrize("p", [0.2, 0.5, 0.7])
     @pytest.mark.parametrize("eps", [0.05, 0.1])
     @pytest.mark.parametrize("r", [2, 4])
     def test_hellinger_closed_form(self, p, eps, r):
-        plus, minus = hard_pair(p, eps, r, k=2)
-        direct = hellinger_distance(plus.distribution, minus.distribution)
+        plus, minus = (np.pad(weights, (0, 4 - r)) for weights in hard_pair(p, eps, r, k=2))
+        direct = hellinger_distance(plus, minus)
         assert abs(direct - hard_pair_hellinger(p, eps)) <= 1e-12
 
     @pytest.mark.parametrize(
@@ -500,8 +500,8 @@ class TestHardInstances:
         # the Householder completions of the +/- loading columns sit at operator
         # distance sqrt(2) H, the gap the hybrid-argument lower bound takes
         # (Bennett, Bernstein, Brassard and Vazirani, quant-ph/9701001)
-        plus, minus = hard_pair(p, eps, rank, k)
-        distance = np.linalg.norm(oracle_unitary(plus.oracle) - oracle_unitary(minus.oracle), 2)
+        plus, minus = hard_oracles(p, eps, rank, k)
+        distance = np.linalg.norm(oracle_unitary(plus) - oracle_unitary(minus), 2)
         assert distance == pytest.approx(math.sqrt(2.0) * hard_pair_hellinger(p, eps), rel=1e-9, abs=0.0)
 
     def test_degenerate_limit(self):
@@ -509,7 +509,7 @@ class TestHardInstances:
         plus, minus = hard_pair(0.5, eps, 2, k=1)
         # H^2 = 2 eps^2 / (1/2 + sqrt(1/4 - eps^2)) = 2 eps^2 (1 + O(eps^2))
         assert abs(hard_pair_hellinger(0.5, eps) / (math.sqrt(2.0) * eps) - 1.0) <= 1e-12
-        assert np.max(np.abs(plus.rho.matrix - minus.rho.matrix)) <= 3 * eps
+        assert np.max(np.abs(plus - minus)) <= 3 * eps  # the diagonal states' entries
 
     @settings(database=None, deadline=None, max_examples=200)
     @given(p=st.floats(0.05, 0.95), exponent=st.floats(-12.0, -1.31))
@@ -523,24 +523,32 @@ class TestHardInstances:
         assert abs(hard_pair_hellinger(p, eps) - want) <= 4 * math.ulp(want)
 
     def test_rank_exact(self):
-        inst = hard_instance(0.5, 0.1, 3, 1, k=2)
-        assert int(np.sum(np.linalg.eigvalsh(inst.rho.matrix) > 1e-12)) == 3
+        plus, _ = hard_pair(0.5, 0.1, 3, k=2)
+        rho = DensityMatrix(np.diag(np.pad(plus, (0, 1))))
+        assert int(np.sum(np.linalg.eigvalsh(rho.matrix) > 1e-12)) == 3
+
+    @pytest.mark.parametrize("p,eps,rank", [(0.5, 0.1, 2), (0.3, 0.05, 3), (0.7, 0.1, 5), (0.2, 0.15, 8)])
+    def test_weights_are_rank_long_assignments(self, p, eps, rank):
+        # w[0] = p +- eps and the other rank - 1 weights share 1 - p -+ eps, bit for bit
+        for sign, weights in zip((1, -1), hard_pair(p, eps, rank, k=3)):
+            assert weights.shape == (rank,)
+            assert weights[0] == p + sign * eps
+            assert np.all(weights[1:] == (1.0 - p - sign * eps) / (rank - 1))
+            assert abs(math.fsum(weights) - 1.0) <= 1e-15
 
     def test_distribution_sums_to_one(self):
-        inst = hard_instance(0.4, 0.2, 4, -1, k=2)
-        assert abs(inst.distribution.sum() - 1.0) <= 1e-12
+        _, minus = hard_pair(0.4, 0.2, 4, k=2)
+        assert abs(minus.sum() - 1.0) <= 1e-12
 
     def test_constraint_validation(self):
         with pytest.raises(ValueError, match=r"^rank must be >= 2, got 1$"):
-            hard_instance(0.5, 0.1, 1, 1, k=1)
+            hard_pair(0.5, 0.1, 1, k=1)
         with pytest.raises(ValueError, match=re.escape("rank 3 out of range [1, 2^1] for k=1")):
-            hard_instance(0.5, 0.1, 3, 1, k=1)
+            hard_pair(0.5, 0.1, 3, k=1)
         with pytest.raises(ValueError, match=r"^k must be >= 1, got 0$"):
-            hard_instance(0.5, 0.1, 2, 1, k=0)
+            hard_pair(0.5, 0.1, 2, k=0)
         with pytest.raises(ValueError, match=r"^p=0\.95 with epsilon=0\.1 leaves \(0, 1\)$"):
-            hard_instance(0.95, 0.1, 2, 1, k=1)
-        with pytest.raises(ValueError, match="sign"):
-            hard_instance(0.5, 0.1, 2, 0, k=1)
+            hard_pair(0.95, 0.1, 2, k=1)
         # p - eps <= 0 leaves (0, 1): refused by the family itself, not only by the CLI
         for p in (0.05, 0.1):
             with pytest.raises(ValueError, match="0, 1"):
@@ -549,10 +557,10 @@ class TestHardInstances:
     def test_estimator_runs_on_hard_instance(self):
         # the loading oracle serves the estimator directly: the estimate
         # targets sqrt(p + sign * eps)
-        inst = hard_instance(0.5, 0.1, 2, 1, k=1)
+        plus, _ = hard_oracles(0.5, 0.1, 2, k=1)
         target_oracle = state_oracle([1.0, 0.0], "V")
         hits = 0
-        bound = ESTIMATORS["optimal"].bind(inst.oracle, target_oracle)
+        bound = ESTIMATORS["optimal"].bind(plus, target_oracle)
         for seed in range(40):
             result = bound(0.05, seed)
             hits += abs(result.estimate - math.sqrt(0.6)) <= 0.05
@@ -572,8 +580,8 @@ class TestHardInstances:
                 for eps in epsilons.tolist():
                     bound = 1.0 / (3.0 * math.sqrt(2.0) * hard_pair_hellinger(p, eps))
                     queries = {
-                        ESTIMATORS[name].bind(inst.oracle, target)(eps, 0).total_queries("U")
-                        for inst in hard_pair(p, eps, 2, k=1)
+                        ESTIMATORS[name].bind(oracle, target)(eps, 0).total_queries("U")
+                        for oracle in hard_oracles(p, eps, 2, k=1)
                     }
                     [count] = queries  # the tally does not depend on the instance
                     ratios.append(count / bound)

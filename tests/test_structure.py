@@ -9,7 +9,7 @@ variable, no op is a controlled query, a config's defaults are its
 command's flag defaults, the QPE sampler and the scaling fit compute in
 plain floats, no estimate executes a circuit, verify-identities checks
 oracle unitarity through the oracle's queries, with no dense product, only
-the reference module calls eigh, a hard instance holds no oracle, executed circuit ops
+the reference module calls eigh, the hard family is its rank weights, executed circuit ops
 act in place and make no BLAS call that OpenBLAS can thread, a sweep
 validates no state and factors no oracle, and the estimate path (sweep and
 single) imports no numpy: fidest.linalg is its one module boundary."""
@@ -34,7 +34,7 @@ from fidest.circuits import Circuit, OracleOp, RegisterLayout
 from fidest.cli import COMMANDS, ExperimentConfig, build_parser, config_from_args, main
 from fidest.estimation import _KernelSampler
 from fidest.fidelity import ESTIMATORS, Estimator
-from fidest.linalg import DensityMatrix, HardInstance
+from fidest.linalg import DensityMatrix
 from fidest.oracles import INSTANCE_KINDS, PreparationOracle, RandomInstanceSpec
 from fidest.reference import preparation_oracle, purify
 
@@ -343,7 +343,61 @@ def test_each_rule_has_one_home():
     assert not {"log2", "log"} & set(called_names(readout))
 
 
+def used_names(node, skip=()):
+    """Attribute and variable names under an AST node, outside the subtrees in ``skip``, plus "@"
+    for a matrix product; a string, a docstring among them, names nothing."""
+    nodes, stack = [], [node]
+    while stack:
+        nodes.append(stack.pop())
+        stack.extend(child for child in ast.iter_child_nodes(nodes[-1]) if child not in skip)
+    used = {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+    used |= {n.id for n in nodes if isinstance(n, ast.Name)}
+    products = [n for n in nodes if isinstance(n, (ast.BinOp, ast.AugAssign))]
+    if any(isinstance(n.op, ast.MatMult) for n in products):
+        used.add("@")
+    return used
+
+
+def unnamed_definitions():
+    """(file, name) of every production definition that production code never names.
+
+    A definition is a module-level function or class of a module other than reference.py, or a
+    method or property of such a class (dunder methods count as part of their class).  It is
+    live if a module's top-level code (cli.py's ``__main__`` block calls ``main``, the console
+    script's entry point) or a live definition other than itself names it, so a name read only
+    by dead code is dead too."""
+    definitions, reads, live_names = {}, {}, set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "reference.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        top = [n for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))]
+        live_names |= used_names(tree, skip=top)
+        for node in top:
+            members = [
+                m for m in node.body if isinstance(m, ast.FunctionDef) and not m.name.startswith("__")
+            ] if isinstance(node, ast.ClassDef) else []
+            definitions[(path.name, node.name)] = node.name
+            reads[(path.name, node.name)] = used_names(node, skip=members) - {node.name}
+            for member in members:
+                definitions[(path.name, f"{node.name}.{member.name}")] = member.name
+                reads[(path.name, f"{node.name}.{member.name}")] = used_names(member) - {member.name}
+    live, grown = set(), True
+    while grown:
+        grown = False
+        for key, name in definitions.items():
+            if key not in live and name in live_names:
+                live.add(key)
+                live_names |= reads[key]
+                grown = True
+    return sorted(set(definitions) - live)
+
+
 def test_no_test_only_surface():
+    # every production function, class and method is reached from a command: the channel
+    # wrapper, the zero state, the test-only hard-instance record and the dense unitarity and
+    # fidelity-to-pure references had no caller outside the tests
+    assert unnamed_definitions() == []
     # instance and matrix files, the prescribed-spectrum kind and the free-standing
     # dense completion (read fidest.linalg.oracle_unitary) had no caller outside the tests
     deleted = {
@@ -361,13 +415,15 @@ def test_no_test_only_surface():
     assert not deleted & set(dir(fidest))
     assert [f.name for f in dataclasses.fields(RandomInstanceSpec)] == ["k", "rank", "seed", "kind"]
     assert INSTANCE_KINDS == ("haar_pure", "ginibre_mixed")
-    # a hard instance holds its weights; its oracle and target are built on first read
-    assert not {"target", "oracle"} & {f.name for f in dataclasses.fields(HardInstance)}
+    # the hard family is its rank weights: no 2^k vector, oracle or target is built
+    pair = linalg.hard_pair(0.5, 0.1, 3, 20)
+    assert [weights.shape for weights in pair] == [(3,), (3,)]
 
 
 def test_eigendecompositions_live_in_the_reference():
     # a sampled instance's oracle is the Gaussian factor its state is drawn from;
-    # the eigh purification, its oracle and the Hermitian eigensolver are references
+    # the eigh purification, its oracle and the Hermitian eigensolver are references, as are
+    # the dense unitarity residual and the fidelity to a pure state, which only the tests read
     defined = {}
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -375,7 +431,7 @@ def test_eigendecompositions_live_in_the_reference():
                 defined.setdefault(node.name, []).append(path.name)
         if path.name != "reference.py":
             assert "eigh" not in called_names(path), path.name
-    for name in ("purify", "preparation_oracle", "herm_eig"):
+    for name in ("purify", "preparation_oracle", "herm_eig", "unitarity_error", "exact_fidelity_to_pure"):
         assert defined[name] == ["reference.py"], name
 
 
@@ -451,17 +507,6 @@ def test_the_scaling_fit_is_plain_floats():
     assert not {"statistics", "fractions", "decimal"} & set(imported_modules(PACKAGE / "cli.py"))
 
 
-def used_names(node):
-    """Attribute and variable names under an AST node, plus "@" for a matrix product."""
-    nodes = list(ast.walk(node))
-    used = {n.attr for n in nodes if isinstance(n, ast.Attribute)}
-    used |= {n.id for n in nodes if isinstance(n, ast.Name)}
-    products = [n for n in nodes if isinstance(n, (ast.BinOp, ast.AugAssign))]
-    if any(isinstance(n.op, ast.MatMult) for n in products):
-        used.add("@")
-    return used
-
-
 PRODUCTS = {"@", "matmul", "dot", "tensordot"}
 
 
@@ -506,7 +551,7 @@ def test_a_sweep_validates_no_state_and_factors_no_oracle(monkeypatch, capsys, e
     def forbidden(*args, **kwargs):
         raise AssertionError("called by a sweep")
 
-    for name in ("reduced_state", "sample_instance", "_householder", "exact_tr_rho_sigma2"):
+    for name in ("reduced_state", "_system_matrix", "_householder", "exact_tr_rho_sigma2"):
         monkeypatch.setattr(linalg, name, forbidden)
     monkeypatch.setattr(DensityMatrix, "__post_init__", forbidden)
     monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
@@ -527,7 +572,8 @@ def test_a_sweep_validates_no_state_and_factors_no_oracle(monkeypatch, capsys, e
 
 
 def test_one_function_synthesises_instances():
-    # sample_instance adds the dense state to synthesize_instance's oracle; nothing else draws one
+    # verify-identities and a sweep draw their oracles alike, and read the dense state from the
+    # column (fidest.linalg.reduced_state); nothing else draws one
     drawing = []
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
