@@ -140,8 +140,9 @@ class ExperimentConfig:
             # the family is built from k-qubit weight and amplitude vectors
             n, what = self.k, "states"
         else:
-            # every circuit these commands run has 1 + 4k qubits: a flag or
-            # control qubit, two k-qubit systems and their k-qubit ancillas
+            # a circuit these commands run has at most 1 + 4k qubits: a flag or
+            # control qubit, two k-qubit systems and their ancillas, which are
+            # ceil(log2 rank) qubits each and k at full rank
             n, what = 1 + 4 * self.k, "circuits"
         if n > QUBIT_CAP:
             raise QubitCapExceeded(f"k = {self.k} needs {n}-qubit {what}, cap is {QUBIT_CAP}")
@@ -368,6 +369,7 @@ def _identity_residuals(config: ExperimentConfig, trial: int) -> dict:
         build_restructured_encoding(rho_oracle, sigma_oracle), ("A'", "B'")
     ).flagged_amplitude**2
     pairs = ((rho_oracle, rho_dm), (psi_oracle, psi_dm), (sigma_oracle, sigma_dm))
+    oracle_checks = [linalg.oracle_residuals(oracle, dm) for oracle, dm in pairs]
     values = (  # in IDENTITY_BOUNDS order
         abs(amp2 - pure_truth),
         abs(amp2_mixed - linalg.exact_tr_rho_sigma2(rho_dm, sigma_dm)),
@@ -375,8 +377,8 @@ def _identity_residuals(config: ExperimentConfig, trial: int) -> dict:
         abs(pr_zero(build_flagged_encoding(rho_oracle, psi_oracle)) - amp2),
         abs(amp2 + pure.residual_norm**2 - 1.0),
         abs(pr_zero(build_swap_test(rho_oracle, psi_oracle)) - (1.0 + pure_truth) / 2.0),
-        max(linalg.oracle_unitarity_residual(oracle) for oracle, _ in pairs),
-        max(linalg.reconstruction_error(oracle, dm) for oracle, dm in pairs),
+        max(unitarity for unitarity, _ in oracle_checks),
+        max(reconstruction for _, reconstruction in oracle_checks),
     )
     return dict(zip(IDENTITY_BOUNDS, values, strict=True))
 

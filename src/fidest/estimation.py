@@ -31,7 +31,8 @@ The estimators read out sin^2(pi y / M) (for p) or sin(pi y / M) (for
 sqrt(p)) and take the lower median of 15 repetitions.  Their uniforms come
 from fidest.streams, SHAKE-128 keyed by the seed: repetition rep's branch and
 window uniforms are entries 2 rep and 2 rep + 1 of uniforms(b"head", (seed,),
-30), read once per estimate, and a repetition whose window misses reads its
+30), read once per seed (the last seed's tuple is kept, so a sweep trial's
+estimates share one read), and a repetition whose window misses reads its
 tail rounds from uniforms(b"tail", (seed, rep), n), read on in chunks that
 double.  An estimate is a function of its arguments alone: it does not
 depend on which seed or delta ran before it, or on the thread it runs in.
@@ -55,6 +56,7 @@ step.  The tallies are returned with the run's result.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import json
 import math
@@ -220,13 +222,20 @@ def _query_tally(once: dict, grover_steps: int, repetitions: int) -> dict:
     return tally
 
 
+@functools.lru_cache(maxsize=1)
+def _head_uniforms(seed: int) -> tuple:
+    """The branch and window uniforms of an estimate, uniforms(b"head", (seed,), 2 R) as a
+    tuple: the estimates of a sweep trial share its seed, so they read it once."""
+    return tuple(uniforms(b"head", (seed,), 2 * DEFAULT_REPETITIONS))
+
+
 def _estimate(p, once, delta, seed, square):
     m = readout_qubits(delta, square)
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
     sampler = _KernelSampler(math.asin(math.sqrt(p)) / math.pi, m)
     grover_steps = ((1 << m) - 1) * DEFAULT_REPETITIONS
-    head = uniforms(b"head", (seed,), 2 * DEFAULT_REPETITIONS)
+    head = _head_uniforms(seed)
     values = []
     for rep in range(DEFAULT_REPETITIONS):
         y = sampler.draw(head[2 * rep], head[2 * rep + 1], _tail_uniforms(seed, rep))

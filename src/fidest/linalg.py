@@ -33,8 +33,8 @@ over a large state, to threads that spin on the shared cores; per-column
 ``np.vecdot`` stays on one thread below ~10^4 entries.  verify-identities
 still reads BLAS or LAPACK on k-qubit matrices, which can move the last
 digits of its printed residuals from one BLAS kernel to another:
-``reduced_state``, ``reconstruction_error``, ``exact_tr_rho_sigma2``, the
-Householder factors' ``vdot`` and ``DensityMatrix``.
+``_system_matrix`` (in ``reduced_state`` and ``oracle_residuals``),
+``exact_tr_rho_sigma2``, the Householder factors' ``vdot`` and ``DensityMatrix``.
 """
 
 from __future__ import annotations
@@ -319,16 +319,21 @@ def register_zero_probability(state, layout, registers) -> float:
     return analyze_flagged(state, layout, registers).flagged_amplitude ** 2
 
 
-def oracle_unitarity_residual(oracle: PreparationOracle) -> float:
-    """max|U^dag U - I| of the dense U, taken through the oracle's own queries.
+def oracle_residuals(oracle: PreparationOracle, state: DensityMatrix) -> tuple:
+    """(max|U^dag U - I|, max|tr_B(U|0><0|U^dag) - rho|) of the dense U, taken through the
+    oracle's own queries, against the state it should prepare.
 
-    The inverse query applied to U gives U^dag U, and the inverse query is
-    checked against U's conjugate transpose; the residual is the larger of the
-    two deviations, so a non-unitary U fails even if the inverse query
-    compensated for it.  Each query acts in place, in O(4^n), on U or on one
-    n-qubit identity buffer; no BLAS product.
+    U is the plain query applied to the identity, so its column 0 is the executed
+    U|0...0>, not the stored column, and the reconstruction residual is read from it
+    before the inverse query overwrites U.  The inverse query applied to U gives
+    U^dag U, and the inverse query is checked against U's conjugate transpose; the
+    unitarity residual is the larger of the two deviations, so a non-unitary U fails
+    even if the inverse query compensated for it.  Each query acts in place, in
+    O(4^n), on U or on one n-qubit identity buffer; no BLAS product.
     """
     u = oracle_unitary(oracle)
+    rho = _system_matrix(u[:, 0], oracle.system_qubits)
+    reconstruction = float(np.max(np.abs(rho - state.matrix)))
     work = np.eye(len(u), dtype=complex)
     apply_oracle(oracle, work[np.newaxis], inverse=True)
     np.conjugate(work, out=work)
@@ -336,16 +341,7 @@ def oracle_unitarity_residual(oracle: PreparationOracle) -> float:
     adjoint = float(np.max(np.abs(work)))
     apply_oracle(oracle, u[np.newaxis], inverse=True)
     u.reshape(-1)[:: len(u) + 1] -= 1.0  # U^dag U - I
-    return max(float(np.max(np.abs(u))), adjoint)
-
-
-def reconstruction_error(oracle: PreparationOracle, state: DensityMatrix) -> float:
-    """max|tr_B(U|0><0|U^dag) - rho| of an oracle against the state it should prepare: the
-    oracle's plain query runs on |0...0>, so the residual reads U, not the stored column."""
-    column = np.zeros(1 << oracle.num_qubits, dtype=complex)
-    column[0] = 1.0
-    apply_oracle(oracle, column.reshape(1, -1, 1))
-    return float(np.max(np.abs(_system_matrix(column, oracle.system_qubits) - state.matrix)))
+    return max(float(np.max(np.abs(u))), adjoint), reconstruction
 
 
 def exact_tr_rho_sigma2(rho, sigma) -> float:

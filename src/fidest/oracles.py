@@ -192,16 +192,17 @@ def synthesize_instance(spec: RandomInstanceSpec, label: str = "U") -> Preparati
     Both kinds draw g, a normalized complex-Gaussian d x rank matrix
     (``complex_gaussians`` of the spec's seed, row by row): a Haar-random
     pure state whose reduced system state is rho = g g^dag (the induced
-    measure), so the oracle's column is g itself, zero-padded to a d x d
-    ancilla (psi (x) |0> for haar_pure, whose rho is psi psi^dag).  g is
-    normalised entry by entry by a math.fsum norm, so the column rests on
-    libm alone.  ``fidest.linalg.reduced_state`` reads the dense rho from the column.
+    measure), so the oracle's column is g itself, zero-padded to the
+    smallest ancilla that holds rank columns, ceil(log2 rank) qubits (none
+    for haar_pure, whose column is psi itself).  g is normalised entry by
+    entry by a math.fsum norm, so the column rests on libm alone.
+    ``fidest.linalg.reduced_state`` reads the dense rho from the column.
     """
-    d = 1 << spec.k
+    d, ancilla = 1 << spec.k, (spec.rank - 1).bit_length()
     gaussians = complex_gaussians(spec.seed, d * spec.rank)
     re, im = [z.real for z in gaussians], [z.imag for z in gaussians]
     norm = math.sqrt(_dot(re + im, re + im))
     g = [complex(a / norm, b / norm) for a, b in zip(re, im)]
-    pad = [0j] * (d - spec.rank)
+    pad = [0j] * ((1 << ancilla) - spec.rank)
     column = [z for i in range(0, d * spec.rank, spec.rank) for z in g[i : i + spec.rank] + pad]
-    return PreparationOracle(column, spec.k, spec.k, label)
+    return PreparationOracle(column, spec.k, ancilla, label)

@@ -38,6 +38,14 @@ def resized_oracle(dm, ancilla_qubits, label="U"):
     return PreparationOracle(m.ravel(), dm.num_qubits, ancilla_qubits, label)
 
 
+def padded_oracle(oracle):
+    """The oracle with its column zero-padded to an ancilla as wide as its system: the
+    psi (x) |0> or d x d form, whose circuits run on 2^(4k) amplitudes whatever the rank."""
+    m = np.array(oracle.prepared_state).reshape(1 << oracle.system_qubits, -1)
+    m = np.pad(m, ((0, 0), (0, (1 << oracle.system_qubits) - m.shape[1])))
+    return PreparationOracle(m.ravel(), oracle.system_qubits, oracle.system_qubits, oracle.label)
+
+
 def channel_oracle(q, system, label="U"):
     """The oracle of a purified channel unitary q on ``system`` qubits plus an ancilla: q run
     on |0...0> prepares a purification of the channel's output, so its first column serves as

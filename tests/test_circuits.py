@@ -32,7 +32,7 @@ from fidest.oracles import QubitCapExceeded
 from fidest.reference import preparation_oracle
 from fidest.reference import circuit_unitary
 
-from conftest import mixed_instance, pure_instance, resized_oracle, state_oracle
+from conftest import mixed_instance, padded_oracle, pure_instance, resized_oracle, state_oracle
 
 
 class TestRegisterLayout:
@@ -396,8 +396,7 @@ def state_ratios(circ, kinds):
 def test_oracle_ops_write_into_the_state():
     # an oracle op acts on a view of the flat state: one rank-1 update
     # temporary on half the rows is its only state-sized allocation
-    _, u = mixed_instance(4, 3, 90)
-    _, v = pure_instance(4, 91)
+    u, v = padded_oracle(mixed_instance(4, 3, 90)[1]), padded_oracle(pure_instance(4, 91)[1])
     ratios = state_ratios(build_flagged_encoding(u, v), OracleOp)  # 17 qubits, a 2 MiB state
     assert len(ratios) == 3
     for op, ratio in ratios:
@@ -407,8 +406,7 @@ def test_oracle_ops_write_into_the_state():
 def test_swap_test_gates_write_into_the_state():
     # H is an in-place butterfly on the two halves, and the controlled swap
     # writes into the control = 1 view from numpy's copy of that half
-    _, u = mixed_instance(4, 3, 92)
-    _, v = pure_instance(4, 93)
+    u, v = padded_oracle(mixed_instance(4, 3, 92)[1]), padded_oracle(pure_instance(4, 93)[1])
     bounds = {Hadamard: 0.01, RegisterSwap: 0.51}
     ratios = state_ratios(build_swap_test(u, v), tuple(bounds))  # 17 qubits, a 2 MiB state
     assert [type(op) for op, _ in ratios] == [Hadamard, RegisterSwap, Hadamard]
@@ -419,9 +417,9 @@ def test_swap_test_gates_write_into_the_state():
 def test_execute_holds_one_state():
     # the state and numpy's copy of an overlapping source (the uncontrolled
     # swap's or the flag fold's) are all execute holds at once
-    _, u = mixed_instance(4, 3, 90)
-    _, v = pure_instance(4, 91)
+    u, v = padded_oracle(mixed_instance(4, 3, 90)[1]), padded_oracle(pure_instance(4, 91)[1])
     circ = build_flagged_encoding(u, v)
+    assert circ.layout.total_qubits == 17
     peak = traced_peak(lambda: execute(circ))
     assert peak <= 2.05 * (16 << circ.layout.total_qubits), peak
 

@@ -34,7 +34,7 @@ from fidest.cli import (
     main,
     run,
 )
-from fidest.linalg import hard_pair, hard_pair_hellinger, oracle_unitarity_residual, oracle_unitary
+from fidest.linalg import hard_pair, hard_pair_hellinger, oracle_residuals, oracle_unitary, reduced_state
 from fidest.oracles import QubitCapExceeded, RandomInstanceSpec, synthesize_instance
 from fidest.reference import unitarity_error
 
@@ -303,9 +303,31 @@ class TestVerifyIdentities:
             worst = max(residuals[name] for residuals in trials)
             assert (worst > IDENTITY_BOUNDS[name]) == ("reconstruction" in name), (name, worst)
 
+    def test_circuits_are_sized_by_the_rank(self, monkeypatch, capsys):
+        # rank r = trial + 1 has a ceil(log2 r)-qubit ancilla and the pure state none: the
+        # three encodings run on 2k + 2a qubits, the flagged one on one more, and the
+        # SWAP test, whose ancillas are not widened to each other, on 1 + 2k + a
+        sizes = []
+        execute = fidest.linalg.execute
+
+        def recording(circuit):
+            sizes.append(circuit.layout.total_qubits)
+            return execute(circuit)
+
+        monkeypatch.setattr(fidest.linalg, "execute", recording)
+        k = 3
+        assert run(ExperimentConfig(command="verify-identities", k=k, trials=8)) == 0
+        expected = []
+        for trial in range(8):
+            a = trial.bit_length()
+            expected += [2 * k + 2 * a] * 3 + [1 + 2 * k + 2 * a, 1 + 2 * k + a]
+        assert sizes == expected
+        assert max(sizes) == 1 + 4 * k
+
     @pytest.mark.parametrize("trial", [0, 11])
     def test_identity_residuals_within_bounds_at_k4(self, trial):
-        # 17-qubit circuits and 256 x 256 oracles, one rank per trial (1 and 12)
+        # one rank per trial: rank 1 runs circuits of at most 9 qubits and 16 x 16 oracles,
+        # rank 12 (a 4-qubit ancilla) 17-qubit circuits and 256 x 256 oracles
         config = ExperimentConfig(command="verify-identities", k=4, seed=5)
         residuals = _identity_residuals(config, trial)
         for name, bound in IDENTITY_BOUNDS.items():
@@ -317,6 +339,11 @@ def corrupted(oracle):
     v, tau, d = fidest.linalg._householder(oracle)
     fidest.linalg._FACTORS[oracle] = (v, 1.5 * tau, d)
     return oracle
+
+
+def oracle_unitarity_residual(oracle):
+    """The unitarity half of ``oracle_residuals``, against the state the oracle's column prepares."""
+    return oracle_residuals(oracle, reduced_state(oracle))[0]
 
 
 class TestOracleUnitarityResidual:

@@ -585,6 +585,7 @@ class TestEstimateStreams:
             return uniforms(domain, parts, n)
 
         monkeypatch.setattr(estimation, "uniforms", counting)
+        estimation._head_uniforms.cache_clear()
         # p = 0 is a point mass (f = 0): the head is read once, the tail never
         sqrt_amplitude_estimate(0.0, ONE_PLAIN_U, 0.1, 3)
         assert reads == [(b"head", (3,), 2 * DEFAULT_REPETITIONS)]
@@ -605,7 +606,8 @@ class TestEstimateStreams:
         assert tailed > 0
 
     def test_estimates_from_threads_equal_sequential_ones(self):
-        # nothing is cached or shared: four threads give the sequential estimates
+        # only the last seed's head tuple is cached, and it is immutable: four threads
+        # give the sequential estimates
         jobs = [
             (estimate, p, delta, seed)
             for estimate in (sqrt_amplitude_estimate, amplitude_estimate)
@@ -627,7 +629,7 @@ class TestEstimateStreams:
         finally:
             sys.setswitchinterval(interval)
 
-    def test_a_sweep_reads_one_head_per_estimate(self, monkeypatch, capsys):
+    def test_a_sweep_reads_one_head_per_trial(self, monkeypatch, capsys):
         heads = []
 
         def counting(domain, parts, n):
@@ -636,10 +638,11 @@ class TestEstimateStreams:
             return uniforms(domain, parts, n)
 
         monkeypatch.setattr(estimation, "uniforms", counting)
+        estimation._head_uniforms.cache_clear()
         argv = ["sweep", "--estimator", "optimal", "--k", "2", "--trials", "2"]
         assert main([*argv, "--epsilons", "0.1,0.05,0.03,0.02,0.01"]) == 0
-        # 2 trials x 5 epsilons, each estimate keyed by its trial's seed
-        assert sorted(heads) == sorted([(derive_seed(0, trial, 2),) for trial in range(2)] * 5)
+        # 2 trials x 5 epsilons: a trial's estimates share its seed, so its head is read once
+        assert heads == [(derive_seed(0, trial, 2),) for trial in range(2)]
 
 
 def scripted_outcome(sampler, branch, window, *tail):

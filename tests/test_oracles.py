@@ -19,8 +19,8 @@ from fidest.linalg import (
     analyze_flagged,
     apply_oracle,
     execute,
+    oracle_residuals,
     oracle_unitary,
-    reconstruction_error,
     reduced_state,
 )
 from fidest.oracles import (
@@ -38,6 +38,7 @@ from conftest import (
     channel_oracle,
     generated_oracles,
     mixed_instance,
+    padded_oracle,
     pure_instance,
     resized_oracle,
     sampled,
@@ -166,9 +167,9 @@ def test_completion_of_generated_columns(data):
 
 
 def test_queries_keep_rows_off_the_column_support():
-    # a haar_pure column lives on its ancilla-0 entries; the reflection and the
+    # a psi (x) |0> column lives on its ancilla-0 entries; the reflection and the
     # scale of row 0 write only those rows, so every other row is kept bit for bit
-    oracle = synthesize_instance(RandomInstanceSpec(2, 1, 21, "haar_pure"))
+    oracle = padded_oracle(synthesize_instance(RandomInstanceSpec(2, 1, 21, "haar_pure")))
     off = np.array(oracle.prepared_state) == 0
     assert off.sum() == 12
     rng = np.random.default_rng(22)
@@ -321,28 +322,47 @@ class TestSampleInstance:
             RandomInstanceSpec(2, 2, 0, "haar_pure")
 
     @pytest.mark.parametrize(
-        "kind,rank", [("haar_pure", 1), ("ginibre_mixed", 2), ("ginibre_mixed", 4)]
+        "kind,rank",
+        [("haar_pure", 1), ("ginibre_mixed", 2), ("ginibre_mixed", 3), ("ginibre_mixed", 4)],
     )
     def test_oracle_soundness(self, kind, rank):
         # every synthesized oracle: unitary, its column the instance's Gaussian
-        # factor on the first ``rank`` ancilla states and exactly zero on the
-        # rest, the executed query reproducing the source
+        # factor on the first ``rank`` of its 2^ancilla states and exactly zero on
+        # the rest, the executed query reproducing the source
         dm, oracle = sampled(RandomInstanceSpec(2, rank, 99, kind))
         assert unitarity_error(oracle_unitary(oracle)) <= 1e-10
-        m = np.array(oracle.prepared_state).reshape(4, 4)
+        m = np.array(oracle.prepared_state).reshape(4, 1 << oracle.ancilla_qubits)
+        assert np.all(np.any(m[:, :rank], axis=0))
         assert not np.any(m[:, rank:])
-        assert reconstruction_error(oracle, dm) <= 1e-12
+        unitarity, reconstruction = oracle_residuals(oracle, dm)
+        assert unitarity <= 1e-10 and reconstruction <= 1e-12
 
     @pytest.mark.parametrize("kind,rank", [("haar_pure", 1), ("ginibre_mixed", 3)])
     def test_reconstruction_error_sees_another_state(self, kind, rank):
-        # the residual is against the state passed in: another seed's state is far off,
-        # and reading it leaves the oracle's column and its query as they were
+        # the reconstruction residual is against the state passed in: another seed's
+        # state is far off, the unitarity residual does not read it, and reading it
+        # leaves the oracle's column and its query as they were
         oracle = synthesize_instance(RandomInstanceSpec(2, rank, 5, kind))
         column = np.array(oracle.prepared_state)
         other, _ = sampled(RandomInstanceSpec(2, rank, 6, kind))
-        assert reconstruction_error(oracle, other) > 1e-2
+        unitarity, reconstruction = oracle_residuals(oracle, other)
+        assert reconstruction > 1e-2
         assert np.array(oracle.prepared_state).tobytes() == column.tobytes()
-        assert reconstruction_error(oracle, reduced_state(oracle)) <= 1e-12
+        again, own = oracle_residuals(oracle, reduced_state(oracle))
+        assert again == unitarity and own <= 1e-12
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_ancilla_is_the_least_that_holds_the_rank(self, k):
+        # a rank-r instance has ceil(log2 r) ancilla qubits (a pure one none), and the
+        # ancilla columns a sweep reads are those of g zero-padded to a k-qubit ancilla
+        for rank in range(1, (1 << k) + 1):
+            for kind in ("haar_pure", "ginibre_mixed")[rank > 1 :]:
+                oracle = synthesize_instance(RandomInstanceSpec(k, rank, 40 + rank, kind))
+                assert oracle.ancilla_qubits == (rank - 1).bit_length(), (rank, kind)
+                wide = padded_oracle(oracle)
+                assert wide.ancilla_qubits == k
+                assert wide._columns == oracle._columns
+                assert len(oracle._columns) == rank
 
     @settings(database=None, deadline=None, max_examples=40)
     @given(data=st.data())
@@ -356,7 +376,7 @@ class TestSampleInstance:
         dm2, oracle2 = sampled(spec)
         assert np.array_equal(dm2.matrix, dm.matrix)
         assert np.array_equal(oracle2.prepared_state, oracle.prepared_state)
-        assert reconstruction_error(oracle, dm) <= 1e-9
+        assert oracle_residuals(oracle, dm)[1] <= 1e-9
 
 
     @settings(database=None, deadline=None, max_examples=60)

@@ -490,9 +490,12 @@ def test_the_sampler_draws_in_plain_floats():
     assert [name for name in methods if not name.startswith("_")] == ["draw"]
     assert list(inspect.signature(_KernelSampler.draw).parameters) == ["self", "branch", "window", "tail"]
     assert "draw" in called_names(top["_estimate"])
-    # no per-seed stream cache or record replay: each estimate reads its own stream
-    for name in ("_Replay", "_replay", "_repetition_streams", "functools"):
+    # no record replay or per-repetition stream cache: the one cache holds the last
+    # seed's head as a tuple, so an estimate reads only its own seed's streams
+    for name in ("_Replay", "_replay", "_repetition_streams"):
         assert not hasattr(estimation, name), name
+    assert estimation._head_uniforms.cache_parameters()["maxsize"] == 1
+    assert isinstance(estimation._head_uniforms(7), tuple)
     for name in ("offset", "window_offset", "outcome", "tail_offset"):
         assert not hasattr(_KernelSampler, name), name
 
@@ -516,7 +519,7 @@ def test_cli_checks_unitarity_through_the_oracle_queries():
     path = PACKAGE / "cli.py"
     names = imported_modules(path) + called_names(path)
     assert not [n for n in names if n and n.rsplit(".", 1)[-1] == "unitarity_error"]
-    for name, module in (("_identity_residuals", "cli.py"), ("oracle_unitarity_residual", "linalg.py")):
+    for name, module in (("_identity_residuals", "cli.py"), ("oracle_residuals", "linalg.py")):
         tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
         [function] = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == name]
         assert not PRODUCTS & used_names(function), name
