@@ -25,12 +25,13 @@ from .circuits import (
     build_restructured_encoding,
     build_swap_test,
 )
-from .fidelity import ESTIMATORS
+from .fidelity import ESTIMATORS, check_hard_family, hard_pair, hard_pair_hellinger, summed_hellinger
 from .oracles import (
     QUBIT_CAP,
     QubitCapExceeded,
     RandomInstanceSpec,
     check_instance_size,
+    pair_traces,
     synthesize_instance,
 )
 from .streams import derive_seed
@@ -132,12 +133,11 @@ class ExperimentConfig:
         if self.command == "single" and (len(eps) != 1 or self.trials != 1):
             raise ValueError(f"single runs one estimate: got {len(eps)} epsilons, {self.trials} trials")
         if self.command == "hard-instance":
-            from . import linalg  # the family's one home, on the numpy side the command runs on
-
             for p in HARD_P_GRID:
                 for e in eps:
-                    linalg.check_hard_family(p, e, self.rank, self.k)
-            # the family is built from k-qubit weight and amplitude vectors
+                    check_hard_family(p, e, self.rank, self.k)
+            # a member is a k-qubit state, held to the statevector cap though only its
+            # two distinct weights are read
             n, what = self.k, "states"
         else:
             # a circuit these commands run has at most 1 + 4k qubits: a flag or
@@ -316,14 +316,12 @@ def _run_single(config: ExperimentConfig) -> int:
 
 
 def _run_hard_instance(config: ExperimentConfig) -> int:
-    from . import linalg  # the numpy side: the family's rank weights
-
     rows = []
     for p in HARD_P_GRID:
         for eps in config.epsilons:
-            plus, minus = linalg.hard_pair(p, eps, config.rank, config.k)
-            hell = linalg.hellinger_distance(plus, minus)
-            hell_closed = linalg.hard_pair_hellinger(p, eps)
+            plus, minus = hard_pair(p, eps, config.rank, config.k)
+            hell = summed_hellinger(plus, minus, config.rank)
+            hell_closed = hard_pair_hellinger(p, eps)
             for sign, weights in ((1, plus), (-1, minus)):
                 # |first entry| of the oracle's column, sqrt(w0): no 2^k oracle is built
                 fid = math.sqrt(weights[0])
@@ -346,15 +344,15 @@ def _run_hard_instance(config: ExperimentConfig) -> int:
 
 
 def _identity_residuals(config: ExperimentConfig, trial: int) -> dict:
-    """Every IDENTITY_BOUNDS residual on one trial's seeded instances, executed on statevectors."""
-    from . import linalg  # the numpy side: dense states and the circuit executor
+    """Every IDENTITY_BOUNDS residual on one trial's seeded instances, executed on statevectors
+    and checked against the p that the estimators read (``pair_traces``)."""
+    from . import linalg  # the numpy side: the circuit executor
 
     rank = trial % (1 << config.k) + 1
     rho_oracle = synthesize_instance(_spec(config, trial, 0, "ginibre_mixed", rank), "U")
     psi_oracle = synthesize_instance(_spec(config, trial, 1, "haar_pure", 1), "V")
     sigma_oracle = synthesize_instance(_spec(config, trial, 2, "ginibre_mixed", rank), "V")
-    rho_dm, psi_dm, sigma_dm = map(linalg.reduced_state, (rho_oracle, psi_oracle, sigma_oracle))
-    pure_truth = linalg.exact_tr_rho_sigma2(rho_dm, psi_dm)
+    pure_truth = pair_traces(rho_oracle, psi_oracle)[1]
 
     def split(circuit, registers=("A", "B")):
         return linalg.analyze_flagged(linalg.execute(circuit), circuit.layout, registers)
@@ -368,11 +366,10 @@ def _identity_residuals(config: ExperimentConfig, trial: int) -> dict:
     amp2_restr = split(
         build_restructured_encoding(rho_oracle, sigma_oracle), ("A'", "B'")
     ).flagged_amplitude**2
-    pairs = ((rho_oracle, rho_dm), (psi_oracle, psi_dm), (sigma_oracle, sigma_dm))
-    oracle_checks = [linalg.oracle_residuals(oracle, dm) for oracle, dm in pairs]
+    oracle_checks = [linalg.oracle_residuals(oracle) for oracle in (rho_oracle, psi_oracle, sigma_oracle)]
     values = (  # in IDENTITY_BOUNDS order
         abs(amp2 - pure_truth),
-        abs(amp2_mixed - linalg.exact_tr_rho_sigma2(rho_dm, sigma_dm)),
+        abs(amp2_mixed - pair_traces(rho_oracle, sigma_oracle)[1]),
         abs(amp2_mixed - amp2_restr),
         abs(pr_zero(build_flagged_encoding(rho_oracle, psi_oracle)) - amp2),
         abs(amp2 + pure.residual_norm**2 - 1.0),

@@ -1,9 +1,11 @@
-"""Fidelity estimators.
+"""Fidelity estimators and the adversarial family they are measured against.
 
 An estimate of a pair reads only the two prepared columns: ``Estimator.bind``
 takes the pair's flag probability p and true value from one ``math.fsum``
-contraction of them (``fidest.oracles.pair_traces``), so this module imports
-no numpy.  The dense references and the hard family are in ``fidest.linalg``.
+contraction of them (``fidest.oracles.pair_traces``).  The hard family is two
+weights per member (``hard_pair``), so its distances are O(1) whatever the
+rank.  This module imports no numpy; the dense references are in
+``fidest.reference``.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from .estimation import (
     readout_qubits,
     sqrt_amplitude_estimate,
 )
-from .oracles import PreparationOracle, QubitCapExceeded, pair_traces
+from .oracles import PreparationOracle, QubitCapExceeded, check_instance_size, pair_traces
 
 #: A state counts as pure when tr(rho^2) >= 1 - PURITY_ATOL; compared in ``Estimator.bind`` alone.
 PURITY_ATOL = 1e-9
@@ -128,3 +130,53 @@ ESTIMATORS = {
         Estimator("pure-pure", swap_test=False, first_pure=True, second_pure=True),
     )
 }
+
+
+def _check_hard_pair_weights(p: float, eps: float) -> None:
+    if not (0.0 < p + eps < 1.0 and 0.0 < p - eps < 1.0):
+        raise ValueError(f"p={p} with epsilon={eps} leaves (0, 1)")
+
+
+def check_hard_family(p: float, eps: float, rank: int, k: int) -> None:
+    """The one check of a hard-family member: its size, rank >= 2 and first weights p +- eps in (0, 1)."""
+    check_instance_size(k, rank)
+    if rank < 2:
+        raise ValueError(f"rank must be >= 2, got {rank}")
+    _check_hard_pair_weights(p, eps)
+
+
+def hard_pair_hellinger(p: float, eps: float) -> float:
+    """Closed-form Hellinger distance between the +/- loading distributions.
+
+    H^2 = 1 - sqrt(p^2 - eps^2) - sqrt((1-p)^2 - eps^2), independent of rank,
+    summed as x - sqrt(x^2 - eps^2) = eps^2 / (x + sqrt(x^2 - eps^2)) over
+    x = p and 1 - p: two positive terms, so nothing cancels as eps -> 0.
+    """
+    _check_hard_pair_weights(p, eps)
+    squared = sum(eps * eps / (x + math.sqrt((x - eps) * (x + eps))) for x in (p, 1.0 - p))
+    return math.sqrt(squared)
+
+
+def hard_pair(p: float, eps: float, rank: int, k: int) -> tuple:
+    """The +/- members of the rank-r adversarial family against |0> on k qubits
+    (check_hard_family), each as its two distinct weights ``(w0, tail)``: w0 = p +- eps,
+    and the other rank - 1 weights are all tail = (1 - p -+ eps) / (rank - 1).
+
+    A member's oracle loads sqrt(w) directly (zero-size ancilla), so its fidelity to |0> is
+    sqrt(w0) = sqrt(p +- eps) exactly, while the pair's loading distributions sit at
+    Hellinger distance O(eps); every later weight of the 2^k outcomes is zero in both.
+    """
+    check_hard_family(p, eps, rank, k)
+    return tuple((p + sign * eps, (1.0 - p - sign * eps) / (rank - 1)) for sign in (1, -1))
+
+
+def summed_hellinger(plus: tuple, minus: tuple, rank: int) -> float:
+    """sqrt(1/2 sum_j (sqrt(plus_j) - sqrt(minus_j))^2) over the rank weights of a hard_pair.
+
+    The first term counts once and the tail term rank - 1 times; their sum is taken exactly,
+    as integer ratios, and rounded once by one correctly rounded int / int, so it is the
+    rank-long sum in exact arithmetic, in O(1).
+    """
+    terms = [(math.sqrt(a) - math.sqrt(b)) ** 2 for a, b in zip(plus, minus)]
+    (n0, d0), (n1, d1) = (t.as_integer_ratio() for t in terms)
+    return math.sqrt((n0 * d1 + (rank - 1) * n1 * d0) / (2 * d0 * d1))

@@ -1,4 +1,4 @@
-"""The package's numpy side: dense states and operators, and exact statevector execution.
+"""The statevector executor: exact circuit execution on one numpy state, and oracle checks.
 
 Conventions, fixed package-wide:
 
@@ -14,16 +14,14 @@ The tolerance leaves ample double-precision headroom at the scales this
 package targets (statevectors up to 2**22 entries, operator matrices up to
 a few thousand rows).
 
-This is the one production module that imports numpy.  It holds
-``DensityMatrix``, the circuit executor (``execute``: each op acts in place
-on the one 1-D state), an oracle's Householder completion (``apply_oracle``,
-``oracle_unitary``) and reduced state (``reduced_state``, the one rule that
-turns a column into its state), the dense references verify-identities checks
-against, and the whole hard family: its input rule (``check_hard_family``),
-its rank weights (``hard_pair``) and its closed-form Hellinger distance.  verify-identities and
-hard-instance (whose config is checked by ``check_hard_family``) import it
-when they run; ``sweep`` and ``single`` never load it, so their outputs rest on
-SHAKE-128, libm and ``math.fsum`` alone.
+This is the one production module that imports numpy, and only
+verify-identities imports it, when it runs: it holds the circuit executor
+(``execute``: each op acts in place on the one 1-D state), an oracle's
+Householder completion (``apply_oracle``, ``oracle_unitary``) and the oracle
+checks (``oracle_residuals``).  ``sweep``, ``single`` and ``hard-instance``
+never load it, so their outputs rest on SHAKE-128, libm and ``math.fsum``
+alone.  The dense references the tests compare against are in
+``fidest.reference``.
 
 No BLAS on an output path.  A sweep's and a single estimate's outputs never
 reach numpy.  Executed circuit ops and ``apply_oracle`` make no BLAS product
@@ -31,10 +29,9 @@ reach numpy.  Executed circuit ops and ``apply_oracle`` make no BLAS product
 whole state (``norm``, ``vdot``): OpenBLAS hands even small products, and dots
 over a large state, to threads that spin on the shared cores; per-column
 ``np.vecdot`` stays on one thread below ~10^4 entries.  verify-identities
-still reads BLAS or LAPACK on k-qubit matrices, which can move the last
-digits of its printed residuals from one BLAS kernel to another:
-``_system_matrix`` (in ``reduced_state`` and ``oracle_residuals``),
-``exact_tr_rho_sigma2``, the Householder factors' ``vdot`` and ``DensityMatrix``.
+still reads BLAS on k-qubit matrices, which can move the last digits of its
+printed residuals from one BLAS kernel to another: ``_system_matrix`` (in
+``oracle_residuals``) and the Householder factors' ``vdot``.
 """
 
 from __future__ import annotations
@@ -47,60 +44,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import Circuit, FlagOnNonzero, Hadamard, OracleOp, RegisterLayout, RegisterSwap
-from .oracles import (
-    ATOL_STRUCT,
-    QUBIT_CAP,
-    PreparationOracle,
-    QubitCapExceeded,
-    check_instance_size,
-)
+from .oracles import ATOL_STRUCT, QUBIT_CAP, PreparationOracle, QubitCapExceeded
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
-
-
-def _hermiticity_error(mat: np.ndarray) -> float:
-    """Max-entry deviation of M from M^dag; NaN or inf for a non-finite or
-    overflowing M, without a warning."""
-    with np.errstate(invalid="ignore", over="ignore"):
-        return float(np.max(np.abs(mat - mat.conj().T)))
-
-
-@dataclass(frozen=True, eq=False)
-class DensityMatrix:
-    """Validated density operator: Hermitian, unit trace, PSD, power-of-two dim."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        mat = np.array(self.matrix, dtype=complex)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError(f"density matrix must be square, got shape {mat.shape}")
-        dim = mat.shape[0]
-        if dim < 1 or dim & (dim - 1):
-            raise ValueError(f"density matrix dimension {dim} is not a power of two")
-        herm = _hermiticity_error(mat)
-        if not herm <= ATOL_STRUCT:
-            raise ValueError(f"density matrix not Hermitian (max deviation {herm:.3e})")
-        tr = complex(np.trace(mat))
-        if not abs(tr - 1.0) <= ATOL_STRUCT:
-            raise ValueError(f"density matrix trace {tr} is not 1")
-        wmin = float(np.linalg.eigvalsh(mat)[0])
-        if not wmin >= -ATOL_STRUCT:
-            raise ValueError(f"density matrix not PSD (min eigenvalue {wmin:.3e})")
-        mat.flags.writeable = False
-        object.__setattr__(self, "matrix", mat)
-
-    def __array__(self, dtype=None, copy=None):
-        """The validated matrix, so numpy reads a DensityMatrix as its array."""
-        return np.array(self.matrix, dtype=dtype, copy=copy)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def num_qubits(self) -> int:
-        return self.dim.bit_length() - 1
 
 
 #: oracle -> its Householder factors (v, tau, d), built on the oracle's first application
@@ -165,11 +111,6 @@ def _system_matrix(column: np.ndarray, system_qubits: int) -> np.ndarray:
     m = column.reshape(1 << system_qubits, -1)
     rho = m @ m.conj().T
     return 0.5 * (rho + rho.conj().T)
-
-
-def reduced_state(oracle: PreparationOracle) -> DensityMatrix:
-    """Density matrix of the system register of the oracle's prepared state."""
-    return DensityMatrix(_system_matrix(np.array(oracle.prepared_state, dtype=complex), oracle.system_qubits))
 
 
 def _hadamard(parts: np.ndarray) -> None:
@@ -319,21 +260,25 @@ def register_zero_probability(state, layout, registers) -> float:
     return analyze_flagged(state, layout, registers).flagged_amplitude ** 2
 
 
-def oracle_residuals(oracle: PreparationOracle, state: DensityMatrix) -> tuple:
+def oracle_residuals(oracle: PreparationOracle) -> tuple:
     """(max|U^dag U - I|, max|tr_B(U|0><0|U^dag) - rho|) of the dense U, taken through the
-    oracle's own queries, against the state it should prepare.
+    oracle's own queries, against the state rho of its stored column.
 
     U is the plain query applied to the identity, so its column 0 is the executed
-    U|0...0>, not the stored column, and the reconstruction residual is read from it
-    before the inverse query overwrites U.  The inverse query applied to U gives
+    U|0...0>, not the stored column; the reconstruction residual compares the two
+    columns' system states under the one rule ``_system_matrix``, read before the
+    inverse query overwrites U.  The inverse query applied to U gives
     U^dag U, and the inverse query is checked against U's conjugate transpose; the
     unitarity residual is the larger of the two deviations, so a non-unitary U fails
     even if the inverse query compensated for it.  Each query acts in place, in
     O(4^n), on U or on one n-qubit identity buffer; no BLAS product.
     """
     u = oracle_unitary(oracle)
-    rho = _system_matrix(u[:, 0], oracle.system_qubits)
-    reconstruction = float(np.max(np.abs(rho - state.matrix)))
+    executed, stored = (
+        _system_matrix(column, oracle.system_qubits)
+        for column in (u[:, 0], np.array(oracle.prepared_state, dtype=complex))
+    )
+    reconstruction = float(np.max(np.abs(executed - stored)))
     work = np.eye(len(u), dtype=complex)
     apply_oracle(oracle, work[np.newaxis], inverse=True)
     np.conjugate(work, out=work)
@@ -342,66 +287,3 @@ def oracle_residuals(oracle: PreparationOracle, state: DensityMatrix) -> tuple:
     apply_oracle(oracle, u[np.newaxis], inverse=True)
     u.reshape(-1)[:: len(u) + 1] -= 1.0  # U^dag U - I
     return max(float(np.max(np.abs(u))), adjoint), reconstruction
-
-
-def exact_tr_rho_sigma2(rho, sigma) -> float:
-    """tr(rho sigma^2) from the dense matrices, clamped to [0, 1]; equals <psi|rho|psi> when
-    sigma is pure.  The reference the column contraction ``fidest.oracles.pair_traces`` is
-    checked against; rho and sigma are DensityMatrix values or arrays."""
-    rho, sigma = np.asarray(rho), np.asarray(sigma)
-    if len(rho) != len(sigma):
-        raise ValueError(f"dimension mismatch: {len(rho)} vs {len(sigma)}")
-    val = float(np.trace(rho @ sigma @ sigma).real)
-    return min(max(val, 0.0), 1.0)
-
-
-def hellinger_distance(p, q) -> float:
-    """sqrt(1/2 sum_j (sqrt(p_j) - sqrt(q_j))^2) for two distributions."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if p.shape != q.shape:
-        raise ValueError(f"distribution shapes differ: {p.shape} vs {q.shape}")
-    return math.sqrt(0.5 * float(np.sum((np.sqrt(p) - np.sqrt(q)) ** 2)))
-
-
-def _check_hard_pair_weights(p: float, eps: float) -> None:
-    if not (0.0 < p + eps < 1.0 and 0.0 < p - eps < 1.0):
-        raise ValueError(f"p={p} with epsilon={eps} leaves (0, 1)")
-
-
-def check_hard_family(p: float, eps: float, rank: int, k: int) -> None:
-    """The one check of a hard-family member: its size, rank >= 2 and first weights p +- eps in (0, 1)."""
-    check_instance_size(k, rank)
-    if rank < 2:
-        raise ValueError(f"rank must be >= 2, got {rank}")
-    _check_hard_pair_weights(p, eps)
-
-
-def hard_pair_hellinger(p: float, eps: float) -> float:
-    """Closed-form Hellinger distance between the +/- loading distributions.
-
-    H^2 = 1 - sqrt(p^2 - eps^2) - sqrt((1-p)^2 - eps^2), independent of rank,
-    summed as x - sqrt(x^2 - eps^2) = eps^2 / (x + sqrt(x^2 - eps^2)) over
-    x = p and 1 - p: two positive terms, so nothing cancels as eps -> 0.
-    """
-    _check_hard_pair_weights(p, eps)
-    squared = sum(eps * eps / (x + math.sqrt((x - eps) * (x + eps))) for x in (p, 1.0 - p))
-    return math.sqrt(squared)
-
-
-def hard_pair(p: float, eps: float, rank: int, k: int) -> tuple:
-    """The +/- members' weights, each ``rank`` long, of the rank-r adversarial family against
-    |0> on k qubits (check_hard_family): w[0] = p +- eps, and the other rank - 1 share the rest.
-
-    A member's oracle loads sqrt(w) directly (zero-size ancilla), so its fidelity to |0> is
-    sqrt(w[0]) = sqrt(p +- eps) exactly, while the pair's loading distributions sit at
-    Hellinger distance O(eps); every later weight of the 2^k outcomes is zero in both.
-    """
-    check_hard_family(p, eps, rank, k)
-    pair = []
-    for sign in (1, -1):
-        weights = np.empty(rank)
-        weights[0] = p + sign * eps
-        weights[1:] = (1.0 - p - sign * eps) / (rank - 1)
-        pair.append(weights)
-    return tuple(pair)

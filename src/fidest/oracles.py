@@ -195,8 +195,9 @@ def synthesize_instance(spec: RandomInstanceSpec, label: str = "U") -> Preparati
     measure), so the oracle's column is g itself, zero-padded to the
     smallest ancilla that holds rank columns, ceil(log2 rank) qubits (none
     for haar_pure, whose column is psi itself).  g is normalised entry by
-    entry by a math.fsum norm, so the column rests on libm alone.
-    ``fidest.linalg.reduced_state`` reads the dense rho from the column.
+    entry by a math.fsum norm, so the column rests on libm alone.  No
+    command builds the dense rho: ``pair_traces`` and ``purity`` read the
+    column, and ``fidest.reference.reduced_state`` is the tests' dense one.
     """
     d, ancilla = 1 << spec.k, (spec.rank - 1).bit_length()
     gaussians = complex_gaussians(spec.seed, d * spec.rank)

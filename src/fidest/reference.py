@@ -5,23 +5,89 @@ flag probability, the dense circuit unitary, the full 2^m phase-estimation
 outcome grid, closed-form and executed through the Grover steps, the
 partial trace of a dense matrix, Uhlmann fidelity and the eigh purification
 cost time and memory that grow with the state, the operator or 2^m.  The
-dense unitarity residual and the fidelity to a pure state are references the
-tests compare against too.  It is the only module of the package that calls
-``eigh``.
+validated density matrix (``DensityMatrix``, whose PSD check is a LAPACK
+``eigvalsh``), an oracle's dense reduced state (``reduced_state``),
+tr(rho sigma^2) from dense matrices (which ``fidest.oracles.pair_traces`` is
+checked against), the dense unitarity residual and the fidelity to a pure
+state are references the tests compare against too.  It is the only module
+of the package that calls ``eigh`` or ``eigvalsh``.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from .circuits import Circuit, OracleOp
-from .linalg import DensityMatrix, _apply_op, _hermiticity_error, execute, register_zero_probability
+from .linalg import _apply_op, _system_matrix, execute, register_zero_probability
 from .oracles import ATOL_STRUCT, PreparationOracle, QubitCapExceeded
 
 #: Qubit cap for materializing a dense circuit unitary (a 4^n matrix).
 UNITARY_MAX_QUBITS = 12
+
+
+def _hermiticity_error(mat: np.ndarray) -> float:
+    """Max-entry deviation of M from M^dag; NaN or inf for a non-finite or
+    overflowing M, without a warning."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        return float(np.max(np.abs(mat - mat.conj().T)))
+
+
+@dataclass(frozen=True, eq=False)
+class DensityMatrix:
+    """Validated density operator: Hermitian, unit trace, PSD, power-of-two dim."""
+
+    matrix: np.ndarray
+
+    def __post_init__(self):
+        mat = np.array(self.matrix, dtype=complex)
+        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+            raise ValueError(f"density matrix must be square, got shape {mat.shape}")
+        dim = mat.shape[0]
+        if dim < 1 or dim & (dim - 1):
+            raise ValueError(f"density matrix dimension {dim} is not a power of two")
+        herm = _hermiticity_error(mat)
+        if not herm <= ATOL_STRUCT:
+            raise ValueError(f"density matrix not Hermitian (max deviation {herm:.3e})")
+        tr = complex(np.trace(mat))
+        if not abs(tr - 1.0) <= ATOL_STRUCT:
+            raise ValueError(f"density matrix trace {tr} is not 1")
+        wmin = float(np.linalg.eigvalsh(mat)[0])
+        if not wmin >= -ATOL_STRUCT:
+            raise ValueError(f"density matrix not PSD (min eigenvalue {wmin:.3e})")
+        mat.flags.writeable = False
+        object.__setattr__(self, "matrix", mat)
+
+    def __array__(self, dtype=None, copy=None):
+        """The validated matrix, so numpy reads a DensityMatrix as its array."""
+        return np.array(self.matrix, dtype=dtype, copy=copy)
+
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[0]
+
+    @property
+    def num_qubits(self) -> int:
+        return self.dim.bit_length() - 1
+
+
+def reduced_state(oracle: PreparationOracle) -> DensityMatrix:
+    """Density matrix of the system register of the oracle's prepared state, by the
+    executor's rule ``fidest.linalg._system_matrix``."""
+    return DensityMatrix(_system_matrix(np.array(oracle.prepared_state, dtype=complex), oracle.system_qubits))
+
+
+def exact_tr_rho_sigma2(rho, sigma) -> float:
+    """tr(rho sigma^2) from the dense matrices, clamped to [0, 1]; equals <psi|rho|psi> when
+    sigma is pure.  The reference the column contraction ``fidest.oracles.pair_traces`` is
+    checked against; rho and sigma are DensityMatrix values or arrays."""
+    rho, sigma = np.asarray(rho), np.asarray(sigma)
+    if len(rho) != len(sigma):
+        raise ValueError(f"dimension mismatch: {len(rho)} vs {len(sigma)}")
+    val = float(np.trace(rho @ sigma @ sigma).real)
+    return min(max(val, 0.0), 1.0)
 
 
 def unitarity_error(u: np.ndarray) -> float:

@@ -2,9 +2,9 @@ import math
 
 import numpy as np
 
-from fidest.linalg import hard_pair, reduced_state
+from fidest.fidelity import hard_pair
 from fidest.oracles import PreparationOracle, RandomInstanceSpec, synthesize_instance
-from fidest.reference import purify
+from fidest.reference import purify, reduced_state
 
 
 def sampled(spec, label="U"):
@@ -54,12 +54,26 @@ def channel_oracle(q, system, label="U"):
     return PreparationOracle(q[:, 0], system, n - system, label)
 
 
+def rank_weights(member, rank, size=None):
+    """A hard_pair member's weight vector: its first weight, then its tail weight rank - 1
+    times, zero-padded to ``size`` entries (``rank`` by default)."""
+    first, tail = member
+    weights = np.zeros(rank if size is None else size)
+    weights[0], weights[1:rank] = first, tail
+    return weights
+
+
+def dense_hellinger(p, q):
+    """sqrt(1/2 sum_j (sqrt(p_j) - sqrt(q_j))^2) of two weight vectors, as numpy's pairwise sum."""
+    return math.sqrt(0.5 * float(np.sum((np.sqrt(p) - np.sqrt(q)) ** 2)))
+
+
 def hard_oracles(p, eps, rank, k, label="U"):
     """The +/- members' oracles of the hard family: each loads the zero-padded sqrt of its
     rank weights on k qubits, with zero ancilla qubits."""
     return tuple(
-        PreparationOracle(np.sqrt(np.pad(weights, (0, (1 << k) - rank))), k, 0, label)
-        for weights in hard_pair(p, eps, rank, k)
+        PreparationOracle(np.sqrt(rank_weights(member, rank, 1 << k)), k, 0, label)
+        for member in hard_pair(p, eps, rank, k)
     )
 
 

@@ -13,23 +13,19 @@ import numpy as np
 
 from fidest.circuits import build_encoding_circuit, build_restructured_encoding, build_swap_test
 from fidest.cli import ExperimentConfig, ExperimentRecord, fit_scaling, main, run
-from fidest.fidelity import ESTIMATORS
-from fidest.linalg import (
-    DensityMatrix,
-    analyze_flagged,
-    exact_tr_rho_sigma2,
-    execute,
-    hard_pair,
-    hard_pair_hellinger,
-    hellinger_distance,
-    oracle_residuals,
-    oracle_unitary,
-    register_zero_probability,
-)
+from fidest.fidelity import ESTIMATORS, hard_pair, hard_pair_hellinger
+from fidest.linalg import analyze_flagged, execute, oracle_residuals, oracle_unitary, register_zero_probability
 from fidest.oracles import RandomInstanceSpec
-from fidest.reference import exact_fidelity_to_pure, uhlmann_fidelity, unitarity_error
+from fidest.reference import (
+    DensityMatrix,
+    exact_fidelity_to_pure,
+    exact_tr_rho_sigma2,
+    reduced_state,
+    uhlmann_fidelity,
+    unitarity_error,
+)
 
-from conftest import channel_oracle, dense_sqrt_tr_rho_sigma2, hard_oracles, sampled
+from conftest import channel_oracle, dense_hellinger, dense_sqrt_tr_rho_sigma2, hard_oracles, rank_weights, sampled
 
 # the identity corpus: k in {1, 2}, every rank, 17 seeds each => 102 instances
 CORPUS = [
@@ -222,11 +218,11 @@ def test_criterion_8_hard_instance_family():
         for eps in (0.05, 0.1, 0.15):
             for r in (2, 3, 4):
                 # each member's state is diagonal in its 2^k weights; the target is |00>
-                plus, minus = (np.pad(weights, (0, 4 - r)) for weights in hard_pair(p, eps, r, k=2))
+                plus, minus = (rank_weights(member, r, 4) for member in hard_pair(p, eps, r, k=2))
                 for sign, weights in ((1, plus), (-1, minus)):
                     fid = exact_fidelity_to_pure(DensityMatrix(np.diag(weights)), np.eye(4)[0])
                     worst_fid = max(worst_fid, abs(fid - math.sqrt(p + sign * eps)))
-                direct = hellinger_distance(plus, minus)
+                direct = dense_hellinger(plus, minus)
                 worst_hell = max(worst_hell, abs(direct - hard_pair_hellinger(p, eps)))
     _report(
         "8 hard-instance closed forms",
@@ -240,9 +236,9 @@ def test_criterion_9_oracle_soundness():
     worst_reconstruction = 0.0
     total = 0
     for _, rho, u, psi, v, sigma, w in corpus_pairs():
-        for oracle, dm in ((u, rho), (v, psi), (w, sigma)):
+        for oracle in (u, v, w):
             worst_unitarity = max(worst_unitarity, unitarity_error(oracle_unitary(oracle)))
-            worst_reconstruction = max(worst_reconstruction, oracle_residuals(oracle, dm)[1])
+            worst_reconstruction = max(worst_reconstruction, oracle_residuals(oracle)[1])
             total += 1
     # channel-wrapped and amplitude-loading oracles
     rng = np.random.default_rng(77)
@@ -251,11 +247,15 @@ def test_criterion_9_oracle_soundness():
     chan = channel_oracle(q, 1)
     worst_unitarity = max(worst_unitarity, unitarity_error(oracle_unitary(chan)))
     total += 1
-    for oracle, weights in zip(hard_oracles(0.5, 0.1, 2, k=2), hard_pair(0.5, 0.1, 2, k=2)):
+    for oracle, member in zip(hard_oracles(0.5, 0.1, 2, k=2), hard_pair(0.5, 0.1, 2, k=2)):
         worst_unitarity = max(worst_unitarity, unitarity_error(oracle_unitary(oracle)))
-        loaded = np.sqrt(np.pad(weights, (0, 2)))
-        expected = DensityMatrix(np.outer(loaded, loaded.conj()))
-        worst_reconstruction = max(worst_reconstruction, oracle_residuals(oracle, expected)[1])
+        loaded = np.sqrt(rank_weights(member, 2, 4))
+        expected = np.outer(loaded, loaded.conj())
+        worst_reconstruction = max(
+            worst_reconstruction,
+            oracle_residuals(oracle)[1],
+            float(np.max(np.abs(reduced_state(oracle).matrix - expected))),
+        )
         total += 1
     _report(
         "9 oracle synthesis soundness",

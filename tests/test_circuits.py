@@ -20,17 +20,9 @@ from fidest.circuits import (
     build_restructured_encoding,
     build_swap_test,
 )
-from fidest.linalg import (
-    DensityMatrix,
-    _apply_op,
-    analyze_flagged,
-    execute,
-    oracle_unitary,
-    register_zero_probability,
-)
+from fidest.linalg import _apply_op, analyze_flagged, execute, oracle_unitary, register_zero_probability
 from fidest.oracles import QubitCapExceeded
-from fidest.reference import preparation_oracle
-from fidest.reference import circuit_unitary
+from fidest.reference import DensityMatrix, circuit_unitary, preparation_oracle
 
 from conftest import mixed_instance, padded_oracle, pure_instance, resized_oracle, state_oracle
 

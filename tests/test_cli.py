@@ -5,11 +5,15 @@ import dataclasses
 import io
 import json
 import math
+import os
 import random
 import statistics
+import subprocess
+import sys
 import time
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,7 +38,8 @@ from fidest.cli import (
     main,
     run,
 )
-from fidest.linalg import hard_pair, hard_pair_hellinger, oracle_residuals, oracle_unitary, reduced_state
+from fidest.fidelity import hard_pair, hard_pair_hellinger
+from fidest.linalg import oracle_residuals, oracle_unitary
 from fidest.oracles import QubitCapExceeded, RandomInstanceSpec, synthesize_instance
 from fidest.reference import unitarity_error
 
@@ -270,6 +275,26 @@ class TestVerifyIdentities:
         for name, bound in IDENTITY_BOUNDS.items():
             assert residuals[name] <= bound, name
 
+    def test_checks_the_p_the_estimators_read(self, monkeypatch, capsys):
+        # the encoding and SWAP-law truths are pair_traces' tr(rho sigma^2), the p a sweep
+        # estimates: a shift of 1e-9 in it fails those three lines and no other
+        original = fidest.cli.pair_traces
+
+        def shifted(u, v):
+            tr_sigma, tr_sigma2 = original(u, v)
+            return tr_sigma, tr_sigma2 + 1e-9
+
+        monkeypatch.setattr(fidest.cli, "pair_traces", shifted)
+        assert main(["verify-identities", "--k", "2", "--trials", "4"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        failed = [line.split(":")[0] for line in lines if line.endswith("[FAIL]")]
+        assert failed == [
+            "encoding pure |amp^2 - <psi|rho|psi>|",
+            "encoding mixed |amp^2 - tr(rho sigma^2)|",
+            "swap law |Pr[C=0] - (1+F^2)/2|",
+        ]
+        assert lines[-1] == "verify-identities: FAILURES above"
+
     def test_samples_three_instances_per_trial(self, monkeypatch, capsys):
         calls = count_sampling(monkeypatch)
         assert run(ExperimentConfig(command="verify-identities", k=1, trials=4)) == 0
@@ -342,8 +367,8 @@ def corrupted(oracle):
 
 
 def oracle_unitarity_residual(oracle):
-    """The unitarity half of ``oracle_residuals``, against the state the oracle's column prepares."""
-    return oracle_residuals(oracle, reduced_state(oracle))[0]
+    """The unitarity half of ``oracle_residuals``."""
+    return oracle_residuals(oracle)[0]
 
 
 class TestOracleUnitarityResidual:
@@ -682,18 +707,18 @@ class TestHardInstance:
 
     @pytest.mark.parametrize("k,rank", [(2, 3), (4, 3), (5, 12)])
     def test_hellinger_reads_only_the_nonzero_weights(self, monkeypatch, capsys, k, rank):
+        # each member is read as its two distinct weights, whatever the rank
         lengths = []
 
-        original = fidest.linalg.hellinger_distance
+        original = fidest.cli.summed_hellinger
 
-        def recording(p, q):
+        def recording(p, q, r):
             lengths.extend((len(p), len(q)))
-            return original(p, q)
+            return original(p, q, r)
 
-        monkeypatch.setattr(fidest.linalg, "hellinger_distance", recording)
+        monkeypatch.setattr(fidest.cli, "summed_hellinger", recording)
         assert main(["hard-instance", "--k", str(k), "--rank", str(rank), "--epsilons", "0.1"]) == 0
-        assert len(lengths) == 2 * 3
-        assert max(lengths) <= rank
+        assert lengths == [2] * (2 * 3)
 
     def test_builds_no_oracle(self, capsys):
         # the rows need only each instance's first weight and the closed forms:
@@ -706,6 +731,32 @@ class TestHardInstance:
         finally:
             tracemalloc.stop()
         assert peak <= 8 * weights_nbytes
+
+    def test_full_rank_at_the_cap_runs_in_a_small_process(self):
+        # two weights per member: the 2^22-rank family needs no numpy and no rank-long array.
+        # A small launcher runs the command, so the child's ru_maxrss does not start from
+        # this process's resident set, which a fork (or vfork) and exec carry over
+        command = (
+            "import sys; from fidest.cli import main; "
+            "assert main(['hard-instance', '--k', '22', '--rank', '4194304', '--epsilons', '0.1']) == 0; "
+            "assert 'numpy' not in sys.modules"
+        )
+        launcher = (
+            "import resource, subprocess, sys\n"
+            f"proc = subprocess.run([sys.executable, '-c', {command!r}], capture_output=True, text=True)\n"
+            "assert proc.returncode == 0, proc.stderr\n"
+            "assert len(proc.stdout.splitlines()) == 1 + 3 * 2, proc.stdout\n"
+            "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", launcher],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(Path(fidest.cli.__file__).parents[1])},
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        maxrss_kib = int(proc.stdout)  # Linux reports KiB
+        assert maxrss_kib < 25 * 1024
 
     @pytest.mark.parametrize("k,rank", [(1, 2), (2, 3), (3, 8), (5, 7), (8, 2)])
     def test_fidelity_column_is_the_oracle_amplitude(self, capsys, k, rank):
@@ -754,7 +805,7 @@ class TestHardInstance:
         def no_instances(*args, **kwargs):
             raise AssertionError("hard_pair called before the config checks")
 
-        monkeypatch.setattr(fidest.linalg, "hard_pair", no_instances)
+        monkeypatch.setattr(fidest.cli, "hard_pair", no_instances)
         out = tmp_path / "hard.csv"
         assert main(["hard-instance", *flags, "--output", str(out)]) == code
         assert message in capsys.readouterr().err
@@ -814,7 +865,7 @@ class TestMainEntry:
         def no_instances(*args, **kwargs):
             raise AssertionError("hard_pair called before the config checks")
 
-        monkeypatch.setattr(fidest.linalg, "hard_pair", no_instances)
+        monkeypatch.setattr(fidest.cli, "hard_pair", no_instances)
         cfg = tmp_path / "cfg.json"
         value = ExperimentConfig.__dataclass_fields__[key].default  # a valid value
         cfg.write_text(json.dumps({"command": command, key: value}))
@@ -888,7 +939,7 @@ class TestMainEntry:
         def no_instances(*args, **kwargs):
             raise AssertionError("hard_pair called before the config checks")
 
-        monkeypatch.setattr(fidest.linalg, "hard_pair", no_instances)
+        monkeypatch.setattr(fidest.cli, "hard_pair", no_instances)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"command": "sweep", "k": 2**70}))
         assert main([a.format(cfg=cfg) for a in argv]) == 3
@@ -903,7 +954,7 @@ class TestMainEntry:
         def no_instances(*args, **kwargs):
             raise AssertionError("hard_pair called before the config checks")
 
-        monkeypatch.setattr(fidest.linalg, "hard_pair", no_instances)
+        monkeypatch.setattr(fidest.cli, "hard_pair", no_instances)
         assert main([*argv, "--output", target and str(tmp_path / target)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -983,7 +1034,7 @@ class TestMainEntry:
         def no_instances(*args, **kwargs):
             raise AssertionError("hard_pair called before the config checks")
 
-        monkeypatch.setattr(fidest.linalg, "hard_pair", no_instances)
+        monkeypatch.setattr(fidest.cli, "hard_pair", no_instances)
         if argv is None:
             cfg = tmp_path / "cfg.json"
             cfg.write_text(json.dumps(raw))

@@ -3,6 +3,7 @@
 import decimal
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,29 +13,29 @@ from hypothesis import strategies as st
 from fidest import estimation
 from fidest import cli
 from fidest.circuits import build_flagged_encoding, build_restructured_encoding, build_swap_test
-from fidest.fidelity import ESTIMATORS
-from fidest.linalg import (
-    DensityMatrix,
-    analyze_flagged,
-    exact_tr_rho_sigma2,
-    execute,
-    hard_pair,
-    hard_pair_hellinger,
-    hellinger_distance,
-    oracle_unitary,
-    reduced_state,
-)
+from fidest.fidelity import ESTIMATORS, hard_pair, hard_pair_hellinger, summed_hellinger
+from fidest.linalg import analyze_flagged, execute, oracle_unitary
 from fidest.oracles import QubitCapExceeded
-from fidest.reference import exact_fidelity_to_pure, flag_probability, preparation_oracle, uhlmann_fidelity
+from fidest.reference import (
+    DensityMatrix,
+    exact_fidelity_to_pure,
+    exact_tr_rho_sigma2,
+    flag_probability,
+    preparation_oracle,
+    reduced_state,
+    uhlmann_fidelity,
+)
 
 from conftest import (
     ancilla_rotated,
     channel_oracle,
+    dense_hellinger,
     dense_sqrt_tr_rho_sigma2,
     hard_oracles,
     mixed_instance,
     principal_eigvec,
     pure_instance,
+    rank_weights,
     resized_oracle,
     sampled,
     state_oracle,
@@ -472,8 +473,8 @@ class TestHardInstances:
     @pytest.mark.parametrize("eps", [0.05, 0.1])
     @pytest.mark.parametrize("r", [2, 3, 4])
     def test_fidelity_closed_form(self, p, eps, r):
-        for sign, weights in zip((1, -1), hard_pair(p, eps, r, k=2)):
-            rho = DensityMatrix(np.diag(np.pad(weights, (0, 4 - r))))
+        for sign, member in zip((1, -1), hard_pair(p, eps, r, k=2)):
+            rho = DensityMatrix(np.diag(rank_weights(member, r, 4)))
             fid = exact_fidelity_to_pure(rho, ZERO2)
             assert abs(fid - math.sqrt(p + sign * eps)) <= 1e-12
 
@@ -481,9 +482,35 @@ class TestHardInstances:
     @pytest.mark.parametrize("eps", [0.05, 0.1])
     @pytest.mark.parametrize("r", [2, 4])
     def test_hellinger_closed_form(self, p, eps, r):
-        plus, minus = (np.pad(weights, (0, 4 - r)) for weights in hard_pair(p, eps, r, k=2))
-        direct = hellinger_distance(plus, minus)
+        plus, minus = (rank_weights(member, r, 4) for member in hard_pair(p, eps, r, k=2))
+        direct = dense_hellinger(plus, minus)
         assert abs(direct - hard_pair_hellinger(p, eps)) <= 1e-12
+
+    @staticmethod
+    def family(data, max_rank):
+        """(p, eps, rank) of a hard-family member drawn by hypothesis: p +- eps in (0, 1)."""
+        p = data.draw(st.floats(0.01, 0.99), label="p")
+        eps = 0.999 * min(p, 1.0 - p) * 10.0 ** data.draw(st.floats(-12.0, 0.0), label="log10 eps share")
+        return p, eps, data.draw(st.integers(2, max_rank), label="rank")
+
+    @settings(database=None, deadline=None, max_examples=500)
+    @given(data=st.data())
+    def test_summed_hellinger_is_the_exact_sum_rounded_once(self, data):
+        # the rank-long sum in Fraction: the first term once, the tail term rank - 1 times,
+        # halved, rounded to a float once, then sqrt
+        p, eps, rank = self.family(data, 1 << 22)
+        plus, minus = hard_pair(p, eps, rank, k=22)
+        first, tail = (Fraction((math.sqrt(a) - math.sqrt(b)) ** 2) for a, b in zip(plus, minus))
+        assert summed_hellinger(plus, minus, rank) == math.sqrt(float((first + (rank - 1) * tail) / 2))
+
+    @settings(database=None, deadline=None, max_examples=20)
+    @given(data=st.data())
+    def test_summed_hellinger_matches_the_rank_long_sum(self, data):
+        # numpy's pairwise sum over the rank-long vectors, the reference, to 1e-15
+        p, eps, rank = self.family(data, 1 << 22)
+        plus, minus = hard_pair(p, eps, rank, k=22)
+        direct = dense_hellinger(rank_weights(plus, rank), rank_weights(minus, rank))
+        assert abs(summed_hellinger(plus, minus, rank) - direct) <= 1e-15
 
     @pytest.mark.parametrize(
         "k,rank,p,eps",
@@ -509,7 +536,7 @@ class TestHardInstances:
         plus, minus = hard_pair(0.5, eps, 2, k=1)
         # H^2 = 2 eps^2 / (1/2 + sqrt(1/4 - eps^2)) = 2 eps^2 (1 + O(eps^2))
         assert abs(hard_pair_hellinger(0.5, eps) / (math.sqrt(2.0) * eps) - 1.0) <= 1e-12
-        assert np.max(np.abs(plus - minus)) <= 3 * eps  # the diagonal states' entries
+        assert max(abs(a - b) for a, b in zip(plus, minus)) <= 3 * eps  # the diagonal states' entries
 
     @settings(database=None, deadline=None, max_examples=200)
     @given(p=st.floats(0.05, 0.95), exponent=st.floats(-12.0, -1.31))
@@ -524,21 +551,19 @@ class TestHardInstances:
 
     def test_rank_exact(self):
         plus, _ = hard_pair(0.5, 0.1, 3, k=2)
-        rho = DensityMatrix(np.diag(np.pad(plus, (0, 1))))
+        rho = DensityMatrix(np.diag(rank_weights(plus, 3, 4)))
         assert int(np.sum(np.linalg.eigvalsh(rho.matrix) > 1e-12)) == 3
 
     @pytest.mark.parametrize("p,eps,rank", [(0.5, 0.1, 2), (0.3, 0.05, 3), (0.7, 0.1, 5), (0.2, 0.15, 8)])
-    def test_weights_are_rank_long_assignments(self, p, eps, rank):
+    def test_members_are_their_two_weights(self, p, eps, rank):
         # w[0] = p +- eps and the other rank - 1 weights share 1 - p -+ eps, bit for bit
-        for sign, weights in zip((1, -1), hard_pair(p, eps, rank, k=3)):
-            assert weights.shape == (rank,)
-            assert weights[0] == p + sign * eps
-            assert np.all(weights[1:] == (1.0 - p - sign * eps) / (rank - 1))
-            assert abs(math.fsum(weights) - 1.0) <= 1e-15
+        for sign, member in zip((1, -1), hard_pair(p, eps, rank, k=3)):
+            assert member == (p + sign * eps, (1.0 - p - sign * eps) / (rank - 1))
+            assert abs(math.fsum(rank_weights(member, rank)) - 1.0) <= 1e-15
 
     def test_distribution_sums_to_one(self):
         _, minus = hard_pair(0.4, 0.2, 4, k=2)
-        assert abs(minus.sum() - 1.0) <= 1e-12
+        assert abs(rank_weights(minus, 4).sum() - 1.0) <= 1e-12
 
     def test_constraint_validation(self):
         with pytest.raises(ValueError, match=r"^rank must be >= 2, got 1$"):
@@ -590,7 +615,3 @@ class TestHardInstances:
                 if name == "optimal":
                     optimal_ratios += ratios
         print(f"optimality gap: queries_U / T in [{min(optimal_ratios):.0f}, {max(optimal_ratios):.0f}]")
-
-    def test_hellinger_validates_shapes(self):
-        with pytest.raises(ValueError, match="shapes"):
-            hellinger_distance([0.5, 0.5], [1.0])

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from fidest.linalg import DensityMatrix
-from fidest.reference import herm_eig, partial_trace, unitarity_error
+from fidest.reference import DensityMatrix, herm_eig, partial_trace, unitarity_error
 
 from conftest import random_hermitian
 

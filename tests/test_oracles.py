@@ -14,15 +14,7 @@ from hypothesis import strategies as st
 from fidest import linalg
 from fidest.circuits import Circuit, OracleOp, RegisterLayout, build_encoding_circuit
 from fidest.fidelity import PURITY_ATOL
-from fidest.linalg import (
-    DensityMatrix,
-    analyze_flagged,
-    apply_oracle,
-    execute,
-    oracle_residuals,
-    oracle_unitary,
-    reduced_state,
-)
+from fidest.linalg import analyze_flagged, apply_oracle, execute, oracle_residuals, oracle_unitary
 from fidest.oracles import (
     INSTANCE_KINDS,
     PreparationOracle,
@@ -31,7 +23,15 @@ from fidest.oracles import (
     complex_gaussians,
     synthesize_instance,
 )
-from fidest.reference import circuit_unitary, partial_trace, preparation_oracle, purify, unitarity_error
+from fidest.reference import (
+    DensityMatrix,
+    circuit_unitary,
+    partial_trace,
+    preparation_oracle,
+    purify,
+    reduced_state,
+    unitarity_error,
+)
 
 from conftest import (
     ancilla_rotated,
@@ -329,27 +329,28 @@ class TestSampleInstance:
         # every synthesized oracle: unitary, its column the instance's Gaussian
         # factor on the first ``rank`` of its 2^ancilla states and exactly zero on
         # the rest, the executed query reproducing the source
-        dm, oracle = sampled(RandomInstanceSpec(2, rank, 99, kind))
+        oracle = synthesize_instance(RandomInstanceSpec(2, rank, 99, kind))
         assert unitarity_error(oracle_unitary(oracle)) <= 1e-10
         m = np.array(oracle.prepared_state).reshape(4, 1 << oracle.ancilla_qubits)
         assert np.all(np.any(m[:, :rank], axis=0))
         assert not np.any(m[:, rank:])
-        unitarity, reconstruction = oracle_residuals(oracle, dm)
+        unitarity, reconstruction = oracle_residuals(oracle)
         assert unitarity <= 1e-10 and reconstruction <= 1e-12
 
     @pytest.mark.parametrize("kind,rank", [("haar_pure", 1), ("ginibre_mixed", 3)])
-    def test_reconstruction_error_sees_another_state(self, kind, rank):
-        # the reconstruction residual is against the state passed in: another seed's
-        # state is far off, the unitarity residual does not read it, and reading it
-        # leaves the oracle's column and its query as they were
+    def test_reconstruction_error_sees_another_state(self, monkeypatch, kind, rank):
+        # the reconstruction residual compares the executed query with the stored column:
+        # a query that prepares another seed's state is far off while U stays unitary,
+        # and reading it leaves the oracle's column as it was
         oracle = synthesize_instance(RandomInstanceSpec(2, rank, 5, kind))
+        other = synthesize_instance(RandomInstanceSpec(2, rank, 6, kind))
         column = np.array(oracle.prepared_state)
-        other, _ = sampled(RandomInstanceSpec(2, rank, 6, kind))
-        unitarity, reconstruction = oracle_residuals(oracle, other)
-        assert reconstruction > 1e-2
+        unitarity, own = oracle_residuals(oracle)
+        assert unitarity <= 1e-10 and own <= 1e-12
+        monkeypatch.setitem(linalg._FACTORS, oracle, linalg._householder(other))
+        again, reconstruction = oracle_residuals(oracle)
+        assert reconstruction > 1e-2 and again <= 1e-10
         assert np.array(oracle.prepared_state).tobytes() == column.tobytes()
-        again, own = oracle_residuals(oracle, reduced_state(oracle))
-        assert again == unitarity and own <= 1e-12
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_ancilla_is_the_least_that_holds_the_rank(self, k):
@@ -376,7 +377,7 @@ class TestSampleInstance:
         dm2, oracle2 = sampled(spec)
         assert np.array_equal(dm2.matrix, dm.matrix)
         assert np.array_equal(oracle2.prepared_state, oracle.prepared_state)
-        assert oracle_residuals(oracle, dm)[1] <= 1e-9
+        assert oracle_residuals(oracle)[1] <= 1e-9
 
 
     @settings(database=None, deadline=None, max_examples=60)

@@ -9,10 +9,11 @@ variable, no op is a controlled query, a config's defaults are its
 command's flag defaults, the QPE sampler and the scaling fit compute in
 plain floats, no estimate executes a circuit, verify-identities checks
 oracle unitarity through the oracle's queries, with no dense product, only
-the reference module calls eigh, the hard family is its rank weights, executed circuit ops
-act in place and make no BLAS call that OpenBLAS can thread, a sweep
-validates no state and factors no oracle, and the estimate path (sweep and
-single) imports no numpy: fidest.linalg is its one module boundary."""
+the reference module calls eigh or eigvalsh, the hard family is two weights per member,
+executed circuit ops act in place and make no BLAS call that OpenBLAS can thread, a sweep
+and verify-identities validate no dense state, a sweep factors no oracle, and every command
+but verify-identities imports no numpy: fidest.linalg, the statevector executor, is its one
+module boundary."""
 
 import ast
 import dataclasses
@@ -29,14 +30,14 @@ import fidest
 import fidest.circuits
 import fidest.cli
 import fidest.fidelity
+import fidest.reference
 from fidest import estimation, linalg
 from fidest.circuits import Circuit, OracleOp, RegisterLayout
 from fidest.cli import COMMANDS, ExperimentConfig, build_parser, config_from_args, main
 from fidest.estimation import _KernelSampler
 from fidest.fidelity import ESTIMATORS, Estimator
-from fidest.linalg import DensityMatrix
 from fidest.oracles import INSTANCE_KINDS, PreparationOracle, RandomInstanceSpec
-from fidest.reference import preparation_oracle, purify
+from fidest.reference import DensityMatrix, preparation_oracle, purify
 
 PACKAGE = Path(fidest.__file__).parent
 
@@ -92,8 +93,7 @@ ESTIMATE_PATH = ("__init__.py", "circuits.py", "cli.py", "estimation.py", "fidel
 
 def test_the_estimate_path_imports_no_numpy():
     # numpy is reached through one module boundary, fidest.linalg, which only
-    # the CLI's verify-identities and hard-instance functions, and the hard-instance
-    # config check, import when they run
+    # the CLI's verify-identities function imports when it runs
     assert sorted(path.name for path in PACKAGE.glob("*.py")) == sorted(
         ESTIMATE_PATH + ("linalg.py", "reference.py")
     )
@@ -113,14 +113,7 @@ def test_the_estimate_path_imports_no_numpy():
             for m in imported_modules(ast.Module([node], []))
         ]
         if name == "cli.py":
-            assert lazy == [
-                ("_run_hard_instance", "fidest"),
-                ("_run_hard_instance", "fidest.linalg"),
-                ("_identity_residuals", "fidest"),
-                ("_identity_residuals", "fidest.linalg"),
-                ("__post_init__", "fidest"),  # ExperimentConfig's hard-instance check
-                ("__post_init__", "fidest.linalg"),
-            ]
+            assert lazy == [("_identity_residuals", "fidest"), ("_identity_residuals", "fidest.linalg")]
         else:
             assert lazy == [], name
 
@@ -139,10 +132,13 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
             assert "numpy" not in sys.modules, argv
     assert main(["single", "--estimator", "tr-rho-sigma2", "--k", "2", "--epsilons", "0.01"]) == 0
     assert "numpy" not in sys.modules, "single"
-    # the commands that execute circuits or build the hard family load it, and still pass
+    # the hard family is two weights per member, at any rank
+    for argv in (["hard-instance"], ["hard-instance", "--k", "22", "--rank", "4194304", "--format", "json"]):
+        assert main(argv) == 0, argv
+        assert "numpy" not in sys.modules, argv
+    # the one command that executes circuits loads it, and still passes
     assert main(["verify-identities", "--k", "1"]) == 0
     assert "numpy" in sys.modules
-    assert main(["hard-instance"]) == 0
 print("ok")
 """
 
@@ -191,13 +187,23 @@ def test_no_module_branches_on_an_estimator_name():
 def test_the_table_is_the_one_way_to_run_an_estimator():
     # the task record and the named front ends over the table had no caller outside the
     # tests: an estimator runs as ESTIMATORS[name].bind(u, v)(epsilon, seed), as the CLI runs it,
-    # and fidest.fidelity defines no function or class besides the table's two and one clamp
+    # and fidest.fidelity defines no function or class besides the table's two, one clamp and
+    # the hard family the estimators are measured against
     defined = [
         name
         for name, value in vars(fidest.fidelity).items()
         if (inspect.isfunction(value) or inspect.isclass(value)) and value.__module__ == "fidest.fidelity"
     ]
-    assert sorted(defined) == ["BoundEstimator", "Estimator", "_unit"]
+    assert sorted(defined) == [
+        "BoundEstimator",
+        "Estimator",
+        "_check_hard_pair_weights",
+        "_unit",
+        "check_hard_family",
+        "hard_pair",
+        "hard_pair_hellinger",
+        "summed_hellinger",
+    ]
     assert list(inspect.signature(Estimator.bind).parameters) == ["self", "rho_oracle", "second_oracle"]
     assert [(key, estimator.name) for key, estimator in ESTIMATORS.items()] == [(key, key) for key in ESTIMATORS]
 
@@ -300,8 +306,8 @@ INPUT_RULES = {
     "k >= 1": (lambda n: ordered_against(n, "k", 1), ("oracles.py", "check_instance_size")),
     "rank >= 1": (lambda n: ordered_against(n, "rank", 1), ("oracles.py", "check_instance_size")),
     "rank <= 2^k": (lambda n: {"rank", "k"} <= used_names(n), ("oracles.py", "check_instance_size")),
-    "hard family rank >= 2": (lambda n: ordered_against(n, "rank", 2), ("linalg.py", "check_hard_family")),
-    "p +- eps in (0, 1)": (shifts_p, ("linalg.py", "_check_hard_pair_weights")),
+    "hard family rank >= 2": (lambda n: ordered_against(n, "rank", 2), ("fidelity.py", "check_hard_family")),
+    "p +- eps in (0, 1)": (shifts_p, ("fidelity.py", "_check_hard_pair_weights")),
     "purity": (lambda n: "PURITY_ATOL" in used_names(n), ("fidelity.py", "bind")),
 }
 
@@ -399,8 +405,10 @@ def test_no_test_only_surface():
     # fidelity-to-pure references had no caller outside the tests
     assert unnamed_definitions() == []
     # instance and matrix files, the prescribed-spectrum kind and the free-standing
-    # dense completion (read fidest.linalg.oracle_unitary) had no caller outside the tests
+    # dense completion (read fidest.linalg.oracle_unitary) had no caller outside the tests,
+    # and the rank-long Hellinger sum is fidest.fidelity.summed_hellinger's O(1) exact sum
     deleted = {
+        "hellinger_distance",
         "instance_to_json",
         "instance_from_json",
         "matrix_to_json",
@@ -415,9 +423,9 @@ def test_no_test_only_surface():
     assert not deleted & set(dir(fidest))
     assert [f.name for f in dataclasses.fields(RandomInstanceSpec)] == ["k", "rank", "seed", "kind"]
     assert INSTANCE_KINDS == ("haar_pure", "ginibre_mixed")
-    # the hard family is its rank weights: no 2^k vector, oracle or target is built
-    pair = linalg.hard_pair(0.5, 0.1, 3, 20)
-    assert [weights.shape for weights in pair] == [(3,), (3,)]
+    # the hard family is two weights per member: no rank-long or 2^k vector, oracle or target
+    pair = fidest.fidelity.hard_pair(0.5, 0.1, 1 << 20, 20)
+    assert [tuple(map(type, member)) for member in pair] == [(float, float)] * 2
 
 
 def test_eigendecompositions_live_in_the_reference():
@@ -430,9 +438,14 @@ def test_eigendecompositions_live_in_the_reference():
             if isinstance(node, ast.FunctionDef):
                 defined.setdefault(node.name, []).append(path.name)
         if path.name != "reference.py":
-            assert "eigh" not in called_names(path), path.name
-    for name in ("purify", "preparation_oracle", "herm_eig", "unitarity_error", "exact_fidelity_to_pure"):
+            assert not {"eigh", "eigvalsh"} & set(called_names(path)), path.name
+    # the validated density matrix, an oracle's dense state and the dense tr(rho sigma^2) too:
+    # verify-identities checks the executed circuits against pair_traces, the estimators' p
+    for name in ("purify", "preparation_oracle", "herm_eig", "unitarity_error", "exact_fidelity_to_pure",
+                 "_hermiticity_error", "reduced_state", "exact_tr_rho_sigma2"):
         assert defined[name] == ["reference.py"], name
+    assert [n.name for n in ast.walk(ast.parse((PACKAGE / "reference.py").read_text(encoding="utf-8")))
+            if isinstance(n, ast.ClassDef)] == ["DensityMatrix"]
 
 
 def test_only_production_options_remain():
@@ -510,6 +523,32 @@ def test_the_scaling_fit_is_plain_floats():
     assert not {"statistics", "fractions", "decimal"} & set(imported_modules(PACKAGE / "cli.py"))
 
 
+def test_the_hard_family_is_plain_floats():
+    # fidest.fidelity loads on every sweep: its exact Hellinger sum is float.as_integer_ratio and
+    # one int / int, not a fractions or decimal import
+    path = PACKAGE / "fidelity.py"
+    assert not {"fractions", "decimal"} & {n.split(".")[0] for n in imported_modules(path)}
+    assert not numpy_names(ast.parse(path.read_text(encoding="utf-8")))
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    [summed] = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "summed_hellinger"]
+    assert "as_integer_ratio" in called_names(summed)
+
+
+def test_linalg_is_the_executor_alone():
+    # the statevector executor, the oracle's Householder completion and the oracle checks,
+    # which read no stored state: every dense reference is in fidest.reference
+    tree = ast.parse((PACKAGE / "linalg.py").read_text(encoding="utf-8"))
+    top = {n.name for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+    assert top == set(EXECUTOR) | {
+        "_householder",
+        "oracle_unitary",
+        "_system_matrix",
+        "FlaggedAmplitudeAnalysis",
+        "oracle_residuals",
+    }
+    assert list(inspect.signature(linalg.oracle_residuals).parameters) == ["oracle"]
+
+
 PRODUCTS = {"@", "matmul", "dot", "tensordot"}
 
 
@@ -554,8 +593,10 @@ def test_a_sweep_validates_no_state_and_factors_no_oracle(monkeypatch, capsys, e
     def forbidden(*args, **kwargs):
         raise AssertionError("called by a sweep")
 
-    for name in ("reduced_state", "_system_matrix", "_householder", "exact_tr_rho_sigma2"):
+    for name in ("_system_matrix", "_householder"):
         monkeypatch.setattr(linalg, name, forbidden)
+    for name in ("reduced_state", "exact_tr_rho_sigma2"):
+        monkeypatch.setattr(fidest.reference, name, forbidden)
     monkeypatch.setattr(DensityMatrix, "__post_init__", forbidden)
     monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
     oracles = []
@@ -574,9 +615,23 @@ def test_a_sweep_validates_no_state_and_factors_no_oracle(monkeypatch, capsys, e
     assert not [oracle for oracle in oracles if oracle in linalg._FACTORS]
 
 
+def test_verify_identities_validates_no_state(monkeypatch, capsys):
+    # its truths are pair_traces contractions of the columns and its reconstruction compares
+    # two columns' system matrices: no density matrix is validated, and no LAPACK eigvalsh runs
+    def forbidden(*args, **kwargs):
+        raise AssertionError("called by verify-identities")
+
+    for name in ("reduced_state", "exact_tr_rho_sigma2"):
+        monkeypatch.setattr(fidest.reference, name, forbidden)
+    monkeypatch.setattr(DensityMatrix, "__post_init__", forbidden)
+    monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+    assert main(["verify-identities", "--k", "2", "--trials", "4"]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+
+
 def test_one_function_synthesises_instances():
-    # verify-identities and a sweep draw their oracles alike, and read the dense state from the
-    # column (fidest.linalg.reduced_state); nothing else draws one
+    # verify-identities and a sweep draw their oracles alike, and read their states from the
+    # column; nothing else draws one
     drawing = []
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
