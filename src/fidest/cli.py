@@ -29,7 +29,6 @@ from .fidelity import ESTIMATORS, check_hard_family, hard_pair, hard_pair_hellin
 from .oracles import (
     QUBIT_CAP,
     QubitCapExceeded,
-    RandomInstanceSpec,
     check_instance_size,
     pair_traces,
     synthesize_instance,
@@ -136,8 +135,9 @@ class ExperimentConfig:
             for p in HARD_P_GRID:
                 for e in eps:
                     check_hard_family(p, e, self.rank, self.k)
-            # a member is a k-qubit state, held to the statevector cap though only its
-            # two distinct weights are read
+            # only two weights per member are read, but k > 22 still exits 3, and the cap keeps
+            # hard_pair's tail weight (1 - p -+ eps) / (rank - 1) a normal float: it is subnormal
+            # at k = 1023, and rank >= 2^1024 raises OverflowError, a traceback, not exit 2 or 3
             n, what = self.k, "states"
         else:
             # a circuit these commands run has at most 1 + 4k qubits: a flag or
@@ -206,9 +206,9 @@ def fit_scaling(records) -> dict:
     return slopes
 
 
-def _spec(config: ExperimentConfig, trial: int, stream: int, kind: str, rank: int):
-    """The seeded instance spec of one trial's instance stream."""
-    return RandomInstanceSpec(config.k, rank, derive_seed(config.seed, trial, stream), kind)
+def _instance(config: ExperimentConfig, trial: int, stream: int, rank: int, label: str):
+    """The oracle of one trial's instance stream: a random rank-``rank`` state on config.k qubits."""
+    return synthesize_instance(config.k, rank, derive_seed(config.seed, trial, stream), label)
 
 
 def _estimate_trial(config: ExperimentConfig, trial: int) -> list:
@@ -220,10 +220,9 @@ def _estimate_trial(config: ExperimentConfig, trial: int) -> list:
     raised it; a failed bind names the first epsilon.
     """
     estimator = ESTIMATORS[config.estimator]
-    kinds = {True: ("haar_pure", 1), False: ("ginibre_mixed", config.rank)}
-    first, second = kinds[estimator.first_pure], kinds[estimator.second_pure]
-    rho_oracle = synthesize_instance(_spec(config, trial, 0, *first), "U")
-    second_oracle = synthesize_instance(_spec(config, trial, 1, *second), "V")
+    rank = {True: 1, False: config.rank}  # a state the estimator needs pure is drawn at rank 1
+    rho_oracle = _instance(config, trial, 0, rank[estimator.first_pure], "U")
+    second_oracle = _instance(config, trial, 1, rank[estimator.second_pure], "V")
     seed = derive_seed(config.seed, trial, 2)
     out = []
     epsilon = config.epsilons[0]
@@ -349,16 +348,16 @@ def _identity_residuals(config: ExperimentConfig, trial: int) -> dict:
     from . import linalg  # the numpy side: the circuit executor
 
     rank = trial % (1 << config.k) + 1
-    rho_oracle = synthesize_instance(_spec(config, trial, 0, "ginibre_mixed", rank), "U")
-    psi_oracle = synthesize_instance(_spec(config, trial, 1, "haar_pure", 1), "V")
-    sigma_oracle = synthesize_instance(_spec(config, trial, 2, "ginibre_mixed", rank), "V")
+    rho_oracle = _instance(config, trial, 0, rank, "U")
+    psi_oracle = _instance(config, trial, 1, 1, "V")
+    sigma_oracle = _instance(config, trial, 2, rank, "V")
     pure_truth = pair_traces(rho_oracle, psi_oracle)[1]
 
     def split(circuit, registers=("A", "B")):
         return linalg.analyze_flagged(linalg.execute(circuit), circuit.layout, registers)
 
     def pr_zero(circuit):
-        return linalg.register_zero_probability(linalg.execute(circuit), circuit.layout, ("C",))
+        return split(circuit, ("C",)).flagged_amplitude ** 2
 
     pure = split(build_encoding_circuit(rho_oracle, psi_oracle))
     amp2 = pure.flagged_amplitude**2

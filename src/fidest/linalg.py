@@ -255,11 +255,6 @@ def analyze_flagged(state: np.ndarray, layout: RegisterLayout, zero_registers) -
     return FlaggedAmplitudeAnalysis(flagged, residual)
 
 
-def register_zero_probability(state, layout, registers) -> float:
-    """Probability that measuring the given registers yields all zeros."""
-    return analyze_flagged(state, layout, registers).flagged_amplitude ** 2
-
-
 def oracle_residuals(oracle: PreparationOracle) -> tuple:
     """(max|U^dag U - I|, max|tr_B(U|0><0|U^dag) - rho|) of the dense U, taken through the
     oracle's own queries, against the state rho of its stored column.

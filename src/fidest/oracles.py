@@ -36,8 +36,6 @@ from .streams import uniforms
 
 QUERY_KINDS = ("plain", "inverse", "controlled", "controlled_inverse")
 
-INSTANCE_KINDS = ("haar_pure", "ginibre_mixed")
-
 #: Tolerance for structural invariants (unitarity, Hermiticity, norms, trace).
 ATOL_STRUCT = 1e-10
 
@@ -152,25 +150,6 @@ def check_instance_size(k: int, rank: int) -> None:
         raise ValueError(f"rank {rank} out of range [1, 2^{k}] for k={k}")
 
 
-@dataclass(frozen=True)
-class RandomInstanceSpec:
-    """Seed-deterministic recipe for a random state instance; k and rank meet check_instance_size."""
-
-    k: int
-    rank: int
-    seed: int
-    kind: str
-
-    def __post_init__(self):
-        check_instance_size(self.k, self.rank)
-        if not 0 <= self.seed < (1 << 64):
-            raise ValueError(f"seed {self.seed} is not a 64-bit unsigned integer")
-        if self.kind not in INSTANCE_KINDS:
-            raise ValueError(f"kind {self.kind!r} not in {INSTANCE_KINDS}")
-        if self.kind == "haar_pure" and self.rank != 1:
-            raise ValueError("haar_pure instances must have rank 1")
-
-
 def complex_gaussians(seed: int, n: int) -> list:
     """n standard complex Gaussians (Re and Im each N(0, 1/2), so |z|^2 is Exp(1)),
     by Box-Muller in scalar math from the stream uniforms(b"inst", (seed,), 2n).
@@ -186,24 +165,26 @@ def complex_gaussians(seed: int, n: int) -> list:
     return out
 
 
-def synthesize_instance(spec: RandomInstanceSpec, label: str = "U") -> PreparationOracle:
-    """The oracle of a spec's random state, drawn deterministically from its seed.
+def synthesize_instance(k: int, rank: int, seed: int, label: str = "U") -> PreparationOracle:
+    """The oracle of a random rank-``rank`` state on k qubits, drawn deterministically from its seed.
 
-    Both kinds draw g, a normalized complex-Gaussian d x rank matrix
-    (``complex_gaussians`` of the spec's seed, row by row): a Haar-random
-    pure state whose reduced system state is rho = g g^dag (the induced
-    measure), so the oracle's column is g itself, zero-padded to the
-    smallest ancilla that holds rank columns, ceil(log2 rank) qubits (none
-    for haar_pure, whose column is psi itself).  g is normalised entry by
-    entry by a math.fsum norm, so the column rests on libm alone.  No
-    command builds the dense rho: ``pair_traces`` and ``purity`` read the
+    k and rank meet ``check_instance_size`` and the seed is 64-bit, checked before any uniform
+    is read.  g is a normalized complex-Gaussian d x rank matrix (``complex_gaussians`` of the
+    seed, row by row): a Haar-random pure state whose reduced system state is rho = g g^dag
+    (the induced measure), so the oracle's column is g itself, zero-padded to the smallest
+    ancilla that holds rank columns, ceil(log2 rank) qubits (a rank-1 draw is a Haar-random
+    pure state).  g is normalised entry by entry by a math.fsum norm, so the column rests on
+    libm alone.  No command builds the dense rho: ``pair_traces`` and ``purity`` read the
     column, and ``fidest.reference.reduced_state`` is the tests' dense one.
     """
-    d, ancilla = 1 << spec.k, (spec.rank - 1).bit_length()
-    gaussians = complex_gaussians(spec.seed, d * spec.rank)
+    check_instance_size(k, rank)
+    if not 0 <= seed < (1 << 64):
+        raise ValueError(f"seed {seed} is not a 64-bit unsigned integer")
+    d, ancilla = 1 << k, (rank - 1).bit_length()
+    gaussians = complex_gaussians(seed, d * rank)
     re, im = [z.real for z in gaussians], [z.imag for z in gaussians]
     norm = math.sqrt(_dot(re + im, re + im))
     g = [complex(a / norm, b / norm) for a, b in zip(re, im)]
-    pad = [0j] * ((1 << ancilla) - spec.rank)
-    column = [z for i in range(0, d * spec.rank, spec.rank) for z in g[i : i + spec.rank] + pad]
-    return PreparationOracle(column, spec.k, ancilla, label)
+    pad = [0j] * ((1 << ancilla) - rank)
+    column = [z for i in range(0, d * rank, rank) for z in g[i : i + rank] + pad]
+    return PreparationOracle(column, k, ancilla, label)

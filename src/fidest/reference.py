@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import Circuit, OracleOp
-from .linalg import _apply_op, _system_matrix, execute, register_zero_probability
+from .linalg import _apply_op, _system_matrix, analyze_flagged, execute
 from .oracles import ATOL_STRUCT, PreparationOracle, QubitCapExceeded
 
 #: Qubit cap for materializing a dense circuit unitary (a 4^n matrix).
@@ -150,7 +150,7 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
 
 def flag_probability(preparer: Circuit, flag_register: str) -> float:
     """Pr[flag = 0] of the executed preparer; Estimator.bind takes it in closed form from the columns."""
-    p = register_zero_probability(execute(preparer), preparer.layout, (flag_register,))
+    p = analyze_flagged(execute(preparer), preparer.layout, (flag_register,)).flagged_amplitude ** 2
     return min(max(p, 0.0), 1.0)
 
 

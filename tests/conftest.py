@@ -3,22 +3,18 @@ import math
 import numpy as np
 
 from fidest.fidelity import hard_pair
-from fidest.oracles import PreparationOracle, RandomInstanceSpec, synthesize_instance
+from fidest.oracles import PreparationOracle, synthesize_instance
 from fidest.reference import purify, reduced_state
 
 
-def sampled(spec, label="U"):
-    """``(DensityMatrix, PreparationOracle)`` of a spec: its oracle and the state it prepares."""
-    oracle = synthesize_instance(spec, label)
+def sampled(k, rank, seed, label="U"):
+    """``(DensityMatrix, PreparationOracle)`` of a random instance: its oracle and the state it prepares."""
+    oracle = synthesize_instance(k, rank, seed, label)
     return reduced_state(oracle), oracle
 
 
-def mixed_instance(k, rank, seed, label="U"):
-    return sampled(RandomInstanceSpec(k, rank, seed, "ginibre_mixed"), label)
-
-
 def pure_instance(k, seed, label="V"):
-    return sampled(RandomInstanceSpec(k, 1, seed, "haar_pure"), label)
+    return sampled(k, 1, seed, label)
 
 
 def state_oracle(vec, label="U"):
@@ -108,10 +104,9 @@ def generated_oracles():
     instances at k = 1-3 (every rank), hard instances (zero ancilla) and
     purified channels."""
     for k in (1, 2, 3):
-        specs = [(1, "haar_pure")] + [(r, "ginibre_mixed") for r in range(1, (1 << k) + 1)]
         for seed in range(3):
-            for rank, kind in specs:
-                yield synthesize_instance(RandomInstanceSpec(k, rank, seed, kind))
+            for rank in range(1, (1 << k) + 1):
+                yield synthesize_instance(k, rank, seed)
     for k, rank in ((1, 2), (2, 3), (3, 5)):
         yield from hard_oracles(0.5, 0.1, rank, k)
     rng = np.random.default_rng(3)

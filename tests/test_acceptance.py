@@ -14,8 +14,7 @@ import numpy as np
 from fidest.circuits import build_encoding_circuit, build_restructured_encoding, build_swap_test
 from fidest.cli import ExperimentConfig, ExperimentRecord, fit_scaling, main, run
 from fidest.fidelity import ESTIMATORS, hard_pair, hard_pair_hellinger
-from fidest.linalg import analyze_flagged, execute, oracle_residuals, oracle_unitary, register_zero_probability
-from fidest.oracles import RandomInstanceSpec
+from fidest.linalg import analyze_flagged, execute, oracle_residuals, oracle_unitary
 from fidest.reference import (
     DensityMatrix,
     exact_fidelity_to_pure,
@@ -54,9 +53,9 @@ def _report(criterion: str, ok: bool, detail: str = ""):
 
 def corpus_pairs():
     for k, rank, seed in CORPUS:
-        rho, u = sampled(RandomInstanceSpec(k, rank, seed, "ginibre_mixed"), "U")
-        psi, v = sampled(RandomInstanceSpec(k, 1, seed + 1, "haar_pure"), "V")
-        sigma, w = sampled(RandomInstanceSpec(k, rank, seed + 2, "ginibre_mixed"), "V")
+        rho, u = sampled(k, rank, seed, "U")
+        psi, v = sampled(k, 1, seed + 1, "V")
+        sigma, w = sampled(k, rank, seed + 2, "V")
         yield k, rho, u, psi, v, sigma, w
 
 
@@ -102,7 +101,7 @@ def test_criterion_3_swap_test_law():
     worst = 0.0
     for _, rho, u, psi, v, _, _ in corpus_pairs():
         circ = build_swap_test(u, v)
-        pr0 = register_zero_probability(execute(circ), circ.layout, ("C",))
+        pr0 = analyze_flagged(execute(circ), circ.layout, ("C",)).flagged_amplitude ** 2
         f2 = exact_tr_rho_sigma2(rho, psi)
         worst = max(worst, abs(pr0 - (1.0 + f2) / 2.0))
     elapsed = time.perf_counter() - start
@@ -117,8 +116,8 @@ def test_criterion_4_optimal_estimator_success():
     start = time.perf_counter()
     fractions = []
     for k, rank, rho_seed, psi_seed in FIXED_INSTANCES:
-        rho, u = sampled(RandomInstanceSpec(k, rank, rho_seed, "ginibre_mixed"), "U")
-        psi, v = sampled(RandomInstanceSpec(k, 1, psi_seed, "haar_pure"), "V")
+        rho, u = sampled(k, rank, rho_seed, "U")
+        psi, v = sampled(k, 1, psi_seed, "V")
         truth = uhlmann_fidelity(rho, psi)
         bound = ESTIMATORS["optimal"].bind(u, v)
         for eps in (0.1, 0.05, 0.02):
@@ -140,8 +139,8 @@ def test_criterion_5_quadratic_separation():
     epsilons = (0.2, 0.1, 0.05, 0.025, 0.0125)
     records = []
     for trial in range(3):
-        _, u = sampled(RandomInstanceSpec(1, 2, 5000 + trial, "ginibre_mixed"), "U")
-        _, v = sampled(RandomInstanceSpec(1, 1, 5100 + trial, "haar_pure"), "V")
+        _, u = sampled(1, 2, 5000 + trial, "U")
+        _, v = sampled(1, 1, 5100 + trial, "V")
         for eps in epsilons:
             for estimator in ("optimal", "swap-baseline"):
                 result = ESTIMATORS[estimator].bind(u, v)(eps, 6000 + trial)
@@ -177,8 +176,8 @@ def test_criterion_6_query_accounting():
     ok = True
     checked = 0
     for k, rank, rho_seed, psi_seed in FIXED_INSTANCES[:3]:
-        _, u = sampled(RandomInstanceSpec(k, rank, rho_seed, "ginibre_mixed"), "U")
-        _, v = sampled(RandomInstanceSpec(k, 1, psi_seed, "haar_pure"), "V")
+        _, u = sampled(k, rank, rho_seed, "U")
+        _, v = sampled(k, 1, psi_seed, "V")
         for eps in (0.2, 0.05, 0.01):
             for seed in (0, 1):
                 result = ESTIMATORS["optimal"].bind(u, v)(eps, seed)
@@ -189,8 +188,8 @@ def test_criterion_6_query_accounting():
 
 def test_criterion_7_sqrt_tr_rho_sigma2():
     start = time.perf_counter()
-    rho, u = sampled(RandomInstanceSpec(1, 2, 301, "ginibre_mixed"), "U")
-    sigma, sig = sampled(RandomInstanceSpec(1, 2, 302, "ginibre_mixed"), "V")
+    rho, u = sampled(1, 2, 301, "U")
+    sigma, sig = sampled(1, 2, 302, "V")
     truth = dense_sqrt_tr_rho_sigma2(rho, sigma)
     hits = 0
     bound = ESTIMATORS["tr-rho-sigma2"].bind(u, sig)
@@ -198,8 +197,8 @@ def test_criterion_7_sqrt_tr_rho_sigma2():
         result = bound(0.05, seed)
         hits += abs(result.estimate - truth) <= 0.05
 
-    _, v_pure = sampled(RandomInstanceSpec(1, 1, 43, "haar_pure"), "V")
-    _, u2 = sampled(RandomInstanceSpec(1, 2, 42, "ginibre_mixed"), "U")
+    _, v_pure = sampled(1, 1, 43, "V")
+    _, u2 = sampled(1, 2, 42, "U")
     mixed, pure = (ESTIMATORS[name].bind(u2, v_pure) for name in ("tr-rho-sigma2", "optimal"))
     identical = all(mixed(0.05, seed).to_json() == pure(0.05, seed).to_json() for seed in range(40))
     elapsed = time.perf_counter() - start

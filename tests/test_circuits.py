@@ -20,11 +20,16 @@ from fidest.circuits import (
     build_restructured_encoding,
     build_swap_test,
 )
-from fidest.linalg import _apply_op, analyze_flagged, execute, oracle_unitary, register_zero_probability
+from fidest.linalg import _apply_op, analyze_flagged, execute, oracle_unitary
 from fidest.oracles import QubitCapExceeded
 from fidest.reference import DensityMatrix, circuit_unitary, preparation_oracle
 
-from conftest import mixed_instance, padded_oracle, pure_instance, resized_oracle, state_oracle
+from conftest import padded_oracle, pure_instance, resized_oracle, sampled, state_oracle
+
+
+def zero_probability(circuit):
+    """Pr[C = 0] of the executed circuit: the squared norm of its C = 0 component."""
+    return analyze_flagged(execute(circuit), circuit.layout, ("C",)).flagged_amplitude ** 2
 
 
 class TestRegisterLayout:
@@ -108,7 +113,7 @@ class TestExecute:
         assert float(str(info.value).split()[-1]) == pytest.approx(2.0)
 
     def test_oracle_counters_match_shadow_count(self):
-        _, u = mixed_instance(1, 2, 60)
+        _, u = sampled(1, 2, 60)
         _, v = pure_instance(1, 61)
         circ = build_encoding_circuit(u, v)
         counted = sum(sum(kinds.values()) for kinds in circ.queries().values())
@@ -128,20 +133,20 @@ class TestRegisterBlocks:
         ],
     )
     def test_non_adjacent_registers_raise(self, layout, op):
-        _, u = mixed_instance(1, 2, 63)
+        _, u = sampled(1, 2, 63)
         circ = Circuit(RegisterLayout(layout, (1,) * len(layout)), (op(u),))
         with pytest.raises(ValueError, match="adjacent"):
             execute(circ)
 
     def test_registers_narrower_than_oracle_raise(self):
-        _, u = mixed_instance(1, 2, 64)  # one system and one ancilla qubit
+        _, u = sampled(1, 2, 64)  # one system and one ancilla qubit
         circ = Circuit(RegisterLayout(("A", "B"), (1, 1)), (OracleOp(u, "plain", ("A",)),))
         with pytest.raises(ValueError, match="too few"):
             execute(circ)
 
     @pytest.mark.parametrize("zero_ancilla,b", [(False, 1), (False, 3), (True, 0), (True, 2)])
     def test_padded_oracle_op_is_kron_with_identity(self, zero_ancilla, b):
-        u = state_oracle([0.6, 0.8j], "U") if zero_ancilla else mixed_instance(1, 2, 65)[1]
+        u = state_oracle([0.6, 0.8j], "U") if zero_ancilla else sampled(1, 2, 65)[1]
         circ = Circuit(RegisterLayout(("A", "B"), (1, b)), (OracleOp(u, "plain", ("A", "B")),))
         pad = 1 + b - u.num_qubits
         expected = np.kron(oracle_unitary(u), np.eye(1 << pad))
@@ -208,34 +213,34 @@ class TestSwapTest:
     def test_identical_pure_states(self):
         psi = np.array([0.6, 0.8], dtype=complex)
         circ = build_swap_test(state_oracle(psi, "U"), state_oracle(psi, "V"))
-        pr0 = register_zero_probability(execute(circ), circ.layout, ("C",))
+        pr0 = zero_probability(circ)
         assert abs(pr0 - 1.0) <= 1e-10
 
     def test_orthogonal_states(self):
         circ = build_swap_test(
             state_oracle([0.0, 1.0], "U"), state_oracle([1.0, 0.0], "V")
         )
-        pr0 = register_zero_probability(execute(circ), circ.layout, ("C",))
+        pr0 = zero_probability(circ)
         assert abs(pr0 - 0.5) <= 1e-10
 
     @pytest.mark.parametrize("seed", range(6))
     def test_outcome_law(self, seed):
         # Pr[x=0] = (1 + <psi|rho|psi>) / 2, checked against the dense oracle
-        rho, u = mixed_instance(2, 3, 700 + seed)
+        rho, u = sampled(2, 3, 700 + seed)
         psi_dm, v = pure_instance(2, 800 + seed)
         circ = build_swap_test(u, v)
-        pr0 = register_zero_probability(execute(circ), circ.layout, ("C",))
+        pr0 = zero_probability(circ)
         overlap = float(np.trace(rho.matrix @ psi_dm.matrix).real)
         assert abs(pr0 - (1.0 + overlap) / 2.0) <= 1e-10
 
     def test_size_mismatch(self):
-        _, u = mixed_instance(1, 2, 1)
+        _, u = sampled(1, 2, 1)
         _, v = pure_instance(2, 2)
         with pytest.raises(ValueError, match="mismatch"):
             build_swap_test(u, v)
 
     def test_query_cost_one_each(self):
-        _, u = mixed_instance(1, 2, 1)
+        _, u = sampled(1, 2, 1)
         _, v = pure_instance(1, 2)
         circ = build_swap_test(u, v)
         assert circ.queries() == {
@@ -254,7 +259,7 @@ class TestEncodingCircuit:
 
     @pytest.mark.parametrize("k,seed", [(1, 0), (1, 3), (2, 1), (2, 4)])
     def test_pure_case_identity(self, k, seed):
-        rho, u = mixed_instance(k, 2, 900 + seed)
+        rho, u = sampled(k, 2, 900 + seed)
         psi_dm, v = pure_instance(k, 950 + seed)
         circ = build_encoding_circuit(u, v)
         split = analyze_flagged(execute(circ), circ.layout, ("A", "B"))
@@ -262,7 +267,7 @@ class TestEncodingCircuit:
         assert abs(split.flagged_amplitude**2 - truth) <= 1e-10
 
     def test_query_tally_one_u_two_v(self):
-        _, u = mixed_instance(1, 2, 5)
+        _, u = sampled(1, 2, 5)
         _, v = pure_instance(1, 6)
         circ = build_encoding_circuit(u, v)
         assert circ.queries() == {
@@ -271,7 +276,7 @@ class TestEncodingCircuit:
         }
 
     def test_decomposition_consistency(self):
-        rho, u = mixed_instance(2, 4, 33)
+        rho, u = sampled(2, 4, 33)
         _, v = pure_instance(2, 34)
         circ = build_encoding_circuit(u, v)
         state = execute(circ)
@@ -289,7 +294,7 @@ class TestEncodingCircuit:
         assert re_split.flagged_amplitude <= 1e-10
 
     def test_mismatched_ancillas_are_padded(self):
-        rho, u = mixed_instance(1, 2, 44)  # one ancilla qubit
+        rho, u = sampled(1, 2, 44)  # one ancilla qubit
         v = state_oracle([1.0, 0.0], "V")  # zero ancilla qubits
         circ = build_encoding_circuit(u, v)
         assert len(circ.layout.qubits("B")) == len(circ.layout.qubits("B'")) == 1
@@ -311,7 +316,7 @@ class TestEncodingCircuit:
 
         r = data.draw(st.integers(1, 1 << k), label="rank rho")
         s = data.draw(st.integers(1, 1 << k), label="rank sigma")
-        rho, sigma = mixed_instance(k, r, seed)[0], mixed_instance(k, s, seed + 1)[0]
+        rho, sigma = sampled(k, r, seed)[0], sampled(k, s, seed + 1)[0]
         psi = pure_instance(k, seed + 2)[0]
         u, v, w = oracle(rho, r, "U"), oracle(psi, 1, "V"), oracle(sigma, s, "W")
 
@@ -324,16 +329,16 @@ class TestEncodingCircuit:
         assert abs(pure - np.trace(rho.matrix @ psi.matrix).real) <= 1e-10
         assert abs(mixed - np.trace(rho.matrix @ sigma.matrix @ sigma.matrix).real) <= 1e-10
         assert abs(mixed - amp2(build_restructured_encoding(u, w), ("A'", "B'"))) <= 1e-10
-        assert abs(register_zero_probability(execute(flagged), flagged.layout, ("C",)) - pure) <= 1e-10
+        assert abs(zero_probability(flagged) - pure) <= 1e-10
 
 
 class TestFlaggedEncoding:
     @pytest.mark.parametrize("seed", range(4))
     def test_flag_probability_equals_fidelity_squared(self, seed):
-        rho, u = mixed_instance(2, 3, 1000 + seed)
+        rho, u = sampled(2, 3, 1000 + seed)
         psi_dm, v = pure_instance(2, 1100 + seed)
         circ = build_flagged_encoding(u, v)
-        pr0 = register_zero_probability(execute(circ), circ.layout, ("C",))
+        pr0 = zero_probability(circ)
         truth = float(np.trace(rho.matrix @ psi_dm.matrix).real)
         assert abs(pr0 - truth) <= 1e-10
 
@@ -341,23 +346,23 @@ class TestFlaggedEncoding:
         psi = np.array([1.0, 1.0j], dtype=complex) / np.sqrt(2)
         dm = DensityMatrix(np.outer(psi, psi.conj()))
         circ = build_flagged_encoding(preparation_oracle(dm, "U"), preparation_oracle(dm, "V"))
-        pr0 = register_zero_probability(execute(circ), circ.layout, ("C",))
+        pr0 = zero_probability(circ)
         assert abs(pr0 - 1.0) <= 1e-10
 
     def test_zero_fidelity_deterministic_flag(self):
         circ = build_flagged_encoding(
             state_oracle([0.0, 1.0], "U"), state_oracle([1.0, 0.0], "V")
         )
-        pr0 = register_zero_probability(execute(circ), circ.layout, ("C",))
+        pr0 = zero_probability(circ)
         assert pr0 <= 1e-10
 
     def test_two_bit_and_flag_views_agree(self):
-        rho, u = mixed_instance(1, 2, 77)
+        rho, u = sampled(1, 2, 77)
         _, v = pure_instance(1, 78)
         plain = build_encoding_circuit(u, v)
         amp2 = analyze_flagged(execute(plain), plain.layout, ("A", "B")).flagged_amplitude ** 2
         flagged = build_flagged_encoding(u, v)
-        pr0 = register_zero_probability(execute(flagged), flagged.layout, ("C",))
+        pr0 = zero_probability(flagged)
         assert abs(amp2 - pr0) <= 1e-10
 
 
@@ -388,7 +393,7 @@ def state_ratios(circ, kinds):
 def test_oracle_ops_write_into_the_state():
     # an oracle op acts on a view of the flat state: one rank-1 update
     # temporary on half the rows is its only state-sized allocation
-    u, v = padded_oracle(mixed_instance(4, 3, 90)[1]), padded_oracle(pure_instance(4, 91)[1])
+    u, v = padded_oracle(sampled(4, 3, 90)[1]), padded_oracle(pure_instance(4, 91)[1])
     ratios = state_ratios(build_flagged_encoding(u, v), OracleOp)  # 17 qubits, a 2 MiB state
     assert len(ratios) == 3
     for op, ratio in ratios:
@@ -398,7 +403,7 @@ def test_oracle_ops_write_into_the_state():
 def test_swap_test_gates_write_into_the_state():
     # H is an in-place butterfly on the two halves, and the controlled swap
     # writes into the control = 1 view from numpy's copy of that half
-    u, v = padded_oracle(mixed_instance(4, 3, 92)[1]), padded_oracle(pure_instance(4, 93)[1])
+    u, v = padded_oracle(sampled(4, 3, 92)[1]), padded_oracle(pure_instance(4, 93)[1])
     bounds = {Hadamard: 0.01, RegisterSwap: 0.51}
     ratios = state_ratios(build_swap_test(u, v), tuple(bounds))  # 17 qubits, a 2 MiB state
     assert [type(op) for op, _ in ratios] == [Hadamard, RegisterSwap, Hadamard]
@@ -409,7 +414,7 @@ def test_swap_test_gates_write_into_the_state():
 def test_execute_holds_one_state():
     # the state and numpy's copy of an overlapping source (the uncontrolled
     # swap's or the flag fold's) are all execute holds at once
-    u, v = padded_oracle(mixed_instance(4, 3, 90)[1]), padded_oracle(pure_instance(4, 91)[1])
+    u, v = padded_oracle(sampled(4, 3, 90)[1]), padded_oracle(pure_instance(4, 91)[1])
     circ = build_flagged_encoding(u, v)
     assert circ.layout.total_qubits == 17
     peak = traced_peak(lambda: execute(circ))
@@ -418,7 +423,7 @@ def test_execute_holds_one_state():
 
 class TestRestructuredEncoding:
     def test_maximally_mixed_second_state(self):
-        rho, u = mixed_instance(1, 2, 88)
+        rho, u = sampled(1, 2, 88)
         half = DensityMatrix(np.eye(2) / 2)
         v = preparation_oracle(half, "V")
         circ = build_restructured_encoding(u, v)
@@ -427,8 +432,8 @@ class TestRestructuredEncoding:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_plain_encoding(self, seed):
-        rho, u = mixed_instance(2, 3, 1200 + seed)
-        sigma, v = mixed_instance(2, 2, 1300 + seed)
+        rho, u = sampled(2, 3, 1200 + seed)
+        sigma, v = sampled(2, 2, 1300 + seed)
         plain = build_encoding_circuit(u, v)
         amp_plain = analyze_flagged(execute(plain), plain.layout, ("A", "B")).flagged_amplitude
         restr = build_restructured_encoding(u, v)
@@ -437,8 +442,8 @@ class TestRestructuredEncoding:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_mixed_case_identity(self, seed):
-        rho, u = mixed_instance(2, 4, 1400 + seed)
-        sigma, v = mixed_instance(2, 3, 1500 + seed)
+        rho, u = sampled(2, 4, 1400 + seed)
+        sigma, v = sampled(2, 3, 1500 + seed)
         circ = build_restructured_encoding(u, v)
         split = analyze_flagged(execute(circ), circ.layout, ("A'", "B'"))
         truth = float(np.trace(rho.matrix @ sigma.matrix @ sigma.matrix).real)
@@ -466,7 +471,7 @@ class TestAnalyzeFlagged:
     ids=lambda build: build.__name__,
 )
 def test_circuit_unitary_matches_execution(build):
-    _, u = mixed_instance(1, 2, 91)
+    _, u = sampled(1, 2, 91)
     _, v = pure_instance(1, 92)
     circ = build(u, v)
     mat = circuit_unitary(circ)

@@ -40,7 +40,7 @@ from fidest.cli import (
 )
 from fidest.fidelity import hard_pair, hard_pair_hellinger
 from fidest.linalg import oracle_residuals, oracle_unitary
-from fidest.oracles import QubitCapExceeded, RandomInstanceSpec, synthesize_instance
+from fidest.oracles import QubitCapExceeded, synthesize_instance
 from fidest.reference import unitarity_error
 
 from conftest import generated_oracles, hard_oracles
@@ -152,8 +152,8 @@ class TestConfigValidation:
     @pytest.mark.parametrize(
         "fields,library",
         [
-            ({"command": "sweep", "k": 0}, lambda: RandomInstanceSpec(0, 2, 0, "ginibre_mixed")),
-            ({"command": "sweep", "k": 1, "rank": 3}, lambda: RandomInstanceSpec(1, 3, 0, "ginibre_mixed")),
+            ({"command": "sweep", "k": 0}, lambda: synthesize_instance(0, 2, 0)),
+            ({"command": "sweep", "k": 1, "rank": 3}, lambda: synthesize_instance(1, 3, 0)),
             ({"command": "hard-instance", "k": 2, "rank": 5}, lambda: hard_pair(0.5, 0.1, 5, 2)),
             ({"command": "hard-instance", "k": 2, "rank": 1}, lambda: hard_pair(0.5, 0.1, 1, 2)),
             (
@@ -374,13 +374,14 @@ def oracle_unitarity_residual(oracle):
 class TestOracleUnitarityResidual:
     def test_matches_the_dense_residual(self):
         oracles = list(generated_oracles())
-        assert len(oracles) == 60
+        # 42 sampled (each rank at k = 1-3, 3 seeds), 6 hard and 3 channel oracles
+        assert len(oracles) == 51
         for oracle in oracles:
             dense = unitarity_error(oracle_unitary(oracle))
             assert abs(oracle_unitarity_residual(oracle) - dense) <= 1e-14
 
     def test_fails_a_non_unitary_oracle(self):
-        oracle = corrupted(synthesize_instance(RandomInstanceSpec(2, 2, 0, "ginibre_mixed")))
+        oracle = corrupted(synthesize_instance(2, 2, 0))
         assert unitarity_error(oracle_unitary(oracle)) > 1e-10
         assert oracle_unitarity_residual(oracle) > 1e-10
 
@@ -398,8 +399,8 @@ class TestOracleUnitarityResidual:
         monkeypatch.setattr(fidest.linalg, "apply_oracle", apply)
 
     def test_fails_an_inverse_query_that_is_not_the_adjoint(self, monkeypatch):
-        unitary = synthesize_instance(RandomInstanceSpec(2, 2, 0, "ginibre_mixed"))
-        bad = corrupted(synthesize_instance(RandomInstanceSpec(2, 2, 0, "ginibre_mixed")))
+        unitary = synthesize_instance(2, 2, 0)
+        bad = corrupted(synthesize_instance(2, 2, 0))
         # inverse queries: U for the unitary oracle, and the exact inverse of
         # the corrupted U, which passes U^-1 U = I and is caught only as not U^dag
         wrong = {id(unitary): oracle_unitary(unitary), id(bad): np.linalg.inv(oracle_unitary(bad))}
@@ -409,7 +410,7 @@ class TestOracleUnitarityResidual:
 
     def test_passes_the_same_patched_query_with_the_adjoint(self, monkeypatch):
         # the control for the test above: the patched query does reach the residual
-        oracles = [synthesize_instance(RandomInstanceSpec(2, 2, seed, "ginibre_mixed")) for seed in (0, 1)]
+        oracles = [synthesize_instance(2, 2, seed) for seed in (0, 1)]
         self.with_inverse_queries(monkeypatch, {id(o): oracle_unitary(o).conj().T for o in oracles})
         for oracle in oracles:
             assert oracle_unitarity_residual(oracle) <= 1e-10
@@ -455,6 +456,21 @@ class TestSweep:
             assert run(config) == 0
             paths.append(out)
         assert strip_wall_ms(paths[0]) == strip_wall_ms(paths[1])
+
+    def test_a_rank_1_instance_is_one_pure_state_for_every_estimator(self, tmp_path, capsys):
+        # an instance is a function of (k, rank, seed): at rank 1 the estimators that need pure
+        # states and the one that takes any sigma draw the same pair and read the same p, so
+        # their records agree in every cell but the estimator's name and wall_ms
+        argv = ["sweep", "--k", "2", "--rank", "1", "--epsilons", "0.2,0.1,0.05", "--trials", "3", "--seed", "11"]
+        tables = []
+        for estimator in ("optimal", "tr-rho-sigma2", "pure-pure"):
+            out = tmp_path / f"{estimator}.csv"
+            assert main([*argv, "--estimator", estimator, "--output", str(out)]) == 0
+            rows = read_csv(out)
+            keep = [i for i, name in enumerate(rows[0]) if name not in ("estimator", "wall_ms")]
+            tables.append([[row[i] for i in keep] for row in rows])
+        assert len(tables[0]) == 1 + 9
+        assert tables[0] == tables[1] == tables[2]
 
     def test_json_file_is_its_payload_at_indent_2(self, tmp_path, capsys):
         out = tmp_path / "sweep.json"
@@ -796,7 +812,7 @@ class TestHardInstance:
     @pytest.mark.parametrize(
         "flags,code,message",
         [
-            # the family is built from k-qubit vectors; k = 23 is over the cap of 22
+            # k = 23 is over the cap of 22, which keeps the exit-3 contract and hard_pair's float range
             (["--k", "23"], 3, "23-qubit"),
             (["--epsilons", "0.1,0.35"], 2, "p=0.3 with epsilon=0.35 leaves"),
         ],

@@ -39,7 +39,7 @@ from fidest.reference import (
 )
 from fidest.streams import derive_seed, uniforms
 
-from conftest import mixed_instance, pure_instance
+from conftest import pure_instance, sampled
 
 PI_80_DIGITS = "3.1415926535897932384626433832795028841971693993751058209749445923078164062862090"
 
@@ -56,7 +56,7 @@ def flag_preparer(p):
 
 
 def instance_preparer(seed_u=42, seed_v=43):
-    _, u = mixed_instance(1, 2, seed_u)
+    _, u = sampled(1, 2, seed_u)
     _, v = pure_instance(1, seed_v)
     return build_flagged_encoding(u, v)
 
@@ -90,8 +90,8 @@ class TestGroverOperator:
         # sampler draws from (a sign slip in Q moves every eigenphase by 1/2),
         # and apply each oracle as often as _query_tally counts it
         rank, seed = st.integers(1, 1 << k), st.integers(0, 2**32 - 1)
-        _, u = mixed_instance(k, data.draw(rank, label="rank U"), data.draw(seed, label="seed U"))
-        _, v = mixed_instance(k, data.draw(rank, label="rank V"), data.draw(seed, label="seed V"), "V")
+        _, u = sampled(k, data.draw(rank, label="rank U"), data.draw(seed, label="seed U"))
+        _, v = sampled(k, data.draw(rank, label="rank V"), data.draw(seed, label="seed V"), "V")
         preparer = build(u, v)
         applied = []
         apply = linalg.apply_oracle
@@ -135,8 +135,8 @@ class TestGroverOperator:
     def test_one_readout_qubit_reads_p(self, build):
         # M = 2: the inverse QFT is one Hadamard, so Pr[y = 1] is
         # |(A|0> - Q A|0>) / 2|^2 = (1 - cos 2 theta) / 2 = p, without the kernel
-        _, u = mixed_instance(1, 2, 3000)
-        _, v = mixed_instance(1, 2, 3001, "V")
+        _, u = sampled(1, 2, 3000)
+        _, v = sampled(1, 2, 3001, "V")
         preparer = build(u, v)
         p = flag_probability(preparer, "C")
         executed = executed_qpe_distribution(preparer, "C", 1)
@@ -392,7 +392,7 @@ class TestSqrtAmplitudeEstimate:
         # truth from the dense reference, sqrt(p) = F(rho, psi) for the pure psi;
         # per-seed success should be well above the nominal 2/3
         problem = instance_problem()
-        truth = uhlmann_fidelity(mixed_instance(1, 2, 42)[0], pure_instance(1, 43)[0])
+        truth = uhlmann_fidelity(sampled(1, 2, 42)[0], pure_instance(1, 43)[0])
         hits = 0
         for seed in range(200):
             result = sqrt_amplitude_estimate(*problem, 0.02, seed=seed)

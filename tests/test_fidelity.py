@@ -32,7 +32,6 @@ from conftest import (
     dense_hellinger,
     dense_sqrt_tr_rho_sigma2,
     hard_oracles,
-    mixed_instance,
     principal_eigvec,
     pure_instance,
     rank_weights,
@@ -59,7 +58,7 @@ class TestExactReferences:
     @pytest.mark.parametrize("seed", range(5))
     def test_fidelity_matches_uhlmann(self, seed):
         # oracle: Uhlmann fidelity via matrix square roots
-        rho, _ = mixed_instance(2, 3, 3000 + seed)
+        rho, _ = sampled(2, 3, 3000 + seed)
         psi_dm, _ = pure_instance(2, 3100 + seed)
         psi = principal_eigvec(psi_dm)
         assert abs(exact_fidelity_to_pure(rho, psi) - uhlmann_fidelity(rho, psi_dm)) <= 1e-9
@@ -70,7 +69,7 @@ class TestExactReferences:
             exact_fidelity_to_pure(rho, ZERO2)
 
     def test_tr_rho_sigma2_pure_second_state(self):
-        rho, _ = mixed_instance(1, 2, 12)
+        rho, _ = sampled(1, 2, 12)
         psi_dm, _ = pure_instance(1, 13)
         psi = principal_eigvec(psi_dm)
         lhs = exact_tr_rho_sigma2(rho, psi_dm)
@@ -78,14 +77,14 @@ class TestExactReferences:
         assert abs(lhs - rhs) <= 1e-12
 
     def test_tr_rho_sigma2_maximally_mixed(self):
-        rho, _ = mixed_instance(1, 2, 14)
+        rho, _ = sampled(1, 2, 14)
         assert abs(exact_tr_rho_sigma2(rho, DensityMatrix(np.eye(2) / 2)) - 0.25) <= 1e-12
 
     @pytest.mark.parametrize("seed", range(4))
     def test_tr_rho_sigma2_matches_circuit(self, seed):
         # oracle: the executed restructured circuit
-        rho, u = mixed_instance(2, 3, 3200 + seed)
-        sigma, v = mixed_instance(2, 2, 3300 + seed)
+        rho, u = sampled(2, 3, 3200 + seed)
+        sigma, v = sampled(2, 2, 3300 + seed)
         circ = build_restructured_encoding(u, v)
         amp = analyze_flagged(execute(circ), circ.layout, ("A'", "B'")).flagged_amplitude
         assert abs(amp**2 - exact_tr_rho_sigma2(rho, sigma)) <= 1e-10
@@ -97,7 +96,7 @@ class TestExactReferences:
             exact_tr_rho_sigma2(a, b)
 
     def test_uhlmann_self_fidelity(self):
-        rho, _ = mixed_instance(2, 4, 15)
+        rho, _ = sampled(2, 4, 15)
         assert abs(uhlmann_fidelity(rho, rho) - 1.0) <= 1e-9
 
     def test_uhlmann_orthogonal_pure(self):
@@ -107,8 +106,8 @@ class TestExactReferences:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_uhlmann_symmetric(self, seed):
-        a, _ = mixed_instance(2, 3, 3400 + seed)
-        b, _ = mixed_instance(2, 2, 3500 + seed)
+        a, _ = sampled(2, 3, 3400 + seed)
+        b, _ = sampled(2, 2, 3500 + seed)
         assert abs(uhlmann_fidelity(a, b) - uhlmann_fidelity(b, a)) <= 1e-9
 
 
@@ -154,7 +153,7 @@ class TestArgumentChecks:
         # invalid in every field: the purity check in bind is the first one reached
         monkeypatch.setattr(estimation, "uniforms", _no_sampling)
         _, u = pure_instance(1, 20, "U")
-        _, v = mixed_instance(2, 2, 21, "V")
+        _, v = sampled(2, 2, 21, "V")
         with pytest.raises(ValueError, match=f"the {name} estimator requires a pure second state"):
             ESTIMATORS[name].bind(u, v)(1.5, -1)
 
@@ -171,11 +170,11 @@ class TestEstimatorTable:
         # as a fresh bind at each (epsilon, seed)
         rank = rank_index % (1 << k) + 1
         for name, estimator in ESTIMATORS.items():
-            first = pure_instance(k, seed, "U") if estimator.first_pure else mixed_instance(k, rank, seed)
+            first = pure_instance(k, seed, "U") if estimator.first_pure else sampled(k, rank, seed)
             second = (
                 pure_instance(k, seed + 1)
                 if estimator.second_pure
-                else mixed_instance(k, rank, seed + 1, "V")
+                else sampled(k, rank, seed + 1, "V")
             )
             u, v = first[1], second[1]
             bound = estimator.bind(u, v)
@@ -215,7 +214,7 @@ class TestEstimatorTable:
                 (estimator.first_pure, estimator.second_pure), rank_indices, extra_ancillas, "UV", (0, 1)
             ):
                 rank = 1 if pure else rank_index % (1 << k) + 1
-                dm, _ = mixed_instance(k, rank, seed + offset, label)
+                dm, _ = sampled(k, rank, seed + offset, label)
                 oracle = resized_oracle(dm, (rank - 1).bit_length() + extra, label)
                 oracles.append(ancilla_rotated(oracle, seed + offset))
             assert_flag_probability_matches(name, *oracles)
@@ -249,9 +248,9 @@ class TestEstimatorTable:
             rank = 1 if estimator.first_pure else rank_index % (1 << k) + 1
             config = cli.ExperimentConfig(command="sweep", estimator=name, k=k, rank=rank, seed=seed)
             [(record, _)] = cli._estimate_trial(config, 0)
-            kinds = {True: ("haar_pure", 1), False: ("ginibre_mixed", rank)}
-            rho, u = sampled(cli._spec(config, 0, 0, *kinds[estimator.first_pure]), "U")
-            sigma, v = sampled(cli._spec(config, 0, 1, *kinds[estimator.second_pure]), "V")
+            u = cli._instance(config, 0, 0, rank, "U")
+            v = cli._instance(config, 0, 1, 1 if estimator.second_pure else rank, "V")
+            rho, sigma = reduced_state(u), reduced_state(v)
             bound = estimator.bind(u, v)
             assert record.true_value == bound.true_value, name
             assert abs(bound.true_value**2 - exact_tr_rho_sigma2(rho, sigma)) <= 1e-12, name
@@ -270,7 +269,7 @@ class TestEstimatorTable:
         oracles = []
         for rank_index, extra, label, offset in zip(rank_indices, extra_ancillas, "UV", (0, 1)):
             rank = rank_index % (1 << k) + 1
-            dm, _ = mixed_instance(k, rank, seed + offset, label)
+            dm, _ = sampled(k, rank, seed + offset, label)
             oracle = resized_oracle(dm, (rank - 1).bit_length() + extra, label)
             oracles.append(ancilla_rotated(oracle, seed + offset))
         bound = ESTIMATORS["tr-rho-sigma2"].bind(*oracles)
@@ -324,7 +323,7 @@ class TestSwapTestEstimate:
             bound(epsilon, 0)
 
     def test_seeded_instance_success_rate(self):
-        rho, u = mixed_instance(1, 2, 42)
+        rho, u = sampled(1, 2, 42)
         psi, v = pure_instance(1, 43)
         truth = uhlmann_fidelity(rho, psi)
         hits = 0
@@ -335,13 +334,13 @@ class TestSwapTestEstimate:
         assert hits >= 120
 
     def test_rejects_mixed_second_state(self):
-        _, u = mixed_instance(1, 2, 23)
-        _, v = mixed_instance(1, 2, 24)
+        _, u = sampled(1, 2, 23)
+        _, v = sampled(1, 2, 24)
         with pytest.raises(ValueError, match="pure"):
             ESTIMATORS["swap-baseline"].bind(u, v)
 
     def test_delta_is_quarter_epsilon_squared(self):
-        _, u = mixed_instance(1, 2, 42)
+        _, u = sampled(1, 2, 42)
         _, v = pure_instance(1, 43)
         result = ESTIMATORS["swap-baseline"].bind(u, v)(0.2, 0)
         assert result.delta == pytest.approx(0.01)
@@ -364,7 +363,7 @@ class TestFidelityToPure:
             assert abs(result.estimate - math.sqrt(0.5)) <= 1e-12
 
     def test_seeded_k2_rank3_success_rate(self):
-        rho, u = mixed_instance(2, 3, 777)
+        rho, u = sampled(2, 3, 777)
         psi, v = pure_instance(2, 778)
         truth = uhlmann_fidelity(rho, psi)
         hits = 0
@@ -375,15 +374,15 @@ class TestFidelityToPure:
         assert hits >= 120
 
     def test_query_ratio_exact(self):
-        _, u = mixed_instance(2, 3, 777)
+        _, u = sampled(2, 3, 777)
         _, v = pure_instance(2, 778)
         for eps in (0.2, 0.05, 0.01):
             result = ESTIMATORS["optimal"].bind(u, v)(eps, 1)
             assert result.total_queries("V") == 2 * result.total_queries("U")
 
     def test_rejects_mixed_second_state(self):
-        _, u = mixed_instance(1, 2, 23)
-        _, v = mixed_instance(1, 2, 24)
+        _, u = sampled(1, 2, 23)
+        _, v = sampled(1, 2, 24)
         with pytest.raises(ValueError, match="pure"):
             ESTIMATORS["optimal"].bind(u, v)
 
@@ -391,7 +390,7 @@ class TestFidelityToPure:
         # a rank-2 state on k=2 purified with a single ancilla qubit; the
         # circuit pads the smaller ancilla register and the estimate is
         # unaffected
-        rho, _ = mixed_instance(2, 2, 555)
+        rho, _ = sampled(2, 2, 555)
         psi_dm, v = pure_instance(2, 556)
         u_min = resized_oracle(rho, 1, "U")
         truth = exact_fidelity_to_pure(rho, principal_eigvec(psi_dm))
@@ -405,7 +404,7 @@ class TestFidelityToPure:
 
 class TestSqrtTrRhoSigma2Estimate:
     def test_pure_sigma_reproduces_fidelity_to_pure(self):
-        _, u = mixed_instance(1, 2, 42)
+        _, u = sampled(1, 2, 42)
         _, v = pure_instance(1, 43)
         for seed in (0, 5, 17):
             a = ESTIMATORS["tr-rho-sigma2"].bind(u, v)(0.05, seed)
@@ -414,7 +413,7 @@ class TestSqrtTrRhoSigma2Estimate:
             assert a.to_json() == b.to_json()
 
     def test_maximally_mixed_sigma(self):
-        rho, u = mixed_instance(1, 2, 26)
+        rho, u = sampled(1, 2, 26)
         v = preparation_oracle(DensityMatrix(np.eye(2) / 2), "V")
         # sqrt(tr(rho/4)) = 1/2 exactly, and the phase is grid-aligned
         for seed in range(3):
@@ -422,8 +421,8 @@ class TestSqrtTrRhoSigma2Estimate:
             assert abs(result.estimate - 0.5) <= 0.05
 
     def test_seeded_mixed_pair_success_rate(self):
-        rho, u = mixed_instance(1, 2, 301)
-        sigma, v = mixed_instance(1, 2, 302)
+        rho, u = sampled(1, 2, 301)
+        sigma, v = sampled(1, 2, 302)
         truth = dense_sqrt_tr_rho_sigma2(rho, sigma)
         hits = 0
         bound = ESTIMATORS["tr-rho-sigma2"].bind(u, v)
@@ -462,7 +461,7 @@ class TestPurePureFidelity:
         assert hits >= 120
 
     def test_rejects_mixed_first_state(self):
-        _, u = mixed_instance(1, 2, 27)
+        _, u = sampled(1, 2, 27)
         _, v = pure_instance(1, 28)
         with pytest.raises(ValueError, match="pure first"):
             ESTIMATORS["pure-pure"].bind(u, v)

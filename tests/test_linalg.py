@@ -72,9 +72,9 @@ class TestHermEig:
             herm_eig(np.array([[0, 1], [0, 0]], dtype=complex))
 
     def test_density_matrix_eigenvalues_sum_to_one(self):
-        from conftest import mixed_instance
+        from conftest import sampled
 
-        dm, _ = mixed_instance(2, 3, 17)
+        dm, _ = sampled(2, 3, 17)
         w, _ = herm_eig(dm.matrix)
         assert abs(np.sum(w) - 1.0) <= 1e-10
 

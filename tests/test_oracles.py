@@ -15,10 +15,9 @@ from fidest import linalg
 from fidest.circuits import Circuit, OracleOp, RegisterLayout, build_encoding_circuit
 from fidest.fidelity import PURITY_ATOL
 from fidest.linalg import analyze_flagged, apply_oracle, execute, oracle_residuals, oracle_unitary
+from fidest import oracles
 from fidest.oracles import (
-    INSTANCE_KINDS,
     PreparationOracle,
-    RandomInstanceSpec,
     check_instance_size,
     complex_gaussians,
     synthesize_instance,
@@ -37,7 +36,6 @@ from conftest import (
     ancilla_rotated,
     channel_oracle,
     generated_oracles,
-    mixed_instance,
     padded_oracle,
     pure_instance,
     resized_oracle,
@@ -67,7 +65,7 @@ class TestPurify:
     @pytest.mark.parametrize("seed", range(6))
     def test_reduced_state_matches_source(self, seed):
         # oracle: partial trace of the purification projector
-        dm, _ = mixed_instance(2, 3, 400 + seed)
+        dm, _ = sampled(2, 3, 400 + seed)
         col = purify(dm)
         assert np.max(np.abs(reduced_system_state(col, 2) - dm.matrix)) <= 1e-9
 
@@ -127,7 +125,7 @@ class TestCompleteToUnitary:
 @pytest.mark.parametrize("case", [*EDGE_COLUMNS, "mixed"])
 def test_apply_acts_on_axis_1(case):
     if case == "mixed":
-        oracle = mixed_instance(2, 3, 12)[1]
+        oracle = sampled(2, 3, 12)[1]
     else:
         oracle = PreparationOracle(unit_column(case), 2, 0, case)
     u = oracle_unitary(oracle)
@@ -169,7 +167,7 @@ def test_completion_of_generated_columns(data):
 def test_queries_keep_rows_off_the_column_support():
     # a psi (x) |0> column lives on its ancilla-0 entries; the reflection and the
     # scale of row 0 write only those rows, so every other row is kept bit for bit
-    oracle = padded_oracle(synthesize_instance(RandomInstanceSpec(2, 1, 21, "haar_pure")))
+    oracle = padded_oracle(synthesize_instance(2, 1, 21))
     off = np.array(oracle.prepared_state) == 0
     assert off.sum() == 12
     rng = np.random.default_rng(22)
@@ -188,7 +186,7 @@ def test_apply_allocates_less_than_two_inputs():
     # rows, with numpy's broadcast buffer, is all it allocates; a whole-size
     # product freed at the heap top let glibc trim the heap and fault it back
     # in on every circuit op
-    oracle = mixed_instance(3, 3, 12)[1]
+    oracle = sampled(3, 3, 12)[1]
     x = np.ones((2, 1 << oracle.num_qubits, 64), dtype=complex)
     for inverse in (False, True):
         tracemalloc.start()
@@ -208,7 +206,7 @@ class TestControlledAndInverse:
     def cases():
         """(oracle, pad): a mixed instance, the edge columns, and a random column
         whose ops span two padding qubits beyond the oracle."""
-        _, mixed = mixed_instance(1, 2, 5)
+        _, mixed = sampled(1, 2, 5)
         edges = [(PreparationOracle(unit_column(name), 2, 0, name), 0) for name in EDGE_COLUMNS]
         return [(mixed, 0), *edges, (PreparationOracle(unit_column(3), 3, 0, "padded"), 2)]
 
@@ -229,7 +227,7 @@ class TestControlledAndInverse:
                 assert np.max(np.abs(self.unitary_of(oracle, kind, pad=pad) - expected)) <= 1e-12
 
     def test_inverse_times_forward_is_identity(self):
-        for oracle, pad in [(mixed_instance(2, 4, 6)[1], 0), *self.cases()]:
+        for oracle, pad in [(sampled(2, 4, 6)[1], 0), *self.cases()]:
             prod = self.unitary_of(oracle, "plain", "inverse", pad=pad)
             assert np.max(np.abs(prod - np.eye(prod.shape[0]))) <= 1e-10, oracle.label
 
@@ -259,7 +257,7 @@ class TestPurifiedChannelOracle:
         # the oracle keeps only q's first column; the encoding reads no other
         rng = np.random.default_rng(78)
         q, _ = np.linalg.qr(rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))
-        dm, _ = mixed_instance(1, 2, 79)
+        dm, _ = sampled(1, 2, 79)
         u = resized_oracle(dm, 2, "U")
         circuit = build_encoding_circuit(u, channel_oracle(q, 1, "V"))
         amp = analyze_flagged(execute(circuit), circuit.layout, ("A", "B")).flagged_amplitude
@@ -271,31 +269,33 @@ class TestPurifiedChannelOracle:
 
 class TestSampleInstance:
     def test_deterministic_in_seed(self):
-        spec = RandomInstanceSpec(1, 1, 7, "haar_pure")
-        dm1, or1 = sampled(spec)
-        dm2, or2 = sampled(spec)
+        dm1, or1 = sampled(1, 1, 7)
+        dm2, or2 = sampled(1, 1, 7)
         assert np.array_equal(dm1.matrix, dm2.matrix)
         assert np.array_equal(oracle_unitary(or1), oracle_unitary(or2))
 
     def test_rank_one_is_pure(self):
-        dm, _ = sampled(RandomInstanceSpec(2, 1, 11, "ginibre_mixed"))
+        dm, _ = sampled(2, 1, 11)
         assert abs(np.trace(dm.matrix @ dm.matrix).real - 1.0) <= 1e-10
 
     def test_full_rank_spectrum(self):
-        dm, _ = sampled(RandomInstanceSpec(2, 4, 12, "ginibre_mixed"))
+        dm, _ = sampled(2, 4, 12)
         w = np.linalg.eigvalsh(dm.matrix)
         assert w[0] >= -1e-12
         assert abs(np.sum(w) - 1.0) <= 1e-10
 
     def test_rank_out_of_range(self):
         with pytest.raises(ValueError, match=re.escape("rank 3 out of range [1, 2^1] for k=1")):
-            RandomInstanceSpec(1, 3, 0, "ginibre_mixed")
+            synthesize_instance(1, 3, 0)
         with pytest.raises(ValueError, match=re.escape("rank 0 out of range [1, 2^1] for k=1")):
-            RandomInstanceSpec(1, 0, 0, "ginibre_mixed")
+            synthesize_instance(1, 0, 0)
 
     def test_size_check_never_builds_two_to_the_k(self):
-        # a spec far over the qubit cap is only a recipe: it is checked, never drawn
-        assert RandomInstanceSpec(2**70, 2, 0, "ginibre_mixed").k == 2**70
+        # a k far over the qubit cap is checked in O(1): a bad rank or seed is refused, not drawn
+        with pytest.raises(ValueError, match=re.escape(f"rank 0 out of range [1, 2^{2**70}]")):
+            synthesize_instance(2**70, 0, 0)
+        with pytest.raises(ValueError, match="64-bit"):
+            synthesize_instance(2**70, 2, -1)
         check_instance_size(64, 2**64)
         with pytest.raises(ValueError, match=re.escape(f"rank {2**64 + 1} out of range [1, 2^64] for k=64")):
             check_instance_size(64, 2**64 + 1)
@@ -305,31 +305,28 @@ class TestSampleInstance:
                 check_instance_size(k, (1 << k) + 1)
 
     def test_seed_is_a_64_bit_unsigned_integer(self):
-        RandomInstanceSpec(1, 1, 2**64 - 1, "haar_pure")
+        synthesize_instance(1, 1, 2**64 - 1)
         with pytest.raises(ValueError, match="64-bit"):
-            RandomInstanceSpec(1, 1, 2**64, "haar_pure")
+            synthesize_instance(1, 1, 2**64)
 
     @pytest.mark.parametrize(
-        "k,kind,message",
-        [(0, "haar_pure", "k must be >= 1, got 0"), (1, "wishart", "kind 'wishart' not in")],
+        "k,rank,seed,message",
+        [(0, 1, 0, "k must be >= 1, got 0"), (1, 3, 0, "out of range"), (1, 1, -1, "64-bit"), (1, 1, 2**64, "64-bit")],
     )
-    def test_rejects_bad_k_or_kind(self, k, kind, message):
+    def test_rejects_a_bad_size_or_seed_before_reading_a_uniform(self, monkeypatch, k, rank, seed, message):
+        def no_draw(*args):
+            raise AssertionError("an instance read a uniform before its arguments were checked")
+
+        monkeypatch.setattr(oracles, "uniforms", no_draw)
         with pytest.raises(ValueError, match=message):
-            RandomInstanceSpec(k, 1, 0, kind)
+            synthesize_instance(k, rank, seed)
 
-    def test_haar_pure_requires_rank_one(self):
-        with pytest.raises(ValueError, match="rank 1"):
-            RandomInstanceSpec(2, 2, 0, "haar_pure")
-
-    @pytest.mark.parametrize(
-        "kind,rank",
-        [("haar_pure", 1), ("ginibre_mixed", 2), ("ginibre_mixed", 3), ("ginibre_mixed", 4)],
-    )
-    def test_oracle_soundness(self, kind, rank):
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_oracle_soundness(self, rank):
         # every synthesized oracle: unitary, its column the instance's Gaussian
         # factor on the first ``rank`` of its 2^ancilla states and exactly zero on
         # the rest, the executed query reproducing the source
-        oracle = synthesize_instance(RandomInstanceSpec(2, rank, 99, kind))
+        oracle = synthesize_instance(2, rank, 99)
         assert unitarity_error(oracle_unitary(oracle)) <= 1e-10
         m = np.array(oracle.prepared_state).reshape(4, 1 << oracle.ancilla_qubits)
         assert np.all(np.any(m[:, :rank], axis=0))
@@ -337,13 +334,13 @@ class TestSampleInstance:
         unitarity, reconstruction = oracle_residuals(oracle)
         assert unitarity <= 1e-10 and reconstruction <= 1e-12
 
-    @pytest.mark.parametrize("kind,rank", [("haar_pure", 1), ("ginibre_mixed", 3)])
-    def test_reconstruction_error_sees_another_state(self, monkeypatch, kind, rank):
+    @pytest.mark.parametrize("rank", [1, 3])
+    def test_reconstruction_error_sees_another_state(self, monkeypatch, rank):
         # the reconstruction residual compares the executed query with the stored column:
         # a query that prepares another seed's state is far off while U stays unitary,
         # and reading it leaves the oracle's column as it was
-        oracle = synthesize_instance(RandomInstanceSpec(2, rank, 5, kind))
-        other = synthesize_instance(RandomInstanceSpec(2, rank, 6, kind))
+        oracle = synthesize_instance(2, rank, 5)
+        other = synthesize_instance(2, rank, 6)
         column = np.array(oracle.prepared_state)
         unitarity, own = oracle_residuals(oracle)
         assert unitarity <= 1e-10 and own <= 1e-12
@@ -357,24 +354,21 @@ class TestSampleInstance:
         # a rank-r instance has ceil(log2 r) ancilla qubits (a pure one none), and the
         # ancilla columns a sweep reads are those of g zero-padded to a k-qubit ancilla
         for rank in range(1, (1 << k) + 1):
-            for kind in ("haar_pure", "ginibre_mixed")[rank > 1 :]:
-                oracle = synthesize_instance(RandomInstanceSpec(k, rank, 40 + rank, kind))
-                assert oracle.ancilla_qubits == (rank - 1).bit_length(), (rank, kind)
-                wide = padded_oracle(oracle)
-                assert wide.ancilla_qubits == k
-                assert wide._columns == oracle._columns
-                assert len(oracle._columns) == rank
+            oracle = synthesize_instance(k, rank, 40 + rank)
+            assert oracle.ancilla_qubits == (rank - 1).bit_length(), rank
+            wide = padded_oracle(oracle)
+            assert wide.ancilla_qubits == k
+            assert wide._columns == oracle._columns
+            assert len(oracle._columns) == rank
 
     @settings(database=None, deadline=None, max_examples=40)
     @given(data=st.data())
     def test_generated_specs_are_deterministic_and_sound(self, data):
         k = data.draw(st.integers(1, 3), label="k")
-        kind = data.draw(st.sampled_from(INSTANCE_KINDS), label="kind")
-        rank = 1 if kind == "haar_pure" else data.draw(st.integers(1, 1 << k), label="rank")
+        rank = data.draw(st.integers(1, 1 << k), label="rank")
         seed = data.draw(st.integers(0, 2**64 - 1), label="seed")
-        spec = RandomInstanceSpec(k, rank, seed, kind)
-        dm, oracle = sampled(spec)
-        dm2, oracle2 = sampled(spec)
+        dm, oracle = sampled(k, rank, seed)
+        dm2, oracle2 = sampled(k, rank, seed)
         assert np.array_equal(dm2.matrix, dm.matrix)
         assert np.array_equal(oracle2.prepared_state, oracle.prepared_state)
         assert oracle_residuals(oracle)[1] <= 1e-9
@@ -386,15 +380,13 @@ class TestSampleInstance:
         # a sweep builds no state; verify-identities reads the validated one from
         # synthesize_instance's column, which is the same on every draw, to the bit
         k = data.draw(st.integers(1, 4), label="k")
-        kind = data.draw(st.sampled_from(INSTANCE_KINDS), label="kind")
-        rank = 1 if kind == "haar_pure" else data.draw(st.integers(1, 1 << k), label="rank")
+        rank = data.draw(st.integers(1, 1 << k), label="rank")
         seed = data.draw(st.integers(0, 2**64 - 1), label="seed")
-        spec = RandomInstanceSpec(k, rank, seed, kind)
-        oracle = synthesize_instance(spec)
+        oracle = synthesize_instance(k, rank, seed)
         dm = reduced_state(oracle)
         assert not dm.matrix.flags.writeable
         column = np.array(oracle.prepared_state)
-        assert np.array(synthesize_instance(spec).prepared_state).tobytes() == column.tobytes()
+        assert np.array(synthesize_instance(k, rank, seed).prepared_state).tobytes() == column.tobytes()
         assert np.max(np.abs(reduced_system_state(column, k) - dm.matrix)) <= 1e-12
 
 
@@ -430,7 +422,7 @@ class TestColumnPurity:
             assert abs(oracle.purity() - dense) <= 1e-14
             assert (oracle.purity() >= 1.0 - PURITY_ATOL) == (dense >= 1.0 - PURITY_ATOL)
             pure += dense >= 1.0 - PURITY_ATOL
-        # both classes are covered: haar_pure, rank 1 and hard instances are pure
+        # both classes are covered: rank-1 and hard instances are pure
         assert 0 < pure < 60
 
     @settings(database=None, deadline=None, max_examples=40)
@@ -444,7 +436,7 @@ class TestColumnPurity:
         # the synthesized column, and the same state's purification in a wider,
         # rotated ancilla basis, both give the dense tr(rho^2) within 1e-12
         rank = rank_index % (1 << k) + 1
-        dm, oracle = mixed_instance(k, rank, seed)
+        dm, oracle = sampled(k, rank, seed)
         rotated = ancilla_rotated(resized_oracle(dm, (rank - 1).bit_length() + extra), seed)
         dense = np.trace(dm.matrix @ dm.matrix).real
         for column in (oracle, rotated):
@@ -452,13 +444,13 @@ class TestColumnPurity:
 
     def test_each_rank_at_k3(self):
         for rank in range(1, 9):
-            dm, oracle = mixed_instance(3, rank, 40 + rank)
+            dm, oracle = sampled(3, rank, 40 + rank)
             assert abs(oracle.purity() - np.trace(dm.matrix @ dm.matrix).real) <= 1e-14
             assert (oracle.purity() >= 1.0 - PURITY_ATOL) == (rank == 1)
 
 
 def test_householder_factors_are_built_on_first_apply():
-    _, oracle = mixed_instance(2, 3, 8)
+    _, oracle = sampled(2, 3, 8)
     assert oracle not in linalg._FACTORS
     oracle.purity()
     reduced_state(oracle)
@@ -494,7 +486,7 @@ def test_preparation_oracle_rejects_non_unit_column(column):
 
 
 def test_preparation_oracle_first_column_matches_purification():
-    dm, _ = mixed_instance(1, 2, 55)
+    dm, _ = sampled(1, 2, 55)
     oracle = preparation_oracle(dm, "U")
     assert np.max(np.abs(oracle.prepared_state - purify(dm))) <= 1e-10
 

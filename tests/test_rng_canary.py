@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 
 import fidest
-from fidest.oracles import RandomInstanceSpec, synthesize_instance
+from fidest.oracles import synthesize_instance
 from fidest.streams import derive_seed, uniforms
 
 PACKAGE = Path(fidest.__file__).parent
@@ -63,7 +63,7 @@ def test_derived_seed_is_pinned():
 
 def test_instance_column_is_pinned():
     # Box-Muller on libm's log, cos and sin, then a math.fsum norm: no BLAS kernel
-    oracle = synthesize_instance(RandomInstanceSpec(1, 2, 7, "ginibre_mixed"))
+    oracle = synthesize_instance(1, 2, 7)
     digest = hashlib.sha256(struct.pack(f"<{2 * len(oracle.prepared_state)}d", *(
         x for z in oracle.prepared_state for x in (z.real, z.imag)
     ))).hexdigest()

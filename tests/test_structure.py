@@ -13,10 +13,11 @@ the reference module calls eigh or eigvalsh, the hard family is two weights per 
 executed circuit ops act in place and make no BLAS call that OpenBLAS can thread, a sweep
 and verify-identities validate no dense state, a sweep factors no oracle, and every command
 but verify-identities imports no numpy: fidest.linalg, the statevector executor, is its one
-module boundary."""
+module boundary.  Every field of a production dataclass is read by some command."""
 
 import ast
 import dataclasses
+import importlib
 import inspect
 import os
 import subprocess
@@ -33,10 +34,10 @@ import fidest.fidelity
 import fidest.reference
 from fidest import estimation, linalg
 from fidest.circuits import Circuit, OracleOp, RegisterLayout
-from fidest.cli import COMMANDS, ExperimentConfig, build_parser, config_from_args, main
+from fidest.cli import COMMANDS, FORMATS, ExperimentConfig, build_parser, config_from_args, main
 from fidest.estimation import _KernelSampler
 from fidest.fidelity import ESTIMATORS, Estimator
-from fidest.oracles import INSTANCE_KINDS, PreparationOracle, RandomInstanceSpec
+from fidest.oracles import PreparationOracle
 from fidest.reference import DensityMatrix, preparation_oracle, purify
 
 PACKAGE = Path(fidest.__file__).parent
@@ -221,7 +222,7 @@ def called_names(source):
 
 #: The executor's functions in fidest.linalg: the ops, the oracle's application and the norms.
 EXECUTOR = ("_block", "_one_qubit", "_swap_geometry", "_hadamard", "apply_oracle", "_apply_op", "_norm",
-            "execute", "analyze_flagged", "register_zero_probability")
+            "execute", "analyze_flagged")
 
 
 def executor_functions():
@@ -406,8 +407,10 @@ def test_no_test_only_surface():
     assert unnamed_definitions() == []
     # instance and matrix files, the prescribed-spectrum kind and the free-standing
     # dense completion (read fidest.linalg.oracle_unitary) had no caller outside the tests,
-    # and the rank-long Hellinger sum is fidest.fidelity.summed_hellinger's O(1) exact sum
+    # the rank-long Hellinger sum is fidest.fidelity.summed_hellinger's O(1) exact sum, and
+    # Pr[registers = 0] is analyze_flagged's flagged amplitude squared, read where it is used
     deleted = {
+        "register_zero_probability",
         "hellinger_distance",
         "instance_to_json",
         "instance_from_json",
@@ -421,11 +424,57 @@ def test_no_test_only_surface():
         defined = {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
         assert not deleted & defined, path.name
     assert not deleted & set(dir(fidest))
-    assert [f.name for f in dataclasses.fields(RandomInstanceSpec)] == ["k", "rank", "seed", "kind"]
-    assert INSTANCE_KINDS == ("haar_pure", "ginibre_mixed")
+    # an instance is (k, rank, seed): a rank-1 draw is the Haar-random pure state, so no
+    # instance kind or spec type is kept
+    for name in ("RandomInstanceSpec", "INSTANCE_KINDS"):
+        assert not hasattr(fidest.oracles, name), name
+    assert list(inspect.signature(fidest.oracles.synthesize_instance).parameters) == ["k", "rank", "seed", "label"]
     # the hard family is two weights per member: no rank-long or 2^k vector, oracle or target
     pair = fidest.fidelity.hard_pair(0.5, 0.1, 1 << 20, 20)
     assert [tuple(map(type, member)) for member in pair] == [(float, float)] * 2
+
+
+#: Frames whose field reads do not count as a use: checks on construction and the dunders
+#: that dataclasses generates.
+UNCOUNTED_READERS = {"__post_init__", "__init__", "__repr__", "__eq__", "__hash__"}
+
+
+def production_dataclasses():
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem not in ("__init__", "reference"):
+            module = importlib.import_module(f"fidest.{path.stem}")
+            yield from (
+                value for value in vars(module).values()
+                if isinstance(value, type) and dataclasses.is_dataclass(value) and value.__module__ == module.__name__
+            )
+
+
+def test_every_dataclass_field_is_read_by_a_command(monkeypatch, capsys):
+    # a field that no command reads, outside the checks on construction, is a setting with no
+    # effect (an instance kind was one: each kind drew the same state)
+    reads, fields = set(), set()
+    for cls in production_dataclasses():
+        names = {f.name for f in dataclasses.fields(cls)}
+        fields |= {(cls.__name__, name) for name in names}
+
+        def recorded(self, name, cls=cls, names=names):
+            if name in names and sys._getframe(1).f_code.co_name not in UNCOUNTED_READERS:
+                reads.add((cls.__name__, name))
+            return object.__getattribute__(self, name)
+
+        monkeypatch.setattr(cls, "__getattribute__", recorded)
+    sweep = ["sweep", "--k", "1", "--epsilons", "0.2,0.1,0.05", "--trials", "2"]
+    for name, estimator in ESTIMATORS.items():
+        assert main([*sweep, "--estimator", name, "--rank", "1" if estimator.first_pure else "2"]) == 0
+    assert main([*sweep, "--format", "json"]) == 0
+    assert main(["single", "--k", "1", "--epsilons", "0.1"]) == 0
+    for fmt in FORMATS:
+        assert main(["hard-instance", "--format", fmt]) == 0
+    assert main(["verify-identities", "--k", "2"]) == 0
+    mixed = fidest.oracles.synthesize_instance(1, 2, 0)
+    with pytest.raises(ValueError, match="requires a pure second state"):
+        ESTIMATORS["optimal"].bind(mixed, mixed)
+    assert sorted(fields - reads) == []
 
 
 def test_eigendecompositions_live_in_the_reference():
